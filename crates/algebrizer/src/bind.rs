@@ -1311,8 +1311,10 @@ impl<'a> Binder<'a> {
             "avg" => agg(AggFunc::Avg, self),
             "min" => agg(AggFunc::Min, self),
             "max" => agg(AggFunc::Max, self),
-            "dev" => agg(AggFunc::StdDev, self),
-            "var" => agg(AggFunc::Variance, self),
+            "dev" => agg(AggFunc::StdDevPop, self),
+            "var" => agg(AggFunc::VariancePop, self),
+            "sdev" => agg(AggFunc::StdDev, self),
+            "svar" => agg(AggFunc::Variance, self),
             "first" => agg(AggFunc::First, self),
             "last" => agg(AggFunc::Last, self),
             "med" => {

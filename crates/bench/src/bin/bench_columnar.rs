@@ -17,9 +17,16 @@
 //!
 //! The acceptance bar is a ≥2× columnar speedup on at least two of the
 //! four shapes.
+//!
+//! Also reported, not gated: the translated TAQ point and vwap
+//! statements of hqbench's `taq_wire` over its 60k-row `trades`, timed
+//! through `Session::execute_batch`, with the number of rows the
+//! executor handed to the row pipeline meanwhile (expected: none).
 
 use algebrizer::ResultShape;
 use hyperq::pivot::{pivot, pivot_batch};
+use hyperq::{loader, HyperQSession};
+use hyperq_workload::taq::{generate_trades, TaqConfig};
 use pgdb::exec::columnar::run_select_batch;
 use pgdb::exec::{run_select_rows, TableSource};
 use pgdb::sql::ast::Stmt;
@@ -28,9 +35,10 @@ use pgdb::{Batch, Cell, Column, PgType, Rows};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-type DualTable = (Vec<Column>, Vec<Vec<Cell>>, Batch);
+type DualTable = (Vec<Column>, Vec<Vec<Cell>>, Arc<Batch>);
 
 /// Both representations of every table, pre-built — the engine's own
 /// storage is columnar and the row path transposes on scan, so handing
@@ -46,7 +54,7 @@ impl DualSource {
 
     fn put(&mut self, name: &str, columns: Vec<Column>, rows: Vec<Vec<Cell>>) {
         let batch =
-            Batch::from_rows(Rows { columns: columns.clone(), data: rows.clone() });
+            Arc::new(Batch::from_rows(Rows { columns: columns.clone(), data: rows.clone() }));
         self.tables.insert(name.to_string(), (columns, rows, batch));
     }
 }
@@ -57,9 +65,9 @@ impl TableSource for DualSource {
         Some((columns.clone(), rows.clone()))
     }
 
-    fn get_table_batch(&self, name: &str) -> Option<Batch> {
+    fn get_table_batch(&self, name: &str) -> Option<Arc<Batch>> {
         let (_, _, batch) = self.tables.get(name)?;
-        Some(batch.clone())
+        Some(Arc::clone(batch))
     }
 }
 
@@ -91,6 +99,46 @@ impl Entry {
     fn speedup(&self) -> f64 {
         if self.columnar_s > 0.0 { self.row_s / self.columnar_s } else { f64::INFINITY }
     }
+}
+
+/// Row-pipeline hand-overs so far, all reasons.
+fn row_fallbacks() -> u64 {
+    let reg = obs::global_registry();
+    ["window", "agg_shape", "non_equi_join", "lazy_expr"]
+        .iter()
+        .map(|r| reg.counter_value(&format!("pgdb_exec_row_fallback_total{{reason=\"{r}\"}}")))
+        .sum()
+}
+
+/// The translated TAQ statements over `taq_wire`'s table: name, best
+/// wall clock, rows out, row-pipeline hand-overs while timing.
+fn taq_statements() -> Vec<(&'static str, Duration, usize, u64)> {
+    let db = pgdb::Db::new();
+    let cfg = TaqConfig { rows: 60_000, symbols: 10, days: 2, seed: 1 };
+    loader::load_table_direct(&db, "trades", &generate_trades(&cfg)).expect("load trades");
+    let mut hq = HyperQSession::with_direct(&db);
+    let mut session = db.session();
+    session.set_exec_threads(Some(1));
+    [
+        ("taq_point_60k", "select Time, Price, Size from trades where Date=2016.06.26, Symbol=`AAPL"),
+        (
+            "taq_vwap_by_symbol_60k",
+            "select vwap: (sum Price*Size) % sum Size by Symbol from trades where Date=2016.06.26, Size>200",
+        ),
+    ]
+    .into_iter()
+    .map(|(name, q)| {
+        let translations = hq.translate_only(q).expect("TAQ statement translates");
+        let sql = &translations.last().and_then(|t| t.statements.last()).expect("one statement").sql;
+        let before = row_fallbacks();
+        let mut rows = 0;
+        let best = best_of(20, || match session.execute_batch(sql).expect(name) {
+            pgdb::BatchQueryResult::Batch(b) => rows = b.rows(),
+            other => panic!("{name}: expected rows, got {other:?}"),
+        });
+        (name, best, rows, row_fallbacks() - before)
+    })
+    .collect()
 }
 
 fn main() {
@@ -199,6 +247,19 @@ fn main() {
         );
     }
     let at_least_2x = entries.iter().filter(|e| e.speedup() >= 2.0).count();
+    json.push_str("  ],\n  \"taq_in_process\": [\n");
+    let taq = taq_statements();
+    for (i, (name, best, rows, fallbacks)) in taq.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"name\": \"{name}\", \"best_ms\": {:.3}, \"rows_out\": {rows}, \"row_fallbacks\": {fallbacks}}}{}\n",
+            best.as_secs_f64() * 1e3,
+            if i + 1 < taq.len() { "," } else { "" },
+        ));
+        println!(
+            "{name:<36} best {:>8.3}ms   {rows} rows out   {fallbacks} row-pipeline hand-overs",
+            best.as_secs_f64() * 1e3,
+        );
+    }
     json.push_str("  ],\n");
     json.push_str(&format!("  \"shapes_at_2x_or_better\": {at_least_2x}\n}}\n"));
     std::fs::write("BENCH_columnar.json", &json).expect("write BENCH_columnar.json");

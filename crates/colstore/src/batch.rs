@@ -111,17 +111,43 @@ impl Validity {
     }
 
     /// Contiguous sub-range `[offset, offset + len)` of the slots.
+    /// Word-aligned offsets (every morsel boundary) copy whole words.
     pub fn slice(&self, offset: usize, len: usize) -> Validity {
         assert!(offset + len <= self.len, "slice {offset}+{len} out of {}", self.len);
         let mut out = Validity::all_valid(len);
-        if self.nulls.is_some() {
-            for i in 0..len {
-                if self.is_null(offset + i) {
-                    out.set_null(i);
+        let Some(words) = &self.nulls else { return out };
+        if offset.is_multiple_of(64) {
+            let mut w = words[offset / 64..(offset + len).div_ceil(64)].to_vec();
+            if !len.is_multiple_of(64) {
+                if let Some(last) = w.last_mut() {
+                    *last &= (1u64 << (len % 64)) - 1;
                 }
+            }
+            // All-valid ranges keep the bitmap-free form, like the
+            // per-slot path below.
+            if w.iter().any(|&x| x != 0) {
+                out.nulls = Some(w);
+            }
+            return out;
+        }
+        for i in 0..len {
+            if self.is_null(offset + i) {
+                out.set_null(i);
             }
         }
         out
+    }
+
+    /// Slot-wise union of NULLs: slot `i` is NULL when it is NULL in
+    /// either input (the validity of a strict binary operator's result).
+    pub fn union(&self, other: &Validity) -> Validity {
+        assert_eq!(self.len, other.len, "validity union over unequal lengths");
+        let nulls = match (&self.nulls, &other.nulls) {
+            (None, None) => None,
+            (Some(w), None) | (None, Some(w)) => Some(w.clone()),
+            (Some(a), Some(b)) => Some(a.iter().zip(b).map(|(x, y)| x | y).collect()),
+        };
+        Validity { len: self.len, nulls }
     }
 
     /// Concatenate `other` onto the end of `self`.

@@ -400,7 +400,10 @@ impl QipcClient {
         let mut chunk = [0u8; 16384];
         loop {
             // kdb+-style error frame? (type byte -128 after the header)
-            if self.buffer.len() >= 9 && self.buffer[8] == 0x80 {
+            // Only an uncompressed frame has its type byte there: in a
+            // compressed one, byte 8 is the low byte of the uncompressed
+            // length.
+            if self.buffer.len() >= 9 && self.buffer[2] == 0 && self.buffer[8] == 0x80 {
                 let total = u32::from_le_bytes([
                     self.buffer[4],
                     self.buffer[5],
@@ -598,5 +601,40 @@ mod tests {
         client.send_raw(&evil).unwrap();
         let err = client.read_response().unwrap_err();
         assert!(err.to_string().contains("exceeding"), "{err}");
+    }
+
+    /// Regression: a compressed reply whose uncompressed length ends in
+    /// 0x80 carries that byte where an error frame carries its type
+    /// byte; the client must read it as the reply it is.
+    #[test]
+    fn compressed_reply_with_length_byte_0x80_is_not_an_error() {
+        // 8 header + 6 vector header + n chars = 0x..80 bytes.
+        let reply = Value::Chars("a".repeat(0x880 - 14));
+        let frame = qipc::write_message_compressed(&Message {
+            msg_type: MsgType::Response,
+            value: reply.clone(),
+        })
+        .unwrap();
+        assert_eq!((frame[2], frame[8]), (1, 0x80), "fixture must be compressed, length ..80");
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut byte = [0u8; 1];
+            // Handshake: credentials up to the NUL, then the capability.
+            while conn.read_exact(&mut byte).is_ok() && byte[0] != 0 {}
+            conn.write_all(&[3]).unwrap();
+            // The query frame: 8-byte header carrying the total length.
+            let mut header = [0u8; 8];
+            conn.read_exact(&mut header).unwrap();
+            let total = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
+            conn.read_exact(&mut vec![0u8; total - 8]).unwrap();
+            conn.write_all(&frame).unwrap();
+        });
+        let mut client = QipcClient::connect(&addr, "t", "").unwrap();
+        let got = client.query("big").unwrap();
+        server.join().unwrap();
+        assert!(got.q_eq(&reply), "reply decoded as {got:?}");
     }
 }

@@ -85,7 +85,8 @@ pub enum ShardPlan {
         reason: &'static str,
     },
     /// A statement family that cannot be decomposed (windows, set ops,
-    /// subquery predicates, DISTINCT aggregates) but whose inputs are
+    /// subquery predicates, DISTINCT and non-distributive aggregates)
+    /// but whose inputs are
     /// all shard-managed: scatter each partitioned leaf, reconstruct the
     /// exact single-node table (ordinal merge), and evaluate the whole
     /// statement over the gathered inputs on a scratch engine — the MPP
@@ -901,7 +902,15 @@ pub fn plan_select(
     let meta = &cat[anchor.as_str()];
 
     if is_agg_context(sel) {
-        plan_agg(sel, cat, &sp, &anchor, meta, opts)
+        match plan_agg(sel, cat, &sp, &anchor, meta, opts) {
+            // No partial/merge decomposition exists (median, the
+            // deviation family, hq_first...), but like a DISTINCT
+            // aggregate the statement is exact over gathered inputs.
+            ShardPlan::Fallback { reason: FB_NONDISTRIBUTIVE } => {
+                gather_or_fallback(&info, cat, FB_NONDISTRIBUTIVE)
+            }
+            plan => plan,
+        }
     } else {
         plan_scan(sel, cat, &sp, &anchor)
     }

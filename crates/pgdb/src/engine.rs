@@ -313,18 +313,17 @@ impl TableSource for Session {
         catalog::virtual_table(self, name)
     }
 
-    fn get_table_batch(&self, name: &str) -> Option<Batch> {
-        // The executor consumes the batch (`mem::take` on its columns),
-        // so this hands out an owned deep copy — same cost as before
-        // the store went copy-on-write.
+    fn get_table_batch(&self, name: &str) -> Option<Arc<Batch>> {
+        // The stored batch itself: the executor reads it in place, and
+        // a writer arriving meanwhile copies on write.
         if let Some(t) = self.temps.get(name) {
-            return Some(t.batch.as_ref().clone());
+            return Some(Arc::clone(&t.batch));
         }
         if let Some(t) = self.db.tables.read().get(name) {
-            return Some(t.batch.as_ref().clone());
+            return Some(Arc::clone(&t.batch));
         }
         let (columns, rows) = catalog::virtual_table(self, name)?;
-        Some(Batch::from_rows(Rows { columns, data: rows }))
+        Some(Arc::new(Batch::from_rows(Rows { columns, data: rows })))
     }
 
     fn exec_threads(&self) -> usize {
@@ -955,6 +954,38 @@ mod tests {
         s.execute("INSERT INTO trades VALUES (4, 'MSFT', 70.0, 5)").unwrap();
         assert_eq!(snap.batch.rows(), 3, "snapshot unaffected by later insert");
         assert_eq!(s.db().get_table_snapshot("trades").unwrap().batch.rows(), 4);
+    }
+
+    /// A scan hands out the stored batch itself. A reader holding one —
+    /// directly, or inside a streaming SELECT — keeps its snapshot when
+    /// another session inserts, and it is the writer that pays the copy.
+    #[test]
+    fn scans_share_the_stored_batch_and_the_writer_copies() {
+        let mut reader = setup();
+        let stored = |s: &Session| Arc::clone(&s.db().tables.read()["trades"].batch);
+        let scan = reader.get_table_batch("trades").unwrap();
+        assert!(Arc::ptr_eq(&scan, &stored(&reader)), "a scan must not copy the table");
+        let StreamQueryResult::Stream(stream) =
+            reader.execute_stream("SELECT ordcol FROM trades").unwrap()
+        else {
+            panic!("expected a stream")
+        };
+
+        let mut writer = reader.db().session();
+        writer.execute("INSERT INTO trades VALUES (4, 'MSFT', 70.0, 5)").unwrap();
+
+        assert!(!Arc::ptr_eq(&scan, &stored(&reader)), "the writer copies on write");
+        assert_eq!(scan.rows(), 3, "the held scan is a snapshot");
+        let streamed: usize = stream.map(|chunk| chunk.unwrap().rows()).sum();
+        assert_eq!(streamed, 3, "the open stream reads its snapshot");
+        let r = rows(reader.execute("SELECT count(*) FROM trades").unwrap());
+        assert_eq!(r.data[0][0], Cell::Int(4));
+
+        // With no reader left, an insert appends in place.
+        drop(scan);
+        let before = Arc::as_ptr(&stored(&reader));
+        writer.execute("INSERT INTO trades VALUES (5, 'IBM', 51.0, 1)").unwrap();
+        assert_eq!(Arc::as_ptr(&stored(&reader)), before, "no reader, no copy");
     }
 
     #[test]

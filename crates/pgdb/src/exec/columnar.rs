@@ -1,17 +1,20 @@
 //! Columnar (batch-at-a-time) SELECT execution over [`ColumnVec`]s.
 //!
-//! This is the default production executor (DESIGN §10). Every operator
-//! — scan, filter, project, group/aggregate, equi-join, set ops, order,
-//! limit — runs column-major over a [`ColFrame`], and the result leaves
-//! as a [`Batch`] so the engine, the gateway pivot, and QIPC encoding
-//! never re-transpose it. Semantics are defined by the retained
-//! row-major pipeline in the parent module: evaluation is *eager* per
-//! expression node (so per-element application of the same scalar
-//! kernels is value-identical), except for `CASE` and `IN (list)`,
-//! which are lazy per row and therefore fall back to row-wise
-//! evaluation of that subtree. Window-function blocks and aggregate
-//! shapes outside the narrow fast path delegate wholesale to the row
-//! pipeline — correctness first, vectorization where it pays.
+//! This is the default production executor (DESIGN §10). A scan borrows
+//! the stored batch ([`FrameCol::Shared`]), WHERE yields a selection
+//! vector over it, and projection, grouping and ordering read the
+//! surviving rows through that selection — a column is gathered once,
+//! into the result, and only if the block still references it. All
+//! expression evaluation goes through the one vector evaluator in
+//! [`vector`](super::vector); the result leaves as a [`Batch`] so the
+//! engine, the gateway pivot, and QIPC encoding never re-transpose it.
+//!
+//! Semantics are defined by the retained row-major pipeline in the
+//! parent module. Window-function blocks scan and filter here and hand
+//! their surviving rows to that pipeline's
+//! [`project_block`](super::project_block); aggregate blocks outside
+//! [`aggregate_batch_fast`] and non-equi joins do the same — each
+//! hand-over counted in `pgdb_exec_row_fallback_total{reason}`.
 //!
 //! In debug builds every top-level statement is cross-checked against
 //! [`run_select_rows`](super::run_select_rows): values must agree
@@ -19,26 +22,59 @@
 //! they report (column-major evaluation order visits rows in a
 //! different sequence), which counts as agreement.
 
-use super::expr::{self, derive_type, eval, kleene, resolve_column, BoundCol};
+use super::expr::{derive_type, eval, resolve_column, BoundCol};
+use super::vector::{
+    self, eval_column, eval_val, morsel_eligible, referenced_columns, row_fallback, Ctx,
+    Fallback, Rows, View,
+};
 use super::{
-    aggregate_block, contains_subquery, default_output_name, extract_equi_pairs, parallel,
-    resolve_subqueries, run_block, EquiPair, Frame, TableSource,
+    contains_subquery, default_output_name, extract_equi_pairs, fold_cells, parallel,
+    project_block, resolve_subqueries, substitute_nodes, EquiPair, Frame, TableSource,
 };
 use crate::engine::DbError;
 use crate::sql::ast::*;
 use crate::types::{Cell, Column, PgType};
 use colstore::{Batch, CellKey, ColumnVec};
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
+use std::hash::Hash;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
+
+/// One column of a [`ColFrame`]: a stored table's column read in place,
+/// or a column an operator produced.
+pub(crate) enum FrameCol {
+    /// Column `.1` of a shared stored batch — the zero-copy scan.
+    Shared(Arc<Batch>, usize),
+    Owned(ColumnVec),
+}
+
+impl Deref for FrameCol {
+    type Target = ColumnVec;
+
+    fn deref(&self) -> &ColumnVec {
+        match self {
+            FrameCol::Shared(batch, i) => &batch.columns[*i],
+            FrameCol::Owned(c) => c,
+        }
+    }
+}
+
+/// A schema's columns as seen through a table alias.
+fn bound_cols(schema: &[Column], qualifier: &str) -> Vec<BoundCol> {
+    schema
+        .iter()
+        .map(|c| BoundCol { qualifier: Some(qualifier.to_string()), name: c.name.clone(), ty: c.ty })
+        .collect()
+}
 
 /// Column-major intermediate result: the batch dual of [`Frame`].
 pub(crate) struct ColFrame {
     /// Bound columns (with source qualifiers).
     pub(crate) cols: Vec<BoundCol>,
     /// One vector per bound column.
-    pub(crate) columns: Vec<ColumnVec>,
+    pub(crate) columns: Vec<FrameCol>,
     /// Explicit row count (meaningful with zero columns: the FROM-less
     /// unit relation is zero columns × one row).
     pub(crate) len: usize,
@@ -52,25 +88,36 @@ impl ColFrame {
         ColFrame { cols: Vec::new(), columns: Vec::new(), len: 1 }
     }
 
-    /// Gather rows by index (indices may repeat or reorder).
-    pub(crate) fn take(&self, idx: &[usize]) -> ColFrame {
-        ColFrame {
-            cols: self.cols.clone(),
-            columns: self.columns.iter().map(|c| c.take(idx)).collect(),
-            len: idx.len(),
+    /// A stored table's frame: every column borrowed from `batch`.
+    pub(crate) fn scan(batch: Arc<Batch>, qualifier: &str) -> ColFrame {
+        let columns =
+            (0..batch.columns.len()).map(|i| FrameCol::Shared(Arc::clone(&batch), i)).collect();
+        ColFrame { cols: bound_cols(&batch.schema, qualifier), columns, len: batch.rows() }
+    }
+
+    /// An operator result's frame, qualified by its alias.
+    fn from_batch(mut batch: Batch, qualifier: &str) -> ColFrame {
+        let columns = std::mem::take(&mut batch.columns).into_iter().map(FrameCol::Owned).collect();
+        ColFrame { cols: bound_cols(&batch.schema, qualifier), columns, len: batch.rows() }
+    }
+
+    /// The column storage, as the evaluator takes it.
+    pub(crate) fn refs(&self) -> Vec<&ColumnVec> {
+        self.columns.iter().map(|c| &**c).collect()
+    }
+
+    /// The row pipeline's form of `rows` of this frame, holding only
+    /// the columns in `keep` (ascending). Dropping the others cannot
+    /// change how a surviving reference resolves: resolution takes the
+    /// first match, and every column that was some reference's first
+    /// match is kept.
+    fn to_frame(&self, rows: Rows<'_>, keep: &[usize]) -> Frame {
+        Frame {
+            cols: keep.iter().map(|&c| self.cols[c].clone()).collect(),
+            rows: (0..rows.len())
+                .map(|k| keep.iter().map(|&c| self.columns[c].cell_at(rows.phys(k))).collect())
+                .collect(),
         }
-    }
-
-    /// Materialize row-major data (for row-wise fallbacks).
-    fn materialize(&self) -> Vec<Vec<Cell>> {
-        (0..self.len)
-            .map(|i| self.columns.iter().map(|c| c.cell_at(i)).collect())
-            .collect()
-    }
-
-    /// Convert to the row executor's frame type.
-    fn to_frame(&self) -> Frame {
-        Frame { cols: self.cols.clone(), rows: self.materialize() }
     }
 
     /// Transpose row-major data into a frame (lossless).
@@ -85,7 +132,7 @@ impl ColFrame {
         let columns = cols
             .iter()
             .zip(data)
-            .map(|(c, cells)| ColumnVec::from_cells(c.ty, cells))
+            .map(|(c, cells)| FrameCol::Owned(ColumnVec::from_cells(c.ty, cells)))
             .collect();
         ColFrame { cols, columns, len }
     }
@@ -199,6 +246,24 @@ fn run_select_columnar(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch
     Ok(out)
 }
 
+/// Frame columns the block reads once FROM and WHERE are done: its
+/// select list, GROUP BY, HAVING and ORDER BY — every column under `*`.
+fn block_columns(stmt: &SelectStmt, cols: &[BoundCol]) -> Vec<usize> {
+    let mut keep = Vec::new();
+    for item in &stmt.items {
+        match item {
+            SelectItem::Wildcard => return (0..cols.len()).collect(),
+            SelectItem::Expr { expr, .. } => referenced_columns(expr, cols, &mut keep),
+        }
+    }
+    let rest = stmt.group_by.iter().chain(&stmt.having).chain(stmt.order_by.iter().map(|(e, _)| e));
+    for e in rest {
+        referenced_columns(e, cols, &mut keep);
+    }
+    keep.sort_unstable();
+    keep
+}
+
 /// Execute one SELECT block (no set ops), column-major.
 fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, DbError> {
     let has_agg = !stmt.group_by.is_empty()
@@ -210,11 +275,6 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
         SelectItem::Expr { expr, .. } => expr.contains_window(),
         SelectItem::Wildcard => false,
     });
-    if has_window && !has_agg {
-        // Window blocks stay on the row pipeline wholesale: window
-        // materialization is inherently row-order-sensitive and cold.
-        return run_block(src, stmt).map(Batch::from_rows);
-    }
 
     // Uncorrelated subqueries are resolved up front (same as the row
     // pipeline; the subqueries themselves run columnar via run_select).
@@ -233,39 +293,51 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
     let threads = src.exec_threads();
 
     // FROM.
-    let mut frame = match &stmt.from {
+    let frame = match &stmt.from {
         Some(item) => eval_from_batch(src, item)?,
         None => ColFrame::unit(),
     };
+    let columns = frame.refs();
 
-    // WHERE (3VL: keep definite TRUE only). Large inputs evaluate the
-    // predicate morsel-at-a-time over sliced views; per-morsel keep
-    // lists concatenate in morsel order, which is exactly the serial
-    // keep list.
-    if let Some(pred) = &stmt.where_clause {
-        let mut refs = HashSet::new();
-        let par = parallel::should_parallelize(frame.len, threads)
-            && collect_columns(pred, &frame.cols, &mut refs).is_some();
-        let keep: Vec<usize> = if par {
-            parallel::run_morsels(frame.len, threads, "filter", |_, range| {
-                let sub = slice_frame(&frame, &refs, &range);
-                let mask = eval_vec(pred, &sub)?;
-                let mut keep = Vec::new();
-                collect_keep(&mask, range.start, &mut keep);
-                Ok(keep)
-            })?
-            .concat()
-        } else {
-            let mask = eval_vec(pred, &frame)?;
-            let mut keep = Vec::with_capacity(frame.len);
-            collect_keep(&mask, 0, &mut keep);
-            keep
-        };
-        frame = take_frame(&frame, &keep, threads)?;
+    // WHERE (3VL: keep definite TRUE only) yields a selection vector;
+    // nothing is gathered here. Large inputs filter morsel-at-a-time;
+    // per-morsel selections concatenate in morsel order, which is
+    // exactly the serial selection.
+    let sel: Option<Vec<usize>> = match &stmt.where_clause {
+        None => None,
+        Some(pred) => Some(
+            if parallel::should_parallelize(frame.len, threads) && morsel_eligible(pred, &frame.cols) {
+                parallel::run_morsels(frame.len, threads, "filter", |_, range| {
+                    vector::filter(pred, &frame.cols, &columns, range)
+                })?
+                .concat()
+            } else {
+                vector::filter(pred, &frame.cols, &columns, 0..frame.len)?
+            },
+        ),
+    };
+    let rows = match &sel {
+        Some(sel) => Rows::Sel(sel),
+        None => Rows::all(frame.len),
+    };
+    let ctx = Ctx { cols: &frame.cols, columns: &columns, rows };
+
+    // The row pipeline's share of a block it still owns: the surviving
+    // rows, pruned to the columns the block reads.
+    let on_row_pipeline = |reason: Fallback| {
+        row_fallback(reason, rows.len());
+        let keep = block_columns(stmt, &frame.cols);
+        project_block(stmt, frame.to_frame(rows, &keep)).map(Batch::from_rows)
+    };
+    if has_window && !has_agg {
+        // Window materialization is row-order-sensitive.
+        return on_row_pipeline(Fallback::Window);
     }
-
     if has_agg {
-        return aggregate_batch(stmt, frame, threads);
+        return match aggregate_batch_fast(stmt, &ctx, threads) {
+            Some(out) => order_and_page(stmt, out, None),
+            None => on_row_pipeline(Fallback::AggShape),
+        };
     }
 
     // Wildcard expansion.
@@ -284,7 +356,8 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
         }
     }
 
-    // Projection.
+    // Projection: each item evaluates over the selected rows straight
+    // into its output column.
     let out_cols: Vec<Column> = items
         .iter()
         .enumerate()
@@ -295,111 +368,46 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
         .collect();
     let mut out_columns = Vec::with_capacity(items.len());
     for (_, e) in &items {
-        let mut refs = HashSet::new();
-        let par = parallel::should_parallelize(frame.len, threads)
-            && collect_columns(e, &frame.cols, &mut refs).is_some();
-        if par {
-            let chunks = parallel::run_morsels(frame.len, threads, "project", |_, range| {
-                eval_vec(e, &slice_frame(&frame, &refs, &range))
-            })?;
-            out_columns.push(concat_column(derive_type(e, &frame.cols), chunks));
-        } else {
-            out_columns.push(eval_vec(e, &frame)?);
-        }
+        out_columns.push(eval_column_morsels(e, &ctx, threads)?);
     }
-    let out = Batch::new(out_cols, out_columns, frame.len);
+    let out = Batch::new(out_cols, out_columns, rows.len());
 
     // ORDER BY resolves output aliases first, then input columns.
-    order_and_page(stmt, out, Some(&frame))
+    order_and_page(stmt, out, Some(&ctx))
 }
 
-/// Collect the frame columns `e` reads into `out`. `None` means `e` is
-/// not morsel-eligible: either a node that would take `eval_vec`'s
-/// row-wise fallback (CASE, IN-list, subquery, star, window, aggregate
-/// call — lazy or error-producing shapes whose exact behavior the
-/// serial path owns), or a column reference that fails to resolve
-/// (the serial path must produce that error).
-pub(crate) fn collect_columns(
-    e: &SqlExpr,
-    cols: &[BoundCol],
-    out: &mut HashSet<usize>,
-) -> Option<()> {
-    match e {
-        SqlExpr::Column { qualifier, name } => {
-            out.insert(resolve_column(cols, qualifier.as_deref(), name).ok()?);
-        }
-        SqlExpr::Literal(_) => {}
-        SqlExpr::Binary { lhs, rhs, .. } => {
-            collect_columns(lhs, cols, out)?;
-            collect_columns(rhs, cols, out)?;
-        }
-        SqlExpr::Not(inner) | SqlExpr::Neg(inner) => collect_columns(inner, cols, out)?,
-        SqlExpr::Func { name, args, .. } if !is_aggregate_name(name) => {
-            for a in args {
-                collect_columns(a, cols, out)?;
-            }
-        }
-        SqlExpr::Cast { expr: inner, .. } => collect_columns(inner, cols, out)?,
-        SqlExpr::IsNull { expr: inner, .. } => collect_columns(inner, cols, out)?,
-        _ => return None,
+/// [`eval_column`], split across workers for large inputs. Per-morsel
+/// columns concatenate in morsel order into the *same storage class the
+/// serial path would pick*: uniform chunks append directly (kernels and
+/// gathers are class-stable), mixed chunks — e.g. an all-NULL morsel
+/// typed from the declared type next to a value-typed one — re-atomize
+/// through one whole-column `from_cells`, which is byte-for-byte the
+/// serial construction.
+fn eval_column_morsels(e: &SqlExpr, ctx: &Ctx<'_>, threads: usize) -> Result<ColumnVec, DbError> {
+    let n = ctx.rows.len();
+    if !parallel::should_parallelize(n, threads) || !morsel_eligible(e, ctx.cols) {
+        return eval_column(e, ctx);
     }
-    Some(())
-}
-
-/// A morsel-local view of `f`: columns in `refs` are sliced to `range`,
-/// the rest become zero-length placeholders. Safe because `refs` is
-/// exactly the column set the expression reads (per
-/// [`collect_columns`]), and eligible expressions never materialize
-/// rows.
-pub(crate) fn slice_frame(f: &ColFrame, refs: &HashSet<usize>, range: &Range<usize>) -> ColFrame {
-    let columns = f
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            if refs.contains(&i) {
-                c.slice(range.start, range.len())
-            } else {
-                ColumnVec::Cells(Vec::new())
-            }
-        })
-        .collect();
-    ColFrame { cols: f.cols.clone(), columns, len: range.len() }
-}
-
-/// Indices (offset by `base`) of mask slots that are definitely TRUE.
-pub(crate) fn collect_keep(mask: &ColumnVec, base: usize, keep: &mut Vec<usize>) {
-    match mask {
-        ColumnVec::Bool(d, v) if !v.any_null() => {
-            for (i, &b) in d.iter().enumerate() {
-                if b {
-                    keep.push(base + i);
-                }
-            }
-        }
-        m => {
-            for i in 0..m.len() {
-                if matches!(m.cell_at(i), Cell::Bool(true)) {
-                    keep.push(base + i);
-                }
-            }
-        }
-    }
-}
-
-/// Gather `idx` rows of every frame column, splitting large gathers
-/// across workers. Each chunk `take`s from the shared source columns,
-/// so chunk storage classes always match and in-order appends rebuild
-/// exactly the serial `take` result.
-fn take_frame(f: &ColFrame, idx: &[usize], threads: usize) -> Result<ColFrame, DbError> {
-    if !parallel::should_parallelize(idx.len(), threads) || f.columns.is_empty() {
-        return Ok(f.take(idx));
-    }
-    let chunks = parallel::run_morsels(idx.len(), threads, "gather", |_, range| {
-        let slice = &idx[range];
-        Ok(f.columns.iter().map(|c| c.take(slice)).collect::<Vec<_>>())
+    let chunks = parallel::run_morsels(n, threads, "project", |_, range| {
+        eval_column(e, &Ctx { rows: ctx.rows.slice(range), ..*ctx })
     })?;
-    Ok(ColFrame { cols: f.cols.clone(), columns: concat_columns(chunks), len: idx.len() })
+    let uniform = chunks
+        .windows(2)
+        .all(|w| std::mem::discriminant(&w[0]) == std::mem::discriminant(&w[1]));
+    let ty = derive_type(e, ctx.cols);
+    let mut it = chunks.into_iter();
+    let Some(mut first) = it.next() else { return Ok(ColumnVec::empty(ty)) };
+    if uniform {
+        for c in it {
+            first.append(c);
+        }
+        return Ok(first);
+    }
+    let mut cells = first.into_cells();
+    for c in it {
+        cells.extend(c.into_cells());
+    }
+    Ok(ColumnVec::from_cells(ty, cells))
 }
 
 /// Concatenate per-chunk column sets (one `Vec<ColumnVec>` per morsel,
@@ -415,37 +423,12 @@ fn concat_columns(chunks: Vec<Vec<ColumnVec>>) -> Vec<ColumnVec> {
     out
 }
 
-/// Concatenate per-morsel evaluation results into one column with the
-/// *same storage class the serial path would pick*. Uniform chunks
-/// append directly (the common case: slices and kernels are
-/// class-stable). Mixed chunks — e.g. an all-NULL morsel typed from the
-/// declared type next to a value-typed morsel — re-atomize through one
-/// whole-column `from_cells`, which is byte-for-byte the serial
-/// construction.
-fn concat_column(ty: PgType, chunks: Vec<ColumnVec>) -> ColumnVec {
-    let uniform = chunks
-        .windows(2)
-        .all(|w| std::mem::discriminant(&w[0]) == std::mem::discriminant(&w[1]));
-    let mut it = chunks.into_iter();
-    let Some(mut first) = it.next() else { return ColumnVec::empty(ty) };
-    if uniform {
-        for c in it {
-            first.append(c);
-        }
-        return first;
-    }
-    let mut cells = first.into_cells();
-    for c in it {
-        cells.extend(c.into_cells());
-    }
-    ColumnVec::from_cells(ty, cells)
-}
-
 /// ORDER BY + OFFSET/LIMIT over an output batch. `input` supplies the
-/// pre-projection columns for ORDER BY resolution in non-aggregate
-/// blocks (output aliases take precedence); aggregate output orders
-/// over its own columns only, exactly like the row pipeline.
-fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&ColFrame>) -> Result<Batch, DbError> {
+/// pre-projection columns (and the rows of them that were projected)
+/// for ORDER BY resolution in non-aggregate blocks — output aliases
+/// take precedence; aggregate output orders over its own columns only,
+/// exactly like the row pipeline.
+fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&Ctx<'_>>) -> Result<Batch, DbError> {
     let mut out = out;
     if !stmt.order_by.is_empty() {
         let mut cols: Vec<BoundCol> = out
@@ -453,15 +436,38 @@ fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&ColFrame>) -> Re
             .iter()
             .map(|c| BoundCol { qualifier: None, name: c.name.clone(), ty: c.ty })
             .collect();
-        let mut columns = out.columns.clone();
-        if let Some(f) = input {
-            cols.extend(f.cols.iter().cloned());
-            columns.extend(f.columns.iter().cloned());
+        // Input columns the keys read and no output column shadows,
+        // gathered to line up with the output rows.
+        let mut gathered: Vec<Cow<'_, ColumnVec>> = Vec::new();
+        if let Some(input) = input {
+            let mut reads = Vec::new();
+            for (e, _) in &stmt.order_by {
+                vector::visit_columns(e, &mut |q, name| {
+                    if resolve_column(&cols, q, name).is_err() {
+                        if let Ok(i) = resolve_column(input.cols, q, name) {
+                            if !reads.contains(&i) {
+                                reads.push(i);
+                            }
+                        }
+                    }
+                });
+            }
+            reads.sort_unstable();
+            for i in reads {
+                cols.push(input.cols[i].clone());
+                gathered.push(match input.rows {
+                    Rows::Range { start: 0, len } if len == input.columns[i].len() => {
+                        Cow::Borrowed(input.columns[i])
+                    }
+                    rows => Cow::Owned(input.columns[i].take(&rows.to_vec())),
+                });
+            }
         }
-        let combined = ColFrame { cols, columns, len: out.rows() };
+        let columns: Vec<&ColumnVec> = out.columns.iter().chain(gathered.iter().map(|c| &**c)).collect();
+        let combined = Ctx { cols: &cols, columns: &columns, rows: Rows::all(out.rows()) };
         let mut key_cells: Vec<Vec<Cell>> = Vec::with_capacity(stmt.order_by.len());
         for (e, _) in &stmt.order_by {
-            key_cells.push(eval_vec(e, &combined)?.to_cells());
+            key_cells.push(eval_column(e, &combined)?.into_cells());
         }
         let mut idx: Vec<usize> = (0..out.rows()).collect();
         idx.sort_by(|&a, &b| {
@@ -474,7 +480,11 @@ fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&ColFrame>) -> Re
             }
             std::cmp::Ordering::Equal
         });
-        out = out.take(&idx);
+        // Already in order (the translator's `ORDER BY "ordcol"` over a
+        // scan): nothing to move.
+        if idx.iter().enumerate().any(|(k, &i)| k != i) {
+            out = out.take(&idx);
+        }
     }
     let offset = stmt.offset.unwrap_or(0) as usize;
     let limit = stmt.limit.map(|l| l as usize);
@@ -488,259 +498,365 @@ fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&ColFrame>) -> Re
     Ok(out)
 }
 
-/// Aggregation over a batch: a narrow vectorized fast path for the
-/// common shapes, otherwise materialize and delegate to the row
-/// pipeline's [`aggregate_block`] (the semantics of aggregate laziness
-/// — HAVING gating item evaluation, empty groups skipping resolution —
-/// live there and are not worth duplicating).
-fn aggregate_batch(stmt: &SelectStmt, frame: ColFrame, threads: usize) -> Result<Batch, DbError> {
-    if let Some(out) = aggregate_batch_fast(stmt, &frame, threads) {
-        return order_and_page(stmt, out, None);
-    }
-    aggregate_block(stmt, frame.to_frame()).map(Batch::from_rows)
+/// Rows of each group, as logical row numbers in ascending order, in
+/// first-seen group order.
+struct Groups {
+    /// `rows[starts[g]..starts[g + 1]]` is group `g`.
+    starts: Vec<usize>,
+    rows: Vec<usize>,
 }
 
-/// One aggregate item the fast path understands.
-enum FastAgg {
-    /// Bare column: the group's first-row value (group keys are
-    /// constant within a group; the row pipeline allows any column).
-    Col(usize),
-    Lit(Cell),
-    CountStar,
-    /// count/sum/avg/min/max over one plain column; `distinct` dedups
-    /// the group's non-NULL values by [`CellKey`] (retain-first) before
-    /// folding, exactly like the row pipeline's `dedup_cells`.
-    Agg { kind: AggKind, col: usize, distinct: bool },
+impl Groups {
+    /// The one group of an aggregate without GROUP BY (possibly empty).
+    fn single(n: usize) -> Groups {
+        Groups { starts: vec![0, n], rows: (0..n).collect() }
+    }
+
+    /// Bucket rows by dense group id (a counting sort, so each group's
+    /// rows stay ascending).
+    fn from_ids(ids: &[usize], count: usize) -> Groups {
+        let mut starts = vec![0usize; count + 1];
+        for &g in ids {
+            starts[g + 1] += 1;
+        }
+        for g in 0..count {
+            starts[g + 1] += starts[g];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0usize; ids.len()];
+        for (k, &g) in ids.iter().enumerate() {
+            rows[next[g]] = k;
+            next[g] += 1;
+        }
+        Groups { starts, rows }
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn get(&self, g: usize) -> &[usize] {
+        &self.rows[self.starts[g]..self.starts[g + 1]]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        (0..self.len()).map(|g| self.get(g))
+    }
+}
+
+/// Dense ids, in first-seen order, for `n` rows keyed by `key`, and the
+/// number of distinct keys. Large inputs build per-morsel tables in
+/// parallel and merge them in morsel order: morsels tile the input in
+/// row order, so "first seen across morsel-ordered partials" is the
+/// first-seen order of a serial scan.
+fn assign_ids<K: Hash + Eq>(
+    n: usize,
+    threads: usize,
+    key: impl Fn(usize) -> K + Sync,
+) -> Result<(Vec<usize>, usize), DbError> {
+    fn id_of<K: Hash + Eq>(index: &mut HashMap<K, usize>, key: K, first: impl FnOnce()) -> usize {
+        let next = index.len();
+        match index.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(v) => {
+                first();
+                *v.insert(next)
+            }
+        }
+    }
+    if !parallel::should_parallelize(n, threads) {
+        let mut index = HashMap::new();
+        let ids = (0..n).map(|k| id_of(&mut index, key(k), || ())).collect();
+        return Ok((ids, index.len()));
+    }
+    let parts = parallel::run_morsels(n, threads, "group", |_, range| {
+        let mut index = HashMap::new();
+        let mut firsts = Vec::new();
+        let local: Vec<usize> =
+            range.map(|k| id_of(&mut index, key(k), || firsts.push(k))).collect();
+        Ok((local, firsts))
+    })?;
+    let mut index = HashMap::new();
+    let mut ids = Vec::with_capacity(n);
+    for (local, firsts) in parts {
+        let global: Vec<usize> =
+            firsts.into_iter().map(|k| id_of(&mut index, key(k), || ())).collect();
+        ids.extend(local.into_iter().map(|l| global[l]));
+    }
+    Ok((ids, index.len()))
+}
+
+/// [`assign_ids`] over one key column, keyed without allocation where
+/// the storage has one obvious key; any other storage goes through its
+/// canonical [`CellKey`], which the typed keys agree with.
+fn column_ids(view: &View<'_>, n: usize, threads: usize) -> Result<(Vec<usize>, usize), DbError> {
+    let phys = |k: usize| view.rows.phys(k);
+    match &*view.col {
+        ColumnVec::Text(d, v) => assign_ids(n, threads, |k| {
+            let i = phys(k);
+            (!v.is_null(i)).then(|| d[i].as_str())
+        }),
+        ColumnVec::Int(d, v) => assign_ids(n, threads, |k| {
+            let i = phys(k);
+            (!v.is_null(i)).then(|| d[i])
+        }),
+        ColumnVec::Date(d, v) => assign_ids(n, threads, |k| {
+            let i = phys(k);
+            (!v.is_null(i)).then(|| d[i])
+        }),
+        col => assign_ids(n, threads, |k| col.key_at(phys(k))),
+    }
+}
+
+/// `e` in column form, split across workers when large. A bare column
+/// stays borrowed.
+fn eval_view<'a>(e: &SqlExpr, ctx: &Ctx<'a>, threads: usize) -> Result<View<'a>, DbError> {
+    let n = ctx.rows.len();
+    if parallel::should_parallelize(n, threads) && !matches!(e, SqlExpr::Column { .. }) {
+        let col = eval_column_morsels(e, ctx, threads)?;
+        return Ok(View { col: Cow::Owned(col), rows: Rows::all(n) });
+    }
+    Ok(eval_val(e, ctx)?.into_view(n, derive_type(e, ctx.cols)))
+}
+
+/// The aggregate calls and bare columns of one select item, appended to
+/// `calls` / `firsts`; `None` for a shape this path leaves to the row
+/// pipeline — a nested aggregate, an unresolved column (whose error, or
+/// non-error over an empty group, the row pipeline must produce), or a
+/// node its aggregate-context evaluation treats specially.
+fn scan_agg_item(
+    e: &SqlExpr,
+    cols: &[BoundCol],
+    calls: &mut Vec<SqlExpr>,
+    firsts: &mut Vec<usize>,
+) -> Option<()> {
+    match e {
+        SqlExpr::Func { name, args, .. } if is_aggregate_name(name) => {
+            if args.iter().any(|a| a.contains_aggregate()) {
+                return None;
+            }
+            if !calls.contains(e) {
+                calls.push(e.clone());
+            }
+        }
+        SqlExpr::Column { qualifier, name } => {
+            let i = resolve_column(cols, qualifier.as_deref(), name).ok()?;
+            if !firsts.contains(&i) {
+                firsts.push(i);
+            }
+        }
+        SqlExpr::Literal(_) => {}
+        // Aggregate context gives AND/OR a NULL for any NULL operand
+        // (`eval_agg`), where the scalar evaluator is Kleene.
+        SqlExpr::Binary { op: SqlBinOp::And | SqlBinOp::Or, .. } => return None,
+        SqlExpr::Binary { lhs, rhs, .. } => {
+            scan_agg_item(lhs, cols, calls, firsts)?;
+            scan_agg_item(rhs, cols, calls, firsts)?;
+        }
+        SqlExpr::Not(x) | SqlExpr::Neg(x) => scan_agg_item(x, cols, calls, firsts)?,
+        SqlExpr::Func { args, .. } => {
+            for a in args {
+                scan_agg_item(a, cols, calls, firsts)?;
+            }
+        }
+        SqlExpr::Case { branches, else_result } => {
+            for (c, r) in branches {
+                scan_agg_item(c, cols, calls, firsts)?;
+                scan_agg_item(r, cols, calls, firsts)?;
+            }
+            if let Some(x) = else_result {
+                scan_agg_item(x, cols, calls, firsts)?;
+            }
+        }
+        SqlExpr::Cast { expr, .. } | SqlExpr::IsNull { expr, .. } => {
+            scan_agg_item(expr, cols, calls, firsts)?
+        }
+        _ => return None,
+    }
+    Some(())
+}
+
+/// Vectorized aggregation: group once into dense ids, evaluate every
+/// aggregate argument as a vector expression over the selected rows,
+/// fold per group, then evaluate each select item per group over the
+/// aggregate results.
+///
+/// Covers any group-key expression, any aggregate over any vector
+/// argument (plain or DISTINCT; `hq_first`/`hq_last` included), and
+/// items that are scalar expressions over aggregate results, bare
+/// columns (the group's first-row value) and literals. Returns `None`
+/// for HAVING, `*`, the shapes [`scan_agg_item`] rejects, and for *any*
+/// evaluation error — the row pipeline then produces the error, or the
+/// result where aggregate laziness (a `CASE` guarding an aggregate, an
+/// empty input) means there is none.
+fn aggregate_batch_fast(stmt: &SelectStmt, ctx: &Ctx<'_>, threads: usize) -> Option<Batch> {
+    if stmt.having.is_some() {
+        return None;
+    }
+    let n = ctx.rows.len();
+    let mut calls = Vec::new();
+    let mut firsts = Vec::new();
+    let mut items: Vec<(&Option<String>, &SqlExpr)> = Vec::with_capacity(stmt.items.len());
+    for item in &stmt.items {
+        let SelectItem::Expr { expr, alias } = item else { return None };
+        scan_agg_item(expr, ctx.cols, &mut calls, &mut firsts)?;
+        items.push((alias, expr));
+    }
+
+    // Each key column gets dense ids; a further key refines the ids so
+    // far pairwise. First-seen order carries through both steps.
+    let groups = if stmt.group_by.is_empty() {
+        Groups::single(n)
+    } else {
+        let mut ids: Option<(Vec<usize>, usize)> = None;
+        for key in &stmt.group_by {
+            let (next, count) = column_ids(&eval_view(key, ctx, threads).ok()?, n, threads).ok()?;
+            ids = Some(match ids {
+                None => (next, count),
+                Some((prev, _)) => assign_ids(n, threads, |k| (prev[k], next[k])).ok()?,
+            });
+        }
+        let (ids, count) = ids.expect("GROUP BY has at least one key");
+        Groups::from_ids(&ids, count)
+    };
+
+    let mut call_cells: Vec<Vec<Cell>> = Vec::with_capacity(calls.len());
+    for call in &calls {
+        call_cells.push(aggregate_call(call, ctx, &groups, threads)?);
+    }
+    let first_cells = |c: usize| -> Vec<Cell> {
+        groups
+            .iter()
+            .map(|g| g.first().map_or(Cell::Null, |&k| ctx.columns[c].cell_at(ctx.rows.phys(k))))
+            .collect()
+    };
+
+    // Compound items evaluate per group through the scalar evaluator,
+    // over a virtual row of [aggregate results..., first-row values...]
+    // with the aggregate calls replaced by references into it.
+    let mut virtual_cols: Vec<BoundCol> = calls
+        .iter()
+        .enumerate()
+        .map(|(i, c)| BoundCol {
+            qualifier: None,
+            name: format!("hq_agg_{i}"),
+            ty: derive_type(c, ctx.cols),
+        })
+        .collect();
+    virtual_cols.extend(firsts.iter().map(|&c| ctx.cols[c].clone()));
+    let mut virtual_rows: Option<Vec<Vec<Cell>>> = None;
+
+    let mut out_cols = Vec::with_capacity(items.len());
+    let mut out_columns = Vec::with_capacity(items.len());
+    for (i, (alias, e)) in items.into_iter().enumerate() {
+        let cells: Vec<Cell> = match e {
+            SqlExpr::Literal(c) => vec![c.clone(); groups.len()],
+            SqlExpr::Column { qualifier, name } => {
+                first_cells(resolve_column(ctx.cols, qualifier.as_deref(), name).ok()?)
+            }
+            _ => match calls.iter().position(|c| c == e) {
+                Some(ci) => call_cells[ci].clone(),
+                None => {
+                    let rows = virtual_rows.get_or_insert_with(|| {
+                        let firsts: Vec<Vec<Cell>> = firsts.iter().map(|&c| first_cells(c)).collect();
+                        (0..groups.len())
+                            .map(|g| {
+                                call_cells.iter().chain(&firsts).map(|cells| cells[g].clone()).collect()
+                            })
+                            .collect()
+                    });
+                    let sub = substitute_nodes(e.clone(), &calls, "hq_agg_");
+                    let mut cells = Vec::with_capacity(rows.len());
+                    for row in rows.iter() {
+                        cells.push(eval(&sub, &virtual_cols, row).ok()?);
+                    }
+                    cells
+                }
+            },
+        };
+        let ty = derive_type(e, ctx.cols);
+        out_cols.push(Column::new(alias.clone().unwrap_or_else(|| default_output_name(e, i)), ty));
+        out_columns.push(ColumnVec::from_cells(ty, cells));
+    }
+    Some(Batch::new(out_cols, out_columns, groups.len()))
+}
+
+/// One aggregate call's result per group. The argument is evaluated
+/// once, as a vector over all selected rows; groups fold independently
+/// (chunked across workers when large), each over its rows in ascending
+/// order, so results do not depend on the worker count.
+fn aggregate_call(
+    call: &SqlExpr,
+    ctx: &Ctx<'_>,
+    groups: &Groups,
+    threads: usize,
+) -> Option<Vec<Cell>> {
+    let SqlExpr::Func { name, args, distinct } = call else { return None };
+    if name == "count" && matches!(args.first(), Some(SqlExpr::Star)) {
+        // count(*) short-circuits before DISTINCT handling in the row
+        // pipeline too.
+        return Some(groups.iter().map(|g| Cell::Int(g.len() as i64)).collect());
+    }
+    let arg = eval_view(args.first()?, ctx, threads).ok()?;
+    if parallel::should_parallelize(ctx.rows.len(), threads) && groups.len() > 1 {
+        let ranges = parallel::even_ranges(groups.len(), threads * 4);
+        let chunks = parallel::run_ranges(ranges, threads, "aggregate", |_, range| {
+            range.map(|g| fold_group(name, *distinct, &arg, groups.get(g))).collect::<Result<Vec<Cell>, _>>()
+        });
+        return Some(chunks.ok()?.concat());
+    }
+    groups.iter().map(|g| fold_group(name, *distinct, &arg, g)).collect::<Result<_, _>>().ok()
 }
 
 #[derive(Clone, Copy, PartialEq)]
 enum AggKind {
-    Count,
     Sum,
     Avg,
     Min,
     Max,
 }
 
-/// Vectorized aggregation for: no HAVING, bare-column group keys, and
-/// items that are bare columns, literals, `count(*)`, or
-/// count/sum/avg/min/max — plain or DISTINCT — over one column of
-/// Int/Float storage (count: any storage). Returns `None` for anything
-/// else — including any resolution failure, whose error (or non-error
-/// over empty input) the row pipeline must produce.
-fn aggregate_batch_fast(stmt: &SelectStmt, frame: &ColFrame, threads: usize) -> Option<Batch> {
-    if stmt.having.is_some() {
-        return None;
+/// One aggregate over one group, value-identical to the row pipeline's
+/// `compute_aggregate`: `hq_first`/`hq_last` see the raw group, every
+/// other aggregate its non-NULL values — for DISTINCT, each value's
+/// first occurrence by canonical [`CellKey`] — in ascending row order.
+/// sum/avg/min/max over Int/Float storage fold typed (same f64
+/// accumulation order, same NaN-keeps-current min/max); everything else
+/// folds through the row pipeline's own [`fold_cells`].
+fn fold_group(
+    name: &str,
+    distinct: bool,
+    arg: &View<'_>,
+    group: &[usize],
+) -> Result<Cell, DbError> {
+    let col: &ColumnVec = &arg.col;
+    if matches!(name, "hq_first" | "hq_last") {
+        let pos = if name == "hq_first" { group.first() } else { group.last() };
+        return Ok(pos.map_or(Cell::Null, |&k| arg.cell_at(k)));
     }
-    let mut key_cols = Vec::with_capacity(stmt.group_by.len());
-    for e in &stmt.group_by {
-        let SqlExpr::Column { qualifier, name } = e else { return None };
-        key_cols.push(resolve_column(&frame.cols, qualifier.as_deref(), name).ok()?);
-    }
-    let mut items: Vec<(Option<String>, &SqlExpr, FastAgg)> = Vec::with_capacity(stmt.items.len());
-    for item in &stmt.items {
-        let SelectItem::Expr { expr, alias } = item else { return None };
-        let fast = match expr {
-            SqlExpr::Column { qualifier, name } => {
-                FastAgg::Col(resolve_column(&frame.cols, qualifier.as_deref(), name).ok()?)
-            }
-            SqlExpr::Literal(c) => FastAgg::Lit(c.clone()),
-            SqlExpr::Func { name, args, distinct } if is_aggregate_name(name) => {
-                if name == "count" && matches!(args.first(), Some(SqlExpr::Star)) {
-                    // count(*) short-circuits before DISTINCT handling
-                    // in the row pipeline too.
-                    FastAgg::CountStar
-                } else {
-                    if args.len() != 1 {
-                        return None;
-                    }
-                    let SqlExpr::Column { qualifier, name: cname } = &args[0] else {
-                        return None;
-                    };
-                    let idx = resolve_column(&frame.cols, qualifier.as_deref(), cname).ok()?;
-                    let kind = match name.as_str() {
-                        "count" => AggKind::Count,
-                        "sum" => AggKind::Sum,
-                        "avg" => AggKind::Avg,
-                        "min" => AggKind::Min,
-                        "max" => AggKind::Max,
-                        _ => return None,
-                    };
-                    // sum/avg/min/max carry f64-mediated semantics that
-                    // this path replicates only for numeric storage;
-                    // temporal/text/bool/mixed columns take the oracle
-                    // path.
-                    if kind != AggKind::Count
-                        && !matches!(
-                            frame.columns[idx],
-                            ColumnVec::Int(..) | ColumnVec::Float(..)
-                        )
-                    {
-                        return None;
-                    }
-                    FastAgg::Agg { kind, col: idx, distinct: *distinct }
-                }
-            }
-            _ => return None,
-        };
-        items.push((alias.clone(), expr, fast));
-    }
-
-    // Hash grouping on canonical keys (first-seen group order). Large
-    // inputs build per-morsel partial tables in parallel and merge them
-    // in morsel order — see [`parallel_groups`] for why that merge is
-    // bit-identical to the serial scan.
-    let n = frame.len;
-    let par = parallel::should_parallelize(n, threads);
-    let groups: Vec<Vec<usize>> = if stmt.group_by.is_empty() {
-        vec![(0..n).collect()]
-    } else if par {
-        parallel_groups(frame, &key_cols, threads).ok()?
-    } else {
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut index: HashMap<Vec<CellKey>, usize> = HashMap::with_capacity(n);
-        for i in 0..n {
-            let key: Vec<CellKey> =
-                key_cols.iter().map(|&c| frame.columns[c].key_at(i)).collect();
-            match index.entry(key) {
-                Entry::Occupied(e) => groups[*e.get()].push(i),
-                Entry::Vacant(v) => {
-                    v.insert(groups.len());
-                    groups.push(vec![i]);
-                }
-            }
-        }
-        groups
-    };
-
-    let out_cols: Vec<Column> = items
+    let mut seen: HashSet<CellKey> = HashSet::new();
+    let live = group
         .iter()
-        .enumerate()
-        .map(|(i, (alias, e, _))| {
-            let name = alias.clone().unwrap_or_else(|| default_output_name(e, i));
-            Column::new(name, derive_type(e, &frame.cols))
-        })
-        .collect();
-    let mut out_columns = Vec::with_capacity(items.len());
-    for (_, e, fast) in &items {
-        // Folds are per-group; groups chunk across workers, and the
-        // group-ordered cell list feeds one whole-column `from_cells`,
-        // so both values (per-group ascending-index folds) and storage
-        // class match the serial construction exactly.
-        let cells: Vec<Cell> = if par && groups.len() > 1 {
-            let ranges = parallel::even_ranges(groups.len(), threads * 4);
-            parallel::run_ranges(ranges, threads, "aggregate", |_, range| {
-                Ok(groups[range]
-                    .iter()
-                    .map(|g| compute_fast_agg(fast, frame, g))
-                    .collect::<Vec<Cell>>())
-            })
-            .ok()?
-            .concat()
-        } else {
-            groups.iter().map(|g| compute_fast_agg(fast, frame, g)).collect()
-        };
-        out_columns.push(ColumnVec::from_cells(derive_type(e, &frame.cols), cells));
-    }
-    Some(Batch::new(out_cols, out_columns, groups.len()))
-}
-
-/// Parallel hash grouping: each morsel builds a partial table mapping
-/// key → row indices *in local first-seen order*; the serial merge then
-/// walks partials in morsel order. Because morsels tile the input in
-/// row order, "first seen across morsel-ordered partials" is the same
-/// group order as "first seen in a serial scan", and extending group
-/// index lists in morsel order keeps every group's indices ascending —
-/// so downstream folds see rows in exactly the serial order.
-fn parallel_groups(
-    frame: &ColFrame,
-    key_cols: &[usize],
-    threads: usize,
-) -> Result<Vec<Vec<usize>>, DbError> {
-    let partials = parallel::run_morsels(frame.len, threads, "group", |_, range| {
-        let mut order: Vec<(Vec<CellKey>, Vec<usize>)> = Vec::new();
-        let mut index: HashMap<Vec<CellKey>, usize> = HashMap::new();
-        for i in range {
-            let key: Vec<CellKey> =
-                key_cols.iter().map(|&c| frame.columns[c].key_at(i)).collect();
-            match index.entry(key) {
-                Entry::Occupied(e) => order[*e.get()].1.push(i),
-                Entry::Vacant(v) => {
-                    order.push((v.key().clone(), vec![i]));
-                    v.insert(order.len() - 1);
-                }
-            }
+        .map(|&k| arg.rows.phys(k))
+        .filter(|&i| !col.is_null(i) && (!distinct || seen.insert(col.key_at(i))));
+    let kind = match name {
+        "count" => return Ok(Cell::Int(live.count() as i64)),
+        "sum" => Some(AggKind::Sum),
+        "avg" => Some(AggKind::Avg),
+        "min" => Some(AggKind::Min),
+        "max" => Some(AggKind::Max),
+        _ => None,
+    };
+    match (col, kind) {
+        (ColumnVec::Int(d, _), Some(kind)) => {
+            Ok(fold_numeric(kind, live.map(|i| d[i]), |x| x as f64, Cell::Int, true))
         }
-        Ok(order)
-    })?;
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut index: HashMap<Vec<CellKey>, usize> = HashMap::new();
-    for part in partials {
-        for (key, idxs) in part {
-            match index.entry(key) {
-                Entry::Occupied(e) => groups[*e.get()].extend(idxs),
-                Entry::Vacant(v) => {
-                    v.insert(groups.len());
-                    groups.push(idxs);
-                }
-            }
+        (ColumnVec::Float(d, _), Some(kind)) => {
+            Ok(fold_numeric(kind, live.map(|i| d[i]), |x| x, Cell::Float, false))
         }
-    }
-    Ok(groups)
-}
-
-/// One fast-path aggregate over one group, value-identical to the row
-/// pipeline's `compute_aggregate` for the supported shapes (including
-/// f64-accumulation order and NaN-keeps-current min/max folding).
-fn compute_fast_agg(fast: &FastAgg, frame: &ColFrame, group: &[usize]) -> Cell {
-    match fast {
-        FastAgg::Col(idx) => match group.first() {
-            Some(&i) => frame.columns[*idx].cell_at(i),
-            None => Cell::Null,
-        },
-        FastAgg::Lit(c) => c.clone(),
-        FastAgg::CountStar => Cell::Int(group.len() as i64),
-        FastAgg::Agg { kind, col, distinct } => {
-            let col = &frame.columns[*col];
-            if *distinct {
-                // The row pipeline's DISTINCT order of operations:
-                // drop NULLs first, then dedup by canonical CellKey
-                // keeping each value's *first* occurrence, then fold in
-                // that (ascending-index) order.
-                let mut seen: HashSet<CellKey> = HashSet::new();
-                let mut kept: Vec<usize> = Vec::new();
-                for &i in group {
-                    if !col.is_null(i) && seen.insert(col.key_at(i)) {
-                        kept.push(i);
-                    }
-                }
-                if *kind == AggKind::Count {
-                    return Cell::Int(kept.len() as i64);
-                }
-                return match col {
-                    ColumnVec::Int(d, _) => {
-                        fold_numeric(*kind, kept.iter().map(|&i| d[i]), |x| x as f64, Cell::Int, true)
-                    }
-                    ColumnVec::Float(d, _) => {
-                        fold_numeric(*kind, kept.iter().map(|&i| d[i]), |x| x, Cell::Float, false)
-                    }
-                    _ => unreachable!("gated by aggregate_batch_fast"),
-                };
-            }
-            if *kind == AggKind::Count {
-                return Cell::Int(group.iter().filter(|&&i| !col.is_null(i)).count() as i64);
-            }
-            match col {
-                ColumnVec::Int(d, v) => {
-                    fold_numeric(*kind, group.iter().filter(|&&i| !v.is_null(i)).map(|&i| d[i]),
-                        |x| x as f64, Cell::Int, true)
-                }
-                ColumnVec::Float(d, v) => {
-                    fold_numeric(*kind, group.iter().filter(|&&i| !v.is_null(i)).map(|&i| d[i]),
-                        |x| x, Cell::Float, false)
-                }
-                _ => unreachable!("gated by aggregate_batch_fast"),
-            }
+        _ => {
+            let values: Vec<Cell> = live.map(|i| col.cell_at(i)).collect();
+            fold_cells(name, &values)
         }
     }
 }
@@ -791,175 +907,13 @@ fn fold_numeric<T: Copy>(
             }
             best.map(wrap).unwrap_or(Cell::Null)
         }
-        AggKind::Count => unreachable!("handled by caller"),
-    }
-}
-
-/// Vectorized expression evaluation over a frame.
-///
-/// Eager nodes apply the row pipeline's scalar kernels per element
-/// (identical values; error *ordering* may differ column-major). The
-/// lazy nodes (`CASE`, `IN (list)`) and everything exotic fall back to
-/// row-wise [`eval`] over one reused scratch row — no whole-frame
-/// row-major materialization, no per-row `Vec` allocation.
-pub(crate) fn eval_vec(e: &SqlExpr, f: &ColFrame) -> Result<ColumnVec, DbError> {
-    let n = f.len;
-    match e {
-        SqlExpr::Column { qualifier, name } => {
-            let idx = resolve_column(&f.cols, qualifier.as_deref(), name)?;
-            Ok(f.columns[idx].clone())
-        }
-        SqlExpr::Literal(c) => Ok(ColumnVec::broadcast(c, n)),
-        SqlExpr::Binary { op, lhs, rhs } => {
-            let lv = eval_vec(lhs, f)?;
-            let rv = eval_vec(rhs, f)?;
-            if *op == SqlBinOp::And || *op == SqlBinOp::Or {
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    out.push(kleene(*op, &lv.cell_at(i), &rv.cell_at(i)));
-                }
-                return Ok(ColumnVec::from_cells(PgType::Bool, out));
-            }
-            if let Some(v) = binary_fast(*op, &lv, &rv) {
-                return Ok(v);
-            }
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(expr::binary(*op, &lv.cell_at(i), &rv.cell_at(i))?);
-            }
-            Ok(ColumnVec::from_cells(derive_type(e, &f.cols), out))
-        }
-        SqlExpr::Not(inner) => {
-            let v = eval_vec(inner, f)?;
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(match v.cell_at(i) {
-                    Cell::Null => Cell::Null,
-                    Cell::Bool(b) => Cell::Bool(!b),
-                    other => return Err(DbError::exec(format!("NOT applied to {other:?}"))),
-                });
-            }
-            Ok(ColumnVec::from_cells(PgType::Bool, out))
-        }
-        SqlExpr::Neg(inner) => {
-            let v = eval_vec(inner, f)?;
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(match v.cell_at(i) {
-                    Cell::Null => Cell::Null,
-                    Cell::Int(x) => Cell::Int(-x),
-                    Cell::Float(x) => Cell::Float(-x),
-                    other => return Err(DbError::exec(format!("cannot negate {other:?}"))),
-                });
-            }
-            Ok(ColumnVec::from_cells(derive_type(e, &f.cols), out))
-        }
-        SqlExpr::Func { name, args, .. } if !is_aggregate_name(name) => {
-            let mut avs = Vec::with_capacity(args.len());
-            for a in args {
-                avs.push(eval_vec(a, f)?);
-            }
-            let mut out = Vec::with_capacity(n);
-            let mut buf: Vec<Cell> = Vec::with_capacity(avs.len());
-            for i in 0..n {
-                buf.clear();
-                buf.extend(avs.iter().map(|av| av.cell_at(i)));
-                out.push(expr::scalar_function(name, &buf)?);
-            }
-            Ok(ColumnVec::from_cells(derive_type(e, &f.cols), out))
-        }
-        SqlExpr::Cast { expr: inner, ty } => {
-            let v = eval_vec(inner, f)?;
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(expr::cast(&v.cell_at(i), *ty)?);
-            }
-            Ok(ColumnVec::from_cells(*ty, out))
-        }
-        SqlExpr::IsNull { expr: inner, negated } => {
-            let v = eval_vec(inner, f)?;
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(Cell::Bool(v.is_null(i) != *negated));
-            }
-            Ok(ColumnVec::from_cells(PgType::Bool, out))
-        }
-        // CASE and IN (list) are lazy per row; Star/window/subquery
-        // nodes and aggregate calls produce the row pipeline's exact
-        // errors. All take the row-wise fallback, assembling each row
-        // into one reused scratch buffer.
-        other => {
-            let mut out = Vec::with_capacity(n);
-            let mut row: Vec<Cell> = Vec::with_capacity(f.columns.len());
-            for i in 0..n {
-                row.clear();
-                row.extend(f.columns.iter().map(|c| c.cell_at(i)));
-                out.push(eval(other, &f.cols, &row)?);
-            }
-            Ok(ColumnVec::from_cells(derive_type(other, &f.cols), out))
-        }
-    }
-}
-
-/// Typed no-NULL kernels for the hot comparisons and Int arithmetic,
-/// value-identical to `expr::arith`/`sql_cmp`'s f64-mediated semantics
-/// (including `wrapping_*` on the post-f64 i64 round trip). Anything
-/// with NULLs, mixed storage, division, or NaN-capable comparison goes
-/// per-element through the scalar kernels instead.
-fn binary_fast(op: SqlBinOp, l: &ColumnVec, r: &ColumnVec) -> Option<ColumnVec> {
-    use SqlBinOp::*;
-    fn zip<T: Copy, U>(a: &[T], b: &[T], f: impl Fn(T, T) -> U) -> Vec<U> {
-        a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
-    }
-    match (l, r) {
-        (ColumnVec::Int(a, va), ColumnVec::Int(b, vb)) if !va.any_null() && !vb.any_null() => {
-            let valid = colstore::Validity::all_valid(a.len());
-            // arith() routes integer math through f64 (as_f64) and back
-            // via `as i64` before the wrapping op; comparisons are f64
-            // too — replicate both exactly, quirks included.
-            let f = |x: i64| x as f64;
-            let iw = |x: i64| (x as f64) as i64;
-            match op {
-                Add => Some(ColumnVec::Int(zip(a, b, |x, y| iw(x).wrapping_add(iw(y))), valid)),
-                Sub => Some(ColumnVec::Int(zip(a, b, |x, y| iw(x).wrapping_sub(iw(y))), valid)),
-                Mul => Some(ColumnVec::Int(zip(a, b, |x, y| iw(x).wrapping_mul(iw(y))), valid)),
-                Eq => Some(ColumnVec::Bool(zip(a, b, |x, y| f(x) == f(y)), valid)),
-                Neq => Some(ColumnVec::Bool(zip(a, b, |x, y| f(x) != f(y)), valid)),
-                Lt => Some(ColumnVec::Bool(zip(a, b, |x, y| f(x) < f(y)), valid)),
-                Le => Some(ColumnVec::Bool(zip(a, b, |x, y| f(x) <= f(y)), valid)),
-                Gt => Some(ColumnVec::Bool(zip(a, b, |x, y| f(x) > f(y)), valid)),
-                Ge => Some(ColumnVec::Bool(zip(a, b, |x, y| f(x) >= f(y)), valid)),
-                _ => None,
-            }
-        }
-        (ColumnVec::Float(a, va), ColumnVec::Float(b, vb)) if !va.any_null() && !vb.any_null() => {
-            let valid = colstore::Validity::all_valid(a.len());
-            match op {
-                // IEEE arithmetic, no error paths (float÷0 is also IEEE
-                // but Div shares the both_int dispatch — keep it scalar).
-                Add => Some(ColumnVec::Float(zip(a, b, |x, y| x + y), valid)),
-                Sub => Some(ColumnVec::Float(zip(a, b, |x, y| x - y), valid)),
-                Mul => Some(ColumnVec::Float(zip(a, b, |x, y| x * y), valid)),
-                // eq_not_null's PG float rule: NaN equals NaN.
-                Eq => Some(ColumnVec::Bool(
-                    zip(a, b, |x, y| x == y || (x.is_nan() && y.is_nan())),
-                    valid,
-                )),
-                Neq => Some(ColumnVec::Bool(
-                    zip(a, b, |x, y| !(x == y || (x.is_nan() && y.is_nan()))),
-                    valid,
-                )),
-                _ => None,
-            }
-        }
-        _ => None,
     }
 }
 
 /// One side's join key, or `None` when a NULL key column under plain
 /// `=` disqualifies the row (the batch dual of `join_key`).
 fn batch_join_key(
-    columns: &[ColumnVec],
+    columns: &[&ColumnVec],
     pairs: &[EquiPair],
     right_side: bool,
     i: usize,
@@ -979,30 +933,12 @@ fn batch_join_key(
 fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, DbError> {
     match item {
         FromItem::Table { name, alias } => {
-            let mut batch =
+            let batch =
                 src.get_table_batch(name).ok_or_else(|| DbError::undefined_table(name))?;
-            let q = alias.clone().or_else(|| Some(name.clone()));
-            let len = batch.rows();
-            let cols = batch
-                .schema
-                .iter()
-                .map(|c| BoundCol { qualifier: q.clone(), name: c.name.clone(), ty: c.ty })
-                .collect();
-            Ok(ColFrame { cols, columns: std::mem::take(&mut batch.columns), len })
+            Ok(ColFrame::scan(batch, alias.as_deref().unwrap_or(name)))
         }
         FromItem::Subquery { query, alias } => {
-            let mut batch = run_select_batch(src, query)?;
-            let len = batch.rows();
-            let cols = batch
-                .schema
-                .iter()
-                .map(|c| BoundCol {
-                    qualifier: Some(alias.clone()),
-                    name: c.name.clone(),
-                    ty: c.ty,
-                })
-                .collect();
-            Ok(ColFrame { cols, columns: std::mem::take(&mut batch.columns), len })
+            Ok(ColFrame::from_batch(run_select_batch(src, query)?, alias))
         }
         FromItem::Values { rows, alias, columns } => {
             let mut data = Vec::with_capacity(rows.len());
@@ -1031,6 +967,8 @@ fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, D
         FromItem::Join { kind, left, right, on } => {
             let l = eval_from_batch(src, left)?;
             let r = eval_from_batch(src, right)?;
+            let (lcolumns, rcolumns) = (l.refs(), r.refs());
+            let owned = |columns: Vec<ColumnVec>| columns.into_iter().map(FrameCol::Owned).collect();
             let mut cols = l.cols.clone();
             cols.extend(r.cols.clone());
             match kind {
@@ -1045,9 +983,9 @@ fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, D
                         }
                     }
                     let mut columns: Vec<ColumnVec> =
-                        l.columns.iter().map(|c| c.take(&lidx)).collect();
-                    columns.extend(r.columns.iter().map(|c| c.take(&ridx)));
-                    Ok(ColFrame { cols, columns, len: total })
+                        lcolumns.iter().map(|c| c.take(&lidx)).collect();
+                    columns.extend(rcolumns.iter().map(|c| c.take(&ridx)));
+                    Ok(ColFrame { cols, columns: owned(columns), len: total })
                 }
                 JoinType::Inner | JoinType::Left => {
                     let cond =
@@ -1065,7 +1003,7 @@ fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, D
                         let mut index: HashMap<Vec<CellKey>, Vec<usize>> =
                             HashMap::with_capacity(r.len);
                         for ri in 0..r.len {
-                            if let Some(k) = batch_join_key(&r.columns, &pairs, true, ri) {
+                            if let Some(k) = batch_join_key(&rcolumns, &pairs, true, ri) {
                                 index.entry(k).or_default().push(ri);
                             }
                         }
@@ -1074,7 +1012,7 @@ fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, D
                             let mut ridx: Vec<Option<usize>> = Vec::new();
                             for li in range {
                                 if let Some(matches) =
-                                    batch_join_key(&l.columns, &pairs, false, li)
+                                    batch_join_key(&lcolumns, &pairs, false, li)
                                         .and_then(|k| index.get(&k))
                                 {
                                     for &ri in matches {
@@ -1108,13 +1046,10 @@ fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, D
                             probe(0..l.len)
                         };
                         let gather = |range: Range<usize>| {
-                            let mut columns: Vec<ColumnVec> = l
-                                .columns
-                                .iter()
-                                .map(|c| c.take(&lidx[range.clone()]))
-                                .collect();
+                            let mut columns: Vec<ColumnVec> =
+                                lcolumns.iter().map(|c| c.take(&lidx[range.clone()])).collect();
                             columns.extend(
-                                r.columns.iter().map(|c| c.take_opt(&ridx[range.clone()])),
+                                rcolumns.iter().map(|c| c.take_opt(&ridx[range.clone()])),
                             );
                             columns
                         };
@@ -1130,12 +1065,15 @@ fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, D
                         } else {
                             gather(0..lidx.len())
                         };
-                        Ok(ColFrame { cols, columns, len: lidx.len() })
+                        Ok(ColFrame { cols, columns: owned(columns), len: lidx.len() })
                     } else {
                         // Non-equi conditions: materialize and run the
                         // row pipeline's exact nested loop.
-                        let lrows = l.materialize();
-                        let rrows = r.materialize();
+                        row_fallback(Fallback::NonEquiJoin, l.len + r.len);
+                        let all = |f: &ColFrame| {
+                            f.to_frame(Rows::all(f.len), &(0..f.cols.len()).collect::<Vec<_>>()).rows
+                        };
+                        let (lrows, rrows) = (all(&l), all(&r));
                         let mut rows = Vec::new();
                         for lr in &lrows {
                             let mut matched = false;

@@ -524,8 +524,8 @@ pub fn derive_type(expr: &SqlExpr, cols: &[BoundCol]) -> PgType {
         SqlExpr::Neg(e) => derive_type(e, cols),
         SqlExpr::Func { name, args, .. } => match name.as_str() {
             "count" => PgType::Int8,
-            "avg" | "stddev_samp" | "stddev" | "var_samp" | "variance" | "median" | "sqrt"
-            | "exp" | "ln" | "round" => PgType::Float8,
+            "avg" | "stddev_samp" | "stddev" | "var_samp" | "variance" | "stddev_pop"
+            | "var_pop" | "median" | "sqrt" | "exp" | "ln" | "round" => PgType::Float8,
             "floor" | "ceil" | "ceiling" | "sign" | "div" | "length" | "char_length" => PgType::Int8,
             "upper" | "lower" => PgType::Varchar,
             _ => args.first().map(|a| derive_type(a, cols)).unwrap_or(PgType::Text),

@@ -12,6 +12,7 @@ pub mod key;
 pub mod parallel;
 pub mod reference;
 pub mod stream;
+pub(crate) mod vector;
 
 use crate::engine::DbError;
 use crate::sql::ast::*;
@@ -21,6 +22,7 @@ use expr::{derive_type, eval, BoundCol};
 use key::{row_key, CellKey};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Source of named tables during execution (sessions implement this:
 /// temp tables shadow globals shadow catalog virtual tables).
@@ -28,12 +30,13 @@ pub trait TableSource {
     /// Fetch a table's schema and rows by name.
     fn get_table(&self, name: &str) -> Option<(Vec<Column>, Vec<Vec<Cell>>)>;
 
-    /// Fetch a table as a columnar batch. The default transposes the
-    /// row form; sources with native columnar storage override this to
-    /// hand the batch over without per-cell work.
-    fn get_table_batch(&self, name: &str) -> Option<Batch> {
+    /// Fetch a table as a shared columnar batch. Sources with columnar
+    /// storage hand out the stored batch itself — a scan is a
+    /// reference-count bump, and the executor reads the columns in
+    /// place. The default transposes the row form.
+    fn get_table_batch(&self, name: &str) -> Option<Arc<Batch>> {
         let (columns, rows) = self.get_table(name)?;
-        Some(Batch::from_rows(Rows { columns, data: rows }))
+        Some(Arc::new(Batch::from_rows(Rows { columns, data: rows })))
     }
 
     /// Worker count for morsel-driven operators (DESIGN §12). `1` is
@@ -304,6 +307,14 @@ pub(crate) fn run_block(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Rows
         frame.rows = kept;
     }
 
+    project_block(stmt, frame)
+}
+
+/// Everything of a SELECT block after FROM and WHERE: aggregation or
+/// window materialization, projection, ORDER BY, OFFSET/LIMIT. The
+/// columnar engine scans and filters column-major and enters here with
+/// the surviving rows for the block shapes it does not vectorize.
+pub(crate) fn project_block(stmt: &SelectStmt, mut frame: Frame) -> Result<Rows, DbError> {
     let has_agg = !stmt.group_by.is_empty()
         || stmt.items.iter().any(|i| match i {
             SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
@@ -351,7 +362,7 @@ pub(crate) fn run_block(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Rows
         // Rewrite items to reference the virtual columns.
         items = items
             .into_iter()
-            .map(|(alias, e)| (alias, substitute_windows(e, &windows)))
+            .map(|(alias, e)| (alias, substitute_nodes(e, &windows, "hq_win_")))
             .collect();
     }
 
@@ -625,7 +636,20 @@ fn compute_aggregate(
     if distinct {
         dedup_cells(&mut values);
     }
+    fold_cells(name, &values)
+}
+
+/// Fold one group's non-NULL (and, for DISTINCT, deduplicated) argument
+/// values into the aggregate's result. Shared with the columnar engine,
+/// which gathers the values from column storage.
+pub(crate) fn fold_cells(name: &str, values: &[Cell]) -> Result<Cell, DbError> {
     let nums = || -> Vec<f64> { values.iter().filter_map(|c| c.as_f64()).collect() };
+    // Sum of squared deviations from the mean, and the value count.
+    let deviations = || {
+        let ns = nums();
+        let mean = ns.iter().sum::<f64>() / ns.len() as f64;
+        (ns.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>(), ns.len())
+    };
     Ok(match name {
         "count" => Cell::Int(values.len() as i64),
         "sum" => {
@@ -645,29 +669,16 @@ fn compute_aggregate(
                 Cell::Float(ns.iter().sum::<f64>() / ns.len() as f64)
             }
         }
-        "min" => fold_extreme(&values, false),
-        "max" => fold_extreme(&values, true),
-        "stddev_samp" | "stddev" => {
-            let ns = nums();
-            if ns.len() < 2 {
-                Cell::Null
-            } else {
-                let mean = ns.iter().sum::<f64>() / ns.len() as f64;
-                let var = ns.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
-                    / (ns.len() - 1) as f64;
-                Cell::Float(var.sqrt())
-            }
-        }
-        "var_samp" | "variance" => {
-            let ns = nums();
-            if ns.len() < 2 {
-                Cell::Null
-            } else {
-                let mean = ns.iter().sum::<f64>() / ns.len() as f64;
-                Cell::Float(
-                    ns.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
-                        / (ns.len() - 1) as f64,
-                )
+        "min" => fold_extreme(values, false),
+        "max" => fold_extreme(values, true),
+        // Sample forms divide by n − 1 (NULL below two values); the
+        // population forms (Q's `dev`/`var`) by n, from one value up.
+        "stddev_samp" | "stddev" | "var_samp" | "variance" | "stddev_pop" | "var_pop" => {
+            let (ss, n) = deviations();
+            match if name.ends_with("_pop") { n } else { n.saturating_sub(1) } {
+                0 => Cell::Null,
+                d if name.starts_with("stddev") => Cell::Float((ss / d as f64).sqrt()),
+                d => Cell::Float(ss / d as f64),
             }
         }
         "median" => {
@@ -755,41 +766,44 @@ fn collect_windows(e: &SqlExpr, out: &mut Vec<SqlExpr>) {
     }
 }
 
-/// Replace window nodes with references to their virtual columns.
-fn substitute_windows(e: SqlExpr, windows: &[SqlExpr]) -> SqlExpr {
-    if let Some(i) = windows.iter().position(|w| *w == e) {
-        return SqlExpr::Column { qualifier: None, name: format!("hq_win_{i}") };
+/// Replace each of `nodes` found in `e` with a reference to its virtual
+/// column `<prefix><index>` (window functions, and the columnar
+/// engine's per-group aggregate results).
+pub(crate) fn substitute_nodes(e: SqlExpr, nodes: &[SqlExpr], prefix: &str) -> SqlExpr {
+    if let Some(i) = nodes.iter().position(|w| *w == e) {
+        return SqlExpr::Column { qualifier: None, name: format!("{prefix}{i}") };
     }
+    let sub = |e: SqlExpr| substitute_nodes(e, nodes, prefix);
     match e {
         SqlExpr::Binary { op, lhs, rhs } => SqlExpr::Binary {
             op,
-            lhs: Box::new(substitute_windows(*lhs, windows)),
-            rhs: Box::new(substitute_windows(*rhs, windows)),
+            lhs: Box::new(sub(*lhs)),
+            rhs: Box::new(sub(*rhs)),
         },
-        SqlExpr::Not(i) => SqlExpr::Not(Box::new(substitute_windows(*i, windows))),
-        SqlExpr::Neg(i) => SqlExpr::Neg(Box::new(substitute_windows(*i, windows))),
+        SqlExpr::Not(i) => SqlExpr::Not(Box::new(sub(*i))),
+        SqlExpr::Neg(i) => SqlExpr::Neg(Box::new(sub(*i))),
         SqlExpr::Func { name, args, distinct } => SqlExpr::Func {
             name,
-            args: args.into_iter().map(|a| substitute_windows(a, windows)).collect(),
+            args: args.into_iter().map(sub).collect(),
             distinct,
         },
         SqlExpr::Case { branches, else_result } => SqlExpr::Case {
             branches: branches
                 .into_iter()
-                .map(|(c, r)| (substitute_windows(c, windows), substitute_windows(r, windows)))
+                .map(|(c, r)| (sub(c), sub(r)))
                 .collect(),
-            else_result: else_result.map(|e| Box::new(substitute_windows(*e, windows))),
+            else_result: else_result.map(|e| Box::new(sub(*e))),
         },
         SqlExpr::Cast { expr, ty } => {
-            SqlExpr::Cast { expr: Box::new(substitute_windows(*expr, windows)), ty }
+            SqlExpr::Cast { expr: Box::new(sub(*expr)), ty }
         }
         SqlExpr::InList { expr, list, negated } => SqlExpr::InList {
-            expr: Box::new(substitute_windows(*expr, windows)),
-            list: list.into_iter().map(|e| substitute_windows(e, windows)).collect(),
+            expr: Box::new(sub(*expr)),
+            list: list.into_iter().map(sub).collect(),
             negated,
         },
         SqlExpr::IsNull { expr, negated } => {
-            SqlExpr::IsNull { expr: Box::new(substitute_windows(*expr, windows)), negated }
+            SqlExpr::IsNull { expr: Box::new(sub(*expr)), negated }
         }
         other => other,
     }

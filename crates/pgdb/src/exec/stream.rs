@@ -12,15 +12,15 @@
 //! and is re-chunked for transport (bounded frames, not bounded peak
 //! memory) — see `Session::execute_stream`.
 
-use super::columnar::{collect_columns, collect_keep, eval_vec, slice_frame, ColFrame};
-use super::expr::{derive_type, BoundCol};
+use super::columnar::ColFrame;
+use super::expr::derive_type;
 use super::parallel::MORSEL_ROWS;
+use super::vector::{self, eval_column, morsel_eligible, Ctx, Rows};
 use super::{default_output_name, TableSource};
 use crate::engine::DbError;
 use crate::sql::ast::*;
 use crate::types::Column;
-use colstore::{Batch, BatchStream, ColumnVec};
-use std::collections::HashSet;
+use colstore::{Batch, BatchStream};
 
 /// Build a true-streaming plan for `stmt`, or `None` when the statement
 /// is outside the streamable gate (the caller falls back to the
@@ -29,8 +29,8 @@ use std::collections::HashSet;
 /// The gate: single block (no set ops), no aggregates / GROUP BY /
 /// HAVING / window functions, no ORDER BY / LIMIT / OFFSET (all three
 /// need the full result), FROM is exactly one stored table, and every
-/// projected or filtered expression is morsel-eligible per
-/// [`collect_columns`] (vectorizable and fully resolvable).
+/// projected or filtered expression is [`morsel_eligible`]
+/// (vectorizable and fully resolvable).
 pub(crate) fn try_select_stream(
     src: &dyn TableSource,
     stmt: &SelectStmt,
@@ -53,21 +53,15 @@ pub(crate) fn try_select_stream(
         return None;
     }
 
-    let mut batch = src.get_table_batch(name)?;
-    let q = alias.clone().or_else(|| Some(name.clone()));
-    let len = batch.rows();
-    let cols: Vec<BoundCol> = batch
-        .schema
-        .iter()
-        .map(|c| BoundCol { qualifier: q.clone(), name: c.name.clone(), ty: c.ty })
-        .collect();
+    let frame = ColFrame::scan(src.get_table_batch(name)?, alias.as_deref().unwrap_or(name));
+    let cols = &frame.cols;
 
     // Wildcard expansion, identical to the materializing block.
     let mut items: Vec<(Option<String>, SqlExpr)> = Vec::new();
     for item in &stmt.items {
         match item {
             SelectItem::Wildcard => {
-                for c in &cols {
+                for c in cols {
                     items.push((
                         Some(c.name.clone()),
                         SqlExpr::Column { qualifier: c.qualifier.clone(), name: c.name.clone() },
@@ -78,14 +72,10 @@ pub(crate) fn try_select_stream(
         }
     }
 
-    // Every expression must be morsel-eligible; `refs` accumulates the
-    // union of referenced source columns so unused ones never slice.
-    let mut refs = HashSet::new();
-    if let Some(pred) = &stmt.where_clause {
-        collect_columns(pred, &cols, &mut refs)?;
-    }
-    for (_, e) in &items {
-        collect_columns(e, &cols, &mut refs)?;
+    // Every expression must be morsel-eligible.
+    let mut exprs = stmt.where_clause.iter().chain(items.iter().map(|(_, e)| e));
+    if !exprs.all(|e| morsel_eligible(e, cols)) {
+        return None;
     }
 
     let schema: Vec<Column> = items
@@ -93,16 +83,15 @@ pub(crate) fn try_select_stream(
         .enumerate()
         .map(|(i, (alias, e))| {
             let name = alias.clone().unwrap_or_else(|| default_output_name(e, i));
-            Column::new(name, derive_type(e, &cols))
+            Column::new(name, derive_type(e, cols))
         })
         .collect();
     let exprs: Vec<SqlExpr> = items.into_iter().map(|(_, e)| e).collect();
 
     let stream = SelectStream {
-        frame: ColFrame { cols, columns: std::mem::take(&mut batch.columns), len },
+        frame,
         where_clause: stmt.where_clause.clone(),
         exprs,
-        refs,
         schema: schema.clone(),
         pos: 0,
         done: false,
@@ -110,49 +99,37 @@ pub(crate) fn try_select_stream(
     Some(BatchStream::new(schema, stream))
 }
 
-/// The pull-based morsel pipeline behind [`try_select_stream`].
+/// The pull-based morsel pipeline behind [`try_select_stream`]. The
+/// frame borrows the stored table for the life of the stream: a
+/// concurrent writer copies on write, the stream keeps its snapshot.
 struct SelectStream {
     frame: ColFrame,
     where_clause: Option<SqlExpr>,
     exprs: Vec<SqlExpr>,
-    refs: HashSet<usize>,
     schema: Vec<Column>,
     pos: usize,
     done: bool,
 }
 
 impl SelectStream {
-    /// Evaluate one source morsel into an output chunk.
+    /// Evaluate one source morsel into an output chunk: filter the
+    /// morsel's range to a selection, project through it.
     fn chunk(&self, start: usize, len: usize) -> Result<Batch, DbError> {
-        let mut sub = slice_frame(&self.frame, &self.refs, &(start..start + len));
-        if let Some(pred) = &self.where_clause {
-            let mask = eval_vec(pred, &sub)?;
-            let mut keep = Vec::new();
-            collect_keep(&mask, 0, &mut keep);
-            if keep.len() < sub.len {
-                // Gather referenced columns only; the placeholders for
-                // unreferenced ones are zero-length and must stay
-                // untouched (nothing downstream reads them).
-                let columns = sub
-                    .columns
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        if self.refs.contains(&i) {
-                            c.take(&keep)
-                        } else {
-                            ColumnVec::Cells(Vec::new())
-                        }
-                    })
-                    .collect();
-                sub = ColFrame { cols: sub.cols, columns, len: keep.len() };
-            }
-        }
-        let mut columns: Vec<ColumnVec> = Vec::with_capacity(self.exprs.len());
+        let columns = self.frame.refs();
+        let sel = match &self.where_clause {
+            Some(pred) => Some(vector::filter(pred, &self.frame.cols, &columns, start..start + len)?),
+            None => None,
+        };
+        let rows = match &sel {
+            Some(sel) => Rows::Sel(sel),
+            None => Rows::Range { start, len },
+        };
+        let ctx = Ctx { cols: &self.frame.cols, columns: &columns, rows };
+        let mut out = Vec::with_capacity(self.exprs.len());
         for e in &self.exprs {
-            columns.push(eval_vec(e, &sub)?);
+            out.push(eval_column(e, &ctx)?);
         }
-        Ok(Batch::new(self.schema.clone(), columns, sub.len))
+        Ok(Batch::new(self.schema.clone(), out, rows.len()))
     }
 }
 

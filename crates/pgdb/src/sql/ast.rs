@@ -332,6 +332,8 @@ pub fn is_aggregate_name(name: &str) -> bool {
             | "stddev_samp"
             | "stddev"
             | "var_samp"
+            | "stddev_pop"
+            | "var_pop"
             | "variance"
             | "median"
             | "hq_first"

@@ -151,24 +151,43 @@ pub fn med(a: &Value) -> QResult<Value> {
     Ok(Value::float(m))
 }
 
-/// `dev x` — standard deviation (population, as kdb+).
-pub fn dev(a: &Value) -> QResult<Value> {
-    let v = var(a)?;
+/// Sum of squared deviations from the mean over the non-null
+/// elements, and how many there are.
+fn squared_deviations(a: &Value) -> QResult<(f64, usize)> {
+    let elems = numeric_elems(a)?;
+    let mean = elems.iter().sum::<f64>() / elems.len() as f64;
+    Ok((elems.iter().map(|x| (x - mean) * (x - mean)).sum(), elems.len()))
+}
+
+/// `var x` — population variance (as kdb+); null over no values.
+pub fn var(a: &Value) -> QResult<Value> {
+    let (ss, n) = squared_deviations(a)?;
+    Ok(Value::float(if n == 0 { f64::NAN } else { ss / n as f64 }))
+}
+
+/// `svar x` — sample variance (n − 1 denominator); null below two
+/// values.
+pub fn svar(a: &Value) -> QResult<Value> {
+    let (ss, n) = squared_deviations(a)?;
+    Ok(Value::float(if n < 2 { f64::NAN } else { ss / (n - 1) as f64 }))
+}
+
+/// The square root of a float atom (`dev` of `var`, `sdev` of `svar`).
+fn sqrt_atom(v: Value) -> Value {
     match v {
-        Value::Atom(Atom::Float(f)) => Ok(Value::float(f.sqrt())),
-        other => Ok(other),
+        Value::Atom(Atom::Float(f)) => Value::float(f.sqrt()),
+        other => other,
     }
 }
 
-/// `var x` — population variance.
-pub fn var(a: &Value) -> QResult<Value> {
-    let elems = numeric_elems(a)?;
-    if elems.is_empty() {
-        return Ok(Value::float(f64::NAN));
-    }
-    let mean = elems.iter().sum::<f64>() / elems.len() as f64;
-    let v = elems.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / elems.len() as f64;
-    Ok(Value::float(v))
+/// `dev x` — population standard deviation (as kdb+).
+pub fn dev(a: &Value) -> QResult<Value> {
+    var(a).map(sqrt_atom)
+}
+
+/// `sdev x` — sample standard deviation.
+pub fn sdev(a: &Value) -> QResult<Value> {
+    svar(a).map(sqrt_atom)
 }
 
 /// `sums x` — running sums.

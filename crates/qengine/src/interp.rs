@@ -616,6 +616,8 @@ impl Interp {
                 "med" => builtins::med(&a),
                 "dev" => builtins::dev(&a),
                 "var" => builtins::var(&a),
+                "sdev" => builtins::sdev(&a),
+                "svar" => builtins::svar(&a),
                 "sums" => builtins::sums(&a),
                 "deltas" => builtins::deltas(&a),
                 "prev" => builtins::prev(&a),

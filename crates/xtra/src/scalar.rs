@@ -129,10 +129,14 @@ pub enum AggFunc {
     Min,
     /// `MAX`
     Max,
-    /// `STDDEV_SAMP` — Q's `dev` maps here.
+    /// `STDDEV_SAMP` — Q's `sdev` (sample deviation).
     StdDev,
-    /// `VAR_SAMP` — Q's `var`.
+    /// `VAR_SAMP` — Q's `svar`.
     Variance,
+    /// `STDDEV_POP` — Q's `dev` is the population statistic.
+    StdDevPop,
+    /// `VAR_POP` — Q's `var`.
+    VariancePop,
     /// First value in order (Q `first`); serialized via an ordered window
     /// or `MIN` on the order column join-back depending on context.
     First,
@@ -153,6 +157,8 @@ impl AggFunc {
             AggFunc::Max => "max",
             AggFunc::StdDev => "stddev_samp",
             AggFunc::Variance => "var_samp",
+            AggFunc::StdDevPop => "stddev_pop",
+            AggFunc::VariancePop => "var_pop",
             AggFunc::First => "first_value_agg",
             AggFunc::Last => "last_value_agg",
         }
@@ -369,7 +375,11 @@ impl ScalarExpr {
             },
             ScalarExpr::Agg { func, arg } => match func {
                 AggFunc::Count | AggFunc::CountDistinct => SqlType::Int8,
-                AggFunc::Avg | AggFunc::StdDev | AggFunc::Variance => SqlType::Float8,
+                AggFunc::Avg
+                | AggFunc::StdDev
+                | AggFunc::Variance
+                | AggFunc::StdDevPop
+                | AggFunc::VariancePop => SqlType::Float8,
                 AggFunc::Sum | AggFunc::Min | AggFunc::Max | AggFunc::First | AggFunc::Last => {
                     arg.as_ref().map(|a| a.derived_type()).unwrap_or(SqlType::Int8)
                 }

@@ -71,6 +71,12 @@ const STATEMENTS: &[&str] = &[
     "select vwap: (sum Price*Size) % sum Size by Symbol from trades",
     "select mx: max Price by Date, Symbol from trades",
     "select s: sum Size by 1000 xbar Size from trades",
+    // dev/var are population statistics, sdev/svar the sample forms;
+    // `nullable` has groups with a single non-null Px (dev 0, sdev null).
+    "select d: dev Price, v: var Price by Symbol from trades",
+    "select d: sdev Price, v: svar Price by Symbol from trades",
+    "select d: dev Px, v: var Px, sd: sdev Px, sv: svar Px by Sym from nullable",
+    "select d: dev Price, sd: sdev Price from trades where Symbol=`NONE",
     // --- joins: aj (as-of), lj/ij (keyed), uj (union) ---
     "aj[`Symbol`Time; select Symbol, Time, Price from trades; \
      select Symbol, Time, Bid, Ask from quotes]",

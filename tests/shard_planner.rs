@@ -136,8 +136,10 @@ fn planner_assigns_kind_and_reason_per_statement_family() {
         // Float aggregates are not exactly associative: fallback unless
         // HQ_SHARD_FLOAT_AGG opts in.
         ("SELECT sum(fv) FROM fact", "fallback", planner::FB_FLOAT_AGG),
-        // No distributive decomposition exists for median.
-        ("SELECT median(id) FROM fact", "fallback", planner::FB_NONDISTRIBUTIVE),
+        // No distributive decomposition exists for median or the
+        // deviation family: exact over gathered inputs.
+        ("SELECT median(id) FROM fact", "gather", planner::FB_NONDISTRIBUTIVE),
+        ("SELECT grp, stddev_pop(id), var_pop(id) FROM fact GROUP BY grp", "gather", planner::FB_NONDISTRIBUTIVE),
         // Non-decomposable statement families over shard-managed inputs
         // gather: exact input reconstruction, whole-statement evaluation.
         (
