@@ -22,11 +22,17 @@
 //! statements of hqbench's `taq_wire` over its 60k-row `trades`, timed
 //! through `Session::execute_batch`, with the number of rows the
 //! executor handed to the row pipeline meanwhile (expected: none).
+//!
+//! Gated: the translated `aj` over the first 300 / 3 000 / 30 000 rows
+//! of `trades` and `quotes`, with the join operator's strategy and
+//! probe counters. Ten times the rows must cost less than twenty times
+//! the time — the interval probe is O((n + m) log m) where the nested
+//! loop it replaced was O(n·m), a hundredfold per step.
 
 use algebrizer::ResultShape;
 use hyperq::pivot::{pivot, pivot_batch};
 use hyperq::{loader, HyperQSession};
-use hyperq_workload::taq::{generate_trades, TaqConfig};
+use hyperq_workload::taq::{generate_quotes, generate_trades, TaqConfig};
 use pgdb::exec::columnar::run_select_batch;
 use pgdb::exec::{run_select_rows, TableSource};
 use pgdb::sql::ast::Stmt;
@@ -110,13 +116,25 @@ fn row_fallbacks() -> u64 {
         .sum()
 }
 
-/// The translated TAQ statements over `taq_wire`'s table: name, best
-/// wall clock, rows out, row-pipeline hand-overs while timing.
-fn taq_statements() -> Vec<(&'static str, Duration, usize, u64)> {
+/// `taq_wire`'s tables: 60k-row `trades` and `quotes`.
+fn taq_db() -> pgdb::Db {
     let db = pgdb::Db::new();
     let cfg = TaqConfig { rows: 60_000, symbols: 10, days: 2, seed: 1 };
     loader::load_table_direct(&db, "trades", &generate_trades(&cfg)).expect("load trades");
-    let mut hq = HyperQSession::with_direct(&db);
+    loader::load_table_direct(&db, "quotes", &generate_quotes(&cfg)).expect("load quotes");
+    db
+}
+
+/// The SQL Hyper-Q sends for `q`.
+fn translated(hq: &mut HyperQSession, q: &str) -> String {
+    let translations = hq.translate_only(q).expect("TAQ statement translates");
+    translations.last().and_then(|t| t.statements.last()).expect("one statement").sql.clone()
+}
+
+/// The translated TAQ statements over `taq_wire`'s table: name, best
+/// wall clock, rows out, row-pipeline hand-overs while timing.
+fn taq_statements(db: &pgdb::Db) -> Vec<(&'static str, Duration, usize, u64)> {
+    let mut hq = HyperQSession::with_direct(db);
     let mut session = db.session();
     session.set_exec_threads(Some(1));
     [
@@ -128,17 +146,64 @@ fn taq_statements() -> Vec<(&'static str, Duration, usize, u64)> {
     ]
     .into_iter()
     .map(|(name, q)| {
-        let translations = hq.translate_only(q).expect("TAQ statement translates");
-        let sql = &translations.last().and_then(|t| t.statements.last()).expect("one statement").sql;
+        let sql = translated(&mut hq, q);
         let before = row_fallbacks();
         let mut rows = 0;
-        let best = best_of(20, || match session.execute_batch(sql).expect(name) {
+        let best = best_of(20, || match session.execute_batch(&sql).expect(name) {
             pgdb::BatchQueryResult::Batch(b) => rows = b.rows(),
             other => panic!("{name}: expected rows, got {other:?}"),
         });
         (name, best, rows, row_fallbacks() - before)
     })
     .collect()
+}
+
+const JOIN_COUNTERS: [&str; 6] = [
+    "pgdb_exec_join_total{strategy=\"hash\"}",
+    "pgdb_exec_join_total{strategy=\"hash_residual\"}",
+    "pgdb_exec_join_total{strategy=\"interval\"}",
+    "pgdb_exec_join_total{strategy=\"nested_loop\"}",
+    "pgdb_exec_join_candidates_total",
+    "pgdb_exec_join_matches_total",
+];
+
+/// One size of the translated `aj`.
+struct AjRun {
+    rows: usize,
+    best: Duration,
+    rows_out: usize,
+    /// [`JOIN_COUNTERS`] over one execution.
+    joins: [u64; 6],
+}
+
+/// The translated `aj` over the first `rows` trades and quotes, per size.
+fn aj_scaling(db: &pgdb::Db) -> Vec<AjRun> {
+    let mut hq = HyperQSession::with_direct(db);
+    let mut session = db.session();
+    session.set_exec_threads(Some(1));
+    let counters = || JOIN_COUNTERS.map(|c| obs::global_registry().counter_value(c));
+    [300usize, 3_000, 30_000]
+        .into_iter()
+        .map(|rows| {
+            let q = format!(
+                "aj[`Symbol`Time; select Symbol, Time, Price from trades where i<{rows}; \
+                 select Symbol, Time, Bid, Ask from quotes where i<{rows}]"
+            );
+            let sql = translated(&mut hq, &q);
+            let mut run = || match session.execute_batch(&sql).expect("aj executes") {
+                pgdb::BatchQueryResult::Batch(b) => b.rows(),
+                other => panic!("aj: expected rows, got {other:?}"),
+            };
+            let before = counters();
+            let rows_out = run();
+            let after = counters();
+            let mut joins = [0; 6];
+            for (d, (a, b)) in joins.iter_mut().zip(after.iter().zip(&before)) {
+                *d = a - b;
+            }
+            AjRun { rows, best: best_of(5, &mut run), rows_out, joins }
+        })
+        .collect()
 }
 
 fn main() {
@@ -248,7 +313,8 @@ fn main() {
     }
     let at_least_2x = entries.iter().filter(|e| e.speedup() >= 2.0).count();
     json.push_str("  ],\n  \"taq_in_process\": [\n");
-    let taq = taq_statements();
+    let db = taq_db();
+    let taq = taq_statements(&db);
     for (i, (name, best, rows, fallbacks)) in taq.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{name}\", \"best_ms\": {:.3}, \"rows_out\": {rows}, \"row_fallbacks\": {fallbacks}}}{}\n",
@@ -260,7 +326,42 @@ fn main() {
             best.as_secs_f64() * 1e3,
         );
     }
-    json.push_str("  ],\n");
+    json.push_str("  ],\n  \"aj_scaling\": [\n");
+    let aj = aj_scaling(&db);
+    for (i, run) in aj.iter().enumerate() {
+        let [hash, hash_residual, interval, nested_loop, candidates, matches] = run.joins;
+        let ms = run.best.as_secs_f64() * 1e3;
+        json.push_str(&format!(
+            concat!(
+                "    {{\"rows_per_side\": {}, \"best_ms\": {:.3}, \"rows_out\": {}, ",
+                "\"joins\": {{\"hash\": {}, \"hash_residual\": {}, \"interval\": {}, \"nested_loop\": {}}}, ",
+                "\"candidates\": {}, \"matches\": {}}}{}\n"
+            ),
+            run.rows,
+            ms,
+            run.rows_out,
+            hash,
+            hash_residual,
+            interval,
+            nested_loop,
+            candidates,
+            matches,
+            if i + 1 < aj.len() { "," } else { "" },
+        ));
+        println!(
+            "aj_{:<33} best {ms:>8.3}ms   {} rows out   interval {interval} nested_loop {nested_loop} \
+             hash {hash} hash_residual {hash_residual}   {candidates} candidates {matches} matches",
+            format!("{}_x_{}", run.rows, run.rows),
+            run.rows_out,
+        );
+    }
+    // Time per tenfold step in rows.
+    let steps: Vec<f64> =
+        aj.windows(2).map(|w| w[1].best.as_secs_f64() / w[0].best.as_secs_f64()).collect();
+    json.push_str(&format!(
+        "  ],\n  \"aj_time_ratio_per_10x_rows\": [{}],\n",
+        steps.iter().map(|r| format!("{r:.2}")).collect::<Vec<_>>().join(", ")
+    ));
     json.push_str(&format!("  \"shapes_at_2x_or_better\": {at_least_2x}\n}}\n"));
     std::fs::write("BENCH_columnar.json", &json).expect("write BENCH_columnar.json");
     println!("wrote BENCH_columnar.json");
@@ -272,6 +373,14 @@ fn main() {
         .collect();
     if !failed.is_empty() {
         eprintln!("targets missed: {failed:?}");
+        std::process::exit(1);
+    }
+    if let Some(step) = steps.iter().find(|r| **r >= 20.0) {
+        eprintln!("aj scaling: 10x the rows cost {step:.1}x the time (limit 20x)");
+        std::process::exit(1);
+    }
+    if aj.iter().any(|run| run.joins[..4] != [0, 0, 1, 0]) {
+        eprintln!("aj scaling: every size must run as one interval join");
         std::process::exit(1);
     }
     if at_least_2x < 2 {

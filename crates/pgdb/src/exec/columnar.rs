@@ -13,8 +13,9 @@
 //! parent module. Window-function blocks scan and filter here and hand
 //! their surviving rows to that pipeline's
 //! [`project_block`](super::project_block); aggregate blocks outside
-//! [`aggregate_batch_fast`] and non-equi joins do the same — each
-//! hand-over counted in `pgdb_exec_row_fallback_total{reason}`.
+//! [`aggregate_batch_fast`] do the same, and a join whose condition can
+//! fail runs that pipeline's nested loop — each hand-over counted in
+//! `pgdb_exec_row_fallback_total{reason}`.
 //!
 //! In debug builds every top-level statement is cross-checked against
 //! [`run_select_rows`](super::run_select_rows): values must agree
@@ -28,8 +29,9 @@ use super::vector::{
     Fallback, Rows, View,
 };
 use super::{
-    contains_subquery, default_output_name, extract_equi_pairs, fold_cells, parallel,
-    project_block, resolve_subqueries, substitute_nodes, EquiPair, Frame, TableSource,
+    contains_subquery, default_output_name, fold_cells, nested_loop_join, parallel, project_block,
+    resolve_subqueries, substitute_nodes, EquiPair, Frame, Interval, JoinPairs, JoinShape,
+    TableSource,
 };
 use crate::engine::DbError;
 use crate::sql::ast::*;
@@ -320,7 +322,7 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
         Some(sel) => Rows::Sel(sel),
         None => Rows::all(frame.len),
     };
-    let ctx = Ctx { cols: &frame.cols, columns: &columns, rows };
+    let ctx = Ctx { cols: &frame.cols, columns: &columns, rows, pair: None };
 
     // The row pipeline's share of a block it still owns: the surviving
     // rows, pruned to the columns the block reads.
@@ -464,7 +466,8 @@ fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&Ctx<'_>>) -> Res
             }
         }
         let columns: Vec<&ColumnVec> = out.columns.iter().chain(gathered.iter().map(|c| &**c)).collect();
-        let combined = Ctx { cols: &cols, columns: &columns, rows: Rows::all(out.rows()) };
+        let combined =
+            Ctx { cols: &cols, columns: &columns, rows: Rows::all(out.rows()), pair: None };
         let mut key_cells: Vec<Vec<Cell>> = Vec::with_capacity(stmt.order_by.len());
         for (e, _) in &stmt.order_by {
             key_cells.push(eval_column(e, &combined)?.into_cells());
@@ -929,6 +932,233 @@ fn batch_join_key(
     Some(key)
 }
 
+/// How a join ran (`pgdb_exec_join_total{strategy}`).
+#[derive(Clone, Copy)]
+enum JoinStrategy {
+    /// Equality keys only.
+    Hash,
+    /// Keys (possibly none: one bucket) and a per-pair residual.
+    HashResidual,
+    /// A sorted-interval probe inside each key bucket.
+    Interval,
+    /// The row pipeline's nested loop: some conjunct can fail.
+    NestedLoop,
+}
+
+/// Count one join as started: how it runs.
+fn count_join(strategy: JoinStrategy) {
+    static COUNTERS: std::sync::OnceLock<[Arc<obs::Counter>; 4]> = std::sync::OnceLock::new();
+    let counters = COUNTERS.get_or_init(|| {
+        ["hash", "hash_residual", "interval", "nested_loop"].map(|s| {
+            obs::global_registry().counter(&format!("pgdb_exec_join_total{{strategy=\"{s}\"}}"))
+        })
+    });
+    counters[strategy as usize].inc();
+}
+
+/// Count a finished join's probe work: the pairs it proposed and the
+/// pairs that matched — its useful-work ratio.
+fn count_join_pairs(candidates: usize, pairs: &JoinPairs) {
+    static COUNTERS: std::sync::OnceLock<[Arc<obs::Counter>; 2]> = std::sync::OnceLock::new();
+    let [proposed, matched] = COUNTERS.get_or_init(|| {
+        ["pgdb_exec_join_candidates_total", "pgdb_exec_join_matches_total"]
+            .map(|name| obs::global_registry().counter(name))
+    });
+    proposed.add(candidates as u64);
+    matched.add(pairs.1.iter().flatten().count() as u64);
+}
+
+/// The probe of one left row: appends to `.2` the right rows, ascending,
+/// that left row `.0` can match within key bucket `.1`.
+type Candidates<'a> = Box<dyn Fn(usize, usize, &mut Vec<usize>) + Sync + 'a>;
+
+/// Order every key bucket for the interval probe and return that probe.
+/// `keys(c)` is joined column `c`'s values as the comparison kernels
+/// order them, `None` in NULL slots.
+///
+/// Rows whose `lo` is NULL (or `hi`, unless a NULL `hi` leaves the
+/// interval open) can never match and are dropped; the rest sort by
+/// `lo`, stably. A left value `x` then admits a prefix of the bucket by
+/// its lower bound. Where the bucket's `hi` turns out non-decreasing in
+/// that order too — `lead(lo)` over the same ordering always is — the
+/// rows `x` stays under form a suffix, and the candidates are the run
+/// between two binary searches; elsewhere the prefix is checked row by
+/// row.
+fn interval_candidates<'a, T: PartialOrd + Copy + Send + Sync + 'a>(
+    iv: Interval,
+    split: usize,
+    keys: impl Fn(usize) -> Option<Vec<Option<T>>>,
+    mut buckets: Vec<Vec<usize>>,
+) -> Candidates<'a> {
+    let keys = |c| keys(c).expect("infallible bounds share one ordered storage class");
+    let (x, lo) = (keys(iv.x), keys(split + iv.lo.col));
+    let hi = iv.hi.map(|b| keys(split + b.col));
+    let open = iv.hi.is_some_and(|b| b.open_on_null);
+    let hi_strict = iv.hi.is_some_and(|b| b.strict);
+    // Is `x` past a row's upper bound `h` (`None`: the open end)?
+    let past = move |h: Option<T>, x: T| h.is_some_and(|h| if hi_strict { h <= x } else { h < x });
+    let mut hi_sorted = Vec::with_capacity(buckets.len());
+    for rows in &mut buckets {
+        rows.retain(|&ri| lo[ri].is_some() && hi.as_ref().is_none_or(|hi| open || hi[ri].is_some()));
+        rows.sort_by(|&a, &b| lo[a].partial_cmp(&lo[b]).expect("ordered storage has no NaN"));
+        hi_sorted.push(hi.as_ref().is_some_and(|hi| {
+            rows.windows(2).all(|w| match (hi[w[0]], hi[w[1]]) {
+                (_, None) => true,
+                (None, Some(_)) => false,
+                (Some(a), Some(b)) => a <= b,
+            })
+        }));
+    }
+    Box::new(move |li, b, out| {
+        let Some(x) = x[li] else { return };
+        let rows = &buckets[b];
+        let reached = rows.partition_point(|&ri| {
+            let lo = lo[ri].expect("NULL bounds were dropped");
+            if iv.lo.strict {
+                lo < x
+            } else {
+                lo <= x
+            }
+        });
+        let reached = &rows[..reached];
+        let from = out.len();
+        match &hi {
+            None => out.extend_from_slice(reached),
+            Some(hi) if hi_sorted[b] => {
+                out.extend_from_slice(&reached[reached.partition_point(|&ri| past(hi[ri], x))..])
+            }
+            Some(hi) => out.extend(reached.iter().copied().filter(|&ri| !past(hi[ri], x))),
+        }
+        out[from..].sort_unstable();
+    })
+}
+
+/// The matching row pairs of `l JOIN r ON cond` (INNER or LEFT):
+/// left-major, each left row's matches in right insertion order —
+/// the nested loop's output, without the loop.
+///
+/// One build/probe operator, driven by the condition's [`JoinShape`].
+/// Build buckets the right rows by the equality keys (no keys: one
+/// bucket) and, under an interval, orders each bucket for
+/// [`interval_candidates`]. The probe takes left rows in order (large
+/// sides morsel by morsel; per-morsel runs concatenate in morsel order,
+/// which is the serial output), proposes each one's candidates from its
+/// bucket, and narrows them through the residual a morsel's worth of
+/// pairs at a time.
+///
+/// Proposing fewer than all pairs skips conjuncts for the pairs left
+/// out, which is unobservable only if none of them can fail: a
+/// condition that is not [`vector::infallible`] as a whole runs as the
+/// row pipeline's nested loop instead, so it fails for the same pair
+/// with the same error.
+fn join_pairs(
+    l: &ColFrame,
+    r: &ColFrame,
+    cols: &[BoundCol],
+    cond: &SqlExpr,
+    kind: JoinType,
+    threads: usize,
+) -> Result<JoinPairs, DbError> {
+    let (lcolumns, rcolumns) = (l.refs(), r.refs());
+    let split = lcolumns.len();
+    let columns: Vec<&ColumnVec> = lcolumns.iter().chain(&rcolumns).copied().collect();
+
+    if !vector::infallible(cond, &Ctx { cols, columns: &columns, rows: Rows::all(0), pair: None }) {
+        row_fallback(Fallback::NonEquiJoin, l.len + r.len);
+        count_join(JoinStrategy::NestedLoop);
+        let load = |slot: &mut Cell, c: usize, i: usize| *slot = columns[c].cell_at(i);
+        let pairs = nested_loop_join(cols, split, (l.len, r.len), load, cond, kind)?;
+        count_join_pairs(l.len * r.len, &pairs);
+        return Ok(pairs);
+    }
+
+    let shape = JoinShape::analyze(cond, &l.cols, &r.cols);
+    count_join(match (&shape.interval, shape.residual.is_empty()) {
+        (Some(_), _) => JoinStrategy::Interval,
+        (None, true) => JoinStrategy::Hash,
+        (None, false) => JoinStrategy::HashResidual,
+    });
+    let mut index: HashMap<Vec<CellKey>, usize> = HashMap::new();
+    let mut buckets: Vec<Vec<usize>> = Vec::new();
+    if shape.keys.is_empty() {
+        buckets.push((0..r.len).collect());
+    } else {
+        for ri in 0..r.len {
+            if let Some(key) = batch_join_key(&rcolumns, &shape.keys, true, ri) {
+                let b = *index.entry(key).or_insert(buckets.len());
+                if b == buckets.len() {
+                    buckets.push(Vec::new());
+                }
+                buckets[b].push(ri);
+            }
+        }
+    }
+    let bucket_of = |li: usize| {
+        if shape.keys.is_empty() {
+            return Some(0);
+        }
+        index.get(&batch_join_key(&lcolumns, &shape.keys, false, li)?).copied()
+    };
+    let candidates: Candidates<'_> = match shape.interval {
+        None => Box::new(move |_, b, out| out.extend_from_slice(&buckets[b])),
+        Some(iv) if matches!(lcolumns[iv.x], ColumnVec::Text(..)) => {
+            interval_candidates(iv, split, |c| vector::text_keys(columns[c]), buckets)
+        }
+        Some(iv) => interval_candidates(iv, split, |c| vector::num_keys(columns[c]), buckets),
+    };
+
+    let probe = |range: Range<usize>| -> Result<(JoinPairs, usize), DbError> {
+        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+        let (mut cand_l, mut cand_r) = (Vec::new(), Vec::new());
+        let mut proposed = 0;
+        // First left row whose pairs are still among the candidates.
+        let mut pending = range.start;
+        for li in range.clone() {
+            if let Some(b) = bucket_of(li) {
+                candidates(li, b, &mut cand_r);
+                cand_l.resize(cand_r.len(), li);
+            }
+            if cand_r.len() < parallel::MORSEL_ROWS && li + 1 < range.end {
+                continue;
+            }
+            proposed += cand_r.len();
+            vector::filter_pairs(&shape.residual, cols, &columns, split, &mut cand_l, &mut cand_r)?;
+            let mut k = 0;
+            for row in pending..=li {
+                let first = k;
+                while k < cand_l.len() && cand_l[k] == row {
+                    k += 1;
+                }
+                if k > first {
+                    lidx.extend_from_slice(&cand_l[first..k]);
+                    ridx.extend(cand_r[first..k].iter().map(|&ri| Some(ri)));
+                } else if kind == JoinType::Left {
+                    lidx.push(row);
+                    ridx.push(None);
+                }
+            }
+            cand_l.clear();
+            cand_r.clear();
+            pending = li + 1;
+        }
+        Ok(((lidx, ridx), proposed))
+    };
+    let (pairs, proposed) = if parallel::should_parallelize(l.len, threads) {
+        let chunks = parallel::run_morsels(l.len, threads, "join_probe", |_, range| probe(range))?;
+        let (mut pairs, mut proposed) = (JoinPairs::default(), 0);
+        for ((lidx, ridx), n) in chunks {
+            pairs.0.extend(lidx);
+            pairs.1.extend(ridx);
+            proposed += n;
+        }
+        (pairs, proposed)
+    } else {
+        probe(0..l.len)?
+    };
+    count_join_pairs(proposed, &pairs);
+    Ok(pairs)
+}
+
 /// Evaluate a FROM item into a columnar frame.
 fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, DbError> {
     match item {
@@ -990,109 +1220,31 @@ fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, D
                 JoinType::Inner | JoinType::Left => {
                     let cond =
                         on.as_ref().ok_or_else(|| DbError::syntax("JOIN requires ON"))?;
-                    if let Some(pairs) = extract_equi_pairs(cond, &l.cols, &r.cols) {
-                        // Hash equi-join: build on the right (serial —
-                        // the built table is shared read-only), probe
-                        // the left in order, gather both sides by index
-                        // (left-major output, right insertion order —
-                        // identical to the row pipeline's hash_join).
-                        // Large probe sides partition across workers;
-                        // per-morsel (lidx, ridx) runs concatenate in
-                        // morsel order, i.e. the serial probe output.
-                        let threads = src.exec_threads();
-                        let mut index: HashMap<Vec<CellKey>, Vec<usize>> =
-                            HashMap::with_capacity(r.len);
-                        for ri in 0..r.len {
-                            if let Some(k) = batch_join_key(&rcolumns, &pairs, true, ri) {
-                                index.entry(k).or_default().push(ri);
-                            }
-                        }
-                        let probe = |range: Range<usize>| {
-                            let mut lidx = Vec::new();
-                            let mut ridx: Vec<Option<usize>> = Vec::new();
-                            for li in range {
-                                if let Some(matches) =
-                                    batch_join_key(&lcolumns, &pairs, false, li)
-                                        .and_then(|k| index.get(&k))
-                                {
-                                    for &ri in matches {
-                                        lidx.push(li);
-                                        ridx.push(Some(ri));
-                                    }
-                                    continue;
-                                }
-                                if *kind == JoinType::Left {
-                                    lidx.push(li);
-                                    ridx.push(None);
-                                }
-                            }
-                            (lidx, ridx)
-                        };
-                        let (lidx, ridx) = if parallel::should_parallelize(l.len, threads) {
-                            let chunks = parallel::run_morsels(
-                                l.len,
-                                threads,
-                                "join_probe",
-                                |_, range| Ok(probe(range)),
-                            )?;
-                            let mut lidx = Vec::new();
-                            let mut ridx = Vec::new();
-                            for (lc, rc) in chunks {
-                                lidx.extend(lc);
-                                ridx.extend(rc);
-                            }
-                            (lidx, ridx)
-                        } else {
-                            probe(0..l.len)
-                        };
-                        let gather = |range: Range<usize>| {
-                            let mut columns: Vec<ColumnVec> =
-                                lcolumns.iter().map(|c| c.take(&lidx[range.clone()])).collect();
-                            columns.extend(
-                                rcolumns.iter().map(|c| c.take_opt(&ridx[range.clone()])),
-                            );
-                            columns
-                        };
-                        let columns = if parallel::should_parallelize(lidx.len(), threads)
-                            && !cols.is_empty()
-                        {
-                            concat_columns(parallel::run_morsels(
-                                lidx.len(),
-                                threads,
-                                "join_gather",
-                                |_, range| Ok(gather(range)),
-                            )?)
-                        } else {
-                            gather(0..lidx.len())
-                        };
-                        Ok(ColFrame { cols, columns: owned(columns), len: lidx.len() })
+                    let threads = src.exec_threads();
+                    let (lidx, ridx) = join_pairs(&l, &r, &cols, cond, *kind, threads)?;
+                    // Both sides gather by index, partitioned across
+                    // workers when the output is large.
+                    let gather = |range: Range<usize>| {
+                        let mut columns: Vec<ColumnVec> =
+                            lcolumns.iter().map(|c| c.take(&lidx[range.clone()])).collect();
+                        columns.extend(
+                            rcolumns.iter().map(|c| c.take_opt(&ridx[range.clone()])),
+                        );
+                        columns
+                    };
+                    let columns = if parallel::should_parallelize(lidx.len(), threads)
+                        && !cols.is_empty()
+                    {
+                        concat_columns(parallel::run_morsels(
+                            lidx.len(),
+                            threads,
+                            "join_gather",
+                            |_, range| Ok(gather(range)),
+                        )?)
                     } else {
-                        // Non-equi conditions: materialize and run the
-                        // row pipeline's exact nested loop.
-                        row_fallback(Fallback::NonEquiJoin, l.len + r.len);
-                        let all = |f: &ColFrame| {
-                            f.to_frame(Rows::all(f.len), &(0..f.cols.len()).collect::<Vec<_>>()).rows
-                        };
-                        let (lrows, rrows) = (all(&l), all(&r));
-                        let mut rows = Vec::new();
-                        for lr in &lrows {
-                            let mut matched = false;
-                            for rr in &rrows {
-                                let mut row = lr.clone();
-                                row.extend(rr.clone());
-                                if matches!(eval(cond, &cols, &row)?, Cell::Bool(true)) {
-                                    rows.push(row);
-                                    matched = true;
-                                }
-                            }
-                            if !matched && *kind == JoinType::Left {
-                                let mut row = lr.clone();
-                                row.extend(std::iter::repeat_n(Cell::Null, r.cols.len()));
-                                rows.push(row);
-                            }
-                        }
-                        Ok(ColFrame::from_parts(cols, rows))
-                    }
+                        gather(0..lidx.len())
+                    };
+                    Ok(ColFrame { cols, columns: owned(columns), len: lidx.len() })
                 }
             }
         }
@@ -1105,18 +1257,10 @@ mod tests {
     use crate::sql::ast::Stmt;
     use crate::sql::parse_statement;
 
-    /// A source with no tables at all — everything must project over
-    /// the unit relation.
-    struct NoTables;
-    impl TableSource for NoTables {
-        fn get_table(&self, _name: &str) -> Option<(Vec<Column>, Vec<Vec<Cell>>)> {
-            None
-        }
-    }
-
     fn select(sql: &str) -> Batch {
         match parse_statement(sql).unwrap() {
-            Stmt::Select(s) => run_select_batch(&NoTables, &s).unwrap(),
+            // No tables at all: everything projects over the unit relation.
+            Stmt::Select(s) => run_select_batch(&Tables(Vec::new()), &s).unwrap(),
             other => panic!("expected SELECT, got {other:?}"),
         }
     }
@@ -1135,6 +1279,261 @@ mod tests {
         assert_eq!(b.rows(), 1);
         assert_eq!(b.schema.len(), 1);
         assert_eq!(b.columns[0].cell_at(0), Cell::Int(2));
+    }
+
+    /// Named in-memory tables.
+    struct Tables(Vec<(&'static str, crate::types::Rows)>);
+    impl TableSource for Tables {
+        fn get_table(&self, name: &str) -> Option<(Vec<Column>, Vec<Vec<Cell>>)> {
+            let (_, rows) = self.0.iter().find(|(n, _)| *n == name)?;
+            Some((rows.columns.clone(), rows.data.clone()))
+        }
+        fn exec_threads(&self) -> usize {
+            1
+        }
+    }
+
+    fn join_strategy_count(strategy: &str) -> u64 {
+        obs::global_registry()
+            .counter_value(&format!("pgdb_exec_join_total{{strategy=\"{strategy}\"}}"))
+    }
+
+    mod join_oracle {
+        use super::*;
+        use crate::exec::run_select_rows;
+        use proptest::prelude::*;
+
+        /// Storage classes of the as-of columns: three that order
+        /// without fail (two of them comparable with each other) and
+        /// Float, whose NaN makes every bound fallible.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Class {
+            Int,
+            Time,
+            Text,
+            Float,
+        }
+
+        fn class() -> impl Strategy<Value = Class> {
+            prop_oneof![Just(Class::Int), Just(Class::Time), Just(Class::Text), Just(Class::Float)]
+        }
+
+        /// A small domain, so duplicates and exact hits are common;
+        /// `None` is NULL.
+        fn asof_cell(class: Class, v: Option<u8>) -> Cell {
+            let Some(v) = v else { return Cell::Null };
+            match class {
+                Class::Int => Cell::Int(v as i64),
+                Class::Time => Cell::Time(v as i64 * 1_000),
+                Class::Text => Cell::Text(format!("t{v}")),
+                Class::Float if v == 0 => Cell::Float(f64::NAN),
+                Class::Float => Cell::Float(v as f64 / 2.0),
+            }
+        }
+
+        fn pg_type(class: Class) -> PgType {
+            match class {
+                Class::Int => PgType::Int8,
+                Class::Time => PgType::Time,
+                Class::Text => PgType::Varchar,
+                Class::Float => PgType::Float8,
+            }
+        }
+
+        fn key_cell(v: Option<u8>) -> Cell {
+            v.map_or(Cell::Null, |v| Cell::Int(v as i64))
+        }
+
+        /// One generated join: both tables and the statement's parts.
+        #[derive(Debug)]
+        struct Case {
+            left_class: Class,
+            right_class: Class,
+            /// k1, k2, k3, t, a
+            left: Vec<Vec<Option<u8>>>,
+            /// j1, j2, j3, lo, hi, b
+            right: Vec<Vec<Option<u8>>>,
+            left_join: bool,
+            /// Per key column in use: `IS NOT DISTINCT FROM`, operands swapped.
+            keys: Vec<(bool, bool)>,
+            /// 0 none, then `lo <= t`, `lo < t`, `t >= lo`, `t > lo`.
+            lower: usize,
+            /// 0 none, then `t < hi`, `t <= hi`, `hi > t`, `hi >= t`.
+            upper: usize,
+            open_on_null: bool,
+            /// `hi` is `lead(lo)` over the first key instead of the stored column.
+            lead_hi: bool,
+            /// 0 none, 1 infallible, 2 fallible.
+            residual: usize,
+        }
+
+        fn case() -> impl Strategy<Value = Case> {
+            let rows = |width: usize, max: usize| {
+                prop::collection::vec(
+                    prop::collection::vec(prop::option::of(0u8..4), width..=width),
+                    0..max,
+                )
+            };
+            let bounds = (0usize..5, 0usize..5, any::<bool>(), any::<bool>());
+            let keys = prop::collection::vec((any::<bool>(), any::<bool>()), 0..4);
+            let residual = (0usize..9).prop_map(|r| [0, 0, 0, 0, 1, 1, 1, 1, 2][r]);
+            ((class(), class(), rows(5, 7), rows(6, 9)), (any::<bool>(), keys, bounds, residual)).prop_map(
+                |(
+                    (left_class, right_class, left, right),
+                    (left_join, keys, (lower, upper, open_on_null, lead_hi), residual),
+                )| Case {
+                    left_class,
+                    right_class,
+                    left,
+                    right,
+                    left_join,
+                    keys,
+                    lower,
+                    upper,
+                    open_on_null,
+                    lead_hi,
+                    residual,
+                },
+            )
+        }
+
+        impl Case {
+            fn tables(&self) -> Tables {
+                let col = |n: &str, ty| Column::new(n, ty);
+                let (lt, rt) = (pg_type(self.left_class), pg_type(self.right_class));
+                let int = PgType::Int8;
+                let left = self
+                    .left
+                    .iter()
+                    .map(|r| {
+                        let mut row: Vec<Cell> = r[..3].iter().map(|k| key_cell(*k)).collect();
+                        row.extend([asof_cell(self.left_class, r[3]), key_cell(r[4])]);
+                        row
+                    })
+                    .collect();
+                let right = self
+                    .right
+                    .iter()
+                    .map(|r| {
+                        let mut row: Vec<Cell> = r[..3].iter().map(|k| key_cell(*k)).collect();
+                        row.extend([
+                            asof_cell(self.right_class, r[3]),
+                            asof_cell(self.right_class, r[4]),
+                            key_cell(r[5]),
+                        ]);
+                        row
+                    })
+                    .collect();
+                let left_columns =
+                    vec![col("k1", int), col("k2", int), col("k3", int), col("t", lt), col("a", int)];
+                let right_columns = vec![
+                    col("j1", int),
+                    col("j2", int),
+                    col("j3", int),
+                    col("lo", rt),
+                    col("hi", rt),
+                    col("b", int),
+                ];
+                Tables(vec![
+                    ("l", crate::types::Rows { columns: left_columns, data: left }),
+                    ("r", crate::types::Rows { columns: right_columns, data: right }),
+                ])
+            }
+
+            fn sql(&self) -> String {
+                let mut conjuncts = Vec::new();
+                for (i, (nulls_match, swapped)) in self.keys.iter().enumerate() {
+                    let (a, b) = (format!("k{}", i + 1), format!("j{}", i + 1));
+                    let (a, b) = if *swapped { (b, a) } else { (a, b) };
+                    let op = if *nulls_match { "IS NOT DISTINCT FROM" } else { "=" };
+                    conjuncts.push(format!("{a} {op} {b}"));
+                }
+                let hi = if self.lead_hi { "nx" } else { "hi" };
+                match self.lower {
+                    0 => {}
+                    1 => conjuncts.push("lo <= t".into()),
+                    2 => conjuncts.push("lo < t".into()),
+                    3 => conjuncts.push("t >= lo".into()),
+                    _ => conjuncts.push("t > lo".into()),
+                }
+                let upper = match self.upper {
+                    0 => None,
+                    1 => Some(format!("t < {hi}")),
+                    2 => Some(format!("t <= {hi}")),
+                    3 => Some(format!("{hi} > t")),
+                    _ => Some(format!("{hi} >= t")),
+                };
+                if let Some(upper) = upper {
+                    conjuncts.push(match self.open_on_null {
+                        true => format!("({upper} OR {hi} IS NULL)"),
+                        false => upper,
+                    });
+                }
+                match self.residual {
+                    0 => {}
+                    1 => conjuncts.push("a <> b".into()),
+                    _ => conjuncts.push("1 / (a - b) > 0".into()),
+                }
+                if conjuncts.is_empty() {
+                    conjuncts.push("a <= b".into());
+                }
+                let right = match self.lead_hi {
+                    true => "(SELECT *, lead(lo) OVER (PARTITION BY j1 ORDER BY lo ASC) AS nx FROM r) AS r",
+                    false => "r",
+                };
+                let kind = if self.left_join { "LEFT OUTER" } else { "INNER" };
+                format!("SELECT * FROM l {kind} JOIN {right} ON {}", conjuncts.join(" AND "))
+            }
+
+            /// Does the statement take the interval probe? (The classes
+            /// must order without fail and nothing else may fail.)
+            fn expects_interval(&self) -> bool {
+                let ordered = |c| matches!(c, Class::Int | Class::Time);
+                self.lower != 0
+                    && self.residual != 2
+                    && ((ordered(self.left_class) && ordered(self.right_class))
+                        || (self.left_class == Class::Text && self.right_class == Class::Text))
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            /// The join operator against the row pipeline's nested loop:
+            /// structurally equal results, and the same error string
+            /// when the condition fails for some pair.
+            #[test]
+            fn join_operator_matches_the_nested_loop(case in case()) {
+                let src = case.tables();
+                let sql = case.sql();
+                let Ok(Stmt::Select(stmt)) = parse_statement(&sql) else {
+                    panic!("{sql} does not parse to a SELECT")
+                };
+                let before = (join_strategy_count("interval"), join_strategy_count("nested_loop"));
+                let got = run_select_batch(&src, &stmt);
+                match (&got, run_select_rows(&src, &stmt)) {
+                    (Ok(b), Ok(rows)) => {
+                        let oracle = Batch::from_rows(rows);
+                        prop_assert!(
+                            b.structurally_equal(&oracle),
+                            "{sql}\noperator: {:?}\nnested loop: {:?}",
+                            b.to_rows(),
+                            oracle.to_rows()
+                        );
+                    }
+                    (Err(a), Err(b)) => prop_assert_eq!(a, &b, "{}", sql),
+                    (a, b) => prop_assert!(false, "{sql}\noperator: {a:?}\nnested loop: {b:?}"),
+                }
+                // Other tests of this binary join too, so the counters
+                // only bound from below.
+                if case.expects_interval() {
+                    prop_assert!(join_strategy_count("interval") > before.0, "{sql}");
+                }
+                if case.residual == 2 {
+                    prop_assert!(join_strategy_count("nested_loop") > before.1, "{sql}");
+                }
+            }
+        }
     }
 
     /// A filtered-away unit row yields zero rows, still zero columns

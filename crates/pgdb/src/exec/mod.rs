@@ -914,55 +914,204 @@ fn compute_window(w: &SqlExpr, frame: &Frame) -> Result<Vec<Cell>, DbError> {
 
 /// One equi-join key pair: left column index, right column index, and
 /// whether NULLs match (IS NOT DISTINCT FROM) or not (=).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EquiPair {
     pub left: usize,
     pub right: usize,
     pub nulls_match: bool,
 }
 
-/// Recognize a conjunction of cross-side column equalities. Returns
-/// `None` (→ nested loop) for anything more complex.
-pub(crate) fn extract_equi_pairs(
-    cond: &SqlExpr,
-    l: &[BoundCol],
-    r: &[BoundCol],
-) -> Option<Vec<EquiPair>> {
-    fn collect(cond: &SqlExpr, l: &[BoundCol], r: &[BoundCol], out: &mut Vec<EquiPair>) -> bool {
-        match cond {
-            SqlExpr::Binary { op: SqlBinOp::And, lhs, rhs } => {
-                collect(lhs, l, r, out) && collect(rhs, l, r, out)
+/// One end of a join [`Interval`]: the right-side column that bounds
+/// the left-side column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Bound {
+    /// Right column index.
+    pub(crate) col: usize,
+    /// `<` rather than `<=`.
+    pub(crate) strict: bool,
+    /// The conjunct read `x < hi OR hi IS NULL`: a NULL bound is no
+    /// bound. Upper bounds only.
+    pub(crate) open_on_null: bool,
+}
+
+/// `lo <= x [AND x < hi]`: left column `x` falls in the interval the
+/// right row's `lo` and `hi` columns span — the shape of an as-of join
+/// over `lead()` validity intervals.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Interval {
+    /// Left column index.
+    pub(crate) x: usize,
+    pub(crate) lo: Bound,
+    pub(crate) hi: Option<Bound>,
+}
+
+/// What a join's `ON` conjunction is made of, by what each part lets an
+/// executor do: equalities hash, an interval sorts and binary-searches,
+/// the rest is evaluated per candidate pair. Every conjunct lands in
+/// exactly one of the three.
+///
+/// Operands resolve the way the nested loop evaluates the condition —
+/// against the left columns, then the right, first match — so a
+/// conjunct counts as cross-side only when that evaluation reads one
+/// column from each side.
+#[derive(Debug, Default)]
+pub(crate) struct JoinShape<'e> {
+    /// Cross-side column equalities.
+    pub(crate) keys: Vec<EquiPair>,
+    /// The first lower bound on a left column, with the first upper
+    /// bound on the same column.
+    pub(crate) interval: Option<Interval>,
+    /// Everything else, in conjunct order.
+    pub(crate) residual: Vec<&'e SqlExpr>,
+}
+
+/// The column a join operand reads — (is on the right side, index in
+/// that side) — if it is a bare column reference.
+fn join_operand(e: &SqlExpr, l: &[BoundCol], r: &[BoundCol]) -> Option<(bool, usize)> {
+    let SqlExpr::Column { qualifier, name } = e else { return None };
+    let q = qualifier.as_deref();
+    expr::resolve_column(l, q, name)
+        .map(|i| (false, i))
+        .or_else(|_| expr::resolve_column(r, q, name).map(|i| (true, i)))
+        .ok()
+}
+
+/// A cross-side comparison `x op c`, left column `x` against right
+/// column `c`, whichever way round it was written.
+fn cross_comparison(e: &SqlExpr, l: &[BoundCol], r: &[BoundCol]) -> Option<(SqlBinOp, usize, usize)> {
+    let SqlExpr::Binary { op, lhs, rhs } = e else { return None };
+    match (join_operand(lhs, l, r)?, join_operand(rhs, l, r)?) {
+        ((false, x), (true, c)) => Some((*op, x, c)),
+        ((true, c), (false, x)) => Some((vector::flip(*op), x, c)),
+        _ => None,
+    }
+}
+
+impl<'e> JoinShape<'e> {
+    /// Split `cond` over the two sides' columns.
+    pub(crate) fn analyze(cond: &'e SqlExpr, l: &[BoundCol], r: &[BoundCol]) -> JoinShape<'e> {
+        enum Part {
+            Key(EquiPair),
+            Lower(usize, Bound),
+            Upper(usize, Bound),
+            Other,
+        }
+        let bound = |col, strict, open_on_null| Bound { col, strict, open_on_null };
+        let classify = |c: &SqlExpr| -> Part {
+            match cross_comparison(c, l, r) {
+                Some((op @ (SqlBinOp::Eq | SqlBinOp::IsNotDistinctFrom), left, right)) => {
+                    return Part::Key(EquiPair {
+                        left,
+                        right,
+                        nulls_match: op == SqlBinOp::IsNotDistinctFrom,
+                    });
+                }
+                Some((op @ (SqlBinOp::Ge | SqlBinOp::Gt), x, c)) => {
+                    return Part::Lower(x, bound(c, op == SqlBinOp::Gt, false));
+                }
+                Some((op @ (SqlBinOp::Le | SqlBinOp::Lt), x, c)) => {
+                    return Part::Upper(x, bound(c, op == SqlBinOp::Lt, false));
+                }
+                _ => {}
             }
-            SqlExpr::Binary { op, lhs, rhs }
-                if matches!(op, SqlBinOp::Eq | SqlBinOp::IsNotDistinctFrom) =>
-            {
-                let (SqlExpr::Column { qualifier: q1, name: n1 }, SqlExpr::Column { qualifier: q2, name: n2 }) =
-                    (lhs.as_ref(), rhs.as_ref())
-                else {
-                    return false;
-                };
-                let nulls_match = *op == SqlBinOp::IsNotDistinctFrom;
-                let try_side = |f: &[BoundCol], q: &Option<String>, n: &str| {
-                    expr::resolve_column(f, q.as_deref(), n).ok()
-                };
-                if let (Some(li), Some(ri)) = (try_side(l, q1, n1), try_side(r, q2, n2)) {
-                    out.push(EquiPair { left: li, right: ri, nulls_match });
-                    true
-                } else if let (Some(li), Some(ri)) = (try_side(l, q2, n2), try_side(r, q1, n1)) {
-                    out.push(EquiPair { left: li, right: ri, nulls_match });
-                    true
-                } else {
-                    false
+            // `x < hi OR hi IS NULL`, arms in either order.
+            if let SqlExpr::Binary { op: SqlBinOp::Or, lhs, rhs } = c {
+                for (cmp, open) in [(lhs, rhs), (rhs, lhs)] {
+                    let (
+                        Some((op @ (SqlBinOp::Le | SqlBinOp::Lt), x, c)),
+                        SqlExpr::IsNull { expr: null_of, negated: false },
+                    ) = (cross_comparison(cmp, l, r), open.as_ref())
+                    else {
+                        continue;
+                    };
+                    if join_operand(null_of, l, r) == Some((true, c)) {
+                        return Part::Upper(x, bound(c, op == SqlBinOp::Lt, true));
+                    }
                 }
             }
-            _ => false,
+            Part::Other
+        };
+
+        let mut conjuncts = Vec::new();
+        vector::flatten_and(cond, &mut conjuncts);
+        let parts: Vec<Part> = conjuncts.iter().map(|c| classify(c)).collect();
+        let lower = parts.iter().enumerate().find_map(|(i, p)| match p {
+            Part::Lower(x, lo) => Some((i, *x, *lo)),
+            _ => None,
+        });
+        let upper = lower.and_then(|(_, x, _)| {
+            parts.iter().enumerate().find_map(|(i, p)| match p {
+                Part::Upper(ux, hi) if *ux == x => Some((i, *hi)),
+                _ => None,
+            })
+        });
+        let chosen = [lower.map(|(i, ..)| i), upper.map(|(i, _)| i)];
+        let mut shape = JoinShape {
+            interval: lower.map(|(_, x, lo)| Interval { x, lo, hi: upper.map(|(_, hi)| hi) }),
+            ..JoinShape::default()
+        };
+        for (i, (part, c)) in parts.iter().zip(conjuncts).enumerate() {
+            match part {
+                Part::Key(pair) => shape.keys.push(*pair),
+                _ if chosen.contains(&Some(i)) => {}
+                _ => shape.residual.push(c),
+            }
+        }
+        shape
+    }
+
+    /// The key pairs, when equalities are all there is — the shape the
+    /// row pipeline hash-joins.
+    pub(crate) fn pure_equi(&self) -> Option<&[EquiPair]> {
+        (!self.keys.is_empty() && self.interval.is_none() && self.residual.is_empty())
+            .then_some(&self.keys[..])
+    }
+}
+
+/// Matched row pairs of a join, in output order: left row `.0[k]` joins
+/// right row `.1[k]` — `None` for a LEFT join's unmatched left row.
+pub(crate) type JoinPairs = (Vec<usize>, Vec<Option<usize>>);
+
+/// The nested-loop join: `cond` for every (left, right) pair, left-major,
+/// so the first pair that fails to evaluate is the error. The condition
+/// reads one scratch row holding just the columns it references, which
+/// `load(slot, column, row)` fills from row `row` of the side joined
+/// column `column` belongs to (the left side's come first, `left_width`
+/// of them).
+pub(crate) fn nested_loop_join(
+    cols: &[BoundCol],
+    left_width: usize,
+    (left_len, right_len): (usize, usize),
+    load: impl Fn(&mut Cell, usize, usize),
+    cond: &SqlExpr,
+    kind: JoinType,
+) -> Result<JoinPairs, DbError> {
+    let mut reads = Vec::new();
+    vector::referenced_columns(cond, cols, &mut reads);
+    let (left_reads, right_reads): (Vec<usize>, Vec<usize>) =
+        reads.into_iter().partition(|&c| c < left_width);
+    let mut scratch = vec![Cell::Null; cols.len()];
+    let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+    for li in 0..left_len {
+        for &c in &left_reads {
+            load(&mut scratch[c], c, li);
+        }
+        let matched = lidx.len();
+        for ri in 0..right_len {
+            for &c in &right_reads {
+                load(&mut scratch[c], c, ri);
+            }
+            if matches!(eval(cond, cols, &scratch)?, Cell::Bool(true)) {
+                lidx.push(li);
+                ridx.push(Some(ri));
+            }
+        }
+        if lidx.len() == matched && kind == JoinType::Left {
+            lidx.push(li);
+            ridx.push(None);
         }
     }
-    let mut pairs = Vec::new();
-    if collect(cond, l, r, &mut pairs) && !pairs.is_empty() {
-        Some(pairs)
-    } else {
-        None
-    }
+    Ok((lidx, ridx))
 }
 
 /// Build one side's join key, or `None` when a NULL key column under
@@ -1080,27 +1229,24 @@ fn eval_from(src: &dyn TableSource, item: &FromItem) -> Result<Frame, DbError> {
                     let cond = on
                         .as_ref()
                         .ok_or_else(|| DbError::syntax("JOIN requires ON"))?;
-                    // Hash join fast path when the condition is a pure
-                    // conjunction of column equalities across the two
-                    // sides; otherwise nested loop.
-                    if let Some(pairs) = extract_equi_pairs(cond, &l.cols, &r.cols) {
-                        hash_join(&l, &r, &pairs, *kind, &mut rows);
-                    } else {
-                        for lr in &l.rows {
-                            let mut matched = false;
-                            for rr in &r.rows {
-                                let mut row = lr.clone();
-                                row.extend(rr.clone());
-                                if matches!(eval(cond, &cols, &row)?, Cell::Bool(true)) {
-                                    rows.push(row);
-                                    matched = true;
-                                }
-                            }
-                            if !matched && *kind == JoinType::Left {
-                                let mut row = lr.clone();
-                                row.extend(std::iter::repeat_n(Cell::Null, r.cols.len()));
-                                rows.push(row);
-                            }
+                    // Hash join when the condition is a pure conjunction
+                    // of column equalities across the two sides;
+                    // otherwise nested loop.
+                    let shape = JoinShape::analyze(cond, &l.cols, &r.cols);
+                    match shape.pure_equi() {
+                        Some(pairs) => hash_join(&l, &r, pairs, *kind, &mut rows),
+                        None => {
+                            let width = l.cols.len();
+                            let load = |slot: &mut Cell, c: usize, i: usize| {
+                                slot.clone_from(if c < width { &l.rows[i][c] } else { &r.rows[i][c - width] })
+                            };
+                            let lens = (l.rows.len(), r.rows.len());
+                            let (lidx, ridx) = nested_loop_join(&cols, width, lens, load, cond, *kind)?;
+                            let padding = vec![Cell::Null; r.cols.len()];
+                            rows.extend(lidx.into_iter().zip(ridx).map(|(li, ri)| {
+                                let right = ri.map_or(&padding, |ri| &r.rows[ri]);
+                                l.rows[li].iter().chain(right).cloned().collect()
+                            }));
                         }
                     }
                 }
@@ -1200,6 +1346,120 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The columns of `l(k, t, a)` and `r(k, lo, hi, b)`.
+    fn sides() -> (Vec<BoundCol>, Vec<BoundCol>) {
+        let cols = |q: &str, names: &[&str]| frame(q, names, vec![]).cols;
+        (cols("l", &["k", "t", "a"]), cols("r", &["k", "lo", "hi", "b"]))
+    }
+
+    fn on_clause(cond: &str) -> SqlExpr {
+        let sql = format!("SELECT 1 FROM l JOIN r ON {cond}");
+        match crate::sql::parse_statement(&sql) {
+            Ok(Stmt::Select(SelectStmt { from: Some(FromItem::Join { on: Some(on), .. }), .. })) => on,
+            other => panic!("{sql}: expected a join with ON, got {other:?}"),
+        }
+    }
+
+    /// `cond` split over `l JOIN r`: keys, interval, residual count.
+    fn shape_of(cond: &str) -> (Vec<EquiPair>, Option<Interval>, usize) {
+        let (l, r) = sides();
+        let on = on_clause(cond);
+        let shape = JoinShape::analyze(&on, &l, &r);
+        (shape.keys.clone(), shape.interval, shape.residual.len())
+    }
+
+    fn bound(col: usize, strict: bool, open_on_null: bool) -> Bound {
+        Bound { col, strict, open_on_null }
+    }
+
+    /// Equalities become keys whichever way round they are written,
+    /// under `=` and `IS NOT DISTINCT FROM`; anything that does not read
+    /// one column from each side is residual.
+    #[test]
+    fn join_shape_keys() {
+        let key = |nulls_match| EquiPair { left: 0, right: 0, nulls_match };
+        assert_eq!(shape_of("l.k = r.k"), (vec![key(false)], None, 0));
+        assert_eq!(shape_of("r.k = l.k"), (vec![key(false)], None, 0));
+        assert_eq!(shape_of("r.k IS NOT DISTINCT FROM l.k"), (vec![key(true)], None, 0));
+        assert_eq!(
+            shape_of("l.k = r.k AND l.a = r.b AND l.a <> r.b"),
+            (vec![key(false), EquiPair { left: 2, right: 3, nulls_match: false }], None, 1)
+        );
+        // Not cross-side, not bare columns, not an equality.
+        assert_eq!(shape_of("l.k = l.a"), (vec![], None, 1));
+        assert_eq!(shape_of("l.k + 1 = r.k"), (vec![], None, 1));
+        assert_eq!(shape_of("l.k = 1"), (vec![], None, 1));
+        assert_eq!(shape_of("l.k = r.k OR l.a = r.b"), (vec![], None, 1));
+        // An unqualified name found on the left is the left's column,
+        // as the nested loop resolves it: `t = lo` crosses, `k = k`
+        // does not.
+        assert_eq!(
+            shape_of("t = lo"),
+            (vec![EquiPair { left: 1, right: 1, nulls_match: false }], None, 0)
+        );
+        assert_eq!(shape_of("k = k"), (vec![], None, 1));
+    }
+
+    /// The as-of shape: a lower bound on a left column, `<` or `<=`,
+    /// either operand order, with an optional upper bound on the same
+    /// column that may be open on NULL.
+    #[test]
+    fn join_shape_intervals() {
+        let iv = |lo, hi| Some(Interval { x: 1, lo, hi });
+        // The translation's Figure 2 condition.
+        assert_eq!(
+            shape_of("l.k IS NOT DISTINCT FROM r.k AND r.lo <= l.t AND (l.t < r.hi OR r.hi IS NULL)"),
+            (
+                vec![EquiPair { left: 0, right: 0, nulls_match: true }],
+                iv(bound(1, false, false), Some(bound(2, true, true))),
+                0
+            )
+        );
+        // Swapped operands, strictness, NULL arm first.
+        assert_eq!(
+            shape_of("l.t > r.lo AND (r.hi IS NULL OR r.hi >= l.t)"),
+            (vec![], iv(bound(1, true, false), Some(bound(2, false, true))), 0)
+        );
+        // An upper bound without the NULL arm is closed on NULL.
+        assert_eq!(
+            shape_of("r.lo <= l.t AND l.t <= r.hi"),
+            (vec![], iv(bound(1, false, false), Some(bound(2, false, false))), 0)
+        );
+        // Lower bound alone; upper bound alone is no interval.
+        assert_eq!(shape_of("r.lo < l.t"), (vec![], iv(bound(1, true, false), None), 0));
+        assert_eq!(shape_of("l.t < r.hi"), (vec![], None, 1));
+        // The NULL arm must test the bounding column itself.
+        assert_eq!(
+            shape_of("r.lo <= l.t AND (l.t < r.hi OR r.b IS NULL)"),
+            (vec![], iv(bound(1, false, false), None), 1)
+        );
+        assert_eq!(
+            shape_of("r.lo <= l.t AND (l.t < r.hi OR r.hi IS NOT NULL)"),
+            (vec![], iv(bound(1, false, false), None), 1)
+        );
+        // Two candidate intervals: the first lower bound wins, with the
+        // first upper bound on its column; the other pair is residual.
+        assert_eq!(
+            shape_of("r.lo <= l.t AND r.b <= l.a AND l.a < r.hi AND l.t < r.hi AND l.t <= r.b"),
+            (vec![], iv(bound(1, false, false), Some(bound(2, true, false))), 3)
+        );
+        // Non-column operands are residual.
+        assert_eq!(shape_of("r.lo <= l.t + 1"), (vec![], None, 1));
+        assert_eq!(shape_of("r.lo <= 5 AND l.t < r.hi"), (vec![], None, 2));
+    }
+
+    /// Only a pure conjunction of equalities hash-joins on the row
+    /// pipeline.
+    #[test]
+    fn pure_equi_is_keys_and_nothing_else() {
+        let (l, r) = sides();
+        let pure = |cond: &str| JoinShape::analyze(&on_clause(cond), &l, &r).pure_equi().is_some();
+        assert!(pure("l.k = r.k AND l.a IS NOT DISTINCT FROM r.b"));
+        assert!(!pure("l.k = r.k AND r.lo <= l.t"));
+        assert!(!pure("l.k = r.k AND l.a < 3"));
+        assert!(!pure("l.a < r.b"));
     }
 
     fn table() -> Vec<Vec<Cell>> {

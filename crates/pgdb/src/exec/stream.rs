@@ -124,7 +124,7 @@ impl SelectStream {
             Some(sel) => Rows::Sel(sel),
             None => Rows::Range { start, len },
         };
-        let ctx = Ctx { cols: &self.frame.cols, columns: &columns, rows };
+        let ctx = Ctx { cols: &self.frame.cols, columns: &columns, rows, pair: None };
         let mut out = Vec::with_capacity(self.exprs.len());
         for e in &self.exprs {
             out.push(eval_column(e, &ctx)?);

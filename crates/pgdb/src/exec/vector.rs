@@ -88,11 +88,24 @@ pub(crate) struct Ctx<'a> {
     pub(crate) cols: &'a [BoundCol],
     pub(crate) columns: &'a [&'a ColumnVec],
     pub(crate) rows: Rows<'a>,
+    /// Set while evaluating over join pairs: columns from index `.0` on
+    /// are the right side's and are read through `.1`, pair for pair
+    /// with `rows`, which then maps the left side's.
+    pub(crate) pair: Option<(usize, Rows<'a>)>,
 }
 
 impl<'a> Ctx<'a> {
     fn with_rows(&self, rows: Rows<'a>) -> Ctx<'a> {
         Ctx { rows, ..*self }
+    }
+
+    /// The rows column `idx` is read through.
+    #[inline]
+    fn rows_of(&self, idx: usize) -> Rows<'a> {
+        match self.pair {
+            Some((split, right)) if idx >= split => right,
+            _ => self.rows,
+        }
     }
 }
 
@@ -171,7 +184,7 @@ pub(crate) enum Fallback {
     Window,
     /// An aggregate shape the vectorized path does not cover.
     AggShape,
-    /// A join condition that is not a conjunction of column equalities.
+    /// A join condition some conjunct of which can fail: the nested loop.
     NonEquiJoin,
     /// A lazy or error-producing node (`CASE`, `IN (list)`, ...).
     LazyExpr,
@@ -216,7 +229,7 @@ pub(crate) fn eval_val<'a>(e: &SqlExpr, ctx: &Ctx<'a>) -> Result<Val<'a>, DbErro
     match e {
         SqlExpr::Column { qualifier, name } => {
             let idx = resolve_column(ctx.cols, qualifier.as_deref(), name)?;
-            Ok(Val::Col(ctx.columns[idx], ctx.rows))
+            Ok(Val::Col(ctx.columns[idx], ctx.rows_of(idx)))
         }
         SqlExpr::Literal(c) => Ok(Val::Scalar(c.clone())),
         SqlExpr::Binary { op, lhs, rhs } => {
@@ -329,9 +342,8 @@ pub(crate) fn eval_val<'a>(e: &SqlExpr, ctx: &Ctx<'a>) -> Result<Val<'a>, DbErro
             referenced_columns(other, ctx.cols, &mut reads);
             let mut row: Vec<Cell> = vec![Cell::Null; ctx.cols.len()];
             per_row(n, derive_type(other, ctx.cols), |k| {
-                let i = ctx.rows.phys(k);
                 for &c in &reads {
-                    row[c] = ctx.columns[c].cell_at(i);
+                    row[c] = ctx.columns[c].cell_at(ctx.rows_of(c).phys(k));
                 }
                 expr::eval(other, ctx.cols, &row)
             })
@@ -505,6 +517,24 @@ macro_rules! with_numeric {
     };
 }
 
+/// A non-text column's values as the comparison kernels order them —
+/// through `f64` — with `None` in NULL slots. `None` for text and mixed
+/// storage.
+pub(crate) fn num_keys(col: &ColumnVec) -> Option<Vec<Option<f64>>> {
+    let valid = column_validity(col)?;
+    with_numeric!(col, |d| d
+        .iter()
+        .enumerate()
+        .map(|(i, x)| (!valid.is_null(i)).then_some(x.as_f64()))
+        .collect())
+}
+
+/// [`num_keys`] for text storage.
+pub(crate) fn text_keys(col: &ColumnVec) -> Option<Vec<Option<&str>>> {
+    let ColumnVec::Text(d, valid) = col else { return None };
+    Some(d.iter().enumerate().map(|(i, s)| (!valid.is_null(i)).then_some(s.as_str())).collect())
+}
+
 /// Does `op` hold for a pair that compares as `ord`?
 #[inline]
 fn ord_holds(op: SqlBinOp, ord: Ordering) -> bool {
@@ -538,8 +568,8 @@ fn num_holds(op: SqlBinOp, a: f64, b: f64) -> Option<bool> {
     }
 }
 
-/// Mirror image of a comparison, for a scalar on the left.
-fn flip(op: SqlBinOp) -> SqlBinOp {
+/// Mirror image of a comparison, for swapped operands.
+pub(crate) fn flip(op: SqlBinOp) -> SqlBinOp {
     match op {
         SqlBinOp::Lt => SqlBinOp::Gt,
         SqlBinOp::Le => SqlBinOp::Ge,
@@ -887,7 +917,8 @@ pub(crate) fn filter(
     columns: &[&ColumnVec],
     range: Range<usize>,
 ) -> Result<Vec<usize>, DbError> {
-    let full = Ctx { cols, columns, rows: Rows::Range { start: range.start, len: range.len() } };
+    let rows = Rows::Range { start: range.start, len: range.len() };
+    let full = Ctx { cols, columns, rows, pair: None };
     let mut conjuncts = Vec::new();
     flatten_and(pred, &mut conjuncts);
     let mut sel: Option<Vec<usize>> = None;
@@ -917,7 +948,35 @@ pub(crate) fn filter(
     Ok(sel.unwrap_or_else(|| range.collect()))
 }
 
-fn flatten_and<'e>(e: &'e SqlExpr, out: &mut Vec<&'e SqlExpr>) {
+/// Narrow the candidate join pairs `(lidx[k], ridx[k])` to those every
+/// conjunct is definitely TRUE for, each conjunct reading only the
+/// pairs the ones before it kept. `columns` is the left side's columns
+/// followed, from `split` on, by the right side's. The caller has shown
+/// every conjunct [`infallible`]: that is what makes skipping pairs
+/// unobservable.
+pub(crate) fn filter_pairs(
+    conjuncts: &[&SqlExpr],
+    cols: &[BoundCol],
+    columns: &[&ColumnVec],
+    split: usize,
+    lidx: &mut Vec<usize>,
+    ridx: &mut Vec<usize>,
+) -> Result<(), DbError> {
+    for c in conjuncts {
+        let keep = {
+            let pair = Some((split, Rows::Sel(ridx)));
+            let mask = eval_val(c, &Ctx { cols, columns, rows: Rows::Sel(lidx), pair })?;
+            true_rows(&mask, lidx.len())
+        };
+        if keep.len() < lidx.len() {
+            *lidx = keep.iter().map(|&k| lidx[k]).collect();
+            *ridx = keep.iter().map(|&k| ridx[k]).collect();
+        }
+    }
+    Ok(())
+}
+
+pub(crate) fn flatten_and<'e>(e: &'e SqlExpr, out: &mut Vec<&'e SqlExpr>) {
     match e {
         SqlExpr::Binary { op: SqlBinOp::And, lhs, rhs } => {
             flatten_and(lhs, out);
@@ -990,7 +1049,7 @@ fn operand_class(e: &SqlExpr, ctx: &Ctx<'_>) -> Option<Class> {
 /// NULL`, `coalesce`, and `AND`/`OR`/`NOT` over those. Arithmetic,
 /// casts of column values, scalar functions, `CASE` and `IN` can fail
 /// on a row the selection would have skipped, so they are not.
-fn infallible(e: &SqlExpr, ctx: &Ctx<'_>) -> bool {
+pub(crate) fn infallible(e: &SqlExpr, ctx: &Ctx<'_>) -> bool {
     match e {
         SqlExpr::Binary { op: SqlBinOp::And | SqlBinOp::Or, lhs, rhs } => {
             infallible(lhs, ctx) && infallible(rhs, ctx)
@@ -1256,7 +1315,7 @@ mod tests {
             1 => Rows::Range { start: n / 3, len: n - n / 3 - n / 4 },
             _ => Rows::Sel(&sel),
         };
-        let ctx = Ctx { cols: &cols, columns: &columns, rows };
+        let ctx = Ctx { cols: &cols, columns: &columns, rows, pair: None };
         let expected: Result<Vec<Cell>, DbError> = (0..rows.len())
             .map(|k| want(&case.a.cell_at(rows.phys(k)), &case.b.cell_at(rows.phys(k))))
             .collect();

@@ -240,6 +240,12 @@ pub struct Coverage {
     pub by_aggs: usize,
     /// As-of joins.
     pub aj: usize,
+    /// As-of joins with a two-column equality prefix.
+    pub aj_two_keys: usize,
+    /// As-of joins over repeated as-of values.
+    pub aj_duplicates: usize,
+    /// As-of joins over typed-null as-of values.
+    pub aj_nulls: usize,
     /// Left lookup joins.
     pub lj: usize,
     /// Inner lookup joins.
@@ -264,6 +270,9 @@ impl Coverage {
             ("aggregations", self.aggregations),
             ("by_aggs", self.by_aggs),
             ("aj", self.aj),
+            ("aj_two_keys", self.aj_two_keys),
+            ("aj_duplicates", self.aj_duplicates),
+            ("aj_nulls", self.aj_nulls),
             ("lj", self.lj),
             ("ij", self.ij),
             ("uj", self.uj),
@@ -394,7 +403,7 @@ impl ProgramGen {
             }
             10 => {
                 cov.aj += 1;
-                stmts.push(self.asof_join(rng, ds));
+                stmts.push(self.asof_join(rng, ds, cov));
             }
             11 => {
                 let ij = rng.gen_range(0..2u32) == 0;
@@ -605,34 +614,74 @@ impl ProgramGen {
         }
     }
 
-    fn asof_join(&mut self, rng: &mut StdRng, ds: &Dataset) -> GenStmt {
-        let cols = vec![ds.main.sym_col.clone(), ds.main.time_col.clone()];
-        let mut lp: Vec<String> = cols.clone();
-        lp.push(ds.main.num_cols[0].0.clone());
-        let mut rp: Vec<String> = cols.clone();
-        rp.extend(ds.aux.num_cols.iter().map(|(n, _)| n.clone()));
-        // Optionally pin both sides to one date (the paper's Example 1).
-        let mut lw = Vec::new();
-        let mut rw = Vec::new();
-        if rng.gen_range(0..2u32) == 0 {
-            let d = crate::corpus::date_literal(ds.main.dates[0]);
-            lw.push(format!("{}={d}", ds.main.date_col));
-            rw.push(format!("{}={d}", ds.aux.date_col));
+    /// `aj` over the main and auxiliary tables. One draw decides the
+    /// variant: both sides pinned to one date (the paper's Example 1), a
+    /// `Date` key in front of the symbol (two-column equality prefix),
+    /// and, per side, as-of values made to repeat or to go missing by
+    /// reading the side through an `update` over part of its rows.
+    fn asof_join(&mut self, rng: &mut StdRng, ds: &Dataset, cov: &mut Coverage) -> GenStmt {
+        let variant = rng.gen_range(0..64u32);
+        let flag = |bit: u32| variant >> bit & 1 == 1;
+        let (pin_date, date_key) = (!flag(0), flag(5));
+        let (dup, null) = ([flag(1), flag(2)], [flag(3), flag(4)]);
+        cov.aj_two_keys += usize::from(date_key);
+        cov.aj_duplicates += usize::from(dup[0] || dup[1]);
+        cov.aj_nulls += usize::from(null[0] || null[1]);
+
+        let mut cols = vec![ds.main.sym_col.clone(), ds.main.time_col.clone()];
+        if date_key {
+            cols.insert(0, ds.main.date_col.clone());
         }
-        let left = Select {
-            kind: SelectKind::Select,
-            projections: lp.into_iter().map(|c| Proj { alias: None, expr: c }).collect(),
-            bys: Vec::new(),
-            wheres: lw,
-            source: ds.main.name.clone(),
+        let side = |spec: &TableSpec, values: Vec<String>, right: usize| {
+            // Thresholds on the side's first numeric column: the upper
+            // part of its rows share one as-of value, the lower part
+            // loses it. A missing as-of value on the right takes the
+            // row's values with it: q's binary search can land on such a
+            // row where the translation's validity intervals match none,
+            // and a row of nulls reads the same either way.
+            let (by, kind) = &spec.num_cols[0];
+            let (low, high) = match kind {
+                NumKind::Float => ("40.0", "150.0"),
+                NumKind::Long => ("150", "600"),
+            };
+            let time = &spec.time_col;
+            let mut source = spec.name.clone();
+            if dup[right] {
+                source = format!("(update {time}: 12:00:00.000 from {source} where {by}>{high})");
+            }
+            if null[right] {
+                let mut nulled = vec![format!("{time}: 0Nt")];
+                if right == 1 {
+                    nulled.extend(spec.num_cols.iter().map(|(n, kind)| match kind {
+                        NumKind::Float => format!("{n}: 0n"),
+                        NumKind::Long => format!("{n}: 0N"),
+                    }));
+                }
+                source = format!("(update {} from {source} where {by}<{low})", nulled.join(", "));
+            }
+            let wheres = match pin_date {
+                true => vec![format!(
+                    "{}={}",
+                    spec.date_col,
+                    crate::corpus::date_literal(ds.main.dates[0])
+                )],
+                false => Vec::new(),
+            };
+            Select {
+                kind: SelectKind::Select,
+                projections: cols
+                    .iter()
+                    .cloned()
+                    .chain(values)
+                    .map(|c| Proj { alias: None, expr: c })
+                    .collect(),
+                bys: Vec::new(),
+                wheres,
+                source,
+            }
         };
-        let right = Select {
-            kind: SelectKind::Select,
-            projections: rp.into_iter().map(|c| Proj { alias: None, expr: c }).collect(),
-            bys: Vec::new(),
-            wheres: rw,
-            source: ds.aux.name.clone(),
-        };
+        let left = side(&ds.main, vec![ds.main.num_cols[0].0.clone()], 0);
+        let right = side(&ds.aux, ds.aux.num_cols.iter().map(|(n, _)| n.clone()).collect(), 1);
         GenStmt::AsOf { cols, left, right }
     }
 

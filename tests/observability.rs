@@ -78,31 +78,6 @@ fn failed_queries_are_traced_and_counted() {
     assert_eq!(reg.counter_value("hyperq_query_errors_total"), errors_before + 1);
 }
 
-/// Counters and per-stage histograms aggregate in the global registry
-/// and appear in the Prometheus rendering.
-#[test]
-fn global_registry_aggregates_query_metrics() {
-    let db = pgdb::Db::new();
-    let mut s = session_with_trades(&db);
-    let reg = obs::global_registry();
-    let queries_before = reg.counter_value("hyperq_queries_total");
-    s.execute("select from trades where Symbol=`GOOG").unwrap();
-    s.execute("select avg Price by Symbol from trades").unwrap();
-    assert_eq!(reg.counter_value("hyperq_queries_total"), queries_before + 2);
-
-    let dump = reg.render_prometheus();
-    for metric in [
-        "hyperq_queries_total",
-        "hyperq_query_seconds_count",
-        "hyperq_stage_seconds_bucket{stage=\"parse\",le=",
-        "hyperq_stage_seconds_bucket{stage=\"pivot\",le=",
-        "hyperq_translation_cache_misses_total",
-        "hyperq_rows_total",
-    ] {
-        assert!(dump.contains(metric), "missing {metric} in dump:\n{dump}");
-    }
-}
-
 /// Exposure path 1: the pgdb server answers `SHOW metrics` (and
 /// `\metrics`) over the PG v3 wire with the Prometheus dump.
 #[test]
@@ -134,66 +109,6 @@ fn prometheus_dump_is_served_over_the_pg_wire() {
         }
         other => panic!("expected rows, got {other:?}"),
     }
-    server.detach();
-}
-
-/// The representation boundary (DESIGN §10): the in-process backend
-/// hands the pivot whole typed columns — the zero-copy counter moves —
-/// while an external wire backend streams rows through the unchanged
-/// row pivot, leaving the counter where it was, and both agree on the
-/// answer.
-#[test]
-fn pivot_zero_copy_counts_internal_backend_only() {
-    let reg = obs::global_registry();
-
-    // Internal: DirectBackend produces batches; columns move to Q.
-    let db = pgdb::Db::new();
-    let mut internal = session_with_trades(&db);
-    let before = reg.counter_value("hyperq_pivot_zero_copy_total");
-    let v_internal = internal.execute("select Price from trades where Symbol=`GOOG").unwrap();
-    let after_internal = reg.counter_value("hyperq_pivot_zero_copy_total");
-    assert!(
-        after_internal > before,
-        "internal backend must pivot zero-copy ({before} -> {after_internal})"
-    );
-
-    // The columnar executor's own metrics surface in the same dump.
-    let dump = reg.render_prometheus();
-    for metric in
-        ["pgdb_exec_batches_total", "pgdb_batch_rows_count", "hyperq_pivot_zero_copy_total"]
-    {
-        assert!(dump.contains(metric), "missing {metric} in dump:\n{dump}");
-    }
-
-    // External: the same logical database behind the PG v3 wire. The
-    // gateway backend only streams rows, so the session takes the row
-    // pivot and the zero-copy counter must not move.
-    let wire_db = pgdb::Db::new();
-    {
-        let mut loader_session = session_with_trades(&wire_db);
-        loader_session.execute("1+1").unwrap();
-    }
-    let server = pgdb::server::PgServer::start(
-        wire_db,
-        "127.0.0.1:0",
-        pgdb::server::ServerConfig::default(),
-    )
-    .unwrap();
-    let creds =
-        Credentials { user: "ops".into(), password: String::new(), database: "hist".into() };
-    let gw = PgWireBackend::connect(&server.addr.to_string(), &creds).unwrap();
-    let mut external = HyperQSession::new(hyperq::share(gw), SessionConfig::default());
-    let before_ext = reg.counter_value("hyperq_pivot_zero_copy_total");
-    let v_external = external.execute("select Price from trades where Symbol=`GOOG").unwrap();
-    let after_ext = reg.counter_value("hyperq_pivot_zero_copy_total");
-    assert_eq!(
-        before_ext, after_ext,
-        "external wire backend must take the row-pivot path"
-    );
-    assert!(
-        hyperq::side_by_side::values_agree(&v_internal, &v_external),
-        "both pivot paths must agree: {v_internal:?} vs {v_external:?}"
-    );
     server.detach();
 }
 

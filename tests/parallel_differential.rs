@@ -108,6 +108,15 @@ const PARALLEL_SHAPES: &[&str] = &[
     // exercises the parallel gather of both sides
     "SELECT id, label FROM (SELECT id, grp FROM big WHERE val > 2000.0) AS f \
      LEFT OUTER JOIN (SELECT k, label FROM dim) AS d ON grp = k",
+    // interval join: the probe side splits into morsels, each binary-
+    // searching the built side's validity intervals (few of them: debug
+    // builds cross-check against the nested loop)
+    "SELECT id, label FROM (SELECT id, grp FROM big) AS f \
+     INNER JOIN (SELECT k, k + 250 AS nx, label FROM dim WHERE k IN (0, 250, 500)) AS d \
+     ON k <= grp AND grp < nx",
+    // equality key plus a residual over the candidate pairs
+    "SELECT id, label FROM (SELECT id, grp FROM big) AS f \
+     LEFT OUTER JOIN (SELECT k, label FROM dim WHERE k < 4) AS d ON grp = k AND id <> 2000",
     // row-fallback expression (CASE) over the filtered frame: stays
     // serial but must agree after a parallel filter upstream
     "SELECT CASE WHEN grp > 500 THEN val ELSE 0.0 END AS c FROM big WHERE id > 1000",

@@ -23,7 +23,7 @@ use hyperq::shard::{ShardCluster, ShardOpts};
 use hyperq::side_by_side::{values_agree, SideBySide};
 use hyperq::{loader, share, Backend, DirectBackend, HyperQSession, SessionConfig};
 use hyperq_workload::taq::{generate_quotes, generate_trades, TaqConfig};
-use pgdb::{Batch, BatchQueryResult};
+use pgdb::{Batch, BatchQueryResult, Cell};
 use qengine::Interp;
 use qgen::{gen_dataset, Coverage, ProgramGen};
 use qlang::ast::Expr;
@@ -199,7 +199,9 @@ fn sql_differential_is_bit_identical_at_one_two_and_four_shards() {
 
 /// Sanity guard on the fixture: the differential above only proves
 /// anything if the interesting statements really scatter. Pin the
-/// routing decisions through the metrics deltas.
+/// routing decisions through `EXPLAIN SHARD` — this router's own plan
+/// for the statement, where the process-wide `shard_*_total` counters
+/// also move under the sibling tests of this binary.
 #[test]
 fn differential_fixture_really_scatters() {
     let cluster = ShardCluster::in_process_with(4, opts());
@@ -212,24 +214,31 @@ fn differential_fixture_really_scatters() {
     use hyperq::shard::Mode;
     assert_eq!(cluster.table_meta("fact").unwrap().mode, Mode::Partitioned);
     assert_eq!(cluster.table_meta("dim").unwrap().mode, Mode::Broadcast);
-    let reg = obs::global_registry();
-    let fanout = reg.counter_value("shard_fanout_total");
-    let fallback = reg.counter_value("shard_fallback_total");
-    run_sql(&mut r, "SELECT id, qty FROM fact ORDER BY qty DESC, id LIMIT 10");
-    run_sql(&mut r, "SELECT grp, sum(qty) AS s FROM fact GROUP BY grp ORDER BY grp");
-    assert_eq!(reg.counter_value("shard_fanout_total"), fanout + 2, "scans/aggs must scatter");
-    assert_eq!(reg.counter_value("shard_fallback_total"), fallback, "no silent fallback");
+    let mut plan_kind = |sql: &str| match run_sql(&mut r, &format!("EXPLAIN SHARD {sql}")) {
+        SqlOutcome::Batch(b) => match b.columns[0].cell_at(0) {
+            Cell::Text(kind) => kind,
+            other => panic!("EXPLAIN SHARD {sql}: kind is {other:?}"),
+        },
+        other => panic!("EXPLAIN SHARD {sql}: {}", describe(&other)),
+    };
+    assert_eq!(
+        plan_kind("SELECT id, qty FROM fact ORDER BY qty DESC, id LIMIT 10"),
+        "scatter",
+        "scans must scatter"
+    );
+    assert_eq!(
+        plan_kind("SELECT grp, sum(qty) AS s FROM fact GROUP BY grp ORDER BY grp"),
+        "two_phase_agg",
+        "aggregates must scatter"
+    );
     // DISTINCT aggregates do not decompose into partials, but their
     // inputs are shard-managed: they gather (exact input
     // reconstruction) instead of falling back to the coordinator.
-    let gathers = reg.counter_value("shard_gather_total");
-    run_sql(&mut r, "SELECT count(DISTINCT sym) AS d FROM fact");
     assert_eq!(
-        reg.counter_value("shard_gather_total"),
-        gathers + 1,
+        plan_kind("SELECT count(DISTINCT sym) AS d FROM fact"),
+        "gather",
         "DISTINCT aggregates must execute via gather"
     );
-    assert_eq!(reg.counter_value("shard_fallback_total"), fallback, "no silent fallback");
 }
 
 // ---------------------------------------------------------------------
