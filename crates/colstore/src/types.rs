@@ -6,7 +6,7 @@
 //! translation stack: dates are days since 2000-01-01, times/timestamps
 //! are microseconds.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Declared SQL column types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -178,60 +178,45 @@ impl Cell {
 
     /// Render in the PG text wire format.
     pub fn to_wire_text(&self) -> Option<String> {
-        Some(match self {
+        let mut s = String::new();
+        match self {
             Cell::Null => return None,
-            Cell::Bool(b) => if *b { "t" } else { "f" }.to_string(),
-            Cell::Int(v) => v.to_string(),
-            Cell::Float(v) => {
-                if v.is_nan() {
-                    "NaN".to_string()
-                } else {
-                    format!("{v}")
-                }
-            }
-            Cell::Text(s) => s.clone(),
-            Cell::Date(d) => {
-                let (y, m, dd) = days_to_ymd(*d);
-                format!("{y:04}-{m:02}-{dd:02}")
-            }
-            Cell::Time(us) => format_time_us(*us),
-            Cell::Timestamp(us) => {
-                let days = us.div_euclid(86_400_000_000);
-                let intraday = us.rem_euclid(86_400_000_000);
-                let (y, m, d) = days_to_ymd(days as i32);
-                format!("{y:04}-{m:02}-{d:02} {}", format_time_us(intraday))
-            }
-        })
+            Cell::Bool(b) => s.write_char(if *b { 't' } else { 'f' }),
+            Cell::Int(v) => write!(s, "{v}"),
+            Cell::Float(v) => wire_text::write_float(*v, &mut s),
+            Cell::Text(t) => s.write_str(t),
+            Cell::Date(d) => wire_text::write_date(*d, &mut s),
+            Cell::Time(us) => wire_text::write_time(*us, &mut s),
+            Cell::Timestamp(us) => wire_text::write_timestamp(*us, &mut s),
+        }
+        .expect("writing to a String cannot fail");
+        Some(s)
     }
 
     /// Parse from the PG text wire format given the declared type.
+    /// `None` when the text is not a value of that type — booleans are
+    /// `t/true/1` or `f/false/0` (any case) and nothing else; floats
+    /// accept PostgreSQL's `Infinity`/`-Infinity`/`NaN` spellings as
+    /// well as Rust's.
     pub fn from_wire_text(text: &str, ty: PgType) -> Option<Cell> {
         Some(match ty {
-            PgType::Bool => Cell::Bool(matches!(text, "t" | "true" | "TRUE" | "1")),
-            PgType::Int2 | PgType::Int4 | PgType::Int8 => Cell::Int(text.parse().ok()?),
-            PgType::Float4 | PgType::Float8 => {
-                if text == "NaN" {
-                    Cell::Float(f64::NAN)
+            PgType::Bool => {
+                if ["t", "true", "1"].iter().any(|s| text.eq_ignore_ascii_case(s)) {
+                    Cell::Bool(true)
+                } else if ["f", "false", "0"].iter().any(|s| text.eq_ignore_ascii_case(s)) {
+                    Cell::Bool(false)
                 } else {
-                    Cell::Float(text.parse().ok()?)
+                    return None;
                 }
             }
+            PgType::Int2 | PgType::Int4 | PgType::Int8 => Cell::Int(text.parse().ok()?),
+            PgType::Float4 | PgType::Float8 => Cell::Float(text.parse().ok()?),
             PgType::Varchar | PgType::Text => Cell::Text(text.to_string()),
-            PgType::Date => {
-                let mut it = text.split('-');
-                let y: i32 = it.next()?.parse().ok()?;
-                let m: u32 = it.next()?.parse().ok()?;
-                let d: u32 = it.next()?.parse().ok()?;
-                Cell::Date(ymd_to_days(y, m, d)?)
-            }
+            PgType::Date => Cell::Date(parse_date(text)?),
             PgType::Time => Cell::Time(parse_time_us(text)?),
             PgType::Timestamp => {
                 let (date_part, time_part) = text.split_once(' ')?;
-                let mut it = date_part.split('-');
-                let y: i32 = it.next()?.parse().ok()?;
-                let m: u32 = it.next()?.parse().ok()?;
-                let d: u32 = it.next()?.parse().ok()?;
-                let days = ymd_to_days(y, m, d)? as i64;
+                let days = parse_date(date_part)? as i64;
                 Cell::Timestamp(days * 86_400_000_000 + parse_time_us(time_part)?)
             }
         })
@@ -261,16 +246,61 @@ impl fmt::Display for Cell {
     }
 }
 
-fn format_time_us(us: i64) -> String {
-    let total_secs = us.div_euclid(1_000_000);
-    let frac = us.rem_euclid(1_000_000);
-    format!(
-        "{:02}:{:02}:{:02}.{:06}",
-        total_secs / 3600,
-        (total_secs / 60) % 60,
-        total_secs % 60,
-        frac
-    )
+/// PG text-format renderers for the storage classes whose text is not
+/// just `Display`: one definition shared by [`Cell::to_wire_text`] and
+/// the columnar `DataRow` encoder (which writes into the connection's
+/// output buffer without building a `String` per field).
+pub mod wire_text {
+    use super::days_to_ymd;
+    use std::fmt::{self, Write};
+
+    /// PostgreSQL's spellings for the non-finite values (Rust's `inf`
+    /// is not PG text); finite values in the shortest form that parses
+    /// back to the same `f64`.
+    pub fn write_float(v: f64, out: &mut impl Write) -> fmt::Result {
+        if v.is_nan() {
+            out.write_str("NaN")
+        } else if v.is_infinite() {
+            out.write_str(if v > 0.0 { "Infinity" } else { "-Infinity" })
+        } else {
+            write!(out, "{v}")
+        }
+    }
+
+    /// `YYYY-MM-DD` from days since 2000-01-01.
+    pub fn write_date(days: i32, out: &mut impl Write) -> fmt::Result {
+        let (y, m, d) = days_to_ymd(days);
+        write!(out, "{y:04}-{m:02}-{d:02}")
+    }
+
+    /// `HH:MM:SS.ffffff` from microseconds since midnight.
+    pub fn write_time(us: i64, out: &mut impl Write) -> fmt::Result {
+        let total_secs = us.div_euclid(1_000_000);
+        let frac = us.rem_euclid(1_000_000);
+        write!(
+            out,
+            "{:02}:{:02}:{:02}.{:06}",
+            total_secs / 3600,
+            (total_secs / 60) % 60,
+            total_secs % 60,
+            frac
+        )
+    }
+
+    /// `YYYY-MM-DD HH:MM:SS.ffffff` from microseconds since 2000-01-01.
+    pub fn write_timestamp(us: i64, out: &mut impl Write) -> fmt::Result {
+        write_date(us.div_euclid(86_400_000_000) as i32, out)?;
+        out.write_char(' ')?;
+        write_time(us.rem_euclid(86_400_000_000), out)
+    }
+}
+
+fn parse_date(text: &str) -> Option<i32> {
+    let mut it = text.split('-');
+    let y: i32 = it.next()?.parse().ok()?;
+    let m: u32 = it.next()?.parse().ok()?;
+    let d: u32 = it.next()?.parse().ok()?;
+    ymd_to_days(y, m, d)
 }
 
 fn parse_time_us(text: &str) -> Option<i64> {
@@ -491,6 +521,38 @@ mod tests {
         match Cell::from_wire_text(&t, PgType::Float8).unwrap() {
             Cell::Float(f) => assert!(f.is_nan()),
             other => panic!("expected float, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_use_postgres_spellings_and_parse_both() {
+        assert_eq!(Cell::Float(f64::INFINITY).to_wire_text().unwrap(), "Infinity");
+        assert_eq!(Cell::Float(f64::NEG_INFINITY).to_wire_text().unwrap(), "-Infinity");
+        for (text, want) in [
+            ("Infinity", f64::INFINITY),
+            ("-Infinity", f64::NEG_INFINITY),
+            ("inf", f64::INFINITY),
+            ("-inf", f64::NEG_INFINITY),
+        ] {
+            assert_eq!(Cell::from_wire_text(text, PgType::Float8), Some(Cell::Float(want)), "{text}");
+        }
+        assert!(matches!(
+            Cell::from_wire_text("nan", PgType::Float8),
+            Some(Cell::Float(f)) if f.is_nan()
+        ));
+    }
+
+    #[test]
+    fn boolean_text_is_strict() {
+        for t in ["t", "true", "TRUE", "1"] {
+            assert_eq!(Cell::from_wire_text(t, PgType::Bool), Some(Cell::Bool(true)), "{t}");
+        }
+        for f in ["f", "false", "FALSE", "0"] {
+            assert_eq!(Cell::from_wire_text(f, PgType::Bool), Some(Cell::Bool(false)), "{f}");
+        }
+        // Unrecognized text used to read as `false`.
+        for bad in ["", "yes", "2", "tr", "GOOG"] {
+            assert_eq!(Cell::from_wire_text(bad, PgType::Bool), None, "{bad:?}");
         }
     }
 

@@ -10,7 +10,8 @@ use crate::wire::WireError;
 use pgdb::{BatchQueryResult, QueryResult, Session, StreamQueryResult};
 use std::sync::{Arc, Mutex};
 
-/// Something that executes SQL statements and returns rows.
+/// Something that executes SQL statements and returns their results —
+/// columnar, whichever side of a socket the executor is on.
 ///
 /// Failures come back as the typed [`WireError`] taxonomy: a plain SQL
 /// error is `WireErrorKind::Db`, while wire-level failures (lost
@@ -18,27 +19,30 @@ use std::sync::{Arc, Mutex};
 /// carry their own kinds so callers can degrade gracefully instead of
 /// tearing the session down.
 pub trait Backend: Send {
-    /// Execute one SQL statement.
-    fn execute_sql(&mut self, sql: &str) -> Result<QueryResult, WireError>;
+    /// Execute one SQL statement and hand the result back as typed
+    /// column vectors. Every backend answers `Some`: the in-process
+    /// engine hands over its own batch, the PG v3 gateway decodes
+    /// `DataRow` frames straight into one (DESIGN §10). The `Option` is
+    /// what is left of an earlier "`None` = this backend only has rows"
+    /// contract; hqbench matches on it and `benchmark/` is not this
+    /// repository's to edit in the same change.
+    fn execute_sql_batch(&mut self, sql: &str) -> Result<Option<BatchQueryResult>, WireError>;
 
-    /// Execute one SQL statement and hand the result back *columnar*,
-    /// if this backend can. `Ok(None)` means "rows only" — external
-    /// backends reached over the PG v3 wire stream rows, so they return
-    /// `None` without executing anything and the caller falls back to
-    /// [`Backend::execute_sql`] plus the row pivot. The in-process
-    /// backend overrides this: its executor is already columnar, so the
-    /// pivot becomes a near-no-op column hand-off (DESIGN §10).
-    fn execute_sql_batch(
-        &mut self,
-        _sql: &str,
-    ) -> Result<Option<BatchQueryResult>, WireError> {
-        Ok(None)
+    /// Execute one SQL statement, row-major result: the batch of
+    /// [`Backend::execute_sql_batch`] transposed — a convenience for
+    /// callers that read a handful of cells (loader, metadata lookups,
+    /// `EXPLAIN SHARD`), not a second result path.
+    fn execute_sql(&mut self, sql: &str) -> Result<QueryResult, WireError> {
+        Ok(match execute_batch(self, sql)? {
+            BatchQueryResult::Batch(b) => QueryResult::Rows(b.into_rows()),
+            BatchQueryResult::Command(tag) => QueryResult::Command(tag),
+        })
     }
 
     /// Execute one SQL statement and stream the result back as bounded
     /// columnar chunks, if this backend can. `Ok(None)` means "no
     /// streaming" — the caller falls back to
-    /// [`Backend::execute_sql_batch`] / [`Backend::execute_sql`]. The
+    /// [`Backend::execute_sql_batch`]. The
     /// in-process backend overrides this so results flow executor →
     /// pivot one morsel-sized chunk at a time (DESIGN §12).
     fn execute_sql_stream(
@@ -85,6 +89,17 @@ pub trait Backend: Send {
     }
 }
 
+/// [`Backend::execute_sql_batch`] without the `Option` its signature
+/// still carries: the one place that knows every backend answers.
+pub(crate) fn execute_batch<B: Backend + ?Sized>(
+    backend: &mut B,
+    sql: &str,
+) -> Result<BatchQueryResult, WireError> {
+    backend
+        .execute_sql_batch(sql)?
+        .ok_or_else(|| WireError::protocol("backend produced no result"))
+}
+
 /// In-process backend: a `pgdb` session (temp tables and all).
 pub struct DirectBackend {
     session: Session,
@@ -98,10 +113,6 @@ impl DirectBackend {
 }
 
 impl Backend for DirectBackend {
-    fn execute_sql(&mut self, sql: &str) -> Result<QueryResult, WireError> {
-        self.session.execute(sql).map_err(WireError::from)
-    }
-
     fn execute_sql_batch(
         &mut self,
         sql: &str,

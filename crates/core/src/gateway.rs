@@ -25,14 +25,26 @@
 //! * a typed [`WireError`] taxonomy for everything that cannot be
 //!   retried: non-idempotent statements, protocol violations, expired
 //!   deadlines and exhausted retry budgets.
+//!
+//! ## The result path
+//!
+//! Reads go out as one extended-query batch (`Parse`/`Bind`/`Describe`/
+//! `Execute`/`Sync`, one write, no extra round trip) asking for every
+//! result column in binary; everything else stays a simple `Query`.
+//! One response loop serves both: it reads the socket in large reads
+//! into the [`MessageReader`]'s buffer, walks the frames in place and
+//! appends each `DataRow` field to a typed builder per column
+//! ([`BatchDecoder`]), the format of each column read from
+//! `RowDescription`. What comes back is the executor's own shape, a
+//! [`pgdb::Batch`] — [`Backend::execute_sql`] is that batch transposed.
 
 use crate::backend::Backend;
 use crate::wire::{RetryPolicy, WireError, WireErrorKind, WireTimeouts};
-use bytes::BytesMut;
-use pgdb::{Cell, Column, DbError, PgType, QueryResult, Rows};
-use pgwire::codec::{encode_frontend, MessageReader};
-use pgwire::messages::{AuthRequest, BackendMessage, FrontendMessage, TypeOid};
-use std::io::{Read, Write};
+use pgdb::{BatchQueryResult, DbError};
+use pgwire::codec::{decode_backend, encode_extended_query, encode_frontend, MessageReader};
+use pgwire::messages::{AuthRequest, BackendMessage, Format, FrontendMessage};
+use pgwire::rows::{BatchDecoder, RowError};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
 
@@ -45,6 +57,16 @@ struct WireMetrics {
     /// where the backend is durable: the replay is skipped (not
     /// refused fatally) because a committed mutation survived on disk.
     replay_skipped_durable: Arc<obs::Counter>,
+    /// `DataRow` fields decoded, by the format they travelled in: a
+    /// backend that answers text where binary was asked for shows up
+    /// here as a ratio, not as a slowdown.
+    fields_binary: Arc<obs::Counter>,
+    fields_text: Arc<obs::Counter>,
+    result_rows: Arc<obs::Counter>,
+    /// Results poisoned by an undecodable `DataRow`, by the format of
+    /// the field at fault (framing faults count as text).
+    decode_errors_binary: Arc<obs::Counter>,
+    decode_errors_text: Arc<obs::Counter>,
 }
 
 fn wire_metrics() -> &'static WireMetrics {
@@ -55,25 +77,13 @@ fn wire_metrics() -> &'static WireMetrics {
             reconnects: reg.counter("wire_reconnects_total"),
             retries: reg.counter("wire_retries_total"),
             replay_skipped_durable: reg.counter("wire_replay_skipped_durable_total"),
+            fields_binary: reg.counter("hyperq_gateway_fields_decoded_total{format=\"binary\"}"),
+            fields_text: reg.counter("hyperq_gateway_fields_decoded_total{format=\"text\"}"),
+            result_rows: reg.counter("hyperq_gateway_result_rows_total"),
+            decode_errors_binary: reg.counter("wire_protocol_errors_total{cause=\"binary_decode\"}"),
+            decode_errors_text: reg.counter("wire_protocol_errors_total{cause=\"text_decode\"}"),
         }
     })
-}
-
-/// Map a wire type OID onto the engine type model.
-fn oid_to_pg_type(oid: TypeOid) -> PgType {
-    match oid {
-        TypeOid::Bool => PgType::Bool,
-        TypeOid::Int2 => PgType::Int2,
-        TypeOid::Int4 => PgType::Int4,
-        TypeOid::Int8 => PgType::Int8,
-        TypeOid::Float4 => PgType::Float4,
-        TypeOid::Float8 => PgType::Float8,
-        TypeOid::Varchar => PgType::Varchar,
-        TypeOid::Text | TypeOid::Bytea => PgType::Text,
-        TypeOid::Date => PgType::Date,
-        TypeOid::Time => PgType::Time,
-        TypeOid::Timestamp => PgType::Timestamp,
-    }
 }
 
 /// Credentials for the backend connection.
@@ -161,6 +171,8 @@ pub struct PgWireBackend {
     /// parameter status) during session establishment? Decides how a
     /// mid-flight connection loss under a mutation is handled.
     durable: bool,
+    /// Request bytes, reused from statement to statement.
+    out: Vec<u8>,
 }
 
 impl PgWireBackend {
@@ -188,6 +200,7 @@ impl PgWireBackend {
             journal: Vec::new(),
             reconnects: 0,
             durable,
+            out: Vec::new(),
         })
     }
 
@@ -286,7 +299,7 @@ impl PgWireBackend {
         // re-applies cleanly.
         let journal = std::mem::take(&mut self.journal);
         for sql in &journal {
-            let result = self.run_statement(sql);
+            let result = self.run_statement(sql, StatementClass::SessionDdl);
             if let Err(e) = result {
                 // Put the journal back: a retryable failure will come
                 // around for another reconnect attempt.
@@ -320,118 +333,144 @@ impl PgWireBackend {
         if deadline.is_some() {
             let _ = self.stream.set_read_timeout(deadline);
         }
-        let result = self.run_statement("SELECT 1").map(|_| ());
+        let result = self.exchange("SELECT 1", false).map(|_| ());
         if deadline.is_some() {
             let _ = self.stream.set_read_timeout(self.timeouts.read);
         }
         result
     }
 
-    fn send(&mut self, msg: &FrontendMessage) -> Result<(), WireError> {
-        send_on(&mut self.stream, msg)
-    }
-
-    fn recv(&mut self) -> Result<BackendMessage, WireError> {
-        recv_on(&mut self.stream, &mut self.reader)
-    }
-
     /// Run one statement on the *current* connection: no retry, no
-    /// journaling. The response stream is always drained to
-    /// `ReadyForQuery` (when the connection survives), so a decode
-    /// error poisons the result, not the connection. The backend pool
-    /// drives pooled connections through this directly — journaling and
-    /// retry live per *session* there, not per connection.
-    pub(crate) fn run_statement(&mut self, sql: &str) -> Result<QueryResult, WireError> {
-        self.send(&FrontendMessage::Query(sql.to_string()))?;
-        let mut columns: Vec<Column> = Vec::new();
-        let mut data: Vec<Vec<Cell>> = Vec::new();
-        let mut tag: Option<String> = None;
-        let mut error: Option<WireError> = None;
-        let mut saw_rows = false;
-        loop {
-            match self.recv()? {
-                BackendMessage::RowDescription(fields) => {
-                    saw_rows = true;
-                    columns = fields
-                        .into_iter()
-                        .map(|f| Column::new(f.name, oid_to_pg_type(f.type_oid)))
-                        .collect();
-                }
-                BackendMessage::DataRow(cells) => {
-                    if error.is_some() {
-                        continue; // already poisoned; keep draining
-                    }
-                    let mut row = Vec::with_capacity(cells.len());
-                    for (i, c) in cells.iter().enumerate() {
-                        match c {
-                            None => row.push(Cell::Null),
-                            Some(text) => {
-                                let ty = columns.get(i).map(|c| c.ty).unwrap_or(PgType::Text);
-                                match Cell::from_wire_text(text, ty) {
-                                    Some(cell) => row.push(cell),
-                                    None => {
-                                        // Do NOT smuggle a Null in: a
-                                        // cell that fails to decode is
-                                        // a protocol-level error.
-                                        error = Some(WireError::protocol(format!(
-                                            "cannot decode cell {text:?} as {ty:?} (column {})",
-                                            columns
-                                                .get(i)
-                                                .map(|c| c.name.as_str())
-                                                .unwrap_or("?")
-                                        )));
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if error.is_none() {
-                        data.push(row);
-                    }
-                }
-                BackendMessage::CommandComplete(t) => tag = Some(t),
-                BackendMessage::ErrorResponse { code, message, .. } => {
-                    error = Some(WireError::from(DbError { code, message }));
-                }
-                BackendMessage::ReadyForQuery(_) => break,
-                _ => {}
-            }
-        }
-        if let Some(e) = error {
-            return Err(e);
-        }
-        if saw_rows {
-            Ok(QueryResult::Rows(Rows { columns, data }))
+    /// journaling. Reads ask for binary results; everything else is a
+    /// simple `Query`, byte for byte what it always was. The backend
+    /// pool drives pooled connections through this directly —
+    /// journaling and retry live per *session* there, not per
+    /// connection.
+    pub(crate) fn run_statement(
+        &mut self,
+        sql: &str,
+        class: StatementClass,
+    ) -> Result<BatchQueryResult, WireError> {
+        self.exchange(sql, class == StatementClass::Read)
+    }
+
+    /// Send `sql` — as one extended-query batch requesting every result
+    /// column in binary, or as a simple `Query` — and read its reply.
+    fn exchange(&mut self, sql: &str, binary: bool) -> Result<BatchQueryResult, WireError> {
+        self.out.clear();
+        if binary {
+            encode_extended_query(sql, Format::Binary, &mut self.out);
         } else {
-            Ok(QueryResult::Command(tag.unwrap_or_default()))
+            encode_frontend(&FrontendMessage::Query(sql.to_string()), &mut self.out);
         }
+        self.stream
+            .write_all(&self.out)
+            .map_err(|e| WireError::from_io("write to backend", &e))?;
+        read_reply(&mut self.stream, &mut self.reader)
     }
 }
 
+/// Read one statement's reply, whichever sub-protocol asked for it.
+/// Frames are walked in place in the reader's buffer; each `DataRow`
+/// field goes straight onto its column's builder. The stream is always
+/// drained to `ReadyForQuery` (when the connection survives), so a
+/// decode error poisons the result, not the connection; only a corrupt
+/// frame *length* — after which frame boundaries are unknowable — ends
+/// the read early.
+fn read_reply(
+    stream: &mut TcpStream,
+    reader: &mut MessageReader,
+) -> Result<BatchQueryResult, WireError> {
+    let mut decoder: Option<BatchDecoder> = None;
+    let mut tag: Option<String> = None;
+    let mut error: Option<WireError> = None;
+    loop {
+        while let Some((ty, body)) =
+            reader.next_backend_frame().map_err(|e| WireError::protocol(e.to_string()))?
+        {
+            if ty == b'D' {
+                if error.is_some() {
+                    continue; // already poisoned; keep draining
+                }
+                // Do NOT smuggle a Null in: a field that fails to
+                // decode is a protocol-level error.
+                error = match decoder.as_mut() {
+                    Some(d) => d.push_row(body).err().map(row_error),
+                    None => Some(WireError::protocol("DataRow before RowDescription")),
+                };
+                continue;
+            }
+            match decode_backend(ty, body) {
+                Some(BackendMessage::RowDescription(fields)) => match BatchDecoder::new(&fields) {
+                    Ok(d) => decoder = Some(d),
+                    Err(e) => error = Some(row_error(e)),
+                },
+                Some(BackendMessage::CommandComplete(t)) => tag = Some(t),
+                Some(BackendMessage::ErrorResponse { code, message, .. }) => {
+                    error = Some(WireError::from(DbError { code, message }));
+                }
+                Some(BackendMessage::ReadyForQuery(_)) => {
+                    if let Some(e) = error {
+                        return Err(e);
+                    }
+                    return Ok(match decoder {
+                        Some(d) => {
+                            let m = wire_metrics();
+                            let (binary, text) = d.fields_decoded();
+                            m.fields_binary.add(binary);
+                            m.fields_text.add(text);
+                            m.result_rows.add(d.rows() as u64);
+                            BatchQueryResult::Batch(d.finish())
+                        }
+                        None => BatchQueryResult::Command(tag.unwrap_or_default()),
+                    });
+                }
+                Some(_) => {}
+                None => {
+                    error.get_or_insert_with(|| {
+                        WireError::protocol(format!(
+                            "malformed '{}' backend message body",
+                            ty as char
+                        ))
+                    });
+                }
+            }
+        }
+        fill(stream, reader)?;
+    }
+}
+
+/// The typed error for an undecodable `DataRow`, counted by cause.
+fn row_error(e: RowError) -> WireError {
+    let m = wire_metrics();
+    if e.binary { &m.decode_errors_binary } else { &m.decode_errors_text }.inc();
+    WireError::protocol(e.message)
+}
+
 fn send_on(stream: &mut TcpStream, msg: &FrontendMessage) -> Result<(), WireError> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     encode_frontend(msg, &mut buf);
     stream
         .write_all(&buf)
         .map_err(|e| WireError::from_io("write to backend", &e))
 }
 
+/// One read from the socket, straight into the reader's buffer.
+fn fill(stream: &mut TcpStream, reader: &mut MessageReader) -> Result<(), WireError> {
+    match reader.fill_from(stream) {
+        Ok(0) => Err(WireError::lost("backend closed the connection")),
+        Ok(_) => Ok(()),
+        Err(e) => Err(WireError::from_io("read from backend", &e)),
+    }
+}
+
 fn recv_on(stream: &mut TcpStream, reader: &mut MessageReader) -> Result<BackendMessage, WireError> {
-    let mut chunk = [0u8; 8192];
     loop {
         match reader.next_backend() {
             Ok(Some(m)) => return Ok(m),
-            Ok(None) => {}
+            Ok(None) => fill(stream, reader)?,
             Err(e) => return Err(WireError::protocol(e.to_string())),
         }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| WireError::from_io("read from backend", &e))?;
-        if n == 0 {
-            return Err(WireError::lost("backend closed the connection"));
-        }
-        reader.feed(&chunk[..n]);
     }
 }
 
@@ -486,16 +525,16 @@ fn connect_rejection(code: String, message: String) -> WireError {
 }
 
 impl Backend for PgWireBackend {
-    fn execute_sql(&mut self, sql: &str) -> Result<QueryResult, WireError> {
+    fn execute_sql_batch(&mut self, sql: &str) -> Result<Option<BatchQueryResult>, WireError> {
         let class = StatementClass::of(sql);
         let mut attempt: u32 = 1;
         loop {
-            let mut failure = match self.run_statement(sql) {
+            let mut failure = match self.run_statement(sql, class) {
                 Ok(result) => {
                     if class == StatementClass::SessionDdl {
                         self.journal.push(sql.to_string());
                     }
-                    return Ok(result);
+                    return Ok(Some(result));
                 }
                 Err(e) if e.retryable() => {
                     if !class.replayable() {
@@ -555,9 +594,11 @@ impl Backend for PgWireBackend {
 mod tests {
     use super::*;
     use pgdb::server::{AuthMode, PgServer, ServerConfig};
+    use pgdb::{Cell, PgType, QueryResult};
     use pgwire::codec::encode_backend;
-    use pgwire::messages::{FieldDesc, TransactionStatus};
+    use pgwire::messages::{FieldDesc, TransactionStatus, TypeOid};
     use std::collections::HashMap;
+    use std::io::Read;
     use std::net::TcpListener;
 
     #[test]
@@ -683,7 +724,7 @@ mod tests {
             let mut buf = [0u8; 4096];
             let _ = stream.read(&mut buf).unwrap();
             // Auth OK (+ durability advertisement) + ReadyForQuery.
-            let mut out = BytesMut::new();
+            let mut out = Vec::new();
             encode_backend(&BackendMessage::Authentication(AuthRequest::Ok), &mut out);
             if durable {
                 encode_backend(
@@ -713,12 +754,9 @@ mod tests {
             // cell text is not a number.
             let mut buf = [0u8; 4096];
             let _ = stream.read(&mut buf).unwrap();
-            let mut out = BytesMut::new();
+            let mut out = Vec::new();
             encode_backend(
-                &BackendMessage::RowDescription(vec![FieldDesc {
-                    name: "x".into(),
-                    type_oid: TypeOid::Int8,
-                }]),
+                &BackendMessage::RowDescription(vec![FieldDesc::text("x", TypeOid::Int8)]),
                 &mut out,
             );
             encode_backend(&BackendMessage::DataRow(vec![Some("notanumber".into())]), &mut out);
@@ -739,6 +777,158 @@ mod tests {
         let err = backend.execute_sql("SELECT x FROM t").unwrap_err();
         assert_eq!(err.kind, WireErrorKind::Protocol, "{err}");
         assert!(err.message.contains("notanumber"), "{err}");
+    }
+
+    /// A fake server that answers each request it reads with the next
+    /// scripted reply and hands back the requests it saw.
+    fn scripted_server(
+        replies: Vec<Vec<u8>>,
+    ) -> (std::net::SocketAddr, std::sync::mpsc::Receiver<Vec<u8>>) {
+        let (seen, requests) = std::sync::mpsc::channel();
+        let addr = fake_server_once(move |stream| {
+            let mut buf = [0u8; 4096];
+            for reply in replies {
+                let n = stream.read(&mut buf).unwrap();
+                seen.send(buf[..n].to_vec()).unwrap();
+                stream.write_all(&reply).unwrap();
+            }
+            // Keep the connection open until the client is done.
+            let _ = stream.read(&mut buf);
+        });
+        (addr, requests)
+    }
+
+    /// The frames of one reply: `RowDescription` for `fields` (skipped
+    /// when empty), the given `DataRow` bodies, `CommandComplete`,
+    /// `ReadyForQuery`.
+    fn reply(fields: &[FieldDesc], rows: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_backend(&BackendMessage::ParseComplete, &mut out);
+        encode_backend(&BackendMessage::BindComplete, &mut out);
+        if !fields.is_empty() {
+            encode_backend(&BackendMessage::RowDescription(fields.to_vec()), &mut out);
+        }
+        for body in rows {
+            out.push(b'D');
+            out.extend_from_slice(&(body.len() as i32 + 4).to_be_bytes());
+            out.extend_from_slice(body);
+        }
+        encode_backend(&BackendMessage::CommandComplete(format!("SELECT {}", rows.len())), &mut out);
+        encode_backend(&BackendMessage::ReadyForQuery(TransactionStatus::Idle), &mut out);
+        out
+    }
+
+    /// A `DataRow` body: field count, then `(length, bytes)` pairs.
+    fn row(count: i16, fields: &[(i32, &[u8])]) -> Vec<u8> {
+        let mut body = count.to_be_bytes().to_vec();
+        for (len, bytes) in fields {
+            body.extend_from_slice(&len.to_be_bytes());
+            body.extend_from_slice(bytes);
+        }
+        body
+    }
+
+    #[test]
+    fn bad_binary_replies_are_typed_protocol_errors_on_a_connection_that_keeps_working() {
+        let price = |format| FieldDesc { name: "Price".into(), type_oid: TypeOid::Float8, format };
+        let good = row(1, &[(8, &101.5f64.to_be_bytes())]);
+        let script: Vec<(Vec<u8>, &str)> = vec![
+            // Fixed-width field with the wrong length.
+            (reply(&[price(1)], &[good.clone(), row(1, &[(7, &[0; 7])])]),
+             "column \"Price\" (double precision): binary field is 7 bytes, expected 8"),
+            // Field count that is not RowDescription's.
+            (reply(&[price(1)], &[row(2, &[(8, &[0; 8]), (8, &[0; 8])])]),
+             "DataRow has 2 fields, RowDescription declared 1"),
+            // Format code that is neither text nor binary.
+            (reply(&[price(2)], std::slice::from_ref(&good)),
+             "column \"Price\" (double precision): unknown format code 2"),
+            // Negative length other than -1.
+            (reply(&[price(1)], &[row(1, &[(-7, &[])])]), "field length -7 is negative"),
+            // Rows nobody described.
+            (reply(&[], std::slice::from_ref(&good)), "DataRow before RowDescription"),
+            // Field running past its frame.
+            (reply(&[price(1)], &[row(1, &[(800, &[0; 8])])]), "runs past the end of the DataRow"),
+            // Bytes that are not text in a symbol column.
+            (reply(&[FieldDesc { name: "Sym".into(), type_oid: TypeOid::Varchar, format: 1 }],
+                   &[row(1, &[(2, &[0xC3, 0x28])])]),
+             "column \"Sym\" (varchar): field is not UTF-8"),
+        ];
+        let mut replies: Vec<Vec<u8>> = script.iter().map(|(r, _)| r.clone()).collect();
+        replies.push(reply(&[price(1)], &[good.clone(), row(1, &[(-1, &[])])]));
+        let (addr, _requests) = scripted_server(replies);
+        let creds = Credentials { user: "x".into(), ..Default::default() };
+        let mut backend = PgWireBackend::connect_with(
+            &addr.to_string(),
+            &creds,
+            WireTimeouts::default(),
+            RetryPolicy::no_retry(),
+        )
+        .unwrap();
+        let errors_before = wire_metrics().decode_errors_binary.get();
+        for (_, want) in &script {
+            let err = backend.execute_sql("SELECT Price FROM t").unwrap_err();
+            assert_eq!(err.kind, WireErrorKind::Protocol, "{err}");
+            assert!(err.message.contains(want), "{err} does not mention {want:?}");
+        }
+        assert!(wire_metrics().decode_errors_binary.get() >= errors_before + 4);
+        // Every reply was drained to ReadyForQuery: the next statement
+        // on the same connection reads its own answer.
+        match backend.execute_sql("SELECT Price FROM t").unwrap() {
+            QueryResult::Rows(rows) => {
+                assert_eq!(rows.data, vec![vec![Cell::Float(101.5)], vec![Cell::Null]]);
+            }
+            other => panic!("expected rows, got {other:?}"),
+        }
+        assert_eq!(backend.reconnects(), 0);
+    }
+
+    #[test]
+    fn reads_go_out_as_one_extended_batch_and_everything_else_as_a_simple_query() {
+        let ok = |tag: &str| {
+            let mut out = Vec::new();
+            encode_backend(&BackendMessage::CommandComplete(tag.into()), &mut out);
+            encode_backend(&BackendMessage::ReadyForQuery(TransactionStatus::Idle), &mut out);
+            out
+        };
+        let (addr, requests) =
+            scripted_server(vec![ok("SELECT 0"), ok("INSERT 0 1"), ok("SELECT 1"), ok("SELECT 1")]);
+        let creds = Credentials { user: "x".into(), ..Default::default() };
+        let mut backend = PgWireBackend::connect_with(
+            &addr.to_string(),
+            &creds,
+            WireTimeouts::default(),
+            RetryPolicy::no_retry(),
+        )
+        .unwrap();
+        backend.execute_sql("SELECT x FROM t").unwrap();
+        backend.execute_sql("INSERT INTO t VALUES (1)").unwrap();
+        backend.execute_sql("CREATE TEMPORARY TABLE scratch AS SELECT 1").unwrap();
+        backend.ping(None).unwrap();
+        // The message types of each request, in the order they arrived
+        // in its single write.
+        let kinds = |request: Vec<u8>| {
+            let mut reader = MessageReader::new(false);
+            reader.feed(&request);
+            let mut kinds = String::new();
+            while let Some(msg) = reader.next_frontend().unwrap() {
+                kinds.push(match msg {
+                    FrontendMessage::Query(_) => 'Q',
+                    FrontendMessage::Parse { .. } => 'P',
+                    FrontendMessage::Bind { result_formats, .. } => {
+                        assert_eq!(result_formats, vec![1], "every column asked for in binary");
+                        'B'
+                    }
+                    FrontendMessage::Describe { kind: b'P', .. } => 'D',
+                    FrontendMessage::Execute { .. } => 'E',
+                    FrontendMessage::Sync => 'S',
+                    other => panic!("unexpected {other:?}"),
+                });
+            }
+            assert!(!reader.has_partial(), "a request is whole frames");
+            kinds
+        };
+        let seen: Vec<String> = requests.try_iter().map(kinds).collect();
+        assert_eq!(seen, ["PBDES", "Q", "Q", "Q"]);
     }
 
     #[test]

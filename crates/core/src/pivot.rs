@@ -1,61 +1,28 @@
-//! Result-set pivoting: row streams → column-oriented Q values.
+//! Result-set pivoting: SQL result columns → column-oriented Q values.
 //!
 //! "QIPC forms the result set in a column-oriented fashion and sends it
 //! as a single message back to the client" (paper §4.2, Figure 5).
-//! Hyper-Q buffers the PG row stream until end-of-content, then pivots:
-//! each output column becomes a typed Q vector, the implicit `ordcol` is
+//! Every backend hands Hyper-Q typed column vectors — the in-process
+//! engine its own, the PG v3 gateway the ones it decoded the row stream
+//! into — and the pivot turns each into a typed Q vector, moving its
+//! storage where the representations line up: the implicit `ordcol` is
 //! stripped, and SQL types map back onto Q types (varchar → symbol,
-//! microsecond temporals → Q resolutions).
+//! microsecond temporals → Q resolutions, SQL NULL → the Q null of the
+//! column's type).
 
 use algebrizer::ResultShape;
 use pgdb::{Batch, Cell, ColumnVec, PgType, Rows};
-use qlang::value::{Atom, Dict, KeyedTable, Table, Value};
+use qlang::value::{Dict, KeyedTable, Table, Value};
 use qlang::{QError, QResult};
 use std::sync::Arc;
 use xtra::ORD_COL;
 
-/// Columns handed from the columnar executor to Q without element-wise
-/// re-materialization: the typed vector's storage is moved (null slots
-/// patched to Q sentinels in place). Stays at zero when results arrive
-/// over an external row-streaming backend.
+/// Columns handed to Q without element-wise re-materialization: the
+/// typed vector's storage is moved (null slots patched to Q sentinels
+/// in place).
 fn zero_copy_counter() -> &'static Arc<obs::Counter> {
     static COUNTER: std::sync::OnceLock<Arc<obs::Counter>> = std::sync::OnceLock::new();
     COUNTER.get_or_init(|| obs::global_registry().counter("hyperq_pivot_zero_copy_total"))
-}
-
-/// Convert one SQL cell into a Q atom of the column's type.
-fn cell_to_atom(cell: &Cell, ty: PgType) -> Atom {
-    match cell {
-        Cell::Null => match ty {
-            PgType::Bool => Atom::Bool(false),
-            PgType::Int2 => Atom::Short(i16::MIN),
-            PgType::Int4 => Atom::Int(i32::MIN),
-            PgType::Int8 => Atom::Long(i64::MIN),
-            PgType::Float4 => Atom::Real(f32::NAN),
-            PgType::Float8 => Atom::Float(f64::NAN),
-            PgType::Varchar | PgType::Text => Atom::Symbol(String::new()),
-            PgType::Date => Atom::Date(i32::MIN),
-            PgType::Time => Atom::Time(i32::MIN),
-            PgType::Timestamp => Atom::Timestamp(i64::MIN),
-        },
-        Cell::Bool(b) => Atom::Bool(*b),
-        Cell::Int(v) => match ty {
-            PgType::Int2 => Atom::Short(*v as i16),
-            PgType::Int4 => Atom::Int(*v as i32),
-            _ => Atom::Long(*v),
-        },
-        Cell::Float(f) => match ty {
-            PgType::Float4 => Atom::Real(*f as f32),
-            _ => Atom::Float(*f),
-        },
-        Cell::Text(s) => Atom::Symbol(s.clone()),
-        // SQL dates share the Q epoch (days since 2000-01-01).
-        Cell::Date(d) => Atom::Date(*d),
-        // µs → ms.
-        Cell::Time(us) => Atom::Time((us / 1000) as i32),
-        // µs → ns.
-        Cell::Timestamp(us) => Atom::Timestamp(us.saturating_mul(1000)),
-    }
 }
 
 /// The empty Q vector matching a SQL column type (so empty results stay
@@ -75,34 +42,19 @@ fn empty_vector(ty: PgType) -> Value {
     }
 }
 
-/// Pivot one column of the row set into a typed Q vector.
-fn pivot_column(rows: &Rows, idx: usize) -> Value {
-    let ty = rows.columns[idx].ty;
-    if rows.data.is_empty() {
-        return empty_vector(ty);
-    }
-    let atoms: Vec<Value> = rows
-        .data
-        .iter()
-        .map(|r| Value::Atom(cell_to_atom(&r[idx], ty)))
-        .collect();
-    Value::from_elements(atoms)
-}
-
 /// Turn one typed column into the matching Q vector, moving storage
 /// where the representations line up. Returns the value and whether the
 /// column's backing vector was reused (vs rebuilt element-wise).
 ///
-/// Null slots become the Q sentinels [`cell_to_atom`] uses, patched in
-/// place on the moved storage. Width-changing conversions (`int4`,
-/// `int2`, `float4`, millisecond times) still rebuild, as does the
-/// mixed [`ColumnVec::Cells`] fallback.
+/// The stored class picks the Q type, the declared type its width
+/// (`int4`/`int2`/`float4` narrow, millisecond times rebuild), and null
+/// slots become that Q type's null, patched in place on moved storage.
 fn column_to_value(col: ColumnVec, ty: PgType) -> (Value, bool) {
     if col.is_empty() {
         return (empty_vector(ty), false);
     }
-    match (col, ty) {
-        (ColumnVec::Bool(mut d, v), PgType::Bool) => {
+    match col {
+        ColumnVec::Bool(mut d, v) => {
             for (i, slot) in d.iter_mut().enumerate() {
                 if v.is_null(i) {
                     *slot = false;
@@ -110,15 +62,7 @@ fn column_to_value(col: ColumnVec, ty: PgType) -> (Value, bool) {
             }
             (Value::Bools(d), true)
         }
-        (ColumnVec::Int(mut d, v), PgType::Int8) => {
-            for (i, slot) in d.iter_mut().enumerate() {
-                if v.is_null(i) {
-                    *slot = i64::MIN;
-                }
-            }
-            (Value::Longs(d), true)
-        }
-        (ColumnVec::Int(d, v), PgType::Int4) => {
+        ColumnVec::Int(d, v) if ty == PgType::Int4 => {
             let out = d
                 .iter()
                 .enumerate()
@@ -126,7 +70,7 @@ fn column_to_value(col: ColumnVec, ty: PgType) -> (Value, bool) {
                 .collect();
             (Value::Ints(out), false)
         }
-        (ColumnVec::Int(d, v), PgType::Int2) => {
+        ColumnVec::Int(d, v) if ty == PgType::Int2 => {
             let out = d
                 .iter()
                 .enumerate()
@@ -134,15 +78,15 @@ fn column_to_value(col: ColumnVec, ty: PgType) -> (Value, bool) {
                 .collect();
             (Value::Shorts(out), false)
         }
-        (ColumnVec::Float(mut d, v), PgType::Float8) => {
+        ColumnVec::Int(mut d, v) => {
             for (i, slot) in d.iter_mut().enumerate() {
                 if v.is_null(i) {
-                    *slot = f64::NAN;
+                    *slot = i64::MIN;
                 }
             }
-            (Value::Floats(d), true)
+            (Value::Longs(d), true)
         }
-        (ColumnVec::Float(d, v), PgType::Float4) => {
+        ColumnVec::Float(d, v) if ty == PgType::Float4 => {
             let out = d
                 .iter()
                 .enumerate()
@@ -150,7 +94,15 @@ fn column_to_value(col: ColumnVec, ty: PgType) -> (Value, bool) {
                 .collect();
             (Value::Reals(out), false)
         }
-        (ColumnVec::Text(mut d, v), PgType::Varchar | PgType::Text) => {
+        ColumnVec::Float(mut d, v) => {
+            for (i, slot) in d.iter_mut().enumerate() {
+                if v.is_null(i) {
+                    *slot = f64::NAN;
+                }
+            }
+            (Value::Floats(d), true)
+        }
+        ColumnVec::Text(mut d, v) => {
             for (i, slot) in d.iter_mut().enumerate() {
                 if v.is_null(i) {
                     *slot = String::new();
@@ -158,7 +110,7 @@ fn column_to_value(col: ColumnVec, ty: PgType) -> (Value, bool) {
             }
             (Value::Symbols(d), true)
         }
-        (ColumnVec::Date(mut d, v), PgType::Date) => {
+        ColumnVec::Date(mut d, v) => {
             for (i, slot) in d.iter_mut().enumerate() {
                 if v.is_null(i) {
                     *slot = i32::MIN;
@@ -167,7 +119,7 @@ fn column_to_value(col: ColumnVec, ty: PgType) -> (Value, bool) {
             (Value::Dates(d), true)
         }
         // µs → ms (and i64 → i32): width changes, so rebuild.
-        (ColumnVec::Time(d, v), PgType::Time) => {
+        ColumnVec::Time(d, v) => {
             let out = d
                 .iter()
                 .enumerate()
@@ -176,18 +128,32 @@ fn column_to_value(col: ColumnVec, ty: PgType) -> (Value, bool) {
             (Value::Times(out), false)
         }
         // µs → ns in place on the moved storage.
-        (ColumnVec::Timestamp(mut d, v), PgType::Timestamp) => {
+        ColumnVec::Timestamp(mut d, v) => {
             for (i, x) in d.iter_mut().enumerate() {
                 *x = if v.is_null(i) { i64::MIN } else { x.saturating_mul(1000) };
             }
             (Value::Timestamps(d), true)
         }
-        (col, ty) => {
-            let atoms: Vec<Value> = (0..col.len())
-                .map(|i| Value::Atom(cell_to_atom(&col.cell_at(i), ty)))
-                .collect();
-            (Value::from_elements(atoms), false)
+        ColumnVec::Cells(cells) => (cells_to_value(cells, ty), false),
+    }
+}
+
+/// The executor's escape hatch. Cells of one class (or none: an all-NULL
+/// column) are that class's vector after all; a real mixture has no Q
+/// vector type of its own and reads as the widest thing it can all be —
+/// floats if every cell is numeric, symbols of the PG text otherwise.
+fn cells_to_value(cells: Vec<Cell>, ty: PgType) -> Value {
+    match ColumnVec::from_cells(ty, cells) {
+        ColumnVec::Cells(mixed) => {
+            let all_numeric =
+                mixed.iter().all(|c| c.is_null() || matches!(c, Cell::Int(_) | Cell::Float(_)));
+            if all_numeric {
+                Value::Floats(mixed.iter().map(|c| c.as_f64().unwrap_or(f64::NAN)).collect())
+            } else {
+                Value::Symbols(mixed.iter().map(|c| c.to_wire_text().unwrap_or_default()).collect())
+            }
         }
+        typed => column_to_value(typed, ty).0,
     }
 }
 
@@ -211,22 +177,10 @@ pub fn batch_to_table(mut batch: Batch) -> QResult<Table> {
     Ok(t)
 }
 
-/// Pivot a full row set into a Q table, stripping the implicit order
-/// column.
-pub fn rows_to_table(rows: &Rows) -> QResult<Table> {
-    let mut t = Table::default();
-    for (i, col) in rows.columns.iter().enumerate() {
-        if col.name == ORD_COL {
-            continue;
-        }
-        t.push_column(col.name.clone(), pivot_column(rows, i))?;
-    }
-    Ok(t)
-}
-
-/// Pivot a row set into the Q value shape the application expects.
+/// Pivot a row set into the Q value shape the application expects: the
+/// rows transposed, then [`pivot_batch`].
 pub fn pivot(rows: &Rows, shape: ResultShape) -> QResult<Value> {
-    shape_value(rows_to_table(rows)?, shape)
+    pivot_batch(Batch::from_rows(rows.clone()), shape)
 }
 
 /// Streaming pivot accumulator (DESIGN §12): drains a batch stream
@@ -320,8 +274,7 @@ fn append_value(acc: &mut Value, next: Value) {
 }
 
 /// Pivot a columnar result into the Q value shape the application
-/// expects: the batch counterpart of [`pivot`], used for the in-process
-/// backend where no row stream ever exists (DESIGN §10).
+/// expects (DESIGN §10).
 pub fn pivot_batch(batch: Batch, shape: ResultShape) -> QResult<Value> {
     shape_value(batch_to_table(batch)?, shape)
 }
@@ -517,7 +470,7 @@ mod tests {
                 Cell::Timestamp(1_000),
             ]],
         };
-        let t = rows_to_table(&rows).unwrap();
+        let t = batch_to_table(Batch::from_rows(rows)).unwrap();
         assert!(t.column("d").unwrap().q_eq(&Value::Dates(vec![6021])));
         // µs → ms.
         assert!(t.column("t").unwrap().q_eq(&Value::Times(vec![34_200_000])));
@@ -535,10 +488,30 @@ mod tests {
             ],
             data: vec![vec![Cell::Int(1), Cell::Int(2), Cell::Int(3)]],
         };
-        let t = rows_to_table(&rows).unwrap();
+        let t = batch_to_table(Batch::from_rows(rows)).unwrap();
         assert!(matches!(t.column("a").unwrap(), Value::Shorts(_)));
         assert!(matches!(t.column("b").unwrap(), Value::Ints(_)));
         assert!(matches!(t.column("c").unwrap(), Value::Longs(_)));
+    }
+
+    #[test]
+    fn untyped_cells_pivot_without_a_per_cell_route() {
+        let pivoted = |ty, cells: Vec<Cell>| {
+            let n = cells.len();
+            let batch = Batch::new(vec![Column::new("v", ty)], vec![ColumnVec::Cells(cells)], n);
+            pivot_batch(batch, ResultShape::Column).unwrap()
+        };
+        // One class after all: that class's vector, nulls as its null.
+        assert!(pivoted(PgType::Int8, vec![Cell::Int(1), Cell::Null])
+            .q_eq(&Value::Longs(vec![1, i64::MIN])));
+        // No class at all: the declared type decides.
+        assert!(pivoted(PgType::Date, vec![Cell::Null, Cell::Null])
+            .q_eq(&Value::Dates(vec![i32::MIN, i32::MIN])));
+        // A numeric mixture reads as floats, any other as symbols.
+        assert!(pivoted(PgType::Float8, vec![Cell::Int(1), Cell::Float(1.5)])
+            .q_eq(&Value::Floats(vec![1.0, 1.5])));
+        assert!(pivoted(PgType::Text, vec![Cell::Int(1), Cell::Text("x".into()), Cell::Null])
+            .q_eq(&Value::Symbols(vec!["1".into(), "x".into(), "".into()])));
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::backend::{share, Backend, SharedBackend};
 use crate::endpoint::BackendFactory;
 use crate::gateway::{non_idempotent_error, summarize, Credentials, PgWireBackend, StatementClass};
 use crate::wire::{RetryPolicy, WireError, WireErrorKind, WireTimeouts};
-use pgdb::QueryResult;
+use pgdb::BatchQueryResult;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -368,7 +368,7 @@ impl PooledBackend {
             0
         };
         for sql in &self.journal[replay_from..] {
-            conn.backend.run_statement(sql)?;
+            conn.backend.run_statement(sql, StatementClass::SessionDdl)?;
         }
         conn.owner = Some(self.id);
         conn.owner_journal_len = self.journal.len();
@@ -378,7 +378,7 @@ impl PooledBackend {
 }
 
 impl Backend for PooledBackend {
-    fn execute_sql(&mut self, sql: &str) -> Result<QueryResult, WireError> {
+    fn execute_sql_batch(&mut self, sql: &str) -> Result<Option<BatchQueryResult>, WireError> {
         let class = StatementClass::of(sql);
         let retry = self.pool.cfg.retry;
         let mut attempt: u32 = 1;
@@ -409,7 +409,7 @@ impl Backend for PooledBackend {
                 }
                 return Err(e);
             }
-            match conn.backend.run_statement(sql) {
+            match conn.backend.run_statement(sql, class) {
                 Ok(result) => {
                     if class == StatementClass::SessionDdl {
                         self.journal.push(sql.to_string());
@@ -418,7 +418,7 @@ impl Backend for PooledBackend {
                     }
                     conn.owner = Some(self.id);
                     self.pool.give_back(conn);
-                    return Ok(result);
+                    return Ok(Some(result));
                 }
                 Err(e) if e.retryable() => {
                     // The connection died mid-statement: it leaves the

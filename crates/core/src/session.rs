@@ -6,9 +6,9 @@
 //! serialize → run on backend → pivot results back into Q values —
 //! including the eager materialization of variable assignments (§4.3).
 
-use crate::backend::{share, DirectBackend, SharedBackend};
+use crate::backend::{execute_batch, share, DirectBackend, SharedBackend};
 use crate::mdi_backend::BackendMdi;
-use crate::pivot::{pivot, pivot_batch, StreamPivot};
+use crate::pivot::{pivot_batch, StreamPivot};
 use crate::qcache::{CacheStats, TranslationCache};
 use crate::translate::{StageTimings, Translation, TranslationStats, Translator};
 use crate::wire::{RetryPolicy, WireError, WireTimeouts};
@@ -134,13 +134,12 @@ impl SessionMetrics {
     }
 }
 
-/// One statement's result in whichever representation the backend
-/// produced: a chunk stream or full batch from the in-process engine,
-/// rows off the wire.
+/// One statement's result as the backend produced it: a chunk stream
+/// from the in-process engine, one batch from everything else (the PG
+/// v3 gateway, the shard router).
 enum StmtResult {
     Stream(StreamQueryResult),
     Batch(BatchQueryResult),
-    Rows(QueryResult),
 }
 
 /// A live Hyper-Q session.
@@ -375,17 +374,12 @@ impl HyperQSession {
                     })?;
                     let reconnects_before = be.reconnects();
                     let t0 = Instant::now();
-                    // Prefer the chunk-streaming path, then whole-batch
-                    // columnar; backends that only stream rows (the
-                    // PG v3 gateway) answer `None` to both without
-                    // executing and we fall back to rows.
+                    // Prefer the chunk-streaming path; backends that
+                    // cannot stream answer `None` without executing and
+                    // hand over the whole result as one batch.
                     let result = match be.execute_sql_stream(&stmt.sql) {
                         Ok(Some(r)) => Ok(StmtResult::Stream(r)),
-                        Ok(None) => match be.execute_sql_batch(&stmt.sql) {
-                            Ok(Some(r)) => Ok(StmtResult::Batch(r)),
-                            Ok(None) => be.execute_sql(&stmt.sql).map(StmtResult::Rows),
-                            Err(e) => Err(e),
-                        },
+                        Ok(None) => execute_batch(&mut *be, &stmt.sql).map(StmtResult::Batch),
                         Err(e) => Err(e),
                     };
                     child.duration = t0.elapsed();
@@ -467,19 +461,8 @@ impl HyperQSession {
                             pivot_dur += t0.elapsed();
                             pivoted.map(|v| (v, n))
                         }
-                        StmtResult::Rows(QueryResult::Rows(rows)) => {
-                            let n = rows.data.len() as u64;
-                            child.rows = n;
-                            exec_span.rows += n;
-                            self.metrics.rows.add(n);
-                            let t0 = Instant::now();
-                            let pivoted = pivot(&rows, stmt.shape.unwrap());
-                            pivot_dur += t0.elapsed();
-                            pivoted.map(|v| (v, n))
-                        }
                         StmtResult::Stream(StreamQueryResult::Command(tag))
-                        | StmtResult::Batch(BatchQueryResult::Command(tag))
-                        | StmtResult::Rows(QueryResult::Command(tag)) => {
+                        | StmtResult::Batch(BatchQueryResult::Command(tag)) => {
                             exec_span.duration += child.duration;
                             exec_span.children.push(child);
                             failed = Some(QError::new(

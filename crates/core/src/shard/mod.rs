@@ -50,14 +50,14 @@
 pub mod merge;
 pub mod planner;
 
-use crate::backend::{Backend, DirectBackend};
+use crate::backend::{execute_batch, Backend, DirectBackend};
 use crate::gateway::{Credentials, PgWireBackend};
 use crate::wire::{RetryPolicy, WireError, WireTimeouts};
 use pgdb::exec::expr::{cast, eval};
 use pgdb::sql::ast::{FromItem, SelectItem, SelectStmt, SqlExpr, Stmt};
 use pgdb::sql::render;
 use pgdb::{
-    Batch, BatchQueryResult, Cell, Column, PgType, QueryResult, Rows, StreamQueryResult,
+    Batch, BatchQueryResult, Cell, Column, PgType, Rows, StreamQueryResult,
     TableStats,
 };
 use planner::{col, item, ShardPlan};
@@ -441,21 +441,11 @@ pub(crate) fn hash_cell(c: &Cell) -> u64 {
 // Execution helpers
 // ---------------------------------------------------------------------------
 
-fn exec_any(b: &mut dyn Backend, sql: &str) -> Result<BatchQueryResult, WireError> {
-    match b.execute_sql_batch(sql)? {
-        Some(r) => Ok(r),
-        None => Ok(match b.execute_sql(sql)? {
-            QueryResult::Rows(r) => BatchQueryResult::Batch(Batch::from_rows(r)),
-            QueryResult::Command(t) => BatchQueryResult::Command(t),
-        }),
-    }
-}
-
 /// Execute on one shard with per-shard metrics and latency observation.
 fn shard_exec(i: usize, b: &mut dyn Backend, sql: &str) -> Result<BatchQueryResult, WireError> {
     let reg = obs::global_registry();
     let t0 = Instant::now();
-    let r = exec_any(b, sql);
+    let r = execute_batch(b, sql);
     reg.histogram(&format!("shard_exec_seconds{{shard=\"{i}\"}}")).observe(t0.elapsed());
     reg.counter(&format!("shard_statements_total{{shard=\"{i}\"}}")).inc();
     if let Ok(BatchQueryResult::Batch(batch)) = &r {
@@ -507,7 +497,7 @@ impl ShardRouter {
     fn coordinator(&mut self, sql: &str) -> Result<BatchQueryResult, WireError> {
         let reg = obs::global_registry();
         reg.counter("shard_statements_total{shard=\"coord\"}").inc();
-        exec_any(self.coord.as_mut(), sql)
+        execute_batch(self.coord.as_mut(), sql)
     }
 
     fn fallback(&mut self, sql: &str) -> Result<BatchQueryResult, WireError> {
@@ -961,13 +951,6 @@ impl ShardRouter {
 }
 
 impl Backend for ShardRouter {
-    fn execute_sql(&mut self, sql: &str) -> Result<QueryResult, WireError> {
-        Ok(match self.route(sql)? {
-            BatchQueryResult::Batch(b) => QueryResult::Rows(b.into_rows()),
-            BatchQueryResult::Command(t) => QueryResult::Command(t),
-        })
-    }
-
     fn execute_sql_batch(&mut self, sql: &str) -> Result<Option<BatchQueryResult>, WireError> {
         self.route(sql).map(Some)
     }

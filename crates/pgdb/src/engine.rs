@@ -393,7 +393,12 @@ impl Session {
 
     /// Execute one SQL statement, columnar result.
     pub fn execute_batch(&mut self, sql: &str) -> Result<BatchQueryResult, DbError> {
-        let stmt = parse_statement(sql)?;
+        self.execute_stmt(parse_statement(sql)?)
+    }
+
+    /// Execute one statement that is already parsed (what the wire
+    /// server's `Parse` message leaves behind), columnar result.
+    pub fn execute_stmt(&mut self, stmt: Stmt) -> Result<BatchQueryResult, DbError> {
         match stmt {
             Stmt::Select(s) => {
                 let batch = run_select_batch(self, &s)?;

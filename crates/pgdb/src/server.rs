@@ -1,9 +1,15 @@
 //! PG v3 TCP server.
 //!
-//! Simple-query protocol: start-up → authentication (trust, clear text
-//! or MD5 — the mechanisms paper §4.2 lists) → `ReadyForQuery` → a loop
-//! of `Query` messages answered with `RowDescription` + streamed
-//! `DataRow`s + `CommandComplete` (the row-oriented stream of Figure 5).
+//! Start-up → authentication (trust, clear text or MD5 — the mechanisms
+//! paper §4.2 lists) → `ReadyForQuery` → a loop of requests answered
+//! with `RowDescription` + streamed `DataRow`s + `CommandComplete` (the
+//! row-oriented stream of Figure 5). A simple `Query` is answered in PG
+//! text; the extended-query messages (`Parse`/`Bind`/`Describe`/
+//! `Execute`/`Sync` on the unnamed statement and portal) let a client
+//! ask for binary result columns, the only way PG v3 allows it. Either
+//! way the `DataRow`s are written column-wise, straight from the
+//! executor's vectors into the connection's output buffer
+//! (`pgwire::rows`).
 //!
 //! The protocol itself lives in a sans-io state machine,
 //! [`PgConnMachine`]: bytes in, bytes out, no socket in sight. Two
@@ -25,12 +31,15 @@
 //! `08P01` protocol-violation error instead of killing the process or
 //! hanging the peer.
 
-use crate::engine::{Db, Session, StreamQueryResult};
-use crate::types::PgType;
-use bytes::BytesMut;
+use crate::engine::{BatchQueryResult, Db, DbError, Session, StreamQueryResult};
+use crate::sql::ast::Stmt;
+use crate::sql::parse_statement;
+use crate::types::{Column, PgType};
+use colstore::{Batch, ColumnVec, Validity};
 use netpool::{AcceptBackoff, HandlerControl, IoModel, NetPool, SessionHandler};
 use pgwire::codec::{encode_backend, MessageReader};
-use pgwire::messages::{AuthRequest, BackendMessage, FieldDesc, FrontendMessage, TransactionStatus, TypeOid};
+use pgwire::messages::{AuthRequest, BackendMessage, Format, FrontendMessage, TransactionStatus};
+use pgwire::rows::{encode_data_rows, field_descs, result_formats};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -157,9 +166,31 @@ impl Drop for ConnGuard {
 }
 
 fn emit(out: &mut Vec<u8>, msg: &BackendMessage) {
-    let mut buf = BytesMut::new();
-    encode_backend(msg, &mut buf);
-    out.extend_from_slice(&buf);
+    encode_backend(msg, out);
+}
+
+fn emit_error(out: &mut Vec<u8>, severity: &str, code: &str, message: impl Into<String>) {
+    emit(
+        out,
+        &BackendMessage::ErrorResponse {
+            severity: severity.into(),
+            code: code.into(),
+            message: message.into(),
+        },
+    );
+}
+
+fn emit_db_error(out: &mut Vec<u8>, e: &DbError) {
+    emit_error(out, "ERROR", &e.code, e.message.as_str());
+}
+
+fn emit_ready(out: &mut Vec<u8>) {
+    emit(out, &BackendMessage::ReadyForQuery(TransactionStatus::Idle));
+}
+
+/// `RowDescription` for a result whose columns travel in `formats`.
+fn emit_row_description(out: &mut Vec<u8>, schema: &[Column], formats: &[Format]) {
+    emit(out, &BackendMessage::RowDescription(field_descs(schema, formats)));
 }
 
 /// Admin path (observability): `\metrics` or `SHOW metrics` answers with
@@ -170,36 +201,57 @@ fn is_metrics_query(sql: &str) -> bool {
     sql == "\\metrics" || sql.eq_ignore_ascii_case("show metrics")
 }
 
-fn emit_metrics_dump(out: &mut Vec<u8>) {
-    let dump = obs::global_registry().render_prometheus();
-    emit(
-        out,
-        &BackendMessage::RowDescription(vec![FieldDesc {
-            name: "metrics".into(),
-            type_oid: TypeOid::Text,
-        }]),
-    );
-    let count = dump.lines().count();
-    for line in dump.lines() {
-        emit(out, &BackendMessage::DataRow(vec![Some(line.to_string())]));
-    }
-    emit(out, &BackendMessage::CommandComplete(format!("SELECT {count}")));
+fn metrics_batch() -> Batch {
+    let lines: Vec<String> =
+        obs::global_registry().render_prometheus().lines().map(str::to_string).collect();
+    let n = lines.len();
+    Batch::new(
+        vec![Column::new("metrics", PgType::Text)],
+        vec![ColumnVec::Text(lines, Validity::all_valid(n))],
+        n,
+    )
 }
 
-fn pg_type_oid(ty: PgType) -> TypeOid {
-    match ty {
-        PgType::Bool => TypeOid::Bool,
-        PgType::Int2 => TypeOid::Int2,
-        PgType::Int4 => TypeOid::Int4,
-        PgType::Int8 => TypeOid::Int8,
-        PgType::Float4 => TypeOid::Float4,
-        PgType::Float8 => TypeOid::Float8,
-        PgType::Varchar => TypeOid::Varchar,
-        PgType::Text => TypeOid::Text,
-        PgType::Date => TypeOid::Date,
-        PgType::Time => TypeOid::Time,
-        PgType::Timestamp => TypeOid::Timestamp,
+/// What `Parse` leaves behind: the unnamed prepared statement.
+#[derive(Clone)]
+enum Prepared {
+    /// An empty query string.
+    Empty,
+    /// The metrics admin query.
+    Metrics,
+    /// A parsed SQL statement.
+    Sql(Box<Stmt>),
+}
+
+impl Prepared {
+    fn returns_rows(&self) -> bool {
+        match self {
+            Prepared::Empty => false,
+            Prepared::Metrics => true,
+            Prepared::Sql(stmt) => matches!(**stmt, Stmt::Select(_)),
+        }
     }
+}
+
+/// What `Bind` leaves behind: the unnamed portal.
+struct Portal {
+    /// The statement, until `Describe` or `Execute` runs it.
+    statement: Option<Prepared>,
+    /// Result-format codes as the client sent them.
+    result_formats: Vec<i16>,
+    /// The result, once run and not yet sent.
+    result: Option<BatchQueryResult>,
+}
+
+/// An authenticated connection: the engine session plus what the
+/// extended-query messages have set up so far.
+struct Ready {
+    session: Session,
+    statement: Option<Prepared>,
+    portal: Option<Portal>,
+    /// An extended-query message failed: discard everything up to the
+    /// next `Sync`, as PostgreSQL does.
+    skipping: bool,
 }
 
 /// Where the conversation stands.
@@ -208,8 +260,8 @@ enum ConnState {
     Startup,
     /// Password requested, waiting for the `Password` message.
     AwaitPassword { user: String, md5_salt: Option<[u8; 4]> },
-    /// Authenticated; `Query` messages drive the engine session.
-    Ready(Box<Session>),
+    /// Authenticated; requests drive the engine session.
+    Ready(Box<Ready>),
 }
 
 /// The PG v3 protocol as a sans-io state machine: raw bytes in,
@@ -245,14 +297,7 @@ impl PgConnMachine {
             ConnState::Startup => match msg {
                 FrontendMessage::Startup { params } => {
                     if self.reject {
-                        emit(
-                            out,
-                            &BackendMessage::ErrorResponse {
-                                severity: "FATAL".into(),
-                                code: "53300".into(),
-                                message: "too many connections".into(),
-                            },
-                        );
+                        emit_error(out, "FATAL", "53300", "too many connections");
                         return HandlerControl::Close;
                     }
                     let user = params
@@ -290,15 +335,11 @@ impl PgConnMachine {
                         _ => false,
                     };
                     if !ok {
-                        emit(
+                        emit_error(
                             out,
-                            &BackendMessage::ErrorResponse {
-                                severity: "FATAL".into(),
-                                code: "28P01".into(),
-                                message: format!(
-                                    "password authentication failed for user \"{user}\""
-                                ),
-                            },
+                            "FATAL",
+                            "28P01",
+                            format!("password authentication failed for user \"{user}\""),
                         );
                         return HandlerControl::Close;
                     }
@@ -311,18 +352,14 @@ impl PgConnMachine {
                     HandlerControl::Continue
                 }
             },
-            ConnState::Ready(mut session) => match msg {
-                FrontendMessage::Query(sql) => {
-                    let control = run_query(&mut session, &sql, out);
-                    self.state = ConnState::Ready(session);
-                    control
+            ConnState::Ready(mut ready) => {
+                if matches!(msg, FrontendMessage::Terminate) {
+                    return HandlerControl::Close;
                 }
-                FrontendMessage::Terminate => HandlerControl::Close,
-                _ => {
-                    self.state = ConnState::Ready(session);
-                    HandlerControl::Continue
-                }
-            },
+                ready.handle(msg, out);
+                self.state = ConnState::Ready(ready);
+                HandlerControl::Continue
+            }
         }
     }
 
@@ -349,8 +386,13 @@ impl PgConnMachine {
             out,
             &BackendMessage::BackendKeyData { pid: std::process::id() as i32, secret: 0 },
         );
-        emit(out, &BackendMessage::ReadyForQuery(TransactionStatus::Idle));
-        self.state = ConnState::Ready(Box::new(self.db.session()));
+        emit_ready(out);
+        self.state = ConnState::Ready(Box::new(Ready {
+            session: self.db.session(),
+            statement: None,
+            portal: None,
+            skipping: false,
+        }));
     }
 }
 
@@ -366,14 +408,7 @@ impl SessionHandler for PgConnMachine {
                 }
                 Ok(None) => return HandlerControl::Continue,
                 Err(e) => {
-                    emit(
-                        out,
-                        &BackendMessage::ErrorResponse {
-                            severity: "FATAL".into(),
-                            code: "08P01".into(),
-                            message: e.to_string(),
-                        },
-                    );
+                    emit_error(out, "FATAL", "08P01", e.to_string());
                     return HandlerControl::Close;
                 }
             }
@@ -385,89 +420,208 @@ impl SessionHandler for PgConnMachine {
     }
 }
 
+impl Ready {
+    fn handle(&mut self, msg: FrontendMessage, out: &mut Vec<u8>) {
+        if self.skipping && !matches!(msg, FrontendMessage::Sync) {
+            return;
+        }
+        match msg {
+            FrontendMessage::Query(sql) => {
+                // A simple query replaces the unnamed statement and
+                // portal, like any other use of them.
+                self.statement = None;
+                self.portal = None;
+                run_query(&mut self.session, &sql, out);
+            }
+            FrontendMessage::Sync => {
+                self.skipping = false;
+                emit_ready(out);
+            }
+            extended => {
+                if let Err(e) = self.extended(extended, out) {
+                    emit_db_error(out, &e);
+                    self.skipping = true;
+                }
+            }
+        }
+    }
+
+    /// One extended-query message. An error is reported once and
+    /// everything up to the next `Sync` is then discarded.
+    fn extended(&mut self, msg: FrontendMessage, out: &mut Vec<u8>) -> Result<(), DbError> {
+        let unsupported = |what: &str| DbError { code: "0A000".into(), message: what.into() };
+        let unnamed_only = |name: &str| {
+            if name.is_empty() {
+                Ok(())
+            } else {
+                Err(unsupported("only the unnamed prepared statement and portal are supported"))
+            }
+        };
+        let no_portal =
+            || DbError { code: "34000".into(), message: "portal \"\" does not exist".into() };
+        match msg {
+            FrontendMessage::Parse { statement, sql, .. } => {
+                unnamed_only(&statement)?;
+                let mut statements = split_statements(&sql);
+                if statements.len() > 1 {
+                    return Err(DbError::syntax(
+                        "cannot insert multiple commands into a prepared statement",
+                    ));
+                }
+                self.portal = None;
+                self.statement = Some(match statements.pop() {
+                    None => Prepared::Empty,
+                    Some(sql) if is_metrics_query(&sql) => Prepared::Metrics,
+                    Some(sql) => Prepared::Sql(Box::new(parse_statement(&sql)?)),
+                });
+                emit(out, &BackendMessage::ParseComplete);
+            }
+            FrontendMessage::Bind { portal, statement, params, result_formats, .. } => {
+                unnamed_only(&portal)?;
+                unnamed_only(&statement)?;
+                if !params.is_empty() {
+                    return Err(unsupported("statement parameters are not supported"));
+                }
+                let prepared = self.statement.clone().ok_or_else(|| DbError {
+                    code: "26000".into(),
+                    message: "unnamed prepared statement does not exist".into(),
+                })?;
+                self.portal =
+                    Some(Portal { statement: Some(prepared), result_formats, result: None });
+                emit(out, &BackendMessage::BindComplete);
+            }
+            FrontendMessage::Describe { kind: b'P', name } => {
+                unnamed_only(&name)?;
+                let portal = self.portal.as_mut().ok_or_else(no_portal)?;
+                // The engine learns a result's columns by producing it,
+                // so a row-returning portal runs here and `Execute`
+                // sends what was found; anything with effects waits for
+                // `Execute`.
+                if portal.statement.as_ref().is_some_and(Prepared::returns_rows) {
+                    portal.run(&mut self.session)?;
+                }
+                match &portal.result {
+                    Some(BatchQueryResult::Batch(batch)) => {
+                        let formats = portal.formats(batch)?;
+                        emit_row_description(out, &batch.schema, &formats);
+                    }
+                    _ => emit(out, &BackendMessage::NoData),
+                }
+            }
+            FrontendMessage::Describe { .. } => {
+                return Err(unsupported("only portals can be described"));
+            }
+            FrontendMessage::Execute { portal, max_rows } => {
+                unnamed_only(&portal)?;
+                if max_rows != 0 {
+                    return Err(unsupported("row-limited execution is not supported"));
+                }
+                let mut portal = self.portal.take().ok_or_else(no_portal)?;
+                portal.run(&mut self.session)?;
+                match portal.result.take() {
+                    Some(BatchQueryResult::Batch(batch)) => {
+                        let formats = portal.formats(&batch)?;
+                        encode_data_rows(&batch, &formats, out);
+                        emit(out, &BackendMessage::CommandComplete(format!("SELECT {}", batch.rows())));
+                    }
+                    Some(BatchQueryResult::Command(tag)) => {
+                        emit(out, &BackendMessage::CommandComplete(tag));
+                    }
+                    None => emit(out, &BackendMessage::EmptyQueryResponse),
+                }
+            }
+            // Start-up and password messages have no meaning here.
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
+impl Portal {
+    /// Run the statement, once.
+    fn run(&mut self, session: &mut Session) -> Result<(), DbError> {
+        self.result = match self.statement.take() {
+            None => return Ok(()),
+            Some(Prepared::Empty) => None,
+            Some(Prepared::Metrics) => Some(BatchQueryResult::Batch(metrics_batch())),
+            Some(Prepared::Sql(stmt)) => {
+                queries_counter().inc();
+                Some(session.execute_stmt(*stmt)?)
+            }
+        };
+        Ok(())
+    }
+
+    fn formats(&self, batch: &Batch) -> Result<Vec<Format>, DbError> {
+        result_formats(batch, &self.result_formats)
+            .map_err(|message| DbError { code: "08P01".into(), message })
+    }
+}
+
+/// `RowDescription`, the rows and `CommandComplete` of one text-format
+/// result whose chunks `batches` yields. A failing chunk becomes an
+/// `ErrorResponse` after the rows already written — the protocol allows
+/// it, the client discards them — and `false` comes back.
+fn emit_text_result(
+    out: &mut Vec<u8>,
+    schema: &[Column],
+    batches: impl Iterator<Item = Result<Batch, DbError>>,
+) -> bool {
+    let formats = vec![Format::Text; schema.len()];
+    emit_row_description(out, schema, &formats);
+    let mut count = 0usize;
+    for item in batches {
+        match item {
+            Ok(batch) => {
+                encode_data_rows(&batch, &formats, out);
+                count += batch.rows();
+            }
+            Err(e) => {
+                emit_db_error(out, &e);
+                return false;
+            }
+        }
+    }
+    emit(out, &BackendMessage::CommandComplete(format!("SELECT {count}")));
+    true
+}
+
 /// One `Query` message: split, execute, stream rows, `ReadyForQuery`.
-fn run_query(session: &mut Session, sql: &str, out: &mut Vec<u8>) -> HandlerControl {
+fn run_query(session: &mut Session, sql: &str, out: &mut Vec<u8>) {
     let trimmed = sql.trim();
     if trimmed.is_empty() {
         emit(out, &BackendMessage::EmptyQueryResponse);
-        emit(out, &BackendMessage::ReadyForQuery(TransactionStatus::Idle));
-        return HandlerControl::Continue;
-    }
-    if is_metrics_query(trimmed) {
-        emit_metrics_dump(out);
-        emit(out, &BackendMessage::ReadyForQuery(TransactionStatus::Idle));
-        return HandlerControl::Continue;
-    }
-    queries_counter().inc();
-    // Multiple statements separated by ';'.
-    for stmt_sql in split_statements(trimmed) {
-        // Results stream as bounded batches until this point; cells are
-        // realized one wire row at a time (the protocol's
-        // representation boundary, DESIGN §10/§12). Peak resident
-        // result state is one morsel-sized chunk, not the full row set.
-        match session.execute_stream(&stmt_sql) {
-            Ok(StreamQueryResult::Stream(batches)) => {
-                let fields: Vec<FieldDesc> = batches
-                    .schema
-                    .iter()
-                    .map(|c| FieldDesc { name: c.name.clone(), type_oid: pg_type_oid(c.ty) })
-                    .collect();
-                emit(out, &BackendMessage::RowDescription(fields));
-                let mut count = 0usize;
-                let mut failed = false;
-                for item in batches {
-                    match item {
-                        Ok(batch) => {
-                            for i in 0..batch.rows() {
-                                let cells: Vec<Option<String>> = batch
-                                    .columns
-                                    .iter()
-                                    .map(|col| col.cell_at(i).to_wire_text())
-                                    .collect();
-                                emit(out, &BackendMessage::DataRow(cells));
-                            }
-                            count += batch.rows();
-                        }
-                        // Mid-stream failure: the protocol allows
-                        // ErrorResponse after partial DataRows — the
-                        // client discards them.
-                        Err(e) => {
-                            emit(
-                                out,
-                                &BackendMessage::ErrorResponse {
-                                    severity: "ERROR".into(),
-                                    code: e.code.clone(),
-                                    message: e.message.clone(),
-                                },
-                            );
-                            failed = true;
-                            break;
-                        }
-                    }
+    } else if is_metrics_query(trimmed) {
+        let batch = metrics_batch();
+        emit_text_result(out, &batch.schema.clone(), std::iter::once(Ok(batch)));
+    } else {
+        queries_counter().inc();
+        // Multiple statements separated by ';'.
+        for stmt_sql in split_statements(trimmed) {
+            // Results stream as bounded batches and are written to the
+            // wire one chunk at a time (the protocol's representation
+            // boundary, DESIGN §10/§12): peak resident result state is
+            // one morsel-sized chunk, not the full row set.
+            let ok = match session.execute_stream(&stmt_sql) {
+                Ok(StreamQueryResult::Stream(batches)) => {
+                    let schema = batches.schema.clone();
+                    emit_text_result(out, &schema, batches)
                 }
-                if failed {
-                    break;
+                Ok(StreamQueryResult::Command(tag)) => {
+                    emit(out, &BackendMessage::CommandComplete(tag));
+                    true
                 }
-                emit(out, &BackendMessage::CommandComplete(format!("SELECT {count}")));
-            }
-            Ok(StreamQueryResult::Command(tag)) => {
-                emit(out, &BackendMessage::CommandComplete(tag));
-            }
-            Err(e) => {
-                emit(
-                    out,
-                    &BackendMessage::ErrorResponse {
-                        severity: "ERROR".into(),
-                        code: e.code.clone(),
-                        message: e.message.clone(),
-                    },
-                );
+                Err(e) => {
+                    emit_db_error(out, &e);
+                    false
+                }
+            };
+            if !ok {
                 break;
             }
         }
     }
-    emit(out, &BackendMessage::ReadyForQuery(TransactionStatus::Idle));
-    HandlerControl::Continue
+    emit_ready(out);
 }
 
 /// The thread-per-connection driver: a blocking read → machine → write
@@ -535,7 +689,7 @@ mod tests {
     impl TestClient {
         fn connect(addr: std::net::SocketAddr, user: &str) -> Self {
             let mut stream = TcpStream::connect(addr).unwrap();
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_frontend(
                 &FrontendMessage::Startup {
                     params: vec![("user".into(), user.into()), ("database".into(), "hist".into())],
@@ -547,20 +701,37 @@ mod tests {
         }
 
         fn send(&mut self, msg: &FrontendMessage) {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_frontend(msg, &mut buf);
             self.stream.write_all(&buf).unwrap();
         }
 
         fn recv(&mut self) -> BackendMessage {
-            let mut chunk = [0u8; 4096];
             loop {
                 if let Some(m) = self.reader.next_backend().unwrap() {
                     return m;
                 }
-                let n = self.stream.read(&mut chunk).unwrap();
+                let n = self.reader.fill_from(&mut self.stream).unwrap();
                 assert!(n > 0, "server closed connection");
-                self.reader.feed(&chunk[..n]);
+            }
+        }
+
+        /// One extended-query batch for `sql`, every result column
+        /// requested in `format`, sent in a single write; the reply's
+        /// frames up to and including `ReadyForQuery`, undecoded.
+        fn extended(&mut self, sql: &str, format: Format) -> Vec<(u8, Vec<u8>)> {
+            let mut buf = Vec::new();
+            pgwire::codec::encode_extended_query(sql, format, &mut buf);
+            self.stream.write_all(&buf).unwrap();
+            let mut frames = Vec::new();
+            loop {
+                while let Some((ty, body)) = self.reader.next_backend_frame().unwrap() {
+                    frames.push((ty, body.to_vec()));
+                    if ty == b'Z' {
+                        return frames;
+                    }
+                }
+                assert!(self.reader.fill_from(&mut self.stream).unwrap() > 0, "server closed connection");
             }
         }
 
@@ -752,6 +923,134 @@ mod tests {
         for metric in ["net_sessions_active", "net_sessions_parked", "net_worker_busy"] {
             assert!(lines.iter().any(|l| l.starts_with(metric)), "missing {metric}");
         }
+        server.detach();
+    }
+
+    fn kinds(frames: &[(u8, Vec<u8>)]) -> String {
+        frames.iter().map(|(ty, _)| *ty as char).collect()
+    }
+
+    fn error_code(frames: &[(u8, Vec<u8>)]) -> String {
+        let (ty, body) = frames.iter().find(|(ty, _)| *ty == b'E').expect("an ErrorResponse");
+        match pgwire::codec::decode_backend(*ty, body) {
+            Some(BackendMessage::ErrorResponse { code, .. }) => code,
+            other => panic!("undecodable ErrorResponse: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn extended_query_answers_binary_columns_in_postgres_frame_order() {
+        let db = Db::new();
+        let server = PgServer::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = TestClient::connect(server.addr, "x");
+        client.recv_until_ready();
+        client.send(&FrontendMessage::Query(
+            "CREATE TABLE t (n bigint, p double precision, s varchar, d date); \
+             INSERT INTO t VALUES (7, 1.5, 'GOOG', '2016-06-26'), (NULL, NULL, NULL, NULL)"
+                .into(),
+        ));
+        client.recv_until_ready();
+
+        let frames = client.extended("SELECT n, p, s, d FROM t", Format::Binary);
+        assert_eq!(kinds(&frames), "12TDDCZ");
+        let Some(BackendMessage::RowDescription(fields)) =
+            pgwire::codec::decode_backend(b'T', &frames[2].1)
+        else {
+            panic!("undecodable RowDescription");
+        };
+        assert!(fields.iter().all(|f| f.format == Format::Binary.code()), "{fields:?}");
+        // int8 | float8 | varchar bytes | date as i32 days since 2000-01-01.
+        let mut want = 4i16.to_be_bytes().to_vec();
+        for field in [&7i64.to_be_bytes()[..], &1.5f64.to_be_bytes(), b"GOOG", &6021i32.to_be_bytes()] {
+            want.extend_from_slice(&(field.len() as i32).to_be_bytes());
+            want.extend_from_slice(field);
+        }
+        assert_eq!(frames[3].1, want);
+        let mut nulls = 4i16.to_be_bytes().to_vec();
+        nulls.extend_from_slice(&[0xFF; 16]);
+        assert_eq!(frames[4].1, nulls);
+        assert_eq!(frames[5].1, b"SELECT 2\0");
+
+        // The same statement asked for in text answers what `Query` does.
+        let text = client.extended("SELECT n, p, s, d FROM t", Format::Text);
+        client.send(&FrontendMessage::Query("SELECT n, p, s, d FROM t".into()));
+        let simple = client.recv_until_ready();
+        let rows: Vec<BackendMessage> = text
+            .iter()
+            .filter(|(ty, _)| *ty == b'D')
+            .map(|(ty, body)| pgwire::codec::decode_backend(*ty, body).unwrap())
+            .collect();
+        let simple_rows: Vec<BackendMessage> =
+            simple.into_iter().filter(|m| matches!(m, BackendMessage::DataRow(_))).collect();
+        assert_eq!(rows, simple_rows);
+        server.detach();
+    }
+
+    #[test]
+    fn extended_query_errors_skip_to_sync_and_the_connection_keeps_working() {
+        let db = Db::new();
+        let server = PgServer::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = TestClient::connect(server.addr, "x");
+        client.recv_until_ready();
+        // Unparseable: reported at Parse; Bind/Describe/Execute are
+        // discarded, Sync answers ReadyForQuery.
+        let frames = client.extended("SELEKT 1", Format::Binary);
+        assert_eq!(kinds(&frames), "EZ");
+        assert_eq!(error_code(&frames), "42601");
+        // Fails while running: reported at Describe.
+        let frames = client.extended("SELECT * FROM missing_table", Format::Binary);
+        assert_eq!(kinds(&frames), "12EZ");
+        assert_eq!(error_code(&frames), "42P01");
+        // More than one command in a prepared statement, as PostgreSQL.
+        let frames = client.extended("SELECT 1; SELECT 2", Format::Binary);
+        assert_eq!(kinds(&frames), "EZ");
+        assert_eq!(error_code(&frames), "42601");
+        // A format that does not exist.
+        let mut buf = Vec::new();
+        for msg in [
+            FrontendMessage::Parse { statement: String::new(), sql: "SELECT 1".into(), param_types: vec![] },
+            FrontendMessage::Bind {
+                portal: String::new(),
+                statement: String::new(),
+                param_formats: vec![],
+                params: vec![],
+                result_formats: vec![7],
+            },
+            FrontendMessage::Describe { kind: b'P', name: String::new() },
+            FrontendMessage::Sync,
+        ] {
+            encode_frontend(&msg, &mut buf);
+        }
+        client.stream.write_all(&buf).unwrap();
+        let msgs = client.recv_until_ready();
+        assert!(
+            msgs.iter().any(|m| matches!(m, BackendMessage::ErrorResponse { code, .. } if code == "08P01")),
+            "{msgs:?}"
+        );
+        // And after all that the connection answers.
+        let frames = client.extended("SELECT 1 AS x", Format::Binary);
+        assert_eq!(kinds(&frames), "12TDCZ");
+        assert_eq!(frames[3].1[6..], 1i64.to_be_bytes());
+        server.detach();
+    }
+
+    #[test]
+    fn extended_query_runs_commands_at_execute_and_the_metrics_dump() {
+        let db = Db::new();
+        let server = PgServer::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = TestClient::connect(server.addr, "x");
+        client.recv_until_ready();
+        let frames = client.extended("CREATE TABLE t (x bigint)", Format::Binary);
+        assert_eq!(kinds(&frames), "12nCZ");
+        let frames = client.extended("INSERT INTO t VALUES (1)", Format::Binary);
+        assert_eq!(kinds(&frames), "12nCZ");
+        assert_eq!(frames[3].1, b"INSERT 0 1\0");
+        let frames = client.extended("", Format::Binary);
+        assert_eq!(kinds(&frames), "12nIZ");
+        let frames = client.extended("SHOW metrics", Format::Binary);
+        assert!(kinds(&frames).starts_with("12TD"), "{}", kinds(&frames));
+        assert!(frames.iter().any(|(ty, body)| *ty == b'D'
+            && String::from_utf8_lossy(body).contains("pgdb_queries_total")));
         server.detach();
     }
 

@@ -9,16 +9,27 @@
 //! field itself, or larger than a configurable ceiling
 //! ([`DEFAULT_MAX_FRAME`]) — a [`FrameError`] instead of an unbounded
 //! allocation.
+//!
+//! Encoders append to the caller's `Vec<u8>` (a connection's output
+//! buffer) and patch each frame's length in place; the reader hands out
+//! frame bodies as slices of its own buffer. Neither side allocates per
+//! frame.
 
 use crate::messages::{
-    AuthRequest, BackendMessage, FieldDesc, FrontendMessage, TransactionStatus, TypeOid,
+    AuthRequest, BackendMessage, FieldDesc, Format, FrontendMessage, TransactionStatus, TypeOid,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
+use std::io::Read;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Default ceiling on a declared frame length: 64 MiB.
 pub const DEFAULT_MAX_FRAME: usize = 64 * 1024 * 1024;
+
+/// How much room [`MessageReader::fill_from`] offers the socket per
+/// read: large enough that a multi-thousand-row reply arrives in a few
+/// system calls.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Frame counters on the PG v3 leg, registered once in the global
 /// metrics registry. Encoded counts frames produced by this process
@@ -37,6 +48,12 @@ fn metrics() -> &'static PgwireMetrics {
             frames_decoded: reg.counter("pgwire_frames_decoded_total"),
         }
     })
+}
+
+/// Account for `n` frames written by an encoder outside this module
+/// (the columnar `DataRow` encoder counts a batch at a time).
+pub(crate) fn count_encoded(n: u64) {
+    metrics().frames_encoded.add(n);
 }
 
 /// A framing-level protocol violation (corrupt or hostile length
@@ -76,208 +93,287 @@ fn check_len(len: i32, max: usize) -> Result<usize, FrameError> {
     Ok(len)
 }
 
-/// Encode a frontend message into `out`.
-pub fn encode_frontend(msg: &FrontendMessage, out: &mut BytesMut) {
+/// Append one frame to `out`: the type byte (none for the start-up
+/// packet), a length placeholder, whatever `body` writes, then the
+/// length patched in place.
+pub(crate) fn frame(out: &mut Vec<u8>, ty: Option<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    out.extend(ty);
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = (out.len() - at) as i32;
+    out[at..at + 4].copy_from_slice(&len.to_be_bytes());
+}
+
+fn put_i16(out: &mut Vec<u8>, v: i16) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
+fn put_i32(out: &mut Vec<u8>, v: i32) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
+fn put_cstr(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(s.as_bytes());
+    out.push(0);
+}
+
+/// Encode a frontend message onto the end of `out`.
+pub fn encode_frontend(msg: &FrontendMessage, out: &mut Vec<u8>) {
     metrics().frames_encoded.inc();
     match msg {
-        FrontendMessage::Startup { params } => {
-            let mut body = BytesMut::new();
-            body.put_i32(crate::PROTOCOL_VERSION);
+        FrontendMessage::Startup { params } => frame(out, None, |b| {
+            put_i32(b, crate::PROTOCOL_VERSION);
             for (k, v) in params {
-                put_cstr(&mut body, k);
-                put_cstr(&mut body, v);
+                put_cstr(b, k);
+                put_cstr(b, v);
             }
-            body.put_u8(0);
-            out.put_i32(body.len() as i32 + 4);
-            out.extend_from_slice(&body);
+            b.push(0);
+        }),
+        FrontendMessage::Password(p) => frame(out, Some(b'p'), |b| put_cstr(b, p)),
+        FrontendMessage::Query(sql) => frame(out, Some(b'Q'), |b| put_cstr(b, sql)),
+        FrontendMessage::Parse { statement, sql, param_types } => frame(out, Some(b'P'), |b| {
+            put_cstr(b, statement);
+            put_cstr(b, sql);
+            put_i16(b, param_types.len() as i16);
+            for oid in param_types {
+                b.extend_from_slice(&oid.to_be_bytes());
+            }
+        }),
+        FrontendMessage::Bind { portal, statement, param_formats, params, result_formats } => {
+            frame(out, Some(b'B'), |b| {
+                put_cstr(b, portal);
+                put_cstr(b, statement);
+                put_i16(b, param_formats.len() as i16);
+                for f in param_formats {
+                    put_i16(b, *f);
+                }
+                put_i16(b, params.len() as i16);
+                for p in params {
+                    match p {
+                        None => put_i32(b, -1),
+                        Some(bytes) => {
+                            put_i32(b, bytes.len() as i32);
+                            b.extend_from_slice(bytes);
+                        }
+                    }
+                }
+                put_i16(b, result_formats.len() as i16);
+                for f in result_formats {
+                    put_i16(b, *f);
+                }
+            })
         }
-        FrontendMessage::Password(p) => {
-            let mut body = BytesMut::new();
-            put_cstr(&mut body, p);
-            frame(out, b'p', &body);
-        }
-        FrontendMessage::Query(sql) => {
-            let mut body = BytesMut::new();
-            put_cstr(&mut body, sql);
-            frame(out, b'Q', &body);
-        }
-        FrontendMessage::Terminate => frame(out, b'X', &BytesMut::new()),
+        FrontendMessage::Describe { kind, name } => frame(out, Some(b'D'), |b| {
+            b.push(*kind);
+            put_cstr(b, name);
+        }),
+        FrontendMessage::Execute { portal, max_rows } => frame(out, Some(b'E'), |b| {
+            put_cstr(b, portal);
+            put_i32(b, *max_rows);
+        }),
+        FrontendMessage::Sync => frame(out, Some(b'S'), |_| {}),
+        FrontendMessage::Terminate => frame(out, Some(b'X'), |_| {}),
     }
 }
 
-/// Encode a backend message into `out`.
-pub fn encode_backend(msg: &BackendMessage, out: &mut BytesMut) {
+/// Encode the extended-query batch that runs `sql` once and asks for
+/// every result column in `result_format` — `Parse`, `Bind`, `Describe`
+/// (portal), `Execute`, `Sync` on the unnamed statement and portal —
+/// onto the end of `out`, to go out in one write. This is how a PG v3
+/// client gets binary results; a simple `Query` can only be answered in
+/// text.
+pub fn encode_extended_query(sql: &str, result_format: Format, out: &mut Vec<u8>) {
+    for msg in [
+        FrontendMessage::Parse {
+            statement: String::new(),
+            sql: sql.to_string(),
+            param_types: Vec::new(),
+        },
+        FrontendMessage::Bind {
+            portal: String::new(),
+            statement: String::new(),
+            param_formats: Vec::new(),
+            params: Vec::new(),
+            result_formats: vec![result_format.code()],
+        },
+        FrontendMessage::Describe { kind: b'P', name: String::new() },
+        FrontendMessage::Execute { portal: String::new(), max_rows: 0 },
+        FrontendMessage::Sync,
+    ] {
+        encode_frontend(&msg, out);
+    }
+}
+
+/// Encode a backend message onto the end of `out`.
+pub fn encode_backend(msg: &BackendMessage, out: &mut Vec<u8>) {
     metrics().frames_encoded.inc();
     match msg {
-        BackendMessage::Authentication(req) => {
-            let mut body = BytesMut::new();
-            match req {
-                AuthRequest::Ok => body.put_i32(0),
-                AuthRequest::CleartextPassword => body.put_i32(3),
-                AuthRequest::Md5Password { salt } => {
-                    body.put_i32(5);
-                    body.extend_from_slice(salt);
-                }
+        BackendMessage::Authentication(req) => frame(out, Some(b'R'), |b| match req {
+            AuthRequest::Ok => put_i32(b, 0),
+            AuthRequest::CleartextPassword => put_i32(b, 3),
+            AuthRequest::Md5Password { salt } => {
+                put_i32(b, 5);
+                b.extend_from_slice(salt);
             }
-            frame(out, b'R', &body);
-        }
-        BackendMessage::ParameterStatus { name, value } => {
-            let mut body = BytesMut::new();
-            put_cstr(&mut body, name);
-            put_cstr(&mut body, value);
-            frame(out, b'S', &body);
-        }
-        BackendMessage::BackendKeyData { pid, secret } => {
-            let mut body = BytesMut::new();
-            body.put_i32(*pid);
-            body.put_i32(*secret);
-            frame(out, b'K', &body);
-        }
-        BackendMessage::ReadyForQuery(status) => {
-            let mut body = BytesMut::new();
-            body.put_u8(status.as_byte());
-            frame(out, b'Z', &body);
-        }
-        BackendMessage::RowDescription(fields) => {
-            let mut body = BytesMut::new();
-            body.put_i16(fields.len() as i16);
+        }),
+        BackendMessage::ParameterStatus { name, value } => frame(out, Some(b'S'), |b| {
+            put_cstr(b, name);
+            put_cstr(b, value);
+        }),
+        BackendMessage::BackendKeyData { pid, secret } => frame(out, Some(b'K'), |b| {
+            put_i32(b, *pid);
+            put_i32(b, *secret);
+        }),
+        BackendMessage::ReadyForQuery(status) => frame(out, Some(b'Z'), |b| b.push(status.as_byte())),
+        BackendMessage::RowDescription(fields) => frame(out, Some(b'T'), |b| {
+            put_i16(b, fields.len() as i16);
             for f in fields {
-                put_cstr(&mut body, &f.name);
-                body.put_i32(0); // table oid
-                body.put_i16(0); // attnum
-                body.put_u32(f.type_oid.as_u32());
-                body.put_i16(-1); // typlen
-                body.put_i32(-1); // typmod
-                body.put_i16(0); // text format
+                put_cstr(b, &f.name);
+                put_i32(b, 0); // table oid
+                put_i16(b, 0); // attnum
+                b.extend_from_slice(&f.type_oid.as_u32().to_be_bytes());
+                put_i16(b, -1); // typlen
+                put_i32(b, -1); // typmod
+                put_i16(b, f.format);
             }
-            frame(out, b'T', &body);
-        }
-        BackendMessage::DataRow(cells) => {
-            let mut body = BytesMut::new();
-            body.put_i16(cells.len() as i16);
+        }),
+        BackendMessage::DataRow(cells) => frame(out, Some(b'D'), |b| {
+            put_i16(b, cells.len() as i16);
             for c in cells {
                 match c {
-                    None => body.put_i32(-1),
+                    None => put_i32(b, -1),
                     Some(text) => {
-                        body.put_i32(text.len() as i32);
-                        body.extend_from_slice(text.as_bytes());
+                        put_i32(b, text.len() as i32);
+                        b.extend_from_slice(text.as_bytes());
                     }
                 }
             }
-            frame(out, b'D', &body);
+        }),
+        BackendMessage::CommandComplete(tag) => frame(out, Some(b'C'), |b| put_cstr(b, tag)),
+        BackendMessage::EmptyQueryResponse => frame(out, Some(b'I'), |_| {}),
+        BackendMessage::ParseComplete => frame(out, Some(b'1'), |_| {}),
+        BackendMessage::BindComplete => frame(out, Some(b'2'), |_| {}),
+        BackendMessage::NoData => frame(out, Some(b'n'), |_| {}),
+        BackendMessage::ErrorResponse { severity, code, message } => frame(out, Some(b'E'), |b| {
+            b.push(b'S');
+            put_cstr(b, severity);
+            b.push(b'C');
+            put_cstr(b, code);
+            b.push(b'M');
+            put_cstr(b, message);
+            b.push(0);
+        }),
+    }
+}
+
+/// Bounds-checked reads over a message body: every accessor answers
+/// `None` instead of running past the end, so a lying body yields a
+/// decode failure, never a panic.
+pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        if self.0.len() < n {
+            return None;
         }
-        BackendMessage::CommandComplete(tag) => {
-            let mut body = BytesMut::new();
-            put_cstr(&mut body, tag);
-            frame(out, b'C', &body);
-        }
-        BackendMessage::EmptyQueryResponse => frame(out, b'I', &BytesMut::new()),
-        BackendMessage::ErrorResponse { severity, code, message } => {
-            let mut body = BytesMut::new();
-            body.put_u8(b'S');
-            put_cstr(&mut body, severity);
-            body.put_u8(b'C');
-            put_cstr(&mut body, code);
-            body.put_u8(b'M');
-            put_cstr(&mut body, message);
-            body.put_u8(0);
-            frame(out, b'E', &body);
-        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.bytes(N).map(|b| b.try_into().expect("split at N"))
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.array().map(|[b]| b)
+    }
+
+    pub(crate) fn i16(&mut self) -> Option<i16> {
+        self.array().map(i16::from_be_bytes)
+    }
+
+    pub(crate) fn i32(&mut self) -> Option<i32> {
+        self.array().map(i32::from_be_bytes)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    /// A NUL-terminated string. Invalid UTF-8 is a decode failure, not
+    /// a replacement character: names and field text end up in Q
+    /// symbols.
+    fn cstr(&mut self) -> Option<String> {
+        let pos = self.0.iter().position(|&b| b == 0)?;
+        let s = std::str::from_utf8(&self.0[..pos]).ok()?.to_owned();
+        self.0 = &self.0[pos + 1..];
+        Some(s)
+    }
+
+    /// A non-negative i16 count.
+    fn count(&mut self) -> Option<usize> {
+        usize::try_from(self.i16()?).ok()
     }
 }
 
-fn frame(out: &mut BytesMut, ty: u8, body: &BytesMut) {
-    out.put_u8(ty);
-    out.put_i32(body.len() as i32 + 4);
-    out.extend_from_slice(body);
-}
-
-fn put_cstr(out: &mut BytesMut, s: &str) {
-    out.extend_from_slice(s.as_bytes());
-    out.put_u8(0);
-}
-
-fn get_cstr(buf: &mut Bytes) -> Option<String> {
-    let pos = buf.iter().position(|&b| b == 0)?;
-    let s = String::from_utf8_lossy(&buf[..pos]).into_owned();
-    buf.advance(pos + 1);
-    Some(s)
-}
-
-/// Try to read one *typed* message from `buf`. Returns `(type, body)` and
-/// consumes the bytes, `None` if the buffer does not yet hold a complete
-/// message, or a [`FrameError`] when the declared length is corrupt or
-/// exceeds `max`.
-pub fn read_message(buf: &mut BytesMut, max: usize) -> Result<Option<(u8, Bytes)>, FrameError> {
-    if buf.len() < 5 {
-        return Ok(None);
-    }
-    let len = check_len(i32::from_be_bytes([buf[1], buf[2], buf[3], buf[4]]), max)?;
-    if buf.len() < 1 + len {
-        return Ok(None);
-    }
-    let ty = buf[0];
-    buf.advance(5);
-    let body = buf.split_to(len - 4).freeze();
-    Ok(Some((ty, body)))
-}
-
-/// Try to read the untyped start-up packet.
-pub fn read_startup(
-    buf: &mut BytesMut,
-    max: usize,
-) -> Result<Option<FrontendMessage>, FrameError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = check_len(i32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]), max)?;
-    if buf.len() < len {
-        return Ok(None);
-    }
-    buf.advance(4);
-    let mut body = buf.split_to(len - 4).freeze();
-    if body.remaining() < 4 {
+/// Decode the untyped start-up packet body.
+fn decode_startup(body: &[u8]) -> Result<FrontendMessage, FrameError> {
+    let mut body = Cursor(body);
+    if body.i32().is_none() {
         return Err(FrameError::new("start-up packet too short for a protocol version"));
     }
-    let _version = body.get_i32();
     let mut params = Vec::new();
-    while body.remaining() > 1 {
-        let Some(k) = get_cstr(&mut body) else {
+    while body.0.len() > 1 {
+        let Some(k) = body.cstr() else {
             return Err(FrameError::new("unterminated start-up parameter name"));
         };
         if k.is_empty() {
             break;
         }
-        let Some(v) = get_cstr(&mut body) else {
+        let Some(v) = body.cstr() else {
             return Err(FrameError::new("unterminated start-up parameter value"));
         };
         params.push((k, v));
     }
-    Ok(Some(FrontendMessage::Startup { params }))
-}
-
-fn try_u8(b: &mut Bytes) -> Option<u8> {
-    (b.remaining() >= 1).then(|| b.get_u8())
-}
-
-fn try_i16(b: &mut Bytes) -> Option<i16> {
-    (b.remaining() >= 2).then(|| b.get_i16())
-}
-
-fn try_i32(b: &mut Bytes) -> Option<i32> {
-    (b.remaining() >= 4).then(|| b.get_i32())
-}
-
-fn try_u32(b: &mut Bytes) -> Option<u32> {
-    (b.remaining() >= 4).then(|| b.get_u32())
+    Ok(FrontendMessage::Startup { params })
 }
 
 /// Decode a typed frontend message body. `None` means the body is
 /// malformed for its type.
-pub fn decode_frontend(ty: u8, mut body: Bytes) -> Option<FrontendMessage> {
+pub fn decode_frontend(ty: u8, body: &[u8]) -> Option<FrontendMessage> {
+    let mut body = Cursor(body);
     match ty {
-        b'p' => Some(FrontendMessage::Password(get_cstr(&mut body)?)),
-        b'Q' => Some(FrontendMessage::Query(get_cstr(&mut body)?)),
+        b'p' => Some(FrontendMessage::Password(body.cstr()?)),
+        b'Q' => Some(FrontendMessage::Query(body.cstr()?)),
+        b'P' => {
+            let statement = body.cstr()?;
+            let sql = body.cstr()?;
+            let n = body.count()?;
+            let param_types = (0..n).map(|_| body.u32()).collect::<Option<_>>()?;
+            Some(FrontendMessage::Parse { statement, sql, param_types })
+        }
+        b'B' => {
+            let portal = body.cstr()?;
+            let statement = body.cstr()?;
+            let n = body.count()?;
+            let param_formats = (0..n).map(|_| body.i16()).collect::<Option<_>>()?;
+            let n = body.count()?;
+            let mut params = Vec::with_capacity(n.min(body.0.len()));
+            for _ in 0..n {
+                params.push(match body.i32()? {
+                    -1 => None,
+                    len => Some(body.bytes(usize::try_from(len).ok()?)?.to_vec()),
+                });
+            }
+            let n = body.count()?;
+            let result_formats = (0..n).map(|_| body.i16()).collect::<Option<_>>()?;
+            Some(FrontendMessage::Bind { portal, statement, param_formats, params, result_formats })
+        }
+        b'D' => Some(FrontendMessage::Describe { kind: body.u8()?, name: body.cstr()? }),
+        b'E' => Some(FrontendMessage::Execute { portal: body.cstr()?, max_rows: body.i32()? }),
+        b'S' => Some(FrontendMessage::Sync),
         b'X' => Some(FrontendMessage::Terminate),
         _ => None,
     }
@@ -286,34 +382,19 @@ pub fn decode_frontend(ty: u8, mut body: Bytes) -> Option<FrontendMessage> {
 /// Decode a typed backend message body. `None` means the body is
 /// malformed for its type. Every multi-byte read is bounds-checked so a
 /// lying body yields `None`, never a panic.
-pub fn decode_backend(ty: u8, mut body: Bytes) -> Option<BackendMessage> {
+pub fn decode_backend(ty: u8, body: &[u8]) -> Option<BackendMessage> {
+    let mut body = Cursor(body);
     match ty {
-        b'R' => {
-            let code = try_i32(&mut body)?;
-            Some(BackendMessage::Authentication(match code {
-                0 => AuthRequest::Ok,
-                3 => AuthRequest::CleartextPassword,
-                5 => {
-                    if body.remaining() < 4 {
-                        return None;
-                    }
-                    let mut salt = [0u8; 4];
-                    body.copy_to_slice(&mut salt);
-                    AuthRequest::Md5Password { salt }
-                }
-                _ => return None,
-            }))
-        }
-        b'S' => Some(BackendMessage::ParameterStatus {
-            name: get_cstr(&mut body)?,
-            value: get_cstr(&mut body)?,
-        }),
-        b'K' => Some(BackendMessage::BackendKeyData {
-            pid: try_i32(&mut body)?,
-            secret: try_i32(&mut body)?,
-        }),
+        b'R' => Some(BackendMessage::Authentication(match body.i32()? {
+            0 => AuthRequest::Ok,
+            3 => AuthRequest::CleartextPassword,
+            5 => AuthRequest::Md5Password { salt: body.array()? },
+            _ => return None,
+        })),
+        b'S' => Some(BackendMessage::ParameterStatus { name: body.cstr()?, value: body.cstr()? }),
+        b'K' => Some(BackendMessage::BackendKeyData { pid: body.i32()?, secret: body.i32()? }),
         b'Z' => {
-            let status = match try_u8(&mut body)? {
+            let status = match body.u8()? {
                 b'I' => TransactionStatus::Idle,
                 b'T' => TransactionStatus::InTransaction,
                 _ => TransactionStatus::Failed,
@@ -321,55 +402,48 @@ pub fn decode_backend(ty: u8, mut body: Bytes) -> Option<BackendMessage> {
             Some(BackendMessage::ReadyForQuery(status))
         }
         b'T' => {
-            let n = try_i16(&mut body)?;
-            if n < 0 {
-                return None;
-            }
-            let mut fields = Vec::with_capacity(n as usize);
+            let n = body.count()?;
+            let mut fields = Vec::with_capacity(n.min(body.0.len()));
             for _ in 0..n {
-                let name = get_cstr(&mut body)?;
-                let _table_oid = try_i32(&mut body)?;
-                let _attnum = try_i16(&mut body)?;
-                let oid = try_u32(&mut body)?;
-                let _typlen = try_i16(&mut body)?;
-                let _typmod = try_i32(&mut body)?;
-                let _format = try_i16(&mut body)?;
-                fields.push(FieldDesc { name, type_oid: TypeOid::from_u32(oid)? });
+                let name = body.cstr()?;
+                let _table_oid = body.i32()?;
+                let _attnum = body.i16()?;
+                let type_oid = TypeOid::from_u32(body.u32()?)?;
+                let _typlen = body.i16()?;
+                let _typmod = body.i32()?;
+                let format = body.i16()?;
+                fields.push(FieldDesc { name, type_oid, format });
             }
             Some(BackendMessage::RowDescription(fields))
         }
         b'D' => {
-            let n = try_i16(&mut body)?;
-            if n < 0 {
-                return None;
-            }
-            let mut cells = Vec::with_capacity(n as usize);
+            let n = body.count()?;
+            let mut cells = Vec::with_capacity(n.min(body.0.len()));
             for _ in 0..n {
-                let len = try_i32(&mut body)?;
-                if len < 0 {
-                    cells.push(None);
-                } else {
-                    if body.remaining() < len as usize {
-                        return None;
+                cells.push(match body.i32()? {
+                    -1 => None,
+                    len => {
+                        let bytes = body.bytes(usize::try_from(len).ok()?)?;
+                        Some(std::str::from_utf8(bytes).ok()?.to_owned())
                     }
-                    let bytes = body.split_to(len as usize);
-                    cells.push(Some(String::from_utf8_lossy(&bytes).into_owned()));
-                }
+                });
             }
             Some(BackendMessage::DataRow(cells))
         }
-        b'C' => Some(BackendMessage::CommandComplete(get_cstr(&mut body)?)),
+        b'C' => Some(BackendMessage::CommandComplete(body.cstr()?)),
         b'I' => Some(BackendMessage::EmptyQueryResponse),
+        b'1' => Some(BackendMessage::ParseComplete),
+        b'2' => Some(BackendMessage::BindComplete),
+        b'n' => Some(BackendMessage::NoData),
         b'E' => {
             let mut severity = String::new();
             let mut code = String::new();
             let mut message = String::new();
-            while body.remaining() > 0 {
-                let tag = body.get_u8();
+            while let Some(tag) = body.u8() {
                 if tag == 0 {
                     break;
                 }
-                let val = get_cstr(&mut body)?;
+                let val = body.cstr()?;
                 match tag {
                     b'S' => severity = val,
                     b'C' => code = val,
@@ -387,15 +461,22 @@ pub fn decode_backend(ty: u8, mut body: Bytes) -> Option<BackendMessage> {
 /// stream is a well-framed message we simply skip (PG peers may send
 /// e.g. `NoticeResponse` frames).
 fn known_frontend(ty: u8) -> bool {
-    matches!(ty, b'p' | b'Q' | b'X')
+    matches!(ty, b'p' | b'Q' | b'P' | b'B' | b'D' | b'E' | b'S' | b'X')
 }
 
 fn known_backend(ty: u8) -> bool {
-    matches!(ty, b'R' | b'S' | b'K' | b'Z' | b'T' | b'D' | b'C' | b'I' | b'E')
+    matches!(ty, b'R' | b'S' | b'K' | b'Z' | b'T' | b'D' | b'C' | b'I' | b'E' | b'1' | b'2' | b'n')
 }
 
-/// Incremental reader that feeds raw bytes in and yields decoded
-/// messages — the shape both TCP loops use.
+/// Incremental reader that takes raw bytes in and yields messages — the
+/// shape both TCP loops use.
+///
+/// Bytes arrive either copied in ([`MessageReader::feed`]) or read from
+/// the socket straight into the reader's own buffer
+/// ([`MessageReader::fill_from`]); frames come out either decoded
+/// (`next_frontend`/`next_backend`) or as `(type, body)` slices of that
+/// buffer ([`MessageReader::next_backend_frame`]) for consumers that
+/// decode in place.
 ///
 /// The reader enforces a per-frame size ceiling
 /// ([`DEFAULT_MAX_FRAME`] unless overridden with [`MessageReader::with_max_frame`]):
@@ -403,11 +484,19 @@ fn known_backend(ty: u8) -> bool {
 /// allocation.
 #[derive(Debug)]
 pub struct MessageReader {
-    buf: BytesMut,
+    /// `buf[start..end]` holds the bytes not yet handed out; the rest
+    /// of `buf` is room for the next read.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
     max_frame: usize,
     /// Whether the next message is the untyped start-up packet
     /// (server side only).
     pub expect_startup: bool,
+    /// Frames handed out but not yet added to
+    /// `pgwire_frames_decoded_total`: the shared counter is brought up
+    /// to date once per read's worth of frames, not once per frame.
+    uncounted: u64,
 }
 
 impl Default for MessageReader {
@@ -424,12 +513,40 @@ impl MessageReader {
 
     /// Create a reader with an explicit per-frame size ceiling.
     pub fn with_max_frame(expect_startup: bool, max_frame: usize) -> Self {
-        MessageReader { buf: BytesMut::new(), max_frame, expect_startup }
+        MessageReader { buf: Vec::new(), start: 0, end: 0, max_frame, expect_startup, uncounted: 0 }
+    }
+
+    /// At least `want` writable bytes after the buffered ones, moving
+    /// an unread tail to the front rather than growing when that makes
+    /// the room.
+    fn spare(&mut self, want: usize) -> &mut [u8] {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.buf.len() - self.end < want {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < want {
+            self.buf.resize(self.end + want, 0);
+        }
+        &mut self.buf[self.end..]
     }
 
     /// Append raw bytes from the socket.
     pub fn feed(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.spare(data.len())[..data.len()].copy_from_slice(data);
+        self.end += data.len();
+    }
+
+    /// One `read` from `src` straight into the reader's buffer, with at
+    /// least 64 KiB of room on offer. Returns the byte count (0 = end
+    /// of stream).
+    pub fn fill_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        let n = src.read(self.spare(READ_CHUNK))?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Whether a partial frame is buffered — bytes have arrived but do
@@ -437,61 +554,89 @@ impl MessageReader {
     /// deadlines: an idle peer is fine, a peer that stalls mid-frame is
     /// not.
     pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
+        self.start != self.end
+    }
+
+    /// Bring `pgwire_frames_decoded_total` up to date.
+    fn settle(&mut self) {
+        if self.uncounted > 0 {
+            metrics().frames_decoded.add(self.uncounted);
+            self.uncounted = 0;
+        }
+    }
+
+    /// Pop the next complete frame (the untyped start-up packet unless
+    /// `typed`) and give its type and its body's position in `buf`.
+    fn pop(&mut self, typed: bool) -> Result<Option<(u8, Range<usize>)>, FrameError> {
+        let head = usize::from(typed);
+        let avail = self.end - self.start;
+        if avail >= head + 4 {
+            let at = self.start + head;
+            let declared = i32::from_be_bytes(self.buf[at..at + 4].try_into().expect("4 bytes"));
+            let len = check_len(declared, self.max_frame)?;
+            if avail >= head + len {
+                let ty = if typed { self.buf[self.start] } else { 0 };
+                self.start += head + len;
+                return Ok(Some((ty, at + 4..at + len)));
+            }
+        }
+        // Everything complete has been handed out: the frames of this
+        // read are counted in one addition.
+        self.settle();
+        Ok(None)
+    }
+
+    /// Pop the next complete frame whose type `known` accepts, skipping
+    /// the others.
+    fn pop_known(&mut self, known: fn(u8) -> bool) -> Result<Option<(u8, Range<usize>)>, FrameError> {
+        while let Some((ty, body)) = self.pop(true)? {
+            if known(ty) {
+                self.uncounted += 1;
+                // A reply's last frame leaves nothing buffered and no
+                // further call to notice it: count now.
+                if !self.has_partial() {
+                    self.settle();
+                }
+                return Ok(Some((ty, body)));
+            }
+        }
+        Ok(None)
     }
 
     /// Pop the next complete frontend message, if any.
     pub fn next_frontend(&mut self) -> Result<Option<FrontendMessage>, FrameError> {
         if self.expect_startup {
-            return match read_startup(&mut self.buf, self.max_frame)? {
-                Some(msg) => {
-                    self.expect_startup = false;
-                    metrics().frames_decoded.inc();
-                    Ok(Some(msg))
-                }
-                None => Ok(None),
-            };
+            let Some((_, body)) = self.pop(false)? else { return Ok(None) };
+            let msg = decode_startup(&self.buf[body])?;
+            self.expect_startup = false;
+            self.uncounted += 1;
+            return Ok(Some(msg));
         }
-        loop {
-            let Some((ty, body)) = read_message(&mut self.buf, self.max_frame)? else {
-                return Ok(None);
-            };
-            if !known_frontend(ty) {
-                continue;
-            }
-            return match decode_frontend(ty, body) {
-                Some(m) => {
-                    metrics().frames_decoded.inc();
-                    Ok(Some(m))
-                }
-                None => Err(FrameError::new(format!(
-                    "malformed '{}' frontend message body",
-                    ty as char
-                ))),
-            };
-        }
+        let Some((ty, body)) = self.pop_known(known_frontend)? else { return Ok(None) };
+        decode_frontend(ty, &self.buf[body]).map(Some).ok_or_else(|| {
+            FrameError::new(format!("malformed '{}' frontend message body", ty as char))
+        })
+    }
+
+    /// Pop the next complete backend frame as `(type, body)`, the body
+    /// a slice of the reader's buffer; frames of types this
+    /// implementation does not know are skipped.
+    pub fn next_backend_frame(&mut self) -> Result<Option<(u8, &[u8])>, FrameError> {
+        Ok(self.pop_known(known_backend)?.map(|(ty, body)| (ty, &self.buf[body])))
     }
 
     /// Pop the next complete backend message, if any.
     pub fn next_backend(&mut self) -> Result<Option<BackendMessage>, FrameError> {
-        loop {
-            let Some((ty, body)) = read_message(&mut self.buf, self.max_frame)? else {
-                return Ok(None);
-            };
-            if !known_backend(ty) {
-                continue;
-            }
-            return match decode_backend(ty, body) {
-                Some(m) => {
-                    metrics().frames_decoded.inc();
-                    Ok(Some(m))
-                }
-                None => Err(FrameError::new(format!(
-                    "malformed '{}' backend message body",
-                    ty as char
-                ))),
-            };
-        }
+        let Some((ty, body)) = self.next_backend_frame()? else { return Ok(None) };
+        decode_backend(ty, body).map(Some).ok_or_else(|| {
+            FrameError::new(format!("malformed '{}' backend message body", ty as char))
+        })
+    }
+}
+
+impl Drop for MessageReader {
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -500,7 +645,7 @@ mod tests {
     use super::*;
 
     fn round_trip_frontend(msg: FrontendMessage) -> FrontendMessage {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_frontend(&msg, &mut buf);
         let startup = matches!(msg, FrontendMessage::Startup { .. });
         let mut reader = MessageReader::new(startup);
@@ -509,7 +654,7 @@ mod tests {
     }
 
     fn round_trip_backend(msg: BackendMessage) -> BackendMessage {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_backend(&msg, &mut buf);
         let mut reader = MessageReader::new(false);
         reader.feed(&buf);
@@ -543,6 +688,47 @@ mod tests {
     }
 
     #[test]
+    fn extended_query_messages_round_trip() {
+        for msg in [
+            FrontendMessage::Parse {
+                statement: String::new(),
+                sql: "SELECT x FROM t".into(),
+                param_types: vec![20, 701],
+            },
+            FrontendMessage::Bind {
+                portal: String::new(),
+                statement: String::new(),
+                param_formats: vec![1],
+                params: vec![Some(vec![0, 0, 0, 7]), None],
+                result_formats: vec![1],
+            },
+            FrontendMessage::Describe { kind: b'P', name: String::new() },
+            FrontendMessage::Execute { portal: String::new(), max_rows: 0 },
+            FrontendMessage::Sync,
+        ] {
+            assert_eq!(round_trip_frontend(msg.clone()), msg);
+        }
+        for msg in [BackendMessage::ParseComplete, BackendMessage::BindComplete, BackendMessage::NoData] {
+            assert_eq!(round_trip_backend(msg.clone()), msg);
+        }
+    }
+
+    #[test]
+    fn bind_whose_parameter_runs_past_the_frame_is_malformed() {
+        let mut buf = Vec::new();
+        frame(&mut buf, Some(b'B'), |b| {
+            b.extend_from_slice(b"\0\0");
+            put_i16(b, 0);
+            put_i16(b, 1);
+            put_i32(b, 1000);
+            b.extend_from_slice(b"xx");
+        });
+        let mut reader = MessageReader::new(false);
+        reader.feed(&buf);
+        assert!(reader.next_frontend().is_err());
+    }
+
+    #[test]
     fn auth_variants_round_trip() {
         for req in [
             AuthRequest::Ok,
@@ -557,10 +743,13 @@ mod tests {
     }
 
     #[test]
-    fn row_description_round_trip() {
+    fn row_description_round_trip_keeps_format_codes() {
         let msg = BackendMessage::RowDescription(vec![
-            FieldDesc { name: "ordcol".into(), type_oid: TypeOid::Int8 },
-            FieldDesc { name: "Price".into(), type_oid: TypeOid::Float8 },
+            FieldDesc::text("ordcol", TypeOid::Int8),
+            FieldDesc { name: "Price".into(), type_oid: TypeOid::Float8, format: 1 },
+            // Not a format this implementation reads, but one it must
+            // carry to whoever names the column in the error.
+            FieldDesc { name: "odd".into(), type_oid: TypeOid::Int4, format: 7 },
         ]);
         assert_eq!(round_trip_backend(msg.clone()), msg);
     }
@@ -569,6 +758,21 @@ mod tests {
     fn data_row_with_nulls_round_trip() {
         let msg = BackendMessage::DataRow(vec![Some("1".into()), None, Some("GOOG".into())]);
         assert_eq!(round_trip_backend(msg.clone()), msg);
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_text_field_is_a_frame_error_not_a_replacement_char() {
+        // Regression: `from_utf8_lossy` turned bad bytes into U+FFFD,
+        // which then travelled on as symbol text.
+        let mut buf = Vec::new();
+        frame(&mut buf, Some(b'D'), |b| {
+            put_i16(b, 1);
+            put_i32(b, 2);
+            b.extend_from_slice(&[0xC3, 0x28]);
+        });
+        let mut reader = MessageReader::new(false);
+        reader.feed(&buf);
+        assert!(reader.next_backend().is_err());
     }
 
     #[test]
@@ -595,7 +799,7 @@ mod tests {
 
     #[test]
     fn partial_frames_wait_for_more_bytes() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_backend(&BackendMessage::CommandComplete("SELECT 1".into()), &mut buf);
         let mut reader = MessageReader::new(false);
         // Feed one byte at a time; the message appears only when whole.
@@ -611,7 +815,7 @@ mod tests {
 
     #[test]
     fn multiple_messages_in_one_feed() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_backend(&BackendMessage::DataRow(vec![Some("1".into())]), &mut buf);
         encode_backend(&BackendMessage::DataRow(vec![Some("2".into())]), &mut buf);
         encode_backend(&BackendMessage::CommandComplete("SELECT 2".into()), &mut buf);
@@ -624,6 +828,43 @@ mod tests {
             Some(BackendMessage::CommandComplete(_))
         ));
         assert!(reader.next_backend().unwrap().is_none());
+    }
+
+    #[test]
+    fn fill_from_reads_straight_into_the_buffer_across_frame_boundaries() {
+        // 5 000 rows arrive through a source that hands out odd-sized
+        // pieces, so frames straddle reads and the unread tail has to
+        // move to the front again and again.
+        struct Dribble<'a>(&'a [u8], usize);
+        impl Read for Dribble<'_> {
+            fn read(&mut self, dst: &mut [u8]) -> std::io::Result<usize> {
+                self.1 = self.1 % 4099 + 613;
+                let n = self.1.min(self.0.len()).min(dst.len());
+                dst[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let mut wire = Vec::new();
+        for i in 0..5_000 {
+            encode_backend(&BackendMessage::DataRow(vec![Some(i.to_string()), None]), &mut wire);
+        }
+        let mut src = Dribble(&wire, 0);
+        let mut reader = MessageReader::new(false);
+        let mut seen = 0usize;
+        loop {
+            while let Some((ty, body)) = reader.next_backend_frame().unwrap() {
+                assert_eq!(ty, b'D');
+                let row = decode_backend(ty, body).unwrap();
+                assert_eq!(row, BackendMessage::DataRow(vec![Some(seen.to_string()), None]));
+                seen += 1;
+            }
+            if reader.fill_from(&mut src).unwrap() == 0 {
+                break;
+            }
+        }
+        assert_eq!(seen, 5_000);
+        assert!(!reader.has_partial());
     }
 
     #[test]
@@ -652,7 +893,7 @@ mod tests {
     #[test]
     fn custom_frame_ceiling_is_enforced() {
         let mut reader = MessageReader::with_max_frame(false, 16);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_backend(
             &BackendMessage::CommandComplete("SELECT 123456789012345".into()),
             &mut buf,
@@ -677,9 +918,7 @@ mod tests {
         let mut bytes = vec![b'N'];
         bytes.extend_from_slice(&9i32.to_be_bytes());
         bytes.extend_from_slice(b"hello");
-        let mut buf = BytesMut::new();
-        encode_backend(&BackendMessage::CommandComplete("SELECT 1".into()), &mut buf);
-        bytes.extend_from_slice(&buf);
+        encode_backend(&BackendMessage::CommandComplete("SELECT 1".into()), &mut bytes);
         let mut reader = MessageReader::new(false);
         reader.feed(&bytes);
         assert_eq!(
@@ -713,11 +952,11 @@ mod tests {
     #[test]
     fn streamed_result_set_shape() {
         // Figure 5's row-oriented stream: T, D, D, C.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_backend(
             &BackendMessage::RowDescription(vec![
-                FieldDesc { name: "c1".into(), type_oid: TypeOid::Int4 },
-                FieldDesc { name: "c2".into(), type_oid: TypeOid::Int4 },
+                FieldDesc::text("c1", TypeOid::Int4),
+                FieldDesc::text("c2", TypeOid::Int4),
             ]),
             &mut buf,
         );
@@ -729,13 +968,8 @@ mod tests {
         let mut reader = MessageReader::new(false);
         reader.feed(&buf);
         let mut kinds = Vec::new();
-        while let Some(m) = reader.next_backend().unwrap() {
-            kinds.push(match m {
-                BackendMessage::RowDescription(_) => 'T',
-                BackendMessage::DataRow(_) => 'D',
-                BackendMessage::CommandComplete(_) => 'C',
-                _ => '?',
-            });
+        while let Some((ty, _)) = reader.next_backend_frame().unwrap() {
+            kinds.push(ty as char);
         }
         assert_eq!(kinds, vec!['T', 'D', 'D', 'C']);
     }

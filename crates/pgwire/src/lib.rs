@@ -15,15 +15,18 @@
 //!
 //! Result sets stream row-by-row: `RowDescription`, then one `DataRow`
 //! per row, then `CommandComplete` — the row-oriented format Figure 5
-//! contrasts with QIPC's single column-oriented message.
+//! contrasts with QIPC's single column-oriented message. [`rows`] is
+//! where that stream meets the columnar representation on either side
+//! of it.
 
 pub mod codec;
 pub mod md5;
 pub mod messages;
+pub mod rows;
 
-pub use codec::{read_message, read_startup, FrameError, MessageReader, DEFAULT_MAX_FRAME};
+pub use codec::{FrameError, MessageReader, DEFAULT_MAX_FRAME};
 pub use messages::{
-    AuthRequest, BackendMessage, FieldDesc, FrontendMessage, TransactionStatus, TypeOid,
+    AuthRequest, BackendMessage, FieldDesc, Format, FrontendMessage, TransactionStatus, TypeOid,
 };
 
 /// Protocol version number for the v3 startup packet (196608 = 3 << 16).

@@ -1,8 +1,11 @@
 //! Typed PG v3 protocol messages.
 //!
-//! Only the simple-query subprotocol plus start-up/auth — the surface
-//! Hyper-Q exercises (paper §4.2: start-up, query, function call, copy
-//! data and shutdown requests; we implement the subset the Gateway uses).
+//! Start-up/auth, the simple-query sub-protocol and the slice of the
+//! extended-query sub-protocol the Gateway needs to ask for binary
+//! results (`Parse`/`Bind`/`Describe`/`Execute`/`Sync` on the unnamed
+//! statement and portal) — the surface Hyper-Q exercises (paper §4.2:
+//! start-up, query, function call, copy data and shutdown requests; we
+//! implement the subset the Gateway uses).
 
 /// PostgreSQL type OIDs for the types Hyper-Q emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,6 +75,36 @@ impl TypeOid {
     }
 }
 
+/// How a `DataRow` field's bytes are to be read. A per-column property
+/// carried by `RowDescription`, never a connection setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Format {
+    /// The type's text representation (format code 0).
+    Text,
+    /// The type's binary representation (format code 1): big-endian
+    /// integers and IEEE floats at the declared width.
+    Binary,
+}
+
+impl Format {
+    /// Wire format code.
+    pub fn code(self) -> i16 {
+        match self {
+            Format::Text => 0,
+            Format::Binary => 1,
+        }
+    }
+
+    /// Parse a wire format code.
+    pub fn from_code(code: i16) -> Option<Format> {
+        match code {
+            0 => Some(Format::Text),
+            1 => Some(Format::Binary),
+            _ => None,
+        }
+    }
+}
+
 /// One column in a `RowDescription`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDesc {
@@ -79,6 +112,17 @@ pub struct FieldDesc {
     pub name: String,
     /// Type OID.
     pub type_oid: TypeOid,
+    /// Format code exactly as it crossed the wire ([`Format::code`]);
+    /// kept raw so the row decoder can name the column when a peer
+    /// sends a code that is neither text nor binary.
+    pub format: i16,
+}
+
+impl FieldDesc {
+    /// A text-format field.
+    pub fn text(name: impl Into<String>, type_oid: TypeOid) -> FieldDesc {
+        FieldDesc { name: name.into(), type_oid, format: Format::Text.code() }
+    }
 }
 
 /// Authentication request codes carried by the `R` message.
@@ -129,6 +173,46 @@ pub enum FrontendMessage {
     Password(String),
     /// `Q` — simple query.
     Query(String),
+    /// `P` — parse `sql` into a prepared statement.
+    Parse {
+        /// Statement name (empty = the unnamed statement).
+        statement: String,
+        /// Statement text.
+        sql: String,
+        /// Pre-declared parameter type OIDs.
+        param_types: Vec<u32>,
+    },
+    /// `B` — bind a prepared statement into a portal, choosing the
+    /// result formats.
+    Bind {
+        /// Portal name (empty = the unnamed portal).
+        portal: String,
+        /// Statement name.
+        statement: String,
+        /// Parameter format codes (none, one for all, or one each).
+        param_formats: Vec<i16>,
+        /// Parameter values; `None` is NULL.
+        params: Vec<Option<Vec<u8>>>,
+        /// Result-column format codes (none = all text, one = applies
+        /// to every column, else one per column).
+        result_formats: Vec<i16>,
+    },
+    /// `D` — describe a statement (`S`) or portal (`P`).
+    Describe {
+        /// `b'S'` or `b'P'`.
+        kind: u8,
+        /// Statement or portal name.
+        name: String,
+    },
+    /// `E` — execute a portal.
+    Execute {
+        /// Portal name.
+        portal: String,
+        /// Row limit (0 = no limit).
+        max_rows: i32,
+    },
+    /// `S` — end of an extended-query batch.
+    Sync,
     /// `X` — terminate.
     Terminate,
 }
@@ -156,12 +240,20 @@ pub enum BackendMessage {
     ReadyForQuery(TransactionStatus),
     /// `T` — result-set schema.
     RowDescription(Vec<FieldDesc>),
-    /// `D` — one row; `None` cells are NULL. Text format.
+    /// `D` — one row of text-format fields; `None` cells are NULL.
+    /// (Rows with binary fields are read from the raw frame by
+    /// [`crate::rows::BatchDecoder`], never through this variant.)
     DataRow(Vec<Option<String>>),
     /// `C` — statement finished, with its command tag.
     CommandComplete(String),
     /// `I` — empty query.
     EmptyQueryResponse,
+    /// `1` — `Parse` succeeded.
+    ParseComplete,
+    /// `2` — `Bind` succeeded.
+    BindComplete,
+    /// `n` — the described portal returns no rows.
+    NoData,
     /// `E` — error report.
     ErrorResponse {
         /// Severity (`ERROR`, `FATAL`).
@@ -195,6 +287,15 @@ mod tests {
             assert_eq!(TypeOid::from_u32(oid.as_u32()), Some(oid));
         }
         assert_eq!(TypeOid::from_u32(9999), None);
+    }
+
+    #[test]
+    fn format_codes_round_trip() {
+        for f in [Format::Text, Format::Binary] {
+            assert_eq!(Format::from_code(f.code()), Some(f));
+        }
+        assert_eq!(Format::from_code(2), None);
+        assert_eq!(Format::from_code(-1), None);
     }
 
     #[test]

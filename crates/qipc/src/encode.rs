@@ -9,7 +9,7 @@
 
 use crate::Message;
 use bytes::{BufMut, BytesMut};
-use qlang::value::{Atom, Value};
+use qlang::value::{Atom, Table, Value};
 use qlang::{QError, QResult};
 
 /// Serialize one value into `out`.
@@ -70,11 +70,7 @@ pub fn encode_value(v: &Value, out: &mut BytesMut) -> QResult<()> {
             Ok(())
         }
         Value::Symbols(xs) => {
-            vec_header(11, xs.len(), out);
-            for s in xs {
-                out.extend_from_slice(s.as_bytes());
-                out.put_u8(0);
-            }
+            encode_symbols(xs, out);
             Ok(())
         }
         Value::Timestamps(xs) => {
@@ -110,18 +106,12 @@ pub fn encode_value(v: &Value, out: &mut BytesMut) -> QResult<()> {
             encode_value(&d.keys, out)?;
             encode_value(&d.values, out)
         }
-        Value::Table(t) => {
-            out.put_i8(98);
-            out.put_u8(0); // attributes
-            out.put_i8(99);
-            encode_value(&Value::Symbols(t.names.clone()), out)?;
-            encode_value(&Value::Mixed(t.columns.clone()), out)
-        }
+        Value::Table(t) => encode_table(t, out),
         Value::KeyedTable(k) => {
             // Dict of key table to value table.
             out.put_i8(99);
-            encode_value(&Value::Table(Box::new(k.key.clone())), out)?;
-            encode_value(&Value::Table(Box::new(k.value.clone())), out)
+            encode_table(&k.key, out)?;
+            encode_table(&k.value, out)
         }
         Value::Nil => {
             out.put_i8(101);
@@ -136,6 +126,28 @@ pub fn encode_value(v: &Value, out: &mut BytesMut) -> QResult<()> {
             encode_value(&Value::Chars(def.source.clone()), out)
         }
     }
+}
+
+fn encode_symbols(xs: &[String], out: &mut BytesMut) {
+    vec_header(11, xs.len(), out);
+    for s in xs {
+        out.extend_from_slice(s.as_bytes());
+        out.put_u8(0);
+    }
+}
+
+/// `98 00 99 <symbol vector of column names> <general list of column
+/// vectors>`, written from the table's own columns.
+fn encode_table(t: &Table, out: &mut BytesMut) -> QResult<()> {
+    out.put_i8(98);
+    out.put_u8(0); // attributes
+    out.put_i8(99);
+    encode_symbols(&t.names, out);
+    vec_header(0, t.columns.len(), out);
+    for col in &t.columns {
+        encode_value(col, out)?;
+    }
+    Ok(())
 }
 
 fn vec_header(ty: i8, len: usize, out: &mut BytesMut) {
@@ -290,6 +302,34 @@ mod tests {
         assert_eq!(buf[1], 0);
         assert_eq!(buf[2], 99);
         assert_eq!(buf[3] as i8, 11, "column names as symbol vector");
+    }
+
+    #[test]
+    fn tables_encode_as_the_symbol_and_general_lists_they_wrap() {
+        let t = qlang::Table::new(
+            vec!["Symbol".into(), "Price".into()],
+            vec![Value::Symbols(vec!["GOOG".into(), "IBM".into()]), Value::Floats(vec![1.5, 2.5])],
+        )
+        .unwrap();
+        let mut want = BytesMut::new();
+        want.extend_from_slice(&[98, 0, 99]);
+        encode_value(&Value::Symbols(t.names.clone()), &mut want).unwrap();
+        encode_value(&Value::Mixed(t.columns.clone()), &mut want).unwrap();
+        let mut got = BytesMut::new();
+        encode_value(&Value::Table(Box::new(t.clone())), &mut got).unwrap();
+        assert_eq!(got, want);
+
+        let k = qlang::value::KeyedTable {
+            key: qlang::Table::new(vec!["Symbol".into()], vec![t.columns[0].clone()]).unwrap(),
+            value: qlang::Table::new(vec!["Price".into()], vec![t.columns[1].clone()]).unwrap(),
+        };
+        let mut want = BytesMut::new();
+        want.extend_from_slice(&[99]);
+        encode_value(&Value::Table(Box::new(k.key.clone())), &mut want).unwrap();
+        encode_value(&Value::Table(Box::new(k.value.clone())), &mut want).unwrap();
+        let mut got = BytesMut::new();
+        encode_value(&Value::KeyedTable(Box::new(k)), &mut got).unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn creds() -> Credentials {
 /// Byte length of the startup packet the Gateway sends for [`creds`] —
 /// used to place faults precisely at the first post-handshake frame.
 fn startup_len() -> u64 {
-    let mut buf = bytes::BytesMut::new();
+    let mut buf = Vec::new();
     pgwire::codec::encode_frontend(
         &pgwire::messages::FrontendMessage::Startup {
             params: vec![
@@ -215,6 +215,168 @@ fn non_idempotent_statements_are_not_replayed() {
     // No reconnect was attempted for the write: replaying could apply
     // the mutation twice.
     assert_eq!(gw.reconnects(), before);
+    server.detach();
+}
+
+// ---------------------------------------------------------------------
+// Faults inside a binary reply: reads cross the backend leg as binary
+// `DataRow`s, so the cut and the flipped byte land mid-field.
+// ---------------------------------------------------------------------
+
+/// A server holding `t(x bigint, p double precision)` with 200 rows.
+fn server_with_numbers() -> PgServer {
+    let db = pgdb::Db::new();
+    let mut s = db.session();
+    s.execute("CREATE TABLE t (x bigint, p double precision)").unwrap();
+    let rows: Vec<String> = (0..200).map(|i| format!("({i}, {}.5)", i * 3)).collect();
+    s.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+    PgServer::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap()
+}
+
+const NUMBERS: &str = "SELECT x, p FROM t ORDER BY x";
+
+fn assert_numbers(result: QueryResult) {
+    let QueryResult::Rows(rows) = result else { panic!("expected rows, got {result:?}") };
+    assert_eq!(rows.data.len(), 200);
+    for (i, row) in rows.data.iter().enumerate() {
+        assert_eq!(row, &vec![Cell::Int(i as i64), Cell::Float(i as f64 * 3.0 + 0.5)]);
+    }
+}
+
+/// Where each frame of the server's reply to `sql` (sent the way the
+/// gateway sends a read) starts, counted from the first byte the server
+/// sends on the connection: `(type, offset of the type byte)`.
+fn reply_frames(server: &PgServer, sql: &str) -> Vec<(u8, u64)> {
+    use pgwire::messages::FrontendMessage;
+    use std::io::Write;
+    let mut stream = std::net::TcpStream::connect(server.addr).unwrap();
+    let mut reader = pgwire::MessageReader::new(false);
+    let mut offset = 0u64;
+    let mut frames_until_ready = |stream: &mut std::net::TcpStream, request: &[u8]| {
+        stream.write_all(request).unwrap();
+        let mut frames = Vec::new();
+        loop {
+            while let Some((ty, body)) = reader.next_backend_frame().unwrap() {
+                frames.push((ty, offset));
+                offset += 5 + body.len() as u64;
+                if ty == b'Z' {
+                    return frames;
+                }
+            }
+            assert!(reader.fill_from(stream).unwrap() > 0, "server closed the connection");
+        }
+    };
+    let mut request = Vec::new();
+    pgwire::codec::encode_frontend(
+        &FrontendMessage::Startup {
+            params: vec![
+                ("user".to_string(), "u".to_string()),
+                ("database".to_string(), "hist".to_string()),
+            ],
+        },
+        &mut request,
+    );
+    frames_until_ready(&mut stream, &request);
+    request.clear();
+    pgwire::codec::encode_extended_query(sql, pgwire::Format::Binary, &mut request);
+    frames_until_ready(&mut stream, &request)
+}
+
+/// Offset of the `n`th `DataRow` of the reply to [`NUMBERS`].
+fn nth_data_row(server: &PgServer, n: usize) -> u64 {
+    let frames = reply_frames(server, NUMBERS);
+    let kinds: String = frames.iter().map(|(ty, _)| *ty as char).collect();
+    assert!(kinds.starts_with("12TDD"), "not the reply of a binary read: {kinds}");
+    frames.iter().filter(|(ty, _)| *ty == b'D').nth(n).unwrap().1
+}
+
+#[test]
+fn reply_cut_mid_data_row_is_retried_and_the_checked_result_returned() {
+    let server = server_with_numbers();
+    let proxy = ChaosProxy::start(&server.addr.to_string()).unwrap();
+    // Connection 1 dies eleven bytes into the 120th DataRow: after the
+    // frame header, the field count and the first field's length, in
+    // the middle of its eight value bytes.
+    proxy.push_plan(FaultPlan {
+        to_client: LegFaults {
+            truncate_after: Some(nth_data_row(&server, 119) + 5 + 2 + 4 + 3),
+            ..LegFaults::clean()
+        },
+        ..FaultPlan::clean()
+    });
+    let mut gw = gateway_via(&proxy, RetryPolicy::immediate(3));
+    assert_numbers(gw.execute_sql(NUMBERS).unwrap());
+    assert_eq!(gw.reconnects(), 1, "exactly one transparent reconnect");
+    assert_eq!(proxy.connections(), 2);
+    server.detach();
+}
+
+#[test]
+fn corrupted_binary_field_length_is_a_protocol_error_never_a_wrong_number() {
+    let server = server_with_numbers();
+    let proxy = ChaosProxy::start(&server.addr.to_string()).unwrap();
+    let first_length = nth_data_row(&server, 40) + 5 + 2;
+    // The first field's length is 00 00 00 08. Its low byte flipped
+    // claims 247 bytes, more than the row holds; its high byte flipped
+    // makes it negative. Neither may come back as a number.
+    let flips = [(first_length + 3, "runs past the end of the DataRow"), (first_length, "is negative")];
+    for (flipped, want) in flips {
+        proxy.push_plan(FaultPlan {
+            to_client: LegFaults { corrupt_at: Some(flipped), ..LegFaults::clean() },
+            ..FaultPlan::clean()
+        });
+        let mut gw = gateway_via(&proxy, RetryPolicy::immediate(3));
+        let err = gw.execute_sql(NUMBERS).unwrap_err();
+        assert_eq!(err.kind, WireErrorKind::Protocol, "{err}");
+        assert!(err.message.contains("column \"x\" (bigint)"), "{err}");
+        assert!(err.message.contains(want), "{err}");
+        // The reply was drained to ReadyForQuery: the same connection
+        // answers the same statement, correctly this time.
+        assert_numbers(gw.execute_sql(NUMBERS).unwrap());
+        assert_eq!(gw.reconnects(), 0, "a decode error poisons the result, not the connection");
+    }
+    server.detach();
+}
+
+#[test]
+fn q_client_reads_through_a_reply_cut_mid_field() {
+    // The same cut, seen from a Q application: the answer is the one a
+    // healthy backend gives.
+    let db = pgdb::Db::new();
+    let trades = hyperq_workload::taq::generate_trades(&hyperq_workload::taq::TaqConfig {
+        rows: 400,
+        symbols: 2,
+        days: 1,
+        seed: 11,
+    });
+    let mut direct = HyperQSession::with_direct(&db);
+    loader::load_table(&mut direct, "trades", &trades).unwrap();
+    let server = PgServer::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let proxy = ChaosProxy::start(&server.addr.to_string()).unwrap();
+    const Q: &str = "select from trades";
+    let want = direct.execute(Q).unwrap();
+
+    let mut wire = HyperQSession::new(
+        share(gateway_via(&proxy, RetryPolicy::immediate(3))),
+        SessionConfig::default(),
+    );
+    let sql = wire.translate_only(Q).unwrap()[0].statements[0].sql.clone();
+    let frames = reply_frames(&server, &sql);
+    let row = frames.iter().filter(|(ty, _)| *ty == b'D').nth(250).unwrap().1;
+    // The session's connection is already open; the plan is for the
+    // one it opens after this one is cut.
+    proxy.sever_active();
+    proxy.push_plan(FaultPlan {
+        to_client: LegFaults { truncate_after: Some(row + 17), ..LegFaults::clean() },
+        ..FaultPlan::clean()
+    });
+    let (got, trace) = wire.execute_observed(Q).unwrap();
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    assert!(
+        trace.has_event(|e| matches!(e, hyperq::SpanEvent::Recovering { reconnects } if *reconnects >= 2)),
+        "both cuts must show as recoveries:\n{}",
+        trace.render()
+    );
     server.detach();
 }
 

@@ -7,7 +7,9 @@
 //! (aj/lj/ij/uj), two-valued null logic, and ordcol-sensitive queries
 //! whose answers depend on row order.
 
+use hyperq::gateway::{Credentials, PgWireBackend};
 use hyperq::side_by_side::SideBySide;
+use hyperq::{loader, HyperQSession, SessionConfig};
 use hyperq_workload::taq::{generate_quotes, generate_trades, TaqConfig};
 use qlang::value::{Table, Value};
 
@@ -15,13 +17,10 @@ fn taq_cfg() -> TaqConfig {
     TaqConfig { rows: 200, symbols: 4, days: 2, seed: 4242 }
 }
 
-/// Framework loaded with generated TAQ trades + quotes and a small
-/// table whose columns carry typed nulls.
-fn oracle() -> SideBySide {
-    let db = pgdb::Db::new();
-    let mut f = SideBySide::new(&db);
-    f.load("trades", &generate_trades(&taq_cfg())).unwrap();
-    f.load("quotes", &generate_quotes(&TaqConfig { rows: 600, ..taq_cfg() })).unwrap();
+/// Generated TAQ trades + quotes, a small table whose columns carry
+/// typed nulls, and static reference data keyed by Symbol for lj/ij
+/// lookups.
+fn fixture() -> Vec<(&'static str, Table)> {
     let nullable = Table::new(
         vec!["Sym".into(), "Qty".into(), "Px".into()],
         vec![
@@ -31,8 +30,6 @@ fn oracle() -> SideBySide {
         ],
     )
     .unwrap();
-    f.load("nullable", &nullable).unwrap();
-    // Static reference data keyed by Symbol, for lj/ij lookups.
     let refdata = Table::new(
         vec!["Symbol".into(), "Sector".into(), "Lot".into()],
         vec![
@@ -42,8 +39,32 @@ fn oracle() -> SideBySide {
         ],
     )
     .unwrap();
-    f.load("refdata", &refdata).unwrap();
+    vec![
+        ("trades", generate_trades(&taq_cfg())),
+        ("quotes", generate_quotes(&TaqConfig { rows: 600, ..taq_cfg() })),
+        ("nullable", nullable),
+        ("refdata", refdata),
+    ]
+}
+
+/// Framework loaded with the fixture.
+fn oracle() -> SideBySide {
+    let db = pgdb::Db::new();
+    let mut f = SideBySide::new(&db);
+    for (name, table) in fixture() {
+        f.load(name, &table).unwrap();
+    }
     f
+}
+
+/// An in-process database loaded with the fixture.
+fn fixture_db() -> pgdb::Db {
+    let db = pgdb::Db::new();
+    let mut s = HyperQSession::with_direct(&db);
+    for (name, table) in fixture() {
+        loader::load_table(&mut s, name, &table).unwrap();
+    }
+    db
 }
 
 /// The oracle statements. Kept as one list so the suite's breadth is
@@ -157,4 +178,55 @@ fn oracle_statements_are_stable_across_repeated_execution() {
         failures.len(),
         failures.join("\n")
     );
+}
+
+/// Statements whose error *strings* must survive the wire.
+const ERROR_PROBES: &[&str] = &[
+    "select from no_such_table",
+    "no_such_variable",
+    "select nosuchcol from trades",
+];
+
+/// The result path over the PG v3 wire is the in-process one: a session
+/// whose backend is a `PgWireBackend` to a `PgServer` must answer every
+/// oracle statement with the `Value` a `DirectBackend` session answers,
+/// bit for bit (`Debug` tells `-0.0` from `0.0` and one NaN from no
+/// NaN), and fail with the same string — translation cache cold, then
+/// warm.
+#[test]
+fn oracle_statements_are_bit_identical_over_the_pg_wire() {
+    let mut direct = HyperQSession::with_direct(&fixture_db());
+    let server = pgdb::server::PgServer::start(
+        fixture_db(),
+        "127.0.0.1:0",
+        pgdb::server::ServerConfig::default(),
+    )
+    .unwrap();
+    let creds = Credentials { user: "oracle".into(), password: String::new(), database: "hist".into() };
+    let gateway = PgWireBackend::connect(&server.addr.to_string(), &creds).unwrap();
+    let mut wire = HyperQSession::new(hyperq::share(gateway), SessionConfig::default());
+
+    let reg = obs::global_registry();
+    let binary_before = reg.counter_value("hyperq_gateway_fields_decoded_total{format=\"binary\"}");
+    let mut failures = Vec::new();
+    for q in STATEMENTS.iter().chain(ERROR_PROBES) {
+        for pass in ["cold", "warm"] {
+            let a = direct.execute(q).map_err(|e| e.to_string());
+            let b = wire.execute(q).map_err(|e| e.to_string());
+            if format!("{a:?}") != format!("{b:?}") {
+                failures.push(format!("[{pass}] `{q}`\n  direct: {a:?}\n  wire:   {b:?}"));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} wire-vs-direct divergence(s):\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    assert!(
+        reg.counter_value("hyperq_gateway_fields_decoded_total{format=\"binary\"}") > binary_before,
+        "the oracle's results must have crossed the wire in binary"
+    );
+    server.detach();
 }

@@ -1,6 +1,7 @@
 //! Exact movements of process-global counters: queries aggregate in the
-//! global registry and its Prometheus rendering, and only the
-//! in-process backend moves the zero-copy pivot counter.
+//! global registry and its Prometheus rendering; the in-process backend
+//! and the PG v3 wire backend both move the zero-copy pivot counter, and
+//! what crosses the wire for fixed-width columns crosses it in binary.
 //!
 //! One test function, in a test binary of its own: sibling tests
 //! running queries in the same process would move the same counters.
@@ -19,7 +20,7 @@ fn session_with_trades(db: &pgdb::Db) -> HyperQSession {
 #[test]
 fn global_counters_move_exactly_as_the_queries_run() {
     global_registry_aggregates_query_metrics();
-    pivot_zero_copy_counts_internal_backend_only();
+    pivot_moves_columns_for_both_backends();
 }
 
 /// Counters and per-stage histograms aggregate in the global registry
@@ -46,24 +47,27 @@ fn global_registry_aggregates_query_metrics() {
     }
 }
 
-/// The representation boundary (DESIGN §10): the in-process backend
-/// hands the pivot whole typed columns — the zero-copy counter moves —
-/// while an external wire backend streams rows through the unchanged
-/// row pivot, leaving the counter where it was, and both agree on the
-/// answer.
-fn pivot_zero_copy_counts_internal_backend_only() {
+/// One result path (DESIGN §10): the in-process backend hands the pivot
+/// whole typed columns, the wire backend hands it the typed columns it
+/// decoded the `DataRow` stream into — the zero-copy counter moves for
+/// both, both agree on the answer, and a TAQ point
+/// statement's fixed-width columns decode zero text fields.
+fn pivot_moves_columns_for_both_backends() {
     let reg = obs::global_registry();
+    let zero_copy = || reg.counter_value("hyperq_pivot_zero_copy_total");
+    let fields = |format: &str| {
+        reg.counter_value(&format!("hyperq_gateway_fields_decoded_total{{format=\"{format}\"}}"))
+    };
+    // Date, Symbol, Price, Size: everything a point reply carries but
+    // its millisecond `Time`, whose width changes on the way to Q.
+    const POINT: &str = "select Date, Symbol, Price, Size from trades where Symbol=`GOOG";
 
     // Internal: DirectBackend produces batches; columns move to Q.
     let db = pgdb::Db::new();
     let mut internal = session_with_trades(&db);
-    let before = reg.counter_value("hyperq_pivot_zero_copy_total");
-    let v_internal = internal.execute("select Price from trades where Symbol=`GOOG").unwrap();
-    let after_internal = reg.counter_value("hyperq_pivot_zero_copy_total");
-    assert!(
-        after_internal > before,
-        "internal backend must pivot zero-copy ({before} -> {after_internal})"
-    );
+    let before = zero_copy();
+    let v_internal = internal.execute(POINT).unwrap();
+    assert!(zero_copy() - before >= 4, "every column of the reply must move, not be rebuilt");
 
     // The columnar executor's own metrics surface in the same dump.
     let dump = reg.render_prometheus();
@@ -73,9 +77,7 @@ fn pivot_zero_copy_counts_internal_backend_only() {
         assert!(dump.contains(metric), "missing {metric} in dump:\n{dump}");
     }
 
-    // External: the same logical database behind the PG v3 wire. The
-    // gateway backend only streams rows, so the session takes the row
-    // pivot and the zero-copy counter must not move.
+    // External: the same logical database behind the PG v3 wire.
     let wire_db = pgdb::Db::new();
     {
         let mut loader_session = session_with_trades(&wire_db);
@@ -91,16 +93,35 @@ fn pivot_zero_copy_counts_internal_backend_only() {
         Credentials { user: "ops".into(), password: String::new(), database: "hist".into() };
     let gw = PgWireBackend::connect(&server.addr.to_string(), &creds).unwrap();
     let mut external = HyperQSession::new(hyperq::share(gw), SessionConfig::default());
-    let before_ext = reg.counter_value("hyperq_pivot_zero_copy_total");
-    let v_external = external.execute("select Price from trades where Symbol=`GOOG").unwrap();
-    let after_ext = reg.counter_value("hyperq_pivot_zero_copy_total");
-    assert_eq!(
-        before_ext, after_ext,
-        "external wire backend must take the row-pivot path"
-    );
+    // Metadata lookups first, so the counters below see the point
+    // statement alone.
+    external.translate_only(POINT).unwrap();
+    let (before, binary_before, text_before) = (zero_copy(), fields("binary"), fields("text"));
+    let rows_before = reg.counter_value("hyperq_gateway_result_rows_total");
+    let v_external = external.execute(POINT).unwrap();
     assert!(
-        hyperq::side_by_side::values_agree(&v_internal, &v_external),
-        "both pivot paths must agree: {v_internal:?} vs {v_external:?}"
+        zero_copy() - before >= 4,
+        "the wire backend's columns must move as the in-process backend's do"
     );
+    let rows = reg.counter_value("hyperq_gateway_result_rows_total") - rows_before;
+    assert!(rows > 0, "the point statement must return rows");
+    // The four named columns plus the implicit order column.
+    assert_eq!(fields("binary") - binary_before, 5 * rows);
+    assert_eq!(fields("text"), text_before, "no field of a point reply may travel as text");
+    assert_eq!(
+        format!("{v_internal:?}"),
+        format!("{v_external:?}"),
+        "both backends must give the same value, bit for bit"
+    );
+
+    // Both families are scrapeable.
+    let dump = reg.render_prometheus();
+    for metric in [
+        "hyperq_gateway_fields_decoded_total{format=\"binary\"}",
+        "hyperq_gateway_fields_decoded_total{format=\"text\"}",
+        "hyperq_gateway_result_rows_total",
+    ] {
+        assert!(dump.contains(metric), "missing {metric} in dump:\n{dump}");
+    }
     server.detach();
 }

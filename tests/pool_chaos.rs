@@ -41,7 +41,7 @@ fn chaotic_backend() -> (PgServer, ChaosProxy) {
 /// Byte length of the startup packet a pool dial sends for [`creds`] —
 /// used to place faults precisely past the handshake.
 fn startup_len() -> u64 {
-    let mut buf = bytes::BytesMut::new();
+    let mut buf = Vec::new();
     pgwire::codec::encode_frontend(
         &pgwire::messages::FrontendMessage::Startup {
             params: vec![
@@ -54,13 +54,11 @@ fn startup_len() -> u64 {
     buf.len() as u64
 }
 
-/// Byte length of one simple-query frame.
-fn query_len(sql: &str) -> u64 {
-    let mut buf = bytes::BytesMut::new();
-    pgwire::codec::encode_frontend(
-        &pgwire::messages::FrontendMessage::Query(sql.to_string()),
-        &mut buf,
-    );
+/// Byte length of one read statement as the gateway sends it: the five
+/// extended-query messages asking for binary results, in one write.
+fn read_len(sql: &str) -> u64 {
+    let mut buf = Vec::new();
+    pgwire::codec::encode_extended_query(sql, pgwire::Format::Binary, &mut buf);
     buf.len() as u64
 }
 
@@ -210,7 +208,7 @@ fn stalled_health_check_trips_deadline_and_evicts() {
     proxy.push_plan(FaultPlan {
         to_upstream: LegFaults {
             delay: Some(Duration::from_secs(5)),
-            delay_after: startup_len() + query_len("SELECT 1"),
+            delay_after: startup_len() + read_len("SELECT 1"),
             ..LegFaults::clean()
         },
         ..FaultPlan::clean()

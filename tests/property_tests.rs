@@ -8,7 +8,6 @@
 //!   Hyper-Q → SQL → pgdb pipeline (the paper's §5 framework as a
 //!   property).
 
-use bytes::BytesMut;
 use hyperq::side_by_side::SideBySide;
 use proptest::prelude::*;
 use qlang::value::{Atom, Table, Value};
@@ -235,7 +234,7 @@ proptest! {
         use pgwire::codec::{encode_backend, MessageReader};
         use pgwire::messages::BackendMessage;
         let msg = BackendMessage::DataRow(cells);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_backend(&msg, &mut buf);
         let mut reader = MessageReader::new(false);
         reader.feed(&buf);
@@ -247,7 +246,7 @@ proptest! {
         use pgwire::codec::{encode_frontend, MessageReader};
         use pgwire::messages::FrontendMessage;
         let msg = FrontendMessage::Query(sql);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_frontend(&msg, &mut buf);
         let mut reader = MessageReader::new(false);
         reader.feed(&buf);

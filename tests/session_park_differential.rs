@@ -9,11 +9,19 @@
 //! Results must agree structurally, and failures must agree *verbatim*:
 //! identical error strings, not merely matching error-ness.
 //!
+//! A third endpoint stands behind both comparisons: multiplexed like
+//! the second, but every session's backend is a PG v3 gateway
+//! connection to a `PgServer` over the same fixture instead of the
+//! in-process engine. Whatever the other two answer, it must answer —
+//! the result path over the wire (binary `DataRow`s decoded into column
+//! vectors) is not allowed to be observable either.
+//!
 //! Coverage is the repo's standing differential diet: the 38-statement
 //! oracle list (plus deliberate error probes), then a 200-program qgen
 //! fuzz slice at a fixed seed.
 
-use hyperq::endpoint::{EndpointConfig, QipcClient, QipcEndpoint};
+use hyperq::endpoint::{BackendFactory, EndpointConfig, QipcClient, QipcEndpoint};
+use hyperq::gateway::{Credentials, PgWireBackend};
 use hyperq::side_by_side::values_agree;
 use hyperq::{loader, HyperQSession};
 use hyperq_workload::taq::{generate_quotes, generate_trades, TaqConfig};
@@ -35,7 +43,25 @@ const NET_WORKERS: usize = 2;
 /// poller parks it again before the next frame arrives.
 const PARK: Duration = Duration::from_millis(1);
 
-fn start_pair(db_for: impl Fn() -> pgdb::Db) -> (QipcEndpoint, QipcEndpoint) {
+/// The three endpoints under comparison and the PG server the third
+/// one's sessions reach their data through.
+struct Endpoints {
+    blocking: QipcEndpoint,
+    multiplexed: QipcEndpoint,
+    wire: QipcEndpoint,
+    pg: pgdb::server::PgServer,
+}
+
+impl Endpoints {
+    fn detach(self) {
+        self.blocking.detach();
+        self.multiplexed.detach();
+        self.wire.detach();
+        self.pg.detach();
+    }
+}
+
+fn start_endpoints(db_for: impl Fn() -> pgdb::Db) -> Endpoints {
     let blocking = QipcEndpoint::start(
         db_for(),
         "127.0.0.1:0",
@@ -52,7 +78,29 @@ fn start_pair(db_for: impl Fn() -> pgdb::Db) -> (QipcEndpoint, QipcEndpoint) {
         },
     )
     .unwrap();
-    (blocking, multiplexed)
+    let pg = pgdb::server::PgServer::start(
+        db_for(),
+        "127.0.0.1:0",
+        pgdb::server::ServerConfig::default(),
+    )
+    .unwrap();
+    let pg_addr = pg.addr.to_string();
+    let factory: BackendFactory = std::sync::Arc::new(move || {
+        let creds =
+            Credentials { user: "differ".into(), password: String::new(), database: "hist".into() };
+        PgWireBackend::connect(&pg_addr, &creds).map(hyperq::share)
+    });
+    let wire = QipcEndpoint::start_with(
+        "127.0.0.1:0",
+        EndpointConfig {
+            io_model: IoModel::Multiplexed,
+            net_workers: NET_WORKERS,
+            ..EndpointConfig::default()
+        },
+        factory,
+    )
+    .unwrap();
+    Endpoints { blocking, multiplexed, wire, pg }
 }
 
 fn connect(ep: &QipcEndpoint) -> QipcClient {
@@ -195,9 +243,10 @@ const ERROR_PROBES: &[&str] = &[
 
 #[test]
 fn oracle_is_bit_identical_through_parked_multiplexed_sessions() {
-    let (blocking, multiplexed) = start_pair(oracle_db);
-    let mut a = connect(&blocking);
-    let mut b = connect(&multiplexed);
+    let eps = start_endpoints(oracle_db);
+    let mut a = connect(&eps.blocking);
+    let mut b = connect(&eps.multiplexed);
+    let mut c = connect(&eps.wire);
     let reg = obs::global_registry();
     let dispatches_before = reg.counter_value("net_dispatches_total");
 
@@ -212,11 +261,13 @@ fn oracle_is_bit_identical_through_parked_multiplexed_sessions() {
         // dispatch onto the worker pool.
         std::thread::sleep(PARK);
         let rb = run(&mut b, q);
-        if !agree(&ra, &rb, false) {
+        let rc = run(&mut c, q);
+        if !agree(&ra, &rb, false) || !agree(&ra, &rc, false) {
             failures.push(format!(
-                "`{q}`\n  thread-per-conn: {}\n  multiplexed:     {}",
+                "`{q}`\n  thread-per-conn: {}\n  multiplexed:     {}\n  over the wire:   {}",
                 describe(&ra),
-                describe(&rb)
+                describe(&rb),
+                describe(&rc)
             ));
         }
     }
@@ -233,8 +284,7 @@ fn oracle_is_bit_identical_through_parked_multiplexed_sessions() {
         reg.counter_value("net_dispatches_total") - dispatches_before >= count as u64,
         "multiplexed statements must each arrive as a scheduler dispatch"
     );
-    blocking.detach();
-    multiplexed.detach();
+    eps.detach();
 }
 
 // ---------------------------------------------------------------------
@@ -247,16 +297,16 @@ const FUZZ_BUDGET: usize = 200;
 const FUZZ_SEED: u64 = 20260807;
 
 struct FuzzPair {
-    blocking: QipcEndpoint,
-    multiplexed: QipcEndpoint,
+    eps: Endpoints,
     a: QipcClient,
     b: QipcClient,
+    c: QipcClient,
 }
 
 impl FuzzPair {
-    /// Fresh endpoints over fresh dbs, both loaded with `tables`.
+    /// Fresh endpoints over fresh dbs, all loaded with `tables`.
     fn new(tables: &[(String, Table)]) -> FuzzPair {
-        let (blocking, multiplexed) = start_pair(|| {
+        let eps = start_endpoints(|| {
             let db = pgdb::Db::new();
             let mut s = HyperQSession::with_direct(&db);
             for (name, table) in tables {
@@ -264,14 +314,14 @@ impl FuzzPair {
             }
             db
         });
-        let a = connect(&blocking);
-        let b = connect(&multiplexed);
-        FuzzPair { blocking, multiplexed, a, b }
+        let a = connect(&eps.blocking);
+        let b = connect(&eps.multiplexed);
+        let c = connect(&eps.wire);
+        FuzzPair { eps, a, b, c }
     }
 
     fn shutdown(self) {
-        self.blocking.detach();
-        self.multiplexed.detach();
+        self.eps.detach();
     }
 }
 
@@ -303,18 +353,21 @@ fn fuzz_slice_agrees_between_connection_layers() {
             let ra = run(&mut p.a, &q);
             std::thread::sleep(PARK);
             let rb = run(&mut p.b, &q);
-            if !agree(&ra, &rb, is_assignment(&q)) {
+            let rc = run(&mut p.c, &q);
+            let normalize = is_assignment(&q);
+            if !agree(&ra, &rb, normalize) || !agree(&ra, &rc, normalize) {
                 diverged = true;
                 failures.push(format!(
-                    "program {pi}: `{q}`\n  thread-per-conn: {}\n  multiplexed:     {}",
+                    "program {pi}: `{q}`\n  thread-per-conn: {}\n  multiplexed:     {}\n  over the wire:   {}",
                     describe(&ra),
-                    describe(&rb)
+                    describe(&rb),
+                    describe(&rc)
                 ));
             }
         }
         if diverged {
-            // Divergence may have forked session state across the two
-            // connections; rebuild both worlds so later programs are
+            // Divergence may have forked session state across the
+            // connections; rebuild all worlds so later programs are
             // judged from a clean slate.
             pair.take().unwrap().shutdown();
             pair = Some(FuzzPair::new(&dataset.as_ref().unwrap().tables));
