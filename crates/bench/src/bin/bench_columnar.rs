@@ -1,27 +1,11 @@
-//! Emit `BENCH_columnar.json`: the columnar executor against the
-//! retained row-at-a-time oracle, same statements, same data
-//! (EXPERIMENTS.md, DESIGN §10).
+//! Emit `BENCH_columnar.json`: pgdb's executor on the translated TAQ
+//! statements, in process (EXPERIMENTS.md, DESIGN §10).
 //!
 //!     cargo run --release --bin bench_columnar
 //!
-//! Measures, each best-of-N wall clock, over a source holding *both*
-//! representations pre-built (so neither side pays a conversion tax at
-//! scan time — exactly what `pgdb`'s engine stores):
-//!
-//! * 200k-row predicate filter (`WHERE v > c`);
-//! * 100k-row / 1k-group `GROUP BY k, sum/avg`;
-//! * 50k × 50k equi-join over a 10k key domain;
-//! * end-to-end pivot: SELECT over 100k rows all the way to a Q table
-//!   (columnar: `run_select_batch` → `pivot_batch` column hand-off;
-//!   rows: `run_select_rows` → per-cell transpose pivot).
-//!
-//! The acceptance bar is a ≥2× columnar speedup on at least two of the
-//! four shapes.
-//!
-//! Also reported, not gated: the translated TAQ point and vwap
-//! statements of hqbench's `taq_wire` over its 60k-row `trades`, timed
-//! through `Session::execute_batch`, with the number of rows the
-//! executor handed to the row pipeline meanwhile (expected: none).
+//! Reported, not gated: the translated TAQ point, vwap and `deltas`
+//! (a `lag()` window block) statements of hqbench's `taq_wire` over its
+//! 60k-row `trades`, timed through `Session::execute_batch`, best of 20.
 //!
 //! Gated: the translated `aj` over the first 300 / 3 000 / 30 000 rows
 //! of `trades` and `quotes`, with the join operator's strategy and
@@ -29,60 +13,9 @@
 //! the time — the interval probe is O((n + m) log m) where the nested
 //! loop it replaced was O(n·m), a hundredfold per step.
 
-use algebrizer::ResultShape;
-use hyperq::pivot::{pivot, pivot_batch};
 use hyperq::{loader, HyperQSession};
 use hyperq_workload::taq::{generate_quotes, generate_trades, TaqConfig};
-use pgdb::exec::columnar::run_select_batch;
-use pgdb::exec::{run_select_rows, TableSource};
-use pgdb::sql::ast::Stmt;
-use pgdb::sql::parse_statement;
-use pgdb::{Batch, Cell, Column, PgType, Rows};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-type DualTable = (Vec<Column>, Vec<Vec<Cell>>, Arc<Batch>);
-
-/// Both representations of every table, pre-built — the engine's own
-/// storage is columnar and the row path transposes on scan, so handing
-/// each executor its native representation isolates execution cost.
-struct DualSource {
-    tables: HashMap<String, DualTable>,
-}
-
-impl DualSource {
-    fn new() -> Self {
-        DualSource { tables: HashMap::new() }
-    }
-
-    fn put(&mut self, name: &str, columns: Vec<Column>, rows: Vec<Vec<Cell>>) {
-        let batch =
-            Arc::new(Batch::from_rows(Rows { columns: columns.clone(), data: rows.clone() }));
-        self.tables.insert(name.to_string(), (columns, rows, batch));
-    }
-}
-
-impl TableSource for DualSource {
-    fn get_table(&self, name: &str) -> Option<(Vec<Column>, Vec<Vec<Cell>>)> {
-        let (columns, rows, _) = self.tables.get(name)?;
-        Some((columns.clone(), rows.clone()))
-    }
-
-    fn get_table_batch(&self, name: &str) -> Option<Arc<Batch>> {
-        let (_, _, batch) = self.tables.get(name)?;
-        Some(Arc::clone(batch))
-    }
-}
-
-fn select(sql: &str) -> pgdb::sql::ast::SelectStmt {
-    match parse_statement(sql).expect("bench SQL parses") {
-        Stmt::Select(s) => s,
-        other => panic!("expected SELECT, got {other:?}"),
-    }
-}
 
 fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
     let mut best = Duration::MAX;
@@ -92,28 +25,6 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
         best = best.min(t0.elapsed());
     }
     best
-}
-
-struct Entry {
-    name: &'static str,
-    row_s: f64,
-    columnar_s: f64,
-    target_speedup: f64,
-}
-
-impl Entry {
-    fn speedup(&self) -> f64 {
-        if self.columnar_s > 0.0 { self.row_s / self.columnar_s } else { f64::INFINITY }
-    }
-}
-
-/// Row-pipeline hand-overs so far, all reasons.
-fn row_fallbacks() -> u64 {
-    let reg = obs::global_registry();
-    ["window", "agg_shape", "non_equi_join", "lazy_expr"]
-        .iter()
-        .map(|r| reg.counter_value(&format!("pgdb_exec_row_fallback_total{{reason=\"{r}\"}}")))
-        .sum()
 }
 
 /// `taq_wire`'s tables: 60k-row `trades` and `quotes`.
@@ -132,8 +43,8 @@ fn translated(hq: &mut HyperQSession, q: &str) -> String {
 }
 
 /// The translated TAQ statements over `taq_wire`'s table: name, best
-/// wall clock, rows out, row-pipeline hand-overs while timing.
-fn taq_statements(db: &pgdb::Db) -> Vec<(&'static str, Duration, usize, u64)> {
+/// wall clock, rows out.
+fn taq_statements(db: &pgdb::Db) -> Vec<(&'static str, Duration, usize)> {
     let mut hq = HyperQSession::with_direct(db);
     let mut session = db.session();
     session.set_exec_threads(Some(1));
@@ -143,17 +54,20 @@ fn taq_statements(db: &pgdb::Db) -> Vec<(&'static str, Duration, usize, u64)> {
             "taq_vwap_by_symbol_60k",
             "select vwap: (sum Price*Size) % sum Size by Symbol from trades where Date=2016.06.26, Size>200",
         ),
+        (
+            "taq_deltas_60k",
+            "select Time, Price, d: deltas Price from trades where Date=2016.06.26, Symbol=`AAPL",
+        ),
     ]
     .into_iter()
     .map(|(name, q)| {
         let sql = translated(&mut hq, q);
-        let before = row_fallbacks();
         let mut rows = 0;
         let best = best_of(20, || match session.execute_batch(&sql).expect(name) {
             pgdb::BatchQueryResult::Batch(b) => rows = b.rows(),
             other => panic!("{name}: expected rows, got {other:?}"),
         });
-        (name, best, rows, row_fallbacks() - before)
+        (name, best, rows)
     })
     .collect()
 }
@@ -207,124 +121,16 @@ fn aj_scaling(db: &pgdb::Db) -> Vec<AjRun> {
 }
 
 fn main() {
-    let mut rng = StdRng::seed_from_u64(23);
-    let mut src = DualSource::new();
-
-    // t: 200k rows, int key + int value + symbol tag.
-    let t_cols = vec![
-        Column::new("k", PgType::Int8),
-        Column::new("v", PgType::Int8),
-        Column::new("s", PgType::Varchar),
-    ];
-    let t_rows: Vec<Vec<Cell>> = (0..200_000)
-        .map(|_| {
-            let k = rng.gen_range(0..1_000i64);
-            vec![Cell::Int(k), Cell::Int(rng.gen_range(0..1_000_000)), Cell::Text(format!("s{}", k % 97))]
-        })
-        .collect();
-    src.put("t", t_cols, t_rows);
-
-    // l/r: 50k rows each over a 10k key domain.
-    let join_cols = |v: &str| {
-        vec![Column::new("k", PgType::Int8), Column::new(v, PgType::Int8)]
-    };
-    let join_rows = |rng: &mut StdRng, n: usize| -> Vec<Vec<Cell>> {
-        (0..n)
-            .map(|i| vec![Cell::Int(rng.gen_range(0..10_000i64)), Cell::Int(i as i64)])
-            .collect()
-    };
-    let lr = join_rows(&mut rng, 50_000);
-    let rr = join_rows(&mut rng, 50_000);
-    src.put("l", join_cols("lv"), lr);
-    src.put("r", join_cols("rv"), rr);
-
-    let mut entries = Vec::new();
-    let bench = |name: &'static str, sql: &str, target: f64, entries: &mut Vec<Entry>| {
-        let stmt = select(sql);
-        let columnar = best_of(5, || run_select_batch(&src, &stmt).expect(name));
-        let row = best_of(3, || run_select_rows(&src, &stmt).expect(name));
-        // Same answer before the same timing.
-        let a = run_select_batch(&src, &stmt).unwrap();
-        let b = Batch::from_rows(run_select_rows(&src, &stmt).unwrap());
-        assert!(a.structurally_equal(&b), "{name}: executors disagree");
-        entries.push(Entry {
-            name,
-            row_s: row.as_secs_f64(),
-            columnar_s: columnar.as_secs_f64(),
-            target_speedup: target,
-        });
-    };
-
-    bench("filter_200k_int_predicate", "SELECT v FROM t WHERE v > 500000", 2.0, &mut entries);
-    bench(
-        "group_by_100k_1k_groups",
-        "SELECT k, sum(v) AS sv, avg(v) AS av, count(*) AS n FROM t GROUP BY k",
-        2.0,
-        &mut entries,
-    );
-    bench(
-        "equi_join_50k_x_50k",
-        "SELECT l.k, l.lv, r.rv FROM l JOIN r ON l.k = r.k",
-        1.0,
-        &mut entries,
-    );
-
-    // End to end: SELECT through the executor AND the pivot into a Q
-    // table — the full internal-backend result path.
-    let stmt = select("SELECT k, v, s FROM t");
-    let columnar = best_of(5, || {
-        let batch = run_select_batch(&src, &stmt).expect("pivot select");
-        pivot_batch(batch, ResultShape::Table).expect("pivot")
-    });
-    let row = best_of(3, || {
-        let rows = run_select_rows(&src, &stmt).expect("pivot select");
-        pivot(&rows, ResultShape::Table).expect("pivot")
-    });
-    entries.push(Entry {
-        name: "end_to_end_pivot_100k_to_q_table",
-        row_s: row.as_secs_f64(),
-        columnar_s: columnar.as_secs_f64(),
-        target_speedup: 2.0,
-    });
-
-    let mut json = String::from("{\n  \"benchmarks\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"row_s\": {:.6}, \"columnar_s\": {:.6}, ",
-                "\"speedup\": {:.2}, \"target_speedup\": {:.1}, \"meets_target\": {}}}{}\n"
-            ),
-            e.name,
-            e.row_s,
-            e.columnar_s,
-            e.speedup(),
-            e.target_speedup,
-            e.speedup() >= e.target_speedup,
-            if i + 1 < entries.len() { "," } else { "" },
-        ));
-        println!(
-            "{:<36} row {:>10.3}ms   columnar {:>10.3}ms   speedup {:>8.2}x (target {:.0}x)",
-            e.name,
-            e.row_s * 1e3,
-            e.columnar_s * 1e3,
-            e.speedup(),
-            e.target_speedup,
-        );
-    }
-    let at_least_2x = entries.iter().filter(|e| e.speedup() >= 2.0).count();
-    json.push_str("  ],\n  \"taq_in_process\": [\n");
+    let mut json = String::from("{\n  \"taq_in_process\": [\n");
     let db = taq_db();
     let taq = taq_statements(&db);
-    for (i, (name, best, rows, fallbacks)) in taq.iter().enumerate() {
+    for (i, (name, best, rows)) in taq.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"best_ms\": {:.3}, \"rows_out\": {rows}, \"row_fallbacks\": {fallbacks}}}{}\n",
+            "    {{\"name\": \"{name}\", \"best_ms\": {:.3}, \"rows_out\": {rows}}}{}\n",
             best.as_secs_f64() * 1e3,
             if i + 1 < taq.len() { "," } else { "" },
         ));
-        println!(
-            "{name:<36} best {:>8.3}ms   {rows} rows out   {fallbacks} row-pipeline hand-overs",
-            best.as_secs_f64() * 1e3,
-        );
+        println!("{name:<36} best {:>8.3}ms   {rows} rows out", best.as_secs_f64() * 1e3);
     }
     json.push_str("  ],\n  \"aj_scaling\": [\n");
     let aj = aj_scaling(&db);
@@ -359,32 +165,18 @@ fn main() {
     let steps: Vec<f64> =
         aj.windows(2).map(|w| w[1].best.as_secs_f64() / w[0].best.as_secs_f64()).collect();
     json.push_str(&format!(
-        "  ],\n  \"aj_time_ratio_per_10x_rows\": [{}],\n",
+        "  ],\n  \"aj_time_ratio_per_10x_rows\": [{}]\n}}\n",
         steps.iter().map(|r| format!("{r:.2}")).collect::<Vec<_>>().join(", ")
     ));
-    json.push_str(&format!("  \"shapes_at_2x_or_better\": {at_least_2x}\n}}\n"));
     std::fs::write("BENCH_columnar.json", &json).expect("write BENCH_columnar.json");
     println!("wrote BENCH_columnar.json");
 
-    let failed: Vec<&str> = entries
-        .iter()
-        .filter(|e| e.speedup() < e.target_speedup)
-        .map(|e| e.name)
-        .collect();
-    if !failed.is_empty() {
-        eprintln!("targets missed: {failed:?}");
-        std::process::exit(1);
-    }
     if let Some(step) = steps.iter().find(|r| **r >= 20.0) {
         eprintln!("aj scaling: 10x the rows cost {step:.1}x the time (limit 20x)");
         std::process::exit(1);
     }
     if aj.iter().any(|run| run.joins[..4] != [0, 0, 1, 0]) {
         eprintln!("aj scaling: every size must run as one interval join");
-        std::process::exit(1);
-    }
-    if at_least_2x < 2 {
-        eprintln!("acceptance: need >=2 shapes at >=2x, got {at_least_2x}");
         std::process::exit(1);
     }
 }

@@ -28,7 +28,7 @@ pub fn quick_spec() -> WorkloadSpec {
 /// The translation cache is forced off regardless of `config`: these
 /// harnesses time the translation *pipeline* (Figures 6/7 and the
 /// ablations), which a cache hit would short-circuit. The cache itself
-/// is measured separately by the `exec_hotpaths` bench.
+/// is measured by hqbench (`core.qcache.hit_us`).
 pub fn prepared_session(spec: &WorkloadSpec, config: SessionConfig) -> HyperQSession {
     let db = pgdb::Db::new();
     for (name, table) in tables(spec) {
@@ -125,76 +125,6 @@ pub fn measure_query(
         translation: best_tr,
         stages,
         execution: best_ex,
-    }
-}
-
-/// Synthetic inputs for the `exec_hotpaths` bench and the
-/// `bench_exec` emitter: executor-level row sets sized to expose the
-/// O(n·g) naive scans against their hash replacements.
-pub mod exec_data {
-    use pgdb::exec::expr::BoundCol;
-    use pgdb::exec::{EquiPair, Frame};
-    use pgdb::{Cell, PgType};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// Two-column grouping keys over `cardinality` distinct values —
-    /// the high-cardinality GROUP BY shape where naive per-group scans
-    /// degrade to O(rows × groups).
-    pub fn grouping_keys(rows: usize, cardinality: usize, seed: u64) -> Vec<Vec<Cell>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..rows)
-            .map(|_| {
-                let k = rng.gen_range(0..cardinality as i64);
-                vec![Cell::Int(k), Cell::Text(format!("g{}", k % 977))]
-            })
-            .collect()
-    }
-
-    /// A row set for DISTINCT/set-op benches: mixed types, a sprinkle
-    /// of NULLs and duplicate keys.
-    pub fn row_set(rows: usize, domain: i64, seed: u64) -> Vec<Vec<Cell>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..rows)
-            .map(|_| {
-                let k = rng.gen_range(0..domain);
-                let second = match k % 7 {
-                    0 => Cell::Null,
-                    1 => Cell::Float(k as f64 / 2.0),
-                    _ => Cell::Int(k * 3),
-                };
-                vec![Cell::Int(k), second]
-            })
-            .collect()
-    }
-
-    /// Build two joinable frames sharing a key domain, plus the equi
-    /// pair list `hash_join` consumes.
-    pub fn join_inputs(
-        left_rows: usize,
-        right_rows: usize,
-        key_cardinality: i64,
-        seed: u64,
-    ) -> (Frame, Frame, Vec<EquiPair>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let col = |q: &str, n: &str| BoundCol {
-            qualifier: Some(q.to_string()),
-            name: n.to_string(),
-            ty: PgType::Int8,
-        };
-        let l = Frame {
-            cols: vec![col("l", "k"), col("l", "v")],
-            rows: (0..left_rows)
-                .map(|i| vec![Cell::Int(rng.gen_range(0..key_cardinality)), Cell::Int(i as i64)])
-                .collect(),
-        };
-        let r = Frame {
-            cols: vec![col("r", "k"), col("r", "w")],
-            rows: (0..right_rows)
-                .map(|i| vec![Cell::Int(rng.gen_range(0..key_cardinality)), Cell::Int(-(i as i64))])
-                .collect(),
-        };
-        (l, r, vec![EquiPair { left: 0, right: 0, nulls_match: false }])
     }
 }
 

@@ -378,12 +378,13 @@ impl Session {
     /// without materializing; everything else executes on the
     /// materializing path and is re-chunked for uniform consumption.
     pub fn execute_stream(&mut self, sql: &str) -> Result<StreamQueryResult, DbError> {
-        if let Ok(Stmt::Select(s)) = parse_statement(sql) {
-            if let Some(stream) = stream::try_select_stream(self, &s) {
+        let stmt = parse_statement(sql)?;
+        if let Stmt::Select(s) = &stmt {
+            if let Some(stream) = stream::try_select_stream(self, s) {
                 return Ok(StreamQueryResult::Stream(stream));
             }
         }
-        Ok(match self.execute_batch(sql)? {
+        Ok(match self.execute_stmt(stmt)? {
             BatchQueryResult::Batch(b) => {
                 StreamQueryResult::Stream(BatchStream::chunked(b, parallel::MORSEL_ROWS))
             }

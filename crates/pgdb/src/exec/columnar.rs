@@ -1,43 +1,36 @@
 //! Columnar (batch-at-a-time) SELECT execution over [`ColumnVec`]s.
 //!
-//! This is the default production executor (DESIGN §10). A scan borrows
-//! the stored batch ([`FrameCol::Shared`]), WHERE yields a selection
-//! vector over it, and projection, grouping and ordering read the
+//! This is pgdb's executor (DESIGN §10). A scan borrows the stored
+//! batch ([`FrameCol::Shared`]), WHERE yields a selection vector over
+//! it, and projection, grouping, window functions and ordering read the
 //! surviving rows through that selection — a column is gathered once,
 //! into the result, and only if the block still references it. All
 //! expression evaluation goes through the one vector evaluator in
 //! [`vector`](super::vector); the result leaves as a [`Batch`] so the
 //! engine, the gateway pivot, and QIPC encoding never re-transpose it.
 //!
-//! Semantics are defined by the retained row-major pipeline in the
-//! parent module. Window-function blocks scan and filter here and hand
-//! their surviving rows to that pipeline's
-//! [`project_block`](super::project_block); aggregate blocks outside
-//! [`aggregate_batch_fast`] do the same, and a join whose condition can
-//! fail runs that pipeline's nested loop — each hand-over counted in
-//! `pgdb_exec_row_fallback_total{reason}`.
-//!
-//! In debug builds every top-level statement is cross-checked against
-//! [`run_select_rows`](super::run_select_rows): values must agree
-//! structurally; when both sides fail they may differ in *which* error
-//! they report (column-major evaluation order visits rows in a
-//! different sequence), which counts as agreement.
+//! Semantics are defined by the row-major pipeline in `oracle`, which
+//! is compiled for tests and debug builds only. There every statement
+//! entering [`run_select_batch`] is re-run on it, once, derived tables
+//! and subqueries included: values must agree structurally; when both
+//! sides fail they may differ in *which* error they report
+//! (column-major evaluation order visits rows in a different sequence),
+//! which counts as agreement.
 
-use super::expr::{derive_type, eval, resolve_column, BoundCol};
+use super::expr::{self, derive_type, eval, resolve_column, BoundCol};
 use super::vector::{
-    self, eval_column, eval_val, morsel_eligible, referenced_columns, row_fallback, Ctx,
-    Fallback, Rows, View,
+    self, eval_column, eval_row, eval_val, morsel_eligible, referenced_columns, Ctx, Rows, View,
 };
 use super::{
-    contains_subquery, default_output_name, fold_cells, nested_loop_join, parallel, project_block,
-    resolve_subqueries, substitute_nodes, EquiPair, Frame, Interval, JoinPairs, JoinShape,
-    TableSource,
+    collect_windows, fold_cells, output_schema, parallel, resolve_where, select_items,
+    substitute_nodes, EquiPair, Interval, JoinShape, TableSource,
 };
 use crate::engine::DbError;
 use crate::sql::ast::*;
 use crate::types::{Cell, Column, PgType};
-use colstore::{Batch, CellKey, ColumnVec};
+use colstore::{Batch, CellKey, ColumnVec, Validity};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -71,7 +64,7 @@ fn bound_cols(schema: &[Column], qualifier: &str) -> Vec<BoundCol> {
         .collect()
 }
 
-/// Column-major intermediate result: the batch dual of [`Frame`].
+/// Column-major intermediate result.
 pub(crate) struct ColFrame {
     /// Bound columns (with source qualifiers).
     pub(crate) cols: Vec<BoundCol>,
@@ -84,8 +77,7 @@ pub(crate) struct ColFrame {
 
 impl ColFrame {
     /// The unit relation — one row to project expressions over, no
-    /// columns to read. Replaces the row executor's
-    /// `Frame { cols: vec![], rows: vec![vec![]] }` hack.
+    /// columns to read.
     pub(crate) fn unit() -> ColFrame {
         ColFrame { cols: Vec::new(), columns: Vec::new(), len: 1 }
     }
@@ -106,20 +98,6 @@ impl ColFrame {
     /// The column storage, as the evaluator takes it.
     pub(crate) fn refs(&self) -> Vec<&ColumnVec> {
         self.columns.iter().map(|c| &**c).collect()
-    }
-
-    /// The row pipeline's form of `rows` of this frame, holding only
-    /// the columns in `keep` (ascending). Dropping the others cannot
-    /// change how a surviving reference resolves: resolution takes the
-    /// first match, and every column that was some reference's first
-    /// match is kept.
-    fn to_frame(&self, rows: Rows<'_>, keep: &[usize]) -> Frame {
-        Frame {
-            cols: keep.iter().map(|&c| self.cols[c].clone()).collect(),
-            rows: (0..rows.len())
-                .map(|k| keep.iter().map(|&c| self.columns[c].cell_at(rows.phys(k))).collect())
-                .collect(),
-        }
     }
 
     /// Transpose row-major data into a frame (lossless).
@@ -153,7 +131,9 @@ fn batch_rows_histogram() -> &'static Arc<obs::Histogram> {
     })
 }
 
-/// Execute a SELECT statement, returning the result as a batch.
+/// Execute a SELECT statement, returning the result as a batch — the
+/// statement entry: nested blocks (derived tables, `IN (SELECT ...)`)
+/// run through [`run_select_columnar`].
 ///
 /// Debug builds re-run the statement on the row-major oracle and
 /// assert structural agreement.
@@ -190,8 +170,8 @@ fn cross_check(src: &dyn TableSource, stmt: &SelectStmt, got: &Result<Batch, DbE
     }
 }
 
-/// Chained set operations over batches, mirroring the row pipeline's
-/// left fold (including the incremental `seen` key set).
+/// Execute a SELECT statement: its blocks, left-folded through their
+/// chained set operations (with an incremental `seen` key set).
 fn run_select_columnar(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, DbError> {
     let mut out = run_block_batch(src, stmt)?;
     let mut cursor = &stmt.set_op;
@@ -248,58 +228,25 @@ fn run_select_columnar(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch
     Ok(out)
 }
 
-/// Frame columns the block reads once FROM and WHERE are done: its
-/// select list, GROUP BY, HAVING and ORDER BY — every column under `*`.
-fn block_columns(stmt: &SelectStmt, cols: &[BoundCol]) -> Vec<usize> {
-    let mut keep = Vec::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Wildcard => return (0..cols.len()).collect(),
-            SelectItem::Expr { expr, .. } => referenced_columns(expr, cols, &mut keep),
-        }
-    }
-    let rest = stmt.group_by.iter().chain(&stmt.having).chain(stmt.order_by.iter().map(|(e, _)| e));
-    for e in rest {
-        referenced_columns(e, cols, &mut keep);
-    }
-    keep.sort_unstable();
-    keep
-}
-
 /// Execute one SELECT block (no set ops), column-major.
 fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, DbError> {
+    // Uncorrelated subqueries are resolved up front, on this engine.
+    let stmt = resolve_where(stmt, &|query| run_select_columnar(src, query).map(Batch::into_rows))?;
+    let stmt = &*stmt;
     let has_agg = !stmt.group_by.is_empty()
         || stmt.items.iter().any(|i| match i {
             SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
             SelectItem::Wildcard => false,
         });
-    let has_window = stmt.items.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr.contains_window(),
-        SelectItem::Wildcard => false,
-    });
-
-    // Uncorrelated subqueries are resolved up front (same as the row
-    // pipeline; the subqueries themselves run columnar via run_select).
-    let resolved_where = match &stmt.where_clause {
-        Some(p) if contains_subquery(p) => Some(resolve_subqueries(p, src)?),
-        _ => None,
-    };
-    let stmt_storage;
-    let stmt = if resolved_where.is_some() {
-        stmt_storage = SelectStmt { where_clause: resolved_where, ..stmt.clone() };
-        &stmt_storage
-    } else {
-        stmt
-    };
 
     let threads = src.exec_threads();
 
     // FROM.
-    let frame = match &stmt.from {
+    let ColFrame { mut cols, columns: storage, len } = match &stmt.from {
         Some(item) => eval_from_batch(src, item)?,
         None => ColFrame::unit(),
     };
-    let columns = frame.refs();
+    let mut columns: Vec<&ColumnVec> = storage.iter().map(|c| &**c).collect();
 
     // WHERE (3VL: keep definite TRUE only) yields a selection vector;
     // nothing is gathered here. Large inputs filter morsel-at-a-time;
@@ -308,74 +255,154 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
     let sel: Option<Vec<usize>> = match &stmt.where_clause {
         None => None,
         Some(pred) => Some(
-            if parallel::should_parallelize(frame.len, threads) && morsel_eligible(pred, &frame.cols) {
-                parallel::run_morsels(frame.len, threads, "filter", |_, range| {
-                    vector::filter(pred, &frame.cols, &columns, range)
+            if parallel::should_parallelize(len, threads) && morsel_eligible(pred, &cols) {
+                parallel::run_morsels(len, threads, "filter", |_, range| {
+                    vector::filter(pred, &cols, &columns, range)
                 })?
                 .concat()
             } else {
-                vector::filter(pred, &frame.cols, &columns, 0..frame.len)?
+                vector::filter(pred, &cols, &columns, 0..len)?
             },
         ),
     };
     let rows = match &sel {
         Some(sel) => Rows::Sel(sel),
-        None => Rows::all(frame.len),
+        None => Rows::all(len),
     };
-    let ctx = Ctx { cols: &frame.cols, columns: &columns, rows, pair: None };
+    let ctx = Ctx { cols: &cols, columns: &columns, rows, pair: None };
 
-    // The row pipeline's share of a block it still owns: the surviving
-    // rows, pruned to the columns the block reads.
-    let on_row_pipeline = |reason: Fallback| {
-        row_fallback(reason, rows.len());
-        let keep = block_columns(stmt, &frame.cols);
-        project_block(stmt, frame.to_frame(rows, &keep)).map(Batch::from_rows)
-    };
-    if has_window && !has_agg {
-        // Window materialization is row-order-sensitive.
-        return on_row_pipeline(Fallback::Window);
-    }
     if has_agg {
-        return match aggregate_batch_fast(stmt, &ctx, threads) {
-            Some(out) => order_and_page(stmt, out, None),
-            None => on_row_pipeline(Fallback::AggShape),
-        };
+        return order_and_page(stmt, aggregate_batch(stmt, &ctx, threads)?, None);
     }
 
-    // Wildcard expansion.
-    let mut items: Vec<(Option<String>, SqlExpr)> = Vec::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Wildcard => {
-                for c in frame.cols.clone() {
-                    items.push((
-                        Some(c.name.clone()),
-                        SqlExpr::Column { qualifier: c.qualifier.clone(), name: c.name },
-                    ));
-                }
-            }
-            SelectItem::Expr { expr, alias } => items.push((alias.clone(), expr.clone())),
-        }
+    // Window functions: each distinct one becomes a column beside the
+    // frame's, computed over the selected rows and read in place; the
+    // items then reference it like any other column.
+    let mut items = select_items(stmt, &cols);
+    let mut windows = Vec::new();
+    for (_, e) in &items {
+        collect_windows(e, &mut windows);
     }
+    let mut window_columns = Vec::with_capacity(windows.len());
+    for w in &windows {
+        window_columns.push((derive_type(w, &cols), window_column(w, &ctx, threads)?));
+    }
+    let pair = (!windows.is_empty()).then(|| (columns.len(), Rows::all(rows.len())));
+    for (i, (ty, column)) in window_columns.iter().enumerate() {
+        cols.push(BoundCol { qualifier: None, name: format!("hq_win_{i}"), ty: *ty });
+        columns.push(column);
+    }
+    if !windows.is_empty() {
+        items = items
+            .into_iter()
+            .map(|(alias, e)| (alias, substitute_nodes(e, &windows, "hq_win_")))
+            .collect();
+    }
+    let ctx = Ctx { cols: &cols, columns: &columns, rows, pair };
 
     // Projection: each item evaluates over the selected rows straight
     // into its output column.
-    let out_cols: Vec<Column> = items
-        .iter()
-        .enumerate()
-        .map(|(i, (alias, e))| {
-            let name = alias.clone().unwrap_or_else(|| default_output_name(e, i));
-            Column::new(name, derive_type(e, &frame.cols))
-        })
-        .collect();
     let mut out_columns = Vec::with_capacity(items.len());
     for (_, e) in &items {
         out_columns.push(eval_column_morsels(e, &ctx, threads)?);
     }
-    let out = Batch::new(out_cols, out_columns, rows.len());
+    let out = Batch::new(output_schema(&items, &cols), out_columns, rows.len());
 
     // ORDER BY resolves output aliases first, then input columns.
     order_and_page(stmt, out, Some(&ctx))
+}
+
+/// The cells of each ORDER BY key over the rows of `ctx`.
+fn order_keys(order_by: &[(SqlExpr, bool)], ctx: &Ctx<'_>) -> Result<Vec<Vec<Cell>>, DbError> {
+    order_by.iter().map(|(e, _)| Ok(eval_column(e, ctx)?.into_cells())).collect()
+}
+
+/// Sort row numbers by their [`order_keys`]: `Cell::sort_cmp` key by
+/// key, DESC by reversal, ties keeping the order they came in.
+fn sort_rows(rows: &mut [usize], keys: &[Vec<Cell>], order_by: &[(SqlExpr, bool)]) {
+    rows.sort_by(|&a, &b| {
+        for (k, (_, desc)) in keys.iter().zip(order_by) {
+            let ord = k[a].sort_cmp(&k[b]);
+            let ord = if *desc { ord.reverse() } else { ord };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    });
+}
+
+/// One window function over the rows of `ctx`: its value per row.
+///
+/// Rows are partitioned as GROUP BY groups them ([`group_rows`]:
+/// first-seen partition order, rows ascending), each partition is sorted
+/// by the window's ORDER BY, and the function is positional access
+/// within it: `row_number`/`rank` count, `lead`/`lag`/`first_value`/
+/// `last_value` (whole-partition frame) name, per row, the row whose
+/// argument value they take. The argument is evaluated once, as a
+/// vector, and gathered. If that fails for some row, it is evaluated
+/// for just the rows some output row takes its value from — `lead`
+/// never reads a partition's first row — which is when the oracle
+/// fails too.
+fn window_column(w: &SqlExpr, ctx: &Ctx<'_>, threads: usize) -> Result<ColumnVec, DbError> {
+    let SqlExpr::WindowFunc { name, args, partition_by, order_by } = w else {
+        return Err(DbError::exec("not a window function"));
+    };
+    let n = ctx.rows.len();
+    let ty = derive_type(w, ctx.cols);
+    if n == 0 {
+        // No row, no partition: not even the function's name is looked at.
+        return Ok(ColumnVec::empty(ty));
+    }
+    let mut partitions = group_rows(partition_by, ctx, threads)?;
+    let keys = order_keys(order_by, ctx)?;
+    if !order_by.is_empty() {
+        for g in 0..partitions.len() {
+            sort_rows(partitions.get_mut(g), &keys, order_by);
+        }
+    }
+
+    let mut source: Vec<Option<usize>> = vec![None; n];
+    match name.as_str() {
+        "row_number" | "rank" => {
+            let mut out = vec![0i64; n];
+            for part in partitions.iter() {
+                let mut rank = 1;
+                for (i, &row) in part.iter().enumerate() {
+                    let tied = name == "rank"
+                        && i > 0
+                        && keys.iter().all(|k| k[row].not_distinct(&k[part[i - 1]]));
+                    if !tied {
+                        rank = i as i64 + 1;
+                    }
+                    out[row] = rank;
+                }
+            }
+            return Ok(ColumnVec::Int(out, Validity::all_valid(n)));
+        }
+        "lead" => partitions.iter().flat_map(|p| p.windows(2)).for_each(|ab| source[ab[0]] = Some(ab[1])),
+        "lag" => partitions.iter().flat_map(|p| p.windows(2)).for_each(|ab| source[ab[1]] = Some(ab[0])),
+        "first_value" | "last_value" => {
+            for part in partitions.iter() {
+                let from = if name == "first_value" { part.first() } else { part.last() };
+                part.iter().for_each(|&row| source[row] = from.copied());
+            }
+        }
+        other => return Err(DbError::exec(format!("unknown window function {other}"))),
+    }
+    let Some(arg) = args.first() else { return Ok(ColumnVec::nulls(ty, n)) };
+    match eval_view(arg, ctx, threads) {
+        Ok(arg) => {
+            let phys: Vec<Option<usize>> =
+                source.iter().map(|s| s.map(|k| arg.rows.phys(k))).collect();
+            Ok(arg.col.take_opt(&phys))
+        }
+        Err(_) => {
+            let cells: Result<Vec<Cell>, DbError> =
+                source.iter().map(|s| s.map_or(Ok(Cell::Null), |k| eval_row(arg, ctx, k))).collect();
+            Ok(ColumnVec::from_cells(ty, cells?))
+        }
+    }
 }
 
 /// [`eval_column`], split across workers for large inputs. Per-morsel
@@ -391,7 +418,7 @@ fn eval_column_morsels(e: &SqlExpr, ctx: &Ctx<'_>, threads: usize) -> Result<Col
         return eval_column(e, ctx);
     }
     let chunks = parallel::run_morsels(n, threads, "project", |_, range| {
-        eval_column(e, &Ctx { rows: ctx.rows.slice(range), ..*ctx })
+        eval_column(e, &ctx.slice(range))
     })?;
     let uniform = chunks
         .windows(2)
@@ -428,8 +455,7 @@ fn concat_columns(chunks: Vec<Vec<ColumnVec>>) -> Vec<ColumnVec> {
 /// ORDER BY + OFFSET/LIMIT over an output batch. `input` supplies the
 /// pre-projection columns (and the rows of them that were projected)
 /// for ORDER BY resolution in non-aggregate blocks — output aliases
-/// take precedence; aggregate output orders over its own columns only,
-/// exactly like the row pipeline.
+/// take precedence; aggregate output orders over its own columns only.
 fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&Ctx<'_>>) -> Result<Batch, DbError> {
     let mut out = out;
     if !stmt.order_by.is_empty() {
@@ -457,7 +483,7 @@ fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&Ctx<'_>>) -> Res
             reads.sort_unstable();
             for i in reads {
                 cols.push(input.cols[i].clone());
-                gathered.push(match input.rows {
+                gathered.push(match input.rows_of(i) {
                     Rows::Range { start: 0, len } if len == input.columns[i].len() => {
                         Cow::Borrowed(input.columns[i])
                     }
@@ -468,21 +494,9 @@ fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&Ctx<'_>>) -> Res
         let columns: Vec<&ColumnVec> = out.columns.iter().chain(gathered.iter().map(|c| &**c)).collect();
         let combined =
             Ctx { cols: &cols, columns: &columns, rows: Rows::all(out.rows()), pair: None };
-        let mut key_cells: Vec<Vec<Cell>> = Vec::with_capacity(stmt.order_by.len());
-        for (e, _) in &stmt.order_by {
-            key_cells.push(eval_column(e, &combined)?.into_cells());
-        }
+        let keys = order_keys(&stmt.order_by, &combined)?;
         let mut idx: Vec<usize> = (0..out.rows()).collect();
-        idx.sort_by(|&a, &b| {
-            for (k, (_, desc)) in key_cells.iter().zip(&stmt.order_by) {
-                let ord = k[a].sort_cmp(&k[b]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        sort_rows(&mut idx, &keys, &stmt.order_by);
         // Already in order (the translator's `ORDER BY "ordcol"` over a
         // scan): nothing to move.
         if idx.iter().enumerate().any(|(k, &i)| k != i) {
@@ -540,6 +554,10 @@ impl Groups {
 
     fn get(&self, g: usize) -> &[usize] {
         &self.rows[self.starts[g]..self.starts[g + 1]]
+    }
+
+    fn get_mut(&mut self, g: usize) -> &mut [usize] {
+        &mut self.rows[self.starts[g]..self.starts[g + 1]]
     }
 
     fn iter(&self) -> impl Iterator<Item = &[usize]> {
@@ -622,121 +640,106 @@ fn eval_view<'a>(e: &SqlExpr, ctx: &Ctx<'a>, threads: usize) -> Result<View<'a>,
     Ok(eval_val(e, ctx)?.into_view(n, derive_type(e, ctx.cols)))
 }
 
-/// The aggregate calls and bare columns of one select item, appended to
-/// `calls` / `firsts`; `None` for a shape this path leaves to the row
-/// pipeline — a nested aggregate, an unresolved column (whose error, or
-/// non-error over an empty group, the row pipeline must produce), or a
-/// node its aggregate-context evaluation treats specially.
-fn scan_agg_item(
-    e: &SqlExpr,
-    cols: &[BoundCol],
-    calls: &mut Vec<SqlExpr>,
-    firsts: &mut Vec<usize>,
-) -> Option<()> {
+/// The rows of `ctx` bucketed by the values of `keys` — GROUP BY's
+/// groups, PARTITION BY's partitions — in first-seen order, each
+/// bucket's rows ascending. No keys: one bucket. Each key column gets
+/// dense ids; a further key refines the ids so far pairwise, and
+/// first-seen order carries through both steps.
+fn group_rows(keys: &[SqlExpr], ctx: &Ctx<'_>, threads: usize) -> Result<Groups, DbError> {
+    let n = ctx.rows.len();
+    if keys.is_empty() {
+        return Ok(Groups::single(n));
+    }
+    let mut ids: Option<(Vec<usize>, usize)> = None;
+    for key in keys {
+        let (next, count) = column_ids(&eval_view(key, ctx, threads)?, n, threads)?;
+        ids = Some(match ids {
+            None => (next, count),
+            Some((prev, _)) => assign_ids(n, threads, |k| (prev[k], next[k]))?,
+        });
+    }
+    let (ids, count) = ids.expect("at least one key");
+    Ok(Groups::from_ids(&ids, count))
+}
+
+/// The aggregate calls (outermost ones) and the frame columns `e` reads
+/// outside them, appended to `calls` / `firsts`. A reference that does
+/// not resolve is left for evaluation to report.
+fn collect_agg_refs(e: &SqlExpr, cols: &[BoundCol], calls: &mut Vec<SqlExpr>, firsts: &mut Vec<usize>) {
+    let mut visit = |x: &SqlExpr| collect_agg_refs(x, cols, calls, firsts);
     match e {
-        SqlExpr::Func { name, args, .. } if is_aggregate_name(name) => {
-            if args.iter().any(|a| a.contains_aggregate()) {
-                return None;
-            }
+        SqlExpr::Func { name, .. } if is_aggregate_name(name) => {
             if !calls.contains(e) {
                 calls.push(e.clone());
             }
         }
         SqlExpr::Column { qualifier, name } => {
-            let i = resolve_column(cols, qualifier.as_deref(), name).ok()?;
-            if !firsts.contains(&i) {
-                firsts.push(i);
+            if let Ok(i) = resolve_column(cols, qualifier.as_deref(), name) {
+                if !firsts.contains(&i) {
+                    firsts.push(i);
+                }
             }
         }
-        SqlExpr::Literal(_) => {}
-        // Aggregate context gives AND/OR a NULL for any NULL operand
-        // (`eval_agg`), where the scalar evaluator is Kleene.
-        SqlExpr::Binary { op: SqlBinOp::And | SqlBinOp::Or, .. } => return None,
         SqlExpr::Binary { lhs, rhs, .. } => {
-            scan_agg_item(lhs, cols, calls, firsts)?;
-            scan_agg_item(rhs, cols, calls, firsts)?;
+            visit(lhs);
+            visit(rhs);
         }
-        SqlExpr::Not(x) | SqlExpr::Neg(x) => scan_agg_item(x, cols, calls, firsts)?,
-        SqlExpr::Func { args, .. } => {
-            for a in args {
-                scan_agg_item(a, cols, calls, firsts)?;
-            }
-        }
+        SqlExpr::Not(x) | SqlExpr::Neg(x) => visit(x),
+        SqlExpr::Func { args, .. } => args.iter().for_each(visit),
         SqlExpr::Case { branches, else_result } => {
             for (c, r) in branches {
-                scan_agg_item(c, cols, calls, firsts)?;
-                scan_agg_item(r, cols, calls, firsts)?;
+                visit(c);
+                visit(r);
             }
             if let Some(x) = else_result {
-                scan_agg_item(x, cols, calls, firsts)?;
+                visit(x);
             }
         }
-        SqlExpr::Cast { expr, .. } | SqlExpr::IsNull { expr, .. } => {
-            scan_agg_item(expr, cols, calls, firsts)?
+        SqlExpr::Cast { expr, .. } | SqlExpr::IsNull { expr, .. } => visit(expr),
+        SqlExpr::InList { expr, list, .. } => {
+            visit(expr);
+            list.iter().for_each(visit);
         }
-        _ => return None,
+        // Evaluating these in aggregate context is an error.
+        SqlExpr::Literal(_) | SqlExpr::Star | SqlExpr::WindowFunc { .. } | SqlExpr::InSubquery { .. } => {}
     }
-    Some(())
 }
 
-/// Vectorized aggregation: group once into dense ids, evaluate every
-/// aggregate argument as a vector expression over the selected rows,
-/// fold per group, then evaluate each select item per group over the
-/// aggregate results.
+/// The aggregate operator: group once into dense ids, then HAVING and
+/// every select item evaluate per group through the scalar evaluator
+/// over a virtual row of [aggregate results..., first-row values of the
+/// bare columns...], the aggregate calls replaced by references into it.
 ///
-/// Covers any group-key expression, any aggregate over any vector
-/// argument (plain or DISTINCT; `hq_first`/`hq_last` included), and
-/// items that are scalar expressions over aggregate results, bare
-/// columns (the group's first-row value) and literals. Returns `None`
-/// for HAVING, `*`, the shapes [`scan_agg_item`] rejects, and for *any*
-/// evaluation error — the row pipeline then produces the error, or the
-/// result where aggregate laziness (a `CASE` guarding an aggregate, an
-/// empty input) means there is none.
-fn aggregate_batch_fast(stmt: &SelectStmt, ctx: &Ctx<'_>, threads: usize) -> Option<Batch> {
-    if stmt.having.is_some() {
-        return None;
+/// An aggregate's argument is evaluated eagerly — once, as a vector
+/// over all selected rows, folded per group — when that evaluation
+/// succeeds, which proves it could not have failed for any row. When it
+/// fails, whether the statement fails depends on which groups and rows
+/// the result is ever asked for: HAVING drops groups, `CASE` guards
+/// calls, `hq_first` reads one row, no row means no group. That call is
+/// then computed lazily ([`aggregate_group`]): per group, row by row,
+/// at the moment the virtual row is read — the evaluations the oracle
+/// performs, and their errors. Expressions with nested aggregates and
+/// calls without an argument take the same route to the same errors.
+fn aggregate_batch(stmt: &SelectStmt, ctx: &Ctx<'_>, threads: usize) -> Result<Batch, DbError> {
+    let groups = group_rows(&stmt.group_by, ctx, threads)?;
+    let mut items = Vec::with_capacity(stmt.items.len());
+    for item in &stmt.items {
+        let SelectItem::Expr { expr, alias } = item else {
+            return Err(DbError::exec("SELECT * with GROUP BY is not supported"));
+        };
+        items.push((alias.clone(), expr.clone()));
     }
-    let n = ctx.rows.len();
     let mut calls = Vec::new();
     let mut firsts = Vec::new();
-    let mut items: Vec<(&Option<String>, &SqlExpr)> = Vec::with_capacity(stmt.items.len());
-    for item in &stmt.items {
-        let SelectItem::Expr { expr, alias } = item else { return None };
-        scan_agg_item(expr, ctx.cols, &mut calls, &mut firsts)?;
-        items.push((alias, expr));
+    for e in items.iter().map(|(_, e)| e).chain(&stmt.having) {
+        collect_agg_refs(e, ctx.cols, &mut calls, &mut firsts);
     }
+    // Frame order, so a reference's first match in the virtual row is
+    // its first match in the frame.
+    firsts.sort_unstable();
+    let eager: Vec<Option<Vec<Cell>>> =
+        calls.iter().map(|call| aggregate_call(call, ctx, &groups, threads).ok()).collect();
 
-    // Each key column gets dense ids; a further key refines the ids so
-    // far pairwise. First-seen order carries through both steps.
-    let groups = if stmt.group_by.is_empty() {
-        Groups::single(n)
-    } else {
-        let mut ids: Option<(Vec<usize>, usize)> = None;
-        for key in &stmt.group_by {
-            let (next, count) = column_ids(&eval_view(key, ctx, threads).ok()?, n, threads).ok()?;
-            ids = Some(match ids {
-                None => (next, count),
-                Some((prev, _)) => assign_ids(n, threads, |k| (prev[k], next[k])).ok()?,
-            });
-        }
-        let (ids, count) = ids.expect("GROUP BY has at least one key");
-        Groups::from_ids(&ids, count)
-    };
-
-    let mut call_cells: Vec<Vec<Cell>> = Vec::with_capacity(calls.len());
-    for call in &calls {
-        call_cells.push(aggregate_call(call, ctx, &groups, threads)?);
-    }
-    let first_cells = |c: usize| -> Vec<Cell> {
-        groups
-            .iter()
-            .map(|g| g.first().map_or(Cell::Null, |&k| ctx.columns[c].cell_at(ctx.rows.phys(k))))
-            .collect()
-    };
-
-    // Compound items evaluate per group through the scalar evaluator,
-    // over a virtual row of [aggregate results..., first-row values...]
-    // with the aggregate calls replaced by references into it.
     let mut virtual_cols: Vec<BoundCol> = calls
         .iter()
         .enumerate()
@@ -747,68 +750,109 @@ fn aggregate_batch_fast(stmt: &SelectStmt, ctx: &Ctx<'_>, threads: usize) -> Opt
         })
         .collect();
     virtual_cols.extend(firsts.iter().map(|&c| ctx.cols[c].clone()));
-    let mut virtual_rows: Option<Vec<Vec<Cell>>> = None;
-
-    let mut out_cols = Vec::with_capacity(items.len());
-    let mut out_columns = Vec::with_capacity(items.len());
-    for (i, (alias, e)) in items.into_iter().enumerate() {
-        let cells: Vec<Cell> = match e {
-            SqlExpr::Literal(c) => vec![c.clone(); groups.len()],
-            SqlExpr::Column { qualifier, name } => {
-                first_cells(resolve_column(ctx.cols, qualifier.as_deref(), name).ok()?)
+    // Slot `slot` of group `g`'s virtual row.
+    let read = |g: usize, slot: usize| -> Result<Cell, DbError> {
+        match eager.get(slot) {
+            Some(Some(results)) => Ok(results[g].clone()),
+            Some(None) => aggregate_group(&calls[slot], ctx, groups.get(g)),
+            None => {
+                let c = firsts[slot - calls.len()];
+                let first = groups.get(g).first();
+                Ok(first.map_or(Cell::Null, |&k| ctx.columns[c].cell_at(ctx.rows_of(c).phys(k))))
             }
-            _ => match calls.iter().position(|c| c == e) {
-                Some(ci) => call_cells[ci].clone(),
-                None => {
-                    let rows = virtual_rows.get_or_insert_with(|| {
-                        let firsts: Vec<Vec<Cell>> = firsts.iter().map(|&c| first_cells(c)).collect();
-                        (0..groups.len())
-                            .map(|g| {
-                                call_cells.iter().chain(&firsts).map(|cells| cells[g].clone()).collect()
-                            })
-                            .collect()
-                    });
-                    let sub = substitute_nodes(e.clone(), &calls, "hq_agg_");
-                    let mut cells = Vec::with_capacity(rows.len());
-                    for row in rows.iter() {
-                        cells.push(eval(&sub, &virtual_cols, row).ok()?);
-                    }
-                    cells
-                }
-            },
-        };
-        let ty = derive_type(e, ctx.cols);
-        out_cols.push(Column::new(alias.clone().unwrap_or_else(|| default_output_name(e, i)), ty));
-        out_columns.push(ColumnVec::from_cells(ty, cells));
+        }
+    };
+    let in_group =
+        |e: &SqlExpr, g: usize| expr::eval_with(e, &virtual_cols, &mut |slot| read(g, slot));
+    let over_results = |e: &SqlExpr| substitute_nodes(e.clone(), &calls, "hq_agg_");
+
+    let mut kept: Vec<usize> = (0..groups.len()).collect();
+    if let Some(having) = &stmt.having {
+        let having = over_results(having);
+        let mut passed = Vec::new();
+        for g in kept {
+            if matches!(in_group(&having, g)?, Cell::Bool(true)) {
+                passed.push(g);
+            }
+        }
+        kept = passed;
     }
-    Some(Batch::new(out_cols, out_columns, groups.len()))
+
+    let schema = output_schema(&items, ctx.cols);
+    let mut out_columns = Vec::with_capacity(items.len());
+    for ((_, e), column) in items.iter().zip(&schema) {
+        let e = over_results(e);
+        // One slot of the virtual row — a bare aggregate call or
+        // column: resolve the name once, not per group.
+        let slot = match &e {
+            SqlExpr::Column { qualifier, name } => {
+                resolve_column(&virtual_cols, qualifier.as_deref(), name).ok()
+            }
+            _ => None,
+        };
+        let cells: Result<Vec<Cell>, DbError> = match slot {
+            Some(slot) => kept.iter().map(|&g| read(g, slot)).collect(),
+            None => kept.iter().map(|&g| in_group(&e, g)).collect(),
+        };
+        out_columns.push(ColumnVec::from_cells(column.ty, cells?));
+    }
+    Ok(Batch::new(schema, out_columns, kept.len()))
 }
 
-/// One aggregate call's result per group. The argument is evaluated
-/// once, as a vector over all selected rows; groups fold independently
-/// (chunked across workers when large), each over its rows in ascending
-/// order, so results do not depend on the worker count.
+/// An aggregate call's name, DISTINCT flag and argument — `None` for
+/// `count(*)`, which short-circuits before DISTINCT handling.
+fn call_parts(call: &SqlExpr) -> Result<(&str, bool, Option<&SqlExpr>), DbError> {
+    let SqlExpr::Func { name, args, distinct } = call else {
+        return Err(DbError::exec("not an aggregate call"));
+    };
+    match args.first() {
+        Some(SqlExpr::Star) if name == "count" => Ok((name, *distinct, None)),
+        Some(arg) => Ok((name, *distinct, Some(arg))),
+        None => Err(DbError::exec(format!("{name}: missing argument"))),
+    }
+}
+
+/// One aggregate call's result per group, eagerly. The argument is
+/// evaluated once, as a vector over all selected rows; groups fold
+/// independently (chunked across workers when large), each over its
+/// rows in ascending order, so results do not depend on the worker
+/// count.
 fn aggregate_call(
     call: &SqlExpr,
     ctx: &Ctx<'_>,
     groups: &Groups,
     threads: usize,
-) -> Option<Vec<Cell>> {
-    let SqlExpr::Func { name, args, distinct } = call else { return None };
-    if name == "count" && matches!(args.first(), Some(SqlExpr::Star)) {
-        // count(*) short-circuits before DISTINCT handling in the row
-        // pipeline too.
-        return Some(groups.iter().map(|g| Cell::Int(g.len() as i64)).collect());
-    }
-    let arg = eval_view(args.first()?, ctx, threads).ok()?;
+) -> Result<Vec<Cell>, DbError> {
+    let (name, distinct, Some(arg)) = call_parts(call)? else {
+        return Ok(groups.iter().map(|g| Cell::Int(g.len() as i64)).collect());
+    };
+    let arg = eval_view(arg, ctx, threads)?;
     if parallel::should_parallelize(ctx.rows.len(), threads) && groups.len() > 1 {
         let ranges = parallel::even_ranges(groups.len(), threads * 4);
         let chunks = parallel::run_ranges(ranges, threads, "aggregate", |_, range| {
-            range.map(|g| fold_group(name, *distinct, &arg, groups.get(g))).collect::<Result<Vec<Cell>, _>>()
+            range.map(|g| fold_group(name, distinct, &arg, groups.get(g))).collect::<Result<Vec<Cell>, _>>()
         });
-        return Some(chunks.ok()?.concat());
+        return Ok(chunks?.concat());
     }
-    groups.iter().map(|g| fold_group(name, *distinct, &arg, g)).collect::<Result<_, _>>().ok()
+    groups.iter().map(|g| fold_group(name, distinct, &arg, g)).collect()
+}
+
+/// One aggregate call over one group, its argument evaluated row by
+/// row for exactly the rows the oracle reads: the group's rows in
+/// order — for `hq_first`/`hq_last`, its first/last row only.
+fn aggregate_group(call: &SqlExpr, ctx: &Ctx<'_>, group: &[usize]) -> Result<Cell, DbError> {
+    let (name, distinct, Some(arg)) = call_parts(call)? else {
+        return Ok(Cell::Int(group.len() as i64));
+    };
+    let read = match name {
+        "hq_first" => &group[..group.len().min(1)],
+        "hq_last" => &group[group.len().saturating_sub(1)..],
+        _ => group,
+    };
+    let cells: Result<Vec<Cell>, DbError> = read.iter().map(|&k| eval_row(arg, ctx, k)).collect();
+    let col = ColumnVec::from_cells(derive_type(arg, ctx.cols), cells?);
+    let all: Vec<usize> = (0..read.len()).collect();
+    fold_group(name, distinct, &View { col: Cow::Owned(col), rows: Rows::all(read.len()) }, &all)
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -819,13 +863,13 @@ enum AggKind {
     Max,
 }
 
-/// One aggregate over one group, value-identical to the row pipeline's
+/// One aggregate over one group, value-identical to the oracle's
 /// `compute_aggregate`: `hq_first`/`hq_last` see the raw group, every
 /// other aggregate its non-NULL values — for DISTINCT, each value's
 /// first occurrence by canonical [`CellKey`] — in ascending row order.
 /// sum/avg/min/max over Int/Float storage fold typed (same f64
 /// accumulation order, same NaN-keeps-current min/max); everything else
-/// folds through the row pipeline's own [`fold_cells`].
+/// folds through [`fold_cells`], which the oracle folds with too.
 fn fold_group(
     name: &str,
     distinct: bool,
@@ -867,7 +911,7 @@ fn fold_group(
 /// Shared sum/avg/min/max fold over a typed numeric iterator.
 ///
 /// `as_f64` mirrors `Cell::as_f64`; `wrap` rebuilds the storage cell;
-/// `int_sum` applies the row pipeline's all-Int rule (`sum` of an
+/// `int_sum` applies [`fold_cells`]' all-Int rule (`sum` of an
 /// integer column comes back as `Int(f64_total as i64)`).
 fn fold_numeric<T: Copy>(
     kind: AggKind,
@@ -914,7 +958,7 @@ fn fold_numeric<T: Copy>(
 }
 
 /// One side's join key, or `None` when a NULL key column under plain
-/// `=` disqualifies the row (the batch dual of `join_key`).
+/// `=` disqualifies the row.
 fn batch_join_key(
     columns: &[&ColumnVec],
     pairs: &[EquiPair],
@@ -941,7 +985,7 @@ enum JoinStrategy {
     HashResidual,
     /// A sorted-interval probe inside each key bucket.
     Interval,
-    /// The row pipeline's nested loop: some conjunct can fail.
+    /// Every pair, through the scalar evaluator: some conjunct can fail.
     NestedLoop,
 }
 
@@ -966,6 +1010,54 @@ fn count_join_pairs(candidates: usize, pairs: &JoinPairs) {
     });
     proposed.add(candidates as u64);
     matched.add(pairs.1.iter().flatten().count() as u64);
+}
+
+/// Matched row pairs of a join, in output order: left row `.0[k]` joins
+/// right row `.1[k]` — `None` for a LEFT join's unmatched left row.
+pub(crate) type JoinPairs = (Vec<usize>, Vec<Option<usize>>);
+
+/// The join operator's fourth strategy, the nested loop: `cond` for
+/// every (left, right) pair, left-major, so the first pair that fails to
+/// evaluate is the error — the one way to run a condition that can
+/// fail, and the oracle's own non-equi join. The condition
+/// reads one scratch row holding just the columns it references, which
+/// `load(slot, column, row)` fills from row `row` of the side joined
+/// column `column` belongs to (the left side's come first, `left_width`
+/// of them).
+pub(crate) fn nested_loop_join(
+    cols: &[BoundCol],
+    left_width: usize,
+    (left_len, right_len): (usize, usize),
+    load: impl Fn(&mut Cell, usize, usize),
+    cond: &SqlExpr,
+    kind: JoinType,
+) -> Result<JoinPairs, DbError> {
+    let mut reads = Vec::new();
+    referenced_columns(cond, cols, &mut reads);
+    let (left_reads, right_reads): (Vec<usize>, Vec<usize>) =
+        reads.into_iter().partition(|&c| c < left_width);
+    let mut scratch = vec![Cell::Null; cols.len()];
+    let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+    for li in 0..left_len {
+        for &c in &left_reads {
+            load(&mut scratch[c], c, li);
+        }
+        let matched = lidx.len();
+        for ri in 0..right_len {
+            for &c in &right_reads {
+                load(&mut scratch[c], c, ri);
+            }
+            if matches!(eval(cond, cols, &scratch)?, Cell::Bool(true)) {
+                lidx.push(li);
+                ridx.push(Some(ri));
+            }
+        }
+        if lidx.len() == matched && kind == JoinType::Left {
+            lidx.push(li);
+            ridx.push(None);
+        }
+    }
+    Ok((lidx, ridx))
 }
 
 /// The probe of one left row: appends to `.2` the right rows, ascending,
@@ -1049,8 +1141,8 @@ fn interval_candidates<'a, T: PartialOrd + Copy + Send + Sync + 'a>(
 /// Proposing fewer than all pairs skips conjuncts for the pairs left
 /// out, which is unobservable only if none of them can fail: a
 /// condition that is not [`vector::infallible`] as a whole runs as the
-/// row pipeline's nested loop instead, so it fails for the same pair
-/// with the same error.
+/// [`nested_loop_join`] instead, so it fails for the pair, and with the
+/// error, that evaluating it pair by pair fails for.
 fn join_pairs(
     l: &ColFrame,
     r: &ColFrame,
@@ -1064,7 +1156,6 @@ fn join_pairs(
     let columns: Vec<&ColumnVec> = lcolumns.iter().chain(&rcolumns).copied().collect();
 
     if !vector::infallible(cond, &Ctx { cols, columns: &columns, rows: Rows::all(0), pair: None }) {
-        row_fallback(Fallback::NonEquiJoin, l.len + r.len);
         count_join(JoinStrategy::NestedLoop);
         let load = |slot: &mut Cell, c: usize, i: usize| *slot = columns[c].cell_at(i);
         let pairs = nested_loop_join(cols, split, (l.len, r.len), load, cond, kind)?;
@@ -1266,8 +1357,7 @@ mod tests {
     }
 
     /// The FROM-less scalar source is the explicit zero-column, one-row
-    /// unit relation (`Batch::unit`), not the row pipeline's
-    /// `vec![vec![]]` hack — and it projects exactly one row.
+    /// unit relation (`Batch::unit`) — and it projects exactly one row.
     #[test]
     fn from_less_select_projects_over_the_unit_relation() {
         assert_eq!(ColFrame::unit().len, 1);
@@ -1499,7 +1589,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(2000))]
 
-            /// The join operator against the row pipeline's nested loop:
+            /// The join operator against the oracle's nested loop:
             /// structurally equal results, and the same error string
             /// when the condition fails for some pair.
             #[test]
@@ -1533,6 +1623,286 @@ mod tests {
                     prop_assert!(join_strategy_count("nested_loop") > before.1, "{sql}");
                 }
             }
+        }
+    }
+
+    mod block_oracle {
+        use super::*;
+        use crate::exec::run_select_rows;
+        use proptest::prelude::*;
+
+        /// Generated tables `t(k1, k2, x, v, s)` and `u(k1, w)` — cells
+        /// from small domains, `None` is NULL — and the choices that
+        /// pick each statement's parts.
+        #[derive(Debug)]
+        struct Case {
+            t: Vec<Vec<Option<u8>>>,
+            u: Vec<Vec<Option<u8>>>,
+            picks: Vec<usize>,
+        }
+
+        fn case() -> impl Strategy<Value = Case> {
+            let rows = |width: usize, max: usize| {
+                prop::collection::vec(
+                    prop::collection::vec(prop::option::of(0u8..4), width..=width),
+                    0..max,
+                )
+            };
+            (rows(5, 12), rows(2, 5), prop::collection::vec(0usize..1 << 16, 24..=24))
+                .prop_map(|(t, u, picks)| Case { t, u, picks })
+        }
+
+        /// The next choice among `n`.
+        struct Picks<'a>(std::slice::Iter<'a, usize>);
+
+        impl Picks<'_> {
+            fn pick(&mut self, n: usize) -> usize {
+                self.0.next().expect("enough picks for one statement") % n
+            }
+
+            fn of<'s>(&mut self, options: &[&'s str]) -> &'s str {
+                options[self.pick(options.len())]
+            }
+        }
+
+        const FILTERS: [&str; 5] =
+            ["", " WHERE x > 0", " WHERE k1 IS NOT NULL", " WHERE false", " WHERE s = 'a' OR v > 1"];
+
+        impl Case {
+            fn tables(&self) -> Tables {
+                let int = |v: Option<u8>| v.map_or(Cell::Null, |v| Cell::Int(v as i64));
+                let t = self
+                    .t
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            int(r[0]),
+                            // One key, three storage classes: 1, 1.0 (the
+                            // same key as 1) and text.
+                            match r[1] {
+                                None => Cell::Null,
+                                Some(0) => Cell::Text("k".into()),
+                                Some(1) => Cell::Float(1.0),
+                                Some(v) => Cell::Int(v as i64 - 1),
+                            },
+                            // x: -1..=2, zero included for `1 / x`.
+                            r[2].map_or(Cell::Null, |v| Cell::Int(v as i64 - 1)),
+                            r[3].map_or(Cell::Null, |v| Cell::Float(v as f64 / 2.0)),
+                            r[4].map_or(Cell::Null, |v| Cell::Text(["a", "b", "c", "d"][v as usize].into())),
+                        ]
+                    })
+                    .collect();
+                let u = self.u.iter().map(|r| vec![int(r[0]), int(r[1])]).collect();
+                let col = |n: &str, ty| Column::new(n, ty);
+                let t_columns = vec![
+                    col("k1", PgType::Int8),
+                    col("k2", PgType::Int8),
+                    col("x", PgType::Int8),
+                    col("v", PgType::Float8),
+                    col("s", PgType::Varchar),
+                ];
+                let u_columns = vec![col("k1", PgType::Int8), col("w", PgType::Int8)];
+                Tables(vec![
+                    ("t", crate::types::Rows { columns: t_columns, data: t }),
+                    ("u", crate::types::Rows { columns: u_columns, data: u }),
+                ])
+            }
+
+            /// A window block: any of the six functions over 0–2
+            /// partition keys (NULL and mixed-class ones included) and
+            /// an ORDER BY with ties and NULLs or none; the call bare,
+            /// inside an expression, or twice; WHERE before it and
+            /// ORDER BY / LIMIT / OFFSET after; alone or as a derived
+            /// table under a join.
+            fn window_sql(&self) -> String {
+                let mut p = Picks(self.picks.iter());
+                let arg = p.of(&["x", "v", "s", "x + 1", "1 / x", "CASE WHEN x > 0 THEN v END"]);
+                let call = match p.pick(6) {
+                    0 => "row_number()".to_string(),
+                    1 => "rank()".to_string(),
+                    f => format!("{}({arg})", ["lead", "lag", "first_value", "last_value"][f - 2]),
+                };
+                let partition = p.of(&["", "k1", "k2", "s", "k1, k2", "k2, s"]);
+                let order = p.of(&["", "x ASC", "x DESC", "v DESC, x ASC", "s ASC", "k1 DESC, v ASC"]);
+                let mut over = Vec::new();
+                if !partition.is_empty() {
+                    over.push(format!("PARTITION BY {partition}"));
+                }
+                if !order.is_empty() {
+                    over.push(format!("ORDER BY {order}"));
+                }
+                let w = format!("{call} OVER ({})", over.join(" "));
+                let item = match p.pick(6) {
+                    0 | 1 => w.clone(),
+                    2 => format!("{w} + 1"),
+                    3 => format!("CASE WHEN {w} IS NULL THEN NULL ELSE {w} END"),
+                    4 => format!("coalesce({w}, {w})"),
+                    _ => format!("{w} IS NULL"),
+                };
+                let second = match p.pick(3) {
+                    0 => String::new(),
+                    1 => format!(", {w} AS b"),
+                    _ => ", row_number() OVER (PARTITION BY k1 ORDER BY x DESC) AS b".to_string(),
+                };
+                let filter = p.of(&FILTERS);
+                let tail = p.of(&[
+                    "",
+                    " ORDER BY a DESC, x ASC",
+                    " ORDER BY x ASC LIMIT 3",
+                    " ORDER BY a ASC LIMIT 2 OFFSET 1",
+                    " LIMIT 4 OFFSET 2",
+                ]);
+                let block = format!("SELECT k1, x, {item} AS a{second} FROM t{filter}");
+                match p.pick(4) {
+                    0 => format!("SELECT u.w, d.a AS a FROM u JOIN ({block}) AS d ON u.k1 = d.k1{tail}"),
+                    1 => format!(
+                        "SELECT u.w, d.a AS a FROM u LEFT OUTER JOIN ({block}) AS d ON u.k1 = d.k1{tail}"
+                    ),
+                    _ => format!("{block}{tail}"),
+                }
+            }
+
+            /// An aggregate block: plain, DISTINCT and order-sensitive
+            /// aggregates, compound items, bare columns, `CASE`s that
+            /// guard an aggregate whose argument can fail, `*` and a
+            /// nested aggregate; 0–2 group keys; HAVING; a WHERE that
+            /// can leave no row (no groups, or the one empty group);
+            /// over `t`, or over a join in which `k1` and `t.k1` are
+            /// different columns.
+            fn aggregate_sql(&self) -> String {
+                const ITEMS: [&str; 32] = [
+                    "count(*)",
+                    "count(x)",
+                    "sum(x)",
+                    "avg(v)",
+                    "min(s)",
+                    "max(v)",
+                    "count(DISTINCT x)",
+                    "sum(DISTINCT x)",
+                    "median(v)",
+                    "stddev_samp(x)",
+                    "bool_or(x > 0)",
+                    "hq_first(x)",
+                    "hq_last(s)",
+                    "hq_first(1 / x)",
+                    "hq_last(1 / x)",
+                    "sum(1 / x)",
+                    "sum(x * v)",
+                    "sum(x) + count(*)",
+                    "coalesce(sum(v), 0) / count(*)",
+                    "hq_last(x) - hq_first(x)",
+                    "CASE WHEN min(x) > 0 THEN sum(1 / x) END",
+                    "CASE WHEN count(x) = 0 THEN -1 ELSE max(10 / x) END",
+                    "(count(*) > 2) AND (max(x) > 0)",
+                    "(count(*) > 2) OR (min(v) > 0)",
+                    "max(x) IN (1, NULL)",
+                    "k1",
+                    "t.k1",
+                    "s",
+                    "k1 + count(*)",
+                    "nosuch",
+                    "sum(count(*))",
+                    "*",
+                ];
+                let mut p = Picks(self.picks.iter());
+                let group = p.of(&["", "k1", "k2", "s", "k1, k2", "x % 2"]);
+                let mut items: Vec<String> = (0..1 + p.pick(3))
+                    .map(|i| match p.of(&ITEMS) {
+                        "*" => "*".to_string(),
+                        item => format!("{item} AS c{i}"),
+                    })
+                    .collect();
+                let having = p.of(&[
+                    "",
+                    "",
+                    " HAVING count(*) > 1",
+                    " HAVING sum(x) > 0",
+                    " HAVING max(1 / x) > 0",
+                    " HAVING min(x) > 0 AND count(v) > 0",
+                    " HAVING k1 IS NOT NULL",
+                ]);
+                let from = p.of(&["t", "t", "t", "u JOIN t ON u.w = t.x"]);
+                if from != "t" {
+                    // `k1` is `u.k1` here, read after `t.k1`.
+                    items.extend(["t.k1 AS j0", "k1 AS j1"].map(String::from));
+                }
+                let filter = p.of(&FILTERS);
+                let tail = p.of(&["", " ORDER BY c0 DESC", " ORDER BY c0 ASC LIMIT 2", " LIMIT 2 OFFSET 1"]);
+                let group = if group.is_empty() { String::new() } else { format!(" GROUP BY {group}") };
+                format!("SELECT {} FROM {from}{filter}{group}{having}{tail}", items.join(", "))
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(3000))]
+
+            /// Window and aggregate blocks on the vector path against
+            /// the row oracle: structurally equal results, or both fail.
+            #[test]
+            fn window_and_aggregate_blocks_match_the_oracle(case in case()) {
+                let src = case.tables();
+                for sql in [case.window_sql(), case.aggregate_sql()] {
+                    let Ok(Stmt::Select(stmt)) = parse_statement(&sql) else {
+                        panic!("{sql} does not parse to a SELECT")
+                    };
+                    match (run_select_columnar(&src, &stmt), run_select_rows(&src, &stmt)) {
+                        (Ok(b), Ok(rows)) => {
+                            let oracle = Batch::from_rows(rows);
+                            prop_assert!(
+                                b.structurally_equal(&oracle),
+                                "{sql}\nvector: {:?}\noracle: {:?}",
+                                b.to_rows(),
+                                oracle.to_rows()
+                            );
+                        }
+                        (Err(_), Err(_)) => {}
+                        (a, b) => prop_assert!(false, "{sql}\nvector: {a:?}\noracle: {b:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both engines on `sql` over one table `t(v)` of three rows, `v`
+    /// all NULL: the vector path's result, then the oracle's.
+    fn both_engines(sql: &str) -> [Result<Vec<Vec<Cell>>, DbError>; 2] {
+        let columns = vec![Column::new("v", PgType::Int8)];
+        let src = Tables(vec![("t", crate::types::Rows { columns, data: vec![vec![Cell::Null]; 3] })]);
+        let Ok(Stmt::Select(stmt)) = parse_statement(sql) else { panic!("{sql} does not parse") };
+        [
+            run_select_columnar(&src, &stmt).map(|b| b.into_rows().data),
+            crate::exec::run_select_rows(&src, &stmt).map(|r| r.data),
+        ]
+    }
+
+    /// AND/OR over aggregate results are Kleene in both engines: a
+    /// FALSE decides an AND and a TRUE an OR whatever the other operand
+    /// is, NULL included; only the undecided corners are NULL.
+    #[test]
+    fn and_or_over_aggregates_are_kleene() {
+        let (t, f, null) = ("count(*) < 5", "count(*) > 5", "max(v) > 0");
+        let sql = format!(
+            "SELECT ({f}) AND ({null}), ({null}) AND ({f}), ({t}) OR ({null}), ({null}) OR ({t}), \
+             ({t}) AND ({null}), ({f}) OR ({null}) FROM t"
+        );
+        let row = [false, false, true, true].map(Cell::Bool).into_iter().chain([Cell::Null, Cell::Null]);
+        let want = vec![row.collect::<Vec<Cell>>()];
+        for got in both_engines(&sql) {
+            assert_eq!(got.as_ref(), Ok(&want));
+        }
+    }
+
+    /// The other two places aggregate context used to differ from the
+    /// scalar evaluator, in both engines: a NULL in an IN list makes a
+    /// miss unknown, and a column that does not exist is an error even
+    /// when the one group is empty.
+    #[test]
+    fn aggregate_context_follows_the_scalar_evaluator() {
+        for got in both_engines("SELECT count(*) IN (1, NULL), count(*) IN (3, NULL) FROM t") {
+            assert_eq!(got, Ok(vec![vec![Cell::Null, Cell::Bool(true)]]));
+        }
+        for got in both_engines("SELECT nosuch, count(*) FROM t WHERE false") {
+            assert_eq!(got.map_err(|e| e.code), Err("42703".to_string()));
         }
     }
 

@@ -49,26 +49,36 @@ pub fn resolve_column(
 
 /// Evaluate a scalar expression against one row.
 pub fn eval(expr: &SqlExpr, cols: &[BoundCol], row: &[Cell]) -> Result<Cell, DbError> {
+    eval_with(expr, cols, &mut |i| Ok(row[i].clone()))
+}
+
+/// [`eval`] over a row that is read a column at a time: `read(i)` is
+/// the value of bound column `i`, asked for only when the evaluation
+/// reaches a reference to it — so a row can stay in column storage, and
+/// a column can be a value that is computed (and may fail) on demand.
+pub(crate) fn eval_with<F>(expr: &SqlExpr, cols: &[BoundCol], read: &mut F) -> Result<Cell, DbError>
+where
+    F: FnMut(usize) -> Result<Cell, DbError>,
+{
     match expr {
         SqlExpr::Column { qualifier, name } => {
-            let idx = resolve_column(cols, qualifier.as_deref(), name)?;
-            Ok(row[idx].clone())
+            read(resolve_column(cols, qualifier.as_deref(), name)?)
         }
         SqlExpr::Literal(c) => Ok(c.clone()),
         SqlExpr::Star => Err(DbError::exec("'*' outside count(*)")),
         SqlExpr::Binary { op, lhs, rhs } => {
             // AND/OR need Kleene short-circuit over 3VL.
             if *op == SqlBinOp::And || *op == SqlBinOp::Or {
-                let l = eval(lhs, cols, row)?;
-                let r = eval(rhs, cols, row)?;
+                let l = eval_with(lhs, cols, read)?;
+                let r = eval_with(rhs, cols, read)?;
                 return Ok(kleene(*op, &l, &r));
             }
-            let l = eval(lhs, cols, row)?;
-            let r = eval(rhs, cols, row)?;
+            let l = eval_with(lhs, cols, read)?;
+            let r = eval_with(rhs, cols, read)?;
             binary(*op, &l, &r)
         }
         SqlExpr::Not(inner) => {
-            let v = eval(inner, cols, row)?;
+            let v = eval_with(inner, cols, read)?;
             Ok(match v {
                 Cell::Null => Cell::Null,
                 Cell::Bool(b) => Cell::Bool(!b),
@@ -76,7 +86,7 @@ pub fn eval(expr: &SqlExpr, cols: &[BoundCol], row: &[Cell]) -> Result<Cell, DbE
             })
         }
         SqlExpr::Neg(inner) => {
-            let v = eval(inner, cols, row)?;
+            let v = eval_with(inner, cols, read)?;
             Ok(match v {
                 Cell::Null => Cell::Null,
                 Cell::Int(i) => Cell::Int(-i),
@@ -87,7 +97,7 @@ pub fn eval(expr: &SqlExpr, cols: &[BoundCol], row: &[Cell]) -> Result<Cell, DbE
         SqlExpr::Func { name, args, .. } => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval(a, cols, row)?);
+                vals.push(eval_with(a, cols, read)?);
             }
             scalar_function(name, &vals)
         }
@@ -96,27 +106,27 @@ pub fn eval(expr: &SqlExpr, cols: &[BoundCol], row: &[Cell]) -> Result<Cell, DbE
         }
         SqlExpr::Case { branches, else_result } => {
             for (cond, result) in branches {
-                if matches!(eval(cond, cols, row)?, Cell::Bool(true)) {
-                    return eval(result, cols, row);
+                if matches!(eval_with(cond, cols, read)?, Cell::Bool(true)) {
+                    return eval_with(result, cols, read);
                 }
             }
             match else_result {
-                Some(e) => eval(e, cols, row),
+                Some(e) => eval_with(e, cols, read),
                 None => Ok(Cell::Null),
             }
         }
         SqlExpr::Cast { expr, ty } => {
-            let v = eval(expr, cols, row)?;
+            let v = eval_with(expr, cols, read)?;
             cast(&v, *ty)
         }
         SqlExpr::InList { expr, list, negated } => {
-            let needle = eval(expr, cols, row)?;
+            let needle = eval_with(expr, cols, read)?;
             if needle.is_null() {
                 return Ok(Cell::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let v = eval(item, cols, row)?;
+                let v = eval_with(item, cols, read)?;
                 match needle.sql_eq(&v) {
                     Some(true) => return Ok(Cell::Bool(!negated)),
                     Some(false) => {}
@@ -127,7 +137,7 @@ pub fn eval(expr: &SqlExpr, cols: &[BoundCol], row: &[Cell]) -> Result<Cell, DbE
             Ok(if saw_null { Cell::Null } else { Cell::Bool(*negated) })
         }
         SqlExpr::IsNull { expr, negated } => {
-            let v = eval(expr, cols, row)?;
+            let v = eval_with(expr, cols, read)?;
             Ok(Cell::Bool(v.is_null() != *negated))
         }
         SqlExpr::InSubquery { .. } => Err(DbError::exec(

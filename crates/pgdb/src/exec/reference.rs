@@ -2,10 +2,10 @@
 //!
 //! These are the pre-optimization O(n²) scans, kept as the semantic
 //! oracle: debug assertions check the hash paths against them on small
-//! inputs, property tests check them on random tables, and the
-//! `exec_hotpaths` bench reports the speedup of the hash paths over
-//! them. They must NOT be "improved" — their value is being obviously
-//! correct under [`Cell::not_distinct`] semantics.
+//! inputs, and property tests check them on random tables. Compiled,
+//! like the row pipeline whose hash paths they check, for tests and
+//! debug builds only. They must NOT be "improved" — their value is
+//! being obviously correct under [`Cell::not_distinct`] semantics.
 
 use super::rows_equal;
 use super::{EquiPair, Frame};
@@ -69,8 +69,7 @@ pub fn dedup_cells_naive(values: &mut Vec<Cell>) {
 }
 
 /// Hashable projection of a cell as a formatted string — the join key
-/// the executor used before [`super::key::CellKey`]. Retained so the
-/// bench can measure exactly what was replaced.
+/// the executor used before [`super::key::CellKey`].
 pub fn cell_hash_key_string(c: &Cell) -> String {
     match c {
         Cell::Null => "\u{0}N".to_string(),

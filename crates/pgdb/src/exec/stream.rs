@@ -13,10 +13,9 @@
 //! memory) — see `Session::execute_stream`.
 
 use super::columnar::ColFrame;
-use super::expr::derive_type;
 use super::parallel::MORSEL_ROWS;
 use super::vector::{self, eval_column, morsel_eligible, Ctx, Rows};
-use super::{default_output_name, TableSource};
+use super::{output_schema, select_items, TableSource};
 use crate::engine::DbError;
 use crate::sql::ast::*;
 use crate::types::Column;
@@ -56,21 +55,7 @@ pub(crate) fn try_select_stream(
     let frame = ColFrame::scan(src.get_table_batch(name)?, alias.as_deref().unwrap_or(name));
     let cols = &frame.cols;
 
-    // Wildcard expansion, identical to the materializing block.
-    let mut items: Vec<(Option<String>, SqlExpr)> = Vec::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Wildcard => {
-                for c in cols {
-                    items.push((
-                        Some(c.name.clone()),
-                        SqlExpr::Column { qualifier: c.qualifier.clone(), name: c.name.clone() },
-                    ));
-                }
-            }
-            SelectItem::Expr { expr, alias } => items.push((alias.clone(), expr.clone())),
-        }
-    }
+    let items = select_items(stmt, cols);
 
     // Every expression must be morsel-eligible.
     let mut exprs = stmt.where_clause.iter().chain(items.iter().map(|(_, e)| e));
@@ -78,14 +63,7 @@ pub(crate) fn try_select_stream(
         return None;
     }
 
-    let schema: Vec<Column> = items
-        .iter()
-        .enumerate()
-        .map(|(i, (alias, e))| {
-            let name = alias.clone().unwrap_or_else(|| default_output_name(e, i));
-            Column::new(name, derive_type(e, cols))
-        })
-        .collect();
+    let schema = output_schema(&items, cols);
     let exprs: Vec<SqlExpr> = items.into_iter().map(|(_, e)| e).collect();
 
     let stream = SelectStream {

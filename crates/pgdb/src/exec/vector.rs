@@ -14,10 +14,10 @@
 //! comparisons and `IS [NOT] DISTINCT FROM` column-vs-scalar and
 //! column-vs-column, Kleene `AND`/`OR`/`NOT` on masks, `IS [NOT] NULL`,
 //! `coalesce(mask, FALSE)`, `+ - *` over Int/Float storage and casts
-//! that keep the storage class. Every other node applies the row
-//! pipeline's scalar kernels per element, so values — and which
-//! statements fail — stay the row oracle's; `CASE`, `IN (list)` and the
-//! error-producing nodes evaluate row-wise through [`expr::eval`].
+//! that keep the storage class. Every other node applies the scalar
+//! kernels of [`expr`] per element, so values — and which statements
+//! fail — stay the row oracle's; `CASE`, `IN (list)` and the
+//! error-producing nodes evaluate row by row through [`eval_row`].
 
 use super::expr::{self, derive_type, kleene, resolve_column, BoundCol};
 use crate::engine::DbError;
@@ -28,7 +28,6 @@ use std::borrow::Cow;
 use std::cell::Cell as Flag;
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
 
 /// The rows of a frame an evaluation reads, in output order: logical
 /// row `k` of the result is physical row [`Rows::phys`]`(k)` of every
@@ -88,9 +87,11 @@ pub(crate) struct Ctx<'a> {
     pub(crate) cols: &'a [BoundCol],
     pub(crate) columns: &'a [&'a ColumnVec],
     pub(crate) rows: Rows<'a>,
-    /// Set while evaluating over join pairs: columns from index `.0` on
-    /// are the right side's and are read through `.1`, pair for pair
-    /// with `rows`, which then maps the left side's.
+    /// Columns from index `.0` on are read through `.1` instead of
+    /// `rows`, logical row for logical row: a join's right side while
+    /// its pairs are evaluated (`rows` then maps the left side's), a
+    /// block's window columns, which are computed over its selected
+    /// rows and so are read in place.
     pub(crate) pair: Option<(usize, Rows<'a>)>,
 }
 
@@ -99,9 +100,18 @@ impl<'a> Ctx<'a> {
         Ctx { rows, ..*self }
     }
 
+    /// Logical sub-range `r` of this context's rows — the morsel cut.
+    pub(crate) fn slice(&self, r: Range<usize>) -> Ctx<'a> {
+        Ctx {
+            rows: self.rows.slice(r.clone()),
+            pair: self.pair.map(|(split, rows)| (split, rows.slice(r))),
+            ..*self
+        }
+    }
+
     /// The rows column `idx` is read through.
     #[inline]
-    fn rows_of(&self, idx: usize) -> Rows<'a> {
+    pub(crate) fn rows_of(&self, idx: usize) -> Rows<'a> {
         match self.pair {
             Some((split, right)) if idx >= split => right,
             _ => self.rows,
@@ -177,47 +187,6 @@ impl<'a> Val<'a> {
     }
 }
 
-/// Why rows left the vector path for the row pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Fallback {
-    /// A window block's surviving rows, handed over after its WHERE.
-    Window,
-    /// An aggregate shape the vectorized path does not cover.
-    AggShape,
-    /// A join condition some conjunct of which can fail: the nested loop.
-    NonEquiJoin,
-    /// A lazy or error-producing node (`CASE`, `IN (list)`, ...).
-    LazyExpr,
-}
-
-/// Count one hand-over of `rows` rows to the row pipeline — the
-/// measured remainder of row-at-a-time traffic
-/// (`pgdb_exec_row_fallback_total{reason}` and its `_rows_total`).
-pub(crate) fn row_fallback(reason: Fallback, rows: usize) {
-    type Pair = (Fallback, Arc<obs::Counter>, Arc<obs::Counter>);
-    static COUNTERS: OnceLock<[Pair; 4]> = OnceLock::new();
-    let counters = COUNTERS.get_or_init(|| {
-        [
-            (Fallback::Window, "window"),
-            (Fallback::AggShape, "agg_shape"),
-            (Fallback::NonEquiJoin, "non_equi_join"),
-            (Fallback::LazyExpr, "lazy_expr"),
-        ]
-        .map(|(f, r)| {
-            let reg = obs::global_registry();
-            (
-                f,
-                reg.counter(&format!("pgdb_exec_row_fallback_total{{reason=\"{r}\"}}")),
-                reg.counter(&format!("pgdb_exec_row_fallback_rows_total{{reason=\"{r}\"}}")),
-            )
-        })
-    });
-    let (_, events, row_count) =
-        counters.iter().find(|(f, ..)| *f == reason).expect("every reason has its counters");
-    events.inc();
-    row_count.add(rows as u64);
-}
-
 /// Evaluate `e` into an owned column over the context's rows.
 pub(crate) fn eval_column(e: &SqlExpr, ctx: &Ctx<'_>) -> Result<ColumnVec, DbError> {
     Ok(eval_val(e, ctx)?.into_column(ctx.rows.len(), derive_type(e, ctx.cols)))
@@ -228,8 +197,12 @@ pub(crate) fn eval_val<'a>(e: &SqlExpr, ctx: &Ctx<'a>) -> Result<Val<'a>, DbErro
     let n = ctx.rows.len();
     match e {
         SqlExpr::Column { qualifier, name } => {
-            let idx = resolve_column(ctx.cols, qualifier.as_deref(), name)?;
-            Ok(Val::Col(ctx.columns[idx], ctx.rows_of(idx)))
+            match resolve_column(ctx.cols, qualifier.as_deref(), name) {
+                Ok(idx) => Ok(Val::Col(ctx.columns[idx], ctx.rows_of(idx))),
+                // As in [`fold`]: no row, nobody to raise the error for.
+                Err(_) if n == 0 => Ok(Val::Scalar(Cell::Null)),
+                Err(e) => Err(e),
+            }
         }
         SqlExpr::Literal(c) => Ok(Val::Scalar(c.clone())),
         SqlExpr::Binary { op, lhs, rhs } => {
@@ -333,22 +306,16 @@ pub(crate) fn eval_val<'a>(e: &SqlExpr, ctx: &Ctx<'a>) -> Result<Val<'a>, DbErro
             })
         }
         // CASE and IN (list) are lazy per row; Star/window/subquery
-        // nodes and aggregate calls produce the row pipeline's exact
-        // errors. All evaluate row-wise over one scratch row holding
-        // just the columns the subtree reads.
-        other => {
-            row_fallback(Fallback::LazyExpr, n);
-            let mut reads = Vec::new();
-            referenced_columns(other, ctx.cols, &mut reads);
-            let mut row: Vec<Cell> = vec![Cell::Null; ctx.cols.len()];
-            per_row(n, derive_type(other, ctx.cols), |k| {
-                for &c in &reads {
-                    row[c] = ctx.columns[c].cell_at(ctx.rows_of(c).phys(k));
-                }
-                expr::eval(other, ctx.cols, &row)
-            })
-        }
+        // nodes and aggregate calls produce the scalar evaluator's own
+        // errors. All evaluate row by row.
+        other => per_row(n, derive_type(other, ctx.cols), |k| eval_row(other, ctx, k)),
     }
+}
+
+/// `e` for logical row `k` alone, through the scalar evaluator: only
+/// the columns the evaluation reaches are read, straight from storage.
+pub(crate) fn eval_row(e: &SqlExpr, ctx: &Ctx<'_>, k: usize) -> Result<Cell, DbError> {
+    expr::eval_with(e, ctx.cols, &mut |c| Ok(ctx.columns[c].cell_at(ctx.rows_of(c).phys(k))))
 }
 
 /// A result computed once from scalar operands. An error counts only
