@@ -11,6 +11,7 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtra::ColumnDef;
 
@@ -20,8 +21,9 @@ pub struct TableMeta {
     /// Table name in the backend.
     pub name: String,
     /// Column definitions, in order (including the implicit `ordcol`
-    /// when the table was created by Hyper-Q).
-    pub columns: Vec<ColumnDef>,
+    /// when the table was created by Hyper-Q). Shared: a cache hit and
+    /// every scan bound from it hold the same columns.
+    pub columns: Arc<[ColumnDef]>,
     /// Candidate keys (column-name sets).
     pub keys: Vec<Vec<String>>,
     /// Physical sort order, if any.
@@ -30,8 +32,8 @@ pub struct TableMeta {
 
 impl TableMeta {
     /// Convenience constructor for an unkeyed table.
-    pub fn new(name: impl Into<String>, columns: Vec<ColumnDef>) -> Self {
-        TableMeta { name: name.into(), columns, keys: vec![], sort_order: vec![] }
+    pub fn new(name: impl Into<String>, columns: impl Into<Arc<[ColumnDef]>>) -> Self {
+        TableMeta { name: name.into(), columns: columns.into(), keys: vec![], sort_order: vec![] }
     }
 
     /// Does this table carry Hyper-Q's implicit order column?

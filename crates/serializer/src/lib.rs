@@ -120,14 +120,15 @@ impl Serializer {
 
     fn render(&mut self, node: &RelNode) -> Query {
         match node {
-            RelNode::Get { table, cols, .. } => Query {
-                select: cols.iter().map(|c| quote_ident(&c.name)).collect(),
+            RelNode::Get { table, props } => Query {
+                select: props.output.iter().map(|c| quote_ident(&c.name)).collect(),
                 from: quote_ident(table),
                 select_is_passthrough: true,
                 ..Default::default()
             },
-            RelNode::Values { schema, rows } => {
-                let cols: Vec<String> = schema.iter().map(|c| quote_ident(&c.name)).collect();
+            RelNode::Values { rows, props } => {
+                let cols: Vec<String> =
+                    props.output.iter().map(|c| quote_ident(&c.name)).collect();
                 let alias = self.next_alias();
                 let rows_sql: Vec<String> = rows
                     .iter()
@@ -149,7 +150,7 @@ impl Serializer {
                     ..Default::default()
                 }
             }
-            RelNode::Filter { input, predicate } => {
+            RelNode::Filter { input, predicate, .. } => {
                 let q = self.render(input);
                 // A filter over grouped/limited/windowed output must wrap
                 // (WHERE runs before GROUP BY / window evaluation), and so
@@ -168,7 +169,7 @@ impl Serializer {
                 q.wheres.push(scalar_sql(predicate));
                 q
             }
-            RelNode::Project { input, items } => {
+            RelNode::Project { input, items, .. } => {
                 let q = self.render(input);
                 let mut q = if q.select_is_passthrough && !q.is_setop {
                     q
@@ -183,7 +184,7 @@ impl Serializer {
                 q.windowed = items.iter().any(|(_, e)| e.contains_window());
                 q
             }
-            RelNode::Aggregate { input, group_by, aggs } => {
+            RelNode::Aggregate { input, group_by, aggs, .. } => {
                 let q = self.render(input);
                 // Aggregation replaces the select list, so any existing
                 // projection (e.g. a join's rename-back) must be wrapped
@@ -213,7 +214,7 @@ impl Serializer {
                 q.order_by.clear();
                 q
             }
-            RelNode::Window { input, items } => {
+            RelNode::Window { input, items, .. } => {
                 let q = self.render(input);
                 let mut q = if q.select_is_passthrough && !q.is_setop {
                     q
@@ -234,20 +235,20 @@ impl Serializer {
                 q.windowed = true;
                 q
             }
-            RelNode::Sort { input, keys } => {
+            RelNode::Sort { input, keys, .. } => {
                 let q = self.render(input);
                 let mut q = if q.limit.is_some() || q.is_setop { self.wrap(q) } else { q };
                 q.order_by = keys.iter().map(sort_key_sql).collect();
                 q
             }
-            RelNode::Limit { input, limit, offset } => {
+            RelNode::Limit { input, limit, offset, .. } => {
                 let q = self.render(input);
                 let mut q = if q.limit.is_some() || q.is_setop { self.wrap(q) } else { q };
                 q.limit = *limit;
                 q.offset = *offset;
                 q
             }
-            RelNode::Join { kind, left, right, on } => {
+            RelNode::Join { kind, left, right, on, .. } => {
                 let lq = self.render(left);
                 let rq = self.render(right);
                 let la = self.next_alias();
@@ -273,7 +274,7 @@ impl Serializer {
                 };
                 Query { from, select_is_passthrough: true, ..Default::default() }
             }
-            RelNode::SetOp { kind, left, right } => {
+            RelNode::SetOp { kind, left, right, .. } => {
                 let l = self.render(left).to_sql();
                 let r = self.render(right).to_sql();
                 let op = match kind {
@@ -435,14 +436,14 @@ mod tests {
 
     #[test]
     fn filter_merges_into_where() {
-        let plan = RelNode::Filter {
-            input: Box::new(trades()),
-            predicate: ScalarExpr::Binary {
+        let plan = RelNode::filter(
+            trades(),
+            ScalarExpr::Binary {
                 op: BinOp::IsNotDistinctFrom,
                 lhs: Box::new(ScalarExpr::col("Symbol", SqlType::Varchar)),
                 rhs: Box::new(ScalarExpr::str("GOOG")),
             },
-        };
+        );
         let sql = serialize(&plan);
         assert!(
             sql.contains(r#"WHERE ("Symbol" IS NOT DISTINCT FROM 'GOOG'::varchar)"#),
@@ -455,23 +456,23 @@ mod tests {
     fn paper_section_4_3_shape() {
         // CREATE TEMPORARY TABLE HQ_TEMP_1 AS SELECT ordcol, Price FROM
         // trades WHERE Symbol IS NOT DISTINCT FROM 'GOOG' ORDER BY ordcol.
-        let plan = RelNode::Sort {
-            input: Box::new(RelNode::Project {
-                input: Box::new(RelNode::Filter {
-                    input: Box::new(trades()),
-                    predicate: ScalarExpr::Binary {
+        let plan = RelNode::sort(
+            RelNode::project(
+                RelNode::filter(
+                    trades(),
+                    ScalarExpr::Binary {
                         op: BinOp::IsNotDistinctFrom,
                         lhs: Box::new(ScalarExpr::col("Symbol", SqlType::Varchar)),
                         rhs: Box::new(ScalarExpr::str("GOOG")),
                     },
-                }),
-                items: vec![
+                ),
+                vec![
                     (ORD_COL.into(), ScalarExpr::col(ORD_COL, SqlType::Int8)),
                     ("Price".into(), ScalarExpr::col("Price", SqlType::Float8)),
                 ],
-            }),
-            keys: vec![SortKey::asc(ORD_COL, SqlType::Int8)],
-        };
+            ),
+            vec![SortKey::asc(ORD_COL, SqlType::Int8)],
+        );
         let sql = serialize_create_temp("HQ_TEMP_1", &plan);
         assert!(sql.starts_with(r#"CREATE TEMPORARY TABLE "HQ_TEMP_1" AS SELECT"#), "{sql}");
         assert!(sql.contains(r#"ORDER BY "ordcol" ASC"#), "{sql}");
@@ -480,17 +481,17 @@ mod tests {
 
     #[test]
     fn aggregate_merges_group_by() {
-        let plan = RelNode::Aggregate {
-            input: Box::new(trades()),
-            group_by: vec![("Symbol".into(), ScalarExpr::col("Symbol", SqlType::Varchar))],
-            aggs: vec![(
+        let plan = RelNode::aggregate(
+            trades(),
+            vec![("Symbol".into(), ScalarExpr::col("Symbol", SqlType::Varchar))],
+            vec![(
                 "mx".into(),
                 ScalarExpr::Agg {
                     func: AggFunc::Max,
                     arg: Some(Box::new(ScalarExpr::col("Price", SqlType::Float8))),
                 },
             )],
-        };
+        );
         let sql = serialize(&plan);
         assert!(sql.contains(r#"GROUP BY "Symbol""#), "{sql}");
         assert!(sql.contains(r#"max("Price") AS "mx""#), "{sql}");
@@ -505,27 +506,27 @@ mod tests {
 
     #[test]
     fn projection_over_aggregate_wraps() {
-        let agg = RelNode::Aggregate {
-            input: Box::new(trades()),
-            group_by: vec![],
-            aggs: vec![(
+        let agg = RelNode::aggregate(
+            trades(),
+            vec![],
+            vec![(
                 "mx".into(),
                 ScalarExpr::Agg {
                     func: AggFunc::Max,
                     arg: Some(Box::new(ScalarExpr::col("Price", SqlType::Float8))),
                 },
             )],
-        };
-        let plan = RelNode::Project {
-            input: Box::new(agg),
-            items: vec![
+        );
+        let plan = RelNode::project(
+            agg,
+            vec![
                 (
                     ORD_COL.into(),
                     ScalarExpr::Cast { arg: Box::new(ScalarExpr::i64(1)), ty: SqlType::Int4 },
                 ),
                 ("mx".into(), ScalarExpr::col("mx", SqlType::Float8)),
             ],
-        };
+        );
         let sql = serialize(&plan);
         assert!(sql.contains("hq_sub"), "aggregate must wrap: {sql}");
         assert!(sql.contains("(1)::integer"), "{sql}");
@@ -547,19 +548,16 @@ mod tests {
 
     #[test]
     fn join_serializes_with_derived_tables() {
-        let plan = RelNode::Join {
-            kind: JoinKind::LeftOuter,
-            left: Box::new(trades()),
-            right: Box::new(RelNode::get(
-                "quotes",
-                vec![ColumnDef::new("hq_r_Symbol", SqlType::Varchar)],
-            )),
-            on: ScalarExpr::binary(
+        let plan = RelNode::join(
+            JoinKind::LeftOuter,
+            trades(),
+            RelNode::get("quotes", vec![ColumnDef::new("hq_r_Symbol", SqlType::Varchar)]),
+            ScalarExpr::binary(
                 BinOp::Eq,
                 ScalarExpr::col("Symbol", SqlType::Varchar),
                 ScalarExpr::col("hq_r_Symbol", SqlType::Varchar),
             ),
-        };
+        );
         let sql = serialize(&plan);
         assert!(sql.contains("LEFT OUTER JOIN"), "{sql}");
         assert!(sql.contains("ON (\"Symbol\" = \"hq_r_Symbol\")"), "{sql}");
@@ -567,27 +565,23 @@ mod tests {
 
     #[test]
     fn values_render_inline() {
-        let plan = RelNode::Values {
-            schema: vec![
+        let plan = RelNode::values(
+            vec![
                 ColumnDef::not_null(ORD_COL, SqlType::Int8),
                 ColumnDef::new("s", SqlType::Varchar),
             ],
-            rows: vec![
+            vec![
                 vec![Datum::I64(1), Datum::Str("a".into())],
                 vec![Datum::I64(2), Datum::Str("b".into())],
             ],
-        };
+        );
         let sql = serialize(&plan);
         assert!(sql.contains("VALUES (1, 'a'::varchar), (2, 'b'::varchar)"), "{sql}");
     }
 
     #[test]
     fn union_all() {
-        let plan = RelNode::SetOp {
-            kind: SetOpKind::UnionAll,
-            left: Box::new(trades()),
-            right: Box::new(trades()),
-        };
+        let plan = RelNode::set_op(SetOpKind::UnionAll, trades(), trades());
         let sql = serialize(&plan);
         assert_eq!(sql.matches("UNION ALL").count(), 1, "{sql}");
     }
@@ -628,25 +622,19 @@ mod tests {
 
     #[test]
     fn limit_offset() {
-        let plan = RelNode::Limit { input: Box::new(trades()), limit: Some(10), offset: 5 };
+        let plan = RelNode::limit(trades(), Some(10), 5);
         let sql = serialize(&plan);
         assert!(sql.ends_with("LIMIT 10 OFFSET 5"), "{sql}");
     }
 
     #[test]
     fn sort_then_limit_then_sort_wraps() {
-        let inner = RelNode::Limit {
-            input: Box::new(RelNode::Sort {
-                input: Box::new(trades()),
-                keys: vec![SortKey::desc("Price", SqlType::Float8)],
-            }),
-            limit: Some(3),
-            offset: 0,
-        };
-        let plan = RelNode::Sort {
-            input: Box::new(inner),
-            keys: vec![SortKey::asc(ORD_COL, SqlType::Int8)],
-        };
+        let inner = RelNode::limit(
+            RelNode::sort(trades(), vec![SortKey::desc("Price", SqlType::Float8)]),
+            Some(3),
+            0,
+        );
+        let plan = RelNode::sort(inner, vec![SortKey::asc(ORD_COL, SqlType::Int8)]);
         let sql = serialize(&plan);
         assert!(sql.contains("hq_sub"), "limit then re-sort needs wrapping: {sql}");
         assert!(sql.trim_end().ends_with(r#"ORDER BY "ordcol" ASC"#), "{sql}");

@@ -110,21 +110,17 @@ mod tests {
     use xtra::{BinOp, ColumnDef, ScalarExpr, SqlType, ORD_COL};
 
     fn sample() -> RelNode {
-        RelNode::Filter {
-            input: Box::new(RelNode::get(
+        RelNode::filter(
+            RelNode::get(
                 "t",
                 vec![
                     ColumnDef::not_null(ORD_COL, SqlType::Int8),
                     ColumnDef::new("a", SqlType::Int8),
                     ColumnDef::new("b", SqlType::Int8),
                 ],
-            )),
-            predicate: ScalarExpr::binary(
-                BinOp::Eq,
-                ScalarExpr::col("a", SqlType::Int8),
-                ScalarExpr::i64(1),
             ),
-        }
+            ScalarExpr::binary(BinOp::Eq, ScalarExpr::col("a", SqlType::Int8), ScalarExpr::i64(1)),
+        )
     }
 
     #[test]
