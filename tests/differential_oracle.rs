@@ -57,13 +57,43 @@ fn oracle() -> SideBySide {
     f
 }
 
-/// An in-process database loaded with the fixture.
+/// Rows in `big`: more than one executor morsel, so the result is larger
+/// than any chunk the in-process backend has ever cut a result into.
+const BIG_ROWS: usize = pgdb::MORSEL_ROWS + 4_464;
+
+/// `big`: a long, a float and a symbol column with nulls in each, sized
+/// past `pgdb::MORSEL_ROWS`.
+fn big_table() -> Table {
+    let syms = ["AA", "BB", "CC", "DD", "EE"];
+    Table::new(
+        vec!["k".into(), "px".into(), "sym".into()],
+        vec![
+            Value::Longs(
+                (0..BIG_ROWS as i64).map(|i| if i % 1000 == 7 { i64::MIN } else { i }).collect(),
+            ),
+            Value::Floats(
+                (0..BIG_ROWS)
+                    .map(|i| if i % 97 == 0 { f64::NAN } else { (i % 7919) as f64 * 0.25 })
+                    .collect(),
+            ),
+            Value::Symbols(
+                (0..BIG_ROWS)
+                    .map(|i| if i % 131 == 0 { String::new() } else { syms[i % syms.len()].into() })
+                    .collect(),
+            ),
+        ],
+    )
+    .unwrap()
+}
+
+/// An in-process database loaded with the fixture, plus `big`.
 fn fixture_db() -> pgdb::Db {
     let db = pgdb::Db::new();
     let mut s = HyperQSession::with_direct(&db);
     for (name, table) in fixture() {
         loader::load_table(&mut s, name, &table).unwrap();
     }
+    loader::load_table_direct(&db, "big", &big_table()).unwrap();
     db
 }
 
@@ -187,12 +217,16 @@ const ERROR_PROBES: &[&str] = &[
     "select nosuchcol from trades",
 ];
 
+/// Statements over `big`, whose results have more than
+/// `pgdb::MORSEL_ROWS` rows.
+const BIG_PROBES: &[&str] = &["select from big"];
+
 /// The result path over the PG v3 wire is the in-process one: a session
 /// whose backend is a `PgWireBackend` to a `PgServer` must answer every
-/// oracle statement with the `Value` a `DirectBackend` session answers,
-/// bit for bit (`Debug` tells `-0.0` from `0.0` and one NaN from no
-/// NaN), and fail with the same string — translation cache cold, then
-/// warm.
+/// oracle statement, and one result larger than a morsel, with the
+/// `Value` a `DirectBackend` session answers, bit for bit (`Debug` tells
+/// `-0.0` from `0.0` and one NaN from no NaN), and fail with the same
+/// string — translation cache cold, then warm.
 #[test]
 fn oracle_statements_are_bit_identical_over_the_pg_wire() {
     let mut direct = HyperQSession::with_direct(&fixture_db());
@@ -209,7 +243,7 @@ fn oracle_statements_are_bit_identical_over_the_pg_wire() {
     let reg = obs::global_registry();
     let binary_before = reg.counter_value("hyperq_gateway_fields_decoded_total{format=\"binary\"}");
     let mut failures = Vec::new();
-    for q in STATEMENTS.iter().chain(ERROR_PROBES) {
+    for q in STATEMENTS.iter().chain(ERROR_PROBES).chain(BIG_PROBES) {
         for pass in ["cold", "warm"] {
             let a = direct.execute(q).map_err(|e| e.to_string());
             let b = wire.execute(q).map_err(|e| e.to_string());
