@@ -1,86 +1,27 @@
-//! Streaming batch pipeline: a schema plus an iterator of bounded
-//! [`Batch`] chunks (DESIGN §12).
-//!
-//! A [`BatchStream`] is the executor→server currency for results that
-//! should not be fully materialized: each `next()` yields one morsel-
-//! sized batch over the *same* schema, so the PG DataRow codec and the
-//! QIPC pivot can drain chunk-at-a-time with peak residency bounded by
-//! the chunk size instead of the result size. The schema is carried
-//! out-of-band because consumers (RowDescription, the pivot's empty-
-//! result shaping) need it before — and independent of — the first
-//! chunk.
+//! A result as a one-chunk stream: a schema plus an iterator that yields
+//! one [`Batch`]. Every result is one batch (DESIGN §12); this shape
+//! exists for hqbench until ROADMAP item 8 step A.
 //!
 //! The error type is generic because this crate is dependency-free:
-//! pgdb instantiates `BatchStream<DbError>`. An `Err` item ends the
-//! stream (producers fuse after yielding it); consumers translate it
-//! into their own mid-stream error signalling (an `ErrorResponse` after
-//! partial `DataRow`s is legal PG v3: an error during a query aborts
-//! the remainder).
+//! pgdb instantiates `BatchStream<DbError>`.
 
 use crate::batch::Batch;
 use crate::types::Column;
+use std::marker::PhantomData;
 
-/// A stream of bounded batches sharing one schema.
+/// One batch behind the iterator interface of a chunk stream. Exists
+/// for hqbench until ROADMAP item 8 step A.
 pub struct BatchStream<E> {
-    /// Output schema; every yielded chunk carries an identical one.
+    /// Output schema, the batch's own.
     pub schema: Vec<Column>,
-    chunks: Box<dyn Iterator<Item = Result<Batch, E>> + Send>,
+    batch: Option<Batch>,
+    error: PhantomData<fn() -> E>,
 }
 
 impl<E> BatchStream<E> {
-    /// A stream over an arbitrary chunk iterator.
-    pub fn new(
-        schema: Vec<Column>,
-        chunks: impl Iterator<Item = Result<Batch, E>> + Send + 'static,
-    ) -> BatchStream<E> {
-        BatchStream { schema, chunks: Box::new(chunks) }
-    }
-
-    /// A single-chunk stream holding one already-materialized batch.
-    pub fn once(batch: Batch) -> BatchStream<E>
-    where
-        E: Send + 'static,
-    {
-        BatchStream { schema: batch.schema.clone(), chunks: Box::new(std::iter::once(Ok(batch))) }
-    }
-
-    /// Re-chunk a materialized batch into `chunk_rows`-row slices. The
-    /// batch is already resident, so this buys flow control downstream
-    /// (bounded frames, incremental encoding), not peak-memory relief —
-    /// that comes from producers that never materialize in the first
-    /// place. A zero-row batch yields no chunks; the empty relation is
-    /// expressed by the schema alone.
-    pub fn chunked(batch: Batch, chunk_rows: usize) -> BatchStream<E>
-    where
-        E: Send + 'static,
-    {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let schema = batch.schema.clone();
-        let rows = batch.rows();
-        // One-chunk results (the common case) skip the slice copies.
-        if rows <= chunk_rows {
-            if rows == 0 {
-                return BatchStream { schema, chunks: Box::new(std::iter::empty()) };
-            }
-            return BatchStream::once(batch);
-        }
-        let offsets = (0..rows).step_by(chunk_rows);
-        let chunks = offsets.map(move |o| Ok(batch.slice(o, chunk_rows.min(rows - o))));
-        BatchStream { schema, chunks: Box::new(chunks) }
-    }
-
-    /// Drain the stream back into one materialized batch (tests, and
-    /// consumers that genuinely need the whole relation).
-    pub fn collect_batch(mut self) -> Result<Batch, E> {
-        let mut out: Option<Batch> = None;
-        for chunk in self.chunks.by_ref() {
-            let chunk = chunk?;
-            match &mut out {
-                None => out = Some(chunk),
-                Some(b) => b.append(chunk),
-            }
-        }
-        Ok(out.unwrap_or_else(|| Batch::empty(self.schema)))
+    /// A stream that yields `batch` once.
+    pub fn once(batch: Batch) -> BatchStream<E> {
+        BatchStream { schema: batch.schema.clone(), batch: Some(batch), error: PhantomData }
     }
 }
 
@@ -88,7 +29,7 @@ impl<E> Iterator for BatchStream<E> {
     type Item = Result<Batch, E>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.chunks.next()
+        self.batch.take().map(Ok)
     }
 }
 
@@ -103,40 +44,15 @@ mod tests {
     use super::*;
     use crate::types::{Cell, PgType, Rows};
 
-    fn batch(n: usize) -> Batch {
-        Batch::from_rows(Rows {
+    #[test]
+    fn once_yields_the_batch_and_its_schema() {
+        let b = Batch::from_rows(Rows {
             columns: vec![Column::new("v", PgType::Int8)],
-            data: (0..n).map(|i| vec![Cell::Int(i as i64)]).collect(),
-        })
-    }
-
-    #[test]
-    fn chunked_slices_cover_every_row_in_order() {
-        let b = batch(10);
-        let s: BatchStream<()> = BatchStream::chunked(b.clone(), 4);
-        let chunks: Vec<Batch> = s.map(|c| c.unwrap()).collect();
-        assert_eq!(chunks.iter().map(Batch::rows).collect::<Vec<_>>(), vec![4, 4, 2]);
-        let mut merged = chunks.into_iter();
-        let mut acc = merged.next().unwrap();
-        for c in merged {
-            acc.append(c);
-        }
-        assert_eq!(acc, b, "re-appending chunks must reconstruct the batch exactly");
-    }
-
-    #[test]
-    fn empty_batch_streams_zero_chunks_but_keeps_schema() {
-        let s: BatchStream<()> = BatchStream::chunked(batch(0), 8);
-        assert_eq!(s.schema.len(), 1);
-        let got = s.collect_batch().unwrap();
-        assert_eq!(got.rows(), 0);
-        assert_eq!(got.schema[0].name, "v");
-    }
-
-    #[test]
-    fn collect_batch_round_trips_once() {
-        let b = batch(3);
+            data: (0..3).map(|i| vec![Cell::Int(i)]).collect(),
+        });
         let s: BatchStream<()> = BatchStream::once(b.clone());
-        assert_eq!(s.collect_batch().unwrap(), b);
+        assert_eq!(s.schema, b.schema);
+        let chunks: Vec<Batch> = s.map(Result::unwrap).collect();
+        assert_eq!(chunks, vec![b]);
     }
 }

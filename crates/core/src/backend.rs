@@ -39,12 +39,9 @@ pub trait Backend: Send {
         })
     }
 
-    /// Execute one SQL statement and stream the result back as bounded
-    /// columnar chunks, if this backend can. `Ok(None)` means "no
-    /// streaming" — the caller falls back to
-    /// [`Backend::execute_sql_batch`]. The
-    /// in-process backend overrides this so results flow executor →
-    /// pivot one morsel-sized chunk at a time (DESIGN §12).
+    /// [`Backend::execute_sql_batch`] as a one-chunk stream, `None` on
+    /// all but the in-process backend. Exists for hqbench until ROADMAP
+    /// item 8 step A.
     fn execute_sql_stream(
         &mut self,
         _sql: &str,

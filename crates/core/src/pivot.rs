@@ -183,93 +183,30 @@ pub fn pivot(rows: &Rows, shape: ResultShape) -> QResult<Value> {
     pivot_batch(Batch::from_rows(rows.clone()), shape)
 }
 
-/// Streaming pivot accumulator (DESIGN §12): drains a batch stream
-/// chunk-at-a-time, converting each chunk's columns into Q vectors and
-/// appending them — so peak resident *columnar* state is one chunk plus
-/// the growing Q vectors, never a second full materialized result.
+/// Chunks in, one Q value out: [`pivot_batch`] of the chunks appended
+/// with [`Batch::append`]. Exists for hqbench until ROADMAP item 8 step A.
 pub struct StreamPivot {
-    names: Vec<String>,
-    types: Vec<PgType>,
-    acc: Vec<Option<Value>>,
-    rows: u64,
+    acc: Batch,
 }
 
 impl StreamPivot {
-    /// An accumulator for a stream with the given schema.
+    /// An accumulator for chunks with the given schema.
     pub fn new(schema: &[pgdb::Column]) -> Self {
-        StreamPivot {
-            names: schema.iter().map(|c| c.name.clone()).collect(),
-            types: schema.iter().map(|c| c.ty).collect(),
-            acc: schema.iter().map(|_| None).collect(),
-            rows: 0,
+        StreamPivot { acc: Batch::empty(schema.to_vec()) }
+    }
+
+    /// Append one chunk; the first is kept as it is.
+    pub fn push(&mut self, batch: Batch) {
+        if self.acc.is_empty() {
+            self.acc = batch;
+        } else {
+            self.acc.append(batch);
         }
     }
 
-    /// Rows pivoted so far.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// Pivot one chunk and append its columns to the accumulators.
-    pub fn push(&mut self, mut batch: Batch) {
-        self.rows += batch.rows() as u64;
-        let columns = std::mem::take(&mut batch.columns);
-        for ((vec, ty), slot) in columns.into_iter().zip(&self.types).zip(&mut self.acc) {
-            let (v, moved) = column_to_value(vec, *ty);
-            if moved {
-                zero_copy_counter().inc();
-            }
-            match slot {
-                None => *slot = Some(v),
-                Some(acc) => append_value(acc, v),
-            }
-        }
-    }
-
-    /// Shape the accumulated table as the translation promised. An empty
-    /// stream yields typed empty vectors from the schema alone.
+    /// [`pivot_batch`] of everything pushed.
     pub fn finish(self, shape: ResultShape) -> QResult<Value> {
-        let mut t = Table::default();
-        for ((name, ty), slot) in self.names.into_iter().zip(self.types).zip(self.acc) {
-            if name == ORD_COL {
-                continue;
-            }
-            t.push_column(name, slot.unwrap_or_else(|| empty_vector(ty)))?;
-        }
-        shape_value(t, shape)
-    }
-}
-
-/// Append chunk vector `next` onto accumulated vector `acc`.
-/// Same-variant chunks extend in place (the common case — chunks of one
-/// stream share a schema); a representation mismatch re-atomizes both
-/// sides and rebuilds with [`Value::from_elements`], which is exactly
-/// what a whole-result pivot of the concatenated cells would produce.
-fn append_value(acc: &mut Value, next: Value) {
-    match (&mut *acc, next) {
-        (Value::Bools(a), Value::Bools(b)) => a.extend(b),
-        (Value::Shorts(a), Value::Shorts(b)) => a.extend(b),
-        (Value::Ints(a), Value::Ints(b)) => a.extend(b),
-        (Value::Longs(a), Value::Longs(b)) => a.extend(b),
-        (Value::Reals(a), Value::Reals(b)) => a.extend(b),
-        (Value::Floats(a), Value::Floats(b)) => a.extend(b),
-        (Value::Symbols(a), Value::Symbols(b)) => a.extend(b),
-        (Value::Dates(a), Value::Dates(b)) => a.extend(b),
-        (Value::Times(a), Value::Times(b)) => a.extend(b),
-        (Value::Timestamps(a), Value::Timestamps(b)) => a.extend(b),
-        (Value::Mixed(a), Value::Mixed(b)) => a.extend(b),
-        (a, b) => {
-            let an = a.len().unwrap_or(1);
-            let bn = b.len().unwrap_or(1);
-            let mut elems: Vec<Value> = Vec::with_capacity(an + bn);
-            for i in 0..an {
-                elems.push(a.index(i).unwrap_or_else(|| a.null_element()));
-            }
-            for i in 0..bn {
-                elems.push(b.index(i).unwrap_or_else(|| b.null_element()));
-            }
-            *a = Value::from_elements(elems);
-        }
+        pivot_batch(self.acc, shape)
     }
 }
 
@@ -280,22 +217,18 @@ pub fn pivot_batch(batch: Batch, shape: ResultShape) -> QResult<Value> {
 }
 
 /// Reshape the pivoted table into the Q value the translation promised.
-fn shape_value(full: Table, shape: ResultShape) -> QResult<Value> {
+fn shape_value(mut full: Table, shape: ResultShape) -> QResult<Value> {
     match shape {
         ResultShape::Table => Ok(Value::Table(Box::new(full))),
         ResultShape::KeyedTable { key_cols } => {
             if key_cols > full.width() {
                 return Err(QError::length("keyed result has fewer columns than keys"));
             }
-            let key = Table {
-                names: full.names[..key_cols].to_vec(),
-                columns: full.columns[..key_cols].to_vec(),
-            };
             let value = Table {
-                names: full.names[key_cols..].to_vec(),
-                columns: full.columns[key_cols..].to_vec(),
+                names: full.names.split_off(key_cols),
+                columns: full.columns.split_off(key_cols),
             };
-            Ok(Value::KeyedTable(Box::new(KeyedTable { key, value })))
+            Ok(Value::KeyedTable(Box::new(KeyedTable { key: full, value })))
         }
         ResultShape::Column => {
             let t = full;
@@ -512,6 +445,32 @@ mod tests {
             .q_eq(&Value::Floats(vec![1.0, 1.5])));
         assert!(pivoted(PgType::Text, vec![Cell::Int(1), Cell::Text("x".into()), Cell::Null])
             .q_eq(&Value::Symbols(vec!["1".into(), "x".into(), "".into()])));
+    }
+
+    /// A column whose storage class changes between chunks pivots as the
+    /// whole result does: typed Int rows then a mixed chunk are one
+    /// mixed column, which reads as symbols.
+    #[test]
+    fn stream_pivot_is_the_pivot_of_the_appended_chunks() {
+        let schema = vec![Column::new("v", PgType::Int8)];
+        let ints = Batch::from_rows(Rows {
+            columns: schema.clone(),
+            data: vec![vec![Cell::Int(1)], vec![Cell::Int(2)]],
+        });
+        let mixed = Batch::new(
+            schema.clone(),
+            vec![ColumnVec::Cells(vec![Cell::Int(3), Cell::Text("x".into())])],
+            2,
+        );
+        let mut pv = StreamPivot::new(&schema);
+        pv.push(ints.clone());
+        pv.push(mixed.clone());
+        let mut whole = ints;
+        whole.append(mixed);
+        let want = pivot_batch(whole, ResultShape::Column).unwrap();
+        assert!(want.q_eq(&Value::Symbols(vec!["1".into(), "2".into(), "3".into(), "x".into()])));
+        let got = pv.finish(ResultShape::Column).unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]

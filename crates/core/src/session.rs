@@ -8,13 +8,13 @@
 
 use crate::backend::{execute_batch, share, DirectBackend, SharedBackend};
 use crate::mdi_backend::BackendMdi;
-use crate::pivot::{pivot_batch, StreamPivot};
+use crate::pivot::pivot_batch;
 use crate::qcache::{CacheStats, TranslationCache};
 use crate::translate::{StageTimings, Translation, TranslationStats, Translator};
 use crate::wire::{RetryPolicy, WireError, WireTimeouts};
 use algebrizer::{CachingMdi, MaterializationPolicy, Scopes};
 use obs::{QueryTrace, SlowQueryRecord, Span, SpanEvent, Stage};
-use pgdb::{BatchQueryResult, QueryResult, StreamQueryResult};
+use pgdb::{BatchQueryResult, QueryResult};
 use qlang::{QError, QResult, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -132,14 +132,6 @@ impl SessionMetrics {
     fn stage(&self, stage: Stage) -> &obs::Histogram {
         &self.stage_seconds[stage.index()]
     }
-}
-
-/// One statement's result as the backend produced it: a chunk stream
-/// from the in-process engine, one batch from everything else (the PG
-/// v3 gateway, the shard router).
-enum StmtResult {
-    Stream(StreamQueryResult),
-    Batch(BatchQueryResult),
 }
 
 /// A live Hyper-Q session.
@@ -374,14 +366,7 @@ impl HyperQSession {
                     })?;
                     let reconnects_before = be.reconnects();
                     let t0 = Instant::now();
-                    // Prefer the chunk-streaming path; backends that
-                    // cannot stream answer `None` without executing and
-                    // hand over the whole result as one batch.
-                    let result = match be.execute_sql_stream(&stmt.sql) {
-                        Ok(Some(r)) => Ok(StmtResult::Stream(r)),
-                        Ok(None) => execute_batch(&mut *be, &stmt.sql).map(StmtResult::Batch),
-                        Err(e) => Err(e),
-                    };
+                    let result = execute_batch(&mut *be, &stmt.sql);
                     child.duration = t0.elapsed();
                     (result, be.reconnects() - reconnects_before)
                 };
@@ -417,52 +402,9 @@ impl HyperQSession {
                     }
                 };
                 if stmt.returns_rows {
-                    let pivoted = match result {
-                        StmtResult::Stream(StreamQueryResult::Stream(batches)) => {
-                            // Drain chunk-at-a-time into the streaming
-                            // pivot: one morsel-sized chunk resident,
-                            // never the full columnar result (§12).
-                            let t0 = Instant::now();
-                            let mut pv = StreamPivot::new(&batches.schema);
-                            let mut stream_err = None;
-                            for item in batches {
-                                match item {
-                                    Ok(b) => pv.push(b),
-                                    Err(e) => {
-                                        stream_err = Some(e);
-                                        break;
-                                    }
-                                }
-                            }
-                            let n = pv.rows();
-                            child.rows = n;
-                            exec_span.rows += n;
-                            self.metrics.rows.add(n);
-                            let pivoted = match stream_err {
-                                Some(db) => Err(QError::new(
-                                    qlang::error::QErrorKind::Other,
-                                    format!(
-                                        "backend error {} while executing {:?}: {}",
-                                        db.code, stmt.sql, db.message
-                                    ),
-                                )),
-                                None => pv.finish(stmt.shape.unwrap()),
-                            };
-                            pivot_dur += t0.elapsed();
-                            pivoted.map(|v| (v, n))
-                        }
-                        StmtResult::Batch(BatchQueryResult::Batch(batch)) => {
-                            let n = batch.rows() as u64;
-                            child.rows = n;
-                            exec_span.rows += n;
-                            self.metrics.rows.add(n);
-                            let t0 = Instant::now();
-                            let pivoted = pivot_batch(batch, stmt.shape.unwrap());
-                            pivot_dur += t0.elapsed();
-                            pivoted.map(|v| (v, n))
-                        }
-                        StmtResult::Stream(StreamQueryResult::Command(tag))
-                        | StmtResult::Batch(BatchQueryResult::Command(tag)) => {
+                    let batch = match result {
+                        BatchQueryResult::Batch(batch) => batch,
+                        BatchQueryResult::Command(tag) => {
                             exec_span.duration += child.duration;
                             exec_span.children.push(child);
                             failed = Some(QError::new(
@@ -472,8 +414,15 @@ impl HyperQSession {
                             break 'outer;
                         }
                     };
+                    let n = batch.rows() as u64;
+                    child.rows = n;
+                    exec_span.rows += n;
+                    self.metrics.rows.add(n);
+                    let t0 = Instant::now();
+                    let pivoted = pivot_batch(batch, stmt.shape.unwrap());
+                    pivot_dur += t0.elapsed();
                     match pivoted {
-                        Ok((v, n)) => {
+                        Ok(v) => {
                             pivot_rows += n;
                             last = v;
                         }

@@ -56,10 +56,7 @@ use crate::wire::{RetryPolicy, WireError, WireTimeouts};
 use pgdb::exec::expr::{cast, eval};
 use pgdb::sql::ast::{FromItem, SelectItem, SelectStmt, SqlExpr, Stmt};
 use pgdb::sql::render;
-use pgdb::{
-    Batch, BatchQueryResult, Cell, Column, PgType, Rows, StreamQueryResult,
-    TableStats,
-};
+use pgdb::{Batch, BatchQueryResult, Cell, Column, PgType, Rows, TableStats};
 use planner::{col, item, ShardPlan};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -953,12 +950,6 @@ impl ShardRouter {
 impl Backend for ShardRouter {
     fn execute_sql_batch(&mut self, sql: &str) -> Result<Option<BatchQueryResult>, WireError> {
         self.route(sql).map(Some)
-    }
-
-    fn execute_sql_stream(&mut self, _sql: &str) -> Result<Option<StreamQueryResult>, WireError> {
-        // Scatter-gather has to materialize partials before merging;
-        // callers fall back to the batch path.
-        Ok(None)
     }
 
     fn set_exec_threads(&mut self, threads: Option<usize>) {

@@ -9,7 +9,7 @@
 use crate::catalog;
 use crate::exec::columnar::run_select_batch;
 use crate::exec::expr::{cast, eval};
-use crate::exec::{parallel, stream, TableSource};
+use crate::exec::{parallel, TableSource};
 use crate::sql::ast::Stmt;
 use crate::sql::parse_statement;
 use crate::types::{Cell, Column, Rows};
@@ -137,14 +137,11 @@ pub enum BatchQueryResult {
     Command(String),
 }
 
-/// Result of executing one statement, streaming: row sets arrive as an
-/// iterator of bounded batches (DESIGN §12). Statements that qualify
-/// for the true-streaming gate never materialize their full result;
-/// everything else runs on the materializing executor and is re-chunked
-/// so consumers see one bounded-batch shape either way.
+/// [`BatchQueryResult`] with the batch as a one-chunk stream. Exists
+/// for hqbench until ROADMAP item 8 step A.
 #[derive(Debug)]
 pub enum StreamQueryResult {
-    /// A streamed columnar row set (SELECT).
+    /// A columnar row set (SELECT), as one chunk.
     Stream(BatchStream<DbError>),
     /// A command tag (DDL/DML): e.g. `CREATE TABLE`, `INSERT 0 3`.
     Command(String),
@@ -373,21 +370,11 @@ impl Session {
         })
     }
 
-    /// Execute one SQL statement, streaming result: SELECTs inside the
-    /// streamable gate (see `exec::stream`) yield morsel-sized batches
-    /// without materializing; everything else executes on the
-    /// materializing path and is re-chunked for uniform consumption.
+    /// [`Session::execute_batch`] as a one-chunk stream. Exists for
+    /// hqbench until ROADMAP item 8 step A.
     pub fn execute_stream(&mut self, sql: &str) -> Result<StreamQueryResult, DbError> {
-        let stmt = parse_statement(sql)?;
-        if let Stmt::Select(s) = &stmt {
-            if let Some(stream) = stream::try_select_stream(self, s) {
-                return Ok(StreamQueryResult::Stream(stream));
-            }
-        }
-        Ok(match self.execute_stmt(stmt)? {
-            BatchQueryResult::Batch(b) => {
-                StreamQueryResult::Stream(BatchStream::chunked(b, parallel::MORSEL_ROWS))
-            }
+        Ok(match self.execute_batch(sql)? {
+            BatchQueryResult::Batch(b) => StreamQueryResult::Stream(BatchStream::once(b)),
             BatchQueryResult::Command(tag) => StreamQueryResult::Command(tag),
         })
     }
@@ -962,28 +949,21 @@ mod tests {
         assert_eq!(s.db().get_table_snapshot("trades").unwrap().batch.rows(), 4);
     }
 
-    /// A scan hands out the stored batch itself. A reader holding one —
-    /// directly, or inside a streaming SELECT — keeps its snapshot when
-    /// another session inserts, and it is the writer that pays the copy.
+    /// A scan hands out the stored batch itself. A reader holding one
+    /// keeps its snapshot when another session inserts, and it is the
+    /// writer that pays the copy.
     #[test]
     fn scans_share_the_stored_batch_and_the_writer_copies() {
         let mut reader = setup();
         let stored = |s: &Session| Arc::clone(&s.db().tables.read()["trades"].batch);
         let scan = reader.get_table_batch("trades").unwrap();
         assert!(Arc::ptr_eq(&scan, &stored(&reader)), "a scan must not copy the table");
-        let StreamQueryResult::Stream(stream) =
-            reader.execute_stream("SELECT ordcol FROM trades").unwrap()
-        else {
-            panic!("expected a stream")
-        };
 
         let mut writer = reader.db().session();
         writer.execute("INSERT INTO trades VALUES (4, 'MSFT', 70.0, 5)").unwrap();
 
         assert!(!Arc::ptr_eq(&scan, &stored(&reader)), "the writer copies on write");
         assert_eq!(scan.rows(), 3, "the held scan is a snapshot");
-        let streamed: usize = stream.map(|chunk| chunk.unwrap().rows()).sum();
-        assert_eq!(streamed, 3, "the open stream reads its snapshot");
         let r = rows(reader.execute("SELECT count(*) FROM trades").unwrap());
         assert_eq!(r.data[0][0], Cell::Int(4));
 

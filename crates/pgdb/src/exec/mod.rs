@@ -16,7 +16,6 @@ mod oracle;
 pub mod parallel;
 #[cfg(any(test, debug_assertions))]
 pub mod reference;
-pub mod stream;
 pub(crate) mod vector;
 
 #[cfg(any(test, debug_assertions))]

@@ -21,8 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Target rows per morsel. 64K rows keeps a morsel's working set (a
 /// handful of 8-byte columns) around L2 size while amortizing claim
-/// overhead to nothing; it is also the streaming chunk size, so one
-/// constant bounds both worker granularity and peak chunk residency.
+/// overhead to nothing.
 pub const MORSEL_ROWS: usize = 65_536;
 
 /// Session default worker count: `HQ_EXEC_THREADS` when set to a

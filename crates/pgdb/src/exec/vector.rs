@@ -1126,8 +1126,7 @@ pub(crate) fn referenced_columns(e: &SqlExpr, cols: &[BoundCol], out: &mut Vec<u
     });
 }
 
-/// Can `e` be evaluated morsel by morsel (and streamed chunk by chunk)
-/// with the serial result? False for a node that takes the row-wise
+/// Can `e` be evaluated morsel by morsel with the serial result? False for a node that takes the row-wise
 /// path (CASE, IN-list, subquery, star, window, aggregate call — lazy
 /// or error-producing shapes whose exact behavior the serial path owns)
 /// and for a column reference that fails to resolve (the serial path

@@ -31,7 +31,7 @@
 //! `08P01` protocol-violation error instead of killing the process or
 //! hanging the peer.
 
-use crate::engine::{BatchQueryResult, Db, DbError, Session, StreamQueryResult};
+use crate::engine::{BatchQueryResult, Db, DbError, Session};
 use crate::sql::ast::Stmt;
 use crate::sql::parse_statement;
 use crate::types::{Column, PgType};
@@ -559,65 +559,37 @@ impl Portal {
 }
 
 /// `RowDescription`, the rows and `CommandComplete` of one text-format
-/// result whose chunks `batches` yields. A failing chunk becomes an
-/// `ErrorResponse` after the rows already written — the protocol allows
-/// it, the client discards them — and `false` comes back.
-fn emit_text_result(
-    out: &mut Vec<u8>,
-    schema: &[Column],
-    batches: impl Iterator<Item = Result<Batch, DbError>>,
-) -> bool {
-    let formats = vec![Format::Text; schema.len()];
-    emit_row_description(out, schema, &formats);
-    let mut count = 0usize;
-    for item in batches {
-        match item {
-            Ok(batch) => {
-                encode_data_rows(&batch, &formats, out);
-                count += batch.rows();
-            }
-            Err(e) => {
-                emit_db_error(out, &e);
-                return false;
-            }
-        }
-    }
-    emit(out, &BackendMessage::CommandComplete(format!("SELECT {count}")));
-    true
+/// result.
+fn emit_text_result(out: &mut Vec<u8>, batch: &Batch) {
+    let formats = vec![Format::Text; batch.schema.len()];
+    emit_row_description(out, &batch.schema, &formats);
+    encode_data_rows(batch, &formats, out);
+    emit(out, &BackendMessage::CommandComplete(format!("SELECT {}", batch.rows())));
 }
 
-/// One `Query` message: split, execute, stream rows, `ReadyForQuery`.
+/// One `Query` message: split, execute, write each result, then
+/// `ReadyForQuery`. A statement that fails is answered with an
+/// `ErrorResponse` alone — it has produced no rows — and ends the
+/// message.
 fn run_query(session: &mut Session, sql: &str, out: &mut Vec<u8>) {
     let trimmed = sql.trim();
     if trimmed.is_empty() {
         emit(out, &BackendMessage::EmptyQueryResponse);
     } else if is_metrics_query(trimmed) {
-        let batch = metrics_batch();
-        emit_text_result(out, &batch.schema.clone(), std::iter::once(Ok(batch)));
+        emit_text_result(out, &metrics_batch());
     } else {
         queries_counter().inc();
         // Multiple statements separated by ';'.
         for stmt_sql in split_statements(trimmed) {
-            // Results stream as bounded batches and are written to the
-            // wire one chunk at a time (the protocol's representation
-            // boundary, DESIGN §10/§12): peak resident result state is
-            // one morsel-sized chunk, not the full row set.
-            let ok = match session.execute_stream(&stmt_sql) {
-                Ok(StreamQueryResult::Stream(batches)) => {
-                    let schema = batches.schema.clone();
-                    emit_text_result(out, &schema, batches)
-                }
-                Ok(StreamQueryResult::Command(tag)) => {
-                    emit(out, &BackendMessage::CommandComplete(tag));
-                    true
+            match session.execute_batch(&stmt_sql) {
+                Ok(BatchQueryResult::Batch(batch)) => emit_text_result(out, &batch),
+                Ok(BatchQueryResult::Command(tag)) => {
+                    emit(out, &BackendMessage::CommandComplete(tag))
                 }
                 Err(e) => {
                     emit_db_error(out, &e);
-                    false
+                    break;
                 }
-            };
-            if !ok {
-                break;
             }
         }
     }
@@ -848,6 +820,27 @@ mod tests {
         assert!(msgs
             .iter()
             .any(|m| matches!(m, BackendMessage::ErrorResponse { code, .. } if code == "42P01")));
+
+        // A SELECT that fails while executing: the error comes before any
+        // RowDescription or DataRow, and ReadyForQuery follows it.
+        client.send(&FrontendMessage::Query(
+            "CREATE TABLE t (sym varchar); INSERT INTO t VALUES ('a'), ('b')".into(),
+        ));
+        client.recv_until_ready();
+        client.send(&FrontendMessage::Query("SELECT sym + 1 FROM t".into()));
+        let msgs = client.recv_until_ready();
+        assert!(
+            matches!(
+                msgs.as_slice(),
+                [BackendMessage::ErrorResponse { .. }, BackendMessage::ReadyForQuery(_)]
+            ),
+            "{msgs:?}"
+        );
+        // The connection answers the next query with its rows.
+        client.send(&FrontendMessage::Query("SELECT sym FROM t".into()));
+        let msgs = client.recv_until_ready();
+        let rows = msgs.iter().filter(|m| matches!(m, BackendMessage::DataRow(_))).count();
+        assert_eq!(rows, 2, "{msgs:?}");
         server.detach();
     }
 

@@ -3,20 +3,17 @@
 //! The morsel-driven executor promises *bit-identical* results at any
 //! worker count: canonical merge order makes row order, group order,
 //! storage classes, and error identity independent of scheduling. This
-//! suite enforces that promise three ways:
+//! suite enforces that promise two ways:
 //!
 //! 1. direct pgdb structural equality on multi-morsel (> 64K-row)
 //!    tables across filter / projection / group-by / DISTINCT-aggregate
-//!    / equi-join shapes, at `exec_threads` 1 vs 4;
+//!    / equi-join shapes, and error identity, at `exec_threads` 1 vs 4;
 //! 2. the full differential-oracle statement list and a fixed-seed qgen
-//!    fuzz slice, run under `HQ_EXEC_THREADS` 1 and 4;
-//! 3. stream-vs-batch equivalence: the streaming SELECT path must
-//!    reassemble to exactly the materializing executor's batch, in
-//!    bounded (≤ one morsel) chunks.
+//!    fuzz slice, run under `HQ_EXEC_THREADS` 1 and 4.
 
 use hyperq::side_by_side::SideBySide;
 use hyperq_workload::taq::{generate_quotes, generate_trades, TaqConfig};
-use pgdb::{Batch, BatchQueryResult, Cell, Db, Session, StreamQueryResult, MORSEL_ROWS};
+use pgdb::{Batch, BatchQueryResult, Cell, Db, Session, MORSEL_ROWS};
 use qgen::{run_fuzz, FuzzConfig};
 use qlang::value::{Table, Value};
 use std::sync::Mutex;
@@ -284,78 +281,4 @@ fn fuzz_slice_is_clean_at_one_and_four_workers() {
         "4-worker fuzz slice found divergences:\n{:#?}",
         describe(&parallel)
     );
-}
-
-// ---------------------------------------------------------------------
-// 3. Stream-vs-batch equivalence and bounded chunking.
-// ---------------------------------------------------------------------
-
-#[test]
-fn streaming_select_reassembles_to_the_materialized_batch() {
-    let db = big_db();
-    for sql in [
-        "SELECT id, val FROM big WHERE grp > 250",
-        "SELECT id, val * 3.0 AS v3, sym FROM big",
-        "SELECT id FROM big WHERE grp = 999",
-    ] {
-        let mut s = db.session();
-        s.set_exec_threads(Some(1));
-        let want = batch(&mut s, sql);
-        let stream = match s.execute_stream(sql).unwrap() {
-            StreamQueryResult::Stream(st) => st,
-            other => panic!("expected stream for {sql}, got {other:?}"),
-        };
-        let mut chunks = 0usize;
-        let mut peak = 0usize;
-        let mut acc: Option<Batch> = None;
-        let schema = stream.schema.clone();
-        for item in stream {
-            let chunk = item.unwrap();
-            assert!(
-                chunk.rows() <= MORSEL_ROWS,
-                "{sql}: chunk of {} rows exceeds the morsel bound",
-                chunk.rows()
-            );
-            chunks += 1;
-            peak = peak.max(chunk.rows());
-            match &mut acc {
-                None => acc = Some(chunk),
-                Some(b) => b.append(chunk),
-            }
-        }
-        let got = acc.unwrap_or_else(|| Batch::empty(schema));
-        assert_eq!(got, want, "stream/batch divergence for {sql}");
-        if want.rows() > MORSEL_ROWS {
-            assert!(chunks > 1, "{sql}: multi-morsel result arrived as one chunk");
-            assert!(
-                peak <= MORSEL_ROWS && peak < want.rows(),
-                "{sql}: peak chunk {peak} rows not bounded below result {}",
-                want.rows()
-            );
-        }
-    }
-}
-
-#[test]
-fn streaming_errors_fuse_the_stream_and_match_serial() {
-    let db = big_db();
-    let mut s = db.session();
-    s.set_exec_threads(Some(1));
-    let sql = "SELECT sym + 1 AS boom FROM big";
-    let want = s.execute_batch(sql).unwrap_err();
-    let stream = match s.execute_stream(sql).unwrap() {
-        StreamQueryResult::Stream(st) => st,
-        other => panic!("expected stream, got {other:?}"),
-    };
-    let mut saw_err = None;
-    let mut after_err = 0usize;
-    for item in stream {
-        match item {
-            Ok(_) if saw_err.is_some() => after_err += 1,
-            Ok(_) => {}
-            Err(e) => saw_err = Some(e),
-        }
-    }
-    assert_eq!(saw_err, Some(want), "mid-stream error must match the serial error");
-    assert_eq!(after_err, 0, "stream must fuse after the first error");
 }
