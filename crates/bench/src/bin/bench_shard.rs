@@ -24,8 +24,8 @@
 //! The ≥1.5× speedup bar on at least one shape is only *enforced*
 //! (exit 1) on machines with ≥4 cores — in-process shards scatter on
 //! real threads, and a 1-core container cannot exhibit that. There the
-//! numbers are recorded and the gate is marked hardware-skipped,
-//! matching the bench_parallel convention.
+//! numbers are recorded and the gate is marked hardware-skipped
+//! (`"skipped_reason": "insufficient_cores"`, as `bench_concurrency`).
 //!
 //! `BENCH_SHARD_ROWS` overrides the 2M default for smoke runs.
 
