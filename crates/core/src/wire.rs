@@ -227,11 +227,6 @@ impl Default for WireTimeouts {
 }
 
 impl WireTimeouts {
-    /// No deadlines anywhere — the legacy blocking behaviour.
-    pub fn none() -> Self {
-        WireTimeouts { connect: None, read: None, write: None }
-    }
-
     /// Apply the read/write deadlines to a connected stream.
     pub fn apply(&self, stream: &std::net::TcpStream) -> std::io::Result<()> {
         stream.set_read_timeout(self.read)?;

@@ -12,17 +12,10 @@
 //! (`pgwire::rows`).
 //!
 //! The protocol itself lives in a sans-io state machine,
-//! [`PgConnMachine`]: bytes in, bytes out, no socket in sight. Two
-//! drivers run it, selected by [`ServerConfig::io_model`]:
-//!
-//! * **thread-per-connection** — the legacy model, one blocking thread
-//!   per accepted socket;
-//! * **multiplexed** (the default) — sockets registered with the
-//!   `netpool` readiness scheduler, sessions parked while idle and
-//!   dispatched to a bounded worker pool when the peer speaks.
-//!
-//! Because both drivers feed the *same* machine, they are byte-identical
-//! on the wire — which the session-park differential suite pins.
+//! [`PgConnMachine`]: bytes in, bytes out, no socket in sight. The
+//! `netpool` readiness scheduler drives it: every accepted socket is
+//! registered there, parked while idle and dispatched to a bounded
+//! worker pool when the peer speaks. No connection owns a thread.
 //!
 //! Robustness: the accept loop survives transient `accept()` errors
 //! with a capped exponential backoff, a configurable connection cap
@@ -41,8 +34,7 @@ use pgwire::codec::{encode_backend, MessageReader};
 use pgwire::messages::{AuthRequest, BackendMessage, Format, FrontendMessage, TransactionStatus};
 use pgwire::rows::{encode_data_rows, field_descs, result_formats};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -68,10 +60,9 @@ pub struct ServerConfig {
     /// rejected with SQLSTATE 53300 ("too many connections") after the
     /// start-up packet, mirroring PostgreSQL.
     pub max_connections: usize,
-    /// Connection layer: thread-per-conn or readiness-multiplexed.
-    /// Defaults from `HQ_IO_MODEL` (multiplexed when unset).
+    /// Nothing reads it: there is one connection layer. Goes with ROADMAP item 8 step A.
     pub io_model: IoModel,
-    /// Dispatch threads for the multiplexed model; `0` defers to
+    /// Dispatch threads of the connection scheduler; `0` defers to
     /// `HQ_NET_WORKERS` (then a small built-in default).
     pub net_workers: usize,
 }
@@ -81,7 +72,7 @@ impl Default for ServerConfig {
         ServerConfig {
             auth: AuthMode::default(),
             max_connections: 64,
-            io_model: IoModel::from_env(),
+            io_model: IoModel::Multiplexed,
             net_workers: 0,
         }
     }
@@ -99,10 +90,7 @@ impl PgServer {
     pub fn start(db: Db, bind_addr: &str, config: ServerConfig) -> std::io::Result<PgServer> {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
-        let pool = match config.io_model {
-            IoModel::Multiplexed => Some(NetPool::start(config.net_workers)?),
-            IoModel::ThreadPerConn => None,
-        };
+        let pool = NetPool::start(config.net_workers)?;
         let cfg = Arc::new(config);
         let active = Arc::new(AtomicUsize::new(0));
         let handle = std::thread::spawn(move || {
@@ -119,18 +107,9 @@ impl PgServer {
                             reject,
                             ConnGuard(Arc::clone(&active)),
                         );
-                        match &pool {
-                            Some(pool) => {
-                                // Registration failure drops the machine,
-                                // whose guard releases the slot.
-                                let _ = pool.register(stream, Box::new(machine), None);
-                            }
-                            None => {
-                                std::thread::spawn(move || {
-                                    let _ = serve_connection(stream, machine);
-                                });
-                            }
-                        }
+                        // Registration failure drops the machine, whose
+                        // guard releases the slot.
+                        let _ = pool.register(stream, Box::new(machine), None);
                     }
                     // A failed accept() of one connection (peer reset the
                     // socket while it sat in the backlog, fd pressure, a
@@ -155,8 +134,7 @@ fn queries_counter() -> &'static Arc<obs::Counter> {
     COUNTER.get_or_init(|| obs::global_registry().counter("pgdb_queries_total"))
 }
 
-/// Releases the connection-cap slot when the connection ends, whichever
-/// driver ran it.
+/// Releases the connection-cap slot when the connection ends.
 struct ConnGuard(Arc<AtomicUsize>);
 
 impl Drop for ConnGuard {
@@ -266,9 +244,8 @@ enum ConnState {
 
 /// The PG v3 protocol as a sans-io state machine: raw bytes in,
 /// response bytes out, a [`HandlerControl`] verdict per dispatch. The
-/// blocking and multiplexed drivers both run this — the per-connection
-/// engine session (and its temp tables) lives inside, so parking a
-/// session preserves its state exactly like a dedicated thread would.
+/// per-connection engine session (and its temp tables) lives inside, so
+/// a parked session keeps its state while no thread holds it.
 pub struct PgConnMachine {
     db: Db,
     auth: AuthMode,
@@ -596,29 +573,6 @@ fn run_query(session: &mut Session, sql: &str, out: &mut Vec<u8>) {
     emit_ready(out);
 }
 
-/// The thread-per-connection driver: a blocking read → machine → write
-/// loop over the same state machine the multiplexed scheduler runs.
-fn serve_connection(mut stream: TcpStream, mut machine: PgConnMachine) -> std::io::Result<()> {
-    let mut chunk = [0u8; 8192];
-    let mut out = Vec::new();
-    loop {
-        let n = stream.read(&mut chunk)?;
-        let control = if n == 0 {
-            machine.on_eof(&mut out);
-            HandlerControl::Close
-        } else {
-            machine.on_bytes(&chunk[..n], &mut out)
-        };
-        if !out.is_empty() {
-            stream.write_all(&out)?;
-            out.clear();
-        }
-        if control == HandlerControl::Close {
-            return Ok(());
-        }
-    }
-}
-
 /// Split on top-level semicolons (quotes respected).
 fn split_statements(sql: &str) -> Vec<String> {
     let mut out = Vec::new();
@@ -652,6 +606,8 @@ fn split_statements(sql: &str) -> Vec<String> {
 mod tests {
     use super::*;
     use pgwire::codec::encode_frontend;
+    use std::io::Write;
+    use std::net::TcpStream;
 
     struct TestClient {
         stream: TcpStream,
@@ -720,13 +676,10 @@ mod tests {
         }
     }
 
-    fn config_for(io_model: IoModel) -> ServerConfig {
-        ServerConfig { io_model, ..ServerConfig::default() }
-    }
-
-    fn full_wire_session(io_model: IoModel) {
+    #[test]
+    fn full_wire_session_with_trust_auth() {
         let db = Db::new();
-        let server = PgServer::start(db, "127.0.0.1:0", config_for(io_model)).unwrap();
+        let server = PgServer::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut client = TestClient::connect(server.addr, "trader");
         let startup = client.recv_until_ready();
         assert!(matches!(startup[0], BackendMessage::Authentication(AuthRequest::Ok)));
@@ -744,16 +697,6 @@ mod tests {
         }
         client.send(&FrontendMessage::Terminate);
         server.detach();
-    }
-
-    #[test]
-    fn full_wire_session_with_trust_auth() {
-        full_wire_session(IoModel::Multiplexed);
-    }
-
-    #[test]
-    fn full_wire_session_thread_per_conn() {
-        full_wire_session(IoModel::ThreadPerConn);
     }
 
     #[test]
@@ -900,8 +843,7 @@ mod tests {
     #[test]
     fn metrics_expose_multiplexed_sessions() {
         let db = Db::new();
-        let server =
-            PgServer::start(db, "127.0.0.1:0", config_for(IoModel::Multiplexed)).unwrap();
+        let server = PgServer::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut client = TestClient::connect(server.addr, "ops");
         client.recv_until_ready();
         client.send(&FrontendMessage::Query("SHOW metrics".into()));
