@@ -47,7 +47,6 @@ fn translated(hq: &mut HyperQSession, q: &str) -> String {
 fn taq_statements(db: &pgdb::Db) -> Vec<(&'static str, Duration, usize)> {
     let mut hq = HyperQSession::with_direct(db);
     let mut session = db.session();
-    session.set_exec_threads(Some(1));
     [
         ("taq_point_60k", "select Time, Price, Size from trades where Date=2016.06.26, Symbol=`AAPL"),
         (
@@ -94,7 +93,6 @@ struct AjRun {
 fn aj_scaling(db: &pgdb::Db) -> Vec<AjRun> {
     let mut hq = HyperQSession::with_direct(db);
     let mut session = db.session();
-    session.set_exec_threads(Some(1));
     let counters = || JOIN_COUNTERS.map(|c| obs::global_registry().counter_value(c));
     [300usize, 3_000, 30_000]
         .into_iter()

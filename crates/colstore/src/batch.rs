@@ -111,7 +111,7 @@ impl Validity {
     }
 
     /// Contiguous sub-range `[offset, offset + len)` of the slots.
-    /// Word-aligned offsets (every morsel boundary) copy whole words.
+    /// Word-aligned offsets copy whole words.
     pub fn slice(&self, offset: usize, len: usize) -> Validity {
         assert!(offset + len <= self.len, "slice {offset}+{len} out of {}", self.len);
         let mut out = Validity::all_valid(len);
@@ -419,9 +419,8 @@ impl ColumnVec {
         }
     }
 
-    /// Contiguous sub-range `[offset, offset + len)` — the morsel cut.
-    /// Copies the range (columns stay owned, workers stay independent);
-    /// the storage class is preserved exactly, so re-appending slices in
+    /// Contiguous sub-range `[offset, offset + len)`, copied. The
+    /// storage class is preserved exactly, so re-appending slices in
     /// order reconstructs a column `PartialEq`-identical to the source.
     pub fn slice(&self, offset: usize, len: usize) -> ColumnVec {
         macro_rules! cut {
@@ -676,16 +675,6 @@ impl Batch {
             schema: self.schema.clone(),
             columns: self.columns.iter().map(|c| c.take(idx)).collect(),
             rows: idx.len(),
-        }
-    }
-
-    /// Contiguous sub-range of rows `[offset, offset + len)` — the
-    /// morsel cut used by the parallel executor and the batch stream.
-    pub fn slice(&self, offset: usize, len: usize) -> Batch {
-        Batch {
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.slice(offset, len)).collect(),
-            rows: len,
         }
     }
 

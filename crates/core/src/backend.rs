@@ -49,9 +49,7 @@ pub trait Backend: Send {
         Ok(None)
     }
 
-    /// Pin the executor worker-pool width for this backend's session
-    /// (`None` = environment default). No-op for backends that execute
-    /// remotely — their parallelism is the remote server's business.
+    /// Does nothing: a statement runs on one executor thread. Goes with ROADMAP item 8 step A.
     fn set_exec_threads(&mut self, _threads: Option<usize>) {}
 
     /// Human-readable description (for diagnostics).
@@ -122,10 +120,6 @@ impl Backend for DirectBackend {
         sql: &str,
     ) -> Result<Option<StreamQueryResult>, WireError> {
         self.session.execute_stream(sql).map(Some).map_err(WireError::from)
-    }
-
-    fn set_exec_threads(&mut self, threads: Option<usize>) {
-        self.session.set_exec_threads(threads);
     }
 
     fn describe(&self) -> String {

@@ -26,8 +26,9 @@
 //! * [`qcache`] — the keyed translation cache: repeated Q statements
 //!   skip the translation pipeline entirely until a scope or catalog
 //!   mutation invalidates them.
-//! * [`xc`] — the Cross Compiler's Protocol/Query Translator finite state
-//!   machines (§3.4).
+//! * [`xc`] — the Cross Compiler's Protocol Translator finite state
+//!   machine (§3.4); its Query Translator is [`translate`], run by the
+//!   session.
 //! * [`endpoint`] — the kdb+-specific Endpoint plugin: a QIPC TCP server
 //!   that Q applications connect to unchanged (§3.1).
 //! * [`wire`] — wire-path resilience: the typed [`wire::WireError`]

@@ -1,4 +1,4 @@
-//! Shared backend connection pool (ROADMAP item 1).
+//! Shared backend connection pool (DESIGN §15).
 //!
 //! Before this pool, every gateway session pinned one backend TCP
 //! connection for its whole lifetime — ten thousand mostly-idle Q

@@ -5,6 +5,11 @@
 //! connection. `execute` drives: parse → algebrize → transform →
 //! serialize → run on backend → pivot results back into Q values —
 //! including the eager materialization of variable assignments (§4.3).
+//!
+//! The in-process backend executes a statement on the calling thread.
+//! The one thing below a session that spreads a statement over threads
+//! is the shard router, whose fan-out over its shards is the system's
+//! parallelism (DESIGN §12, §14).
 
 use crate::backend::{execute_batch, share, DirectBackend, SharedBackend};
 use crate::mdi_backend::BackendMdi;
@@ -44,11 +49,7 @@ pub struct SessionConfig {
     /// (README knob `obs.slow_query_ms`). `Duration::ZERO` disables the
     /// log for this session.
     pub slow_query: Duration,
-    /// Executor worker-pool width for the in-process backend: `0`
-    /// defers to `HQ_EXEC_THREADS` / available parallelism, `1` forces
-    /// the serial path, `n > 1` caps the morsel pool at `n` workers
-    /// (README knob `HQ_EXEC_THREADS`, DESIGN §12). Remote backends
-    /// ignore it.
+    /// Nothing reads it: a statement runs on one executor thread. Goes with ROADMAP item 8 step A.
     pub exec_threads: usize,
     /// Durability for the in-process backend: `Some` recovers the
     /// catalog from the data directory on open and WAL-logs every
@@ -153,12 +154,6 @@ pub struct HyperQSession {
 impl HyperQSession {
     /// Open a session over a shared backend.
     pub fn new(backend: SharedBackend, config: SessionConfig) -> Self {
-        if let Ok(mut be) = backend.lock() {
-            be.set_exec_threads(match config.exec_threads {
-                0 => None,
-                n => Some(n),
-            });
-        }
         let mdi = CachingMdi::new(BackendMdi::new(backend.clone()), config.metadata_cache_ttl);
         HyperQSession {
             backend,

@@ -157,9 +157,7 @@ pub fn merge_agg(batches: Vec<Batch>, spec: &AggSpec) -> Result<Batch, WireError
     });
     let db = pgdb::Db::new();
     db.put_table(PARTIALS, schema.clone(), rows);
-    let mut sess = db.session();
-    sess.set_exec_threads(Some(1));
-    match sess.execute_batch(&spec.merge_sql) {
+    match db.session().execute_batch(&spec.merge_sql) {
         Ok(BatchQueryResult::Batch(b)) => {
             let n = spec.visible;
             Ok(Batch::new(b.schema[..n].to_vec(), b.columns[..n].to_vec(), b.rows()))

@@ -679,9 +679,7 @@ impl ShardRouter {
             let rows = batch.to_rows();
             db.put_table(&t.name, rows.columns, rows.data);
         }
-        let mut sess = db.session();
-        sess.set_exec_threads(Some(1));
-        sess.execute_batch(sql).map_err(WireError::from)
+        db.session().execute_batch(sql).map_err(WireError::from)
     }
 
     fn route_create(
@@ -950,13 +948,6 @@ impl ShardRouter {
 impl Backend for ShardRouter {
     fn execute_sql_batch(&mut self, sql: &str) -> Result<Option<BatchQueryResult>, WireError> {
         self.route(sql).map(Some)
-    }
-
-    fn set_exec_threads(&mut self, threads: Option<usize>) {
-        self.coord.set_exec_threads(threads);
-        for s in &mut self.shards {
-            s.set_exec_threads(threads);
-        }
     }
 
     fn describe(&self) -> String {

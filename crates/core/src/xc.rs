@@ -1,20 +1,18 @@
-//! The Cross Compiler (XC): Protocol Translator and Query Translator as
-//! finite state machines (paper §3.4, Figure 4).
+//! The Cross Compiler (XC)'s Protocol Translator as a finite state
+//! machine (paper §3.4, Figure 4).
 //!
 //! "Each translator process is designed as a Finite State Machine that
 //! maintains translator internal state while providing a mechanism for
 //! code re-entrance." The PT owns the DB-protocol surface: it consumes
 //! raw bytes, runs the QIPC handshake, extracts query text, and — once
-//! the QT hands back results — emits the response bytes. The QT owns the
-//! query-language surface: algebrize → optimize → serialize, stepping
-//! through explicit states so callers can interleave work (and so the
-//! Figure 7 harness can attribute time per stage).
+//! the session hands back results — emits the response bytes.
 //!
-//! The interface between the two is exactly the paper's: "sending out a Q
-//! query from PT, and receiving back an equivalent SQL query from QT."
+//! The paper's Query Translator is the session's translation
+//! ([`crate::session::HyperQSession`] through
+//! [`crate::translate::Translator`]): its stages are the `parse`,
+//! `algebrize`, `optimize` and `serialize` spans of each query's trace,
+//! timed as they run, not states of a machine here.
 
-use crate::translate::{Translation, Translator};
-use algebrizer::{Mdi, Scopes};
 use qipc::{Message, MsgType};
 use qlang::{QError, QResult, Value};
 
@@ -36,7 +34,7 @@ pub enum PtState {
 pub enum PtAction {
     /// Write these bytes to the Q application.
     Send(Vec<u8>),
-    /// Hand this query text to the QT; `respond` is false for async
+    /// Hand this query text to the session; `respond` is false for async
     /// messages (fire-and-forget).
     ForwardQuery {
         /// The Q query text.
@@ -181,130 +179,6 @@ impl ProtocolTranslator {
     }
 }
 
-/// Query Translator states (Figure 4's stages made explicit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QtState {
-    /// Nothing in flight.
-    Idle,
-    /// Binding the AST to XTRA (metadata lookups may suspend here).
-    Algebrizing,
-    /// Applying XTRA transformations.
-    Optimizing,
-    /// Emitting SQL text.
-    Serializing,
-    /// Translation finished; SQL available.
-    Done,
-    /// A stage failed; the FSM is discarding in-flight state before
-    /// returning to `Idle`. Explicit so the trajectory records error
-    /// recovery, and so a re-entrant caller never observes a
-    /// half-translated FSM as `Idle`.
-    Recovering,
-}
-
-impl QtState {
-    /// Stable lower-case label, used as the metric label for the
-    /// `xc_qt_transitions_total` counter family.
-    pub fn name(self) -> &'static str {
-        match self {
-            QtState::Idle => "idle",
-            QtState::Algebrizing => "algebrizing",
-            QtState::Optimizing => "optimizing",
-            QtState::Serializing => "serializing",
-            QtState::Done => "done",
-            QtState::Recovering => "recovering",
-        }
-    }
-
-    const ALL: [QtState; 6] = [
-        QtState::Idle,
-        QtState::Algebrizing,
-        QtState::Optimizing,
-        QtState::Serializing,
-        QtState::Done,
-        QtState::Recovering,
-    ];
-}
-
-/// One pre-resolved counter per QT state, so recording a transition is a
-/// single atomic increment.
-fn qt_transition_counter(state: QtState) -> &'static std::sync::Arc<obs::Counter> {
-    static COUNTERS: std::sync::OnceLock<[std::sync::Arc<obs::Counter>; 6]> =
-        std::sync::OnceLock::new();
-    let all = COUNTERS.get_or_init(|| {
-        let reg = obs::global_registry();
-        QtState::ALL.map(|s| {
-            reg.counter(&format!("xc_qt_transitions_total{{state=\"{}\"}}", s.name()))
-        })
-    });
-    let idx = QtState::ALL.iter().position(|s| *s == state).unwrap();
-    &all[idx]
-}
-
-/// The Query Translator FSM: drives one translation, recording the state
-/// trajectory.
-pub struct QueryTranslator {
-    translator: Translator,
-    state: QtState,
-    trajectory: Vec<QtState>,
-}
-
-impl QueryTranslator {
-    /// Wrap a configured translator.
-    pub fn new(translator: Translator) -> Self {
-        QueryTranslator { translator, state: QtState::Idle, trajectory: vec![QtState::Idle] }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> QtState {
-        self.state
-    }
-
-    /// The states visited so far (used by tests and diagnostics).
-    pub fn trajectory(&self) -> &[QtState] {
-        &self.trajectory
-    }
-
-    fn transition(&mut self, to: QtState) {
-        self.state = to;
-        self.trajectory.push(to);
-        qt_transition_counter(to).inc();
-    }
-
-    /// Translate one Q program, stepping through the stage states.
-    pub fn translate(
-        &mut self,
-        q_text: &str,
-        mdi: &dyn Mdi,
-        scopes: &mut Scopes,
-        temp_seq: &mut usize,
-    ) -> QResult<Vec<Translation>> {
-        self.transition(QtState::Algebrizing);
-        // The inner translator times the stages; the FSM marks the
-        // externally observable progress.
-        let result = self.translator.translate_program(q_text, mdi, scopes, temp_seq);
-        match &result {
-            Ok(_) => {
-                self.transition(QtState::Optimizing);
-                self.transition(QtState::Serializing);
-                self.transition(QtState::Done);
-            }
-            Err(_) => {
-                // Error recovery is an explicit transition, not a
-                // silent reset: Recovering discards in-flight state,
-                // then the FSM is Idle and re-entrant again.
-                self.transition(QtState::Recovering);
-                self.transition(QtState::Idle);
-            }
-        }
-        result
-    }
-
-    /// Acknowledge completion, returning to Idle for re-entrance.
-    pub fn reset(&mut self) {
-        self.transition(QtState::Idle);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,66 +278,6 @@ mod tests {
             }
             other => panic!("expected send, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn qt_walks_the_stage_states() {
-        use algebrizer::{StaticMdi, TableMeta};
-        use xtra::{ColumnDef, SqlType};
-        let mdi = StaticMdi::new().with(TableMeta::new(
-            "t",
-            vec![ColumnDef::new("x", SqlType::Int8)],
-        ));
-        let mut scopes = Scopes::new();
-        let mut seq = 0;
-        let mut qt = QueryTranslator::new(Translator::new());
-        qt.translate("select x from t", &mdi, &mut scopes, &mut seq).unwrap();
-        assert_eq!(
-            qt.trajectory(),
-            &[
-                QtState::Idle,
-                QtState::Algebrizing,
-                QtState::Optimizing,
-                QtState::Serializing,
-                QtState::Done
-            ]
-        );
-        qt.reset();
-        assert_eq!(qt.state(), QtState::Idle);
-    }
-
-    #[test]
-    fn qt_transitions_are_counted_in_the_global_registry() {
-        use algebrizer::{StaticMdi, TableMeta};
-        use xtra::{ColumnDef, SqlType};
-        let reg = obs::global_registry();
-        let key = "xc_qt_transitions_total{state=\"done\"}";
-        let before = reg.counter_value(key);
-        let mdi = StaticMdi::new()
-            .with(TableMeta::new("t", vec![ColumnDef::new("x", SqlType::Int8)]));
-        let mut scopes = Scopes::new();
-        let mut seq = 0;
-        let mut qt = QueryTranslator::new(Translator::new());
-        qt.translate("select x from t", &mdi, &mut scopes, &mut seq).unwrap();
-        assert_eq!(reg.counter_value(key), before + 1);
-    }
-
-    #[test]
-    fn qt_failure_recovers_explicitly_then_returns_to_idle() {
-        let mdi = algebrizer::StaticMdi::new();
-        let mut scopes = Scopes::new();
-        let mut seq = 0;
-        let mut qt = QueryTranslator::new(Translator::new());
-        assert!(qt.translate("select from ghost", &mdi, &mut scopes, &mut seq).is_err());
-        assert_eq!(qt.state(), QtState::Idle);
-        assert!(
-            qt.trajectory().contains(&QtState::Recovering),
-            "error recovery is an observable transition: {:?}",
-            qt.trajectory()
-        );
-        // Re-entrant after recovery.
-        assert!(qt.translate("select from ghost", &mdi, &mut scopes, &mut seq).is_err());
-        assert_eq!(qt.state(), QtState::Idle);
     }
 
     #[test]

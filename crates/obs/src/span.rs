@@ -86,8 +86,6 @@ pub enum SpanEvent {
     /// The wire layer reconnected mid-query; `reconnects` is how many
     /// times it did so while this span was open.
     Recovering { reconnects: u64 },
-    /// An XC state machine moved to `state`.
-    StateTransition { state: &'static str },
     /// Free-form annotation.
     Note(String),
 }
@@ -100,7 +98,6 @@ impl fmt::Display for SpanEvent {
             SpanEvent::Recovering { reconnects } => {
                 write!(f, "recovering(reconnects={reconnects})")
             }
-            SpanEvent::StateTransition { state } => write!(f, "state={state}"),
             SpanEvent::Note(s) => write!(f, "note({s})"),
         }
     }

@@ -9,7 +9,7 @@
 use crate::catalog;
 use crate::exec::columnar::run_select_batch;
 use crate::exec::expr::{cast, eval};
-use crate::exec::{parallel, TableSource};
+use crate::exec::TableSource;
 use crate::sql::ast::Stmt;
 use crate::sql::parse_statement;
 use crate::types::{Cell, Column, Rows};
@@ -187,7 +187,7 @@ impl Db {
 
     /// Open a session.
     pub fn session(&self) -> Session {
-        Session { db: self.clone(), temps: HashMap::new(), exec_threads: None }
+        Session { db: self.clone(), temps: HashMap::new() }
     }
 
     /// WAL-log one record. Must be called with the table write lock
@@ -294,9 +294,6 @@ impl Db {
 pub struct Session {
     db: Db,
     temps: HashMap<String, StoredTable>,
-    /// Executor worker-pool width override; `None` defers to
-    /// `HQ_EXEC_THREADS` / available parallelism at query time.
-    exec_threads: Option<usize>,
 }
 
 impl TableSource for Session {
@@ -322,10 +319,6 @@ impl TableSource for Session {
         let (columns, rows) = catalog::virtual_table(self, name)?;
         Some(Arc::new(Batch::from_rows(Rows { columns, data: rows })))
     }
-
-    fn exec_threads(&self) -> usize {
-        self.exec_threads.unwrap_or_else(parallel::default_exec_threads)
-    }
 }
 
 impl Session {
@@ -334,11 +327,8 @@ impl Session {
         &self.db
     }
 
-    /// Pin the executor worker-pool width for this session (`1` forces
-    /// the serial path); `None` restores the environment default.
-    pub fn set_exec_threads(&mut self, threads: Option<usize>) {
-        self.exec_threads = threads.map(|t| t.max(1));
-    }
+    /// Does nothing: a statement runs on one executor thread. Goes with ROADMAP item 8 step A.
+    pub fn set_exec_threads(&mut self, _threads: Option<usize>) {}
 
     /// Names of this session's temp tables, sorted.
     pub fn temp_names(&self) -> Vec<String> {

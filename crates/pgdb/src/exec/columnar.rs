@@ -19,11 +19,11 @@
 
 use super::expr::{self, derive_type, eval, resolve_column, BoundCol};
 use super::vector::{
-    self, eval_column, eval_row, eval_val, morsel_eligible, referenced_columns, Ctx, Rows, View,
+    self, eval_column, eval_row, eval_val, referenced_columns, Ctx, Rows, View,
 };
 use super::{
-    collect_windows, fold_cells, output_schema, parallel, resolve_where, select_items,
-    substitute_nodes, EquiPair, Interval, JoinShape, TableSource,
+    collect_windows, fold_cells, output_schema, resolve_where, select_items, substitute_nodes,
+    EquiPair, Interval, JoinShape, TableSource,
 };
 use crate::engine::DbError;
 use crate::sql::ast::*;
@@ -31,10 +31,9 @@ use crate::types::{Cell, Column, PgType};
 use colstore::{Batch, CellKey, ColumnVec, Validity};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// One column of a [`ColFrame`]: a stored table's column read in place,
@@ -239,8 +238,6 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
             SelectItem::Wildcard => false,
         });
 
-    let threads = src.exec_threads();
-
     // FROM.
     let ColFrame { mut cols, columns: storage, len } = match &stmt.from {
         Some(item) => eval_from_batch(src, item)?,
@@ -249,21 +246,10 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
     let mut columns: Vec<&ColumnVec> = storage.iter().map(|c| &**c).collect();
 
     // WHERE (3VL: keep definite TRUE only) yields a selection vector;
-    // nothing is gathered here. Large inputs filter morsel-at-a-time;
-    // per-morsel selections concatenate in morsel order, which is
-    // exactly the serial selection.
+    // nothing is gathered here.
     let sel: Option<Vec<usize>> = match &stmt.where_clause {
         None => None,
-        Some(pred) => Some(
-            if parallel::should_parallelize(len, threads) && morsel_eligible(pred, &cols) {
-                parallel::run_morsels(len, threads, "filter", |_, range| {
-                    vector::filter(pred, &cols, &columns, range)
-                })?
-                .concat()
-            } else {
-                vector::filter(pred, &cols, &columns, 0..len)?
-            },
-        ),
+        Some(pred) => Some(vector::filter(pred, &cols, &columns, len)?),
     };
     let rows = match &sel {
         Some(sel) => Rows::Sel(sel),
@@ -272,7 +258,7 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
     let ctx = Ctx { cols: &cols, columns: &columns, rows, pair: None };
 
     if has_agg {
-        return order_and_page(stmt, aggregate_batch(stmt, &ctx, threads)?, None);
+        return order_and_page(stmt, aggregate_batch(stmt, &ctx)?, None);
     }
 
     // Window functions: each distinct one becomes a column beside the
@@ -285,7 +271,7 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
     }
     let mut window_columns = Vec::with_capacity(windows.len());
     for w in &windows {
-        window_columns.push((derive_type(w, &cols), window_column(w, &ctx, threads)?));
+        window_columns.push((derive_type(w, &cols), window_column(w, &ctx)?));
     }
     let pair = (!windows.is_empty()).then(|| (columns.len(), Rows::all(rows.len())));
     for (i, (ty, column)) in window_columns.iter().enumerate() {
@@ -304,7 +290,7 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
     // into its output column.
     let mut out_columns = Vec::with_capacity(items.len());
     for (_, e) in &items {
-        out_columns.push(eval_column_morsels(e, &ctx, threads)?);
+        out_columns.push(eval_column(e, &ctx)?);
     }
     let out = Batch::new(output_schema(&items, &cols), out_columns, rows.len());
 
@@ -344,7 +330,7 @@ fn sort_rows(rows: &mut [usize], keys: &[Vec<Cell>], order_by: &[(SqlExpr, bool)
 /// for just the rows some output row takes its value from — `lead`
 /// never reads a partition's first row — which is when the oracle
 /// fails too.
-fn window_column(w: &SqlExpr, ctx: &Ctx<'_>, threads: usize) -> Result<ColumnVec, DbError> {
+fn window_column(w: &SqlExpr, ctx: &Ctx<'_>) -> Result<ColumnVec, DbError> {
     let SqlExpr::WindowFunc { name, args, partition_by, order_by } = w else {
         return Err(DbError::exec("not a window function"));
     };
@@ -354,7 +340,7 @@ fn window_column(w: &SqlExpr, ctx: &Ctx<'_>, threads: usize) -> Result<ColumnVec
         // No row, no partition: not even the function's name is looked at.
         return Ok(ColumnVec::empty(ty));
     }
-    let mut partitions = group_rows(partition_by, ctx, threads)?;
+    let mut partitions = group_rows(partition_by, ctx)?;
     let keys = order_keys(order_by, ctx)?;
     if !order_by.is_empty() {
         for g in 0..partitions.len() {
@@ -391,7 +377,7 @@ fn window_column(w: &SqlExpr, ctx: &Ctx<'_>, threads: usize) -> Result<ColumnVec
         other => return Err(DbError::exec(format!("unknown window function {other}"))),
     }
     let Some(arg) = args.first() else { return Ok(ColumnVec::nulls(ty, n)) };
-    match eval_view(arg, ctx, threads) {
+    match eval_view(arg, ctx) {
         Ok(arg) => {
             let phys: Vec<Option<usize>> =
                 source.iter().map(|s| s.map(|k| arg.rows.phys(k))).collect();
@@ -403,53 +389,6 @@ fn window_column(w: &SqlExpr, ctx: &Ctx<'_>, threads: usize) -> Result<ColumnVec
             Ok(ColumnVec::from_cells(ty, cells?))
         }
     }
-}
-
-/// [`eval_column`], split across workers for large inputs. Per-morsel
-/// columns concatenate in morsel order into the *same storage class the
-/// serial path would pick*: uniform chunks append directly (kernels and
-/// gathers are class-stable), mixed chunks — e.g. an all-NULL morsel
-/// typed from the declared type next to a value-typed one — re-atomize
-/// through one whole-column `from_cells`, which is byte-for-byte the
-/// serial construction.
-fn eval_column_morsels(e: &SqlExpr, ctx: &Ctx<'_>, threads: usize) -> Result<ColumnVec, DbError> {
-    let n = ctx.rows.len();
-    if !parallel::should_parallelize(n, threads) || !morsel_eligible(e, ctx.cols) {
-        return eval_column(e, ctx);
-    }
-    let chunks = parallel::run_morsels(n, threads, "project", |_, range| {
-        eval_column(e, &ctx.slice(range))
-    })?;
-    let uniform = chunks
-        .windows(2)
-        .all(|w| std::mem::discriminant(&w[0]) == std::mem::discriminant(&w[1]));
-    let ty = derive_type(e, ctx.cols);
-    let mut it = chunks.into_iter();
-    let Some(mut first) = it.next() else { return Ok(ColumnVec::empty(ty)) };
-    if uniform {
-        for c in it {
-            first.append(c);
-        }
-        return Ok(first);
-    }
-    let mut cells = first.into_cells();
-    for c in it {
-        cells.extend(c.into_cells());
-    }
-    Ok(ColumnVec::from_cells(ty, cells))
-}
-
-/// Concatenate per-chunk column sets (one `Vec<ColumnVec>` per morsel,
-/// all the same width) into whole columns, in chunk order.
-fn concat_columns(chunks: Vec<Vec<ColumnVec>>) -> Vec<ColumnVec> {
-    let mut it = chunks.into_iter();
-    let mut out = it.next().unwrap_or_default();
-    for chunk in it {
-        for (dst, src) in out.iter_mut().zip(chunk) {
-            dst.append(src);
-        }
-    }
-    out
 }
 
 /// ORDER BY + OFFSET/LIMIT over an output batch. `input` supplies the
@@ -566,78 +505,43 @@ impl Groups {
 }
 
 /// Dense ids, in first-seen order, for `n` rows keyed by `key`, and the
-/// number of distinct keys. Large inputs build per-morsel tables in
-/// parallel and merge them in morsel order: morsels tile the input in
-/// row order, so "first seen across morsel-ordered partials" is the
-/// first-seen order of a serial scan.
-fn assign_ids<K: Hash + Eq>(
-    n: usize,
-    threads: usize,
-    key: impl Fn(usize) -> K + Sync,
-) -> Result<(Vec<usize>, usize), DbError> {
-    fn id_of<K: Hash + Eq>(index: &mut HashMap<K, usize>, key: K, first: impl FnOnce()) -> usize {
-        let next = index.len();
-        match index.entry(key) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(v) => {
-                first();
-                *v.insert(next)
-            }
-        }
-    }
-    if !parallel::should_parallelize(n, threads) {
-        let mut index = HashMap::new();
-        let ids = (0..n).map(|k| id_of(&mut index, key(k), || ())).collect();
-        return Ok((ids, index.len()));
-    }
-    let parts = parallel::run_morsels(n, threads, "group", |_, range| {
-        let mut index = HashMap::new();
-        let mut firsts = Vec::new();
-        let local: Vec<usize> =
-            range.map(|k| id_of(&mut index, key(k), || firsts.push(k))).collect();
-        Ok((local, firsts))
-    })?;
+/// number of distinct keys.
+fn assign_ids<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> K) -> (Vec<usize>, usize) {
     let mut index = HashMap::new();
-    let mut ids = Vec::with_capacity(n);
-    for (local, firsts) in parts {
-        let global: Vec<usize> =
-            firsts.into_iter().map(|k| id_of(&mut index, key(k), || ())).collect();
-        ids.extend(local.into_iter().map(|l| global[l]));
-    }
-    Ok((ids, index.len()))
+    let ids = (0..n)
+        .map(|k| {
+            let next = index.len();
+            *index.entry(key(k)).or_insert(next)
+        })
+        .collect();
+    (ids, index.len())
 }
 
 /// [`assign_ids`] over one key column, keyed without allocation where
 /// the storage has one obvious key; any other storage goes through its
 /// canonical [`CellKey`], which the typed keys agree with.
-fn column_ids(view: &View<'_>, n: usize, threads: usize) -> Result<(Vec<usize>, usize), DbError> {
+fn column_ids(view: &View<'_>, n: usize) -> (Vec<usize>, usize) {
     let phys = |k: usize| view.rows.phys(k);
     match &*view.col {
-        ColumnVec::Text(d, v) => assign_ids(n, threads, |k| {
+        ColumnVec::Text(d, v) => assign_ids(n, |k| {
             let i = phys(k);
             (!v.is_null(i)).then(|| d[i].as_str())
         }),
-        ColumnVec::Int(d, v) => assign_ids(n, threads, |k| {
+        ColumnVec::Int(d, v) => assign_ids(n, |k| {
             let i = phys(k);
             (!v.is_null(i)).then(|| d[i])
         }),
-        ColumnVec::Date(d, v) => assign_ids(n, threads, |k| {
+        ColumnVec::Date(d, v) => assign_ids(n, |k| {
             let i = phys(k);
             (!v.is_null(i)).then(|| d[i])
         }),
-        col => assign_ids(n, threads, |k| col.key_at(phys(k))),
+        col => assign_ids(n, |k| col.key_at(phys(k))),
     }
 }
 
-/// `e` in column form, split across workers when large. A bare column
-/// stays borrowed.
-fn eval_view<'a>(e: &SqlExpr, ctx: &Ctx<'a>, threads: usize) -> Result<View<'a>, DbError> {
-    let n = ctx.rows.len();
-    if parallel::should_parallelize(n, threads) && !matches!(e, SqlExpr::Column { .. }) {
-        let col = eval_column_morsels(e, ctx, threads)?;
-        return Ok(View { col: Cow::Owned(col), rows: Rows::all(n) });
-    }
-    Ok(eval_val(e, ctx)?.into_view(n, derive_type(e, ctx.cols)))
+/// `e` in column form. A bare column stays borrowed.
+fn eval_view<'a>(e: &SqlExpr, ctx: &Ctx<'a>) -> Result<View<'a>, DbError> {
+    Ok(eval_val(e, ctx)?.into_view(ctx.rows.len(), derive_type(e, ctx.cols)))
 }
 
 /// The rows of `ctx` bucketed by the values of `keys` — GROUP BY's
@@ -645,17 +549,17 @@ fn eval_view<'a>(e: &SqlExpr, ctx: &Ctx<'a>, threads: usize) -> Result<View<'a>,
 /// bucket's rows ascending. No keys: one bucket. Each key column gets
 /// dense ids; a further key refines the ids so far pairwise, and
 /// first-seen order carries through both steps.
-fn group_rows(keys: &[SqlExpr], ctx: &Ctx<'_>, threads: usize) -> Result<Groups, DbError> {
+fn group_rows(keys: &[SqlExpr], ctx: &Ctx<'_>) -> Result<Groups, DbError> {
     let n = ctx.rows.len();
     if keys.is_empty() {
         return Ok(Groups::single(n));
     }
     let mut ids: Option<(Vec<usize>, usize)> = None;
     for key in keys {
-        let (next, count) = column_ids(&eval_view(key, ctx, threads)?, n, threads)?;
+        let (next, count) = column_ids(&eval_view(key, ctx)?, n);
         ids = Some(match ids {
             None => (next, count),
-            Some((prev, _)) => assign_ids(n, threads, |k| (prev[k], next[k]))?,
+            Some((prev, _)) => assign_ids(n, |k| (prev[k], next[k])),
         });
     }
     let (ids, count) = ids.expect("at least one key");
@@ -720,8 +624,8 @@ fn collect_agg_refs(e: &SqlExpr, cols: &[BoundCol], calls: &mut Vec<SqlExpr>, fi
 /// at the moment the virtual row is read — the evaluations the oracle
 /// performs, and their errors. Expressions with nested aggregates and
 /// calls without an argument take the same route to the same errors.
-fn aggregate_batch(stmt: &SelectStmt, ctx: &Ctx<'_>, threads: usize) -> Result<Batch, DbError> {
-    let groups = group_rows(&stmt.group_by, ctx, threads)?;
+fn aggregate_batch(stmt: &SelectStmt, ctx: &Ctx<'_>) -> Result<Batch, DbError> {
+    let groups = group_rows(&stmt.group_by, ctx)?;
     let mut items = Vec::with_capacity(stmt.items.len());
     for item in &stmt.items {
         let SelectItem::Expr { expr, alias } = item else {
@@ -738,7 +642,7 @@ fn aggregate_batch(stmt: &SelectStmt, ctx: &Ctx<'_>, threads: usize) -> Result<B
     // its first match in the frame.
     firsts.sort_unstable();
     let eager: Vec<Option<Vec<Cell>>> =
-        calls.iter().map(|call| aggregate_call(call, ctx, &groups, threads).ok()).collect();
+        calls.iter().map(|call| aggregate_call(call, ctx, &groups).ok()).collect();
 
     let mut virtual_cols: Vec<BoundCol> = calls
         .iter()
@@ -813,27 +717,13 @@ fn call_parts(call: &SqlExpr) -> Result<(&str, bool, Option<&SqlExpr>), DbError>
 }
 
 /// One aggregate call's result per group, eagerly. The argument is
-/// evaluated once, as a vector over all selected rows; groups fold
-/// independently (chunked across workers when large), each over its
-/// rows in ascending order, so results do not depend on the worker
-/// count.
-fn aggregate_call(
-    call: &SqlExpr,
-    ctx: &Ctx<'_>,
-    groups: &Groups,
-    threads: usize,
-) -> Result<Vec<Cell>, DbError> {
+/// evaluated once, as a vector over all selected rows; each group folds
+/// over its rows in ascending order.
+fn aggregate_call(call: &SqlExpr, ctx: &Ctx<'_>, groups: &Groups) -> Result<Vec<Cell>, DbError> {
     let (name, distinct, Some(arg)) = call_parts(call)? else {
         return Ok(groups.iter().map(|g| Cell::Int(g.len() as i64)).collect());
     };
-    let arg = eval_view(arg, ctx, threads)?;
-    if parallel::should_parallelize(ctx.rows.len(), threads) && groups.len() > 1 {
-        let ranges = parallel::even_ranges(groups.len(), threads * 4);
-        let chunks = parallel::run_ranges(ranges, threads, "aggregate", |_, range| {
-            range.map(|g| fold_group(name, distinct, &arg, groups.get(g))).collect::<Result<Vec<Cell>, _>>()
-        });
-        return Ok(chunks?.concat());
-    }
+    let arg = eval_view(arg, ctx)?;
     groups.iter().map(|g| fold_group(name, distinct, &arg, g)).collect()
 }
 
@@ -1012,6 +902,10 @@ fn count_join_pairs(candidates: usize, pairs: &JoinPairs) {
     matched.add(pairs.1.iter().flatten().count() as u64);
 }
 
+/// Candidate pairs the join probe collects before narrowing them
+/// through the residual: a bound on the probe's scratch vectors.
+const PROBE_CHUNK_PAIRS: usize = 65_536;
+
 /// Matched row pairs of a join, in output order: left row `.0[k]` joins
 /// right row `.1[k]` — `None` for a LEFT join's unmatched left row.
 pub(crate) type JoinPairs = (Vec<usize>, Vec<Option<usize>>);
@@ -1062,7 +956,7 @@ pub(crate) fn nested_loop_join(
 
 /// The probe of one left row: appends to `.2` the right rows, ascending,
 /// that left row `.0` can match within key bucket `.1`.
-type Candidates<'a> = Box<dyn Fn(usize, usize, &mut Vec<usize>) + Sync + 'a>;
+type Candidates<'a> = Box<dyn Fn(usize, usize, &mut Vec<usize>) + 'a>;
 
 /// Order every key bucket for the interval probe and return that probe.
 /// `keys(c)` is joined column `c`'s values as the comparison kernels
@@ -1076,7 +970,7 @@ type Candidates<'a> = Box<dyn Fn(usize, usize, &mut Vec<usize>) + Sync + 'a>;
 /// rows `x` stays under form a suffix, and the candidates are the run
 /// between two binary searches; elsewhere the prefix is checked row by
 /// row.
-fn interval_candidates<'a, T: PartialOrd + Copy + Send + Sync + 'a>(
+fn interval_candidates<'a, T: PartialOrd + Copy + 'a>(
     iv: Interval,
     split: usize,
     keys: impl Fn(usize) -> Option<Vec<Option<T>>>,
@@ -1132,11 +1026,9 @@ fn interval_candidates<'a, T: PartialOrd + Copy + Send + Sync + 'a>(
 /// One build/probe operator, driven by the condition's [`JoinShape`].
 /// Build buckets the right rows by the equality keys (no keys: one
 /// bucket) and, under an interval, orders each bucket for
-/// [`interval_candidates`]. The probe takes left rows in order (large
-/// sides morsel by morsel; per-morsel runs concatenate in morsel order,
-/// which is the serial output), proposes each one's candidates from its
-/// bucket, and narrows them through the residual a morsel's worth of
-/// pairs at a time.
+/// [`interval_candidates`]. The probe takes left rows in order, proposes
+/// each one's candidates from its bucket, and narrows them through the
+/// residual [`PROBE_CHUNK_PAIRS`] pairs at a time.
 ///
 /// Proposing fewer than all pairs skips conjuncts for the pairs left
 /// out, which is unobservable only if none of them can fail: a
@@ -1149,7 +1041,6 @@ fn join_pairs(
     cols: &[BoundCol],
     cond: &SqlExpr,
     kind: JoinType,
-    threads: usize,
 ) -> Result<JoinPairs, DbError> {
     let (lcolumns, rcolumns) = (l.refs(), r.refs());
     let split = lcolumns.len();
@@ -1198,54 +1089,40 @@ fn join_pairs(
         Some(iv) => interval_candidates(iv, split, |c| vector::num_keys(columns[c]), buckets),
     };
 
-    let probe = |range: Range<usize>| -> Result<(JoinPairs, usize), DbError> {
-        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
-        let (mut cand_l, mut cand_r) = (Vec::new(), Vec::new());
-        let mut proposed = 0;
-        // First left row whose pairs are still among the candidates.
-        let mut pending = range.start;
-        for li in range.clone() {
-            if let Some(b) = bucket_of(li) {
-                candidates(li, b, &mut cand_r);
-                cand_l.resize(cand_r.len(), li);
-            }
-            if cand_r.len() < parallel::MORSEL_ROWS && li + 1 < range.end {
-                continue;
-            }
-            proposed += cand_r.len();
-            vector::filter_pairs(&shape.residual, cols, &columns, split, &mut cand_l, &mut cand_r)?;
-            let mut k = 0;
-            for row in pending..=li {
-                let first = k;
-                while k < cand_l.len() && cand_l[k] == row {
-                    k += 1;
-                }
-                if k > first {
-                    lidx.extend_from_slice(&cand_l[first..k]);
-                    ridx.extend(cand_r[first..k].iter().map(|&ri| Some(ri)));
-                } else if kind == JoinType::Left {
-                    lidx.push(row);
-                    ridx.push(None);
-                }
-            }
-            cand_l.clear();
-            cand_r.clear();
-            pending = li + 1;
+    let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+    let (mut cand_l, mut cand_r) = (Vec::new(), Vec::new());
+    let mut proposed = 0;
+    // First left row whose pairs are still among the candidates.
+    let mut pending = 0;
+    for li in 0..l.len {
+        if let Some(b) = bucket_of(li) {
+            candidates(li, b, &mut cand_r);
+            cand_l.resize(cand_r.len(), li);
         }
-        Ok(((lidx, ridx), proposed))
-    };
-    let (pairs, proposed) = if parallel::should_parallelize(l.len, threads) {
-        let chunks = parallel::run_morsels(l.len, threads, "join_probe", |_, range| probe(range))?;
-        let (mut pairs, mut proposed) = (JoinPairs::default(), 0);
-        for ((lidx, ridx), n) in chunks {
-            pairs.0.extend(lidx);
-            pairs.1.extend(ridx);
-            proposed += n;
+        if cand_r.len() < PROBE_CHUNK_PAIRS && li + 1 < l.len {
+            continue;
         }
-        (pairs, proposed)
-    } else {
-        probe(0..l.len)?
-    };
+        proposed += cand_r.len();
+        vector::filter_pairs(&shape.residual, cols, &columns, split, &mut cand_l, &mut cand_r)?;
+        let mut k = 0;
+        for row in pending..=li {
+            let first = k;
+            while k < cand_l.len() && cand_l[k] == row {
+                k += 1;
+            }
+            if k > first {
+                lidx.extend_from_slice(&cand_l[first..k]);
+                ridx.extend(cand_r[first..k].iter().map(|&ri| Some(ri)));
+            } else if kind == JoinType::Left {
+                lidx.push(row);
+                ridx.push(None);
+            }
+        }
+        cand_l.clear();
+        cand_r.clear();
+        pending = li + 1;
+    }
+    let pairs = (lidx, ridx);
     count_join_pairs(proposed, &pairs);
     Ok(pairs)
 }
@@ -1311,30 +1188,11 @@ fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, D
                 JoinType::Inner | JoinType::Left => {
                     let cond =
                         on.as_ref().ok_or_else(|| DbError::syntax("JOIN requires ON"))?;
-                    let threads = src.exec_threads();
-                    let (lidx, ridx) = join_pairs(&l, &r, &cols, cond, *kind, threads)?;
-                    // Both sides gather by index, partitioned across
-                    // workers when the output is large.
-                    let gather = |range: Range<usize>| {
-                        let mut columns: Vec<ColumnVec> =
-                            lcolumns.iter().map(|c| c.take(&lidx[range.clone()])).collect();
-                        columns.extend(
-                            rcolumns.iter().map(|c| c.take_opt(&ridx[range.clone()])),
-                        );
-                        columns
-                    };
-                    let columns = if parallel::should_parallelize(lidx.len(), threads)
-                        && !cols.is_empty()
-                    {
-                        concat_columns(parallel::run_morsels(
-                            lidx.len(),
-                            threads,
-                            "join_gather",
-                            |_, range| Ok(gather(range)),
-                        )?)
-                    } else {
-                        gather(0..lidx.len())
-                    };
+                    let (lidx, ridx) = join_pairs(&l, &r, &cols, cond, *kind)?;
+                    // Both sides gather by index.
+                    let mut columns: Vec<ColumnVec> =
+                        lcolumns.iter().map(|c| c.take(&lidx)).collect();
+                    columns.extend(rcolumns.iter().map(|c| c.take_opt(&ridx)));
                     Ok(ColFrame { cols, columns: owned(columns), len: lidx.len() })
                 }
             }
@@ -1377,9 +1235,6 @@ mod tests {
         fn get_table(&self, name: &str) -> Option<(Vec<Column>, Vec<Vec<Cell>>)> {
             let (_, rows) = self.0.iter().find(|(n, _)| *n == name)?;
             Some((rows.columns.clone(), rows.data.clone()))
-        }
-        fn exec_threads(&self) -> usize {
-            1
         }
     }
 

@@ -7,13 +7,16 @@
 //! statement is cross-checked against it. This module holds what both
 //! share: the table source, expression-shape helpers, the aggregate
 //! folds and the join-shape analysis.
+//!
+//! A statement executes on the thread that submits it: no operator
+//! spawns threads or splits its input (DESIGN §12). Parallelism across
+//! a statement is the shards' (DESIGN §14).
 
 pub mod columnar;
 pub mod expr;
 pub mod key;
 #[cfg(any(test, debug_assertions))]
 mod oracle;
-pub mod parallel;
 #[cfg(any(test, debug_assertions))]
 pub mod reference;
 pub(crate) mod vector;
@@ -45,14 +48,6 @@ pub trait TableSource {
     fn get_table_batch(&self, name: &str) -> Option<Arc<Batch>> {
         let (columns, rows) = self.get_table(name)?;
         Some(Arc::new(Batch::from_rows(Rows { columns, data: rows })))
-    }
-
-    /// Worker count for morsel-driven operators (DESIGN §12). `1` is
-    /// the serial path. The default defers to `HQ_EXEC_THREADS` / the
-    /// machine's parallelism; sessions override this with their
-    /// configured knob.
-    fn exec_threads(&self) -> usize {
-        parallel::default_exec_threads()
     }
 }
 

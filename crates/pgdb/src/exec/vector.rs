@@ -5,9 +5,8 @@
 //! borrowed from the frame together with the rows of it being read, or
 //! a column the evaluation produced. Literals and casts of literals stay
 //! scalars, column references never copy, and the rows in play are a
-//! [`Rows`] — a contiguous range (a whole frame or one morsel of it) or
-//! a selection vector left by an earlier predicate — so a morsel is a
-//! view, not a slice copy, and a later conjunct reads only the rows an
+//! [`Rows`] — a contiguous range or a selection vector left by an
+//! earlier predicate — so a later conjunct reads only the rows an
 //! earlier one kept.
 //!
 //! Typed kernels cover what Hyper-Q's translations are made of:
@@ -27,14 +26,13 @@ use colstore::{ColumnVec, Validity};
 use std::borrow::Cow;
 use std::cell::Cell as Flag;
 use std::cmp::Ordering;
-use std::ops::Range;
 
 /// The rows of a frame an evaluation reads, in output order: logical
 /// row `k` of the result is physical row [`Rows::phys`]`(k)` of every
 /// borrowed column.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Rows<'a> {
-    /// `len` consecutive rows from `start` (a frame, or a morsel of it).
+    /// `len` consecutive rows from `start`.
     Range { start: usize, len: usize },
     /// The rows a predicate kept, ascending.
     Sel(&'a [usize]),
@@ -57,17 +55,6 @@ impl<'a> Rows<'a> {
         match self {
             Rows::Range { start, .. } => start + k,
             Rows::Sel(idx) => idx[k],
-        }
-    }
-
-    /// Logical sub-range `r` of these rows — the morsel cut.
-    pub(crate) fn slice(&self, r: Range<usize>) -> Rows<'a> {
-        match self {
-            Rows::Range { start, len } => {
-                assert!(r.end <= *len, "row slice out of range");
-                Rows::Range { start: start + r.start, len: r.len() }
-            }
-            Rows::Sel(idx) => Rows::Sel(&idx[r]),
         }
     }
 
@@ -98,15 +85,6 @@ pub(crate) struct Ctx<'a> {
 impl<'a> Ctx<'a> {
     fn with_rows(&self, rows: Rows<'a>) -> Ctx<'a> {
         Ctx { rows, ..*self }
-    }
-
-    /// Logical sub-range `r` of this context's rows — the morsel cut.
-    pub(crate) fn slice(&self, r: Range<usize>) -> Ctx<'a> {
-        Ctx {
-            rows: self.rows.slice(r.clone()),
-            pair: self.pair.map(|(split, rows)| (split, rows.slice(r))),
-            ..*self
-        }
     }
 
     /// The rows column `idx` is read through.
@@ -871,21 +849,21 @@ fn coalesce<'a>(mut vals: Vec<Val<'a>>) -> Result<Val<'a>, Vec<Val<'a>>> {
 // WHERE: selection vectors
 // ---------------------------------------------------------------------
 
-/// The rows of `range` for which `pred` is definitely TRUE, ascending.
+/// The rows of a `len`-row frame for which `pred` is definitely TRUE,
+/// ascending.
 ///
 /// The predicate's top-level conjuncts run in order. Once a conjunct
 /// has narrowed the rows, a later one that cannot fail (see
 /// [`infallible`]) reads only the survivors; one that can fail reads
-/// all of `range`, so the statement raises exactly when evaluating the
+/// every row, so the statement raises exactly when evaluating the
 /// whole predicate for every row would.
 pub(crate) fn filter(
     pred: &SqlExpr,
     cols: &[BoundCol],
     columns: &[&ColumnVec],
-    range: Range<usize>,
+    len: usize,
 ) -> Result<Vec<usize>, DbError> {
-    let rows = Rows::Range { start: range.start, len: range.len() };
-    let full = Ctx { cols, columns, rows, pair: None };
+    let full = Ctx { cols, columns, rows: Rows::all(len), pair: None };
     let mut conjuncts = Vec::new();
     flatten_and(pred, &mut conjuncts);
     let mut sel: Option<Vec<usize>> = None;
@@ -898,21 +876,21 @@ pub(crate) fn filter(
             }
             kept => {
                 let mask = eval_val(c, &full)?;
-                let keep = true_rows(&mask, range.len());
+                let keep = true_rows(&mask, len);
                 match kept {
-                    None => keep.into_iter().map(|k| range.start + k).collect(),
+                    None => keep,
                     Some(kept) => {
-                        let mut is_true = vec![false; range.len()];
+                        let mut is_true = vec![false; len];
                         for k in keep {
                             is_true[k] = true;
                         }
-                        kept.into_iter().filter(|&i| is_true[i - range.start]).collect()
+                        kept.into_iter().filter(|&i| is_true[i]).collect()
                     }
                 }
             }
         });
     }
-    Ok(sel.unwrap_or_else(|| range.collect()))
+    Ok(sel.unwrap_or_else(|| (0..len).collect()))
 }
 
 /// Narrow the candidate join pairs `(lidx[k], ridx[k])` to those every
@@ -1124,31 +1102,6 @@ pub(crate) fn referenced_columns(e: &SqlExpr, cols: &[BoundCol], out: &mut Vec<u
             }
         }
     });
-}
-
-/// Can `e` be evaluated morsel by morsel with the serial result? False for a node that takes the row-wise
-/// path (CASE, IN-list, subquery, star, window, aggregate call — lazy
-/// or error-producing shapes whose exact behavior the serial path owns)
-/// and for a column reference that fails to resolve (the serial path
-/// must produce that error).
-pub(crate) fn morsel_eligible(e: &SqlExpr, cols: &[BoundCol]) -> bool {
-    match e {
-        SqlExpr::Column { qualifier, name } => {
-            resolve_column(cols, qualifier.as_deref(), name).is_ok()
-        }
-        SqlExpr::Literal(_) => true,
-        SqlExpr::Binary { lhs, rhs, .. } => {
-            morsel_eligible(lhs, cols) && morsel_eligible(rhs, cols)
-        }
-        SqlExpr::Not(inner) | SqlExpr::Neg(inner) => morsel_eligible(inner, cols),
-        SqlExpr::Func { name, args, .. } if !is_aggregate_name(name) => {
-            args.iter().all(|a| morsel_eligible(a, cols))
-        }
-        SqlExpr::Cast { expr: inner, .. } | SqlExpr::IsNull { expr: inner, .. } => {
-            morsel_eligible(inner, cols)
-        }
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -1403,7 +1356,7 @@ mod tests {
                         }
                     })
                     .collect();
-                match (filter(&pred, &cols, &columns, 0..n), want) {
+                match (filter(&pred, &cols, &columns, n), want) {
                     (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "{:?}", pred),
                     (Err(_), Err(_)) => {}
                     (got, want) => prop_assert!(false, "{pred:?}: got {got:?}, want {want:?}"),

@@ -32,5 +32,4 @@ pub mod types;
 pub use colstore::{Batch, BatchStream, ColumnVec, TableStats};
 pub use durability::{DurError, FsyncPolicy, Options as DurabilityOptions};
 pub use engine::{BatchQueryResult, Db, DbError, QueryResult, Session, StreamQueryResult};
-pub use exec::parallel::{default_exec_threads, MORSEL_ROWS};
 pub use types::{Cell, Column, PgType, Rows};

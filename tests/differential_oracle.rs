@@ -57,12 +57,12 @@ fn oracle() -> SideBySide {
     f
 }
 
-/// Rows in `big`: more than one executor morsel, so the result is larger
-/// than any chunk the in-process backend has ever cut a result into.
-const BIG_ROWS: usize = pgdb::MORSEL_ROWS + 4_464;
+/// Rows in `big`: more than 65 536, so the result crosses the wire in
+/// many more `DataRow`s than any other oracle statement's.
+const BIG_ROWS: usize = 70_000;
 
-/// `big`: a long, a float and a symbol column with nulls in each, sized
-/// past `pgdb::MORSEL_ROWS`.
+/// `big`: a long, a float and a symbol column with nulls in each,
+/// [`BIG_ROWS`] rows long.
 fn big_table() -> Table {
     let syms = ["AA", "BB", "CC", "DD", "EE"];
     Table::new(
@@ -217,13 +217,12 @@ const ERROR_PROBES: &[&str] = &[
     "select nosuchcol from trades",
 ];
 
-/// Statements over `big`, whose results have more than
-/// `pgdb::MORSEL_ROWS` rows.
+/// Statements over `big`, whose results have [`BIG_ROWS`] rows.
 const BIG_PROBES: &[&str] = &["select from big"];
 
 /// The result path over the PG v3 wire is the in-process one: a session
 /// whose backend is a `PgWireBackend` to a `PgServer` must answer every
-/// oracle statement, and one result larger than a morsel, with the
+/// oracle statement, and one 70 000-row result, with the
 /// `Value` a `DirectBackend` session answers, bit for bit (`Debug` tells
 /// `-0.0` from `0.0` and one NaN from no NaN), and fail with the same
 /// string — translation cache cold, then warm.
