@@ -29,13 +29,18 @@
 //! whose partition keys are equated in the join condition are proven
 //! co-located and stay sharded instead of falling back.
 //!
-//! Anything the planner cannot *prove* shard-safe (windows, subquery
-//! predicates, DISTINCT aggregates, unproven join shapes, set ops,
-//! OFFSET scans, float aggregates under reordering) falls back to the
-//! coordinator, which holds a full copy of every table — so a fallback
-//! is exactly single-node execution, errors included. Fallbacks are
-//! counted in `shard_fallback_total`, never silent, and the reason is
-//! recorded per plan.
+//! Statement families no per-shard rewrite can answer (windows, set
+//! ops, subquery predicates, DISTINCT and non-distributive aggregates)
+//! *gather*: each input is rebuilt on a scratch engine from
+//! ordinal-merged shard scans — only the columns the statement names,
+//! only the rows its infallible WHEREs keep — and the unmodified
+//! statement runs there. Anything else the planner cannot *prove*
+//! shard-safe (unproven join shapes, OFFSET scans, float aggregates
+//! under reordering, tables outside the shard catalog) falls back to
+//! the coordinator, which holds a full copy of every table — so a
+//! fallback is exactly single-node execution, errors included.
+//! Fallbacks are counted in `shard_fallback_total`, never silent, and
+//! the reason is recorded per plan.
 //!
 //! Float `sum`/`avg`/`min`/`max` deserve a note: two-level f64 addition
 //! is not associative, and the engine's min/max fold is first-seen-wins
@@ -617,24 +622,30 @@ impl ShardRouter {
         }
     }
 
-    /// Execute a gather-motion plan: rebuild each input table exactly —
-    /// scatter plus ordinal merge for partitioned tables, a single
-    /// replica read for broadcast ones — then evaluate the whole
-    /// statement over the gathered inputs on a scratch engine instance.
-    /// The ordinal merge reconstructs global insertion order, which is
-    /// the engine's scan order, so the scratch tables are cell- and
-    /// order-identical to the coordinator's copies (minus the hidden
-    /// ordinal, which is stripped — gathered statements can even
-    /// `SELECT *` safely) and any statement evaluates exactly as it
-    /// would single-node, errors included.
+    /// Execute a gather-motion plan: rebuild what the statement can
+    /// observe of each input table — scatter plus ordinal merge for
+    /// partitioned tables, a single replica read for broadcast ones —
+    /// then evaluate the whole, unmodified statement over the gathered
+    /// inputs on a scratch engine instance. Each scan ships only the
+    /// columns the statement names and only the rows some occurrence's
+    /// WHERE can keep ([`planner::GatherTable`]); the ordinal merge
+    /// reconstructs global insertion order, which is the engine's scan
+    /// order. A scratch table is therefore a subsequence of the
+    /// coordinator's copy holding every row and column the statement
+    /// can observe, in the same order (minus the hidden ordinal, which
+    /// is stripped), and the statement evaluates exactly as it would
+    /// single-node, errors included.
     fn gather_exec(
         &mut self,
         sql: &str,
         tables: &[planner::GatherTable],
     ) -> Result<BatchQueryResult, WireError> {
-        obs::global_registry().counter("shard_gather_total").inc();
+        let reg = obs::global_registry();
+        reg.counter("shard_gather_total").inc();
         let db = pgdb::Db::new();
         for t in tables {
+            reg.counter(&format!("shard_gather_filter_total{{outcome=\"{}\"}}", t.filter_outcome))
+                .inc();
             let mut items: Vec<SelectItem> = t
                 .cols
                 .iter()
@@ -644,6 +655,7 @@ impl ShardRouter {
             let sel = SelectStmt {
                 items,
                 from: Some(FromItem::Table { name: t.name.clone(), alias: None }),
+                where_clause: t.filter.clone(),
                 order_by: vec![(col(ORD), false)],
                 ..SelectStmt::default()
             };
@@ -663,21 +675,9 @@ impl ShardRouter {
                 // Replicated copies are identical; read shard 0's.
                 let b = shard_exec(0, self.shards[0].as_mut(), &leaf_sql)
                     .and_then(merge::expect_batch)?;
-                let rows = b.to_rows();
-                Batch::from_rows(Rows {
-                    columns: rows.columns[..visible].to_vec(),
-                    data: rows
-                        .data
-                        .into_iter()
-                        .map(|mut r| {
-                            r.truncate(visible);
-                            r
-                        })
-                        .collect(),
-                })
+                Batch::new(b.schema[..visible].to_vec(), b.columns[..visible].to_vec(), b.rows())
             };
-            let rows = batch.to_rows();
-            db.put_table(&t.name, rows.columns, rows.data);
+            db.put_table_batch(&t.name, batch);
         }
         db.session().execute_batch(sql).map_err(WireError::from)
     }
@@ -977,6 +977,10 @@ mod tests {
         }
     }
 
+    /// Held by the tests that gather, since one of them counts the
+    /// process-wide `shard_gather_total`.
+    static GATHERING: Mutex<()> = Mutex::new(());
+
     fn rows_of(r: BatchQueryResult) -> Rows {
         match r {
             BatchQueryResult::Batch(b) => b.into_rows(),
@@ -1112,6 +1116,7 @@ mod tests {
 
     #[test]
     fn window_functions_gather_instead_of_falling_back() {
+        let _gathering = GATHERING.lock().unwrap_or_else(|e| e.into_inner());
         let cluster = ShardCluster::in_process_with(3, opts(0));
         let mut router = cluster.router().unwrap();
         seed(&mut router);
@@ -1131,6 +1136,40 @@ mod tests {
         assert_eq!(rows.data.len(), 3);
         assert_eq!(rows.data[1], vec![Cell::Int(1), Cell::Int(2)]);
         assert_eq!(reg.counter_value("shard_gather_total"), gathers + 1);
+    }
+
+    #[test]
+    fn gather_ships_only_the_rows_an_infallible_where_keeps() {
+        let _gathering = GATHERING.lock().unwrap_or_else(|e| e.into_inner());
+        let cluster = ShardCluster::in_process_with(3, opts(0));
+        let mut router = cluster.router().unwrap();
+        seed(&mut router);
+        let reg = obs::global_registry();
+        // Rows the shards send for `sql`. Other tests in this binary
+        // scatter concurrently and can only add to the process-wide
+        // counter, so the least delta over a few runs is this
+        // statement's own.
+        let mut shipped = |sql: &str, outcome: &str| {
+            let outcomes = format!("shard_gather_filter_total{{outcome=\"{outcome}\"}}");
+            let counted = reg.counter_value(&outcomes);
+            let mut least = u64::MAX;
+            for _ in 0..20 {
+                let before = reg.counter_value("shard_partial_rows");
+                let rows = rows_of(router.execute_sql_batch(sql).unwrap().unwrap());
+                least = least.min(reg.counter_value("shard_partial_rows") - before);
+                assert_eq!(rows.data.len(), 5, "{sql}");
+            }
+            assert_eq!(reg.counter_value(&outcomes), counted + 20, "{sql}");
+            least
+        };
+        // Every conjunct is infallible: the WHERE runs on the shards.
+        let pushed = "SELECT k, row_number() OVER (ORDER BY k DESC) FROM t WHERE k < 5";
+        assert_eq!(shipped(pushed, planner::GF_PUSHED), 5);
+        // Integer division can raise, so single-node evaluates that
+        // conjunct for every row: so must the scratch engine.
+        let whole = "SELECT k, row_number() OVER (ORDER BY k) FROM t \
+                     WHERE k < 5 AND 100 / (v + 1) > 0";
+        assert_eq!(shipped(whole, planner::GF_FALLIBLE), 20);
     }
 
     #[test]
@@ -1260,7 +1299,7 @@ mod tests {
         );
         assert_eq!(rows.data[0][0], Cell::Text("gather".to_string()));
         assert_eq!(rows.data[0][1], Cell::Text(planner::FB_WINDOW.to_string()));
-        assert_eq!(rows.data[0][2], Cell::Text("gather: t(merge)".to_string()));
+        assert_eq!(rows.data[0][2], Cell::Text("gather: t(merge; cols=k)".to_string()));
         // Even unparseable input explains instead of erroring.
         let rows = rows_of(
             router.execute_sql_batch("EXPLAIN SHARD not really sql").unwrap().unwrap(),

@@ -21,6 +21,16 @@
 //! representation but compare by value. Proven keys chain, so
 //! `a JOIN b ON a.k = b.k JOIN c ON b.k = c.k` plans shard-local.
 //!
+//! A gather ships only what the statement can observe of each input
+//! ([`GatherTable`]): the catalog columns some expression names (all of
+//! them under a `SELECT *`), and — when every occurrence of the table
+//! is a select's whole FROM under a WHERE whose conjuncts name only its
+//! columns and cannot raise (pgdb's `exec::infallible`) — only the rows
+//! one of those WHEREs keeps. A conjunct that can raise is evaluated
+//! for every row on a single node and its error may name the first row
+//! that raised it; each shard would name its own first row, so a WHERE
+//! holding one never moves.
+//!
 //! Placement is statistics-driven ([`decide_placement`]): a table stays
 //! broadcast while it is small, or while its partition key's observed
 //! distinct count is below the shard count (hash-partitioning such a
@@ -35,8 +45,8 @@ use pgdb::sql::ast::{
     is_aggregate_name, FromItem, JoinType, SelectItem, SelectStmt, SqlBinOp, SqlExpr, Stmt,
 };
 use pgdb::sql::render;
-use pgdb::{Cell, PgType};
-use std::collections::HashMap;
+use pgdb::{Batch, Cell, Column, PgType};
+use std::collections::{HashMap, HashSet};
 
 // ---------------------------------------------------------------------------
 // Plan taxonomy
@@ -86,11 +96,11 @@ pub enum ShardPlan {
     },
     /// A statement family that cannot be decomposed (windows, set ops,
     /// subquery predicates, DISTINCT and non-distributive aggregates)
-    /// but whose inputs are
-    /// all shard-managed: scatter each partitioned leaf, reconstruct the
-    /// exact single-node table (ordinal merge), and evaluate the whole
-    /// statement over the gathered inputs on a scratch engine — the MPP
-    /// "gather motion". Exact for any statement, at full-input cost.
+    /// but whose inputs are all shard-managed: scan each input on the
+    /// shards for the rows and columns the statement can observe,
+    /// rebuild them in single-node scan order (ordinal merge), and
+    /// evaluate the whole statement over them on a scratch engine — the
+    /// MPP "gather motion". Exact for any statement.
     Gather {
         /// Every table to gather, with its reconstruction recipe.
         tables: Vec<GatherTable>,
@@ -106,16 +116,24 @@ pub enum ShardPlan {
 }
 
 /// One input table of a [`ShardPlan::Gather`]: enough catalog knowledge
-/// to rebuild the exact single-node table from shard fragments.
+/// to rebuild every row and column of the table the statement can
+/// observe, in single-node scan order, from shard fragments.
 #[derive(Debug, Clone)]
 pub struct GatherTable {
     /// Table name.
     pub name: String,
-    /// Logical columns (the hidden ordinal is not part of this).
+    /// The columns the statement can reference, in catalog order (the
+    /// hidden ordinal is not part of this).
     pub cols: Vec<(String, PgType)>,
     /// Partitioned tables are scattered and ordinal-merged; replicated
     /// ones are read off a single shard.
     pub partitioned: bool,
+    /// Rows outside it are invisible to every occurrence of the table:
+    /// the OR of their WHEREs, qualifiers stripped. `None` ships every
+    /// row.
+    pub filter: Option<SqlExpr>,
+    /// Why `filter` is or is not set (`GF_*`).
+    pub filter_outcome: &'static str,
 }
 
 impl ShardPlan {
@@ -193,6 +211,19 @@ pub const FB_AMBIGUOUS: &str = "ambiguous_column";
 /// An aggregate with no distributive decomposition (median, hq_first...).
 pub const FB_NONDISTRIBUTIVE: &str = "nondistributive_aggregate";
 
+// Gather filter outcomes (`shard_gather_filter_total{outcome}`), one per
+// gathered table. Stable strings.
+/// Every occurrence's WHERE is pushed into the shard scans.
+pub const GF_PUSHED: &str = "pushed";
+/// Some occurrence is a join leg, or its select has no WHERE.
+pub const GF_UNFILTERED: &str = "unfiltered_occurrence";
+/// Some occurrence's WHERE has a conjunct that can raise: it must see
+/// every row.
+pub const GF_FALLIBLE: &str = "fallible_conjunct";
+/// Some occurrence's WHERE names a column the table does not have, or
+/// qualifies one by another name.
+pub const GF_FOREIGN: &str = "foreign_column";
+
 // Positive-plan reasons.
 /// No table in the statement is shard-managed.
 pub const OK_LOCAL: &str = "no_shard_tables";
@@ -263,24 +294,39 @@ pub fn decide_placement(
 
 /// What a select tree contains, gathered in one walk.
 #[derive(Default)]
-struct SelectScan {
+struct SelectScan<'s> {
     tables: Vec<String>,
     set_op: bool,
     windows: bool,
     subqueries: bool,
     distinct_agg: bool,
-    wildcard: bool,
+    /// Every column name an expression mentions, whatever its qualifier.
+    names: HashSet<&'s str>,
+    /// Tables that are a FROM leaf (through joins) of a `SELECT *`.
+    starred: HashSet<&'s str>,
+    /// Each table that is a FROM leaf (through joins) of a select, with
+    /// that select, in walk order.
+    occurrences: Vec<(&'s str, &'s SelectStmt)>,
 }
 
-fn scan_select(s: &SelectStmt, out: &mut SelectScan) {
+fn scan_select<'s>(s: &'s SelectStmt, out: &mut SelectScan<'s>) {
+    let mut star = false;
     for item in &s.items {
         match item {
-            SelectItem::Wildcard => out.wildcard = true,
+            SelectItem::Wildcard => star = true,
             SelectItem::Expr { expr, .. } => scan_expr(expr, out),
         }
     }
     if let Some(f) = &s.from {
         scan_from(f, out);
+        let mut leaves = Vec::new();
+        from_leaves(f, &mut leaves);
+        for t in leaves {
+            if star {
+                out.starred.insert(t);
+            }
+            out.occurrences.push((t, s));
+        }
     }
     for e in s
         .where_clause
@@ -297,7 +343,20 @@ fn scan_select(s: &SelectStmt, out: &mut SelectScan) {
     }
 }
 
-fn scan_from(f: &FromItem, out: &mut SelectScan) {
+/// The base tables a FROM item reads directly: through joins, not into
+/// subqueries.
+fn from_leaves<'s>(f: &'s FromItem, out: &mut Vec<&'s str>) {
+    match f {
+        FromItem::Table { name, .. } => out.push(name),
+        FromItem::Join { left, right, .. } => {
+            from_leaves(left, out);
+            from_leaves(right, out);
+        }
+        FromItem::Subquery { .. } | FromItem::Values { .. } => {}
+    }
+}
+
+fn scan_from<'s>(f: &'s FromItem, out: &mut SelectScan<'s>) {
     match f {
         FromItem::Table { name, .. } => out.tables.push(name.clone()),
         FromItem::Subquery { query, .. } => scan_select(query, out),
@@ -318,9 +377,12 @@ fn scan_from(f: &FromItem, out: &mut SelectScan) {
     }
 }
 
-fn scan_expr(e: &SqlExpr, out: &mut SelectScan) {
+fn scan_expr<'s>(e: &'s SqlExpr, out: &mut SelectScan<'s>) {
     match e {
-        SqlExpr::Column { .. } | SqlExpr::Literal(_) | SqlExpr::Star => {}
+        SqlExpr::Column { name, .. } => {
+            out.names.insert(name);
+        }
+        SqlExpr::Literal(_) | SqlExpr::Star => {}
         SqlExpr::Binary { lhs, rhs, .. } => {
             scan_expr(lhs, out);
             scan_expr(rhs, out);
@@ -816,11 +878,104 @@ fn walk_columns(e: &SqlExpr, f: &mut impl FnMut(Option<&str>, &str)) {
 }
 
 // ---------------------------------------------------------------------------
+// Gather: what the statement can observe
+// ---------------------------------------------------------------------------
+
+/// The WHERE the occurrence of table `m` that is a FROM leaf of `s` can
+/// be filtered by, qualifiers stripped — when `s` reads from exactly
+/// that table and every top-level conjunct of its WHERE names only the
+/// table's columns (bare, or under the occurrence's qualifier) and
+/// cannot raise for any row of the declared schema. Stored columns
+/// hold their declared class: INSERT casts to it.
+fn occurrence_filter(s: &SelectStmt, m: &TableMeta) -> Result<SqlExpr, &'static str> {
+    let (Some(FromItem::Table { name, alias }), Some(w)) = (&s.from, &s.where_clause) else {
+        return Err(GF_UNFILTERED);
+    };
+    let q = alias.as_deref().unwrap_or(name);
+    let frame = Batch::empty(m.cols.iter().map(|(n, t)| Column::new(n, *t)).collect());
+    for c in conjuncts(w) {
+        let mut foreign = false;
+        walk_columns(c, &mut |cq, n| {
+            foreign |= cq.is_some_and(|cq| cq != q) || !m.cols.iter().any(|(cn, _)| cn == n);
+        });
+        if foreign {
+            return Err(GF_FOREIGN);
+        }
+        if !pgdb::exec::infallible(&unqualified(c), &frame) {
+            return Err(GF_FALLIBLE);
+        }
+    }
+    Ok(unqualified(w))
+}
+
+/// `e` with every column reference's qualifier dropped.
+fn unqualified(e: &SqlExpr) -> SqlExpr {
+    let b = |x: &SqlExpr| Box::new(unqualified(x));
+    let all = |xs: &[SqlExpr]| xs.iter().map(unqualified).collect::<Vec<_>>();
+    match e {
+        SqlExpr::Column { name, .. } => col(name),
+        SqlExpr::Literal(_) | SqlExpr::Star => e.clone(),
+        SqlExpr::Binary { op, lhs, rhs } => SqlExpr::Binary { op: *op, lhs: b(lhs), rhs: b(rhs) },
+        SqlExpr::Not(x) => SqlExpr::Not(b(x)),
+        SqlExpr::Neg(x) => SqlExpr::Neg(b(x)),
+        SqlExpr::Func { name, args, distinct } => {
+            SqlExpr::Func { name: name.clone(), args: all(args), distinct: *distinct }
+        }
+        SqlExpr::WindowFunc { name, args, partition_by, order_by } => SqlExpr::WindowFunc {
+            name: name.clone(),
+            args: all(args),
+            partition_by: all(partition_by),
+            order_by: order_by.iter().map(|(x, d)| (unqualified(x), *d)).collect(),
+        },
+        SqlExpr::Case { branches, else_result } => SqlExpr::Case {
+            branches: branches.iter().map(|(c, r)| (unqualified(c), unqualified(r))).collect(),
+            else_result: else_result.as_deref().map(b),
+        },
+        SqlExpr::Cast { expr, ty } => SqlExpr::Cast { expr: b(expr), ty: *ty },
+        SqlExpr::InList { expr, list, negated } => {
+            SqlExpr::InList { expr: b(expr), list: all(list), negated: *negated }
+        }
+        SqlExpr::IsNull { expr, negated } => SqlExpr::IsNull { expr: b(expr), negated: *negated },
+        SqlExpr::InSubquery { expr, query, negated } => {
+            SqlExpr::InSubquery { expr: b(expr), query: query.clone(), negated: *negated }
+        }
+    }
+}
+
+/// The gather recipe for table `name`: the catalog columns some
+/// expression names (all of them under a `SELECT *`), and the OR of its
+/// occurrences' WHEREs when every occurrence can be filtered.
+fn gather_table(name: &str, m: &TableMeta, info: &SelectScan<'_>) -> GatherTable {
+    let star = info.starred.contains(name);
+    let cols =
+        m.cols.iter().filter(|(n, _)| star || info.names.contains(n.as_str())).cloned().collect();
+    let mut wheres: Vec<SqlExpr> = Vec::new();
+    let mut outcome = GF_PUSHED;
+    for (_, s) in info.occurrences.iter().filter(|(t, _)| *t == name) {
+        match occurrence_filter(s, m) {
+            Ok(w) if !wheres.contains(&w) => wheres.push(w),
+            Ok(_) => {}
+            Err(r) => {
+                outcome = r;
+                break;
+            }
+        }
+    }
+    let or = |a, b| SqlExpr::Binary { op: SqlBinOp::Or, lhs: Box::new(a), rhs: Box::new(b) };
+    let filter = if outcome == GF_PUSHED { wheres.into_iter().reduce(or) } else { None };
+    GatherTable {
+        name: name.to_string(),
+        cols,
+        partitioned: m.mode == Mode::Partitioned,
+        filter,
+        filter_outcome: outcome,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // plan_select
 // ---------------------------------------------------------------------------
 
-/// Plan one SELECT against a catalog snapshot. Pure: no cluster access,
-/// no side effects.
 /// Plan a gather motion for a non-decomposable statement family, if
 /// every referenced table is shard-managed — a table outside the
 /// catalog (temp, CTAS product) only exists on the coordinator, so the
@@ -836,20 +991,12 @@ fn gather_or_fallback(
     let mut names: Vec<&String> = info.tables.iter().collect();
     names.sort();
     names.dedup();
-    let tables = names
-        .into_iter()
-        .map(|n| {
-            let m = &cat[n.as_str()];
-            GatherTable {
-                name: n.clone(),
-                cols: m.cols.clone(),
-                partitioned: m.mode == Mode::Partitioned,
-            }
-        })
-        .collect();
+    let tables = names.into_iter().map(|n| gather_table(n, &cat[n.as_str()], info)).collect();
     ShardPlan::Gather { tables, reason }
 }
 
+/// Plan one SELECT against a catalog snapshot. Pure: no cluster access,
+/// no side effects.
 pub fn plan_select(
     sel: &SelectStmt,
     cat: &HashMap<String, TableMeta>,
@@ -1373,7 +1520,16 @@ pub fn explain_statement(
                     let parts: Vec<String> = tables
                         .iter()
                         .map(|t| {
-                            let how = if t.partitioned { "merge" } else { "replica" };
+                            let mut how =
+                                (if t.partitioned { "merge" } else { "replica" }).to_string();
+                            if t.cols.len() < cat[t.name.as_str()].cols.len() {
+                                let names: Vec<&str> =
+                                    t.cols.iter().map(|(n, _)| n.as_str()).collect();
+                                how += &format!("; cols={}", names.join(","));
+                            }
+                            if let Some(f) = &t.filter {
+                                how += &format!("; where={}", render::render_expr(f));
+                            }
                             format!("{}({how})", t.name)
                         })
                         .collect();

@@ -51,6 +51,22 @@ pub trait TableSource {
     }
 }
 
+/// Is `pred` proven never to raise, for any row of a frame shaped like
+/// `frame`? The executor's one rule (`vector::infallible`, the one WHERE
+/// and join conditions are narrowed by). It reads only the columns'
+/// storage classes, so a zero-row [`Batch::empty`] of a declared schema
+/// answers for every table stored under it. Names resolve unqualified.
+pub fn infallible(pred: &SqlExpr, frame: &Batch) -> bool {
+    let cols: Vec<BoundCol> = frame
+        .schema
+        .iter()
+        .map(|c| BoundCol { qualifier: None, name: c.name.clone(), ty: c.ty })
+        .collect();
+    let columns: Vec<&colstore::ColumnVec> = frame.columns.iter().collect();
+    let rows = vector::Rows::all(frame.rows());
+    vector::infallible(pred, &vector::Ctx { cols: &cols, columns: &columns, rows, pair: None })
+}
+
 pub(crate) fn contains_subquery(e: &SqlExpr) -> bool {
     match e {
         SqlExpr::InSubquery { .. } => true,

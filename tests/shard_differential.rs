@@ -112,6 +112,27 @@ const SQL_STATEMENTS: &[&str] = &[
     "SELECT id FROM fact WHERE grp = 1 UNION ALL SELECT id FROM fact WHERE grp = 2",
     "SELECT a.id FROM fact AS a INNER JOIN fact AS b ON a.id = b.id ORDER BY a.id LIMIT 5",
     "SELECT qty, sum(qty) AS s FROM fact GROUP BY grp ORDER BY qty + grp LIMIT 4",
+    // gathers that ship only what the statement can observe: pushed
+    // WHEREs, pruned columns, and the shapes that must not push
+    "SELECT id, qty, row_number() OVER (PARTITION BY grp ORDER BY qty, id) AS rn FROM fact \
+     WHERE sym = 'AA' AND grp > 2 ORDER BY id",
+    "SELECT id, row_number() OVER (ORDER BY id) FROM fact WHERE sym = 'AA' AND 100 / (grp - 3) > 0",
+    "SELECT id, px, row_number() OVER (ORDER BY id) AS rn FROM fact WHERE px > 1.0 ORDER BY id",
+    // an error that names the row raising it: each shard's first such
+    // row is not the table's, so this WHERE must not run on the shards
+    "SELECT id, row_number() OVER (ORDER BY id) FROM fact \
+     WHERE CAST(CASE WHEN grp > 1 THEN sym ELSE '0' END AS bigint) > 0",
+    "SELECT id, lag(qty) OVER (ORDER BY id) AS prev FROM fact WHERE grp = 1 \
+     UNION ALL SELECT id, row_number() OVER (ORDER BY qty, id) AS prev FROM fact WHERE sym = 'BB'",
+    "SELECT *, row_number() OVER (ORDER BY id) AS rn FROM fact WHERE grp < 3 ORDER BY id",
+    "SELECT s, row_number() OVER (ORDER BY s, i) AS rn FROM (SELECT id AS i, sym AS s FROM fact) AS t \
+     WHERE s = 'CC'",
+    "SELECT f.id, row_number() OVER (ORDER BY f.qty, f.id) AS rn FROM fact AS f \
+     WHERE f.sym IS NOT NULL AND f.grp <> 4 ORDER BY f.id LIMIT 20",
+    "SELECT id, row_number() OVER (ORDER BY id) AS rn FROM fact \
+     WHERE id IN (SELECT k FROM dim WHERE label <> 'L3')",
+    "SELECT id FROM fact WHERE grp = 1 EXCEPT SELECT k FROM dim WHERE k > 3",
+    "SELECT count(DISTINCT 1) AS d FROM fact",
     // identical error surfaces
     "SELECT qty / 0 AS boom FROM fact",
     "SELECT nosuch FROM fact",
@@ -239,6 +260,30 @@ fn differential_fixture_really_scatters() {
         "gather",
         "DISTINCT aggregates must execute via gather"
     );
+    // The gathers ship only what the statement can observe: an
+    // infallible WHERE runs on the shards, one with a conjunct that can
+    // raise does not — and on a single node that conjunct does raise,
+    // for the rows its sibling conjunct excludes.
+    let mut detail = |sql: &str| match run_sql(&mut r, &format!("EXPLAIN SHARD {sql}")) {
+        SqlOutcome::Batch(b) => b.columns[2].cell_at(0),
+        other => panic!("EXPLAIN SHARD {sql}: {}", describe(&other)),
+    };
+    let pushed = "SELECT id, qty, row_number() OVER (PARTITION BY grp ORDER BY qty, id) AS rn \
+                  FROM fact WHERE sym = 'AA' AND grp > 2 ORDER BY id";
+    let want = r#"gather: fact(merge; cols=id,grp,sym,qty; where=(("sym" = 'AA') AND ("grp" > 2)))"#;
+    assert_eq!(detail(pushed), Cell::Text(want.to_string()));
+    let parity = "SELECT id, row_number() OVER (ORDER BY id) FROM fact \
+                  WHERE sym = 'AA' AND 100 / (grp - 3) > 0";
+    assert_eq!(detail(parity), Cell::Text("gather: fact(merge; cols=id,grp,sym)".to_string()));
+    let single = pgdb::Db::new();
+    let mut single = DirectBackend::new(&single);
+    for stmt in setup_sql() {
+        run_sql(&mut single, &stmt);
+    }
+    match run_sql(&mut single, parity) {
+        SqlOutcome::Error(e) => assert!(e.contains("division by zero"), "{e}"),
+        other => panic!("{parity} must raise single-node, got {}", describe(&other)),
+    }
 }
 
 // ---------------------------------------------------------------------

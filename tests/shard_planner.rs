@@ -8,10 +8,11 @@
 //! 3. The fallback gate: the fixed-seed 200-program fuzz slice on a
 //!    4-shard router must not fall back to the coordinator at all.
 
-use hyperq::shard::planner::{self, decide_placement, plan_select};
+use hyperq::shard::planner::{self, decide_placement, plan_select, ShardPlan};
 use hyperq::shard::{Mode, ShardCluster, ShardOpts, TableMeta};
 use hyperq::{loader, share, HyperQSession, SessionConfig};
 use pgdb::sql::ast::Stmt;
+use pgdb::sql::render::render_expr;
 use pgdb::PgType;
 use qgen::{gen_dataset, Coverage, ProgramGen};
 use qlang::value::Table;
@@ -190,6 +191,156 @@ fn planner_assigns_kind_and_reason_per_statement_family() {
             (k.as_str(), r.as_str()),
             (*kind, *reason),
             "wrong plan for {sql:?}: got ({k}, {r}), want ({kind}, {reason})"
+        );
+    }
+}
+
+/// Each gathered table of `sql`'s plan: (name, columns, rendered
+/// filter, filter outcome).
+fn gather_of(sql: &str) -> Vec<(String, Vec<String>, Option<String>, &'static str)> {
+    let stmt = pgdb::sql::parse_statement(sql).expect("test SQL must parse");
+    let Stmt::Select(sel) = stmt else { panic!("test SQL must be a SELECT: {sql}") };
+    let ShardPlan::Gather { tables, .. } = plan_select(&sel, &catalog(), &opts()) else {
+        panic!("{sql} must plan a gather");
+    };
+    tables
+        .into_iter()
+        .map(|t| {
+            let cols = t.cols.into_iter().map(|(n, _)| n).collect();
+            (t.name, cols, t.filter.as_ref().map(render_expr), t.filter_outcome)
+        })
+        .collect()
+}
+
+/// (statement, table, its gathered columns, its rendered filter, the
+/// filter outcome).
+type GatherCase = (String, &'static str, &'static [&'static str], Option<&'static str>, &'static str);
+
+#[test]
+fn gather_ships_the_columns_and_rows_the_statement_can_observe() {
+    let w = "row_number() OVER (ORDER BY id)";
+    let cases: Vec<GatherCase> = vec![
+        // Every conjunct names only the table's columns and cannot
+        // raise: the WHERE runs on the shards; only named columns ship.
+        (
+            format!("SELECT id, {w} FROM fact WHERE sym = 'AA' AND grp > 2"),
+            "fact",
+            &["id", "grp", "sym"],
+            Some(r#"(("sym" = 'AA') AND ("grp" > 2))"#),
+            planner::GF_PUSHED,
+        ),
+        // Qualifiers by the occurrence's alias are stripped.
+        (
+            "SELECT f.id, row_number() OVER (ORDER BY f.id) FROM fact AS f \
+             WHERE f.sym IS NOT NULL AND f.grp <> 4"
+                .to_string(),
+            "fact",
+            &["id", "grp", "sym"],
+            Some(r#"(("sym" IS NOT NULL) AND ("grp" <> 4))"#),
+            planner::GF_PUSHED,
+        ),
+        // Two occurrences with different WHEREs: their OR ships.
+        (
+            format!(
+                "SELECT id, {w} FROM fact WHERE grp = 1 \
+                 UNION ALL SELECT id, {w} FROM fact WHERE sym = 'BB'"
+            ),
+            "fact",
+            &["id", "grp", "sym"],
+            Some(r#"(("grp" = 1) OR ("sym" = 'BB'))"#),
+            planner::GF_PUSHED,
+        ),
+        // `SELECT *` reads every column; the WHERE still pushes.
+        (
+            format!("SELECT *, {w} FROM fact WHERE grp < 3"),
+            "fact",
+            &["id", "grp", "sym", "fv"],
+            Some(r#"("grp" < 3)"#),
+            planner::GF_PUSHED,
+        ),
+        // A fallible conjunct sees every row on a single node, so the
+        // WHERE stays whole on the scratch engine.
+        (
+            format!("SELECT id, {w} FROM fact WHERE sym = 'AA' AND 100 / (grp - 3) > 0"),
+            "fact",
+            &["id", "grp", "sym"],
+            None,
+            planner::GF_FALLIBLE,
+        ),
+        // Float ordering fails on NaN.
+        (
+            format!("SELECT id, {w} FROM fact WHERE fv > 1.0"),
+            "fact",
+            &["id", "fv"],
+            None,
+            planner::GF_FALLIBLE,
+        ),
+        // An IN (SELECT ...) conjunct can fail; its own select's WHERE
+        // pushes into the replicated table's read.
+        (
+            format!("SELECT id, {w} FROM fact WHERE id IN (SELECT id FROM dim WHERE label <> 'L3')"),
+            "fact",
+            &["id"],
+            None,
+            planner::GF_FALLIBLE,
+        ),
+        (
+            format!("SELECT id, {w} FROM fact WHERE id IN (SELECT id FROM dim WHERE label <> 'L3')"),
+            "dim",
+            &["id", "label"],
+            Some(r#"("label" <> 'L3')"#),
+            planner::GF_PUSHED,
+        ),
+        // No WHERE: every row ships, still only the named columns.
+        (format!("SELECT id, {w} FROM fact"), "fact", &["id"], None, planner::GF_UNFILTERED),
+        // The WHERE is a level above the subquery that reads the table.
+        (
+            "SELECT s, row_number() OVER (ORDER BY s) FROM \
+             (SELECT id AS i, sym AS s FROM fact) AS t WHERE s = 'CC'"
+                .to_string(),
+            "fact",
+            &["id", "sym"],
+            None,
+            planner::GF_UNFILTERED,
+        ),
+        // A join leg is never filtered.
+        (
+            "SELECT f.id, row_number() OVER (ORDER BY f.id) FROM fact AS f \
+             INNER JOIN dim AS d ON f.id = d.id WHERE f.grp = 1"
+                .to_string(),
+            "fact",
+            &["id", "grp"],
+            None,
+            planner::GF_UNFILTERED,
+        ),
+        // A column the table lacks, or a qualifier other than the
+        // occurrence's.
+        (
+            format!("SELECT id, {w} FROM fact WHERE label = 'L1'"),
+            "fact",
+            &["id"],
+            None,
+            planner::GF_FOREIGN,
+        ),
+        (
+            "SELECT f.id, row_number() OVER (ORDER BY f.id) FROM fact AS f WHERE fact.grp = 1"
+                .to_string(),
+            "fact",
+            &["id", "grp"],
+            None,
+            planner::GF_FOREIGN,
+        ),
+    ];
+    for (sql, table, cols, filter, outcome) in cases {
+        let got = gather_of(&sql);
+        let (_, c, f, o) = got
+            .iter()
+            .find(|(n, ..)| n == table)
+            .unwrap_or_else(|| panic!("{table} is not gathered by {sql}"));
+        assert_eq!(
+            (c.as_slice(), f.as_deref(), *o),
+            (cols.iter().map(|s| s.to_string()).collect::<Vec<_>>().as_slice(), filter, outcome),
+            "wrong gather recipe for {table} in {sql:?}"
         );
     }
 }
