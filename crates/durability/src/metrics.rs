@@ -7,7 +7,8 @@ use std::sync::{Arc, OnceLock};
 pub struct DurMetrics {
     /// WAL records appended (one per committed mutation).
     pub wal_appends: Arc<obs::Counter>,
-    /// fsync latency on the WAL file (inline or group-flusher).
+    /// fsync latency on the WAL file, one sample per commit leader's
+    /// sync (rotation and shutdown syncs are not sampled).
     pub wal_fsync_seconds: Arc<obs::Histogram>,
     /// Records replayed from the WAL tail during recovery.
     pub wal_replayed_records: Arc<obs::Counter>,

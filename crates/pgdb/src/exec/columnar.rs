@@ -1232,9 +1232,9 @@ mod tests {
     /// Named in-memory tables.
     struct Tables(Vec<(&'static str, crate::types::Rows)>);
     impl TableSource for Tables {
-        fn get_table(&self, name: &str) -> Option<(Vec<Column>, Vec<Vec<Cell>>)> {
+        fn get_table_batch(&self, name: &str) -> Option<Arc<Batch>> {
             let (_, rows) = self.0.iter().find(|(n, _)| *n == name)?;
-            Some((rows.columns.clone(), rows.data.clone()))
+            Some(Arc::new(Batch::from_rows(rows.clone())))
         }
     }
 

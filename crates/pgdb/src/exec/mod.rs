@@ -38,16 +38,19 @@ use std::sync::Arc;
 /// Source of named tables during execution (sessions implement this:
 /// temp tables shadow globals shadow catalog virtual tables).
 pub trait TableSource {
-    /// Fetch a table's schema and rows by name.
-    fn get_table(&self, name: &str) -> Option<(Vec<Column>, Vec<Vec<Cell>>)>;
-
     /// Fetch a table as a shared columnar batch. Sources with columnar
     /// storage hand out the stored batch itself — a scan is a
     /// reference-count bump, and the executor reads the columns in
-    /// place. The default transposes the row form.
-    fn get_table_batch(&self, name: &str) -> Option<Arc<Batch>> {
-        let (columns, rows) = self.get_table(name)?;
-        Some(Arc::new(Batch::from_rows(Rows { columns, data: rows })))
+    /// place.
+    fn get_table_batch(&self, name: &str) -> Option<Arc<Batch>>;
+
+    /// Fetch a table's schema and rows by name: the batch transposed,
+    /// for the row oracle. Compiled where the oracle is, so no release
+    /// path can transpose a stored table.
+    #[cfg(any(test, debug_assertions))]
+    fn get_table(&self, name: &str) -> Option<(Vec<Column>, Vec<Vec<Cell>>)> {
+        let batch = self.get_table_batch(name)?;
+        Some((batch.schema.clone(), batch.to_rows().data))
     }
 }
 

@@ -788,6 +788,31 @@ mod tests {
     }
 
     #[test]
+    fn show_metrics_lists_the_writers_copy_on_write_counters() {
+        let db = Db::new();
+        let server = PgServer::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = TestClient::connect(server.addr, "ops");
+        client.recv_until_ready();
+        client.send(&FrontendMessage::Query(
+            "CREATE TABLE cow (x bigint); INSERT INTO cow VALUES (1)".into(),
+        ));
+        client.recv_until_ready();
+        client.send(&FrontendMessage::Query("SHOW metrics".into()));
+        let lines: Vec<String> = client
+            .recv_until_ready()
+            .iter()
+            .filter_map(|m| match m {
+                BackendMessage::DataRow(cells) => cells[0].clone(),
+                _ => None,
+            })
+            .collect();
+        for name in ["pgdb_table_cow_copies_total", "pgdb_table_cow_rows_total"] {
+            assert!(lines.iter().any(|l| l.starts_with(name)), "{name} missing: {lines:?}");
+        }
+        server.detach();
+    }
+
+    #[test]
     fn connection_cap_rejects_with_53300() {
         let db = Db::new();
         let server = PgServer::start(
