@@ -11,30 +11,23 @@
 //!   fixed budget, i.e. the per-program cost the CI gate pays.
 
 use hyperq::BatchDriver;
-use qgen::{gen_dataset, Coverage, FuzzConfig, ProgramGen};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use qgen::{slice, FuzzConfig, PROGRAMS_PER_DATASET};
 use std::time::Instant;
 
 const GEN_DATASETS: usize = 200;
-const GEN_PROGRAMS_PER_DATASET: usize = 10;
 const CHECK_BUDGET: usize = 200;
 
 fn main() {
-    // 1. Pure generation throughput.
+    // 1. Pure generation throughput: one dataset's worth of programs
+    // from each of GEN_DATASETS seeds.
     let mut programs = 0usize;
     let mut statements = 0usize;
-    let mut cov = Coverage::default();
     let t0 = Instant::now();
     for seed in 0..GEN_DATASETS as u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ds = gen_dataset(&mut rng);
-        let mut pg = ProgramGen::default();
-        for _ in 0..GEN_PROGRAMS_PER_DATASET {
-            let prog = pg.gen_program(&mut rng, &ds, &mut cov);
-            programs += 1;
-            statements += prog.stmts.len();
-            std::hint::black_box(&prog);
+        for chunk in slice(seed, PROGRAMS_PER_DATASET) {
+            programs += chunk.programs.len();
+            statements += chunk.programs.iter().map(|p| p.stmts.len()).sum::<usize>();
+            std::hint::black_box(&chunk);
         }
     }
     let gen_t = t0.elapsed();
@@ -55,13 +48,11 @@ fn main() {
 
     // 3. Single-program check latency on a small fixed program, the
     // marginal cost of growing the budget by one.
-    let mut rng = StdRng::seed_from_u64(7);
-    let ds = gen_dataset(&mut rng);
-    let prog = ProgramGen::default().gen_program(&mut rng, &ds, &mut cov);
-    let stmts: Vec<String> = prog.stmts.iter().map(|s| s.render()).collect();
+    let (tables, programs_7) = slice(7, 1).next().expect("one chunk").into_rendered();
+    let stmts = &programs_7[0];
     let t0 = Instant::now();
-    let mut driver = BatchDriver::new(&ds.tables).expect("driver");
-    std::hint::black_box(driver.run_program(&stmts));
+    let mut driver = BatchDriver::new(&tables).expect("driver");
+    std::hint::black_box(driver.run_program(stmts));
     let single_t = t0.elapsed();
 
     let gen_rate = programs as f64 / gen_t.as_secs_f64();

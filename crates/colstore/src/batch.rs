@@ -110,34 +110,6 @@ impl Validity {
         out
     }
 
-    /// Contiguous sub-range `[offset, offset + len)` of the slots.
-    /// Word-aligned offsets copy whole words.
-    pub fn slice(&self, offset: usize, len: usize) -> Validity {
-        assert!(offset + len <= self.len, "slice {offset}+{len} out of {}", self.len);
-        let mut out = Validity::all_valid(len);
-        let Some(words) = &self.nulls else { return out };
-        if offset.is_multiple_of(64) {
-            let mut w = words[offset / 64..(offset + len).div_ceil(64)].to_vec();
-            if !len.is_multiple_of(64) {
-                if let Some(last) = w.last_mut() {
-                    *last &= (1u64 << (len % 64)) - 1;
-                }
-            }
-            // All-valid ranges keep the bitmap-free form, like the
-            // per-slot path below.
-            if w.iter().any(|&x| x != 0) {
-                out.nulls = Some(w);
-            }
-            return out;
-        }
-        for i in 0..len {
-            if self.is_null(offset + i) {
-                out.set_null(i);
-            }
-        }
-        out
-    }
-
     /// Slot-wise union of NULLs: slot `i` is NULL when it is NULL in
     /// either input (the validity of a strict binary operator's result).
     pub fn union(&self, other: &Validity) -> Validity {
@@ -416,27 +388,6 @@ impl ColumnVec {
             ColumnVec::Time(d, v) => gather!(Time, d, v),
             ColumnVec::Timestamp(d, v) => gather!(Timestamp, d, v),
             ColumnVec::Cells(d) => ColumnVec::Cells(idx.iter().map(|&i| d[i].clone()).collect()),
-        }
-    }
-
-    /// Contiguous sub-range `[offset, offset + len)`, copied. The
-    /// storage class is preserved exactly, so re-appending slices in
-    /// order reconstructs a column `PartialEq`-identical to the source.
-    pub fn slice(&self, offset: usize, len: usize) -> ColumnVec {
-        macro_rules! cut {
-            ($variant:ident, $d:expr, $v:expr) => {
-                ColumnVec::$variant($d[offset..offset + len].to_vec(), $v.slice(offset, len))
-            };
-        }
-        match self {
-            ColumnVec::Bool(d, v) => cut!(Bool, d, v),
-            ColumnVec::Int(d, v) => cut!(Int, d, v),
-            ColumnVec::Float(d, v) => cut!(Float, d, v),
-            ColumnVec::Text(d, v) => cut!(Text, d, v),
-            ColumnVec::Date(d, v) => cut!(Date, d, v),
-            ColumnVec::Time(d, v) => cut!(Time, d, v),
-            ColumnVec::Timestamp(d, v) => cut!(Timestamp, d, v),
-            ColumnVec::Cells(d) => ColumnVec::Cells(d[offset..offset + len].to_vec()),
         }
     }
 

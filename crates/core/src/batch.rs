@@ -16,63 +16,11 @@
 
 use crate::loader;
 use crate::session::{HyperQSession, SessionConfig};
-use crate::side_by_side::values_agree;
+use crate::side_by_side::{agrees, is_assignment, Outcome};
 use qengine::Interp;
-use qlang::ast::Expr;
-use qlang::value::{Table, Value};
+use qlang::value::Table;
 use qlang::QResult;
 use std::time::Duration;
-
-/// What one executor produced for one statement.
-#[derive(Debug, Clone)]
-pub enum Outcome {
-    /// The statement evaluated to a value.
-    Value(Value),
-    /// The statement errored.
-    Error(String),
-}
-
-impl Outcome {
-    fn from(r: QResult<Value>) -> Self {
-        match r {
-            Ok(v) => Outcome::Value(v),
-            Err(e) => Outcome::Error(e.to_string()),
-        }
-    }
-
-    /// The value, if this outcome carries one.
-    pub fn value(&self) -> Option<&Value> {
-        match self {
-            Outcome::Value(v) => Some(v),
-            Outcome::Error(_) => None,
-        }
-    }
-
-    /// Do two outcomes agree toward the application? Both erroring
-    /// agrees (the application sees an error either way); a one-sided
-    /// error or differing values do not.
-    ///
-    /// Table results are compared *structurally* where possible: both
-    /// sides are lowered onto the shared columnar representation via
-    /// [`qengine::colbridge`] and diffed batch against batch
-    /// (`Batch::structurally_equal`, which keys every cell), which
-    /// catches representation-level drift (e.g. a null carried in-band
-    /// on one side and out-of-band on the other) that value equality
-    /// would paper over. Shapes the bridge cannot express fall back to
-    /// [`values_agree`].
-    pub fn agrees_with(&self, other: &Outcome) -> bool {
-        match (self, other) {
-            (Outcome::Value(a), Outcome::Value(b)) => {
-                if let (Some(ba), Some(bb)) = (as_batch(a), as_batch(b)) {
-                    return ba.structurally_equal(&bb) && values_agree(a, b);
-                }
-                values_agree(a, b)
-            }
-            (Outcome::Error(_), Outcome::Error(_)) => true,
-            _ => false,
-        }
-    }
-}
 
 /// Which executor pair disagreed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,13 +55,13 @@ impl StatementOutcome {
     /// All executor-pair disagreements for this statement.
     pub fn divergences(&self) -> Vec<DivergenceKind> {
         let mut out = Vec::new();
-        if !self.reference.agrees_with(&self.cold) {
+        if !agrees(&self.reference, &self.cold) {
             out.push(DivergenceKind::ReferenceVsCold);
         }
-        if !self.reference.agrees_with(&self.warm) {
+        if !agrees(&self.reference, &self.warm) {
             out.push(DivergenceKind::ReferenceVsWarm);
         }
-        if !self.cold.agrees_with(&self.warm) {
+        if !agrees(&self.cold, &self.warm) {
             out.push(DivergenceKind::ColdVsWarm);
         }
         out
@@ -142,44 +90,6 @@ impl BatchReport {
     /// True when every statement agreed across all three executors.
     pub fn clean(&self) -> bool {
         self.statements.iter().all(|s| s.agreed())
-    }
-}
-
-/// Lower a table-shaped value onto the shared columnar representation,
-/// if every column has a storage class there. Keyed tables are
-/// flattened first (key columns then value columns), matching the
-/// representational tolerance of [`values_agree`].
-fn as_batch(v: &Value) -> Option<colstore::Batch> {
-    match v {
-        Value::Table(t) => qengine::colbridge::table_to_batch(t),
-        Value::KeyedTable(k) => {
-            qengine::colbridge::table_to_batch(&crate::side_by_side::flatten(k))
-        }
-        _ => None,
-    }
-}
-
-/// Is this statement a top-level assignment? The interpreter evaluates
-/// an assignment to its value while the pipeline materializes it and
-/// returns nothing (the console shows nothing either way), so the
-/// assignment's *immediate* result is not an application-visible
-/// observable — its effect is diffed through subsequent reads of the
-/// variable instead.
-fn is_assignment(q: &str) -> bool {
-    qlang::parse(q)
-        .map(|stmts| {
-            stmts
-                .last()
-                .is_some_and(|e| matches!(e, Expr::Assign { .. } | Expr::IndexAssign { .. }))
-        })
-        .unwrap_or(false)
-}
-
-/// Collapse successful assignment outcomes to `Nil`; errors still count.
-fn normalized(o: Outcome, normalize: bool) -> Outcome {
-    match (normalize, o) {
-        (true, Outcome::Value(_)) => Outcome::Value(Value::Nil),
-        (_, o) => o,
     }
 }
 
@@ -242,16 +152,14 @@ impl BatchDriver {
         }
         let reference = self.reference.run_statements(stmts);
         let mut statements = Vec::with_capacity(stmts.len());
-        for (index, q) in stmts.iter().enumerate() {
-            let normalize = is_assignment(q);
-            let cold = normalized(Outcome::from(self.cold.execute(q)), normalize);
-            let warm = normalized(Outcome::from(self.warm.execute(q)), normalize);
+        for ((index, q), reference) in stmts.iter().enumerate().zip(reference) {
+            let assignment = is_assignment(q);
             statements.push(StatementOutcome {
                 index,
                 q: q.clone(),
-                reference: normalized(Outcome::from(reference[index].clone()), normalize),
-                cold,
-                warm,
+                reference: Outcome::from(reference).normalized(assignment),
+                cold: Outcome::from(self.cold.execute(q)).normalized(assignment),
+                warm: Outcome::from(self.warm.execute(q)).normalized(assignment),
             });
         }
         BatchReport { statements }
@@ -267,6 +175,7 @@ impl BatchDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qlang::value::Value;
 
     fn tables() -> Vec<(String, Table)> {
         vec![(

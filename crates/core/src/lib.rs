@@ -93,7 +93,8 @@ pub mod wire;
 pub mod xc;
 
 pub use backend::{share, Backend, DirectBackend, SharedBackend};
-pub use batch::{BatchDriver, BatchReport, DivergenceKind, Outcome, StatementOutcome};
+pub use batch::{BatchDriver, BatchReport, DivergenceKind, StatementOutcome};
+pub use side_by_side::Outcome;
 pub use obs::{QueryTrace, Span, SpanEvent, Stage};
 pub use pool::{BackendPool, PoolConfig, PooledBackend};
 pub use qcache::{CacheStats, TranslationCache};

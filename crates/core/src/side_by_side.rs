@@ -8,17 +8,114 @@
 //! stand-in) and, through the loader, into the backend; each query is
 //! executed on both paths and the results compared under Q equality
 //! (two-valued nulls and all).
+//!
+//! [`agrees`] is the one agreement rule every differential harness
+//! applies — [`SideBySide::check`], the fuzz loop's
+//! [`crate::BatchDriver`] and the test matrix over execution arms.
 
 use crate::loader;
 use crate::session::{HyperQSession, SessionConfig};
 use qengine::Interp;
+use qlang::ast::Expr;
 use qlang::value::{Table, Value};
 use qlang::{QError, QResult};
+
+/// What one executor produced for one statement, in the form the
+/// application observes it: a value, or the error's text.
+#[derive(Debug, Clone)]
+pub enum Outcome {
+    /// The statement evaluated to a value.
+    Value(Value),
+    /// The statement errored.
+    Error(String),
+}
+
+impl From<QResult<Value>> for Outcome {
+    fn from(r: QResult<Value>) -> Self {
+        match r {
+            Ok(v) => Outcome::Value(v),
+            Err(e) => Outcome::Error(e.to_string()),
+        }
+    }
+}
+
+impl Outcome {
+    /// The value, if this outcome carries one.
+    pub fn value(&self) -> Option<&Value> {
+        match self {
+            Outcome::Value(v) => Some(v),
+            Outcome::Error(_) => None,
+        }
+    }
+
+    /// The outcome of `q` as the application observes it: when `q` is a
+    /// top-level assignment ([`is_assignment`]), a successful outcome
+    /// collapses to `Nil`; errors still count.
+    pub fn normalized(self, assignment: bool) -> Outcome {
+        match self {
+            Outcome::Value(_) if assignment => Outcome::Value(Value::Nil),
+            o => o,
+        }
+    }
+}
+
+/// The §5 agreement rule: do two outcomes behave the same toward the
+/// application? Both erroring agrees (the application sees an error
+/// either way, and the reference engine's error text is not Hyper-Q's);
+/// a one-sided error or differing values do not.
+///
+/// Table results are compared *structurally* where possible: both sides
+/// are lowered onto the shared columnar representation via
+/// [`qengine::colbridge`] and diffed batch against batch
+/// (`Batch::structurally_equal`, which keys every cell), which catches
+/// representation-level drift (e.g. a null carried in-band on one side
+/// and out-of-band on the other) that value equality would paper over.
+/// Shapes the bridge cannot express fall back to [`values_agree`].
+pub fn agrees(a: &Outcome, b: &Outcome) -> bool {
+    match (a, b) {
+        (Outcome::Value(a), Outcome::Value(b)) => {
+            if let (Some(ba), Some(bb)) = (as_batch(a), as_batch(b)) {
+                return ba.structurally_equal(&bb) && values_agree(a, b);
+            }
+            values_agree(a, b)
+        }
+        (Outcome::Error(_), Outcome::Error(_)) => true,
+        _ => false,
+    }
+}
+
+/// Lower a table-shaped value onto the shared columnar representation,
+/// if every column has a storage class there. Keyed tables are
+/// flattened first (key columns then value columns), matching the
+/// representational tolerance of [`values_agree`].
+fn as_batch(v: &Value) -> Option<colstore::Batch> {
+    match v {
+        Value::Table(t) => qengine::colbridge::table_to_batch(t),
+        Value::KeyedTable(k) => qengine::colbridge::table_to_batch(&flatten(k)),
+        _ => None,
+    }
+}
+
+/// Is this statement a top-level assignment? The interpreter evaluates
+/// an assignment to its value while the pipeline materializes it and
+/// returns nothing (the console shows nothing either way), so the
+/// assignment's *immediate* result is not an application-visible
+/// observable — its effect is diffed through subsequent reads of the
+/// variable instead.
+pub fn is_assignment(q: &str) -> bool {
+    qlang::parse(q)
+        .map(|stmts| {
+            stmts
+                .last()
+                .is_some_and(|e| matches!(e, Expr::Assign { .. } | Expr::IndexAssign { .. }))
+        })
+        .unwrap_or(false)
+}
 
 /// Outcome of one side-by-side check.
 #[derive(Debug, Clone)]
 pub enum Comparison {
-    /// Both paths produced Q-equal values.
+    /// Both paths produced agreeing values ([`agrees`]).
     Match(Value),
     /// The values differ.
     Mismatch {
@@ -27,7 +124,7 @@ pub enum Comparison {
         /// What came back through Hyper-Q.
         translated: Value,
     },
-    /// The reference engine errored but Hyper-Q did not (or vice versa).
+    /// At least one path errored.
     ErrorDivergence {
         /// Reference-side error, if any.
         reference_err: Option<String>,
@@ -40,21 +137,6 @@ impl Comparison {
     /// Did the two paths agree?
     pub fn is_match(&self) -> bool {
         matches!(self, Comparison::Match(_))
-    }
-
-    /// Do the two paths *behave the same* toward the application? Like
-    /// [`Comparison::is_match`], but both sides erroring also counts as
-    /// agreement — the application observes an error either way, which is
-    /// exactly the paper's §5 criterion ("the exact same behavior to the
-    /// application"). A one-sided error remains a divergence.
-    pub fn is_agreement(&self) -> bool {
-        match self {
-            Comparison::Match(_) => true,
-            Comparison::Mismatch { .. } => false,
-            Comparison::ErrorDivergence { reference_err, translated_err } => {
-                reference_err.is_some() && translated_err.is_some()
-            }
-        }
     }
 }
 
@@ -87,51 +169,21 @@ impl SideBySide {
         loader::load_table(&mut self.hyperq, name, table)
     }
 
-    /// Run a query on both paths and compare.
+    /// Run a query on both paths and compare under [`agrees`].
     pub fn check(&mut self, q: &str) -> Comparison {
-        let ref_result = self.reference.run(q);
-        let hq_result = self.hyperq.execute(q);
-        match (ref_result, hq_result) {
-            (Ok(a), Ok(b)) => {
-                if values_agree(&a, &b) {
-                    Comparison::Match(a)
-                } else {
-                    Comparison::Mismatch { reference: a, translated: b }
-                }
+        let reference = Outcome::from(self.reference.run(q));
+        let translated = Outcome::from(self.hyperq.execute(q));
+        let agreed = agrees(&reference, &translated);
+        match (reference, translated) {
+            (Outcome::Value(v), Outcome::Value(_)) if agreed => Comparison::Match(v),
+            (Outcome::Value(reference), Outcome::Value(translated)) => {
+                Comparison::Mismatch { reference, translated }
             }
-            (Err(e), Ok(_)) => Comparison::ErrorDivergence {
-                reference_err: Some(e.to_string()),
-                translated_err: None,
-            },
-            (Ok(_), Err(e)) => Comparison::ErrorDivergence {
-                reference_err: None,
-                translated_err: Some(e.to_string()),
-            },
-            // Both erroring counts as agreement (same behaviour).
-            (Err(a), Err(b)) => Comparison::ErrorDivergence {
-                reference_err: Some(a.to_string()),
-                translated_err: Some(b.to_string()),
+            (r, t) => Comparison::ErrorDivergence {
+                reference_err: error_text(r),
+                translated_err: error_text(t),
             },
         }
-    }
-
-    /// Run a batch of queries; return **all** divergent statements.
-    ///
-    /// The runner never stops at the first mismatch: every statement in
-    /// the batch executes and every divergence is collected, so one
-    /// oracle (or fuzz) run yields the full bug batch rather than the
-    /// first symptom. Both-sides-erroring statements count as agreement
-    /// ([`Comparison::is_agreement`]) — the application cannot tell the
-    /// paths apart there.
-    pub fn check_all(&mut self, queries: &[&str]) -> Vec<(String, Comparison)> {
-        let mut failures = Vec::new();
-        for q in queries {
-            let c = self.check(q);
-            if !c.is_agreement() {
-                failures.push((q.to_string(), c));
-            }
-        }
-        failures
     }
 
     /// Assert agreement, with a verbose diff on failure (test helper).
@@ -151,6 +203,13 @@ impl SideBySide {
                 ),
             )),
         }
+    }
+}
+
+fn error_text(o: Outcome) -> Option<String> {
+    match o {
+        Outcome::Value(_) => None,
+        Outcome::Error(e) => Some(e),
     }
 }
 
@@ -259,16 +318,6 @@ mod tests {
         let mut f = framework();
         f.assert_match("`Price xdesc trades").unwrap();
         f.assert_match("`Symbol`Time xasc trades").unwrap();
-    }
-
-    #[test]
-    fn check_all_reports_failures_only() {
-        let mut f = framework();
-        let failures = f.check_all(&[
-            "select from trades",
-            "select mx: max Price by Symbol from trades",
-        ]);
-        assert!(failures.is_empty(), "{failures:?}");
     }
 
     #[test]

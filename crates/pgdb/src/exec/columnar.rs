@@ -253,7 +253,7 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
     };
     let rows = match &sel {
         Some(sel) => Rows::Sel(sel),
-        None => Rows::all(len),
+        None => Rows::All(len),
     };
     let ctx = Ctx { cols: &cols, columns: &columns, rows, pair: None };
 
@@ -273,7 +273,7 @@ fn run_block_batch(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, Db
     for w in &windows {
         window_columns.push((derive_type(w, &cols), window_column(w, &ctx)?));
     }
-    let pair = (!windows.is_empty()).then(|| (columns.len(), Rows::all(rows.len())));
+    let pair = (!windows.is_empty()).then(|| (columns.len(), Rows::All(rows.len())));
     for (i, (ty, column)) in window_columns.iter().enumerate() {
         cols.push(BoundCol { qualifier: None, name: format!("hq_win_{i}"), ty: *ty });
         columns.push(column);
@@ -423,7 +423,8 @@ fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&Ctx<'_>>) -> Res
             for i in reads {
                 cols.push(input.cols[i].clone());
                 gathered.push(match input.rows_of(i) {
-                    Rows::Range { start: 0, len } if len == input.columns[i].len() => {
+                    Rows::All(len) => {
+                        debug_assert_eq!(input.columns[i].len(), len, "Rows::All length");
                         Cow::Borrowed(input.columns[i])
                     }
                     rows => Cow::Owned(input.columns[i].take(&rows.to_vec())),
@@ -432,7 +433,7 @@ fn order_and_page(stmt: &SelectStmt, out: Batch, input: Option<&Ctx<'_>>) -> Res
         }
         let columns: Vec<&ColumnVec> = out.columns.iter().chain(gathered.iter().map(|c| &**c)).collect();
         let combined =
-            Ctx { cols: &cols, columns: &columns, rows: Rows::all(out.rows()), pair: None };
+            Ctx { cols: &cols, columns: &columns, rows: Rows::All(out.rows()), pair: None };
         let keys = order_keys(&stmt.order_by, &combined)?;
         let mut idx: Vec<usize> = (0..out.rows()).collect();
         sort_rows(&mut idx, &keys, &stmt.order_by);
@@ -742,7 +743,7 @@ fn aggregate_group(call: &SqlExpr, ctx: &Ctx<'_>, group: &[usize]) -> Result<Cel
     let cells: Result<Vec<Cell>, DbError> = read.iter().map(|&k| eval_row(arg, ctx, k)).collect();
     let col = ColumnVec::from_cells(derive_type(arg, ctx.cols), cells?);
     let all: Vec<usize> = (0..read.len()).collect();
-    fold_group(name, distinct, &View { col: Cow::Owned(col), rows: Rows::all(read.len()) }, &all)
+    fold_group(name, distinct, &View { col: Cow::Owned(col), rows: Rows::All(read.len()) }, &all)
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -1046,7 +1047,7 @@ fn join_pairs(
     let split = lcolumns.len();
     let columns: Vec<&ColumnVec> = lcolumns.iter().chain(&rcolumns).copied().collect();
 
-    if !vector::infallible(cond, &Ctx { cols, columns: &columns, rows: Rows::all(0), pair: None }) {
+    if !vector::infallible(cond, &Ctx { cols, columns: &columns, rows: Rows::All(0), pair: None }) {
         count_join(JoinStrategy::NestedLoop);
         let load = |slot: &mut Cell, c: usize, i: usize| *slot = columns[c].cell_at(i);
         let pairs = nested_loop_join(cols, split, (l.len, r.len), load, cond, kind)?;

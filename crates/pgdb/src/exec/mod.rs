@@ -66,7 +66,7 @@ pub fn infallible(pred: &SqlExpr, frame: &Batch) -> bool {
         .map(|c| BoundCol { qualifier: None, name: c.name.clone(), ty: c.ty })
         .collect();
     let columns: Vec<&colstore::ColumnVec> = frame.columns.iter().collect();
-    let rows = vector::Rows::all(frame.rows());
+    let rows = vector::Rows::All(frame.rows());
     vector::infallible(pred, &vector::Ctx { cols: &cols, columns: &columns, rows, pair: None })
 }
 

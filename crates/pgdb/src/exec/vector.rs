@@ -32,20 +32,17 @@ use std::cmp::Ordering;
 /// borrowed column.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Rows<'a> {
-    /// `len` consecutive rows from `start`.
-    Range { start: usize, len: usize },
+    /// Every row of the frame, in order: the count is the length of
+    /// every column read through it, so a column is used as it is.
+    All(usize),
     /// The rows a predicate kept, ascending.
     Sel(&'a [usize]),
 }
 
 impl<'a> Rows<'a> {
-    pub(crate) fn all(len: usize) -> Rows<'a> {
-        Rows::Range { start: 0, len }
-    }
-
     pub(crate) fn len(&self) -> usize {
         match self {
-            Rows::Range { len, .. } => *len,
+            Rows::All(len) => *len,
             Rows::Sel(idx) => idx.len(),
         }
     }
@@ -53,7 +50,7 @@ impl<'a> Rows<'a> {
     #[inline]
     pub(crate) fn phys(&self, k: usize) -> usize {
         match self {
-            Rows::Range { start, .. } => start + k,
+            Rows::All(_) => k,
             Rows::Sel(idx) => idx[k],
         }
     }
@@ -61,7 +58,7 @@ impl<'a> Rows<'a> {
     /// The physical indices, materialized.
     pub(crate) fn to_vec(self) -> Vec<usize> {
         match self {
-            Rows::Range { start, len } => (start..start + len).collect(),
+            Rows::All(len) => (0..len).collect(),
             Rows::Sel(idx) => idx.to_vec(),
         }
     }
@@ -125,7 +122,7 @@ impl<'a> Val<'a> {
         match self {
             Val::Scalar(_) => None,
             Val::Col(c, rows) => Some((*c, *rows)),
-            Val::Owned(c) => Some((c, Rows::all(c.len()))),
+            Val::Owned(c) => Some((c, Rows::All(c.len()))),
         }
     }
 
@@ -142,13 +139,13 @@ impl<'a> Val<'a> {
     pub(crate) fn into_view(self, n: usize, null_ty: PgType) -> View<'a> {
         match self {
             Val::Scalar(Cell::Null) => {
-                View { col: Cow::Owned(ColumnVec::nulls(null_ty, n)), rows: Rows::all(n) }
+                View { col: Cow::Owned(ColumnVec::nulls(null_ty, n)), rows: Rows::All(n) }
             }
             Val::Scalar(c) => {
-                View { col: Cow::Owned(ColumnVec::broadcast(&c, n)), rows: Rows::all(n) }
+                View { col: Cow::Owned(ColumnVec::broadcast(&c, n)), rows: Rows::All(n) }
             }
             Val::Col(c, rows) => View { col: Cow::Borrowed(c), rows },
-            Val::Owned(c) => View { col: Cow::Owned(c), rows: Rows::all(n) },
+            Val::Owned(c) => View { col: Cow::Owned(c), rows: Rows::All(n) },
         }
     }
 
@@ -158,8 +155,10 @@ impl<'a> Val<'a> {
         let View { col, rows } = self.into_view(n, null_ty);
         match (col, rows) {
             (Cow::Owned(c), _) => c,
-            (Cow::Borrowed(c), Rows::Range { start: 0, len }) if len == c.len() => c.clone(),
-            (Cow::Borrowed(c), Rows::Range { start, len }) => c.slice(start, len),
+            (Cow::Borrowed(c), Rows::All(len)) => {
+                debug_assert_eq!(c.len(), len, "Rows::All reads a column of another length");
+                c.clone()
+            }
             (Cow::Borrowed(c), Rows::Sel(idx)) => c.take(idx),
         }
     }
@@ -340,7 +339,7 @@ impl<'a, T> Reader<'a, T> {
     /// `f` of every row, one tight loop per row mapping.
     fn map<U>(&self, f: impl Fn(&T) -> U) -> Vec<U> {
         match self.rows {
-            Rows::Range { start, len } => self.data[start..start + len].iter().map(f).collect(),
+            Rows::All(len) => self.data[..len].iter().map(f).collect(),
             Rows::Sel(idx) => idx.iter().map(|&i| f(&self.data[i])).collect(),
         }
     }
@@ -348,12 +347,9 @@ impl<'a, T> Reader<'a, T> {
     /// `f` of every row pair of two readers over the same logical rows.
     fn zip_map<B, U>(&self, other: &Reader<'_, B>, f: impl Fn(&T, &B) -> U) -> Vec<U> {
         match (self.rows, other.rows) {
-            (Rows::Range { start: sa, len }, Rows::Range { start: sb, .. }) => self.data
-                [sa..sa + len]
-                .iter()
-                .zip(&other.data[sb..sb + len])
-                .map(|(a, b)| f(a, b))
-                .collect(),
+            (Rows::All(len), Rows::All(_)) => {
+                self.data[..len].iter().zip(&other.data[..len]).map(|(a, b)| f(a, b)).collect()
+            }
             _ => (0..self.rows.len()).map(|k| f(self.get(k), other.get(k))).collect(),
         }
     }
@@ -365,7 +361,10 @@ fn rows_validity(valid: &Validity, rows: Rows<'_>) -> Validity {
         return Validity::all_valid(rows.len());
     }
     match rows {
-        Rows::Range { start, len } => valid.slice(start, len),
+        Rows::All(len) => {
+            debug_assert_eq!(valid.len(), len, "Rows::All reads a bitmap of another length");
+            valid.clone()
+        }
         Rows::Sel(idx) => valid.take(idx),
     }
 }
@@ -863,7 +862,7 @@ pub(crate) fn filter(
     columns: &[&ColumnVec],
     len: usize,
 ) -> Result<Vec<usize>, DbError> {
-    let full = Ctx { cols, columns, rows: Rows::all(len), pair: None };
+    let full = Ctx { cols, columns, rows: Rows::All(len), pair: None };
     let mut conjuncts = Vec::new();
     flatten_and(pred, &mut conjuncts);
     let mut sel: Option<Vec<usize>> = None;
@@ -1166,8 +1165,8 @@ mod tests {
             .boxed()
     }
 
-    /// Two columns, a scalar, and the rows to read: the whole frame, a
-    /// range inside it, or a selection.
+    /// Two columns, a scalar, and the rows to read: the whole frame or a
+    /// selection.
     #[derive(Debug)]
     struct Case {
         a: ColumnVec,
@@ -1184,7 +1183,7 @@ mod tests {
                     column(n),
                     column(n),
                     prop::option::of((0usize..7).prop_flat_map(cell)),
-                    0usize..3,
+                    0usize..2,
                     prop::collection::vec(any::<bool>(), n..=n),
                 )
             })
@@ -1230,8 +1229,7 @@ mod tests {
         let n = case.a.len();
         let sel: Vec<usize> = (0..n).filter(|&i| case.picks[i]).collect();
         let rows = match case.mode {
-            0 => Rows::all(n),
-            1 => Rows::Range { start: n / 3, len: n - n / 3 - n / 4 },
+            0 => Rows::All(n),
             _ => Rows::Sel(&sel),
         };
         let ctx = Ctx { cols: &cols, columns: &columns, rows, pair: None };

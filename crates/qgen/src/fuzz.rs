@@ -10,18 +10,12 @@
 //! `found_*.q` repro.
 
 use crate::corpus::Repro;
-use crate::grammar::{Coverage, GenStmt, ProgramGen};
-use crate::schema::{gen_dataset, Dataset};
+use crate::grammar::{Coverage, GenStmt};
+use crate::schema::Dataset;
 use crate::shrink::Shrinker;
+use crate::slice::slice;
 use hyperq::{BatchDriver, DivergenceKind};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::path::PathBuf;
-
-/// How many programs share one generated dataset (and one driver): the
-/// dataset is the expensive part, and program variety — not dataset
-/// variety — is what each seed mostly buys.
-const PROGRAMS_PER_DATASET: usize = 10;
 
 /// Fuzz-loop configuration.
 #[derive(Debug, Clone)]
@@ -105,38 +99,30 @@ fn explain_first(report: &hyperq::BatchReport) -> (Vec<DivergenceKind>, String) 
     (kinds, format!("stmt {} `{}`: {why}", first.index, first.q))
 }
 
-/// Run the fuzz loop.
+/// Run the fuzz loop: one driver per dataset of the seed's slice.
 pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut gen = ProgramGen::new();
     let mut out = FuzzReport::default();
-
-    let mut dataset: Option<Dataset> = None;
-    let mut driver: Option<BatchDriver> = None;
-    for pi in 0..config.budget {
-        if pi % PROGRAMS_PER_DATASET == 0 {
-            let ds = gen_dataset(&mut rng);
-            driver = BatchDriver::new(&ds.tables).ok();
-            dataset = Some(ds);
+    let mut chunks = slice(config.seed, config.budget);
+    for chunk in chunks.by_ref() {
+        let ds = &chunk.dataset;
+        let Ok(mut driver) = BatchDriver::new(&ds.tables) else { continue };
+        for (pi, program) in (chunk.first..).zip(&chunk.programs) {
+            let rendered = program.render();
+            out.programs += 1;
+            out.statements += rendered.len();
+            let report = driver.run_program(&rendered);
+            if report.clean() {
+                continue;
+            }
+            out.bugs.push(found_bug(config, pi, ds, &program.stmts, &report));
+            // A diverging program may have left the three executors in
+            // inconsistent states (e.g. a diverging assignment); rebuild
+            // the driver so later programs are judged from a clean slate.
+            let Ok(fresh) = BatchDriver::new(&ds.tables) else { break };
+            driver = fresh;
         }
-        let (ds, drv) = match (dataset.as_ref(), driver.as_mut()) {
-            (Some(d), Some(v)) => (d, v),
-            _ => continue,
-        };
-        let program = gen.gen_program(&mut rng, ds, &mut out.coverage);
-        let rendered = program.render();
-        out.programs += 1;
-        out.statements += rendered.len();
-        let report = drv.run_program(&rendered);
-        if report.clean() {
-            continue;
-        }
-        out.bugs.push(found_bug(config, pi, ds, &program.stmts, &report));
-        // A diverging program may have left the three executors in
-        // inconsistent states (e.g. a diverging assignment); rebuild the
-        // driver so later programs are judged from a clean slate.
-        driver = BatchDriver::new(&ds.tables).ok();
     }
+    out.coverage = chunks.coverage();
     out
 }
 

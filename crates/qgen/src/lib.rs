@@ -1,8 +1,9 @@
 //! qgen — grammar-driven differential fuzzing for the Hyper-Q pipeline.
 //!
-//! The hand-written differential oracle (tests/differential_oracle.rs)
-//! checks a fixed statement list; this crate *generates* the scenarios.
-//! It is the conformance subsystem from DESIGN §9:
+//! The hand-written oracle statements (`tests/common/corpus.rs`) are a
+//! fixed list; this crate *generates* the scenarios. It is the
+//! conformance subsystem from DESIGN §9, and its [`slice`] is the fuzz
+//! corpus of the differential matrix's rows (DESIGN §6):
 //!
 //! * [`schema`] — randomized-but-valid TAQ-shaped datasets (random
 //!   column names, symbol universes, null densities; fixed column
@@ -11,6 +12,8 @@
 //!   by-aggregations, all four join families, null logic, ordcol
 //!   functions, variable assignment + reuse) with per-statement shrink
 //!   candidates;
+//! * [`slice`] — the seeded stream of (dataset, programs) chunks every
+//!   loop walks, [`PROGRAMS_PER_DATASET`] programs per dataset;
 //! * [`fuzz`] — the loop: every program runs through three executors
 //!   (qengine reference, cache-cold translate pipeline, cache-warm
 //!   translate pipeline) via `hyperq::BatchDriver`, and every divergent
@@ -33,9 +36,11 @@ pub mod fuzz;
 pub mod grammar;
 pub mod schema;
 pub mod shrink;
+pub mod slice;
 
 pub use corpus::{load_repro, replay, write_repro, Repro};
 pub use fuzz::{run_fuzz, FoundBug, FuzzConfig, FuzzReport};
 pub use grammar::{Coverage, GenStmt, Program, ProgramGen};
 pub use schema::{gen_dataset, Dataset, NumKind, TableSpec};
 pub use shrink::{ShrinkResult, Shrinker};
+pub use slice::{slice, Chunk, Slice, PROGRAMS_PER_DATASET};

@@ -25,15 +25,17 @@
 //! * a `hyperq_query_errors_total` delta of exactly one per QIPC
 //!   session (the deliberate isolation probe).
 
+mod common;
+
+use common::arms::shard_opts;
 use hyperq::endpoint::{BackendFactory, EndpointConfig, QipcClient, QipcEndpoint};
 use hyperq::gateway::{Credentials, PgWireBackend};
-use hyperq::shard::{Mode, ShardCluster, ShardOpts};
+use hyperq::shard::{Mode, ShardCluster};
 use hyperq::wire::{RetryPolicy, WireTimeouts};
 use hyperq::{backend, loader, Backend, HyperQSession, SessionConfig};
 use pgdb::server::{PgServer, ServerConfig};
 use pgdb::{Cell, QueryResult};
 use qlang::value::{Table, Value};
-use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
 const QIPC_SESSIONS: usize = 256;
@@ -60,10 +62,6 @@ fn trades() -> Table {
     .unwrap()
 }
 
-fn opts() -> ShardOpts {
-    ShardOpts { broadcast_threshold: 64, float_agg: false, stats: true, keys: HashMap::new() }
-}
-
 /// Threads this process runs that are not the test's own clients (which
 /// `spawn_client` names `qipc-<i>` / `pg-<i>`): the servers' accept,
 /// poll and worker threads and the test harness.
@@ -86,7 +84,7 @@ fn spawn_client(
 #[test]
 fn five_hundred_twelve_wire_sessions_multiplex_over_a_small_worker_pool() {
     // ---- the shared backend: a 4-shard scatter-gather cluster -------
-    let cluster = ShardCluster::in_process_with(SHARDS, opts());
+    let cluster = ShardCluster::in_process_with(SHARDS, shard_opts());
     {
         let mut bootstrap =
             HyperQSession::new(backend::share(cluster.router().unwrap()), SessionConfig::default());

@@ -14,7 +14,8 @@
 //!   200 programs of that seed again, through a session whose backend
 //!   is a PG v3 gateway connection to a `PgServer` and through an
 //!   in-process session: every statement's value must be the same bit
-//!   for bit and every error the same string, cache cold and warm.
+//!   for bit and every error the same string, cache cold and warm (688
+//!   statements × 2 passes at seed 42).
 //! * `shrinker_demo_*` — proves the shrinker earns its keep: a known
 //!   historical bug (Q `count col` mistranslated to null-skipping
 //!   `COUNT(col)`) is re-introduced behind a test-only fault hook, and
@@ -23,15 +24,14 @@
 //!
 //! The fault hook is process-global, so the tests serialize on a mutex.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use hyperq::gateway::{Credentials, PgWireBackend};
-use hyperq::{loader, HyperQSession, SessionConfig};
-use qgen::{gen_dataset, run_fuzz, Coverage, FuzzConfig, ProgramGen};
-use qlang::value::Table;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use common::arms::{Arm, Matrix, Rule};
+use hyperq::SessionConfig;
+use qgen::{run_fuzz, FuzzConfig};
 
 static FAULT_HOOK: Mutex<()> = Mutex::new(());
 
@@ -79,90 +79,22 @@ fn fixed_seed_fuzz_budget_is_divergence_free() {
     }
 }
 
-/// Programs per generated dataset, mirroring `qgen::run_fuzz`.
-const PROGRAMS_PER_DATASET: usize = 10;
+/// The programs at the head of the seed the wire row re-runs.
 const WIRE_SLICE: usize = 200;
 
-/// One in-process session and one session over the PG v3 wire, each on
-/// its own database loaded with the same tables.
-struct DirectAndWire {
-    direct: HyperQSession,
-    wire: HyperQSession,
-    server: pgdb::server::PgServer,
-}
-
-impl DirectAndWire {
-    fn new(tables: &[(String, Table)]) -> DirectAndWire {
-        let loaded = || {
-            let db = pgdb::Db::new();
-            let mut s = HyperQSession::with_direct(&db);
-            for (name, table) in tables {
-                loader::load_table(&mut s, name, table).unwrap();
-            }
-            db
-        };
-        let direct = HyperQSession::with_direct(&loaded());
-        let server = pgdb::server::PgServer::start(
-            loaded(),
-            "127.0.0.1:0",
-            pgdb::server::ServerConfig::default(),
-        )
-        .unwrap();
-        let creds =
-            Credentials { user: "fuzz".into(), password: String::new(), database: "hist".into() };
-        let gateway = PgWireBackend::connect(&server.addr.to_string(), &creds).unwrap();
-        let wire = HyperQSession::new(hyperq::share(gateway), SessionConfig::default());
-        DirectAndWire { direct, wire, server }
-    }
-}
-
+/// Each statement of the slice, twice (the second pass finds every pure
+/// statement in the translation cache), on an in-process session and on
+/// one over the PG v3 wire.
 #[test]
 fn fixed_seed_slice_is_bit_identical_over_the_pg_wire() {
     let _serial = FAULT_HOOK.lock().unwrap();
     let seed = FuzzConfig::from_env().seed;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut gen = ProgramGen::new();
-    let mut coverage = Coverage::default();
-    let mut dataset = None;
-    let mut pair: Option<DirectAndWire> = None;
-    let mut failures: Vec<String> = Vec::new();
-    let mut statements = 0usize;
-
-    for pi in 0..WIRE_SLICE {
-        if pi % PROGRAMS_PER_DATASET == 0 {
-            let ds = gen_dataset(&mut rng);
-            if let Some(p) = pair.replace(DirectAndWire::new(&ds.tables)) {
-                p.server.detach();
-            }
-            dataset = Some(ds);
-        }
-        let program = gen.gen_program(&mut rng, dataset.as_ref().unwrap(), &mut coverage);
-        let p = pair.as_mut().unwrap();
-        // The whole program twice: the second pass finds every pure
-        // statement in the translation cache.
-        for pass in ["cold", "warm"] {
-            for q in program.render() {
-                statements += 1;
-                let a = p.direct.execute(&q).map_err(|e| e.to_string());
-                let b = p.wire.execute(&q).map_err(|e| e.to_string());
-                if format!("{a:?}") != format!("{b:?}") {
-                    failures.push(format!(
-                        "program {pi} [{pass}]: `{q}`\n  direct: {a:?}\n  wire:   {b:?}"
-                    ));
-                }
-            }
-        }
-    }
-    if let Some(p) = pair.take() {
-        p.server.detach();
-    }
-    assert!(statements >= 2 * WIRE_SLICE, "programs average at least one statement");
-    assert!(
-        failures.is_empty(),
-        "{} wire-vs-direct divergence(s) in {WIRE_SLICE} programs at seed {seed}:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
+    let statements: usize =
+        qgen::slice(seed, WIRE_SLICE).flat_map(|c| c.programs).map(|p| p.stmts.len()).sum();
+    assert!(statements >= WIRE_SLICE, "programs average at least one statement");
+    Matrix::new(&[Arm::Session(SessionConfig::default()), Arm::Wire], Rule::Bits, 2)
+        .slice(qgen::slice(seed, WIRE_SLICE).map(qgen::Chunk::into_rendered))
+        .assert_clean(2 * statements);
 }
 
 #[test]

@@ -1,45 +1,31 @@
-//! Shard-count differential oracle (ISSUE 8's headline deliverable).
-//!
-//! The `ShardRouter` promises results *bit-identical* to single-node
-//! execution at any shard count: scatter scans interleave back into
-//! insertion order via the hidden ordinal, re-aggregated partials merge
-//! on an engine-semantics scratch instance, and everything unprovable
-//! falls back to the coordinator's full copy. This suite enforces the
-//! promise three ways:
+//! Shard-count differential: the `ShardRouter` promises results
+//! *bit-identical* to single-node execution at any shard count. Scatter
+//! scans interleave back into insertion order via the hidden ordinal,
+//! re-aggregated partials merge on an engine-semantics scratch
+//! instance, statements whose partials do not decompose (windows, set
+//! ops, DISTINCT aggregates) gather the rows they read onto a scratch
+//! instance, and only float aggregates and coordinator-only tables run
+//! on the coordinator's full copy. This suite enforces the promise three
+//! ways:
 //!
 //! 1. direct SQL structural equality (`colstore::structurally_equal`)
 //!    between a plain single-node backend and routers at 1, 2 and 4
 //!    shards — scans, ordered merges, distributive re-aggregation,
-//!    broadcast joins, every fallback shape, and identical error
-//!    surfaces;
-//! 2. the full 38-statement Q differential-oracle list through the
-//!    complete translate → SQL → scatter-gather pipeline at 1, 2 and 4
-//!    shards, judged against the reference interpreter;
-//! 3. a 200-program qgen fuzz slice executed side by side on 1-, 2- and
-//!    4-shard routers, asserting cross-shard-count agreement statement
-//!    by statement.
+//!    broadcast joins, gathers, and identical error surfaces;
+//! 2. the Q oracle statements through the complete translate → SQL →
+//!    scatter-gather pipeline at 1, 2 and 4 shards, judged against the
+//!    reference interpreter;
+//! 3. a 200-program qgen fuzz slice on 1-, 2- and 4-shard routers,
+//!    the 2- and 4-shard answers and error strings judged against the
+//!    1-shard ones.
 
-use hyperq::shard::{ShardCluster, ShardOpts};
-use hyperq::side_by_side::{values_agree, SideBySide};
-use hyperq::{loader, share, Backend, DirectBackend, HyperQSession, SessionConfig};
-use hyperq_workload::taq::{generate_quotes, generate_trades, TaqConfig};
+mod common;
+
+use common::arms::{router, shard_opts, Arm, Baseline, Matrix, Rule};
+use common::corpus::{fixture, ORACLE};
+use hyperq::shard::ShardCluster;
+use hyperq::{Backend, DirectBackend};
 use pgdb::{Batch, BatchQueryResult, Cell};
-use qengine::Interp;
-use qgen::{gen_dataset, Coverage, ProgramGen};
-use qlang::ast::Expr;
-use qlang::value::{Table, Value};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
-
-/// Deterministic knobs: tests must not depend on ambient `HQ_SHARD_*`.
-fn opts() -> ShardOpts {
-    ShardOpts { broadcast_threshold: 64, float_agg: false, stats: true, keys: HashMap::new() }
-}
-
-fn router(shards: usize) -> hyperq::ShardRouter {
-    ShardCluster::in_process_with(shards, opts()).router().unwrap()
-}
 
 // ---------------------------------------------------------------------
 // 1. Direct SQL: single node vs 1/2/4-shard routers, bit for bit.
@@ -105,7 +91,7 @@ const SQL_STATEMENTS: &[&str] = &[
     "SELECT id, label FROM fact INNER JOIN dim ON grp = k ORDER BY id",
     "SELECT id, label FROM fact LEFT OUTER JOIN dim ON grp = k",
     "SELECT label, id FROM fact INNER JOIN dim ON grp = k WHERE qty > 50 ORDER BY id LIMIT 7",
-    // provably-unsafe shapes: must fall back, answers still identical
+    // shapes that gather or fall back: answers still identical
     "SELECT min(px) AS mn, max(px) AS mx, sum(px) AS s, avg(px) AS a FROM fact",
     "SELECT count(DISTINCT sym) AS d FROM fact",
     "SELECT id FROM fact ORDER BY id LIMIT 5 OFFSET 3",
@@ -225,7 +211,7 @@ fn sql_differential_is_bit_identical_at_one_two_and_four_shards() {
 /// also move under the sibling tests of this binary.
 #[test]
 fn differential_fixture_really_scatters() {
-    let cluster = ShardCluster::in_process_with(4, opts());
+    let cluster = ShardCluster::in_process_with(4, shard_opts());
     let mut r = cluster.router().unwrap();
     for stmt in setup_sql() {
         if let SqlOutcome::Error(e) = run_sql(&mut r, &stmt) {
@@ -287,190 +273,27 @@ fn differential_fixture_really_scatters() {
 }
 
 // ---------------------------------------------------------------------
-// 2. The 38-statement Q oracle through the full pipeline, per shard count.
+// 2. The Q oracle through the full pipeline, per shard count.
 // ---------------------------------------------------------------------
 
-fn taq_cfg() -> TaqConfig {
-    TaqConfig { rows: 200, symbols: 4, days: 2, seed: 4242 }
-}
-
-/// Same fixture as `tests/differential_oracle.rs`, loaded through a
-/// router-backed session: trades (200 rows) and quotes (600) partition,
-/// nullable (5) and refdata (3) broadcast.
-fn shard_oracle(shards: usize) -> SideBySide {
-    let mut f = SideBySide {
-        reference: Interp::new(),
-        hyperq: HyperQSession::new(share(router(shards)), SessionConfig::default()),
-    };
-    f.load("trades", &generate_trades(&taq_cfg())).unwrap();
-    f.load("quotes", &generate_quotes(&TaqConfig { rows: 600, ..taq_cfg() })).unwrap();
-    let nullable = Table::new(
-        vec!["Sym".into(), "Qty".into(), "Px".into()],
-        vec![
-            Value::Symbols(vec!["A".into(), "B".into(), "A".into(), "C".into(), "B".into()]),
-            Value::Longs(vec![10, i64::MIN, 30, i64::MIN, 50]),
-            Value::Floats(vec![1.5, 2.5, f64::NAN, 4.0, f64::NAN]),
-        ],
-    )
-    .unwrap();
-    f.load("nullable", &nullable).unwrap();
-    let refdata = Table::new(
-        vec!["Symbol".into(), "Sector".into(), "Lot".into()],
-        vec![
-            Value::Symbols(vec!["AAPL".into(), "GOOG".into(), "IBM".into()]),
-            Value::Symbols(vec!["tech".into(), "tech".into(), "services".into()]),
-            Value::Longs(vec![100, 10, 50]),
-        ],
-    )
-    .unwrap();
-    f.load("refdata", &refdata).unwrap();
-    f
-}
-
-/// The oracle statement list, verbatim from `differential_oracle.rs`.
-const ORACLE_STATEMENTS: &[&str] = &[
-    "select from trades",
-    "select Symbol, Price from trades",
-    "select Price from trades where Symbol=`GOOG",
-    "select Price, Size from trades where Date=2016.06.26",
-    "select from trades where Price within 50 150",
-    "select Price from trades where Symbol in `GOOG`IBM, Size>100",
-    "select Notional: Price*Size from trades where Size>500",
-    "exec Price from trades where Symbol=`GOOG",
-    "select from quotes where Ask>Bid",
-    "select mx: max Price, mn: min Price from trades",
-    "select s: sum Size, a: avg Price from trades",
-    "select n: count i from trades where Symbol=`IBM",
-    "select spread: avg Ask-Bid from quotes",
-    "select mx: max Price by Symbol from trades",
-    "select s: sum Size by Date from trades",
-    "select n: count i by Symbol from trades",
-    "select vwap: (sum Price*Size) % sum Size by Symbol from trades",
-    "select mx: max Price by Date, Symbol from trades",
-    "select s: sum Size by 1000 xbar Size from trades",
-    "aj[`Symbol`Time; select Symbol, Time, Price from trades; \
-     select Symbol, Time, Bid, Ask from quotes]",
-    "aj[`Symbol`Time; select Symbol, Time, Price from trades where Date=2016.06.26; \
-     select Symbol, Time, Bid, Ask from quotes where Date=2016.06.26]",
-    "trades lj 1!refdata",
-    "trades ij 1!refdata",
-    "select mx: max Price by Sector from trades lj 1!refdata",
-    "(select Symbol, Price from trades where Size>900) uj \
-     select Symbol, Price, Size from trades where Size<100",
-    "select from nullable where Qty=0N",
-    "select from nullable where Qty>20",
-    "select s: sum Qty by Sym from nullable",
-    "select n: count Px, m: count i from nullable",
-    "select mx: max Px, mn: min Px from nullable",
-    "update Qty: 0N from nullable where Sym=`A",
-    "select Price, prevPx: prev Price from trades",
-    "select d: deltas Price from trades where Symbol=`GOOG",
-    "select open: first Price, close: last Price by Symbol from trades",
-    "select Price, nextPx: next Price from trades where Symbol=`IBM",
-    "`Price xdesc select from trades where Date=2016.06.26",
-    "`Symbol`Time xasc select Symbol, Time, Price from trades",
-    "select last Bid by Symbol from quotes",
-];
-
+/// trades (200 rows) and quotes (600) partition, nullable (5) and
+/// refdata (3) broadcast. Each statement is compared across the six
+/// pairs of the four arms.
 #[test]
 fn oracle_agrees_at_one_two_and_four_shards() {
-    for shards in [1usize, 2, 4] {
-        let mut f = shard_oracle(shards);
-        let failures = f.check_all(ORACLE_STATEMENTS);
-        assert!(
-            failures.is_empty(),
-            "HQ_SHARDS={shards}: {} of {} oracle statements diverged:\n{:#?}",
-            failures.len(),
-            ORACLE_STATEMENTS.len(),
-            failures
-        );
-    }
+    Matrix::new(&[Arm::Qengine, Arm::Router(1), Arm::Router(2), Arm::Router(4)], Rule::Reference, 1)
+        .statements(&fixture(), &[(ORACLE, Baseline::Succeeds)])
+        .assert_clean(6 * 42);
 }
 
 // ---------------------------------------------------------------------
 // 3. qgen fuzz slice: 200 programs side by side at 1, 2 and 4 shards.
 // ---------------------------------------------------------------------
 
-/// Programs per generated dataset, mirroring `qgen::run_fuzz`.
-const PROGRAMS_PER_DATASET: usize = 10;
-const FUZZ_BUDGET: usize = 200;
-const FUZZ_SEED: u64 = 20260807;
-
-fn shard_sessions(ds_tables: &[(String, Table)]) -> Vec<(usize, HyperQSession)> {
-    [1usize, 2, 4]
-        .into_iter()
-        .map(|shards| {
-            let mut s = HyperQSession::new(share(router(shards)), SessionConfig::default());
-            for (name, table) in ds_tables {
-                loader::load_table(&mut s, name, table).unwrap();
-            }
-            (shards, s)
-        })
-        .collect()
-}
-
-/// Successful assignments collapse before comparison (their return value
-/// is representational), exactly like the tri-executor `BatchDriver`.
-fn is_assignment(q: &str) -> bool {
-    qlang::parse(q)
-        .map(|stmts| {
-            stmts
-                .last()
-                .is_some_and(|e| matches!(e, Expr::Assign { .. } | Expr::IndexAssign { .. }))
-        })
-        .unwrap_or(false)
-}
-
+/// The slice's 664 statements, compared across the three pairs of routers.
 #[test]
 fn fuzz_slice_agrees_across_shard_counts() {
-    let mut rng = StdRng::seed_from_u64(FUZZ_SEED);
-    let mut gen = ProgramGen::new();
-    let mut coverage = Coverage::default();
-    let mut dataset = None;
-    let mut sessions: Vec<(usize, HyperQSession)> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-    let mut programs = 0usize;
-
-    for pi in 0..FUZZ_BUDGET {
-        if pi % PROGRAMS_PER_DATASET == 0 {
-            let ds = gen_dataset(&mut rng);
-            sessions = shard_sessions(&ds.tables);
-            dataset = Some(ds);
-        }
-        let ds = dataset.as_ref().unwrap();
-        let program = gen.gen_program(&mut rng, ds, &mut coverage);
-        programs += 1;
-        let mut diverged = false;
-        for q in program.render() {
-            let normalize = is_assignment(&q);
-            let mut results = sessions.iter_mut().map(|(shards, s)| (*shards, s.execute(&q)));
-            let (_, baseline) = results.next().unwrap();
-            for (shards, r) in results {
-                let ok = match (&baseline, &r) {
-                    (Ok(a), Ok(b)) => normalize || values_agree(a, b),
-                    (Err(_), Err(_)) => true,
-                    _ => false,
-                };
-                if !ok {
-                    diverged = true;
-                    failures.push(format!(
-                        "program {pi}, {shards} shards vs 1: `{q}`\n  1-shard: {:?}\n  {shards}-shard: {:?}",
-                        baseline, r
-                    ));
-                }
-            }
-        }
-        if diverged {
-            // Divergence may have forked session state; rebuild all
-            // three so later programs are judged from a clean slate.
-            sessions = shard_sessions(&dataset.as_ref().unwrap().tables);
-        }
-    }
-    assert_eq!(programs, FUZZ_BUDGET);
-    assert!(
-        failures.is_empty(),
-        "{} cross-shard-count divergence(s) in {FUZZ_BUDGET} programs:\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
+    Matrix::new(&[Arm::Router(1), Arm::Router(2), Arm::Router(4)], Rule::SameErrors, 1)
+        .slice(qgen::slice(20260807, 200).map(qgen::Chunk::into_rendered))
+        .assert_clean(3 * 664);
 }

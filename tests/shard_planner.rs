@@ -8,30 +8,21 @@
 //! 3. The fallback gate: the fixed-seed 200-program fuzz slice on a
 //!    4-shard router must not fall back to the coordinator at all.
 
+mod common;
+
+use common::arms::{router, router_session, shard_opts};
 use hyperq::shard::planner::{self, decide_placement, plan_select, ShardPlan};
-use hyperq::shard::{Mode, ShardCluster, ShardOpts, TableMeta};
-use hyperq::{loader, share, HyperQSession, SessionConfig};
+use hyperq::shard::{Mode, TableMeta};
+use hyperq::{share, HyperQSession, SessionConfig};
 use pgdb::sql::ast::Stmt;
 use pgdb::sql::render::render_expr;
 use pgdb::PgType;
-use qgen::{gen_dataset, Coverage, ProgramGen};
-use qlang::value::Table;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Serializes tests that read deltas of the process-global metrics
 /// registry, so concurrent planner tests cannot contaminate a window.
 static COUNTERS: Mutex<()> = Mutex::new(());
-
-fn opts() -> ShardOpts {
-    ShardOpts { broadcast_threshold: 64, float_agg: false, stats: true, keys: HashMap::new() }
-}
-
-fn router(shards: usize) -> hyperq::ShardRouter {
-    ShardCluster::in_process_with(shards, opts()).router().unwrap()
-}
 
 // ---------------------------------------------------------------------
 // 1. The planner as a pure function: statement family → (kind, reason).
@@ -77,7 +68,7 @@ fn catalog() -> HashMap<String, TableMeta> {
 fn plan_of(sql: &str) -> (String, String) {
     let stmt = pgdb::sql::parse_statement(sql).expect("test SQL must parse");
     let Stmt::Select(sel) = stmt else { panic!("test SQL must be a SELECT: {sql}") };
-    let plan = plan_select(&sel, &catalog(), &opts());
+    let plan = plan_select(&sel, &catalog(), &shard_opts());
     (plan.kind().to_string(), plan.reason().to_string())
 }
 
@@ -200,7 +191,7 @@ fn planner_assigns_kind_and_reason_per_statement_family() {
 fn gather_of(sql: &str) -> Vec<(String, Vec<String>, Option<String>, &'static str)> {
     let stmt = pgdb::sql::parse_statement(sql).expect("test SQL must parse");
     let Stmt::Select(sel) = stmt else { panic!("test SQL must be a SELECT: {sql}") };
-    let ShardPlan::Gather { tables, .. } = plan_select(&sel, &catalog(), &opts()) else {
+    let ShardPlan::Gather { tables, .. } = plan_select(&sel, &catalog(), &shard_opts()) else {
         panic!("{sql} must plan a gather");
     };
     tables
@@ -358,7 +349,7 @@ fn planner_is_pure_over_the_snapshot() {
 
     let mut cat = catalog();
     cat.get_mut("dim").unwrap().mode = Mode::Partitioned;
-    let plan = plan_select(&sel, &cat, &opts());
+    let plan = plan_select(&sel, &cat, &shard_opts());
     // dim's partition key (id) is equated with fact's: still provable,
     // now as a co-partitioned join.
     assert_eq!((plan.kind(), plan.reason()), ("shard_local", planner::OK_CO_PART));
@@ -366,7 +357,7 @@ fn planner_is_pure_over_the_snapshot() {
     // Equate a non-key column instead and the proof fails.
     let sql2 = "SELECT f.id, d.label FROM fact AS f INNER JOIN dim AS d ON f.grp = d.label";
     let Stmt::Select(sel2) = pgdb::sql::parse_statement(sql2).unwrap() else { unreachable!() };
-    let plan2 = plan_select(&sel2, &cat, &opts());
+    let plan2 = plan_select(&sel2, &cat, &shard_opts());
     assert_eq!((plan2.kind(), plan2.reason()), ("fallback", planner::FB_JOIN_KEYS));
 }
 
@@ -376,7 +367,7 @@ fn planner_is_pure_over_the_snapshot() {
 
 #[test]
 fn placement_follows_rows_and_key_cardinality() {
-    let o = opts(); // threshold 64, stats on
+    let o = shard_opts(); // threshold 64, stats on
     // Small tables broadcast regardless of cardinality.
     let p = decide_placement(64, Some(64), 4, &o);
     assert_eq!((p.mode, p.reason), (Mode::Broadcast, "small_table"));
@@ -398,7 +389,7 @@ fn placement_follows_rows_and_key_cardinality() {
 
 #[test]
 fn stats_knob_reverts_to_pure_threshold() {
-    let mut o = opts();
+    let mut o = shard_opts();
     o.stats = false;
     // Same inputs as the low-cardinality case above: with
     // HQ_SHARD_STATS=0 the sketch is ignored.
@@ -408,7 +399,7 @@ fn stats_knob_reverts_to_pure_threshold() {
 
 #[test]
 fn threshold_zero_partitions_everything() {
-    let mut o = opts();
+    let mut o = shard_opts();
     o.broadcast_threshold = 0;
     let p = decide_placement(1, Some(1), 4, &o);
     assert_eq!(p.mode, Mode::Partitioned);
@@ -439,17 +430,8 @@ fn session_explain_shard_surface() {
 // 4. No fallback on the fixed-seed fuzz slice.
 // ---------------------------------------------------------------------
 
-const PROGRAMS_PER_DATASET: usize = 10;
 const FUZZ_BUDGET: usize = 200;
 const FUZZ_SEED: u64 = 20260807;
-
-fn shard_session(ds_tables: &[(String, Table)]) -> HyperQSession {
-    let mut s = HyperQSession::new(share(router(4)), SessionConfig::default());
-    for (name, table) in ds_tables {
-        loader::load_table(&mut s, name, table).unwrap();
-    }
-    s
-}
 
 #[test]
 fn fuzz_slice_fallback_rate_gate() {
@@ -458,21 +440,10 @@ fn fuzz_slice_fallback_rate_gate() {
     let fallback0 = reg.counter_value("shard_fallback_total");
     let fanout0 = reg.counter_value("shard_fanout_total");
 
-    let mut rng = StdRng::seed_from_u64(FUZZ_SEED);
-    let mut gen = ProgramGen::new();
-    let mut coverage = Coverage::default();
-    let mut dataset = None;
-    let mut session = None;
-    for pi in 0..FUZZ_BUDGET {
-        if pi % PROGRAMS_PER_DATASET == 0 {
-            let ds = gen_dataset(&mut rng);
-            session = Some(shard_session(&ds.tables));
-            dataset = Some(ds);
-        }
-        let program = gen.gen_program(&mut rng, dataset.as_ref().unwrap(), &mut coverage);
-        let s = session.as_mut().unwrap();
-        for q in program.render() {
-            let _ = s.execute(&q);
+    for (tables, programs) in qgen::slice(FUZZ_SEED, FUZZ_BUDGET).map(qgen::Chunk::into_rendered) {
+        let mut s = router_session(&tables, 4);
+        for q in programs.iter().flatten() {
+            let _ = s.execute(q);
         }
     }
 

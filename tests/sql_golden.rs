@@ -14,10 +14,12 @@
 //! test once: it writes the file afresh and fails, so the new text is
 //! reviewed in the diff before it is committed.
 
+mod common;
+
+use common::arms;
+use common::corpus::{fixture, ORACLE, TAQ_SHAPES, WIDE_ADHOC};
 use hyperq::{loader, HyperQSession, SessionConfig};
 use hyperq_workload::analytical::{analytical_workload, tables, WorkloadSpec};
-use hyperq_workload::taq::{generate_quotes, generate_trades, TaqConfig};
-use qlang::value::{Table, Value};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -30,129 +32,6 @@ fn golden_path() -> PathBuf {
 fn wide_spec() -> WorkloadSpec {
     WorkloadSpec { tables: 5, metrics: 500, rows: 16, key_cardinality: 16, seed: 2016 }
 }
-
-/// hqbench's `wide_adhoc` templates for the point, window and as-of
-/// classes (`benchmark/src/gen.rs`, templates 25–27).
-const WIDE_ADHOC: &[&str] = &[
-    "select k, am25, am32 from w1 where am38 > 512.0000001",
-    "select k, d: deltas am26, p: prev am33 from w1 where am39 > 512.0000001",
-    "aj[`k; select k, am27 from w1 where am40 > 512.0000001; select k, bm27 from w2]",
-];
-
-/// Same fixture as `tests/differential_oracle.rs`.
-fn taq_fixture() -> Vec<(&'static str, Table)> {
-    let taq_cfg = TaqConfig { rows: 200, symbols: 4, days: 2, seed: 4242 };
-    let nullable = Table::new(
-        vec!["Sym".into(), "Qty".into(), "Px".into()],
-        vec![
-            Value::Symbols(vec!["A".into(), "B".into(), "A".into(), "C".into(), "B".into()]),
-            Value::Longs(vec![10, i64::MIN, 30, i64::MIN, 50]),
-            Value::Floats(vec![1.5, 2.5, f64::NAN, 4.0, f64::NAN]),
-        ],
-    )
-    .unwrap();
-    let refdata = Table::new(
-        vec!["Symbol".into(), "Sector".into(), "Lot".into()],
-        vec![
-            Value::Symbols(vec!["AAPL".into(), "GOOG".into(), "IBM".into()]),
-            Value::Symbols(vec!["tech".into(), "tech".into(), "services".into()]),
-            Value::Longs(vec![100, 10, 50]),
-        ],
-    )
-    .unwrap();
-    vec![
-        ("trades", generate_trades(&taq_cfg)),
-        ("quotes", generate_quotes(&TaqConfig { rows: 600, ..taq_cfg })),
-        ("nullable", nullable),
-        ("refdata", refdata),
-    ]
-}
-
-/// The oracle statement list, verbatim from `differential_oracle.rs`.
-const ORACLE_STATEMENTS: &[&str] = &[
-    "select from trades",
-    "select Symbol, Price from trades",
-    "select Price from trades where Symbol=`GOOG",
-    "select Price, Size from trades where Date=2016.06.26",
-    "select from trades where Price within 50 150",
-    "select Price from trades where Symbol in `GOOG`IBM, Size>100",
-    "select Notional: Price*Size from trades where Size>500",
-    "exec Price from trades where Symbol=`GOOG",
-    "select from quotes where Ask>Bid",
-    "select mx: max Price, mn: min Price from trades",
-    "select s: sum Size, a: avg Price from trades",
-    "select n: count i from trades where Symbol=`IBM",
-    "select spread: avg Ask-Bid from quotes",
-    "select mx: max Price by Symbol from trades",
-    "select s: sum Size by Date from trades",
-    "select n: count i by Symbol from trades",
-    "select vwap: (sum Price*Size) % sum Size by Symbol from trades",
-    "select mx: max Price by Date, Symbol from trades",
-    "select s: sum Size by 1000 xbar Size from trades",
-    "select d: dev Price, v: var Price by Symbol from trades",
-    "select d: sdev Price, v: svar Price by Symbol from trades",
-    "select d: dev Px, v: var Px, sd: sdev Px, sv: svar Px by Sym from nullable",
-    "select d: dev Price, sd: sdev Price from trades where Symbol=`NONE",
-    "aj[`Symbol`Time; select Symbol, Time, Price from trades; \
-     select Symbol, Time, Bid, Ask from quotes]",
-    "aj[`Symbol`Time; select Symbol, Time, Price from trades where Date=2016.06.26; \
-     select Symbol, Time, Bid, Ask from quotes where Date=2016.06.26]",
-    "trades lj 1!refdata",
-    "trades ij 1!refdata",
-    "select mx: max Price by Sector from trades lj 1!refdata",
-    "(select Symbol, Price from trades where Size>900) uj \
-     select Symbol, Price, Size from trades where Size<100",
-    "select from nullable where Qty=0N",
-    "select from nullable where Qty>20",
-    "select s: sum Qty by Sym from nullable",
-    "select n: count Px, m: count i from nullable",
-    "select mx: max Px, mn: min Px from nullable",
-    "update Qty: 0N from nullable where Sym=`A",
-    "select Price, prevPx: prev Price from trades",
-    "select d: deltas Price from trades where Symbol=`GOOG",
-    "select open: first Price, close: last Price by Symbol from trades",
-    "select Price, nextPx: next Price from trades where Symbol=`IBM",
-    "`Price xdesc select from trades where Date=2016.06.26",
-    "`Symbol`Time xasc select Symbol, Time, Price from trades",
-    "select last Bid by Symbol from quotes",
-];
-
-/// hqbench's TAQ dashboard shapes (`benchmark/src/gen.rs` and the
-/// `ingest_tail` reader), with fixed literals, plus whole-table joins.
-const TAQ_SHAPES: &[&str] = &[
-    "select Time, Price, Size from trades where Date=2016.06.26, Symbol=`GOOG",
-    "select Time, Bid, Ask from quotes where Date=2016.06.26, Symbol=`IBM",
-    "select Time, Notional: Price*Size from trades where Date=2016.06.27, Symbol=`MSFT",
-    "select vwap: (sum Price*Size) % sum Size by Symbol from trades \
-     where Date=2016.06.26, Size>300",
-    "select open: first Price, close: last Price, hi: max Price, lo: min Price \
-     by Symbol from trades where Date=2016.06.26, Size>200",
-    "select s: sum Size, n: count i by 1000 xbar Size from trades \
-     where Date=2016.06.26, Symbol=`GOOG",
-    "select Time, Price, d: deltas Price from trades where Date=2016.06.26, Symbol=`GOOG",
-    "select Time, Price, p: prev Price from trades where Date=2016.06.26, Symbol=`IBM",
-    "select Time, Bid, p: prev Bid, d: deltas Ask from quotes \
-     where Date=2016.06.27, Symbol=`AAPL",
-    "select hi: max Price, lots: sum Size by Sector from trades lj 1!refdata \
-     where Date=2016.06.26, Size>100",
-    "aj[`Symbol`Time; select Symbol, Time, Price from trades \
-     where Date=2016.06.26, Symbol=`GOOG, Time within (09:30:00.000;10:30:00.000); \
-     select Symbol, Time, Bid, Ask from quotes \
-     where Date=2016.06.26, Symbol=`GOOG, Time within (09:30:00.000;10:30:00.000)]",
-    "select slip: avg Price-Bid by Symbol from aj[`Symbol`Time; \
-     select Symbol, Time, Price from trades where Date=2016.06.26, Symbol=`IBM; \
-     select Symbol, Time, Bid, Ask from quotes where Date=2016.06.26, Symbol=`IBM]",
-    "select Time, Symbol, Price, Size from trades where i>=100, i<180, Size>5000",
-    "select px: last Price by Symbol from trades where i>=0, i<150",
-    "select n: count i, s: sum Size by Symbol from trades where i>=20, i<200",
-    "select Time, Price, d: deltas Price from trades where i>=10, i<190, Symbol=`GOOG",
-    "aj[`Symbol`Time; select Symbol, Time, Price from trades where i>=40, i<200; \
-     select Symbol, Time, Bid, Ask from quotes \
-     where Date=2016.06.26, Time within (09:30:00.000;16:00:00.000)]",
-    "aj[`Symbol`Time; trades; quotes]",
-    "trades lj 1!select Symbol, Bid, Ask from quotes where Date=2016.06.26",
-    "select Price, p: prev Price, n: next Price, d: deltas Size from trades where Symbol=`IBM",
-];
 
 /// Translate `statements` in one session and append one record each:
 /// a `-- <label> <n>: <q>` header, the report triple, then every SQL
@@ -195,12 +74,8 @@ fn translations() -> String {
     record(&mut out, "analytical", &mut wide, &analytical);
     record(&mut out, "wide_adhoc", &mut wide, WIDE_ADHOC);
 
-    let db = pgdb::Db::new();
-    let mut taq = HyperQSession::with_direct_config(&db, SessionConfig::default());
-    for (name, table) in taq_fixture() {
-        loader::load_table(&mut taq, name, &table).unwrap();
-    }
-    record(&mut out, "oracle", &mut taq, ORACLE_STATEMENTS);
+    let mut taq = arms::session(&fixture(), SessionConfig::default());
+    record(&mut out, "oracle", &mut taq, ORACLE);
     record(&mut out, "taq", &mut taq, TAQ_SHAPES);
     out
 }
