@@ -95,6 +95,79 @@ pub struct BindOutput {
     pub side_statements: Vec<SideStatement>,
 }
 
+/// Why a q-sql template bound its FROM clause to the names it reads or
+/// to every column (`hyperq_translate_demand_total{demand, reason}`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DemandReason {
+    /// Explicit items: the scans under `ej`/`aj` bind only the names the
+    /// items, `by` and `where` read.
+    Items,
+    /// `select from t` / `select by k from t`: every column is output.
+    NoItems,
+    /// `update` and `delete` output every column.
+    UpdateDelete,
+    /// An expression holds a lambda or an assignment, which the name
+    /// walk does not see through.
+    Opaque,
+    /// Column pruning is off, so the wide plan is the SQL.
+    PruningOff,
+}
+
+impl DemandReason {
+    /// Every reason, in label order.
+    pub const ALL: [DemandReason; 5] = [
+        DemandReason::Items,
+        DemandReason::NoItems,
+        DemandReason::UpdateDelete,
+        DemandReason::Opaque,
+        DemandReason::PruningOff,
+    ];
+
+    /// The metric's `reason` label.
+    pub fn label(self) -> &'static str {
+        match self {
+            DemandReason::Items => "items",
+            DemandReason::NoItems => "no_items",
+            DemandReason::UpdateDelete => "update_delete",
+            DemandReason::Opaque => "opaque",
+            DemandReason::PruningOff => "pruning_off",
+        }
+    }
+
+    /// The metric's `demand` label: `names` when the scans narrow.
+    pub fn demand(self) -> &'static str {
+        match self {
+            DemandReason::Items => "names",
+            _ => "all",
+        }
+    }
+}
+
+/// The names a q-sql template reads, pushed down its FROM clause through
+/// `ej`/`aj` into the scans of catalog tables.
+#[derive(Debug, Clone)]
+enum Demand<'a> {
+    /// Every column, for a template whose output or reads its names do
+    /// not bound.
+    All,
+    /// Only these names, plus the order column.
+    Names(NameSet<'a>),
+}
+
+impl Demand<'_> {
+    /// This demand and the join columns `cols` too.
+    fn with<'c>(&'c self, cols: &'c [String]) -> Demand<'c> {
+        match self {
+            Demand::All => Demand::All,
+            Demand::Names(names) => {
+                let mut names = names.clone();
+                names.extend(cols.iter().map(String::as_str));
+                Demand::Names(names)
+            }
+        }
+    }
+}
+
 /// The binder. One per translation request; scopes and the temp-table
 /// sequence number live in the session and are passed in.
 pub struct Binder<'a> {
@@ -103,6 +176,10 @@ pub struct Binder<'a> {
     policy: MaterializationPolicy,
     temp_seq: &'a mut usize,
     side: Vec<SideStatement>,
+    /// Templates bind only the names they read; off, every template
+    /// binds every column.
+    narrow: bool,
+    demands: Vec<DemandReason>,
 }
 
 impl<'a> Binder<'a> {
@@ -113,13 +190,36 @@ impl<'a> Binder<'a> {
         policy: MaterializationPolicy,
         temp_seq: &'a mut usize,
     ) -> Self {
-        Binder { mdi, scopes, policy, temp_seq, side: Vec::new() }
+        Binder {
+            mdi,
+            scopes,
+            policy,
+            temp_seq,
+            side: Vec::new(),
+            narrow: true,
+            demands: Vec::new(),
+        }
+    }
+
+    /// Bind each template's FROM clause to the names it reads (`true`,
+    /// the default) or to every column (`false`: the plan column pruning
+    /// starts from, kept for when pruning is off).
+    #[must_use]
+    pub fn narrowing(mut self, on: bool) -> Self {
+        self.narrow = on;
+        self
     }
 
     /// Bind one top-level statement.
     pub fn bind_statement(&mut self, e: &Expr) -> QResult<BindOutput> {
         let bound = self.bind_stmt_inner(e)?;
         Ok(BindOutput { bound, side_statements: std::mem::take(&mut self.side) })
+    }
+
+    /// How each q-sql template bound so far chose its FROM clause's
+    /// columns, in binding order, failed bindings included.
+    pub fn demands(&self) -> &[DemandReason] {
+        &self.demands
     }
 
     fn bind_stmt_inner(&mut self, e: &Expr) -> QResult<Bound> {
@@ -209,11 +309,17 @@ impl<'a> Binder<'a> {
 
     /// Bind a table expression to a relational plan.
     pub fn bind_rel(&mut self, e: &Expr) -> QResult<RelNode> {
+        self.bind_rel_in(e, &Demand::All)
+    }
+
+    /// Bind a table expression of which only `demand` is read: a catalog
+    /// table's scan and `ej`/`aj` take it, every other form binds whole.
+    fn bind_rel_in(&mut self, e: &Expr, demand: &Demand) -> QResult<RelNode> {
         match e {
-            Expr::Var(name) => self.bind_table_name(name),
+            Expr::Var(name) => self.bind_table_name(name, demand),
             Expr::Template(t) => Ok(self.bind_template(t)?.0),
             Expr::TableLit { keys, columns } => self.bind_table_literal(keys, columns),
-            Expr::Call { func, args } => self.bind_rel_call(func, args),
+            Expr::Call { func, args } => self.bind_rel_call(func, args, demand),
             Expr::Binary { op, lhs, rhs } => self.bind_rel_binary(op, lhs, rhs),
             Expr::Apply { func, arg } => {
                 // Named monadic verbs over tables: `distinct t`, `count t`
@@ -229,8 +335,9 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Resolve a table-valued name: scopes first (Figure 3), then the MDI.
-    fn bind_table_name(&mut self, name: &str) -> QResult<RelNode> {
+    /// Resolve a table-valued name: scopes first (Figure 3), then the MDI,
+    /// whose tables are scanned for `demand` only.
+    fn bind_table_name(&mut self, name: &str, demand: &Demand) -> QResult<RelNode> {
         if let Some(def) = self.scopes.lookup(name) {
             return match def {
                 VarDef::TableRef(meta) => Ok(RelNode::get(meta.name.clone(), meta.columns.clone())),
@@ -242,7 +349,7 @@ impl<'a> Binder<'a> {
             };
         }
         match self.mdi.table_meta(name) {
-            Some(meta) => Ok(RelNode::get(meta.name, meta.columns)),
+            Some(meta) => Ok(scan(meta, demand)),
             None => Err(QError::undefined(name)),
         }
     }
@@ -293,7 +400,13 @@ impl<'a> Binder<'a> {
     }
 
     /// Relational function calls: `aj[...]`, `ej[...]`, user functions.
-    fn bind_rel_call(&mut self, func: &Expr, args: &[Option<Expr>]) -> QResult<RelNode> {
+    /// `aj` and `ej` read `demand` and their join columns of both inputs.
+    fn bind_rel_call(
+        &mut self,
+        func: &Expr,
+        args: &[Option<Expr>],
+        demand: &Demand,
+    ) -> QResult<RelNode> {
         let name = match func {
             Expr::Var(n) => n.clone(),
             _ => return Err(QError::type_err("cannot bind computed callee")),
@@ -309,14 +422,16 @@ impl<'a> Binder<'a> {
         match (name.as_str(), args.len()) {
             ("aj", 3) => {
                 let cols = expect_symbols(args[0])?;
-                let left = self.bind_rel(args[1])?;
-                let right = self.bind_rel(args[2])?;
+                let demand = demand.with(&cols);
+                let left = self.bind_rel_in(args[1], &demand)?;
+                let right = self.bind_rel_in(args[2], &demand)?;
                 self.bind_aj(&cols, left, right)
             }
             ("ej", 3) => {
                 let cols = expect_symbols(args[0])?;
-                let left = self.bind_rel(args[1])?;
-                let right = self.bind_rel(args[2])?;
+                let demand = demand.with(&cols);
+                let left = self.bind_rel_in(args[1], &demand)?;
+                let right = self.bind_rel_in(args[2], &demand)?;
                 self.bind_equijoin(&cols, left, right, JoinKind::Inner)
             }
             (other, n) => Err(QError::rank(format!(
@@ -689,14 +804,41 @@ impl<'a> Binder<'a> {
         result.ok_or_else(|| QError::type_err("function body does not yield a table"))
     }
 
-    /// Bind a q-sql template (the core of §3.2.2).
+    /// Bind a q-sql template (the core of §3.2.2). Its FROM clause is
+    /// bound for the template's demand.
     fn bind_template(&mut self, t: &TemplateExpr) -> QResult<(RelNode, ResultShape)> {
-        let base = self.bind_rel(&t.from)?;
+        let (demand, reason) = self.demand_of(t);
+        self.demands.push(reason);
+        let base = self.bind_rel_in(&t.from, &demand)?;
         match t.kind {
             SelectKind::Select | SelectKind::Exec => self.bind_select(t, base),
             SelectKind::Update => self.bind_update(t, base),
             SelectKind::Delete => self.bind_delete(t, base),
         }
+    }
+
+    /// The names `t` reads, or every column and why. The walk
+    /// over-approximates — a function name or a variable in the set only
+    /// keeps a column of that name — and stops at what it cannot see
+    /// through.
+    fn demand_of<'e>(&self, t: &'e TemplateExpr) -> (Demand<'e>, DemandReason) {
+        if !self.narrow {
+            return (Demand::All, DemandReason::PruningOff);
+        }
+        if matches!(t.kind, SelectKind::Update | SelectKind::Delete) {
+            return (Demand::All, DemandReason::UpdateDelete);
+        }
+        if t.columns.is_empty() {
+            return (Demand::All, DemandReason::NoItems);
+        }
+        let mut names = NameSet::default();
+        let exprs = t.columns.iter().chain(&t.by).map(|(_, e)| e).chain(&t.predicates);
+        for e in exprs {
+            if !free_names(e, &mut names) {
+                return (Demand::All, DemandReason::Opaque);
+            }
+        }
+        (Demand::Names(names), DemandReason::Items)
     }
 
     fn bind_predicates(&mut self, preds: &[Expr], schema: &[ColumnDef]) -> QResult<Vec<ScalarExpr>> {
@@ -1369,6 +1511,58 @@ impl ScalarExt for ScalarExpr {
     }
 }
 
+
+/// A scan of `meta` for `demand`: the demanded columns the table has, its
+/// order column and its first column (the witness pruning keeps when a
+/// scan is read for nothing), in schema order. Found through the
+/// table's name index, so the cost is the demand's, not the width's.
+fn scan(meta: TableMeta, demand: &Demand) -> RelNode {
+    let Demand::Names(names) = demand else {
+        return RelNode::get(meta.name, meta.columns);
+    };
+    let mut at: Vec<usize> = std::iter::once(ORD_COL)
+        .chain(names.iter().copied())
+        .filter_map(|n| meta.position(n))
+        .collect();
+    at.push(0);
+    at.sort_unstable();
+    at.dedup();
+    if at.len() >= meta.columns.len() {
+        return RelNode::get(meta.name, meta.columns);
+    }
+    let cols: Vec<ColumnDef> = at.iter().map(|&i| meta.columns[i].clone()).collect();
+    RelNode::get(meta.name, cols)
+}
+
+/// Add the free names of `e` to `out`; false when `e` holds a lambda, an
+/// assignment or a return, whose names the walk does not follow.
+fn free_names<'e>(e: &'e Expr, out: &mut NameSet<'e>) -> bool {
+    match e {
+        Expr::Lit(_) | Expr::Empty => true,
+        Expr::Var(name) => {
+            out.insert(name);
+            true
+        }
+        Expr::List(items) | Expr::Cond(items) => items.iter().all(|x| free_names(x, out)),
+        Expr::Unary { arg, .. } => free_names(arg, out),
+        Expr::Binary { lhs, rhs, .. } => free_names(lhs, out) && free_names(rhs, out),
+        Expr::Call { func, args } => {
+            free_names(func, out) && args.iter().flatten().all(|a| free_names(a, out))
+        }
+        Expr::Apply { func, arg } => free_names(func, out) && free_names(arg, out),
+        Expr::AdverbApply { verb, .. } => free_names(verb, out),
+        Expr::Template(t) => {
+            let exprs = t.columns.iter().chain(&t.by).map(|(_, x)| x).chain(&t.predicates);
+            exprs.chain(std::iter::once(&*t.from)).all(|x| free_names(x, out))
+        }
+        Expr::TableLit { keys, columns } => {
+            keys.iter().chain(columns).all(|(_, x)| free_names(x, out))
+        }
+        Expr::Lambda(_) | Expr::Assign { .. } | Expr::IndexAssign { .. } | Expr::Return(_) => {
+            false
+        }
+    }
+}
 
 /// `name` with the translation-private prefix of a join's right input.
 fn right_name(name: &str) -> Name {

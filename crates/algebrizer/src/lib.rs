@@ -52,6 +52,8 @@ pub mod testhooks {
     }
 }
 
-pub use bind::{BindOutput, Binder, Bound, MaterializationPolicy, ResultShape, SideStatement};
+pub use bind::{
+    BindOutput, Binder, Bound, DemandReason, MaterializationPolicy, ResultShape, SideStatement,
+};
 pub use mdi::{CachingMdi, Mdi, MdiStats, StaticMdi, TableMeta};
 pub use scopes::{Scopes, VarDef};

@@ -10,9 +10,12 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use xtra::types::NameHasher;
 use xtra::ColumnDef;
 
 /// Metadata describing one backend table.
@@ -28,17 +31,55 @@ pub struct TableMeta {
     pub keys: Vec<Vec<String>>,
     /// Physical sort order, if any.
     pub sort_order: Vec<String>,
+    /// Where each column name sits in `columns`.
+    index: ColumnIndex,
+}
+
+/// Column name → position, built once with the metadata: a cache hit
+/// shares it, so a scan that binds a few of a wide table's columns finds
+/// them without walking the others.
+#[derive(Clone)]
+struct ColumnIndex(Arc<HashMap<String, usize, BuildHasherDefault<NameHasher>>>);
+
+impl ColumnIndex {
+    fn of(columns: &[ColumnDef]) -> Self {
+        let mut index = HashMap::with_capacity_and_hasher(columns.len(), Default::default());
+        for (at, c) in columns.iter().enumerate() {
+            index.entry(c.name.to_string()).or_insert(at);
+        }
+        ColumnIndex(Arc::new(index))
+    }
+}
+
+impl fmt::Debug for ColumnIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ColumnIndex({} names)", self.0.len())
+    }
+}
+
+/// Derived from the columns, which the table's equality already compares.
+impl PartialEq for ColumnIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl TableMeta {
     /// Convenience constructor for an unkeyed table.
     pub fn new(name: impl Into<String>, columns: impl Into<Arc<[ColumnDef]>>) -> Self {
-        TableMeta { name: name.into(), columns: columns.into(), keys: vec![], sort_order: vec![] }
+        let columns = columns.into();
+        let index = ColumnIndex::of(&columns);
+        TableMeta { name: name.into(), columns, keys: vec![], sort_order: vec![], index }
+    }
+
+    /// The position of the column called `name` in `columns`.
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.index.0.get(name).copied()
     }
 
     /// Does this table carry Hyper-Q's implicit order column?
     pub fn has_ord_col(&self) -> bool {
-        self.columns.iter().any(|c| c.name == xtra::ORD_COL)
+        self.position(xtra::ORD_COL).is_some()
     }
 }
 
@@ -217,6 +258,14 @@ mod tests {
         assert!(mdi.table_meta("trades").is_some());
         assert!(mdi.table_meta("nope").is_none());
         assert_eq!(mdi.lookup_count(), 2);
+    }
+
+    #[test]
+    fn table_meta_finds_columns_by_name() {
+        let t = meta("t");
+        assert_eq!(t.position(xtra::ORD_COL), Some(0));
+        assert_eq!(t.position("Price"), Some(1));
+        assert_eq!(t.position("price"), None, "names are case-sensitive");
     }
 
     #[test]

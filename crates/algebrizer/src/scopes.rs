@@ -29,7 +29,7 @@ pub enum VarDef {
 }
 
 /// The three-level scope hierarchy: local frames → session → server.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Scopes {
     server: HashMap<String, VarDef>,
     session: HashMap<String, VarDef>,

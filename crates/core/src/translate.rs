@@ -6,9 +6,13 @@
 //! **serialization** of XTRA expressions to SQL. [`StageTimings`] captures
 //! each stage so the Figure 6/7 harnesses can reproduce the measurements.
 
-use algebrizer::{Binder, Bound, MaterializationPolicy, ResultShape, Scopes, SideStatement};
+use algebrizer::{
+    BindOutput, Binder, Bound, DemandReason, MaterializationPolicy, ResultShape, Scopes,
+    SideStatement,
+};
 use algebrizer::Mdi;
 use qlang::{QError, QResult};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use xformer::{XformReport, Xformer};
 
@@ -156,6 +160,11 @@ impl Translator {
     }
 
     /// Translate one already-parsed statement.
+    ///
+    /// Each q-sql template binds only the columns it reads when column
+    /// pruning is on; debug builds bind the statement again with every
+    /// column and assert that the SQL and the rule counts pruning does
+    /// not own are the same, as [`Translator::check_narrowing`] does.
     pub fn translate_bound(
         &self,
         stmt: &qlang::Expr,
@@ -163,14 +172,34 @@ impl Translator {
         scopes: &mut Scopes,
         temp_seq: &mut usize,
     ) -> QResult<Translation> {
-        let mut timings = StageTimings::default();
+        #[cfg(debug_assertions)]
+        let before = (scopes.clone(), *temp_seq);
+        let narrow = self.xformer.config.column_pruning;
 
         // Algebrization (binding + metadata lookups).
         let t0 = Instant::now();
-        let mut binder = Binder::new(mdi, scopes, self.policy, temp_seq);
-        let output = binder.bind_statement(stmt)?;
-        timings.algebrize = t0.elapsed();
+        let mut binder = Binder::new(mdi, scopes, self.policy, temp_seq).narrowing(narrow);
+        let output = binder.bind_statement(stmt);
+        let algebrize = t0.elapsed();
+        for reason in binder.demands() {
+            demand_counter(*reason).inc();
+        }
 
+        #[cfg(debug_assertions)]
+        if narrow {
+            let (mut scopes, mut temp_seq) = before;
+            let wide = Binder::new(mdi, &mut scopes, self.policy, &mut temp_seq)
+                .narrowing(false)
+                .bind_statement(stmt);
+            self.cross_check(stmt, &output, wide);
+        }
+        let mut translation = self.finish(output?);
+        translation.timings.algebrize = algebrize;
+        Ok(translation)
+    }
+
+    /// Optimize and serialize a bound statement, timing both stages.
+    fn finish(&self, output: BindOutput) -> Translation {
         let mut statements = Vec::new();
         let mut report = XformReport::default();
 
@@ -229,11 +258,90 @@ impl Translator {
             }
             Bound::Absorbed => statements.is_empty(),
         };
-
-        timings.optimize = optimize;
-        timings.serialize = serialize;
-        Ok(Translation { statements, timings, xform_report: report, absorbed })
+        let timings = StageTimings { optimize, serialize, ..StageTimings::default() };
+        Translation { statements, timings, xform_report: report, absorbed }
     }
+
+    /// Bind `stmt` for its demand and again with every column, from the
+    /// same scopes, and [cross-check](Translator::cross_check) the two.
+    /// Scopes and `temp_seq` end as the first binding leaves them. Returns
+    /// how its templates chose their columns, or the error both bindings
+    /// failed with.
+    pub fn check_narrowing(
+        &self,
+        stmt: &qlang::Expr,
+        mdi: &dyn Mdi,
+        scopes: &mut Scopes,
+        temp_seq: &mut usize,
+    ) -> QResult<Vec<DemandReason>> {
+        let (mut wide_scopes, mut wide_seq) = (scopes.clone(), *temp_seq);
+        let mut binder = Binder::new(mdi, scopes, self.policy, temp_seq);
+        let narrow = binder.bind_statement(stmt);
+        let demands = binder.demands().to_vec();
+        let wide = Binder::new(mdi, &mut wide_scopes, self.policy, &mut wide_seq)
+            .narrowing(false)
+            .bind_statement(stmt);
+        self.cross_check(stmt, &narrow, wide);
+        narrow.map(|_| demands)
+    }
+
+    /// The translator's twin of pgdb's `cross_check`: a statement bound
+    /// for its demand (`narrow`) and bound with every column (`wide`)
+    /// must fail with the same error or give the same SQL, byte for
+    /// byte, with the same null rewrites and elided sorts. Only
+    /// `columns_pruned` may differ: the narrow plan has less to prune.
+    fn cross_check(
+        &self,
+        stmt: &qlang::Expr,
+        narrow: &QResult<BindOutput>,
+        wide: QResult<BindOutput>,
+    ) {
+        match (narrow, wide) {
+            (Ok(narrow), Ok(wide)) => {
+                let (n, w) = (self.finish(narrow.clone()), self.finish(wide));
+                let (nr, wr) = (&n.xform_report, &w.xform_report);
+                assert!(
+                    n.statements == w.statements
+                        && n.absorbed == w.absorbed
+                        && nr.null_rewrites == wr.null_rewrites
+                        && nr.sorts_elided == wr.sorts_elided,
+                    "narrow binding diverged from wide for {stmt:?}\n\
+                     narrow: {:?} {nr:?}\nwide:   {:?} {wr:?}",
+                    n.statements,
+                    w.statements
+                );
+            }
+            (Err(n), Err(w)) => assert_eq!(
+                n.to_string(),
+                w.to_string(),
+                "narrow and wide binding failed differently for {stmt:?}"
+            ),
+            (n, w) => panic!(
+                "narrow binding {} where wide {} for {stmt:?}",
+                if n.is_ok() { "succeeded" } else { "failed" },
+                if w.is_ok() { "succeeded" } else { "failed" },
+            ),
+        }
+    }
+}
+
+/// `hyperq_translate_demand_total{demand, reason}` for `reason`: how the
+/// templates of translated statements bound their FROM clauses. Resolved
+/// once per process.
+fn demand_counter(reason: DemandReason) -> &'static obs::Counter {
+    static COUNTERS: OnceLock<[Arc<obs::Counter>; 5]> = OnceLock::new();
+    let counters = COUNTERS.get_or_init(|| {
+        let reg = obs::global_registry();
+        DemandReason::ALL.map(|r| {
+            reg.counter(&format!(
+                "hyperq_translate_demand_total{{demand=\"{}\",reason=\"{}\"}}",
+                r.demand(),
+                r.label()
+            ))
+        })
+    });
+    let at = DemandReason::ALL.iter().position(|r| *r == reason).expect("every reason is listed");
+    &counters[at]
 }
 
 #[cfg(test)]
@@ -360,10 +468,15 @@ mod tests {
     fn transformation_report_counts_fired_rules() {
         let t = &translate("select Price from trades where Symbol=`GOOG")[0];
         assert!(t.xform_report.null_rewrites >= 1);
-        // No filter: the Symbol column is never needed and gets pruned
-        // from the scan.
+        // No filter: the binder scans only what the items read, so the
+        // unused Symbol column never reaches the SQL.
         let t = &translate("select Price from trades")[0];
+        assert!(!t.statements[0].sql.contains("Symbol"), "{}", t.statements[0].sql);
+        // An inner `select from` binds every column; pruning drops the
+        // ones the outer items do not read.
+        let t = &translate("select Price from select from trades")[0];
         assert!(t.xform_report.columns_pruned >= 1, "unused Symbol pruned from scan");
+        assert!(!t.statements[0].sql.contains("Symbol"), "{}", t.statements[0].sql);
     }
 
     #[test]

@@ -246,6 +246,9 @@ pub struct Coverage {
     pub aj_duplicates: usize,
     /// As-of joins over typed-null as-of values.
     pub aj_nulls: usize,
+    /// Selects with items over an `ej` or an `aj`, whose scans bind only
+    /// the columns the items read.
+    pub join_selects: usize,
     /// Left lookup joins.
     pub lj: usize,
     /// Inner lookup joins.
@@ -273,6 +276,7 @@ impl Coverage {
             ("aj_two_keys", self.aj_two_keys),
             ("aj_duplicates", self.aj_duplicates),
             ("aj_nulls", self.aj_nulls),
+            ("join_selects", self.join_selects),
             ("lj", self.lj),
             ("ij", self.ij),
             ("uj", self.uj),
@@ -401,10 +405,7 @@ impl ProgramGen {
                 }
                 stmts.push(GenStmt::Sorted { cols, desc: rng.gen_range(0..2u32) == 1, inner });
             }
-            10 => {
-                cov.aj += 1;
-                stmts.push(self.asof_join(rng, ds, cov));
-            }
+            10 => stmts.push(self.asof_join(rng, ds, cov)),
             11 => {
                 let ij = rng.gen_range(0..2u32) == 0;
                 if ij {
@@ -618,15 +619,24 @@ impl ProgramGen {
     /// variant: both sides pinned to one date (the paper's Example 1), a
     /// `Date` key in front of the symbol (two-column equality prefix),
     /// and, per side, as-of values made to repeat or to go missing by
-    /// reading the side through an `update` over part of its rows.
+    /// reading the side through an `update` over part of its rows. Its
+    /// three high bits make a quarter of the joins a select with items
+    /// over `aj`, and a quarter one over `ej` against the lookup table,
+    /// the sides read whole. The low six bits are the draw's value modulo
+    /// 64, so the other joins, and every later draw, are as they were
+    /// before the high bits existed.
     fn asof_join(&mut self, rng: &mut StdRng, ds: &Dataset, cov: &mut Coverage) -> GenStmt {
-        let variant = rng.gen_range(0..64u32);
+        let variant = rng.gen_range(0..512u32);
         let flag = |bit: u32| variant >> bit & 1 == 1;
         let (pin_date, date_key) = (!flag(0), flag(5));
         let (dup, null) = ([flag(1), flag(2)], [flag(3), flag(4)]);
-        cov.aj_two_keys += usize::from(date_key);
-        cov.aj_duplicates += usize::from(dup[0] || dup[1]);
-        cov.aj_nulls += usize::from(null[0] || null[1]);
+        let (wrapped, equi, grouped) = (flag(6), flag(6) && flag(7), flag(8));
+        if !equi {
+            cov.aj += 1;
+            cov.aj_two_keys += usize::from(date_key);
+            cov.aj_duplicates += usize::from(dup[0] || dup[1]);
+            cov.aj_nulls += usize::from(null[0] || null[1]);
+        }
 
         let mut cols = vec![ds.main.sym_col.clone(), ds.main.time_col.clone()];
         if date_key {
@@ -682,7 +692,52 @@ impl ProgramGen {
         };
         let left = side(&ds.main, vec![ds.main.num_cols[0].0.clone()], 0);
         let right = side(&ds.aux, ds.aux.num_cols.iter().map(|(n, _)| n.clone()).collect(), 1);
-        GenStmt::AsOf { cols, left, right }
+        if !wrapped {
+            return GenStmt::AsOf { cols, left, right };
+        }
+        cov.join_selects += 1;
+        let (main, aux, refdata) = (&ds.main, &ds.aux, &ds.refdata);
+        let source = match equi {
+            true => format!("ej[`{}; {}; {}]", main.sym_col, left.source, refdata.name),
+            false => format!("aj[{}; {}; {}]", sym_list(&cols), left.source, right.source),
+        };
+        let plain = |expr: &String| Proj { alias: None, expr: expr.clone() };
+        let named = |alias: &str, expr: String| Proj { alias: Some(alias.into()), expr };
+        let (projections, bys) = match (equi, grouped) {
+            (false, false) => {
+                let mut items = vec![plain(&main.time_col), plain(&main.num_cols[0].0)];
+                items.extend(aux.num_cols.iter().map(|(n, _)| plain(n)));
+                (items, Vec::new())
+            }
+            (false, true) => (
+                vec![
+                    named("n", "count i".into()),
+                    named("s", format!("sum {}", aux.num_cols[0].0)),
+                ],
+                vec![main.sym_col.clone()],
+            ),
+            (true, false) => (
+                [&main.sym_col, &main.num_cols[0].0, &refdata.sym_val_col, &refdata.long_val_col]
+                    .into_iter()
+                    .map(plain)
+                    .collect(),
+                Vec::new(),
+            ),
+            (true, true) => (
+                vec![
+                    named("n", "count i".into()),
+                    named("s", format!("sum {}", refdata.long_val_col)),
+                ],
+                vec![refdata.sym_val_col.clone()],
+            ),
+        };
+        GenStmt::Sel(Select {
+            kind: SelectKind::Select,
+            projections,
+            bys,
+            wheres: left.wheres,
+            source,
+        })
     }
 
     fn lookup_join(

@@ -4,6 +4,7 @@
 //! matrix and the golden translation file read these; nothing else
 //! carries a copy.
 
+use hyperq_workload::analytical::WorkloadSpec;
 use hyperq_workload::taq::{generate_quotes, generate_trades, TaqConfig};
 use qlang::value::{Table, Value};
 
@@ -176,6 +177,13 @@ pub const TAQ_SHAPES: &[&str] = &[
     "select Price, p: prev Price, n: next Price, d: deltas Size from trades where Symbol=`IBM",
 ];
 
+/// The Figure 6 harness's widths (`hyperq_bench::bench_spec()`: five
+/// tables of 500 metric columns, seed 2016) with few rows: what the
+/// analytical queries and [`WIDE_ADHOC`] are translated over.
+pub fn wide_spec() -> WorkloadSpec {
+    WorkloadSpec { tables: 5, metrics: 500, rows: 16, key_cardinality: 16, seed: 2016 }
+}
+
 /// hqbench's `wide_adhoc` templates for the point, window and as-of
 /// classes (`benchmark/src/gen.rs`, templates 25–27).
 pub const WIDE_ADHOC: &[&str] = &[
@@ -184,8 +192,39 @@ pub const WIDE_ADHOC: &[&str] = &[
     "aj[`k; select k, am27 from w1 where am40 > 512.0000001; select k, bm27 from w2]",
 ];
 
+/// Statements over `ej` and `aj` of whole fixture tables, the shapes
+/// whose scans the binder narrows to the names a template reads, and the
+/// forms around them that must bind every column. Each must succeed on
+/// the reference engine. `ej`'s right side is keyed uniquely by its join
+/// column (the reference keeps one match per key).
+pub const JOIN_SHAPES: &[&str] = &[
+    // items and `by` over ej and aj
+    "select Symbol, Price, Sector from ej[`Symbol; trades; refdata] where Size>500",
+    "select mx: max Price, n: count i by Sector from ej[`Symbol; trades; refdata]",
+    "select Time, Price, Bid from aj[`Symbol`Time; trades; quotes] where Symbol=`GOOG",
+    "select slip: avg Price-Bid by Symbol from aj[`Symbol`Time; trades; quotes]",
+    "exec Lot from ej[`Symbol; trades; refdata] where Price>100",
+    // a right column whose name the left also has: the left's wins
+    "select Date, Symbol, Price, Ask from aj[`Symbol`Time; trades; quotes] where Size>800",
+    // no items, `by` without items, update: every column
+    "select from ej[`Symbol; trades; refdata]",
+    "select by Symbol from ej[`Symbol; trades; refdata]",
+    "update Notional: Price*Lot from ej[`Symbol; trades; refdata] where Size>500",
+    // ej under lj
+    "select Symbol, Price, Sector, Bid from \
+     ej[`Symbol; trades; refdata] lj 1!select Symbol, Bid from quotes",
+    // a function whose body assigns an ej, used afterwards
+    "f: {[s] j: ej[`Symbol; trades; refdata]; select Price, Sector from j where Symbol=s}",
+    "f[`IBM]",
+];
+
+/// A column neither side of the join has.
+pub const JOIN_ERROR_PROBES: &[&str] = &["select NoSuch from ej[`Symbol; trades; refdata]"];
+
 // The corpus sizes are pinned: a statement added or lost changes every
 // row's comparison count, and must change these too.
 const _: () = assert!(ORACLE.len() == 42);
 const _: () = assert!(ERROR_PROBES.len() == 3);
 const _: () = assert!(BIG_PROBES.len() == 1);
+const _: () = assert!(JOIN_SHAPES.len() == 12);
+const _: () = assert!(JOIN_ERROR_PROBES.len() == 1);

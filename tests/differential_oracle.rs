@@ -8,7 +8,9 @@
 mod common;
 
 use common::arms::{Arm, Baseline, Matrix, Rule};
-use common::corpus::{big, fixture, BIG_PROBES, ERROR_PROBES, ORACLE};
+use common::corpus::{
+    big, fixture, BIG_PROBES, ERROR_PROBES, JOIN_ERROR_PROBES, JOIN_SHAPES, ORACLE,
+};
 use hyperq::SessionConfig;
 
 fn session(translation_cache: usize) -> Arm {
@@ -65,4 +67,32 @@ fn oracle_statements_are_bit_identical_over_the_pg_wire() {
         reg.counter_value(binary) > binary_before,
         "the oracle's results must have crossed the wire in binary"
     );
+}
+
+/// The binder's narrowed path executes: statements over `ej` and `aj`
+/// whose scans bind only the names a template reads answer what the
+/// reference does.
+#[test]
+fn join_shapes_agree_between_engines() {
+    Matrix::new(&[Arm::Qengine, session(256)], Rule::Reference, 1)
+        .statements(
+            &fixture(),
+            &[(JOIN_SHAPES, Baseline::Succeeds), (JOIN_ERROR_PROBES, Baseline::Fails)],
+        )
+        .assert_clean(13);
+}
+
+/// Narrow against wide: a session whose templates bind only the names
+/// they read answers what one binding every column (column pruning off)
+/// does, error text verbatim.
+#[test]
+fn join_shapes_agree_with_column_pruning_off() {
+    let mut wide = SessionConfig::default();
+    wide.xform.column_pruning = false;
+    Matrix::new(&[session(256), Arm::Session(wide)], Rule::SameErrors, 1)
+        .statements(
+            &fixture(),
+            &[(JOIN_SHAPES, Baseline::Succeeds), (JOIN_ERROR_PROBES, Baseline::Fails)],
+        )
+        .assert_clean(13);
 }

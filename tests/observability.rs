@@ -106,6 +106,10 @@ fn prometheus_dump_is_served_over_the_pg_wire() {
             assert!(dump.contains("# TYPE"), "{dump}");
             assert!(dump.contains("hyperq_queries_total"), "{dump}");
             assert!(dump.contains("hyperq_stage_seconds"), "{dump}");
+            assert!(
+                dump.contains("hyperq_translate_demand_total{demand=\"names\",reason=\"items\"}"),
+                "{dump}"
+            );
         }
         other => panic!("expected rows, got {other:?}"),
     }

@@ -21,6 +21,7 @@ fn session_with_trades(db: &pgdb::Db) -> HyperQSession {
 fn global_counters_move_exactly_as_the_queries_run() {
     global_registry_aggregates_query_metrics();
     pivot_moves_columns_for_both_backends();
+    demand_counts_each_templates_choice();
 }
 
 /// Counters and per-stage histograms aggregate in the global registry
@@ -124,4 +125,43 @@ fn pivot_moves_columns_for_both_backends() {
         assert!(dump.contains(metric), "missing {metric} in dump:\n{dump}");
     }
     server.detach();
+}
+
+/// `hyperq_translate_demand_total{demand, reason}`: one count per q-sql
+/// template translated, by how it bound its FROM clause — to the names
+/// it reads, or to every column and why. A failed binding counts too.
+fn demand_counts_each_templates_choice() {
+    let reg = obs::global_registry();
+    let series = [
+        ("names", "items"),
+        ("all", "no_items"),
+        ("all", "update_delete"),
+        ("all", "opaque"),
+        ("all", "pruning_off"),
+    ]
+    .map(|(d, r)| format!("hyperq_translate_demand_total{{demand=\"{d}\",reason=\"{r}\"}}"));
+    let counts = || series.clone().map(|m| reg.counter_value(&m));
+
+    let db = pgdb::Db::new();
+    let mut s = session_with_trades(&db);
+    let mut unpruned = HyperQSession::with_direct_config(&db, {
+        let mut config = SessionConfig::default();
+        config.xform.column_pruning = false;
+        config
+    });
+    let before = counts();
+    s.translate_only("select Price from trades where Symbol=`GOOG").unwrap();
+    s.translate_only("select Price from select from trades").unwrap();
+    s.translate_only("select by Symbol from trades").unwrap();
+    s.translate_only("update Price: 0.0 from trades where Size>100").unwrap();
+    s.translate_only("select {x} Price from trades").unwrap_err();
+    unpruned.translate_only("select Price from trades").unwrap();
+    let after = counts();
+    let moved: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(moved, [2, 2, 1, 1, 1], "names/items, no_items, update_delete, opaque, pruning_off");
+
+    let dump = reg.render_prometheus();
+    for metric in &series {
+        assert!(dump.contains(metric.as_str()), "missing {metric} in dump:\n{dump}");
+    }
 }

@@ -4,9 +4,11 @@
 //! The statements are the 25 Analytical Workload queries over 500-metric
 //! tables (the width of the Figure 6 harness's `bench_spec()`), hqbench's
 //! `wide_adhoc` point/window/as-of templates over the same tables, the
-//! differential-oracle statements, and the TAQ dashboard shapes (`aj`,
-//! `lj`, `deltas`, `prev`, `xbar`). Translation only: nothing executes,
-//! so row counts do not matter, only schemas.
+//! differential-oracle statements, the TAQ dashboard shapes (`aj`,
+//! `lj`, `deltas`, `prev`, `xbar`), and the statements over `ej`/`aj`
+//! whose scans the binder narrows. One record pins analytical query 10
+//! with column pruning off: the wide SQL Ablation B measures. Translation
+//! only: nothing executes, so row counts do not matter, only schemas.
 //!
 //! A change to the binder, the Xformer or the serializer that moves any
 //! byte of any statement fails here with the first differing case. When
@@ -17,20 +19,16 @@
 mod common;
 
 use common::arms;
-use common::corpus::{fixture, ORACLE, TAQ_SHAPES, WIDE_ADHOC};
+use common::corpus::{
+    fixture, wide_spec, JOIN_ERROR_PROBES, JOIN_SHAPES, ORACLE, TAQ_SHAPES, WIDE_ADHOC,
+};
 use hyperq::{loader, HyperQSession, SessionConfig};
-use hyperq_workload::analytical::{analytical_workload, tables, WorkloadSpec};
+use hyperq_workload::analytical::{analytical_workload, tables};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/translation.sql")
-}
-
-/// The Figure 6 harness's widths (`hyperq_bench::bench_spec()`: five
-/// tables of 500 metric columns, seed 2016) with few rows.
-fn wide_spec() -> WorkloadSpec {
-    WorkloadSpec { tables: 5, metrics: 500, rows: 16, key_cardinality: 16, seed: 2016 }
 }
 
 /// Translate `statements` in one session and append one record each:
@@ -73,10 +71,16 @@ fn translations() -> String {
     let analytical: Vec<&str> = analytical.iter().map(String::as_str).collect();
     record(&mut out, "analytical", &mut wide, &analytical);
     record(&mut out, "wide_adhoc", &mut wide, WIDE_ADHOC);
+    let mut unpruned = SessionConfig::default();
+    unpruned.xform.column_pruning = false;
+    let mut unpruned = HyperQSession::with_direct_config(&db, unpruned);
+    record(&mut out, "analytical unpruned", &mut unpruned, &analytical[9..10]);
 
     let mut taq = arms::session(&fixture(), SessionConfig::default());
     record(&mut out, "oracle", &mut taq, ORACLE);
     record(&mut out, "taq", &mut taq, TAQ_SHAPES);
+    record(&mut out, "join", &mut taq, JOIN_SHAPES);
+    record(&mut out, "join error", &mut taq, JOIN_ERROR_PROBES);
     out
 }
 
