@@ -10,14 +10,16 @@
 //! Each `ColumnVec` stores one typed vector (the natural machine
 //! representation of a Q/PG column) plus a [`Validity`] bitmap marking
 //! NULL slots; null slots hold an arbitrary placeholder in the data
-//! vector and must never be read as values. Columns whose cells mix
-//! storage classes at runtime (the executor is dynamically typed, so
-//! `CASE WHEN b THEN 1 ELSE 1.5 END` yields `Int` and `Float` cells in
-//! one column) fall back to the [`ColumnVec::Cells`] escape hatch so
-//! that `from_rows` → `to_rows` is exactly lossless.
+//! vector and must never be read as values. The vector's storage class
+//! is its declared type's ([`PgType::class`]) — an `integer` column is
+//! an `Int` vector, a `double precision` one a `Float` vector, NULL-only
+//! columns included — and [`Batch::new`] checks that in debug builds.
+//! Cells that are not of the declared class are refused where a column
+//! is built ([`ColumnVec::from_cells`]), except integers, which widen
+//! into a float column.
 
 use crate::key::CellKey;
-use crate::types::{Cell, Column, PgType, Rows};
+use crate::types::{Cell, Class, ClassMismatch, Column, PgType, Rows};
 
 /// NULL bitmap for one column: bit `i` set ⇒ slot `i` is NULL.
 ///
@@ -137,49 +139,8 @@ impl Validity {
     }
 }
 
-/// Storage class of one runtime cell — the typed-vector variant it
-/// belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Bool,
-    Int,
-    Float,
-    Text,
-    Date,
-    Time,
-    Timestamp,
-}
-
-impl Kind {
-    fn of(cell: &Cell) -> Option<Kind> {
-        Some(match cell {
-            Cell::Null => return None,
-            Cell::Bool(_) => Kind::Bool,
-            Cell::Int(_) => Kind::Int,
-            Cell::Float(_) => Kind::Float,
-            Cell::Text(_) => Kind::Text,
-            Cell::Date(_) => Kind::Date,
-            Cell::Time(_) => Kind::Time,
-            Cell::Timestamp(_) => Kind::Timestamp,
-        })
-    }
-
-    /// The storage class a declared SQL type naturally maps to — used
-    /// for empty and all-NULL columns, where no runtime cell pins it.
-    fn for_type(ty: PgType) -> Kind {
-        match ty {
-            PgType::Bool => Kind::Bool,
-            PgType::Int2 | PgType::Int4 | PgType::Int8 => Kind::Int,
-            PgType::Float4 | PgType::Float8 => Kind::Float,
-            PgType::Varchar | PgType::Text => Kind::Text,
-            PgType::Date => Kind::Date,
-            PgType::Time => Kind::Time,
-            PgType::Timestamp => Kind::Timestamp,
-        }
-    }
-}
-
-/// One typed column vector with a validity bitmap.
+/// One typed column vector with a validity bitmap: the storage of one
+/// [`Class`].
 ///
 /// Integers unify to `i64` and floats to `f64` exactly like [`Cell`];
 /// the temporal variants keep the translation stack's conventions
@@ -200,49 +161,24 @@ pub enum ColumnVec {
     Time(Vec<i64>, Validity),
     /// Microseconds since 2000-01-01 00:00.
     Timestamp(Vec<i64>, Validity),
-    /// Escape hatch: a column whose runtime cells mix storage classes
-    /// (the executor is dynamically typed). Kept row-identical so that
-    /// batch↔row conversion is exactly lossless.
-    Cells(Vec<Cell>),
 }
 
 impl ColumnVec {
-    /// An empty column of the storage class natural to `ty`.
+    /// An empty column of `ty`'s storage class.
     pub fn empty(ty: PgType) -> ColumnVec {
-        ColumnVec::from_cells(ty, Vec::new())
+        ColumnVec::nulls(ty, 0)
     }
 
     /// A column of `n` NULLs.
     pub fn nulls(ty: PgType, n: usize) -> ColumnVec {
-        let mut v = Validity::all_valid(n);
-        for i in 0..n {
-            v.set_null(i);
-        }
-        match Kind::for_type(ty) {
-            Kind::Bool => ColumnVec::Bool(vec![false; n], v),
-            Kind::Int => ColumnVec::Int(vec![0; n], v),
-            Kind::Float => ColumnVec::Float(vec![0.0; n], v),
-            Kind::Text => ColumnVec::Text(vec![String::new(); n], v),
-            Kind::Date => ColumnVec::Date(vec![0; n], v),
-            Kind::Time => ColumnVec::Time(vec![0; n], v),
-            Kind::Timestamp => ColumnVec::Timestamp(vec![0; n], v),
-        }
+        ColumnVec::from_cells(ty, vec![Cell::Null; n]).expect("every type holds NULL")
     }
 
-    /// Build from runtime cells. Picks the typed variant when every
-    /// non-NULL cell shares one storage class (declared `ty` decides
-    /// for empty/all-NULL columns); mixed columns keep the cells as-is.
-    pub fn from_cells(ty: PgType, cells: Vec<Cell>) -> ColumnVec {
-        let mut kind = None;
-        for c in &cells {
-            match (kind, Kind::of(c)) {
-                (_, None) => {}
-                (None, Some(k)) => kind = Some(k),
-                (Some(k0), Some(k)) if k0 == k => {}
-                _ => return ColumnVec::Cells(cells),
-            }
-        }
-        let kind = kind.unwrap_or_else(|| Kind::for_type(ty));
+    /// Build a column of `ty` from runtime cells: each cell as
+    /// [`Cell::into_class`] has it (NULLs and same-class cells kept,
+    /// integers widened into a float column), the first cell of any
+    /// other class a [`ClassMismatch`].
+    pub fn from_cells(ty: PgType, cells: Vec<Cell>) -> Result<ColumnVec, ClassMismatch> {
         let n = cells.len();
         let mut validity = Validity::all_valid(n);
         macro_rules! build {
@@ -251,50 +187,74 @@ impl ColumnVec {
                 for (i, c) in cells.into_iter().enumerate() {
                     match c {
                         $pat => data.push($val),
-                        _ => {
+                        Cell::Null => {
                             validity.set_null(i);
                             data.push($placeholder);
                         }
+                        other => match other.into_class(ty)? {
+                            $pat => data.push($val),
+                            widened => unreachable!("{widened:?} is not of {ty:?}'s class"),
+                        },
                     }
                 }
                 ColumnVec::$variant(data, validity)
             }};
         }
-        match kind {
-            Kind::Bool => build!(Bool, false, Cell::Bool(b) => b),
-            Kind::Int => build!(Int, 0, Cell::Int(v) => v),
-            Kind::Float => build!(Float, 0.0, Cell::Float(v) => v),
-            Kind::Text => build!(Text, String::new(), Cell::Text(s) => s),
-            Kind::Date => build!(Date, 0, Cell::Date(d) => d),
-            Kind::Time => build!(Time, 0, Cell::Time(t) => t),
-            Kind::Timestamp => build!(Timestamp, 0, Cell::Timestamp(t) => t),
+        Ok(match ty.class() {
+            Class::Bool => build!(Bool, false, Cell::Bool(b) => b),
+            Class::Int => build!(Int, 0, Cell::Int(v) => v),
+            Class::Float => build!(Float, 0.0, Cell::Float(v) => v),
+            Class::Text => build!(Text, String::new(), Cell::Text(s) => s),
+            Class::Date => build!(Date, 0, Cell::Date(d) => d),
+            Class::Time => build!(Time, 0, Cell::Time(t) => t),
+            Class::Timestamp => build!(Timestamp, 0, Cell::Timestamp(t) => t),
+        })
+    }
+
+    /// Storage class.
+    pub fn class(&self) -> Class {
+        match self {
+            ColumnVec::Bool(..) => Class::Bool,
+            ColumnVec::Int(..) => Class::Int,
+            ColumnVec::Float(..) => Class::Float,
+            ColumnVec::Text(..) => Class::Text,
+            ColumnVec::Date(..) => Class::Date,
+            ColumnVec::Time(..) => Class::Time,
+            ColumnVec::Timestamp(..) => Class::Timestamp,
         }
     }
 
-    /// `n` copies of one cell.
-    pub fn broadcast(cell: &Cell, n: usize) -> ColumnVec {
-        match cell {
-            Cell::Null => ColumnVec::Cells(vec![Cell::Null; n]),
-            Cell::Bool(b) => ColumnVec::Bool(vec![*b; n], Validity::all_valid(n)),
-            Cell::Int(v) => ColumnVec::Int(vec![*v; n], Validity::all_valid(n)),
-            Cell::Float(v) => ColumnVec::Float(vec![*v; n], Validity::all_valid(n)),
-            Cell::Text(s) => ColumnVec::Text(vec![s.clone(); n], Validity::all_valid(n)),
-            Cell::Date(d) => ColumnVec::Date(vec![*d; n], Validity::all_valid(n)),
-            Cell::Time(t) => ColumnVec::Time(vec![*t; n], Validity::all_valid(n)),
-            Cell::Timestamp(t) => ColumnVec::Timestamp(vec![*t; n], Validity::all_valid(n)),
+    /// `n` copies of one cell, as a column of `ty` (zero copies of any
+    /// cell are the empty column).
+    pub fn broadcast(ty: PgType, cell: &Cell, n: usize) -> Result<ColumnVec, ClassMismatch> {
+        ColumnVec::from_cells(ty, vec![cell.clone(); n])
+    }
+
+    /// This column as a column of `ty`, by [`ColumnVec::from_cells`]'s
+    /// rule: unchanged when the class is already `ty`'s.
+    pub fn into_class(self, ty: PgType) -> Result<ColumnVec, ClassMismatch> {
+        if self.class() == ty.class() {
+            return Ok(self);
+        }
+        ColumnVec::from_cells(ty, self.into_cells())
+    }
+
+    /// The validity bitmap.
+    pub fn validity(&self) -> &Validity {
+        match self {
+            ColumnVec::Bool(_, v)
+            | ColumnVec::Int(_, v)
+            | ColumnVec::Float(_, v)
+            | ColumnVec::Text(_, v)
+            | ColumnVec::Date(_, v)
+            | ColumnVec::Time(_, v)
+            | ColumnVec::Timestamp(_, v) => v,
         }
     }
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        match self {
-            ColumnVec::Bool(d, _) => d.len(),
-            ColumnVec::Int(d, _) | ColumnVec::Time(d, _) | ColumnVec::Timestamp(d, _) => d.len(),
-            ColumnVec::Float(d, _) => d.len(),
-            ColumnVec::Text(d, _) => d.len(),
-            ColumnVec::Date(d, _) => d.len(),
-            ColumnVec::Cells(d) => d.len(),
-        }
+        self.validity().len()
     }
 
     /// True when there are no slots.
@@ -304,71 +264,28 @@ impl ColumnVec {
 
     /// Is slot `i` NULL?
     pub fn is_null(&self, i: usize) -> bool {
-        match self {
-            ColumnVec::Bool(_, v)
-            | ColumnVec::Int(_, v)
-            | ColumnVec::Float(_, v)
-            | ColumnVec::Text(_, v)
-            | ColumnVec::Date(_, v)
-            | ColumnVec::Time(_, v)
-            | ColumnVec::Timestamp(_, v) => v.is_null(i),
-            ColumnVec::Cells(d) => d[i].is_null(),
-        }
+        self.validity().is_null(i)
     }
 
     /// The cell at slot `i` (clones text).
     pub fn cell_at(&self, i: usize) -> Cell {
+        macro_rules! at {
+            ($d:expr, $v:expr, $wrap:expr) => {
+                if $v.is_null(i) {
+                    Cell::Null
+                } else {
+                    $wrap($d[i].clone())
+                }
+            };
+        }
         match self {
-            ColumnVec::Bool(d, v) => {
-                if v.is_null(i) {
-                    Cell::Null
-                } else {
-                    Cell::Bool(d[i])
-                }
-            }
-            ColumnVec::Int(d, v) => {
-                if v.is_null(i) {
-                    Cell::Null
-                } else {
-                    Cell::Int(d[i])
-                }
-            }
-            ColumnVec::Float(d, v) => {
-                if v.is_null(i) {
-                    Cell::Null
-                } else {
-                    Cell::Float(d[i])
-                }
-            }
-            ColumnVec::Text(d, v) => {
-                if v.is_null(i) {
-                    Cell::Null
-                } else {
-                    Cell::Text(d[i].clone())
-                }
-            }
-            ColumnVec::Date(d, v) => {
-                if v.is_null(i) {
-                    Cell::Null
-                } else {
-                    Cell::Date(d[i])
-                }
-            }
-            ColumnVec::Time(d, v) => {
-                if v.is_null(i) {
-                    Cell::Null
-                } else {
-                    Cell::Time(d[i])
-                }
-            }
-            ColumnVec::Timestamp(d, v) => {
-                if v.is_null(i) {
-                    Cell::Null
-                } else {
-                    Cell::Timestamp(d[i])
-                }
-            }
-            ColumnVec::Cells(d) => d[i].clone(),
+            ColumnVec::Bool(d, v) => at!(d, v, Cell::Bool),
+            ColumnVec::Int(d, v) => at!(d, v, Cell::Int),
+            ColumnVec::Float(d, v) => at!(d, v, Cell::Float),
+            ColumnVec::Text(d, v) => at!(d, v, Cell::Text),
+            ColumnVec::Date(d, v) => at!(d, v, Cell::Date),
+            ColumnVec::Time(d, v) => at!(d, v, Cell::Time),
+            ColumnVec::Timestamp(d, v) => at!(d, v, Cell::Timestamp),
         }
     }
 
@@ -387,7 +304,6 @@ impl ColumnVec {
             ColumnVec::Date(d, v) => gather!(Date, d, v),
             ColumnVec::Time(d, v) => gather!(Time, d, v),
             ColumnVec::Timestamp(d, v) => gather!(Timestamp, d, v),
-            ColumnVec::Cells(d) => ColumnVec::Cells(idx.iter().map(|&i| d[i].clone()).collect()),
         }
     }
 
@@ -423,16 +339,12 @@ impl ColumnVec {
             ColumnVec::Date(d, v) => gather!(Date, d, v, 0),
             ColumnVec::Time(d, v) => gather!(Time, d, v, 0),
             ColumnVec::Timestamp(d, v) => gather!(Timestamp, d, v, 0),
-            ColumnVec::Cells(d) => ColumnVec::Cells(
-                idx.iter()
-                    .map(|m| m.map_or(Cell::Null, |i| d[i].clone()))
-                    .collect(),
-            ),
         }
     }
 
-    /// Concatenate `other` onto `self`; storage-class mismatch promotes
-    /// to [`ColumnVec::Cells`].
+    /// Concatenate `other` onto `self`; panics when the two are of
+    /// different storage classes (an executor invariant: both hold the
+    /// class of one declared type).
     pub fn append(&mut self, other: ColumnVec) {
         macro_rules! same {
             ($d:expr, $v:expr, $od:expr, $ov:expr) => {{
@@ -448,11 +360,8 @@ impl ColumnVec {
             (ColumnVec::Date(d, v), ColumnVec::Date(od, ov)) => same!(d, v, od, ov),
             (ColumnVec::Time(d, v), ColumnVec::Time(od, ov)) => same!(d, v, od, ov),
             (ColumnVec::Timestamp(d, v), ColumnVec::Timestamp(od, ov)) => same!(d, v, od, ov),
-            (ColumnVec::Cells(d), other) => d.extend(other.into_cells()),
             (this, other) => {
-                let mut cells = std::mem::replace(this, ColumnVec::Cells(Vec::new())).into_cells();
-                cells.extend(other.into_cells());
-                *this = ColumnVec::Cells(cells);
+                panic!("append of a {:?} column onto a {:?} column", other.class(), this.class())
             }
         }
     }
@@ -475,7 +384,6 @@ impl ColumnVec {
             ColumnVec::Date(d, v) => expand!(d, v, Cell::Date),
             ColumnVec::Time(d, v) => expand!(d, v, Cell::Time),
             ColumnVec::Timestamp(d, v) => expand!(d, v, Cell::Timestamp),
-            ColumnVec::Cells(d) => d,
         }
     }
 
@@ -504,23 +412,13 @@ impl ColumnVec {
                     CellKey::Int(d[i])
                 }
             }
-            ColumnVec::Cells(d) => CellKey::from_cell(&d[i]),
             other => CellKey::from_cell(&other.cell_at(i)),
         }
     }
 
     /// Number of NULL slots.
     pub fn null_cells(&self) -> usize {
-        match self {
-            ColumnVec::Bool(_, v)
-            | ColumnVec::Int(_, v)
-            | ColumnVec::Float(_, v)
-            | ColumnVec::Text(_, v)
-            | ColumnVec::Date(_, v)
-            | ColumnVec::Time(_, v)
-            | ColumnVec::Timestamp(_, v) => v.null_count(),
-            ColumnVec::Cells(d) => d.iter().filter(|c| c.is_null()).count(),
-        }
+        self.validity().null_count()
     }
 }
 
@@ -539,10 +437,20 @@ pub struct Batch {
 impl Batch {
     /// Assemble a batch; panics when a column's length disagrees with
     /// the stated row count (an executor invariant, not user input).
+    /// Debug builds also check the representation's invariant: each
+    /// column's storage class is its declared type's, NULL-only columns
+    /// included.
     pub fn new(schema: Vec<Column>, columns: Vec<ColumnVec>, rows: usize) -> Batch {
         assert_eq!(schema.len(), columns.len(), "schema/column arity mismatch");
         for (c, col) in schema.iter().zip(&columns) {
             assert_eq!(col.len(), rows, "column {} length disagrees with row count", c.name);
+            debug_assert_eq!(
+                col.class(),
+                c.ty.class(),
+                "column {} ({}) holds another storage class",
+                c.name,
+                c.ty.sql_name()
+            );
         }
         Batch { schema, columns, rows }
     }
@@ -575,8 +483,10 @@ impl Batch {
         self.schema.iter().position(|c| c.name == name)
     }
 
-    /// Transpose row-major data into a batch (lossless: mixed-class
-    /// columns keep their cells verbatim).
+    /// Transpose row-major data into a batch, each column built by
+    /// [`ColumnVec::from_cells`]. Panics on a cell that is not of its
+    /// column's declared class: rows handed over must respect their
+    /// schema (integers may stand in a float column).
     pub fn from_rows(rows: Rows) -> Batch {
         let ncols = rows.columns.len();
         let nrows = rows.data.len();
@@ -591,7 +501,11 @@ impl Batch {
             .columns
             .iter()
             .zip(cols)
-            .map(|(c, cells)| ColumnVec::from_cells(c.ty, cells))
+            .map(|(c, cells)| {
+                ColumnVec::from_cells(c.ty, cells).unwrap_or_else(|e| {
+                    panic!("rows that break their schema: column {}: {e}", c.name)
+                })
+            })
             .collect();
         Batch { schema: rows.columns, columns, rows: nrows }
     }
@@ -635,10 +549,9 @@ impl Batch {
         self.columns.iter().map(|c| c.key_at(i)).collect()
     }
 
-    /// Concatenate `other`'s rows onto `self` (set-operation append).
-    /// The left schema wins, exactly like the row-major executor, which
-    /// extends the left data vector; panics on arity mismatch (checked
-    /// by callers before this point).
+    /// Concatenate `other`'s rows onto `self`. The left schema wins;
+    /// panics on arity mismatch and on a column of another storage
+    /// class (callers bring both sides to one schema first).
     pub fn append(&mut self, other: Batch) {
         assert_eq!(self.columns.len(), other.columns.len(), "append arity mismatch");
         self.rows += other.rows;
@@ -720,14 +633,24 @@ mod tests {
     }
 
     #[test]
-    fn mixed_storage_classes_fall_back_to_cells() {
-        let r = rows(
-            vec![Column::new("a", PgType::Float8)],
-            vec![vec![Cell::Int(1)], vec![Cell::Float(1.5)]],
+    fn columns_build_into_the_declared_class() {
+        // Integers widen into a float column; NULLs stay NULL.
+        let cells = vec![Cell::Int(1), Cell::Null, Cell::Float(1.5)];
+        let col = ColumnVec::from_cells(PgType::Float8, cells).unwrap();
+        assert_eq!(col.to_cells(), vec![Cell::Float(1.0), Cell::Null, Cell::Float(1.5)]);
+        // Any other class is refused, naming both types.
+        let err = ColumnVec::from_cells(PgType::Int8, vec![Cell::Int(1), Cell::Text("x".into())]);
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "a varchar value cannot be stored in a bigint column"
         );
-        let b = Batch::from_rows(r.clone());
-        assert!(matches!(b.columns[0], ColumnVec::Cells(..)), "{:?}", b.columns[0]);
-        assert_eq!(b.to_rows(), r, "mixed column must round-trip verbatim");
+        assert!(ColumnVec::from_cells(PgType::Int4, vec![Cell::Float(0.5)]).is_err());
+        // A column already of the class is kept; NULL-only ones take any.
+        let ints = ColumnVec::from_cells(PgType::Int8, vec![Cell::Int(2)]).unwrap();
+        assert_eq!(ints.clone().into_class(PgType::Int4).unwrap(), ints);
+        assert_eq!(ints.into_class(PgType::Float8).unwrap().to_cells(), vec![Cell::Float(2.0)]);
+        let nulls = ColumnVec::nulls(PgType::Text, 2).into_class(PgType::Date).unwrap();
+        assert_eq!(nulls, ColumnVec::nulls(PgType::Date, 2));
     }
 
     #[test]
@@ -747,30 +670,32 @@ mod tests {
         let col = ColumnVec::from_cells(
             PgType::Int8,
             vec![Cell::Int(10), Cell::Null, Cell::Int(30)],
-        );
+        )
+        .unwrap();
         let t = col.take(&[2, 1, 2, 0]);
         assert_eq!(t.to_cells(), vec![Cell::Int(30), Cell::Null, Cell::Int(30), Cell::Int(10)]);
     }
 
     #[test]
     fn take_opt_pads_nulls() {
-        let col = ColumnVec::from_cells(PgType::Text, vec![Cell::Text("a".into())]);
+        let col = ColumnVec::from_cells(PgType::Text, vec![Cell::Text("a".into())]).unwrap();
         let t = col.take_opt(&[Some(0), None]);
         assert_eq!(t.to_cells(), vec![Cell::Text("a".into()), Cell::Null]);
     }
 
     #[test]
-    fn append_promotes_on_class_mismatch() {
-        let mut col = ColumnVec::from_cells(PgType::Int8, vec![Cell::Int(1)]);
-        col.append(ColumnVec::from_cells(PgType::Int8, vec![Cell::Int(2), Cell::Null]));
-        assert!(matches!(col, ColumnVec::Int(..)));
+    fn append_concatenates_one_class() {
+        let ints = |cells| ColumnVec::from_cells(PgType::Int8, cells).unwrap();
+        let mut col = ints(vec![Cell::Int(1)]);
+        col.append(ints(vec![Cell::Int(2), Cell::Null]));
         assert_eq!(col.to_cells(), vec![Cell::Int(1), Cell::Int(2), Cell::Null]);
-        col.append(ColumnVec::from_cells(PgType::Float8, vec![Cell::Float(0.5)]));
-        assert!(matches!(col, ColumnVec::Cells(..)));
-        assert_eq!(
-            col.to_cells(),
-            vec![Cell::Int(1), Cell::Int(2), Cell::Null, Cell::Float(0.5)]
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "append of a Float column onto a Int column")]
+    fn append_of_another_class_is_an_invariant_panic() {
+        let mut col = ColumnVec::from_cells(PgType::Int8, vec![Cell::Int(1)]).unwrap();
+        col.append(ColumnVec::from_cells(PgType::Float8, vec![Cell::Float(0.5)]).unwrap());
     }
 
     #[test]
@@ -806,9 +731,12 @@ mod tests {
 
     #[test]
     fn broadcast_builds_constant_columns() {
-        let c = ColumnVec::broadcast(&Cell::Int(7), 3);
+        let c = ColumnVec::broadcast(PgType::Int8, &Cell::Int(7), 3).unwrap();
         assert_eq!(c.to_cells(), vec![Cell::Int(7); 3]);
-        let n = ColumnVec::broadcast(&Cell::Null, 2);
-        assert_eq!(n.to_cells(), vec![Cell::Null, Cell::Null]);
+        let n = ColumnVec::broadcast(PgType::Date, &Cell::Null, 2).unwrap();
+        assert_eq!(n, ColumnVec::nulls(PgType::Date, 2));
+        let f = ColumnVec::broadcast(PgType::Float8, &Cell::Int(7), 1).unwrap();
+        assert_eq!(f.to_cells(), vec![Cell::Float(7.0)]);
+        assert!(ColumnVec::broadcast(PgType::Int8, &Cell::Float(0.5), 0).unwrap().is_empty());
     }
 }

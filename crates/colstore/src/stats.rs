@@ -278,13 +278,15 @@ mod tests {
             Column { name: "id".into(), ty: PgType::Int8 },
             Column { name: "sym".into(), ty: PgType::Varchar },
         ];
-        let idc = ColumnVec::from_cells(PgType::Int8, ids.iter().map(|v| Cell::Int(*v)).collect());
+        let id_cells = ids.iter().map(|v| Cell::Int(*v)).collect();
+        let idc = ColumnVec::from_cells(PgType::Int8, id_cells).unwrap();
         let symc = ColumnVec::from_cells(
             PgType::Varchar,
             syms.iter()
                 .map(|s| s.map(|t| Cell::Text(t.to_string())).unwrap_or(Cell::Null))
                 .collect(),
-        );
+        )
+        .unwrap();
         Batch::new(schema, vec![idc, symc], ids.len())
     }
 

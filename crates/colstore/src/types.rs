@@ -1,10 +1,10 @@
 //! Runtime value and type model for the SQL engine.
 //!
-//! Cells are dynamically typed at runtime (integers unify to `i64`,
-//! floats to `f64`); column metadata retains the declared SQL type for
-//! wire formatting and catalog queries. Temporal conventions match the
-//! translation stack: dates are days since 2000-01-01, times/timestamps
-//! are microseconds.
+//! A cell carries its storage [`Class`] (integers unify to `i64`, floats
+//! to `f64`); a column's declared SQL type names the class every one of
+//! its values has ([`PgType::class`]) and the width the wire and the
+//! catalog report. Temporal conventions match the translation stack:
+//! dates are days since 2000-01-01, times/timestamps are microseconds.
 
 use std::fmt::{self, Write as _};
 
@@ -78,7 +78,52 @@ impl PgType {
             PgType::Int2 | PgType::Int4 | PgType::Int8 | PgType::Float4 | PgType::Float8
         )
     }
+
+    /// The storage class every value of this type has.
+    pub fn class(self) -> Class {
+        match self {
+            PgType::Bool => Class::Bool,
+            PgType::Int2 | PgType::Int4 | PgType::Int8 => Class::Int,
+            PgType::Float4 | PgType::Float8 => Class::Float,
+            PgType::Varchar | PgType::Text => Class::Text,
+            PgType::Date => Class::Date,
+            PgType::Time => Class::Time,
+            PgType::Timestamp => Class::Timestamp,
+        }
+    }
 }
+
+/// Storage class: how a value is held — the [`Cell`] variant, and the
+/// typed vector of a column (`ColumnVec`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    Bool,
+    Int,
+    Float,
+    Text,
+    Date,
+    Time,
+    Timestamp,
+}
+
+/// A value whose storage class is not its column's: what building a
+/// column of a declared type refuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClassMismatch {
+    /// The column's declared type.
+    pub declared: PgType,
+    /// The value's natural type ([`Cell::natural_type`]).
+    pub found: PgType,
+}
+
+impl fmt::Display for ClassMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (found, declared) = (self.found.sql_name(), self.declared.sql_name());
+        write!(f, "a {found} value cannot be stored in a {declared} column")
+    }
+}
+
+impl std::error::Error for ClassMismatch {}
 
 /// A runtime value.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +150,23 @@ impl Cell {
     /// Is this NULL?
     pub fn is_null(&self) -> bool {
         matches!(self, Cell::Null)
+    }
+
+    /// Storage class; `None` for NULL, which every class holds.
+    pub fn class(&self) -> Option<Class> {
+        (!self.is_null()).then(|| self.natural_type().class())
+    }
+
+    /// This cell as a value of `ty`: NULL and cells of `ty`'s class as
+    /// they are, an integer widened into a float class, anything else a
+    /// [`ClassMismatch`].
+    pub fn into_class(self, ty: PgType) -> Result<Cell, ClassMismatch> {
+        match (self.class(), ty.class()) {
+            (None, _) => Ok(self),
+            (Some(c), want) if c == want => Ok(self),
+            (Some(Class::Int), Class::Float) => Ok(Cell::Float(self.as_f64().expect("an integer"))),
+            _ => Err(ClassMismatch { declared: ty, found: self.natural_type() }),
+        }
     }
 
     /// Numeric view.

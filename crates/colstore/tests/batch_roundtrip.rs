@@ -9,45 +9,32 @@
 use colstore::{Batch, Cell, CellKey, Column, ColumnVec, PgType, Rows};
 use proptest::prelude::*;
 
-fn arb_cell() -> impl Strategy<Value = Cell> {
-    prop_oneof![
-        Just(Cell::Null),
-        any::<bool>().prop_map(Cell::Bool),
-        any::<i64>().prop_map(Cell::Int),
-        (-1.0e12f64..1.0e12).prop_map(Cell::Float),
-        "[a-zA-Z0-9 ]{0,8}".prop_map(Cell::Text),
-        (-40000i32..40000).prop_map(Cell::Date),
-        (0i64..86_400_000_000).prop_map(Cell::Time),
-        any::<i64>().prop_map(Cell::Timestamp),
-    ]
+/// A cell of `ty`'s storage class, or NULL.
+fn cell_of(ty: PgType) -> BoxedStrategy<Cell> {
+    match ty {
+        PgType::Bool => prop_oneof![Just(Cell::Null), any::<bool>().prop_map(Cell::Bool)].boxed(),
+        PgType::Int2 | PgType::Int4 | PgType::Int8 => {
+            prop_oneof![Just(Cell::Null), any::<i64>().prop_map(Cell::Int)].boxed()
+        }
+        PgType::Float4 | PgType::Float8 => {
+            prop_oneof![Just(Cell::Null), (-1.0e12f64..1.0e12).prop_map(Cell::Float)].boxed()
+        }
+        PgType::Varchar | PgType::Text => {
+            prop_oneof![Just(Cell::Null), "[a-zA-Z0-9 ]{0,8}".prop_map(Cell::Text)].boxed()
+        }
+        PgType::Date => {
+            prop_oneof![Just(Cell::Null), (-40000i32..40000).prop_map(Cell::Date)].boxed()
+        }
+        PgType::Time => {
+            prop_oneof![Just(Cell::Null), (0i64..86_400_000_000).prop_map(Cell::Time)].boxed()
+        }
+        PgType::Timestamp => {
+            prop_oneof![Just(Cell::Null), any::<i64>().prop_map(Cell::Timestamp)].boxed()
+        }
+    }
 }
 
-/// One homogeneous typed column: the declared type plus cells that all
-/// belong to that type's storage class (or are NULL).
-fn arb_typed_column() -> impl Strategy<Value = (PgType, Vec<Cell>)> {
-    let cell_of = |ty: PgType| -> BoxedStrategy<Cell> {
-        match ty {
-            PgType::Bool => prop_oneof![Just(Cell::Null), any::<bool>().prop_map(Cell::Bool)].boxed(),
-            PgType::Int2 | PgType::Int4 | PgType::Int8 => {
-                prop_oneof![Just(Cell::Null), any::<i64>().prop_map(Cell::Int)].boxed()
-            }
-            PgType::Float4 | PgType::Float8 => {
-                prop_oneof![Just(Cell::Null), (-1.0e12f64..1.0e12).prop_map(Cell::Float)].boxed()
-            }
-            PgType::Varchar | PgType::Text => {
-                prop_oneof![Just(Cell::Null), "[a-z]{0,6}".prop_map(Cell::Text)].boxed()
-            }
-            PgType::Date => {
-                prop_oneof![Just(Cell::Null), (-40000i32..40000).prop_map(Cell::Date)].boxed()
-            }
-            PgType::Time => {
-                prop_oneof![Just(Cell::Null), (0i64..86_400_000_000).prop_map(Cell::Time)].boxed()
-            }
-            PgType::Timestamp => {
-                prop_oneof![Just(Cell::Null), any::<i64>().prop_map(Cell::Timestamp)].boxed()
-            }
-        }
-    };
+fn arb_type() -> impl Strategy<Value = PgType> {
     prop_oneof![
         Just(PgType::Bool),
         Just(PgType::Int2),
@@ -61,41 +48,45 @@ fn arb_typed_column() -> impl Strategy<Value = (PgType, Vec<Cell>)> {
         Just(PgType::Time),
         Just(PgType::Timestamp),
     ]
-    .prop_flat_map(move |ty| {
+}
+
+/// One homogeneous typed column: the declared type plus cells that all
+/// belong to that type's storage class (or are NULL).
+fn arb_typed_column() -> impl Strategy<Value = (PgType, Vec<Cell>)> {
+    arb_type().prop_flat_map(|ty| {
         proptest::collection::vec(cell_of(ty), 0..24).prop_map(move |cells| (ty, cells))
+    })
+}
+
+/// Rows that respect their schema: 1–4 columns of any types, 0–11 rows,
+/// each cell of its column's class or NULL.
+fn arb_rows() -> impl Strategy<Value = Rows> {
+    (1usize..5, 0usize..12).prop_flat_map(|(ncols, nrows)| {
+        let column = ("[a-z]{1,6}", arb_type()).prop_flat_map(move |(name, ty)| {
+            proptest::collection::vec(cell_of(ty), nrows)
+                .prop_map(move |cells| (Column::new(name.clone(), ty), cells))
+        });
+        proptest::collection::vec(column, ncols).prop_map(move |columns| {
+            let data =
+                (0..nrows).map(|i| columns.iter().map(|(_, c)| c[i].clone()).collect()).collect();
+            Rows { columns: columns.into_iter().map(|(c, _)| c).collect(), data }
+        })
     })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The batch is a lossless transpose: row-major in, row-major out.
-    /// Columns are mixed-class on purpose — those land in the `Cells`
-    /// fallback and must still hold their cells verbatim.
+    /// The batch is a lossless transpose of rows that respect their
+    /// schema: row-major in, row-major out, each column of its declared
+    /// class.
     #[test]
-    fn from_rows_to_rows_is_identity(
-        names in proptest::collection::vec("[a-z]{1,6}", 1..5),
-        nrows in 0usize..12,
-        seed_cells in proptest::collection::vec(arb_cell(), 0..60),
-    ) {
-        let ncols = names.len();
-        let columns: Vec<Column> =
-            names.iter().map(|n| Column::new(n.clone(), PgType::Text)).collect();
-        let data: Vec<Vec<Cell>> = (0..nrows)
-            .map(|i| {
-                (0..ncols)
-                    .map(|j| {
-                        seed_cells
-                            .get((i * ncols + j) % seed_cells.len().max(1))
-                            .cloned()
-                            .unwrap_or(Cell::Null)
-                    })
-                    .collect()
-            })
-            .collect();
-        let rows = Rows { columns, data };
+    fn from_rows_to_rows_is_identity(rows in arb_rows()) {
         let batch = Batch::from_rows(rows.clone());
-        prop_assert_eq!(batch.rows(), nrows);
+        prop_assert_eq!(batch.rows(), rows.len());
+        for (col, c) in batch.columns.iter().zip(&batch.schema) {
+            prop_assert_eq!(col.class(), c.ty.class());
+        }
         prop_assert_eq!(batch.to_rows(), rows.clone());
         prop_assert_eq!(batch.clone().into_rows(), rows);
     }
@@ -106,7 +97,7 @@ proptest! {
     #[test]
     fn typed_columns_round_trip_cells(col_spec in arb_typed_column()) {
         let (ty, cells) = col_spec;
-        let col = ColumnVec::from_cells(ty, cells.clone());
+        let col = ColumnVec::from_cells(ty, cells.clone()).unwrap();
         prop_assert_eq!(col.len(), cells.len());
         for (i, c) in cells.iter().enumerate() {
             prop_assert_eq!(&col.cell_at(i), c);
@@ -122,7 +113,7 @@ proptest! {
     #[test]
     fn structural_equality_survives_row_trip(col_spec in arb_typed_column()) {
         let (ty, cells) = col_spec;
-        let col = ColumnVec::from_cells(ty, cells.clone());
+        let col = ColumnVec::from_cells(ty, cells.clone()).unwrap();
         let batch = Batch::new(vec![Column::new("c", ty)], vec![col], cells.len());
         let rebuilt = Batch::from_rows(batch.to_rows());
         prop_assert!(batch.structurally_equal(&rebuilt));
@@ -150,7 +141,7 @@ fn empty_columns_round_trip_for_every_kind() {
         assert_eq!(col.len(), 0, "{ty:?}");
         assert!(col.is_empty(), "{ty:?}");
         assert_eq!(col.to_cells(), Vec::<Cell>::new(), "{ty:?}");
-        let again = ColumnVec::from_cells(ty, vec![]);
+        let again = ColumnVec::from_cells(ty, vec![]).unwrap();
         assert_eq!(again.len(), 0, "{ty:?}");
     }
 }
@@ -196,7 +187,8 @@ fn nan_cells_key_canonically() {
 
     // And a NaN-bearing float column still round-trips its validity:
     // NaN is a *value*, not a NULL.
-    let col = ColumnVec::from_cells(PgType::Float8, vec![Cell::Float(f64::NAN), Cell::Null]);
+    let col =
+        ColumnVec::from_cells(PgType::Float8, vec![Cell::Float(f64::NAN), Cell::Null]).unwrap();
     assert!(!col.is_null(0));
     assert!(col.is_null(1));
     match col.cell_at(0) {

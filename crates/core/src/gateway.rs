@@ -696,6 +696,51 @@ mod tests {
         server.detach();
     }
 
+    /// The shapes whose columns once mixed storage classes: the PG v3
+    /// gateway answers the batch the in-process engine does, declared as
+    /// PostgreSQL declares it and sent binary; a `bigint` branch beside a
+    /// `varchar` one fails alike both ways, and not over zero rows.
+    #[test]
+    fn column_types_agree_between_direct_and_wire_backends() {
+        use crate::backend::{Backend, DirectBackend};
+        let db = pgdb::Db::new();
+        let mut direct = DirectBackend::new(&db);
+        direct.execute_sql("CREATE TABLE t (x bigint, f double precision, s varchar)").unwrap();
+        direct.execute_sql("INSERT INTO t VALUES (1, 0.5, 'a'), (2, 1.5, 'b')").unwrap();
+        let server = PgServer::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let creds = Credentials { user: "x".into(), ..Default::default() };
+        let mut wire = PgWireBackend::connect(&server.addr.to_string(), &creds).unwrap();
+        let mut both = |sql: &str| {
+            let batch = |b: &mut dyn Backend| match b.execute_sql_batch(sql) {
+                Ok(Some(pgdb::BatchQueryResult::Batch(b))) => Ok(b),
+                Ok(other) => panic!("{sql}: {other:?}"),
+                Err(e) => Err(e.db.expect("a SQL error")),
+            };
+            (batch(&mut direct), batch(&mut wire))
+        };
+        for (sql, ty) in [
+            ("SELECT CASE WHEN x = 1 THEN NULL ELSE x END AS a FROM t", PgType::Int8),
+            ("SELECT coalesce(NULL, x) AS a FROM t", PgType::Int8),
+            ("SELECT CASE WHEN x = 1 THEN x ELSE f END AS a FROM t", PgType::Float8),
+            ("SELECT x AS a FROM t UNION ALL SELECT f AS a FROM t", PgType::Float8),
+            ("SELECT a FROM (VALUES (1), (2.5)) AS v(a)", PgType::Float8),
+        ] {
+            let (Ok(a), Ok(b)) = both(sql) else { panic!("{sql} failed") };
+            assert_eq!(a.schema[0].ty, ty, "{sql}");
+            assert_eq!((&a.schema, a.to_rows()), (&b.schema, b.to_rows()), "{sql}");
+            let formats = pgwire::rows::result_formats(&a, &[1]).unwrap();
+            assert_eq!(formats, vec![pgwire::messages::Format::Binary], "{sql}");
+        }
+        let mismatch = "SELECT CASE WHEN x = 1 THEN x ELSE s END AS a FROM t";
+        let (Err(a), Err(b)) = both(mismatch) else { panic!("{mismatch} succeeded") };
+        assert_eq!((a.code.as_str(), &a), ("42804", &b));
+        let (Ok(a), Ok(b)) = both(&format!("{mismatch} WHERE x > 5")) else {
+            panic!("zero rows failed")
+        };
+        assert_eq!((a.rows(), &a.schema), (0, &b.schema));
+        server.detach();
+    }
+
     /// A hand-rolled fake PG server speaking just enough of the
     /// protocol to misbehave on demand.
     fn fake_server_once(

@@ -11,7 +11,8 @@
 //! column's type).
 
 use algebrizer::ResultShape;
-use pgdb::{Batch, Cell, ColumnVec, PgType, Rows};
+use pgdb::{Batch, ColumnVec, PgType, Rows};
+use colstore::Validity;
 use qlang::value::{Dict, KeyedTable, Table, Value};
 use qlang::{QError, QResult};
 use std::sync::Arc;
@@ -25,107 +26,33 @@ fn zero_copy_counter() -> &'static Arc<obs::Counter> {
     COUNTER.get_or_init(|| obs::global_registry().counter("hyperq_pivot_zero_copy_total"))
 }
 
-/// The empty Q vector matching a SQL column type (so empty results stay
-/// typed, not generic lists).
-fn empty_vector(ty: PgType) -> Value {
-    match ty {
-        PgType::Bool => Value::Bools(vec![]),
-        PgType::Int2 => Value::Shorts(vec![]),
-        PgType::Int4 => Value::Ints(vec![]),
-        PgType::Int8 => Value::Longs(vec![]),
-        PgType::Float4 => Value::Reals(vec![]),
-        PgType::Float8 => Value::Floats(vec![]),
-        PgType::Varchar | PgType::Text => Value::Symbols(vec![]),
-        PgType::Date => Value::Dates(vec![]),
-        PgType::Time => Value::Times(vec![]),
-        PgType::Timestamp => Value::Timestamps(vec![]),
-    }
-}
-
 /// Turn one typed column into the matching Q vector, moving storage
 /// where the representations line up. Returns the value and whether the
 /// column's backing vector was reused (vs rebuilt element-wise).
 ///
-/// The stored class picks the Q type, the declared type its width
-/// (`int4`/`int2`/`float4` narrow, millisecond times rebuild), and null
+/// The declared type picks the Q type — the column holds its class, so
+/// an empty result is a typed empty vector — and the width
+/// (`int4`/`int2`/`float4` narrow, millisecond times rebuild); null
 /// slots become that Q type's null, patched in place on moved storage.
 fn column_to_value(col: ColumnVec, ty: PgType) -> (Value, bool) {
-    if col.is_empty() {
-        return (empty_vector(ty), false);
-    }
     match col {
-        ColumnVec::Bool(mut d, v) => {
-            for (i, slot) in d.iter_mut().enumerate() {
-                if v.is_null(i) {
-                    *slot = false;
-                }
-            }
-            (Value::Bools(d), true)
-        }
+        ColumnVec::Bool(d, v) => (Value::Bools(patched(d, &v, false)), true),
         ColumnVec::Int(d, v) if ty == PgType::Int4 => {
-            let out = d
-                .iter()
-                .enumerate()
-                .map(|(i, x)| if v.is_null(i) { i32::MIN } else { *x as i32 })
-                .collect();
-            (Value::Ints(out), false)
+            (Value::Ints(rebuilt(&d, &v, i32::MIN, |x| *x as i32)), false)
         }
         ColumnVec::Int(d, v) if ty == PgType::Int2 => {
-            let out = d
-                .iter()
-                .enumerate()
-                .map(|(i, x)| if v.is_null(i) { i16::MIN } else { *x as i16 })
-                .collect();
-            (Value::Shorts(out), false)
+            (Value::Shorts(rebuilt(&d, &v, i16::MIN, |x| *x as i16)), false)
         }
-        ColumnVec::Int(mut d, v) => {
-            for (i, slot) in d.iter_mut().enumerate() {
-                if v.is_null(i) {
-                    *slot = i64::MIN;
-                }
-            }
-            (Value::Longs(d), true)
-        }
+        ColumnVec::Int(d, v) => (Value::Longs(patched(d, &v, i64::MIN)), true),
         ColumnVec::Float(d, v) if ty == PgType::Float4 => {
-            let out = d
-                .iter()
-                .enumerate()
-                .map(|(i, x)| if v.is_null(i) { f32::NAN } else { *x as f32 })
-                .collect();
-            (Value::Reals(out), false)
+            (Value::Reals(rebuilt(&d, &v, f32::NAN, |x| *x as f32)), false)
         }
-        ColumnVec::Float(mut d, v) => {
-            for (i, slot) in d.iter_mut().enumerate() {
-                if v.is_null(i) {
-                    *slot = f64::NAN;
-                }
-            }
-            (Value::Floats(d), true)
-        }
-        ColumnVec::Text(mut d, v) => {
-            for (i, slot) in d.iter_mut().enumerate() {
-                if v.is_null(i) {
-                    *slot = String::new();
-                }
-            }
-            (Value::Symbols(d), true)
-        }
-        ColumnVec::Date(mut d, v) => {
-            for (i, slot) in d.iter_mut().enumerate() {
-                if v.is_null(i) {
-                    *slot = i32::MIN;
-                }
-            }
-            (Value::Dates(d), true)
-        }
+        ColumnVec::Float(d, v) => (Value::Floats(patched(d, &v, f64::NAN)), true),
+        ColumnVec::Text(d, v) => (Value::Symbols(patched(d, &v, String::new())), true),
+        ColumnVec::Date(d, v) => (Value::Dates(patched(d, &v, i32::MIN)), true),
         // µs → ms (and i64 → i32): width changes, so rebuild.
         ColumnVec::Time(d, v) => {
-            let out = d
-                .iter()
-                .enumerate()
-                .map(|(i, us)| if v.is_null(i) { i32::MIN } else { (us / 1000) as i32 })
-                .collect();
-            (Value::Times(out), false)
+            (Value::Times(rebuilt(&d, &v, i32::MIN, |us| (us / 1000) as i32)), false)
         }
         // µs → ns in place on the moved storage.
         ColumnVec::Timestamp(mut d, v) => {
@@ -134,27 +61,22 @@ fn column_to_value(col: ColumnVec, ty: PgType) -> (Value, bool) {
             }
             (Value::Timestamps(d), true)
         }
-        ColumnVec::Cells(cells) => (cells_to_value(cells, ty), false),
     }
 }
 
-/// The executor's escape hatch. Cells of one class (or none: an all-NULL
-/// column) are that class's vector after all; a real mixture has no Q
-/// vector type of its own and reads as the widest thing it can all be —
-/// floats if every cell is numeric, symbols of the PG text otherwise.
-fn cells_to_value(cells: Vec<Cell>, ty: PgType) -> Value {
-    match ColumnVec::from_cells(ty, cells) {
-        ColumnVec::Cells(mixed) => {
-            let all_numeric =
-                mixed.iter().all(|c| c.is_null() || matches!(c, Cell::Int(_) | Cell::Float(_)));
-            if all_numeric {
-                Value::Floats(mixed.iter().map(|c| c.as_f64().unwrap_or(f64::NAN)).collect())
-            } else {
-                Value::Symbols(mixed.iter().map(|c| c.to_wire_text().unwrap_or_default()).collect())
-            }
+/// `d` with its NULL slots set to `null`, in place.
+fn patched<T: Clone>(mut d: Vec<T>, v: &Validity, null: T) -> Vec<T> {
+    for (i, slot) in d.iter_mut().enumerate() {
+        if v.is_null(i) {
+            *slot = null.clone();
         }
-        typed => column_to_value(typed, ty).0,
     }
+    d
+}
+
+/// `d` converted element by element, NULL slots as `null`.
+fn rebuilt<T, U: Copy>(d: &[T], v: &Validity, null: U, f: impl Fn(&T) -> U) -> Vec<U> {
+    d.iter().enumerate().map(|(i, x)| if v.is_null(i) { null } else { f(x) }).collect()
 }
 
 /// Pivot a columnar result into a Q table, stripping the implicit order
@@ -271,7 +193,7 @@ fn shape_value(mut full: Table, shape: ResultShape) -> QResult<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgdb::Column;
+    use pgdb::{Cell, Column};
 
     fn sample_rows() -> Rows {
         Rows {
@@ -427,48 +349,20 @@ mod tests {
         assert!(matches!(t.column("c").unwrap(), Value::Longs(_)));
     }
 
-    #[test]
-    fn untyped_cells_pivot_without_a_per_cell_route() {
-        let pivoted = |ty, cells: Vec<Cell>| {
-            let n = cells.len();
-            let batch = Batch::new(vec![Column::new("v", ty)], vec![ColumnVec::Cells(cells)], n);
-            pivot_batch(batch, ResultShape::Column).unwrap()
-        };
-        // One class after all: that class's vector, nulls as its null.
-        assert!(pivoted(PgType::Int8, vec![Cell::Int(1), Cell::Null])
-            .q_eq(&Value::Longs(vec![1, i64::MIN])));
-        // No class at all: the declared type decides.
-        assert!(pivoted(PgType::Date, vec![Cell::Null, Cell::Null])
-            .q_eq(&Value::Dates(vec![i32::MIN, i32::MIN])));
-        // A numeric mixture reads as floats, any other as symbols.
-        assert!(pivoted(PgType::Float8, vec![Cell::Int(1), Cell::Float(1.5)])
-            .q_eq(&Value::Floats(vec![1.0, 1.5])));
-        assert!(pivoted(PgType::Text, vec![Cell::Int(1), Cell::Text("x".into()), Cell::Null])
-            .q_eq(&Value::Symbols(vec!["1".into(), "x".into(), "".into()])));
-    }
-
-    /// A column whose storage class changes between chunks pivots as the
-    /// whole result does: typed Int rows then a mixed chunk are one
-    /// mixed column, which reads as symbols.
+    /// Chunks pivot as the whole result does.
     #[test]
     fn stream_pivot_is_the_pivot_of_the_appended_chunks() {
-        let schema = vec![Column::new("v", PgType::Int8)];
-        let ints = Batch::from_rows(Rows {
-            columns: schema.clone(),
-            data: vec![vec![Cell::Int(1)], vec![Cell::Int(2)]],
-        });
-        let mixed = Batch::new(
-            schema.clone(),
-            vec![ColumnVec::Cells(vec![Cell::Int(3), Cell::Text("x".into())])],
-            2,
-        );
+        let schema = vec![Column::new("v", PgType::Float8)];
+        let chunk = |data: Vec<Vec<Cell>>| Batch::from_rows(Rows { columns: schema.clone(), data });
+        let first = chunk(vec![vec![Cell::Float(1.5)], vec![Cell::Null]]);
+        let second = chunk(vec![vec![Cell::Int(3)]]);
         let mut pv = StreamPivot::new(&schema);
-        pv.push(ints.clone());
-        pv.push(mixed.clone());
-        let mut whole = ints;
-        whole.append(mixed);
+        pv.push(first.clone());
+        pv.push(second.clone());
+        let mut whole = first;
+        whole.append(second);
         let want = pivot_batch(whole, ResultShape::Column).unwrap();
-        assert!(want.q_eq(&Value::Symbols(vec!["1".into(), "2".into(), "3".into(), "x".into()])));
+        assert!(want.q_eq(&Value::Floats(vec![1.5, f64::NAN, 3.0])));
         let got = pv.finish(ResultShape::Column).unwrap();
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }

@@ -8,8 +8,14 @@
 //! because recovery feeds this module bytes that may have been torn or
 //! bit-flipped by the storage layer (the chaos suite does exactly
 //! that on purpose).
+//!
+//! A column block holds one storage class, the one its column's declared
+//! type names. Data written before that was the rule can hold a block
+//! of cells of mixed classes (tag 7) or of another class than its
+//! declared type; [`settle`] says how such a column reads, and the
+//! decoded schema's type follows it.
 
-use colstore::types::{Cell, Column, PgType};
+use colstore::types::{Cell, Class, Column, PgType};
 use colstore::{Batch, ColumnVec, Validity};
 use std::fmt;
 
@@ -183,40 +189,7 @@ pub fn decode_schema(c: &mut Cursor) -> Result<Vec<Column>, CodecError> {
 
 // ---------------------------------------------------------------- cells
 
-fn encode_cell(out: &mut Vec<u8>, cell: &Cell) {
-    match cell {
-        Cell::Null => out.push(0),
-        Cell::Bool(b) => {
-            out.push(1);
-            out.push(*b as u8);
-        }
-        Cell::Int(v) => {
-            out.push(2);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Cell::Float(v) => {
-            out.push(3);
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        Cell::Text(s) => {
-            out.push(4);
-            put_string(out, s);
-        }
-        Cell::Date(d) => {
-            out.push(5);
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        Cell::Time(t) => {
-            out.push(6);
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-        Cell::Timestamp(t) => {
-            out.push(7);
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-    }
-}
-
+/// One cell of a tag-7 block (only such blocks hold cells).
 fn decode_cell(c: &mut Cursor) -> Result<Cell, CodecError> {
     Ok(match c.u8()? {
         0 => Cell::Null,
@@ -277,117 +250,115 @@ fn decode_validity(c: &mut Cursor, len: usize) -> Result<Validity, CodecError> {
 // -------------------------------------------------------------- columns
 
 fn encode_column(out: &mut Vec<u8>, col: &ColumnVec) {
+    // Tag, length, each element through `$put`, validity.
+    macro_rules! block {
+        ($tag:expr, $data:expr, $v:expr, |$x:ident| $put:expr) => {{
+            out.push($tag);
+            put_u64(out, $data.len() as u64);
+            for $x in $data {
+                $put;
+            }
+            encode_validity(out, $v);
+        }};
+    }
     match col {
-        ColumnVec::Bool(data, v) => {
-            out.push(0);
-            put_u64(out, data.len() as u64);
-            out.extend(data.iter().map(|b| *b as u8));
-            encode_validity(out, v);
+        ColumnVec::Bool(d, v) => block!(0, d, v, |x| out.push(*x as u8)),
+        ColumnVec::Int(d, v) => block!(1, d, v, |x| out.extend_from_slice(&x.to_le_bytes())),
+        ColumnVec::Float(d, v) => {
+            block!(2, d, v, |x| out.extend_from_slice(&x.to_bits().to_le_bytes()))
         }
-        ColumnVec::Int(data, v) => {
-            out.push(1);
-            put_u64(out, data.len() as u64);
-            for x in data {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            encode_validity(out, v);
-        }
-        ColumnVec::Float(data, v) => {
-            out.push(2);
-            put_u64(out, data.len() as u64);
-            for x in data {
-                out.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-            encode_validity(out, v);
-        }
-        ColumnVec::Text(data, v) => {
-            out.push(3);
-            put_u64(out, data.len() as u64);
-            for s in data {
-                put_string(out, s);
-            }
-            encode_validity(out, v);
-        }
-        ColumnVec::Date(data, v) => {
-            out.push(4);
-            put_u64(out, data.len() as u64);
-            for x in data {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            encode_validity(out, v);
-        }
-        ColumnVec::Time(data, v) => {
-            out.push(5);
-            put_u64(out, data.len() as u64);
-            for x in data {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            encode_validity(out, v);
-        }
-        ColumnVec::Timestamp(data, v) => {
-            out.push(6);
-            put_u64(out, data.len() as u64);
-            for x in data {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            encode_validity(out, v);
-        }
-        ColumnVec::Cells(cells) => {
-            out.push(7);
-            put_u64(out, cells.len() as u64);
-            for cell in cells {
-                encode_cell(out, cell);
-            }
+        ColumnVec::Text(d, v) => block!(3, d, v, |x| put_string(out, x)),
+        ColumnVec::Date(d, v) => block!(4, d, v, |x| out.extend_from_slice(&x.to_le_bytes())),
+        ColumnVec::Time(d, v) => block!(5, d, v, |x| out.extend_from_slice(&x.to_le_bytes())),
+        ColumnVec::Timestamp(d, v) => {
+            block!(6, d, v, |x| out.extend_from_slice(&x.to_le_bytes()))
         }
     }
 }
 
-fn decode_column(c: &mut Cursor) -> Result<ColumnVec, CodecError> {
+/// How cells written before every column held its declared type's class
+/// read, and the type their column is then declared: one class, or all
+/// NULL, is that class's vector (of `col`'s type when the class is its,
+/// else of the class's natural type); numbers only are `double
+/// precision`; any other mixture is `varchar` holding each cell's PG
+/// text.
+pub fn settle(col: &mut Column, cells: Vec<Cell>) -> ColumnVec {
+    let mut classes = cells.iter().filter_map(Cell::class);
+    let first = classes.next();
+    let numbers = |c: Class| matches!(c, Class::Int | Class::Float);
+    let ty = match first {
+        None => col.ty,
+        Some(k) if classes.clone().all(|c| c == k) => {
+            if k == col.ty.class() {
+                col.ty
+            } else {
+                cells.iter().find(|c| !c.is_null()).expect("a cell of class k").natural_type()
+            }
+        }
+        Some(k) if numbers(k) && classes.all(numbers) => PgType::Float8,
+        Some(_) => {
+            col.ty = PgType::Varchar;
+            let text = cells.into_iter().map(|c| c.to_wire_text().map_or(Cell::Null, Cell::Text));
+            return ColumnVec::from_cells(PgType::Varchar, text.collect()).expect("text cells");
+        }
+    };
+    col.ty = ty;
+    ColumnVec::from_cells(ty, cells).expect("cells of one class, or numbers into a float")
+}
+
+/// Append `add`'s rows to `table` on replay. Where a column's decoded
+/// class differs from the insert's (data written before every column
+/// held its declared type's class), the table's columns read, with the
+/// rows they gain, by [`settle`].
+pub fn append_settled(table: &mut Batch, add: Batch) {
+    if table.columns.iter().zip(&add.columns).all(|(a, b)| a.class() == b.class()) {
+        return table.append(add);
+    }
+    let rows = table.rows() + add.rows();
+    let mut schema = std::mem::take(&mut table.schema);
+    let pairs = std::mem::take(&mut table.columns).into_iter().zip(add.columns);
+    let columns = pairs
+        .zip(&mut schema)
+        .map(|((a, b), c)| settle(c, a.into_cells().into_iter().chain(b.into_cells()).collect()))
+        .collect();
+    *table = Batch::new(schema, columns, rows);
+}
+
+/// Decode one column block of the column `col`, whose type follows what
+/// the block holds ([`settle`]).
+fn decode_column(c: &mut Cursor, col: &mut Column) -> Result<ColumnVec, CodecError> {
     let tag = c.u8()?;
     let declared = c.u64()?;
-    Ok(match tag {
+    // `n` elements of at least `$width` bytes each through `c.$read()`,
+    // then the validity.
+    macro_rules! block {
+        ($variant:ident, $width:expr, $read:ident) => {{
+            let n = c.checked_len(declared, $width)?;
+            let data = (0..n).map(|_| c.$read()).collect::<Result<_, _>>()?;
+            ColumnVec::$variant(data, decode_validity(c, n)?)
+        }};
+    }
+    let block = match tag {
         0 => {
             let n = c.checked_len(declared, 1)?;
             let data = c.take(n)?.iter().map(|b| *b != 0).collect();
             ColumnVec::Bool(data, decode_validity(c, n)?)
         }
-        1 => {
-            let n = c.checked_len(declared, 8)?;
-            let data = (0..n).map(|_| c.i64()).collect::<Result<_, _>>()?;
-            ColumnVec::Int(data, decode_validity(c, n)?)
-        }
-        2 => {
-            let n = c.checked_len(declared, 8)?;
-            let data = (0..n).map(|_| c.f64()).collect::<Result<_, _>>()?;
-            ColumnVec::Float(data, decode_validity(c, n)?)
-        }
-        3 => {
-            let n = c.checked_len(declared, 4)?;
-            let data = (0..n).map(|_| c.string()).collect::<Result<_, _>>()?;
-            ColumnVec::Text(data, decode_validity(c, n)?)
-        }
-        4 => {
-            let n = c.checked_len(declared, 4)?;
-            let data = (0..n).map(|_| c.i32()).collect::<Result<_, _>>()?;
-            ColumnVec::Date(data, decode_validity(c, n)?)
-        }
-        5 => {
-            let n = c.checked_len(declared, 8)?;
-            let data = (0..n).map(|_| c.i64()).collect::<Result<_, _>>()?;
-            ColumnVec::Time(data, decode_validity(c, n)?)
-        }
-        6 => {
-            let n = c.checked_len(declared, 8)?;
-            let data = (0..n).map(|_| c.i64()).collect::<Result<_, _>>()?;
-            ColumnVec::Timestamp(data, decode_validity(c, n)?)
-        }
+        1 => block!(Int, 8, i64),
+        2 => block!(Float, 8, f64),
+        3 => block!(Text, 4, string),
+        4 => block!(Date, 4, i32),
+        5 => block!(Time, 8, i64),
+        6 => block!(Timestamp, 8, i64),
         7 => {
             let n = c.checked_len(declared, 1)?;
             let cells = (0..n).map(|_| decode_cell(c)).collect::<Result<_, _>>()?;
-            ColumnVec::Cells(cells)
+            return Ok(settle(col, cells));
         }
         other => return err(format!("unknown ColumnVec tag {other}")),
-    })
+    };
+    // A typed block of another class than its column's reads as cells.
+    Ok(if block.class() == col.ty.class() { block } else { settle(col, block.into_cells()) })
 }
 
 // -------------------------------------------------------------- batches
@@ -402,12 +373,12 @@ pub fn encode_batch(out: &mut Vec<u8>, batch: &Batch) {
 }
 
 pub fn decode_batch(c: &mut Cursor) -> Result<Batch, CodecError> {
-    let schema = decode_schema(c)?;
+    let mut schema = decode_schema(c)?;
     let rows = usize::try_from(c.u64()?)
         .map_err(|_| CodecError("row count overflows usize".into()))?;
     let mut columns = Vec::with_capacity(schema.len());
-    for _ in 0..schema.len() {
-        let col = decode_column(c)?;
+    for def in &mut schema {
+        let col = decode_column(c, def)?;
         if col.len() != rows {
             return err(format!("column of {} rows in a {rows}-row batch", col.len()));
         }
@@ -422,8 +393,10 @@ pub fn encode_column_block(out: &mut Vec<u8>, col: &ColumnVec) {
     encode_column(out, col);
 }
 
-pub fn decode_column_block(c: &mut Cursor) -> Result<ColumnVec, CodecError> {
-    decode_column(c)
+/// Decode the block of column `col`, its type following the block
+/// ([`settle`]).
+pub fn decode_column_block(c: &mut Cursor, col: &mut Column) -> Result<ColumnVec, CodecError> {
+    decode_column(c, col)
 }
 
 #[cfg(test)]
@@ -452,7 +425,6 @@ mod tests {
                 Column::new("d", PgType::Date),
                 Column::new("tm", PgType::Time),
                 Column::new("ts", PgType::Timestamp),
-                Column::new("mixed", PgType::Text),
             ],
             vec![
                 ColumnVec::Bool(vec![true, false], v2.clone()),
@@ -462,7 +434,6 @@ mod tests {
                 ColumnVec::Date(vec![-1, 6021], v2.clone()),
                 ColumnVec::Time(vec![0, 86_399_999_999], v2.clone()),
                 ColumnVec::Timestamp(vec![i64::MIN / 2, 1], v2),
-                ColumnVec::Cells(vec![Cell::Int(1), Cell::Text("x".into())]),
             ],
             2,
         );
@@ -476,6 +447,77 @@ mod tests {
             }
             _ => panic!("float column changed variant"),
         }
+    }
+
+    /// A tag-7 block of `cells`, as the encoder once wrote one.
+    fn tag_7(cells: &[Cell]) -> Vec<u8> {
+        let mut out = vec![7];
+        put_u64(&mut out, cells.len() as u64);
+        for cell in cells {
+            match cell {
+                Cell::Null => out.push(0),
+                Cell::Int(v) => out.extend([&[2][..], &v.to_le_bytes()].concat()),
+                Cell::Float(v) => out.extend([&[3][..], &v.to_bits().to_le_bytes()].concat()),
+                Cell::Text(s) => {
+                    out.push(4);
+                    put_string(&mut out, s);
+                }
+                other => unreachable!("{other:?}"),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn tag_7_blocks_decode_by_the_mixture_rule() {
+        let read = |ty: PgType, cells: &[Cell]| {
+            let mut col = Column::new("c", ty);
+            let block = tag_7(cells);
+            let got = decode_column(&mut Cursor::new(&block), &mut col).unwrap();
+            (col.ty, got.to_cells())
+        };
+        let (one, x) = (Cell::Int(1), Cell::Text("x".into()));
+        // One class: that class's vector, of the class's type if the
+        // declared one has another.
+        let one_null = vec![one.clone(), Cell::Null];
+        assert_eq!(read(PgType::Int4, &one_null), (PgType::Int4, one_null.clone()));
+        let text = vec![x.clone()];
+        assert_eq!(read(PgType::Date, &text), (PgType::Varchar, text.clone()));
+        // All NULL: the declared type.
+        let nulls = vec![Cell::Null; 2];
+        assert_eq!(read(PgType::Date, &nulls), (PgType::Date, nulls.clone()));
+        // Numbers only: double precision.
+        let floats = vec![Cell::Float(1.0), Cell::Null, Cell::Float(1.5)];
+        let numbers = [one.clone(), Cell::Null, Cell::Float(1.5)];
+        assert_eq!(read(PgType::Int8, &numbers), (PgType::Float8, floats));
+        // Anything else: varchar of each cell's PG text.
+        let texts = vec![Cell::Text("1".into()), x.clone(), Cell::Null];
+        assert_eq!(read(PgType::Int8, &[one.clone(), x, Cell::Null]), (PgType::Varchar, texts));
+        // A typed block of another class than declared follows the block.
+        let mut col = Column::new("c", PgType::Float8);
+        let mut block = Vec::new();
+        encode_column(&mut block, &ColumnVec::Int(vec![3], Validity::all_valid(1)));
+        let got = decode_column(&mut Cursor::new(&block), &mut col).unwrap();
+        assert_eq!((col.ty, got.to_cells()), (PgType::Int8, vec![Cell::Int(3)]));
+    }
+
+    /// Replay appends an insert of the declared class onto a table
+    /// whose old block read as another: the two read as one by the rule.
+    #[test]
+    fn replayed_inserts_meet_old_blocks_by_the_mixture_rule() {
+        let mut table = Batch::new(
+            vec![Column::new("a", PgType::Float8)],
+            vec![ColumnVec::Float(vec![1.5], Validity::all_valid(1))],
+            1,
+        );
+        let insert = Batch::new(
+            vec![Column::new("a", PgType::Int8)],
+            vec![ColumnVec::Int(vec![2], Validity::all_valid(1))],
+            1,
+        );
+        append_settled(&mut table, insert);
+        assert_eq!(table.schema[0].ty, PgType::Float8);
+        assert_eq!(table.columns[0].to_cells(), vec![Cell::Float(1.5), Cell::Float(2.0)]);
     }
 
     #[test]
@@ -508,6 +550,6 @@ mod tests {
         buf.push(3u8); // Text tag
         put_u64(&mut buf, 1u64 << 60);
         let mut c = Cursor::new(&buf);
-        assert!(decode_column(&mut c).is_err());
+        assert!(decode_column(&mut c, &mut Column::new("t", PgType::Text)).is_err());
     }
 }

@@ -175,7 +175,7 @@ fn apply_record(
                 .entry(table)
                 .or_insert_with(|| TableStats::empty(&t.schema))
                 .observe_batch(&batch);
-            t.append(batch);
+            codec::append_settled(t, batch);
         }
         wal::WalRecord::DropTable { name } => {
             stats.remove(&name);

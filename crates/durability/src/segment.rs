@@ -119,7 +119,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(String, Batch), DurError> {
     let mut schema = Vec::with_capacity(ncols);
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let col = codec::decode_column_def(&mut f)?;
+        let mut col = codec::decode_column_def(&mut f)?;
         let offset = usize::try_from(f.u64()?).map_err(|_| corrupt("offset overflows"))?;
         let len = usize::try_from(f.u64()?).map_err(|_| corrupt("length overflows"))?;
         let end = offset.checked_add(len).ok_or_else(|| corrupt("offset+length overflows"))?;
@@ -127,7 +127,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(String, Batch), DurError> {
             return Err(corrupt("column block outside body"));
         }
         let mut c = Cursor::new(&body[offset..end]);
-        let vec = codec::decode_column_block(&mut c)?;
+        let vec = codec::decode_column_block(&mut c, &mut col)?;
         if !c.is_done() {
             return Err(corrupt("column block has trailing bytes"));
         }

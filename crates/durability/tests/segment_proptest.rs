@@ -1,8 +1,8 @@
 //! Property tests for the segment codec (DESIGN §13): arbitrary batches
 //! — every `ColumnVec` storage class, typed nulls, empty columns, NaN
-//! payloads, the mixed-class `Cells` fallback — round-trip through the
-//! segment byte image, and corruption (bit flips, truncation) is a
-//! typed [`DurError::Corrupt`], never a panic and never silent data.
+//! payloads — round-trip through the segment byte image, and corruption
+//! (bit flips, truncation) is a typed [`DurError::Corrupt`], never a
+//! panic and never silent data.
 //!
 //! NaN is safe to include in the generators here because comparison is
 //! `Batch::structurally_equal` (cell *keys*, which canonicalize NaN),
@@ -13,20 +13,6 @@ use colstore::{Batch, ColumnVec, Validity};
 use durability::segment::{decode_segment, segment_bytes};
 use durability::DurError;
 use proptest::prelude::*;
-
-/// Any cell of any storage class (for the `Cells` fallback column).
-fn arb_cell() -> impl Strategy<Value = Cell> {
-    prop_oneof![
-        Just(Cell::Null),
-        any::<bool>().prop_map(Cell::Bool),
-        any::<i64>().prop_map(Cell::Int),
-        any::<i64>().prop_map(|b| Cell::Float(f64::from_bits(b as u64))),
-        "[a-zA-Z0-9 ]{0,8}".prop_map(Cell::Text),
-        (-40000i32..40000).prop_map(Cell::Date),
-        (0i64..86_400_000_000).prop_map(Cell::Time),
-        any::<i64>().prop_map(Cell::Timestamp),
-    ]
-}
 
 /// A cell belonging to `ty`'s storage class, or NULL. Floats draw from
 /// raw bit patterns, so NaN and -0.0 payloads are generated.
@@ -73,22 +59,13 @@ fn arb_type() -> impl Strategy<Value = PgType> {
 }
 
 /// A whole batch: 1–4 columns sharing one row count (0–12 rows, so the
-/// empty batch is generated too). Roughly one column in four is forced
-/// onto the mixed-class `Cells` fallback.
+/// empty batch is generated too).
 fn arb_batch() -> impl Strategy<Value = Batch> {
     (0usize..12, 1usize..4).prop_flat_map(|(nrows, ncols)| {
-        let col = (arb_type(), any::<bool>(), any::<bool>()).prop_flat_map(
-            move |(ty, mixed, force_cells)| {
-                let elem = if mixed && force_cells { arb_cell().boxed() } else { cell_of(ty) };
-                proptest::collection::vec(elem, nrows).prop_map(move |cells| {
-                    if mixed && force_cells {
-                        (ty, ColumnVec::Cells(cells))
-                    } else {
-                        (ty, ColumnVec::from_cells(ty, cells))
-                    }
-                })
-            },
-        );
+        let col = arb_type().prop_flat_map(move |ty| {
+            proptest::collection::vec(cell_of(ty), nrows)
+                .prop_map(move |cells| (ty, ColumnVec::from_cells(ty, cells).unwrap()))
+        });
         proptest::collection::vec(col, ncols).prop_map(move |cols| {
             let schema: Vec<Column> = cols
                 .iter()

@@ -57,6 +57,14 @@ impl DbError {
     }
 }
 
+/// `42804` datatype mismatch: a row produced a value its column's
+/// declared type cannot hold.
+impl From<colstore::ClassMismatch> for DbError {
+    fn from(e: colstore::ClassMismatch) -> Self {
+        DbError { code: "42804".into(), message: e.to_string() }
+    }
+}
+
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}] {}", self.code, self.message)
@@ -526,6 +534,7 @@ fn append_in_place(batch: &mut Arc<Batch>, add: Batch) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::PgType;
 
     fn rows(r: QueryResult) -> Rows {
         match r {
@@ -1056,5 +1065,195 @@ mod tests {
         );
         assert_eq!(r.data[1][0], Cell::Float(0.0));
         assert_eq!(r.data[0][0], Cell::Float(100.0));
+    }
+
+    /// `t(x bigint, f double precision, s varchar)`: one row with x = 1,
+    /// one with x = 2.
+    fn mixed() -> Session {
+        let mut s = Db::new().session();
+        s.execute("CREATE TABLE t (x bigint, f double precision, s varchar)").unwrap();
+        s.execute("INSERT INTO t VALUES (1, 0.5, 'a'), (2, 1.5, 'b')").unwrap();
+        s
+    }
+
+    /// The shapes that once built a column of another storage class than
+    /// its declared type: each is declared as PostgreSQL declares it,
+    /// and holds that type's class.
+    #[test]
+    fn mixed_shapes_take_postgres_types() {
+        let mut s = mixed();
+        for (sql, ty, want) in [
+            (
+                "SELECT CASE WHEN x = 1 THEN NULL ELSE x END AS a FROM t",
+                PgType::Int8,
+                vec![Cell::Null, Cell::Int(2)],
+            ),
+            (
+                "SELECT coalesce(NULL, x) AS a FROM t",
+                PgType::Int8,
+                vec![Cell::Int(1), Cell::Int(2)],
+            ),
+            (
+                "SELECT CASE WHEN x = 1 THEN x ELSE f END AS a FROM t",
+                PgType::Float8,
+                vec![Cell::Float(1.0), Cell::Float(1.5)],
+            ),
+            (
+                "SELECT x AS a FROM t UNION ALL SELECT f AS a FROM t",
+                PgType::Float8,
+                vec![Cell::Float(1.0), Cell::Float(2.0), Cell::Float(0.5), Cell::Float(1.5)],
+            ),
+            (
+                "SELECT a FROM (VALUES (1), (2.5)) AS v(a)",
+                PgType::Float8,
+                vec![Cell::Float(1.0), Cell::Float(2.5)],
+            ),
+        ] {
+            let BatchQueryResult::Batch(b) = s.execute_batch(sql).unwrap() else { panic!("{sql}") };
+            assert_eq!(b.schema[0].ty, ty, "{sql}");
+            assert_eq!(b.columns[0].class(), ty.class(), "{sql}");
+            assert_eq!(b.columns[0].to_cells(), want, "{sql}");
+        }
+    }
+
+    /// A `bigint` branch beside a `varchar` one has no common type: a row
+    /// that yields the `varchar` fails the statement, and no row, no
+    /// failure.
+    #[test]
+    fn a_value_its_column_cannot_hold_fails_only_the_rows_that_yield_it() {
+        let mut s = mixed();
+        let sql =
+            |filter: &str| format!("SELECT CASE WHEN x = 1 THEN x ELSE s END AS a FROM t{filter}");
+        let err = s.execute(&sql("")).unwrap_err();
+        assert_eq!(
+            err,
+            DbError {
+                code: "42804".into(),
+                message: "a varchar value cannot be stored in a bigint column".into()
+            }
+        );
+        let r = rows(s.execute(&sql(" WHERE x = 1")).unwrap());
+        assert_eq!((r.columns[0].ty, r.data.clone()), (PgType::Int8, vec![vec![Cell::Int(1)]]));
+        let r = rows(s.execute(&sql(" WHERE x > 5")).unwrap());
+        assert_eq!((r.columns[0].ty, r.len()), (PgType::Int8, 0));
+    }
+
+    #[test]
+    fn create_table_as_stores_the_resolved_type() {
+        let mut s = mixed();
+        let ctas = "CREATE TABLE m AS SELECT CASE WHEN x = 1 THEN x ELSE f END AS a FROM t";
+        s.execute(ctas).unwrap();
+        let stored = s.db().get_table_snapshot("m").unwrap();
+        assert_eq!(stored.columns()[0].ty, PgType::Float8);
+        assert_eq!(stored.batch.columns[0].to_cells(), vec![Cell::Float(1.0), Cell::Float(1.5)]);
+    }
+
+    /// Column blocks of mixed cells (tag 7), as data written before
+    /// every column held its declared type's class stored them, read back
+    /// from a checkpoint segment and from a WAL `PutTable` record: one
+    /// class is that class, all NULL the declared type, integers and
+    /// floats `double precision`, any other mixture `varchar` text.
+    #[test]
+    fn old_mixed_blocks_read_after_reopen() {
+        use durability::{checkpoint, codec, crc, segment, wal};
+        let dir = std::env::temp_dir().join(format!("hq-engine-old-blocks-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = durability::Options::new(&dir);
+        let schema: Vec<Column> = [
+            ("one", PgType::Int8),
+            ("nul", PgType::Date),
+            ("num", PgType::Int8),
+            ("mix", PgType::Int8),
+        ]
+        .iter()
+        .map(|(n, ty)| Column::new(*n, *ty))
+        .collect();
+        let cells = [
+            vec![Cell::Int(1), Cell::Null],
+            vec![Cell::Null, Cell::Null],
+            vec![Cell::Int(1), Cell::Float(1.5)],
+            vec![Cell::Int(1), Cell::Text("x".into())],
+        ];
+        let blocks: Vec<Vec<u8>> = cells
+            .iter()
+            .map(|col| {
+                let mut b = vec![7u8];
+                codec::put_u64(&mut b, col.len() as u64);
+                for cell in col {
+                    match cell {
+                        Cell::Null => b.push(0),
+                        Cell::Int(v) => b.extend([&[2u8][..], &v.to_le_bytes()].concat()),
+                        Cell::Float(v) => {
+                            b.extend([&[3u8][..], &v.to_bits().to_le_bytes()].concat())
+                        }
+                        Cell::Text(t) => {
+                            b.push(4);
+                            codec::put_string(&mut b, t);
+                        }
+                        other => unreachable!("{other:?}"),
+                    }
+                }
+                b
+            })
+            .collect();
+
+        // A checkpoint at lsn 1 holding `c`, its segment's blocks tag 7.
+        let placeholder = Batch::empty(schema.clone());
+        let tables = [("c".to_string(), Arc::new(placeholder))];
+        let checkpoints = dir.join("checkpoints");
+        checkpoint::write_checkpoint(&checkpoints, 1, &tables, &HashMap::new()).unwrap();
+        let mut seg = Vec::new();
+        let mut footer = 1u16.to_le_bytes().to_vec();
+        codec::put_string(&mut footer, "c");
+        codec::put_u64(&mut footer, 2);
+        codec::put_u32(&mut footer, schema.len() as u32);
+        for (col, block) in schema.iter().zip(&blocks) {
+            codec::encode_column_def(&mut footer, col);
+            codec::put_u64(&mut footer, seg.len() as u64);
+            codec::put_u64(&mut footer, block.len() as u64);
+            seg.extend_from_slice(block);
+        }
+        seg.extend_from_slice(&footer);
+        codec::put_u32(&mut seg, footer.len() as u32);
+        let sum = crc::crc32(&seg);
+        codec::put_u32(&mut seg, sum);
+        seg.extend_from_slice(segment::SEGMENT_MAGIC);
+        let cp = checkpoints.join(checkpoint::checkpoint_dir_name(1));
+        std::fs::write(cp.join("000000.seg"), seg).unwrap();
+
+        // A WAL record at lsn 2 putting `w`, its batch's blocks tag 7.
+        let mut payload = vec![3u8];
+        codec::put_string(&mut payload, "w");
+        codec::encode_schema(&mut payload, &schema);
+        codec::put_u64(&mut payload, 2);
+        blocks.iter().for_each(|b| payload.extend_from_slice(b));
+        let mut body = 2u64.to_le_bytes().to_vec();
+        body.extend_from_slice(&payload);
+        let mut frame = Vec::new();
+        codec::put_u32(&mut frame, body.len() as u32);
+        codec::put_u32(&mut frame, crc::crc32(&body));
+        frame.extend_from_slice(&body);
+        std::fs::create_dir_all(dir.join("wal")).unwrap();
+        std::fs::write(dir.join("wal").join(wal::wal_file_name(2)), frame).unwrap();
+
+        let db = Db::open(&opts).unwrap();
+        let mut s = db.session();
+        for table in ["c", "w"] {
+            let got = rows(s.execute(&format!("SELECT one, nul, num, mix FROM {table}")).unwrap());
+            let types: Vec<PgType> = got.columns.iter().map(|c| c.ty).collect();
+            let want = [PgType::Int8, PgType::Date, PgType::Float8, PgType::Varchar];
+            assert_eq!(types, want, "{table}");
+            assert_eq!(
+                got.data,
+                vec![
+                    vec![Cell::Int(1), Cell::Null, Cell::Float(1.0), Cell::Text("1".into())],
+                    vec![Cell::Null, Cell::Null, Cell::Float(1.5), Cell::Text("x".into())],
+                ],
+                "{table}"
+            );
+        }
+        drop(s);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

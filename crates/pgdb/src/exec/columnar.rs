@@ -22,12 +22,13 @@ use super::vector::{
     self, eval_column, eval_row, eval_val, referenced_columns, Ctx, Rows, View,
 };
 use super::{
-    collect_windows, fold_cells, output_schema, resolve_where, select_items, substitute_nodes,
-    EquiPair, Interval, JoinShape, TableSource,
+    block_types, bound_cols, collect_windows, fold_cells, output_schema, resolve_where,
+    select_items, set_op_types, substitute_nodes, values_batch, EquiPair, Interval, JoinShape,
+    TableSource,
 };
 use crate::engine::DbError;
 use crate::sql::ast::*;
-use crate::types::{Cell, Column, PgType};
+use crate::types::{Cell, PgType};
 use colstore::{Batch, CellKey, ColumnVec, Validity};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -53,14 +54,6 @@ impl Deref for FrameCol {
             FrameCol::Owned(c) => c,
         }
     }
-}
-
-/// A schema's columns as seen through a table alias.
-fn bound_cols(schema: &[Column], qualifier: &str) -> Vec<BoundCol> {
-    schema
-        .iter()
-        .map(|c| BoundCol { qualifier: Some(qualifier.to_string()), name: c.name.clone(), ty: c.ty })
-        .collect()
 }
 
 /// Column-major intermediate result.
@@ -97,23 +90,6 @@ impl ColFrame {
     /// The column storage, as the evaluator takes it.
     pub(crate) fn refs(&self) -> Vec<&ColumnVec> {
         self.columns.iter().map(|c| &**c).collect()
-    }
-
-    /// Transpose row-major data into a frame (lossless).
-    fn from_parts(cols: Vec<BoundCol>, rows: Vec<Vec<Cell>>) -> ColFrame {
-        let len = rows.len();
-        let mut data: Vec<Vec<Cell>> = (0..cols.len()).map(|_| Vec::with_capacity(len)).collect();
-        for row in rows {
-            for (j, cell) in row.into_iter().enumerate() {
-                data[j].push(cell);
-            }
-        }
-        let columns = cols
-            .iter()
-            .zip(data)
-            .map(|(c, cells)| FrameCol::Owned(ColumnVec::from_cells(c.ty, cells)))
-            .collect();
-        ColFrame { cols, columns, len }
     }
 }
 
@@ -170,16 +146,22 @@ fn cross_check(src: &dyn TableSource, stmt: &SelectStmt, got: &Result<Batch, DbE
 }
 
 /// Execute a SELECT statement: its blocks, left-folded through their
-/// chained set operations (with an incremental `seen` key set).
+/// chained set operations (with an incremental `seen` key set). Each
+/// step's output columns are of the types the two sides resolve to
+/// ([`set_op_types`]); both sides take them before they meet.
 fn run_select_columnar(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch, DbError> {
     let mut out = run_block_batch(src, stmt)?;
     let mut cursor = &stmt.set_op;
     let mut seen: Option<HashSet<Vec<CellKey>>> = None;
+    let mut types = block_types(stmt, &out.schema);
     while let Some((op, rhs)) = cursor {
         let right = run_block_batch(src, rhs)?;
         if right.schema.len() != out.schema.len() {
             return Err(DbError::exec("set operation column count mismatch"));
         }
+        types = set_op_types(&types, &block_types(rhs, &right.schema));
+        out = retype(out, &types)?;
+        let right = retype(right, &types)?;
         match op {
             SetOp::UnionAll => {
                 out.append(right);
@@ -225,6 +207,18 @@ fn run_select_columnar(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Batch
         cursor = &rhs.set_op;
     }
     Ok(out)
+}
+
+/// `batch` with each column of `types` (an untyped one keeps its own).
+fn retype(mut batch: Batch, types: &[Option<PgType>]) -> Result<Batch, DbError> {
+    let rows = batch.rows();
+    let mut columns = Vec::with_capacity(types.len());
+    let columns_in = std::mem::take(&mut batch.columns);
+    for ((col, c), ty) in columns_in.into_iter().zip(&mut batch.schema).zip(types) {
+        c.ty = ty.unwrap_or(c.ty);
+        columns.push(col.into_class(c.ty)?);
+    }
+    Ok(Batch::new(batch.schema, columns, rows))
 }
 
 /// Execute one SELECT block (no set ops), column-major.
@@ -386,7 +380,7 @@ fn window_column(w: &SqlExpr, ctx: &Ctx<'_>) -> Result<ColumnVec, DbError> {
         Err(_) => {
             let cells: Result<Vec<Cell>, DbError> =
                 source.iter().map(|s| s.map_or(Ok(Cell::Null), |k| eval_row(arg, ctx, k))).collect();
-            Ok(ColumnVec::from_cells(ty, cells?))
+            Ok(ColumnVec::from_cells(ty, cells?)?)
         }
     }
 }
@@ -542,7 +536,7 @@ fn column_ids(view: &View<'_>, n: usize) -> (Vec<usize>, usize) {
 
 /// `e` in column form. A bare column stays borrowed.
 fn eval_view<'a>(e: &SqlExpr, ctx: &Ctx<'a>) -> Result<View<'a>, DbError> {
-    Ok(eval_val(e, ctx)?.into_view(ctx.rows.len(), derive_type(e, ctx.cols)))
+    eval_val(e, ctx)?.into_view(ctx.rows.len(), derive_type(e, ctx.cols))
 }
 
 /// The rows of `ctx` bucketed by the values of `keys` — GROUP BY's
@@ -699,7 +693,7 @@ fn aggregate_batch(stmt: &SelectStmt, ctx: &Ctx<'_>) -> Result<Batch, DbError> {
             Some(slot) => kept.iter().map(|&g| read(g, slot)).collect(),
             None => kept.iter().map(|&g| in_group(&e, g)).collect(),
         };
-        out_columns.push(ColumnVec::from_cells(column.ty, cells?));
+        out_columns.push(ColumnVec::from_cells(column.ty, cells?)?);
     }
     Ok(Batch::new(schema, out_columns, kept.len()))
 }
@@ -741,7 +735,7 @@ fn aggregate_group(call: &SqlExpr, ctx: &Ctx<'_>, group: &[usize]) -> Result<Cel
         _ => group,
     };
     let cells: Result<Vec<Cell>, DbError> = read.iter().map(|&k| eval_row(arg, ctx, k)).collect();
-    let col = ColumnVec::from_cells(derive_type(arg, ctx.cols), cells?);
+    let col = ColumnVec::from_cells(derive_type(arg, ctx.cols), cells?)?;
     let all: Vec<usize> = (0..read.len()).collect();
     fold_group(name, distinct, &View { col: Cow::Owned(col), rows: Rows::All(read.len()) }, &all)
 }
@@ -1140,28 +1134,7 @@ fn eval_from_batch(src: &dyn TableSource, item: &FromItem) -> Result<ColFrame, D
             Ok(ColFrame::from_batch(run_select_batch(src, query)?, alias))
         }
         FromItem::Values { rows, alias, columns } => {
-            let mut data = Vec::with_capacity(rows.len());
-            for r in rows {
-                let mut row = Vec::with_capacity(r.len());
-                for e in r {
-                    row.push(eval(e, &[], &[])?);
-                }
-                data.push(row);
-            }
-            let width = data.first().map(|r| r.len()).unwrap_or(columns.len());
-            let mut cols = Vec::with_capacity(width);
-            for i in 0..width {
-                let name =
-                    columns.get(i).cloned().unwrap_or_else(|| format!("column{}", i + 1));
-                let ty = data
-                    .iter()
-                    .map(|r| &r[i])
-                    .find(|c| !c.is_null())
-                    .map(|c| c.natural_type())
-                    .unwrap_or(PgType::Text);
-                cols.push(BoundCol { qualifier: Some(alias.clone()), name, ty });
-            }
-            Ok(ColFrame::from_parts(cols, data))
+            Ok(ColFrame::from_batch(values_batch(rows, columns)?, alias))
         }
         FromItem::Join { kind, left, right, on } => {
             let l = eval_from_batch(src, left)?;
@@ -1206,6 +1179,7 @@ mod tests {
     use super::*;
     use crate::sql::ast::Stmt;
     use crate::sql::parse_statement;
+    use crate::types::Column;
 
     fn select(sql: &str) -> Batch {
         match parse_statement(sql).unwrap() {
@@ -1533,14 +1507,11 @@ mod tests {
                     .map(|r| {
                         vec![
                             int(r[0]),
-                            // One key, three storage classes: 1, 1.0 (the
-                            // same key as 1) and text.
-                            match r[1] {
-                                None => Cell::Null,
-                                Some(0) => Cell::Text("k".into()),
-                                Some(1) => Cell::Float(1.0),
-                                Some(v) => Cell::Int(v as i64 - 1),
-                            },
+                            // A float key: NaN (which groups with
+                            // itself), -0.0 and 0.0 (one key), 1.0.
+                            r[1].map_or(Cell::Null, |v| {
+                                Cell::Float([f64::NAN, -0.0, 0.0, 1.0][v as usize])
+                            }),
                             // x: -1..=2, zero included for `1 / x`.
                             r[2].map_or(Cell::Null, |v| Cell::Int(v as i64 - 1)),
                             r[3].map_or(Cell::Null, |v| Cell::Float(v as f64 / 2.0)),
@@ -1552,7 +1523,7 @@ mod tests {
                 let col = |n: &str, ty| Column::new(n, ty);
                 let t_columns = vec![
                     col("k1", PgType::Int8),
-                    col("k2", PgType::Int8),
+                    col("k2", PgType::Float8),
                     col("x", PgType::Int8),
                     col("v", PgType::Float8),
                     col("s", PgType::Varchar),
@@ -1565,7 +1536,7 @@ mod tests {
             }
 
             /// A window block: any of the six functions over 0–2
-            /// partition keys (NULL and mixed-class ones included) and
+            /// partition keys (NULL and NaN ones included) and
             /// an ORDER BY with ties and NULLs or none; the call bare,
             /// inside an expression, or twice; WHERE before it and
             /// ORDER BY / LIMIT / OFFSET after; alone or as a derived

@@ -9,6 +9,7 @@
 use crate::engine::DbError;
 use crate::sql::ast::{SqlBinOp, SqlExpr};
 use crate::types::{Cell, PgType};
+use colstore::Class;
 
 /// A bound column during execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,7 +22,9 @@ pub struct BoundCol {
     pub ty: PgType,
 }
 
-/// Resolve a column reference to an index in the frame.
+/// Resolve a column reference to an index in the frame. Inlined: the
+/// scalar evaluator resolves every reference of every row it evaluates.
+#[inline]
 pub fn resolve_column(
     cols: &[BoundCol],
     qualifier: Option<&str>,
@@ -99,21 +102,18 @@ where
             for a in args {
                 vals.push(eval_with(a, cols, read)?);
             }
-            scalar_function(name, &vals)
+            let v = scalar_function(name, &vals)?;
+            if is_resolving(name) {
+                return Ok(v.into_class(derive_type(expr, cols))?);
+            }
+            Ok(v)
         }
         SqlExpr::WindowFunc { .. } => {
             Err(DbError::exec("window function evaluated outside window context"))
         }
         SqlExpr::Case { branches, else_result } => {
-            for (cond, result) in branches {
-                if matches!(eval_with(cond, cols, read)?, Cell::Bool(true)) {
-                    return eval_with(result, cols, read);
-                }
-            }
-            match else_result {
-                Some(e) => eval_with(e, cols, read),
-                None => Ok(Cell::Null),
-            }
+            let v = eval_case(branches, else_result.as_deref(), cols, read)?;
+            Ok(v.into_class(derive_type(expr, cols))?)
         }
         SqlExpr::Cast { expr, ty } => {
             let v = eval_with(expr, cols, read)?;
@@ -144,6 +144,34 @@ where
             "subquery reached row evaluation unresolved (executor bug)",
         )),
     }
+}
+
+/// The value of the CASE branch that applies to one row, before it
+/// takes the CASE's type.
+pub(crate) fn eval_case<F>(
+    branches: &[(SqlExpr, SqlExpr)],
+    else_result: Option<&SqlExpr>,
+    cols: &[BoundCol],
+    read: &mut F,
+) -> Result<Cell, DbError>
+where
+    F: FnMut(usize) -> Result<Cell, DbError>,
+{
+    for (cond, result) in branches {
+        if matches!(eval_with(cond, cols, read)?, Cell::Bool(true)) {
+            return eval_with(result, cols, read);
+        }
+    }
+    match else_result {
+        Some(e) => eval_with(e, cols, read),
+        None => Ok(Cell::Null),
+    }
+}
+
+/// Functions whose value is one of their arguments: their type is the
+/// arguments' resolved by [`resolve_types`], and the value takes it.
+pub(crate) fn is_resolving(name: &str) -> bool {
+    matches!(name, "coalesce" | "greatest" | "least")
 }
 
 /// Kleene three-valued AND/OR.
@@ -477,9 +505,69 @@ pub fn scalar_function(name: &str, args: &[Cell]) -> Result<Cell, DbError> {
     }
 }
 
-/// Derive a reasonable output type for an expression (used for
-/// RowDescription and CTAS schemas).
+/// The one type-resolution rule: the type two values that share an
+/// output column resolve to — CASE branches, `coalesce`/`greatest`/
+/// `least` arguments, VALUES rows, set-operation blocks. Two types of one
+/// storage class resolve to the first; an integer beside a float to
+/// `double precision`; any other pair has none.
+pub fn common_type(a: PgType, b: PgType) -> Option<PgType> {
+    match (a.class(), b.class()) {
+        (x, y) if x == y => Some(a),
+        (Class::Int, Class::Float) | (Class::Float, Class::Int) => Some(PgType::Float8),
+        _ => None,
+    }
+}
+
+/// [`common_type`] over a sequence, in order. `None` stands for an untyped
+/// NULL, which takes the others' type; a pair without a common type keeps
+/// the type resolved so far, and a value that does not fit it is an error
+/// when a row produces one. Nothing but untyped NULLs: `None`.
+pub fn resolve_types(types: impl IntoIterator<Item = Option<PgType>>) -> Option<PgType> {
+    types.into_iter().fold(None, |acc, t| match (acc, t) {
+        (None, t) | (t, None) => t,
+        (Some(a), Some(b)) => Some(common_type(a, b).unwrap_or(a)),
+    })
+}
+
+/// `e`'s type for [`resolve_types`]: `None` for an untyped NULL literal.
+pub(crate) fn typed(e: &SqlExpr, cols: &[BoundCol]) -> Option<PgType> {
+    (!matches!(e, SqlExpr::Literal(Cell::Null))).then(|| derive_type(e, cols))
+}
+
+/// The type of `lhs op rhs` for an arithmetic operator: the class of the
+/// value the scalar kernel computes (`binary`). An untyped NULL operand
+/// takes the other side's type.
+fn arith_type(op: SqlBinOp, lhs: Option<PgType>, rhs: Option<PgType>) -> PgType {
+    use SqlBinOp::{Add, Sub};
+    let (l, r) = match (lhs, rhs) {
+        (Some(l), Some(r)) => (l, r),
+        (one, other) => return one.or(other).unwrap_or(PgType::Text),
+    };
+    let int = |t: PgType| matches!(t.class(), Class::Int | Class::Bool);
+    match (l.class(), r.class(), op) {
+        (Class::Date, Class::Int, Add | Sub) => PgType::Date,
+        (Class::Int, Class::Date, Add) => PgType::Date,
+        (Class::Timestamp, Class::Int, Add | Sub) => PgType::Timestamp,
+        (Class::Time, Class::Int, Add | Sub) => PgType::Time,
+        (Class::Date, Class::Date, Sub)
+        | (Class::Timestamp, Class::Timestamp, Sub)
+        | (Class::Time, Class::Time, Sub) => PgType::Int8,
+        // Operands no arithmetic accepts: the statement fails on its
+        // first row, and the type only names a column it never fills.
+        (Class::Text, _, _) => l,
+        (_, Class::Text, _) => r,
+        _ if int(l) && int(r) => PgType::Int8,
+        _ => PgType::Float8,
+    }
+}
+
+/// The type of an expression's values (RowDescription, CTAS schemas, the
+/// class of every column the executor builds). Each value an expression
+/// yields is of this type's class, or makes the statement fail.
 pub fn derive_type(expr: &SqlExpr, cols: &[BoundCol]) -> PgType {
+    let resolved = |exprs: &mut dyn Iterator<Item = &SqlExpr>| {
+        resolve_types(exprs.map(|e| typed(e, cols))).unwrap_or(PgType::Text)
+    };
     match expr {
         SqlExpr::Column { qualifier, name } => {
             resolve_column(cols, qualifier.as_deref(), name)
@@ -500,32 +588,7 @@ pub fn derive_type(expr: &SqlExpr, cols: &[BoundCol]) -> PgType {
             | SqlBinOp::IsDistinctFrom
             | SqlBinOp::Like => PgType::Bool,
             SqlBinOp::Concat => PgType::Text,
-            SqlBinOp::Div => {
-                let lt = derive_type(lhs, cols);
-                let rt = derive_type(rhs, cols);
-                if lt.is_numeric() && rt.is_numeric() {
-                    if lt == PgType::Int8 && rt == PgType::Int8 {
-                        PgType::Int8
-                    } else {
-                        PgType::Float8
-                    }
-                } else {
-                    PgType::Float8
-                }
-            }
-            _ => {
-                let lt = derive_type(lhs, cols);
-                let rt = derive_type(rhs, cols);
-                if lt == PgType::Float8 || rt == PgType::Float8 || lt == PgType::Float4 || rt == PgType::Float4 {
-                    PgType::Float8
-                } else if lt.is_numeric() && rt.is_numeric() {
-                    PgType::Int8
-                } else if !lt.is_numeric() {
-                    lt
-                } else {
-                    rt
-                }
-            }
+            _ => arith_type(*op, typed(lhs, cols), typed(rhs, cols)),
         },
         SqlExpr::Not(_)
         | SqlExpr::IsNull { .. }
@@ -538,17 +601,24 @@ pub fn derive_type(expr: &SqlExpr, cols: &[BoundCol]) -> PgType {
             | "var_pop" | "median" | "sqrt" | "exp" | "ln" | "round" => PgType::Float8,
             "floor" | "ceil" | "ceiling" | "sign" | "div" | "length" | "char_length" => PgType::Int8,
             "upper" | "lower" => PgType::Varchar,
+            "bool_and" | "bool_or" => PgType::Bool,
+            // `fold_cells`: integers (and booleans) sum to an integer,
+            // anything else to a float.
+            "sum" => match args.first().map(|a| derive_type(a, cols)) {
+                Some(t) if t.class() == Class::Int => t,
+                Some(PgType::Bool) => PgType::Int8,
+                _ => PgType::Float8,
+            },
+            name if is_resolving(name) => resolved(&mut args.iter()),
             _ => args.first().map(|a| derive_type(a, cols)).unwrap_or(PgType::Text),
         },
         SqlExpr::WindowFunc { name, args, .. } => match name.as_str() {
             "row_number" | "rank" => PgType::Int8,
             _ => args.first().map(|a| derive_type(a, cols)).unwrap_or(PgType::Int8),
         },
-        SqlExpr::Case { branches, else_result } => branches
-            .first()
-            .map(|(_, r)| derive_type(r, cols))
-            .or_else(|| else_result.as_ref().map(|e| derive_type(e, cols)))
-            .unwrap_or(PgType::Text),
+        SqlExpr::Case { branches, else_result } => {
+            resolved(&mut branches.iter().map(|(_, r)| r).chain(else_result.as_deref()))
+        }
         SqlExpr::Cast { ty, .. } => *ty,
         SqlExpr::Star => PgType::Int8,
     }

@@ -5,8 +5,9 @@
 //! row-major pipeline it replaced lives on in `oracle` as a testing
 //! instrument — compiled for tests and debug builds only, where every
 //! statement is cross-checked against it. This module holds what both
-//! share: the table source, expression-shape helpers, the aggregate
-//! folds and the join-shape analysis.
+//! share: the table source, expression-shape helpers, the typing of
+//! VALUES lists and set operations, the aggregate folds and the
+//! join-shape analysis.
 //!
 //! A statement executes on the thread that submits it: no operator
 //! spawns threads or splits its input (DESIGN §12). Parallelism across
@@ -29,9 +30,9 @@ pub use oracle::{
 
 use crate::engine::DbError;
 use crate::sql::ast::*;
-use crate::types::{Cell, Column, Rows};
-use colstore::Batch;
-use expr::{derive_type, BoundCol};
+use crate::types::{Cell, Column, PgType, Rows};
+use colstore::{Batch, ColumnVec};
+use expr::{derive_type, eval, resolve_types, BoundCol};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -190,6 +191,58 @@ pub(crate) fn output_schema(items: &[(Option<String>, SqlExpr)], cols: &[BoundCo
             Column::new(name, derive_type(e, cols))
         })
         .collect()
+}
+
+/// A schema's columns as seen through a table alias.
+pub(crate) fn bound_cols(schema: &[Column], qualifier: &str) -> Vec<BoundCol> {
+    schema
+        .iter()
+        .map(|c| BoundCol { qualifier: Some(qualifier.to_string()), name: c.name.clone(), ty: c.ty })
+        .collect()
+}
+
+/// A VALUES list, evaluated: each column of the type its values resolve
+/// to ([`resolve_types`], a NULL untyped).
+pub(crate) fn values_batch(rows: &[Vec<SqlExpr>], names: &[String]) -> Result<Batch, DbError> {
+    let width = rows.first().map_or(names.len(), Vec::len);
+    let mut cells: Vec<Vec<Cell>> = vec![Vec::with_capacity(rows.len()); width];
+    for r in rows {
+        for (j, e) in r.iter().enumerate() {
+            cells[j].push(eval(e, &[], &[])?);
+        }
+    }
+    let (mut schema, mut columns) = (Vec::with_capacity(width), Vec::with_capacity(width));
+    for (i, cells) in cells.into_iter().enumerate() {
+        let types = cells.iter().map(|c| (!c.is_null()).then(|| c.natural_type()));
+        let ty = resolve_types(types).unwrap_or(PgType::Text);
+        let name = names.get(i).cloned().unwrap_or_else(|| format!("column{}", i + 1));
+        schema.push(Column::new(name, ty));
+        columns.push(ColumnVec::from_cells(ty, cells)?);
+    }
+    Ok(Batch::new(schema, columns, rows.len()))
+}
+
+/// A set-operation block's output types for [`resolve_types`]: its
+/// schema's, `None` for a column it selects as an untyped NULL.
+pub(crate) fn block_types(stmt: &SelectStmt, schema: &[Column]) -> Vec<Option<PgType>> {
+    let untyped = |i: usize| {
+        let null = |item: &SelectItem| {
+            matches!(item, SelectItem::Expr { expr: SqlExpr::Literal(Cell::Null), .. })
+        };
+        stmt.items.iter().all(|item| matches!(item, SelectItem::Expr { .. }))
+            && stmt.items.get(i).is_some_and(null)
+    };
+    schema.iter().enumerate().map(|(i, c)| (!untyped(i)).then_some(c.ty)).collect()
+}
+
+/// A set operation's output types, column by column: the two sides'
+/// types ([`block_types`], or those resolved so far along a chain)
+/// resolved by [`resolve_types`].
+pub(crate) fn set_op_types(
+    left: &[Option<PgType>],
+    right: &[Option<PgType>],
+) -> Vec<Option<PgType>> {
+    left.iter().zip(right).map(|(l, r)| resolve_types([*l, *r])).collect()
 }
 
 fn default_output_name(e: &SqlExpr, i: usize) -> String {

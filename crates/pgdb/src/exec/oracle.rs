@@ -18,8 +18,8 @@ use super::columnar::nested_loop_join;
 use super::expr::{self, derive_type, eval, BoundCol};
 use super::key::{row_key, CellKey};
 use super::{
-    collect_windows, fold_cells, output_schema, reference, resolve_where, select_items,
-    substitute_nodes, EquiPair, JoinShape, TableSource,
+    block_types, bound_cols, collect_windows, fold_cells, output_schema, reference, resolve_where,
+    select_items, set_op_types, substitute_nodes, values_batch, EquiPair, JoinShape, TableSource,
 };
 use crate::engine::DbError;
 use crate::sql::ast::*;
@@ -46,11 +46,15 @@ pub fn run_select_rows(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Rows,
     // may reintroduce duplicates, which drops the set.
     let mut cursor = &stmt.set_op;
     let mut seen: Option<HashSet<Vec<CellKey>>> = None;
+    let mut types = block_types(stmt, &out.columns);
     while let Some((op, rhs)) = cursor {
-        let right = run_block(src, rhs)?;
+        let mut right = run_block(src, rhs)?;
         if right.columns.len() != out.columns.len() {
             return Err(DbError::exec("set operation column count mismatch"));
         }
+        types = set_op_types(&types, &block_types(rhs, &right.columns));
+        retype(&mut out, &types)?;
+        retype(&mut right, &types)?;
         match op {
             SetOp::UnionAll => {
                 out.data.extend(right.data);
@@ -91,6 +95,19 @@ pub fn run_select_rows(src: &dyn TableSource, stmt: &SelectStmt) -> Result<Rows,
         cursor = &rhs.set_op;
     }
     Ok(out)
+}
+
+/// `rows` with each column of `types` (an untyped one keeps its own).
+fn retype(rows: &mut Rows, types: &[Option<PgType>]) -> Result<(), DbError> {
+    for (c, ty) in rows.columns.iter_mut().zip(types) {
+        c.ty = ty.unwrap_or(c.ty);
+    }
+    for row in &mut rows.data {
+        for (cell, c) in row.iter_mut().zip(&rows.columns) {
+            *cell = std::mem::replace(cell, Cell::Null).into_class(c.ty)?;
+        }
+    }
+    Ok(())
 }
 
 /// Row equality under `IS NOT DISTINCT FROM` (NULLs equal).
@@ -423,18 +440,24 @@ fn eval_agg(e: &SqlExpr, frame: &Frame, group: &[usize]) -> Result<Cell, DbError
             for a in args {
                 vals.push(eval_agg(a, frame, group)?);
             }
-            expr::scalar_function(name, &vals)
+            let v = expr::scalar_function(name, &vals)?;
+            // Deliberate semantics change: `coalesce`/`greatest`/`least`
+            // and CASE take their resolved type, as in `expr::eval_with`.
+            if expr::is_resolving(name) {
+                return Ok(v.into_class(derive_type(e, &frame.cols))?);
+            }
+            Ok(v)
         }
         SqlExpr::Case { branches, else_result } => {
+            let mut chosen = else_result.as_deref();
             for (c, r) in branches {
                 if matches!(eval_agg(c, frame, group)?, Cell::Bool(true)) {
-                    return eval_agg(r, frame, group);
+                    chosen = Some(r);
+                    break;
                 }
             }
-            match else_result {
-                Some(e) => eval_agg(e, frame, group),
-                None => Ok(Cell::Null),
-            }
+            let v = chosen.map_or(Ok(Cell::Null), |r| eval_agg(r, frame, group))?;
+            Ok(v.into_class(derive_type(e, &frame.cols))?)
         }
         SqlExpr::Cast { expr: inner, ty } => {
             let v = eval_agg(inner, frame, group)?;
@@ -694,28 +717,8 @@ fn eval_from(src: &dyn TableSource, item: &FromItem) -> Result<Frame, DbError> {
             })
         }
         FromItem::Values { rows, alias, columns } => {
-            let mut data = Vec::with_capacity(rows.len());
-            for r in rows {
-                let mut row = Vec::with_capacity(r.len());
-                for e in r {
-                    row.push(eval(e, &[], &[])?);
-                }
-                data.push(row);
-            }
-            let width = data.first().map(|r| r.len()).unwrap_or(columns.len());
-            let mut cols = Vec::with_capacity(width);
-            for i in 0..width {
-                let name =
-                    columns.get(i).cloned().unwrap_or_else(|| format!("column{}", i + 1));
-                let ty = data
-                    .iter()
-                    .map(|r| &r[i])
-                    .find(|c| !c.is_null())
-                    .map(|c| c.natural_type())
-                    .unwrap_or(PgType::Text);
-                cols.push(BoundCol { qualifier: Some(alias.clone()), name, ty });
-            }
-            Ok(Frame { cols, rows: data })
+            let batch = values_batch(rows, columns)?;
+            Ok(Frame { cols: bound_cols(&batch.schema, alias), rows: batch.into_rows().data })
         }
         FromItem::Join { kind, left, right, on } => {
             let l = eval_from(src, left)?;

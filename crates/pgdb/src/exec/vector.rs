@@ -17,6 +17,13 @@
 //! kernels of [`expr`] per element, so values — and which statements
 //! fail — stay the row oracle's; `CASE`, `IN (list)` and the
 //! error-producing nodes evaluate row by row through [`eval_row`].
+//!
+//! A column the evaluator builds is of its expression's
+//! [`derive_type`]: the per-element path builds into that type's class,
+//! and `CASE`, `coalesce`, `greatest` and `least` — whose values come
+//! from operands of different types — take it as the scalar evaluator
+//! does, integers widening into a float type and any other mismatch an
+//! error for the row that produces it.
 
 use super::expr::{self, derive_type, kleene, resolve_column, BoundCol};
 use crate::engine::DbError;
@@ -134,39 +141,41 @@ impl<'a> Val<'a> {
         }
     }
 
-    /// Column form over `n` rows. A NULL scalar becomes `null_ty`-typed
-    /// NULLs, which is what building the column cell by cell yields.
-    pub(crate) fn into_view(self, n: usize, null_ty: PgType) -> View<'a> {
-        match self {
-            Val::Scalar(Cell::Null) => {
-                View { col: Cow::Owned(ColumnVec::nulls(null_ty, n)), rows: Rows::All(n) }
+    /// Column form over `n` rows, of `ty`'s storage class. A column of
+    /// that class stays borrowed.
+    pub(crate) fn into_view(self, n: usize, ty: PgType) -> Result<View<'a>, DbError> {
+        let col = match self {
+            Val::Scalar(c) => ColumnVec::broadcast(ty, &c, n)?,
+            Val::Col(c, rows) if c.class() == ty.class() => {
+                return Ok(View { col: Cow::Borrowed(c), rows });
             }
-            Val::Scalar(c) => {
-                View { col: Cow::Owned(ColumnVec::broadcast(&c, n)), rows: Rows::All(n) }
-            }
-            Val::Col(c, rows) => View { col: Cow::Borrowed(c), rows },
-            Val::Owned(c) => View { col: Cow::Owned(c), rows: Rows::All(n) },
-        }
+            // `coalesce` answers with its first argument, of its own class.
+            Val::Col(c, Rows::All(_)) => c.clone().into_class(ty)?,
+            Val::Col(c, Rows::Sel(idx)) => c.take(idx).into_class(ty)?,
+            Val::Owned(c) => c.into_class(ty)?,
+        };
+        Ok(View { col: Cow::Owned(col), rows: Rows::All(n) })
     }
 
-    /// An owned column of `n` slots — the one copy a projected column
-    /// pays (a gather when the rows are a selection).
-    pub(crate) fn into_column(self, n: usize, null_ty: PgType) -> ColumnVec {
-        let View { col, rows } = self.into_view(n, null_ty);
-        match (col, rows) {
+    /// An owned column of `n` slots, of `ty`'s storage class — the one
+    /// copy a projected column pays (a gather when the rows are a
+    /// selection).
+    pub(crate) fn into_column(self, n: usize, ty: PgType) -> Result<ColumnVec, DbError> {
+        let View { col, rows } = self.into_view(n, ty)?;
+        Ok(match (col, rows) {
             (Cow::Owned(c), _) => c,
             (Cow::Borrowed(c), Rows::All(len)) => {
                 debug_assert_eq!(c.len(), len, "Rows::All reads a column of another length");
                 c.clone()
             }
             (Cow::Borrowed(c), Rows::Sel(idx)) => c.take(idx),
-        }
+        })
     }
 }
 
 /// Evaluate `e` into an owned column over the context's rows.
 pub(crate) fn eval_column(e: &SqlExpr, ctx: &Ctx<'_>) -> Result<ColumnVec, DbError> {
-    Ok(eval_val(e, ctx)?.into_column(ctx.rows.len(), derive_type(e, ctx.cols)))
+    eval_val(e, ctx)?.into_column(ctx.rows.len(), derive_type(e, ctx.cols))
 }
 
 /// Evaluate `e` over `ctx`.
@@ -248,18 +257,20 @@ pub(crate) fn eval_val<'a>(e: &SqlExpr, ctx: &Ctx<'a>) -> Result<Val<'a>, DbErro
             for a in args {
                 vals.push(eval_val(a, ctx)?);
             }
+            let ty = derive_type(e, ctx.cols);
             if vals.iter().all(|v| matches!(v, Val::Scalar(_))) {
                 let cells: Vec<Cell> = vals.iter().map(|v| v.cell_at(0)).collect();
-                return fold(n, expr::scalar_function(name, &cells));
+                let v = expr::scalar_function(name, &cells);
+                return fold(n, v.and_then(|c| Ok(c.into_class(ty)?)));
             }
             if name == "coalesce" {
                 match coalesce(vals) {
-                    Ok(v) => return Ok(v),
+                    Ok(v) => return Ok(Val::Owned(v.into_column(n, ty)?)),
                     Err(back) => vals = back,
                 }
             }
             let mut buf: Vec<Cell> = Vec::with_capacity(vals.len());
-            per_row(n, derive_type(e, ctx.cols), |k| {
+            per_row(n, ty, |k| {
                 buf.clear();
                 buf.extend(vals.iter().map(|v| v.cell_at(k)));
                 expr::scalar_function(name, &buf)
@@ -270,7 +281,8 @@ pub(crate) fn eval_val<'a>(e: &SqlExpr, ctx: &Ctx<'a>) -> Result<Val<'a>, DbErro
             if let Val::Scalar(c) = &v {
                 return fold(n, expr::cast(c, *ty));
             }
-            if v.column().is_some_and(|(c, _)| cast_keeps_storage(c, *ty)) {
+            // A cast to the class the column already has changes no cell.
+            if v.column().is_some_and(|(c, _)| c.class() == ty.class()) {
                 return Ok(v);
             }
             per_row(n, *ty, |k| expr::cast(&v.cell_at(k), *ty))
@@ -285,6 +297,9 @@ pub(crate) fn eval_val<'a>(e: &SqlExpr, ctx: &Ctx<'a>) -> Result<Val<'a>, DbErro
         // CASE and IN (list) are lazy per row; Star/window/subquery
         // nodes and aggregate calls produce the scalar evaluator's own
         // errors. All evaluate row by row.
+        SqlExpr::Case { branches, else_result } => per_row(n, derive_type(e, ctx.cols), |k| {
+            expr::eval_case(branches, else_result.as_deref(), ctx.cols, &mut reader(ctx, k))
+        }),
         other => per_row(n, derive_type(other, ctx.cols), |k| eval_row(other, ctx, k)),
     }
 }
@@ -292,7 +307,12 @@ pub(crate) fn eval_val<'a>(e: &SqlExpr, ctx: &Ctx<'a>) -> Result<Val<'a>, DbErro
 /// `e` for logical row `k` alone, through the scalar evaluator: only
 /// the columns the evaluation reaches are read, straight from storage.
 pub(crate) fn eval_row(e: &SqlExpr, ctx: &Ctx<'_>, k: usize) -> Result<Cell, DbError> {
-    expr::eval_with(e, ctx.cols, &mut |c| Ok(ctx.columns[c].cell_at(ctx.rows_of(c).phys(k))))
+    expr::eval_with(e, ctx.cols, &mut reader(ctx, k))
+}
+
+/// Logical row `k`'s bound columns, as the scalar evaluator reads them.
+fn reader<'c>(ctx: &'c Ctx<'_>, k: usize) -> impl FnMut(usize) -> Result<Cell, DbError> + 'c {
+    move |c| Ok(ctx.columns[c].cell_at(ctx.rows_of(c).phys(k)))
 }
 
 /// A result computed once from scalar operands. An error counts only
@@ -306,7 +326,7 @@ fn fold<'a>(n: usize, result: Result<Cell, DbError>) -> Result<Val<'a>, DbError>
 }
 
 /// The per-element scalar path: `f(k)` for every logical row, collected
-/// into the storage class the cells call for.
+/// into a column of `ty`.
 fn per_row<'a>(
     n: usize,
     ty: PgType,
@@ -316,7 +336,7 @@ fn per_row<'a>(
     for k in 0..n {
         out.push(f(k)?);
     }
-    Ok(Val::Owned(ColumnVec::from_cells(ty, out)))
+    Ok(Val::Owned(ColumnVec::from_cells(ty, out)?))
 }
 
 fn is_null_scalar(v: &Val<'_>) -> bool {
@@ -369,42 +389,15 @@ fn rows_validity(valid: &Validity, rows: Rows<'_>) -> Validity {
     }
 }
 
-fn column_validity(col: &ColumnVec) -> Option<&Validity> {
-    match col {
-        ColumnVec::Bool(_, v)
-        | ColumnVec::Int(_, v)
-        | ColumnVec::Float(_, v)
-        | ColumnVec::Text(_, v)
-        | ColumnVec::Date(_, v)
-        | ColumnVec::Time(_, v)
-        | ColumnVec::Timestamp(_, v) => Some(v),
-        ColumnVec::Cells(_) => None,
-    }
-}
-
 /// `IS [NOT] NULL` as a mask: straight off the validity bitmap.
 fn is_null_mask(col: &ColumnVec, rows: Rows<'_>, negated: bool) -> ColumnVec {
     let n = rows.len();
-    let data = match column_validity(col) {
-        Some(v) if !v.any_null() => vec![negated; n],
-        _ => (0..n).map(|k| col.is_null(rows.phys(k)) != negated).collect(),
+    let data = if col.validity().any_null() {
+        (0..n).map(|k| col.is_null(rows.phys(k)) != negated).collect()
+    } else {
+        vec![negated; n]
     };
     ColumnVec::Bool(data, Validity::all_valid(n))
-}
-
-/// Does `CAST(col AS ty)` leave every cell as it is? True when `ty`
-/// names the storage class the column already has.
-fn cast_keeps_storage(col: &ColumnVec, ty: PgType) -> bool {
-    matches!(
-        (col, ty),
-        (ColumnVec::Int(..), PgType::Int2 | PgType::Int4 | PgType::Int8)
-            | (ColumnVec::Float(..), PgType::Float4 | PgType::Float8)
-            | (ColumnVec::Text(..), PgType::Varchar | PgType::Text)
-            | (ColumnVec::Bool(..), PgType::Bool)
-            | (ColumnVec::Date(..), PgType::Date)
-            | (ColumnVec::Time(..), PgType::Time)
-            | (ColumnVec::Timestamp(..), PgType::Timestamp)
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -446,7 +439,7 @@ impl AsF64 for bool {
 }
 
 /// Run `$body` with `$d` bound to the typed data slice of a numeric
-/// (non-text) column; evaluates to `None` for text and mixed storage.
+/// (non-text) column; evaluates to `None` for text.
 macro_rules! with_numeric {
     ($col:expr, |$d:ident| $body:expr) => {
         match $col {
@@ -456,16 +449,15 @@ macro_rules! with_numeric {
             ColumnVec::Float($d, _) => Some($body),
             ColumnVec::Date($d, _) => Some($body),
             ColumnVec::Bool($d, _) => Some($body),
-            ColumnVec::Text(..) | ColumnVec::Cells(_) => None,
+            ColumnVec::Text(..) => None,
         }
     };
 }
 
 /// A non-text column's values as the comparison kernels order them —
-/// through `f64` — with `None` in NULL slots. `None` for text and mixed
-/// storage.
+/// through `f64` — with `None` in NULL slots. `None` for text.
 pub(crate) fn num_keys(col: &ColumnVec) -> Option<Vec<Option<f64>>> {
-    let valid = column_validity(col)?;
+    let valid = col.validity();
     with_numeric!(col, |d| d
         .iter()
         .enumerate()
@@ -524,9 +516,9 @@ pub(crate) fn flip(op: SqlBinOp) -> SqlBinOp {
 }
 
 /// Typed comparison of two values, at least one of them a column.
-/// `Ok(None)` leaves the pair to the per-element path (mixed storage,
-/// text against a number); an error is the scalar kernel's own, raised
-/// for the first row it fails on.
+/// `Ok(None)` leaves the pair to the per-element path (text against a
+/// number); an error is the scalar kernel's own, raised for the first
+/// row it fails on.
 fn compare(
     op: SqlBinOp,
     l: &Val<'_>,
@@ -538,10 +530,9 @@ fn compare(
             let Some((values, bad)) = compare_columns(op, lc, lrows, rc, rrows) else {
                 return Ok(None);
             };
-            let (Some(lv), Some(rv)) = (column_validity(lc), column_validity(rc)) else {
-                return Ok(None);
-            };
-            (values, bad, rows_validity(lv, lrows).union(&rows_validity(rv, rrows)))
+            let validity =
+                rows_validity(lc.validity(), lrows).union(&rows_validity(rc.validity(), rrows));
+            (values, bad, validity)
         }
         (Some((col, rows)), None) | (None, Some((col, rows))) => {
             let scalar_left = l.column().is_none();
@@ -555,8 +546,7 @@ fn compare(
             let Some((values, bad)) = compare_scalar(col_op, col, rows, &scalar) else {
                 return Ok(None);
             };
-            let Some(v) = column_validity(col) else { return Ok(None) };
-            (values, bad, rows_validity(v, rows))
+            (values, bad, rows_validity(col.validity(), rows))
         }
         (None, None) => return Ok(None),
     };
@@ -775,7 +765,8 @@ fn kleene_vals<'a>(op: SqlBinOp, l: Val<'a>, r: Val<'a>, n: usize) -> Val<'a> {
     let and = op == SqlBinOp::And;
     let (Some(a), Some(b)) = (truth(&l), truth(&r)) else {
         let cells = (0..n).map(|k| kleene(op, &l.cell_at(k), &r.cell_at(k))).collect();
-        return Val::Owned(ColumnVec::from_cells(PgType::Bool, cells));
+        let col = ColumnVec::from_cells(PgType::Bool, cells).expect("Kleene logic yields booleans");
+        return Val::Owned(col);
     };
     // A constant decides the result outright or leaves the other mask
     // as it is: FALSE AND x = FALSE, TRUE AND x = x, and dually for OR.
@@ -823,7 +814,7 @@ fn kleene_vals<'a>(op: SqlBinOp, l: Val<'a>, r: Val<'a>, n: usize) -> Val<'a> {
 /// arguments back for the per-element path.
 fn coalesce<'a>(mut vals: Vec<Val<'a>>) -> Result<Val<'a>, Vec<Val<'a>>> {
     let Some((col, rows)) = vals.first().and_then(Val::column) else { return Err(vals) };
-    let Some(valid) = column_validity(col) else { return Err(vals) };
+    let valid = col.validity();
     if !valid.any_null() {
         return Ok(vals.swap_remove(0));
     }
@@ -965,8 +956,8 @@ fn cell_class(c: &Cell) -> Class {
 }
 
 /// Class of a column reference, literal or cast of a literal; `None`
-/// for any other operand shape, mixed storage, and anything that does
-/// not resolve or fold.
+/// for any other operand shape and anything that does not resolve or
+/// fold.
 fn operand_class(e: &SqlExpr, ctx: &Ctx<'_>) -> Option<Class> {
     match e {
         SqlExpr::Column { qualifier, name } => {
@@ -974,7 +965,6 @@ fn operand_class(e: &SqlExpr, ctx: &Ctx<'_>) -> Option<Class> {
             Some(match ctx.columns[idx] {
                 ColumnVec::Text(..) => Class::Text,
                 ColumnVec::Float(..) => Class::Float,
-                ColumnVec::Cells(_) => return None,
                 _ => Class::Exact,
             })
         }
@@ -1145,22 +1135,30 @@ mod tests {
         }
     }
 
-    /// A column of `n` slots: one storage class with NULLs, or (kind 7)
-    /// cells of any class — the `Cells` fallback storage.
-    fn column(n: usize) -> BoxedStrategy<ColumnVec> {
-        (0usize..8)
+    /// The declared type of `cell(kind)`'s column.
+    fn kind_type(kind: usize) -> PgType {
+        [
+            PgType::Int8,
+            PgType::Float8,
+            PgType::Varchar,
+            PgType::Date,
+            PgType::Time,
+            PgType::Timestamp,
+            PgType::Bool,
+        ][kind]
+    }
+
+    /// A column of `n` slots of one storage class, with NULLs, and its
+    /// declared type.
+    fn column(n: usize) -> BoxedStrategy<(PgType, ColumnVec)> {
+        (0usize..7)
             .prop_flat_map(move |kind| {
-                let slot = if kind == 7 {
-                    (0usize..7).prop_flat_map(cell).boxed()
-                } else {
-                    cell(kind)
-                };
-                prop::collection::vec(prop::option::of(slot), n..=n)
+                prop::collection::vec(prop::option::of(cell(kind)), n..=n)
+                    .prop_map(move |cells| (kind_type(kind), cells))
             })
-            .prop_map(|cells| {
+            .prop_map(|(ty, cells)| {
                 let cells: Vec<Cell> = cells.into_iter().map(|c| c.unwrap_or(Cell::Null)).collect();
-                let ty = cells.iter().find(|c| !c.is_null()).map_or(PgType::Int8, Cell::natural_type);
-                ColumnVec::from_cells(ty, cells)
+                (ty, ColumnVec::from_cells(ty, cells).unwrap())
             })
             .boxed()
     }
@@ -1169,8 +1167,8 @@ mod tests {
     /// selection.
     #[derive(Debug)]
     struct Case {
-        a: ColumnVec,
-        b: ColumnVec,
+        a: (PgType, ColumnVec),
+        b: (PgType, ColumnVec),
         scalar: Cell,
         mode: usize,
         picks: Vec<bool>,
@@ -1201,11 +1199,11 @@ mod tests {
         SqlExpr::Column { qualifier: None, name: name.to_string() }
     }
 
-    /// The frame's bound columns: `a` and `b`.
-    fn frame_cols() -> Vec<BoundCol> {
-        ["a", "b"]
+    /// The frame's bound columns: `a` and `b`, of their declared types.
+    fn frame_cols(case: &Case) -> Vec<BoundCol> {
+        [("a", case.a.0), ("b", case.b.0)]
             .iter()
-            .map(|n| BoundCol { qualifier: None, name: n.to_string(), ty: PgType::Int8 })
+            .map(|(n, ty)| BoundCol { qualifier: None, name: n.to_string(), ty: *ty })
             .collect()
     }
 
@@ -1217,16 +1215,19 @@ mod tests {
     }
 
     /// `e` through the evaluator against `want` per row through the
-    /// scalar kernels: same cells, and an error exactly when some row
-    /// has one.
+    /// scalar kernels, each value taking `e`'s type as a column of it
+    /// would ([`Cell::into_class`]): same cells, and an error exactly
+    /// when some row has one.
     fn check(
         case: &Case,
         e: &SqlExpr,
         want: impl Fn(&Cell, &Cell) -> Result<Cell, DbError>,
     ) -> Result<(), TestCaseError> {
-        let cols = frame_cols();
-        let columns = [&case.a, &case.b];
-        let n = case.a.len();
+        let cols = frame_cols(case);
+        let (a, b) = (&case.a.1, &case.b.1);
+        let columns = [a, b];
+        let n = a.len();
+        let ty = derive_type(e, &cols);
         let sel: Vec<usize> = (0..n).filter(|&i| case.picks[i]).collect();
         let rows = match case.mode {
             0 => Rows::All(n),
@@ -1234,7 +1235,7 @@ mod tests {
         };
         let ctx = Ctx { cols: &cols, columns: &columns, rows, pair: None };
         let expected: Result<Vec<Cell>, DbError> = (0..rows.len())
-            .map(|k| want(&case.a.cell_at(rows.phys(k)), &case.b.cell_at(rows.phys(k))))
+            .map(|k| Ok(want(&a.cell_at(rows.phys(k)), &b.cell_at(rows.phys(k)))?.into_class(ty)?))
             .collect();
         match (eval_val(e, &ctx), expected) {
             (Ok(got), Ok(expected)) => {
@@ -1263,7 +1264,9 @@ mod tests {
             // overflows on the extreme values generated here.
             let temporal = |c: Cell| matches!(c, Cell::Date(_) | Cell::Time(_) | Cell::Timestamp(_));
             let any_temporal = temporal(case.scalar.clone())
-                || [&case.a, &case.b].iter().any(|c| (0..c.len()).any(|i| temporal(c.cell_at(i))));
+                || [&case.a.1, &case.b.1]
+                    .iter()
+                    .any(|c| (0..c.len()).any(|i| temporal(c.cell_at(i))));
             for op in [Eq, Neq, Lt, Le, Gt, Ge, IsNotDistinctFrom, IsDistinctFrom, Add, Sub, Mul, And, Or] {
                 if any_temporal && matches!(op, Add | Sub | Mul) {
                     continue;
@@ -1329,9 +1332,10 @@ mod tests {
         #[test]
         fn filter_matches_row_by_row_evaluation(case in case()) {
             use SqlBinOp::*;
-            let cols = frame_cols();
-            let columns = [&case.a, &case.b];
-            let n = case.a.len();
+            let cols = frame_cols(&case);
+            let (a, b) = (&case.a.1, &case.b.1);
+            let columns = [a, b];
+            let n = a.len();
             let bin = |op, lhs: SqlExpr, rhs: SqlExpr| SqlExpr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -1346,7 +1350,7 @@ mod tests {
                 );
                 let want: Result<Vec<usize>, DbError> = (0..n)
                     .filter_map(|i| {
-                        let row = [case.a.cell_at(i), case.b.cell_at(i)];
+                        let row = [a.cell_at(i), b.cell_at(i)];
                         match expr::eval(&pred, &cols, &row) {
                             Ok(Cell::Bool(true)) => Some(Ok(i)),
                             Ok(_) => None,

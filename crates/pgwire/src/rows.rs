@@ -24,9 +24,10 @@
 //! `varchar`/`text` are the same bytes either way). Which one is a
 //! property of the column, stated in `RowDescription` and read from
 //! there: [`result_formats`] grants binary where the client asked for
-//! it *and* the stored vector is exactly what the declared type's
-//! binary form can carry, text otherwise, so a field means the same
-//! whichever way it travelled.
+//! it *and* the declared type's binary form can carry every value the
+//! column holds, text otherwise. A column's vector is always of its
+//! declared type's storage class, so both formats decode into that
+//! class.
 
 use crate::codec::{count_encoded, frame, Cursor};
 use crate::messages::{FieldDesc, Format, TypeOid};
@@ -68,29 +69,23 @@ pub fn pg_type(oid: TypeOid) -> PgType {
     }
 }
 
-/// Can `col` travel in `ty`'s binary form and come back the same? The
-/// executor is dynamically typed, so a column's stored class can differ
-/// from its declared type, and integers and floats are stored at full
-/// width whatever width was declared; such a column travels as text,
+/// Can `col` travel in `ty`'s binary form and come back the same? Its
+/// storage class is `ty`'s, but integers and floats are stored at full
+/// width whatever width was declared (INSERT does not range-check, so an
+/// `integer` column may hold a `bigint` value): an `int2`, `int4` or
+/// `float4` column with a value its width cannot carry travels as text,
 /// which carries any value.
 fn binary_is_exact(col: &ColumnVec, ty: PgType) -> bool {
     fn all_valid<T>(d: &[T], v: &Validity, fits: impl Fn(&T) -> bool) -> bool {
         d.iter().enumerate().all(|(i, x)| v.is_null(i) || fits(x))
     }
     match (col, ty) {
-        (ColumnVec::Bool(..), PgType::Bool)
-        | (ColumnVec::Int(..), PgType::Int8)
-        | (ColumnVec::Float(..), PgType::Float8)
-        | (ColumnVec::Text(..), PgType::Varchar | PgType::Text)
-        | (ColumnVec::Date(..), PgType::Date)
-        | (ColumnVec::Time(..), PgType::Time)
-        | (ColumnVec::Timestamp(..), PgType::Timestamp) => true,
         (ColumnVec::Int(d, v), PgType::Int4) => all_valid(d, v, |x| i32::try_from(*x).is_ok()),
         (ColumnVec::Int(d, v), PgType::Int2) => all_valid(d, v, |x| i16::try_from(*x).is_ok()),
         (ColumnVec::Float(d, v), PgType::Float4) => {
             all_valid(d, v, |x| x.is_nan() || f64::from(*x as f32) == *x)
         }
-        _ => false,
+        _ => true,
     }
 }
 
@@ -226,9 +221,6 @@ fn write_text(col: &ColumnVec, i: usize, out: &mut Utf8Sink<'_>) -> fmt::Result 
         ColumnVec::Date(d, _) => wire_text::write_date(d[i], out),
         ColumnVec::Time(d, _) => wire_text::write_time(d[i], out),
         ColumnVec::Timestamp(d, _) => wire_text::write_timestamp(d[i], out),
-        // Mixed storage classes: the executor's escape hatch, rendered
-        // cell by cell.
-        ColumnVec::Cells(d) => out.write_str(&d[i].to_wire_text().unwrap_or_default()),
     }
 }
 
@@ -392,7 +384,6 @@ fn push_null(col: &mut ColumnVec) {
         ColumnVec::Float(d, v) => (d.push(0.0), v.push(true)),
         ColumnVec::Text(d, v) => (d.push(String::new()), v.push(true)),
         ColumnVec::Date(d, v) => (d.push(0), v.push(true)),
-        ColumnVec::Cells(d) => (d.push(Cell::Null), ()),
     };
 }
 
@@ -468,7 +459,6 @@ fn push_binary(col: &mut ColumnVec, ty: PgType, bytes: &[u8]) -> Result<(), Stri
             d.push(i64::from_be_bytes(fixed(bytes)?));
             v.push(false);
         }
-        (ColumnVec::Cells(_), _) => unreachable!("builders are typed vectors"),
     }
     Ok(())
 }
@@ -581,7 +571,7 @@ mod tests {
 
     fn one_column(ty: PgType, cells: Vec<Cell>) -> Batch {
         let n = cells.len();
-        Batch::new(vec![Column::new("v", ty)], vec![ColumnVec::from_cells(ty, cells)], n)
+        Batch::new(vec![Column::new("v", ty)], vec![ColumnVec::from_cells(ty, cells).unwrap()], n)
     }
 
     fn random_batch(seed: u64, rows: usize, width: usize) -> Batch {
@@ -668,19 +658,14 @@ mod tests {
         let wide = col(PgType::Int4, vec![Cell::Int(1 << 40), Cell::Null]);
         // A `real` column holding a double no f32 equals.
         let fine = col(PgType::Float4, vec![Cell::Float(0.1), Cell::Float(0.5)]);
-        // Stored class differs from the declared type.
-        let ints_as_float = col(PgType::Float8, vec![Cell::Int(1), Cell::Int(2)]);
-        // Mixed classes: the executor's escape hatch.
-        let mixed = col(PgType::Float8, vec![Cell::Int(1), Cell::Float(1.5)]);
-        for batch in [&wide, &fine, &ints_as_float, &mixed] {
+        for batch in [&wide, &fine] {
             assert_eq!(result_formats(batch, &[1]).unwrap(), vec![Format::Text]);
             assert_round_trips(batch);
         }
-        // Text normalizes to the declared type, as it always did.
-        assert_eq!(
-            through_the_wire(&mixed, &[Format::Text]).columns[0].to_cells(),
-            vec![Cell::Float(1.0), Cell::Float(1.5)]
-        );
+        // Every other column of its declared class travels binary.
+        let floats = col(PgType::Float8, vec![Cell::Int(1), Cell::Float(1.5)]);
+        assert_eq!(result_formats(&floats, &[1]).unwrap(), vec![Format::Binary]);
+        assert_round_trips(&floats);
         // Nothing asked for, nothing granted; a bad request is refused.
         let plain = col(PgType::Int8, vec![Cell::Int(1), Cell::Int(2)]);
         assert_eq!(result_formats(&plain, &[]).unwrap(), vec![Format::Text]);

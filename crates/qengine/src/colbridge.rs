@@ -82,7 +82,7 @@ pub fn value_to_column(v: &Value) -> Option<(ColumnVec, PgType)> {
         Value::Timestamps(_) => PgType::Timestamp,
         _ => unreachable!("filtered above"),
     };
-    Some((ColumnVec::from_cells(ty, cells), ty))
+    Some((ColumnVec::from_cells(ty, cells).expect("cells of the vector's own type"), ty))
 }
 
 /// Convert a Q table into a [`Batch`], column by column. `None` when any

@@ -1,6 +1,7 @@
 //! The one differential corpus: the TAQ fixture, the oracle
-//! statements and error probes, the 70 000-row table and its probe, and
-//! the golden file's dashboard and wide ad-hoc shapes. Every row of the
+//! statements and error probes, the 70 000-row table and its probe, the
+//! golden file's dashboard and wide ad-hoc shapes, and the shapes that
+//! put two types in one column. Every row of the
 //! matrix and the golden translation file read these; nothing else
 //! carries a copy.
 
@@ -218,6 +219,21 @@ pub const JOIN_SHAPES: &[&str] = &[
     "f[`IBM]",
 ];
 
+/// Statements whose translation puts values of two types in one
+/// column — a CASE of an integer literal and a float column, a fill of
+/// an integer column with a float — each with a variant that updates no
+/// row. Every connection layer must answer them alike.
+pub const TYPE_SHAPES: &[&str] = &[
+    "update Price: 7 from trades where Symbol=`IBM",
+    "update Px: 7 from nullable where Sym=`A",
+    "select f: 0.5^Qty from nullable",
+    "update Qty: 2.5 from nullable where Sym=`A",
+    "update Price: 7 from trades where Symbol=`ZZZ",
+    "update Px: 7 from nullable where Sym=`ZZZ",
+    "select f: 0.5^Qty from nullable where Sym=`ZZZ",
+    "update Qty: 2.5 from nullable where Sym=`ZZZ",
+];
+
 /// A column neither side of the join has.
 pub const JOIN_ERROR_PROBES: &[&str] = &["select NoSuch from ej[`Symbol; trades; refdata]"];
 
@@ -228,3 +244,4 @@ const _: () = assert!(ERROR_PROBES.len() == 3);
 const _: () = assert!(BIG_PROBES.len() == 1);
 const _: () = assert!(JOIN_SHAPES.len() == 12);
 const _: () = assert!(JOIN_ERROR_PROBES.len() == 1);
+const _: () = assert!(TYPE_SHAPES.len() == 8);

@@ -9,7 +9,7 @@ mod common;
 
 use common::arms::{Arm, Baseline, Matrix, Rule};
 use common::corpus::{
-    big, fixture, BIG_PROBES, ERROR_PROBES, JOIN_ERROR_PROBES, JOIN_SHAPES, ORACLE,
+    big, fixture, BIG_PROBES, ERROR_PROBES, JOIN_ERROR_PROBES, JOIN_SHAPES, ORACLE, TYPE_SHAPES,
 };
 use hyperq::SessionConfig;
 
@@ -95,4 +95,15 @@ fn join_shapes_agree_with_column_pruning_off() {
             &[(JOIN_SHAPES, Baseline::Succeeds), (JOIN_ERROR_PROBES, Baseline::Fails)],
         )
         .assert_clean(13);
+}
+
+/// A column whose values have two types holds one: in process, over the
+/// PG v3 wire, through a parked endpoint over the wire and through a
+/// 2-shard router, each statement answers alike, error text verbatim.
+/// The reference is not an arm: it answers general lists here.
+#[test]
+fn type_shapes_agree_across_connection_layers() {
+    Matrix::new(&[session(256), Arm::Wire, Arm::ParkedWire, Arm::Router(2)], Rule::SameErrors, 1)
+        .statements(&fixture(), &[(TYPE_SHAPES, Baseline::Succeeds)])
+        .assert_clean(48);
 }
