@@ -68,7 +68,7 @@ pub trait Backend: Send {
     /// Whether committed mutations on this backend survive a crash
     /// (WAL + recovery). The gateway consults this when a connection
     /// dies mid-mutation: against a durable backend the refusal to
-    /// blind-replay becomes "reconnect and report, effects preserved",
+    /// blind-replay becomes "replay skipped, effects preserved",
     /// because a committed statement cannot have been lost.
     fn durable(&self) -> bool {
         false

@@ -117,8 +117,9 @@ impl QipcEndpoint {
     }
 
     /// Start the endpoint with an explicit backend factory — e.g. one
-    /// that checks connections out of a [`crate::pool::BackendPool`]
-    /// per statement, or opens a [`crate::gateway::PgWireBackend`] per
+    /// that hands each Q connection a session over a shared
+    /// [`crate::pool::BackendPool`] (`pool.session()`), or one that
+    /// opens a dedicated [`crate::gateway::PgWireBackend`] per
     /// connection.
     pub fn start_with(
         bind_addr: &str,
@@ -217,19 +218,44 @@ impl QipcConnMachine {
 
 impl SessionHandler for QipcConnMachine {
     fn on_bytes(&mut self, bytes: &[u8], out: &mut Vec<u8>) -> HandlerControl {
-        let actions = match self.pt.on_bytes(bytes, &*self.auth) {
-            Ok(a) => a,
-            Err(e) => {
-                // Malformed framing: tell the peer why before dropping
-                // (unless it is a doomed over-cap connection).
-                if !self.reject {
-                    if let PtAction::Send(bytes) = self.pt.on_error(&format!("'ipc: {e}")) {
-                        out.extend_from_slice(&bytes);
+        // The translator stops after each synchronous query until it is
+        // answered; frames pipelined behind it in the same read are
+        // already buffered, so drive it again (with no new bytes) until
+        // it has nothing left to do.
+        let mut bytes = bytes;
+        loop {
+            let actions = match self.pt.on_bytes(bytes, &*self.auth) {
+                Ok(a) => a,
+                Err(e) => {
+                    // Malformed framing: tell the peer why before dropping
+                    // (unless it is a doomed over-cap connection).
+                    if !self.reject {
+                        if let PtAction::Send(bytes) = self.pt.on_error(&format!("'ipc: {e}")) {
+                            out.extend_from_slice(&bytes);
+                        }
                     }
+                    return HandlerControl::Close;
                 }
+            };
+            if actions.is_empty() {
+                return HandlerControl::Continue;
+            }
+            if let HandlerControl::Close = self.perform(actions, out) {
                 return HandlerControl::Close;
             }
-        };
+            bytes = &[];
+        }
+    }
+
+    fn mid_frame(&self) -> bool {
+        self.pt.has_partial()
+    }
+}
+
+impl QipcConnMachine {
+    /// Carry out the translator's actions in order, answering each
+    /// synchronous query.
+    fn perform(&mut self, actions: Vec<PtAction>, out: &mut Vec<u8>) -> HandlerControl {
         for action in actions {
             match action {
                 PtAction::Send(bytes) => {
@@ -276,10 +302,6 @@ impl SessionHandler for QipcConnMachine {
             }
         }
         HandlerControl::Continue
-    }
-
-    fn mid_frame(&self) -> bool {
-        self.pt.has_partial()
     }
 }
 
@@ -426,6 +448,68 @@ mod tests {
         assert!(err.to_string().contains("nosuch"), "{err}");
         // Connection survives the error.
         assert!(client.query("1+1").is_ok());
+        ep.detach();
+    }
+
+    /// Two synchronous queries, one after the other in a single write.
+    fn pipelined(first: &str, second: &str) -> Vec<u8> {
+        let mut bytes = qipc::write_message(&Message::query(first)).unwrap();
+        bytes.extend(qipc::write_message(&Message::query(second)).unwrap());
+        bytes
+    }
+
+    /// A client that fails a read after three seconds instead of
+    /// waiting forever for a reply that is not coming.
+    fn impatient_client(ep: &QipcEndpoint) -> QipcClient {
+        let client = QipcClient::connect(&ep.addr.to_string(), "trader", "").unwrap();
+        client.stream.set_read_timeout(Some(std::time::Duration::from_secs(3))).unwrap();
+        client
+    }
+
+    #[test]
+    fn pipelined_sync_queries_are_answered_in_order() {
+        let (ep, _db) = start_with_trades();
+        let mut client = impatient_client(&ep);
+        client.send_raw(&pipelined("1+1", "2+2")).unwrap();
+        assert!(client.read_response().unwrap().q_eq(&Value::long(2)));
+        assert!(client.read_response().unwrap().q_eq(&Value::long(4)));
+        assert!(client.query("3+3").unwrap().q_eq(&Value::long(6)));
+        ep.detach();
+    }
+
+    #[test]
+    fn async_assignment_is_visible_to_the_sync_query_behind_it() {
+        let (ep, _db) = start_with_trades();
+        let mut client = impatient_client(&ep);
+        client.send_async("lim: 60.0").unwrap();
+        match client.query("select Price from trades where Price > lim").unwrap() {
+            Value::Table(t) => {
+                assert!(t.column("Price").unwrap().q_eq(&Value::Floats(vec![100.0])));
+            }
+            other => panic!("expected table, got {other:?}"),
+        }
+        ep.detach();
+    }
+
+    #[test]
+    fn answered_pipelined_queries_leave_no_partial_frame_to_sweep() {
+        let read = std::time::Duration::from_millis(300);
+        let config = EndpointConfig {
+            session: SessionConfig {
+                wire: crate::wire::WireTimeouts { read: Some(read), ..Default::default() },
+                ..SessionConfig::default()
+            },
+            ..EndpointConfig::default()
+        };
+        let ep = QipcEndpoint::start(pgdb::Db::new(), "127.0.0.1:0", config).unwrap();
+        let mut client = impatient_client(&ep);
+        client.send_raw(&pipelined("1+1", "2+2")).unwrap();
+        assert!(client.read_response().unwrap().q_eq(&Value::long(2)));
+        assert!(client.read_response().unwrap().q_eq(&Value::long(4)));
+        // Idle past the read deadline: a peer that owes no bytes is
+        // left alone.
+        std::thread::sleep(read * 2);
+        assert!(client.query("3+3").unwrap().q_eq(&Value::long(6)));
         ep.detach();
     }
 

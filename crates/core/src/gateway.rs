@@ -7,6 +7,19 @@
 //! rationale for not using ODBC/JDBC: processing network traffic natively
 //! is key for throughput.
 //!
+//! Two layers, one of each:
+//!
+//! * `PgConn` is one authenticated connection: the start-up exchange,
+//!   one statement's request and reply, the health-check ping and the
+//!   durability the server advertised. It keeps no journal and never
+//!   retries.
+//! * [`PgWireBackend`] is one gateway *session* over a
+//!   [`BackendPool`]: it checks a connection out per statement, carries
+//!   the session's DDL journal and runs the one retry loop. A dedicated
+//!   connection ([`PgWireBackend::connect`]) is a pool of one; a session
+//!   sharing warehouse connections with others comes from
+//!   [`BackendPool::session`]. Both are the same type and recover alike.
+//!
 //! ## Fault tolerance
 //!
 //! The Gateway is the wire leg most likely to fail in production — the
@@ -16,12 +29,12 @@
 //!
 //! * [`WireTimeouts`] deadlines on connect/read/write, so a hung
 //!   backend surfaces as a typed timeout instead of blocking forever;
-//! * a [`RetryPolicy`]-driven reconnect loop that re-authenticates,
-//!   replays the session-establishment **DDL journal** (the
-//!   `CREATE TEMPORARY TABLE` statements materializing Q variables,
-//!   §4.3 — temp tables die with the backend connection, so they must
-//!   be rebuilt), and re-runs the in-flight statement *if it is
-//!   idempotent*;
+//! * a [`RetryPolicy`]-driven retry loop: a lost connection is evicted
+//!   from the pool, and the next checkout dials afresh, re-authenticates
+//!   and replays the session's **DDL journal** (the `CREATE TEMPORARY
+//!   TABLE` statements materializing Q variables, §4.3 — temp tables die
+//!   with the backend connection, so they must be rebuilt) before the
+//!   in-flight statement re-runs, *if it is idempotent*;
 //! * a typed [`WireError`] taxonomy for everything that cannot be
 //!   retried: non-idempotent statements, protocol violations, expired
 //!   deadlines and exhausted retry budgets.
@@ -39,6 +52,7 @@
 //! [`pgdb::Batch`] — [`Backend::execute_sql`] is that batch transposed.
 
 use crate::backend::Backend;
+use crate::pool::{BackendPool, PoolConfig};
 use crate::wire::{RetryPolicy, WireError, WireErrorKind, WireTimeouts};
 use pgdb::{BatchQueryResult, DbError};
 use pgwire::codec::{decode_backend, encode_extended_query, encode_frontend, MessageReader};
@@ -47,9 +61,10 @@ use pgwire::rows::{BatchDecoder, RowError};
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Wire-path fault-tolerance counters, aggregated process-wide across
-/// every gateway connection.
+/// every gateway session.
 struct WireMetrics {
     reconnects: Arc<obs::Counter>,
     retries: Arc<obs::Counter>,
@@ -137,13 +152,13 @@ impl StatementClass {
     }
 
     /// Safe to re-run after a reconnect?
-    pub(crate) fn replayable(self) -> bool {
+    fn replayable(self) -> bool {
         !matches!(self, StatementClass::Mutation)
     }
 }
 
 /// First few words of a statement, for error messages.
-pub(crate) fn summarize(sql: &str) -> String {
+fn summarize(sql: &str) -> String {
     let mut s: String = sql.trim().chars().take(48).collect();
     if s.len() < sql.trim().len() {
         s.push('…');
@@ -151,79 +166,38 @@ pub(crate) fn summarize(sql: &str) -> String {
     s
 }
 
-/// A PG v3 client connection implementing [`Backend`], with deadlines
-/// and transparent reconnect.
-pub struct PgWireBackend {
+/// One authenticated PG v3 connection. It runs one statement at a time
+/// and neither journals nor retries: that is the session's job
+/// ([`PgWireBackend`]).
+pub(crate) struct PgConn {
     stream: TcpStream,
     reader: MessageReader,
-    addr: String,
-    creds: Credentials,
-    timeouts: WireTimeouts,
-    retry: RetryPolicy,
-    /// Session-establishment DDL journal: every successfully executed
-    /// temp-table materialization, in order. Replayed after a
-    /// reconnect to rebuild the backend session's state.
-    journal: Vec<String>,
-    /// Number of reconnects performed over the life of this backend
-    /// (diagnostics; the chaos tests assert on it).
-    reconnects: u64,
+    /// The read deadline the connection runs under, restored after a
+    /// ping armed its own.
+    read_deadline: Option<Duration>,
     /// Did the server advertise crash durability (`hyperq_durability`
     /// parameter status) during session establishment? Decides how a
     /// mid-flight connection loss under a mutation is handled.
     durable: bool,
+    /// Was the last reply read through to `ReadyForQuery`? A connection
+    /// whose reply was cut short — lost, timed out, or unframeable — has
+    /// bytes of its own owed or garbled, and must not serve another
+    /// statement.
+    synced: bool,
     /// Request bytes, reused from statement to statement.
     out: Vec<u8>,
 }
 
-impl PgWireBackend {
-    /// Connect, authenticate and wait for `ReadyForQuery`, using the
-    /// default deadlines and retry policy.
-    pub fn connect(addr: &str, creds: &Credentials) -> Result<Self, WireError> {
-        Self::connect_with(addr, creds, WireTimeouts::default(), RetryPolicy::default())
-    }
-
-    /// Connect with explicit deadlines and retry policy.
-    pub fn connect_with(
-        addr: &str,
-        creds: &Credentials,
-        timeouts: WireTimeouts,
-        retry: RetryPolicy,
-    ) -> Result<Self, WireError> {
-        let (stream, reader, durable) = Self::open_stream(addr, creds, &timeouts)?;
-        Ok(PgWireBackend {
-            stream,
-            reader,
-            addr: addr.to_string(),
-            creds: creds.clone(),
-            timeouts,
-            retry,
-            journal: Vec::new(),
-            reconnects: 0,
-            durable,
-            out: Vec::new(),
-        })
-    }
-
-    /// The session-establishment DDL journal (diagnostics/tests).
-    pub fn journal(&self) -> &[String] {
-        &self.journal
-    }
-
-    /// How many times this backend has transparently reconnected.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
+impl PgConn {
     /// Establish one authenticated connection: TCP connect under the
     /// connect deadline, the start-up/authentication exchange, then
-    /// drain to `ReadyForQuery`. The returned flag is whether the
-    /// server advertised crash durability (`hyperq_durability`
-    /// parameter status) along the way.
-    fn open_stream(
+    /// drain to `ReadyForQuery`, noting the durability advertisement if
+    /// the server sends one.
+    pub(crate) fn open(
         addr: &str,
         creds: &Credentials,
         timeouts: &WireTimeouts,
-    ) -> Result<(TcpStream, MessageReader, bool), WireError> {
+    ) -> Result<PgConn, WireError> {
         let stream = match timeouts.connect {
             Some(deadline) => {
                 let sock = addr
@@ -248,8 +222,7 @@ impl PgWireBackend {
                 ("database".to_string(), creds.database.clone()),
             ],
         })?;
-        // Authentication loop, then drain to ReadyForQuery, noting the
-        // durability advertisement if the server sends one.
+        // Authentication loop, then drain to ReadyForQuery.
         let mut durable = false;
         loop {
             match recv_on(&mut stream, &mut reader)? {
@@ -282,161 +255,135 @@ impl PgWireBackend {
                 _ => {}
             }
         }
-        Ok((stream, reader, durable))
+        Ok(PgConn {
+            stream,
+            reader,
+            read_deadline: timeouts.read,
+            durable,
+            synced: true,
+            out: Vec::new(),
+        })
     }
 
-    /// Tear down the current connection, establish a fresh one and
-    /// replay the session-establishment journal on it.
-    fn reconnect(&mut self) -> Result<(), WireError> {
-        let (stream, reader, durable) = Self::open_stream(&self.addr, &self.creds, &self.timeouts)?;
-        self.stream = stream;
-        self.reader = reader;
-        self.durable = durable;
-        self.reconnects += 1;
-        wire_metrics().reconnects.inc();
-        // Replay the journal; temp tables are session-scoped on the
-        // backend, so the fresh session starts empty and every entry
-        // re-applies cleanly.
-        let journal = std::mem::take(&mut self.journal);
-        for sql in &journal {
-            let result = self.run_statement(sql, StatementClass::SessionDdl);
-            if let Err(e) = result {
-                // Put the journal back: a retryable failure will come
-                // around for another reconnect attempt.
-                self.journal = journal;
-                return Err(e);
-            }
-        }
-        self.journal = journal;
-        Ok(())
+    /// Whether the server advertised crash durability.
+    pub(crate) fn durable(&self) -> bool {
+        self.durable
     }
 
-    /// Replace the TCP connection with a brand-new authenticated one
-    /// and forget this connection's own journal. On the backend a fresh
-    /// TCP connection is a fresh session — temp tables from the old one
-    /// are gone — which is exactly what the pool wants when handing a
-    /// previously tainted connection to a different gateway session.
-    /// Not counted as a reconnect (it is hygiene, not fault recovery).
-    pub(crate) fn reset_connection(&mut self) -> Result<(), WireError> {
-        let (stream, reader, durable) = Self::open_stream(&self.addr, &self.creds, &self.timeouts)?;
-        self.stream = stream;
-        self.reader = reader;
-        self.durable = durable;
-        self.journal.clear();
-        Ok(())
+    /// Whether the last reply was read through to `ReadyForQuery`, so
+    /// the connection can serve the next statement.
+    pub(crate) fn synced(&self) -> bool {
+        self.synced
     }
 
     /// Health check under an explicit deadline: `SELECT 1` must answer
     /// within `deadline` or the connection is presumed bad. The normal
     /// read deadline is restored afterwards.
-    pub(crate) fn ping(&mut self, deadline: Option<std::time::Duration>) -> Result<(), WireError> {
+    pub(crate) fn ping(&mut self, deadline: Option<Duration>) -> Result<(), WireError> {
         if deadline.is_some() {
             let _ = self.stream.set_read_timeout(deadline);
         }
-        let result = self.exchange("SELECT 1", false).map(|_| ());
+        let result = self.send("SELECT 1", false).map(|_| ());
         if deadline.is_some() {
-            let _ = self.stream.set_read_timeout(self.timeouts.read);
+            let _ = self.stream.set_read_timeout(self.read_deadline);
         }
         result
     }
 
-    /// Run one statement on the *current* connection: no retry, no
-    /// journaling. Reads ask for binary results; everything else is a
-    /// simple `Query`, byte for byte what it always was. The backend
-    /// pool drives pooled connections through this directly —
-    /// journaling and retry live per *session* there, not per
-    /// connection.
-    pub(crate) fn run_statement(
+    /// Run one statement. Reads ask for binary results; everything else
+    /// is a simple `Query`.
+    pub(crate) fn exchange(
         &mut self,
         sql: &str,
         class: StatementClass,
     ) -> Result<BatchQueryResult, WireError> {
-        self.exchange(sql, class == StatementClass::Read)
+        self.send(sql, class == StatementClass::Read)
     }
 
     /// Send `sql` — as one extended-query batch requesting every result
     /// column in binary, or as a simple `Query` — and read its reply.
-    fn exchange(&mut self, sql: &str, binary: bool) -> Result<BatchQueryResult, WireError> {
+    fn send(&mut self, sql: &str, binary: bool) -> Result<BatchQueryResult, WireError> {
         self.out.clear();
         if binary {
             encode_extended_query(sql, Format::Binary, &mut self.out);
         } else {
             encode_frontend(&FrontendMessage::Query(sql.to_string()), &mut self.out);
         }
+        self.synced = false;
         self.stream
             .write_all(&self.out)
             .map_err(|e| WireError::from_io("write to backend", &e))?;
-        read_reply(&mut self.stream, &mut self.reader)
+        self.read_reply()
     }
-}
 
-/// Read one statement's reply, whichever sub-protocol asked for it.
-/// Frames are walked in place in the reader's buffer; each `DataRow`
-/// field goes straight onto its column's builder. The stream is always
-/// drained to `ReadyForQuery` (when the connection survives), so a
-/// decode error poisons the result, not the connection; only a corrupt
-/// frame *length* — after which frame boundaries are unknowable — ends
-/// the read early.
-fn read_reply(
-    stream: &mut TcpStream,
-    reader: &mut MessageReader,
-) -> Result<BatchQueryResult, WireError> {
-    let mut decoder: Option<BatchDecoder> = None;
-    let mut tag: Option<String> = None;
-    let mut error: Option<WireError> = None;
-    loop {
-        while let Some((ty, body)) =
-            reader.next_backend_frame().map_err(|e| WireError::protocol(e.to_string()))?
-        {
-            if ty == b'D' {
-                if error.is_some() {
-                    continue; // already poisoned; keep draining
-                }
-                // Do NOT smuggle a Null in: a field that fails to
-                // decode is a protocol-level error.
-                error = match decoder.as_mut() {
-                    Some(d) => d.push_row(body).err().map(row_error),
-                    None => Some(WireError::protocol("DataRow before RowDescription")),
-                };
-                continue;
-            }
-            match decode_backend(ty, body) {
-                Some(BackendMessage::RowDescription(fields)) => match BatchDecoder::new(&fields) {
-                    Ok(d) => decoder = Some(d),
-                    Err(e) => error = Some(row_error(e)),
-                },
-                Some(BackendMessage::CommandComplete(t)) => tag = Some(t),
-                Some(BackendMessage::ErrorResponse { code, message, .. }) => {
-                    error = Some(WireError::from(DbError { code, message }));
-                }
-                Some(BackendMessage::ReadyForQuery(_)) => {
-                    if let Some(e) = error {
-                        return Err(e);
+    /// Read one statement's reply, whichever sub-protocol asked for it.
+    /// Frames are walked in place in the reader's buffer; each `DataRow`
+    /// field goes straight onto its column's builder. The stream is
+    /// always drained to `ReadyForQuery` (when the connection survives),
+    /// so a decode error poisons the result, not the connection; only a
+    /// corrupt frame *length* — after which frame boundaries are
+    /// unknowable — ends the read early.
+    fn read_reply(&mut self) -> Result<BatchQueryResult, WireError> {
+        let mut decoder: Option<BatchDecoder> = None;
+        let mut tag: Option<String> = None;
+        let mut error: Option<WireError> = None;
+        loop {
+            while let Some((ty, body)) =
+                self.reader.next_backend_frame().map_err(|e| WireError::protocol(e.to_string()))?
+            {
+                if ty == b'D' {
+                    if error.is_some() {
+                        continue; // already poisoned; keep draining
                     }
-                    return Ok(match decoder {
-                        Some(d) => {
-                            let m = wire_metrics();
-                            let (binary, text) = d.fields_decoded();
-                            m.fields_binary.add(binary);
-                            m.fields_text.add(text);
-                            m.result_rows.add(d.rows() as u64);
-                            BatchQueryResult::Batch(d.finish())
-                        }
-                        None => BatchQueryResult::Command(tag.unwrap_or_default()),
-                    });
+                    // Do NOT smuggle a Null in: a field that fails to
+                    // decode is a protocol-level error.
+                    error = match decoder.as_mut() {
+                        Some(d) => d.push_row(body).err().map(row_error),
+                        None => Some(WireError::protocol("DataRow before RowDescription")),
+                    };
+                    continue;
                 }
-                Some(_) => {}
-                None => {
-                    error.get_or_insert_with(|| {
-                        WireError::protocol(format!(
-                            "malformed '{}' backend message body",
-                            ty as char
-                        ))
-                    });
+                match decode_backend(ty, body) {
+                    Some(BackendMessage::RowDescription(fields)) => {
+                        match BatchDecoder::new(&fields) {
+                            Ok(d) => decoder = Some(d),
+                            Err(e) => error = Some(row_error(e)),
+                        }
+                    }
+                    Some(BackendMessage::CommandComplete(t)) => tag = Some(t),
+                    Some(BackendMessage::ErrorResponse { code, message, .. }) => {
+                        error = Some(WireError::from(DbError { code, message }));
+                    }
+                    Some(BackendMessage::ReadyForQuery(_)) => {
+                        self.synced = true;
+                        if let Some(e) = error {
+                            return Err(e);
+                        }
+                        return Ok(match decoder {
+                            Some(d) => {
+                                let m = wire_metrics();
+                                let (binary, text) = d.fields_decoded();
+                                m.fields_binary.add(binary);
+                                m.fields_text.add(text);
+                                m.result_rows.add(d.rows() as u64);
+                                BatchQueryResult::Batch(d.finish())
+                            }
+                            None => BatchQueryResult::Command(tag.unwrap_or_default()),
+                        });
+                    }
+                    Some(_) => {}
+                    None => {
+                        error.get_or_insert_with(|| {
+                            WireError::protocol(format!(
+                                "malformed '{}' backend message body",
+                                ty as char
+                            ))
+                        });
+                    }
                 }
             }
+            fill(&mut self.stream, &mut self.reader)?;
         }
-        fill(stream, reader)?;
     }
 }
 
@@ -474,13 +421,19 @@ fn recv_on(stream: &mut TcpStream, reader: &mut MessageReader) -> Result<Backend
     }
 }
 
+/// Classify an `ErrorResponse` received during session establishment.
+fn connect_rejection(code: String, message: String) -> WireError {
+    if code == "53300" {
+        WireError::rejected(message)
+    } else {
+        WireError::from(DbError { code, message })
+    }
+}
+
 /// The typed error for a connection lost under a non-idempotent
-/// statement. Shared by the per-connection gateway retry loop and the
-/// backend pool so both paths surface the *identical* message (the
-/// differential suites compare error strings verbatim). Increments the
-/// durable-replay-skip counter when `durable` (the caller re-establishes
-/// the session separately).
-pub(crate) fn non_idempotent_error(sql: &str, durable: bool, e: &WireError) -> WireError {
+/// statement. Increments the durable-replay-skip counter when `durable`
+/// (the session is re-established by the next statement's checkout).
+fn non_idempotent_error(sql: &str, durable: bool, e: &WireError) -> WireError {
     if durable {
         // The backend journals every committed mutation to a WAL: if
         // the statement committed before the connection died, its
@@ -515,70 +468,124 @@ pub(crate) fn non_idempotent_error(sql: &str, durable: bool, e: &WireError) -> W
     }
 }
 
-/// Classify an `ErrorResponse` received during session establishment.
-fn connect_rejection(code: String, message: String) -> WireError {
-    if code == "53300" {
-        WireError::rejected(message)
-    } else {
-        WireError::from(DbError { code, message })
+/// The typed error for a statement whose every attempt failed.
+fn retries_exhausted(sql: &str, attempt: u32, max: u32, failure: &WireError) -> WireError {
+    WireError::new(
+        WireErrorKind::RetriesExhausted,
+        format!(
+            "{attempt} of {max} attempts failed for ({}); last failure: {failure}",
+            summarize(sql)
+        ),
+    )
+}
+
+/// A gateway session implementing [`Backend`]: statements run on
+/// connections checked out of a [`BackendPool`] — its own pool of one
+/// when opened with [`PgWireBackend::connect`], a shared one when handed
+/// out by [`BackendPool::session`] — under deadlines, with the session's
+/// DDL journal replayed onto whichever connection a statement lands on
+/// and transparent retry of what is safe to re-run.
+pub struct PgWireBackend {
+    pool: Arc<BackendPool>,
+    id: u64,
+    /// Session-establishment DDL journal: every successfully executed
+    /// temp-table materialization, in order. Replayed onto a connection
+    /// that lacks it (a fresh dial after a loss, or another session's
+    /// connection after a reset) before the statement runs.
+    journal: Vec<String>,
+    /// Statements that reached a connection only on a retry, after an
+    /// attempt lost one or could not open one (diagnostics; the chaos
+    /// tests assert on it).
+    reconnects: u64,
+}
+
+impl PgWireBackend {
+    /// Connect, authenticate and wait for `ReadyForQuery`, using the
+    /// default deadlines and retry policy.
+    pub fn connect(addr: &str, creds: &Credentials) -> Result<Self, WireError> {
+        Self::connect_with(addr, creds, WireTimeouts::default(), RetryPolicy::default())
+    }
+
+    /// Connect with explicit deadlines and retry policy: a session over
+    /// a pool of one connection, dialed now so that a refused, rejected
+    /// or garbled handshake is this call's typed error.
+    pub fn connect_with(
+        addr: &str,
+        creds: &Credentials,
+        timeouts: WireTimeouts,
+        retry: RetryPolicy,
+    ) -> Result<Self, WireError> {
+        let cfg = PoolConfig { size: 1, timeouts, retry, ..PoolConfig::default() };
+        let session = BackendPool::new(addr, creds, cfg).session();
+        let conn = session.pool.checkout(session.id, &[])?;
+        session.pool.release(conn);
+        Ok(session)
+    }
+
+    pub(crate) fn new(pool: Arc<BackendPool>, id: u64) -> PgWireBackend {
+        PgWireBackend { pool, id, journal: Vec::new(), reconnects: 0 }
+    }
+
+    /// The session-establishment DDL journal (diagnostics/tests).
+    pub fn journal(&self) -> &[String] {
+        &self.journal
+    }
+
+    /// One attempt at `sql`: check out a connection brought up to this
+    /// session's state, run the statement, hand the connection back (or
+    /// evict it when its reply was cut short). A connection lost under
+    /// a mutation is the typed non-idempotent refusal, never a replay.
+    fn attempt(
+        &mut self,
+        sql: &str,
+        class: StatementClass,
+        recovering: bool,
+    ) -> Result<BatchQueryResult, WireError> {
+        let mut conn = self.pool.checkout(self.id, &self.journal)?;
+        if recovering {
+            self.reconnects += 1;
+            wire_metrics().reconnects.inc();
+        }
+        let result = conn.pg.exchange(sql, class);
+        let durable = conn.pg.durable();
+        if result.is_ok() && class == StatementClass::SessionDdl {
+            self.journal.push(sql.to_string());
+            conn.journaled(self.journal.len());
+        }
+        self.pool.release(conn);
+        match result {
+            Err(e) if e.retryable() && !class.replayable() => {
+                Err(non_idempotent_error(sql, durable, &e))
+            }
+            other => other,
+        }
     }
 }
 
 impl Backend for PgWireBackend {
     fn execute_sql_batch(&mut self, sql: &str) -> Result<Option<BatchQueryResult>, WireError> {
         let class = StatementClass::of(sql);
+        let retry = self.pool.retry();
         let mut attempt: u32 = 1;
         loop {
-            let mut failure = match self.run_statement(sql, class) {
-                Ok(result) => {
-                    if class == StatementClass::SessionDdl {
-                        self.journal.push(sql.to_string());
-                    }
-                    return Ok(Some(result));
-                }
-                Err(e) if e.retryable() => {
-                    if !class.replayable() {
-                        let err = non_idempotent_error(sql, self.durable, &e);
-                        if self.durable {
-                            // Re-establish the session so it stays
-                            // usable for the verify-and-re-issue.
-                            let _ = self.reconnect();
-                        }
-                        return Err(err);
-                    }
-                    e
-                }
+            let failure = match self.attempt(sql, class, attempt > 1) {
+                Ok(result) => return Ok(Some(result)),
+                Err(e) if e.retryable() => e,
                 Err(e) => return Err(e),
             };
-            // Reconnect-and-retry loop: each failed reconnect also
-            // burns an attempt, so a dead backend cannot stall us in
-            // here forever.
-            loop {
-                if attempt >= self.retry.max_attempts {
-                    return Err(WireError::new(
-                        WireErrorKind::RetriesExhausted,
-                        format!(
-                            "{} of {} attempts failed for ({}); last failure: {failure}",
-                            attempt,
-                            self.retry.max_attempts,
-                            summarize(sql)
-                        ),
-                    ));
-                }
-                wire_metrics().retries.inc();
-                std::thread::sleep(self.retry.backoff(attempt));
-                attempt += 1;
-                match self.reconnect() {
-                    Ok(()) => break,
-                    Err(e) if e.retryable() => failure = e,
-                    Err(e) => return Err(e),
-                }
+            // Each attempt that cannot reach a connection burns one too,
+            // so a dead backend cannot stall us in here forever.
+            if attempt >= retry.max_attempts {
+                return Err(retries_exhausted(sql, attempt, retry.max_attempts, &failure));
             }
+            wire_metrics().retries.inc();
+            std::thread::sleep(retry.backoff(attempt));
+            attempt += 1;
         }
     }
 
     fn describe(&self) -> String {
-        format!("pg-wire backend at {}", self.addr)
+        format!("pg-wire backend at {} (session {})", self.pool.addr(), self.id)
     }
 
     fn reconnects(&self) -> u64 {
@@ -586,7 +593,7 @@ impl Backend for PgWireBackend {
     }
 
     fn durable(&self) -> bool {
-        self.durable
+        self.pool.durable()
     }
 }
 
@@ -938,17 +945,15 @@ mod tests {
         let (addr, requests) =
             scripted_server(vec![ok("SELECT 0"), ok("INSERT 0 1"), ok("SELECT 1"), ok("SELECT 1")]);
         let creds = Credentials { user: "x".into(), ..Default::default() };
-        let mut backend = PgWireBackend::connect_with(
-            &addr.to_string(),
-            &creds,
-            WireTimeouts::default(),
-            RetryPolicy::no_retry(),
-        )
-        .unwrap();
-        backend.execute_sql("SELECT x FROM t").unwrap();
-        backend.execute_sql("INSERT INTO t VALUES (1)").unwrap();
-        backend.execute_sql("CREATE TEMPORARY TABLE scratch AS SELECT 1").unwrap();
-        backend.ping(None).unwrap();
+        let mut conn = PgConn::open(&addr.to_string(), &creds, &WireTimeouts::default()).unwrap();
+        for sql in [
+            "SELECT x FROM t",
+            "INSERT INTO t VALUES (1)",
+            "CREATE TEMPORARY TABLE scratch AS SELECT 1",
+        ] {
+            conn.exchange(sql, StatementClass::of(sql)).unwrap();
+        }
+        conn.ping(None).unwrap();
         // The message types of each request, in the order they arrived
         // in its single write.
         let kinds = |request: Vec<u8>| {

@@ -15,7 +15,12 @@
 //! * [`backend`] — the backend abstraction: in-process `pgdb` or a remote
 //!   PG v3 server over TCP.
 //! * [`gateway`] — the PG-specific Gateway plugin: a PG v3 wire client
-//!   (start-up, clear-text/MD5 authentication, simple query).
+//!   (start-up, clear-text/MD5 authentication, simple and extended
+//!   query) and the one wire session, [`gateway::PgWireBackend`], with
+//!   its DDL journal and retry loop.
+//! * [`pool`] — the backend connections a wire session checks out per
+//!   statement: shared by many sessions, or a pool of one for a
+//!   dedicated connection.
 //! * [`mdi_backend`] — the PG MetaData Interface: binds names by querying
 //!   `information_schema.columns` on the backend (§3.2.3), always wrapped
 //!   in the configurable metadata cache.
@@ -96,7 +101,7 @@ pub use backend::{share, Backend, DirectBackend, SharedBackend};
 pub use batch::{BatchDriver, BatchReport, DivergenceKind, StatementOutcome};
 pub use side_by_side::Outcome;
 pub use obs::{QueryTrace, Span, SpanEvent, Stage};
-pub use pool::{BackendPool, PoolConfig, PooledBackend};
+pub use pool::{BackendPool, PoolConfig};
 pub use qcache::{CacheStats, TranslationCache};
 pub use session::{HyperQSession, SessionConfig};
 pub use shard::{env_shards, ShardCluster, ShardOpts, ShardRouter};

@@ -1,11 +1,14 @@
-//! Shared backend connection pool (DESIGN §15).
+//! Backend connection pool (DESIGN §15).
 //!
-//! Before this pool, every gateway session pinned one backend TCP
-//! connection for its whole lifetime — ten thousand mostly-idle Q
-//! sessions meant ten thousand backend connections. [`BackendPool`]
-//! breaks that coupling: a bounded set of authenticated
-//! [`PgWireBackend`] connections, checked out **per statement** and
-//! returned the moment the response stream drains.
+//! Every gateway session reaches the warehouse through a
+//! [`BackendPool`]: a bounded set of authenticated PG v3 connections,
+//! checked out **per statement** and returned the moment the response
+//! stream drains. A session opened with
+//! [`PgWireBackend::connect`](crate::gateway::PgWireBackend::connect)
+//! owns a pool of one; sessions handed out by [`BackendPool::session`]
+//! share one, so ten thousand mostly-idle Q sessions need not hold ten
+//! thousand backend connections. Either way the session is the same
+//! [`PgWireBackend`], so the journal, retry and replay rules exist once.
 //!
 //! ## Checkout protocol
 //!
@@ -23,27 +26,26 @@
 //!
 //! ## Session state on pooled connections
 //!
-//! PR 2's reconnect logic journals session-establishment DDL (the
-//! `CREATE TEMPORARY TABLE` statements materializing Q variables) and
-//! replays it after a reconnect. With pooling the journal must live
-//! per *session*, not per connection: a statement may land on any
-//! pooled connection, so [`PooledBackend`] carries its session's
-//! journal and re-materializes whatever is missing on the connection it
-//! draws — a suffix replay when it gets its own connection back, a
+//! The journal of session-establishment DDL (the `CREATE TEMPORARY
+//! TABLE` statements materializing Q variables) lives per *session*,
+//! not per connection: a statement may land on any pooled connection,
+//! so the checkout re-materializes whatever the drawn connection lacks
+//! — a suffix replay when the session gets its own connection back, a
 //! connection reset (fresh TCP session, so the previous owner's temp
-//! tables die) plus full replay when it inherits a tainted one.
+//! tables die) plus full replay when it inherits a tainted one, a full
+//! replay on a fresh dial. A connection lost mid-statement is evicted,
+//! so recovering from a backend fault is that same checkout: redial and
+//! replay.
 
-use crate::backend::{share, Backend, SharedBackend};
-use crate::endpoint::BackendFactory;
-use crate::gateway::{non_idempotent_error, summarize, Credentials, PgWireBackend, StatementClass};
+use crate::gateway::{Credentials, PgConn, PgWireBackend, StatementClass};
 use crate::wire::{RetryPolicy, WireError, WireErrorKind, WireTimeouts};
-use pgdb::BatchQueryResult;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Pool-wide counters and gauges, process-global so `SHOW metrics` /
-/// `\metrics` surface them alongside the wire and net families.
+/// `\metrics` surface them alongside the wire and net families. They
+/// count every wire session's connections, dedicated ones included.
 pub(crate) struct PoolMetrics {
     checkouts: Arc<obs::Counter>,
     checkout_wait: Arc<obs::Histogram>,
@@ -88,7 +90,7 @@ pub struct PoolConfig {
     pub health_deadline: Option<Duration>,
     /// Wire deadlines applied to every pooled connection.
     pub timeouts: WireTimeouts,
-    /// Retry policy for statement execution over the pool.
+    /// Retry policy of every session over the pool.
     pub retry: RetryPolicy,
 }
 
@@ -105,26 +107,10 @@ impl Default for PoolConfig {
     }
 }
 
-impl PoolConfig {
-    /// Defaults overridden by `HQ_POOL_SIZE` and `HQ_POOL_CHECKOUT_MS`.
-    pub fn from_env() -> PoolConfig {
-        let mut cfg = PoolConfig::default();
-        if let Some(n) = std::env::var("HQ_POOL_SIZE").ok().and_then(|v| v.parse().ok()) {
-            if n > 0 {
-                cfg.size = n;
-            }
-        }
-        if let Some(ms) = std::env::var("HQ_POOL_CHECKOUT_MS").ok().and_then(|v| v.parse().ok()) {
-            cfg.checkout_deadline = Duration::from_millis(ms);
-        }
-        cfg
-    }
-}
-
 /// One pooled connection plus the bookkeeping that decides how much
 /// session re-materialization a checkout needs.
-struct PoolConn {
-    backend: PgWireBackend,
+pub(crate) struct PoolConn {
+    pub(crate) pg: PgConn,
     last_used: Instant,
     /// The session whose journal was last replayed onto this
     /// connection, and how far.
@@ -133,6 +119,15 @@ struct PoolConn {
     /// Carries session-scoped backend state (temp tables): handing it
     /// to a *different* session requires a connection reset first.
     tainted: bool,
+}
+
+impl PoolConn {
+    /// The owning session's journal grew to `len` by a statement that
+    /// ran on this connection.
+    pub(crate) fn journaled(&mut self, len: usize) {
+        self.owner_journal_len = len;
+        self.tainted = true;
+    }
 }
 
 struct PoolState {
@@ -169,17 +164,10 @@ impl BackendPool {
         })
     }
 
-    /// A [`BackendFactory`] for [`crate::endpoint::QipcEndpoint`]: every
-    /// accepted Q client gets a [`PooledBackend`] session view over this
-    /// shared pool.
-    pub fn session_factory(self: &Arc<Self>) -> BackendFactory {
-        let pool = Arc::clone(self);
-        Arc::new(move || Ok(share(PooledBackend::new(Arc::clone(&pool)))))
-    }
-
-    /// Open a standalone session view over the pool.
-    pub fn session_backend(self: &Arc<Self>) -> SharedBackend {
-        share(PooledBackend::new(Arc::clone(self)))
+    /// Open a new gateway session over this pool: its own journal and
+    /// reconnect count, statements on whichever connection is free.
+    pub fn session(self: &Arc<Self>) -> PgWireBackend {
+        PgWireBackend::new(Arc::clone(self), self.next_session.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Connections currently open (idle + checked out).
@@ -187,13 +175,45 @@ impl BackendPool {
         self.state.lock().unwrap().open
     }
 
-    /// Connections currently idle in the pool.
-    pub fn idle_connections(&self) -> usize {
-        self.state.lock().unwrap().idle.len()
+    pub(crate) fn addr(&self) -> &str {
+        &self.addr
     }
 
-    /// Check a connection out for one statement on behalf of `session`.
-    fn checkout(&self, session: u64) -> Result<PoolConn, WireError> {
+    pub(crate) fn retry(&self) -> RetryPolicy {
+        self.cfg.retry
+    }
+
+    pub(crate) fn durable(&self) -> bool {
+        self.durable.load(Ordering::Relaxed)
+    }
+
+    /// Check a connection out for one statement on behalf of `session`,
+    /// brought up to the state its `journal` describes. A connection
+    /// that fails on the way is evicted.
+    pub(crate) fn checkout(&self, session: u64, journal: &[String]) -> Result<PoolConn, WireError> {
+        let mut conn = self.take(session)?;
+        match self.ensure_session(&mut conn, session, journal) {
+            Ok(()) => Ok(conn),
+            Err(e) => {
+                self.evict(conn);
+                Err(e)
+            }
+        }
+    }
+
+    /// Hand a connection back after a statement: to the idle set when
+    /// its reply was read through, evicted when it was cut short.
+    pub(crate) fn release(&self, conn: PoolConn) {
+        if conn.pg.synced() {
+            self.give_back(conn)
+        } else {
+            self.evict(conn)
+        }
+    }
+
+    /// Pick (or dial) a connection for `session`, waiting at most the
+    /// checkout deadline for one to come free.
+    fn take(&self, session: u64) -> Result<PoolConn, WireError> {
         let started = Instant::now();
         let m = pool_metrics();
         let mut state = self.state.lock().unwrap();
@@ -215,7 +235,7 @@ impl BackendPool {
                 // deadline, the connection is evicted (closed, slot
                 // freed), and the checkout moves on.
                 if conn.last_used.elapsed() >= self.cfg.health_idle
-                    && conn.backend.ping(self.cfg.health_deadline).is_err()
+                    && conn.pg.ping(self.cfg.health_deadline).is_err()
                 {
                     self.evict(conn);
                     state = self.state.lock().unwrap();
@@ -232,19 +252,14 @@ impl BackendPool {
                 state.open += 1;
                 m.conns_open.add(1);
                 drop(state);
-                match PgWireBackend::connect_with(
-                    &self.addr,
-                    &self.creds,
-                    self.cfg.timeouts,
-                    RetryPolicy::no_retry(),
-                ) {
-                    Ok(backend) => {
+                match PgConn::open(&self.addr, &self.creds, &self.cfg.timeouts) {
+                    Ok(pg) => {
                         m.dials.inc();
-                        self.durable.store(Backend::durable(&backend), Ordering::Relaxed);
+                        self.durable.store(pg.durable(), Ordering::Relaxed);
                         m.checkouts.inc();
                         m.checkout_wait.observe_secs(started.elapsed().as_secs_f64());
                         return Ok(PoolConn {
-                            backend,
+                            pg,
                             last_used: Instant::now(),
                             owner: None,
                             owner_journal_len: 0,
@@ -285,6 +300,41 @@ impl BackendPool {
         }
     }
 
+    /// Bring `conn` up to `session`'s state: nothing if it is already
+    /// the session's and current, a suffix replay if it is the
+    /// session's but stale, a reset (fresh backend session — the
+    /// previous owner's temp tables die with the old TCP session) plus
+    /// full replay if it carries another session's state.
+    fn ensure_session(
+        &self,
+        conn: &mut PoolConn,
+        session: u64,
+        journal: &[String],
+    ) -> Result<(), WireError> {
+        let replay_from = if conn.owner == Some(session) {
+            if conn.owner_journal_len == journal.len() {
+                return Ok(());
+            }
+            conn.owner_journal_len.min(journal.len())
+        } else {
+            if conn.tainted {
+                // Hygiene, not fault recovery: not a dial, not a
+                // reconnect.
+                conn.pg = PgConn::open(&self.addr, &self.creds, &self.cfg.timeouts)?;
+                pool_metrics().resets.inc();
+                conn.tainted = false;
+            }
+            0
+        };
+        for sql in &journal[replay_from..] {
+            conn.pg.exchange(sql, StatementClass::SessionDdl)?;
+        }
+        conn.owner = Some(session);
+        conn.owner_journal_len = journal.len();
+        conn.tainted = conn.tainted || !journal.is_empty();
+        Ok(())
+    }
+
     /// Return a healthy connection to the idle set.
     fn give_back(&self, mut conn: PoolConn) {
         conn.last_used = Instant::now();
@@ -323,155 +373,10 @@ impl Drop for BackendPool {
     }
 }
 
-/// A gateway session's view over a shared [`BackendPool`]: implements
-/// [`Backend`] by checking a connection out per statement and carrying
-/// the session's DDL journal so its temp-table state re-materializes on
-/// whichever connection the statement lands on.
-pub struct PooledBackend {
-    pool: Arc<BackendPool>,
-    id: u64,
-    /// This *session's* establishment journal (per-session, not
-    /// per-connection — see the module docs).
-    journal: Vec<String>,
-    reconnects: u64,
-}
-
-impl PooledBackend {
-    /// Open a new session view over `pool`.
-    pub fn new(pool: Arc<BackendPool>) -> PooledBackend {
-        let id = pool.next_session.fetch_add(1, Ordering::Relaxed);
-        PooledBackend { pool, id, journal: Vec::new(), reconnects: 0 }
-    }
-
-    /// This session's establishment journal (diagnostics/tests).
-    pub fn journal(&self) -> &[String] {
-        &self.journal
-    }
-
-    /// Bring `conn` up to this session's state: nothing if it is already
-    /// mine and current, a suffix replay if it is mine but stale, a
-    /// reset (fresh backend session — the previous owner's temp tables
-    /// die with the old TCP session) plus full replay if it carries
-    /// another session's state.
-    fn ensure_session(&self, conn: &mut PoolConn) -> Result<(), WireError> {
-        let replay_from = if conn.owner == Some(self.id) {
-            if conn.owner_journal_len == self.journal.len() {
-                return Ok(());
-            }
-            conn.owner_journal_len.min(self.journal.len())
-        } else {
-            if conn.tainted {
-                conn.backend.reset_connection()?;
-                pool_metrics().resets.inc();
-                conn.tainted = false;
-            }
-            0
-        };
-        for sql in &self.journal[replay_from..] {
-            conn.backend.run_statement(sql, StatementClass::SessionDdl)?;
-        }
-        conn.owner = Some(self.id);
-        conn.owner_journal_len = self.journal.len();
-        conn.tainted = conn.tainted || !self.journal.is_empty();
-        Ok(())
-    }
-}
-
-impl Backend for PooledBackend {
-    fn execute_sql_batch(&mut self, sql: &str) -> Result<Option<BatchQueryResult>, WireError> {
-        let class = StatementClass::of(sql);
-        let retry = self.pool.cfg.retry;
-        let mut attempt: u32 = 1;
-        loop {
-            if attempt > 1 {
-                std::thread::sleep(retry.backoff(attempt - 1));
-            }
-            let mut conn = match self.pool.checkout(self.id) {
-                Ok(c) => c,
-                Err(e) if e.retryable() && attempt < retry.max_attempts => {
-                    attempt += 1;
-                    continue;
-                }
-                Err(e) if e.retryable() => {
-                    return Err(retries_exhausted(sql, attempt, retry.max_attempts, &e));
-                }
-                Err(e) => return Err(e),
-            };
-            if let Err(e) = self.ensure_session(&mut conn) {
-                self.pool.evict(conn);
-                if e.retryable() && attempt < retry.max_attempts {
-                    self.reconnects += 1;
-                    attempt += 1;
-                    continue;
-                }
-                if e.retryable() {
-                    return Err(retries_exhausted(sql, attempt, retry.max_attempts, &e));
-                }
-                return Err(e);
-            }
-            match conn.backend.run_statement(sql, class) {
-                Ok(result) => {
-                    if class == StatementClass::SessionDdl {
-                        self.journal.push(sql.to_string());
-                        conn.owner_journal_len = self.journal.len();
-                        conn.tainted = true;
-                    }
-                    conn.owner = Some(self.id);
-                    self.pool.give_back(conn);
-                    return Ok(Some(result));
-                }
-                Err(e) if e.retryable() => {
-                    // The connection died mid-statement: it leaves the
-                    // pool for good (evicted, socket closed), and the
-                    // statement's fate decides what happens next.
-                    let durable = Backend::durable(&conn.backend);
-                    self.pool.evict(conn);
-                    if !class.replayable() {
-                        return Err(non_idempotent_error(sql, durable, &e));
-                    }
-                    self.reconnects += 1;
-                    if attempt >= retry.max_attempts {
-                        return Err(retries_exhausted(sql, attempt, retry.max_attempts, &e));
-                    }
-                    attempt += 1;
-                }
-                Err(e) => {
-                    // A SQL-level error travels on a healthy connection.
-                    self.pool.give_back(conn);
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!("pooled pg-wire backend at {} (session {})", self.pool.addr, self.id)
-    }
-
-    fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
-    fn durable(&self) -> bool {
-        self.pool.durable.load(Ordering::Relaxed)
-    }
-}
-
-/// Mirror of the gateway's retry-exhaustion error (same shape so pooled
-/// and dedicated paths read alike in logs and tests).
-fn retries_exhausted(sql: &str, attempt: u32, max: u32, failure: &WireError) -> WireError {
-    WireError::new(
-        WireErrorKind::RetriesExhausted,
-        format!(
-            "{attempt} of {max} attempts failed for ({}); last failure: {failure}",
-            summarize(sql)
-        ),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use pgdb::server::{PgServer, ServerConfig};
     use pgdb::{Cell, QueryResult};
 
@@ -488,9 +393,9 @@ mod tests {
         let server = start_server();
         let cfg = PoolConfig { size: 2, ..PoolConfig::default() };
         let pool = BackendPool::new(&server.addr.to_string(), &creds(), cfg);
-        let mut a = PooledBackend::new(Arc::clone(&pool));
-        let mut b = PooledBackend::new(Arc::clone(&pool));
-        let mut c = PooledBackend::new(Arc::clone(&pool));
+        let mut a = pool.session();
+        let mut b = pool.session();
+        let mut c = pool.session();
         a.execute_sql("CREATE TABLE t (x bigint)").unwrap();
         a.execute_sql("INSERT INTO t VALUES (1)").unwrap();
         for s in [&mut a, &mut b, &mut c] {
@@ -512,8 +417,8 @@ mod tests {
         // ever sees the other's state.
         let cfg = PoolConfig { size: 1, ..PoolConfig::default() };
         let pool = BackendPool::new(&server.addr.to_string(), &creds(), cfg);
-        let mut a = PooledBackend::new(Arc::clone(&pool));
-        let mut b = PooledBackend::new(Arc::clone(&pool));
+        let mut a = pool.session();
+        let mut b = pool.session();
         a.execute_sql("CREATE TEMPORARY TABLE \"HQ_TEMP_A\" AS SELECT 1 AS x").unwrap();
         b.execute_sql("CREATE TEMPORARY TABLE \"HQ_TEMP_B\" AS SELECT 2 AS x").unwrap();
         // a's temp table re-materializes on the (shared) connection…
@@ -541,8 +446,8 @@ mod tests {
         };
         let pool = BackendPool::new(&server.addr.to_string(), &creds(), cfg);
         // Hold the single connection hostage.
-        let hostage = pool.checkout(999).unwrap();
-        let mut s = PooledBackend::new(Arc::clone(&pool));
+        let hostage = pool.checkout(999, &[]).unwrap();
+        let mut s = pool.session();
         let t0 = Instant::now();
         let err = s.execute_sql("SELECT 1").unwrap_err();
         assert!(t0.elapsed() < Duration::from_secs(3), "checkout hung: {:?}", t0.elapsed());

@@ -16,7 +16,7 @@ use crate::mdi_backend::BackendMdi;
 use crate::pivot::pivot_batch;
 use crate::qcache::{CacheStats, TranslationCache};
 use crate::translate::{StageTimings, Translation, TranslationStats, Translator};
-use crate::wire::{RetryPolicy, WireError, WireTimeouts};
+use crate::wire::{WireError, WireTimeouts};
 use algebrizer::{CachingMdi, MaterializationPolicy, Scopes};
 use obs::{QueryTrace, SlowQueryRecord, Span, SpanEvent, Stage};
 use pgdb::{BatchQueryResult, QueryResult};
@@ -42,8 +42,6 @@ pub struct SessionConfig {
     /// Connect/read/write deadlines for both TCP legs: the client-facing
     /// Endpoint leg and the backend-facing Gateway leg.
     pub wire: WireTimeouts,
-    /// Reconnect policy for the Gateway's backend leg.
-    pub retry: RetryPolicy,
     /// Queries slower than this land in the process-wide slow-query log
     /// with their Q text, generated SQL and per-stage timings
     /// (README knob `obs.slow_query_ms`). `Duration::ZERO` disables the
@@ -69,7 +67,6 @@ impl Default for SessionConfig {
             metadata_cache_ttl: Duration::from_secs(300),
             translation_cache: 256,
             wire: WireTimeouts::default(),
-            retry: RetryPolicy::default(),
             slow_query: Duration::from_millis(250),
             exec_threads: 0,
             durability: None,
@@ -217,12 +214,6 @@ impl HyperQSession {
     /// Translation cache statistics.
     pub fn translation_cache_stats(&self) -> CacheStats {
         self.qcache.stats()
-    }
-
-    /// Resize the translation cache at runtime (`0` disables it).
-    /// Existing entries and statistics are dropped.
-    pub fn set_translation_cache(&mut self, capacity: usize) {
-        self.qcache = TranslationCache::new(capacity);
     }
 
     /// Translate `q_text`, consulting the translation cache.

@@ -332,13 +332,6 @@ impl Session {
     /// Does nothing: a statement runs on one executor thread. Goes with ROADMAP item 8 step A.
     pub fn set_exec_threads(&mut self, _threads: Option<usize>) {}
 
-    /// Names of this session's temp tables, sorted.
-    pub fn temp_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.temps.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Snapshot of temp + global tables for catalog purposes.
     pub(crate) fn all_tables_meta(&self) -> Vec<(String, Vec<Column>)> {
         let mut out: Vec<(String, Vec<Column>)> = self

@@ -6,12 +6,18 @@
 //! byte offset, in which direction — and asserts the typed outcome:
 //! transparent retry, journal replay, retry exhaustion, deadline
 //! expiry, protocol rejection, or non-idempotent refusal.
+//!
+//! The single-connection scenarios form one fault table over both ways
+//! of opening a wire session — a dedicated connection and a session over
+//! a shared pool — with the same assertions for each, since both are one
+//! `PgWireBackend` with one retry loop.
 
 use chaosnet::{ChaosProxy, FaultPlan, LegFaults};
 use hyperq::backend::{share, Backend};
 use hyperq::endpoint::{BackendFactory, EndpointConfig, QipcClient, QipcEndpoint};
 use hyperq::gateway::{Credentials, PgWireBackend};
 use hyperq::{loader, HyperQSession, RetryPolicy, SessionConfig, WireError, WireErrorKind, WireTimeouts};
+use hyperq::{BackendPool, PoolConfig};
 use pgdb::server::{PgServer, ServerConfig};
 use pgdb::{Cell, QueryResult};
 use qlang::value::{Table, Value};
@@ -46,33 +52,60 @@ fn chaotic_backend() -> (PgServer, ChaosProxy) {
     (server, proxy)
 }
 
+/// The two ways to open a wire session through the proxy.
+#[derive(Debug, Clone, Copy)]
+enum Open {
+    /// `PgWireBackend::connect_with`: a pool of one, dialed at once.
+    Dedicated,
+    /// `BackendPool::session`: a shared pool, dialed by the first
+    /// statement.
+    Pooled,
+}
+
+const BOTH: [Open; 2] = [Open::Dedicated, Open::Pooled];
+
+fn session_via(
+    open: Open,
+    proxy: &ChaosProxy,
+    timeouts: WireTimeouts,
+    retry: RetryPolicy,
+) -> PgWireBackend {
+    let addr = proxy.addr().to_string();
+    match open {
+        Open::Dedicated => PgWireBackend::connect_with(&addr, &creds(), timeouts, retry).unwrap(),
+        Open::Pooled => {
+            let cfg = PoolConfig { timeouts, retry, ..PoolConfig::default() };
+            BackendPool::new(&addr, &creds(), cfg).session()
+        }
+    }
+}
+
 fn gateway_via(proxy: &ChaosProxy, retry: RetryPolicy) -> PgWireBackend {
-    PgWireBackend::connect_with(
-        &proxy.addr().to_string(),
-        &creds(),
-        WireTimeouts::default(),
-        retry,
-    )
-    .unwrap()
+    session_via(Open::Dedicated, proxy, WireTimeouts::default(), retry)
 }
 
 #[test]
 fn mid_query_sever_is_transparently_retried() {
-    let (server, proxy) = chaotic_backend();
-    // Connection 1: forward the whole startup packet plus one byte of
-    // the first Query frame, then sever — the classic mid-query cut.
-    proxy.push_plan(FaultPlan {
-        to_upstream: LegFaults { truncate_after: Some(startup_len() + 1), ..LegFaults::clean() },
-        ..FaultPlan::clean()
-    });
-    let mut gw = gateway_via(&proxy, RetryPolicy::immediate(3));
-    match gw.execute_sql("SELECT 1 AS x").unwrap() {
-        QueryResult::Rows(rows) => assert_eq!(rows.data[0][0], Cell::Int(1)),
-        other => panic!("expected rows, got {other:?}"),
+    for open in BOTH {
+        let (server, proxy) = chaotic_backend();
+        // Connection 1: forward the whole startup packet plus one byte of
+        // the first Query frame, then sever — the classic mid-query cut.
+        proxy.push_plan(FaultPlan {
+            to_upstream: LegFaults {
+                truncate_after: Some(startup_len() + 1),
+                ..LegFaults::clean()
+            },
+            ..FaultPlan::clean()
+        });
+        let mut gw = session_via(open, &proxy, WireTimeouts::default(), RetryPolicy::immediate(3));
+        match gw.execute_sql("SELECT 1 AS x").unwrap() {
+            QueryResult::Rows(rows) => assert_eq!(rows.data[0][0], Cell::Int(1), "{open:?}"),
+            other => panic!("{open:?}: expected rows, got {other:?}"),
+        }
+        assert_eq!(gw.reconnects(), 1, "{open:?}: exactly one transparent reconnect");
+        assert_eq!(proxy.connections(), 2, "{open:?}");
+        server.detach();
     }
-    assert_eq!(gw.reconnects(), 1, "exactly one transparent reconnect");
-    assert_eq!(proxy.connections(), 2);
-    server.detach();
 }
 
 /// Observability of recovery: a mid-query sever that is transparently
@@ -107,75 +140,84 @@ fn mid_query_sever_increments_reconnect_metric_and_emits_recovering_event() {
 
 #[test]
 fn journal_replay_rebuilds_temp_tables_after_reconnect() {
-    let (server, proxy) = chaotic_backend();
-    let mut gw = gateway_via(&proxy, RetryPolicy::immediate(3));
-    gw.execute_sql("CREATE TABLE base (x bigint)").unwrap();
-    gw.execute_sql("INSERT INTO base VALUES (7), (9)").unwrap();
-    gw.execute_sql("CREATE TEMPORARY TABLE \"HQ_TEMP_1\" AS SELECT x FROM base WHERE x > 8")
-        .unwrap();
-    assert_eq!(gw.journal().len(), 1);
+    for open in BOTH {
+        let (server, proxy) = chaotic_backend();
+        let mut gw = session_via(open, &proxy, WireTimeouts::default(), RetryPolicy::immediate(3));
+        gw.execute_sql("CREATE TABLE base (x bigint)").unwrap();
+        gw.execute_sql("INSERT INTO base VALUES (7), (9)").unwrap();
+        gw.execute_sql("CREATE TEMPORARY TABLE \"HQ_TEMP_1\" AS SELECT x FROM base WHERE x > 8")
+            .unwrap();
+        assert_eq!(gw.journal().len(), 1, "{open:?}");
 
-    // The backend "crashes": the temp table dies with its session.
-    proxy.sever_active();
+        // The backend "crashes": the temp table dies with its session.
+        proxy.sever_active();
 
-    // The next read reconnects, replays the journal (recreating the
-    // temp table on the fresh session) and re-runs transparently.
-    match gw.execute_sql("SELECT x FROM \"HQ_TEMP_1\"").unwrap() {
-        QueryResult::Rows(rows) => {
-            assert_eq!(rows.data.len(), 1);
-            assert_eq!(rows.data[0][0], Cell::Int(9));
+        // The next read reconnects, replays the journal (recreating the
+        // temp table on the fresh session) and re-runs transparently.
+        match gw.execute_sql("SELECT x FROM \"HQ_TEMP_1\"").unwrap() {
+            QueryResult::Rows(rows) => {
+                assert_eq!(rows.data.len(), 1, "{open:?}");
+                assert_eq!(rows.data[0][0], Cell::Int(9), "{open:?}");
+            }
+            other => panic!("{open:?}: expected rows, got {other:?}"),
         }
-        other => panic!("expected rows, got {other:?}"),
+        assert_eq!(gw.reconnects(), 1, "{open:?}");
+        server.detach();
     }
-    assert_eq!(gw.reconnects(), 1);
-    server.detach();
 }
 
 #[test]
 fn retry_exhaustion_yields_a_typed_error() {
-    let (server, proxy) = chaotic_backend();
-    let mut gw = gateway_via(&proxy, RetryPolicy::immediate(3));
-    // Every future connection dies before a byte crosses; the current
-    // one dies now.
-    proxy.set_default_plan(FaultPlan {
-        to_upstream: LegFaults::sever_immediately(),
-        ..FaultPlan::clean()
-    });
-    proxy.sever_active();
-    let err = gw.execute_sql("SELECT 1").unwrap_err();
-    assert_eq!(err.kind, WireErrorKind::RetriesExhausted, "{err}");
-    assert!(err.message.contains("3 of 3 attempts"), "{err}");
-    server.detach();
+    for open in BOTH {
+        let (server, proxy) = chaotic_backend();
+        let mut gw = session_via(open, &proxy, WireTimeouts::default(), RetryPolicy::immediate(3));
+        // Every future connection dies before a byte crosses; the current
+        // one dies now.
+        proxy.set_default_plan(FaultPlan {
+            to_upstream: LegFaults::sever_immediately(),
+            ..FaultPlan::clean()
+        });
+        proxy.sever_active();
+        let err = gw.execute_sql("SELECT 1").unwrap_err();
+        assert_eq!(err.kind, WireErrorKind::RetriesExhausted, "{open:?}: {err}");
+        assert!(err.message.contains("3 of 3 attempts"), "{open:?}: {err}");
+        server.detach();
+    }
 }
 
 #[test]
 fn slow_backend_trips_the_read_deadline() {
-    let (server, proxy) = chaotic_backend();
-    // Handshake at full speed; every frame after the startup packet is
-    // stalled well past the Gateway's read deadline.
-    proxy.push_plan(FaultPlan {
-        to_upstream: LegFaults {
-            delay: Some(Duration::from_millis(500)),
-            delay_after: startup_len(),
-            ..LegFaults::clean()
-        },
-        ..FaultPlan::clean()
-    });
-    let timeouts = WireTimeouts {
-        read: Some(Duration::from_millis(80)),
-        ..WireTimeouts::default()
-    };
-    let mut gw = PgWireBackend::connect_with(
-        &proxy.addr().to_string(),
-        &creds(),
-        timeouts,
-        RetryPolicy::no_retry(),
-    )
-    .unwrap();
-    let err = gw.execute_sql("SELECT 1").unwrap_err();
-    // Deliberately NOT retried: the statement may still be executing.
-    assert_eq!(err.kind, WireErrorKind::Timeout, "{err}");
-    server.detach();
+    for open in BOTH {
+        let (server, proxy) = chaotic_backend();
+        // Handshake at full speed; every frame after the startup packet
+        // is stalled well past the Gateway's read deadline.
+        proxy.push_plan(FaultPlan {
+            to_upstream: LegFaults {
+                delay: Some(Duration::from_millis(500)),
+                delay_after: startup_len(),
+                ..LegFaults::clean()
+            },
+            ..FaultPlan::clean()
+        });
+        let timeouts = WireTimeouts {
+            read: Some(Duration::from_millis(80)),
+            ..WireTimeouts::default()
+        };
+        let mut gw = session_via(open, &proxy, timeouts, RetryPolicy::no_retry());
+        let err = gw.execute_sql("SELECT 1").unwrap_err();
+        // Deliberately NOT retried: the statement may still be executing.
+        assert_eq!(err.kind, WireErrorKind::Timeout, "{open:?}: {err}");
+        // The late reply lands on the stalled connection. It must not
+        // answer the next statement: that connection was evicted, and
+        // the next statement runs on a fresh one.
+        std::thread::sleep(Duration::from_millis(700));
+        match gw.execute_sql("SELECT 2 AS x").unwrap() {
+            QueryResult::Rows(rows) => assert_eq!(rows.data, vec![vec![Cell::Int(2)]], "{open:?}"),
+            other => panic!("{open:?}: expected rows, got {other:?}"),
+        }
+        assert_eq!(proxy.connections(), 2, "{open:?}");
+        server.detach();
+    }
 }
 
 #[test]
@@ -200,22 +242,24 @@ fn corrupt_backend_length_prefix_is_a_protocol_error() {
 
 #[test]
 fn non_idempotent_statements_are_not_replayed() {
-    let (server, proxy) = chaotic_backend();
-    let mut gw = gateway_via(&proxy, RetryPolicy::immediate(5));
-    gw.execute_sql("CREATE TABLE t (x bigint)").unwrap();
-    // Sever every live connection mid-flight on the next frame.
-    proxy.set_default_plan(FaultPlan {
-        to_upstream: LegFaults::sever_immediately(),
-        ..FaultPlan::clean()
-    });
-    proxy.sever_active();
-    let before = gw.reconnects();
-    let err = gw.execute_sql("INSERT INTO t VALUES (1)").unwrap_err();
-    assert_eq!(err.kind, WireErrorKind::NonIdempotent, "{err}");
-    // No reconnect was attempted for the write: replaying could apply
-    // the mutation twice.
-    assert_eq!(gw.reconnects(), before);
-    server.detach();
+    for open in BOTH {
+        let (server, proxy) = chaotic_backend();
+        let mut gw = session_via(open, &proxy, WireTimeouts::default(), RetryPolicy::immediate(5));
+        gw.execute_sql("CREATE TABLE t (x bigint)").unwrap();
+        // Sever every live connection mid-flight on the next frame.
+        proxy.set_default_plan(FaultPlan {
+            to_upstream: LegFaults::sever_immediately(),
+            ..FaultPlan::clean()
+        });
+        proxy.sever_active();
+        let before = gw.reconnects();
+        let err = gw.execute_sql("INSERT INTO t VALUES (1)").unwrap_err();
+        assert_eq!(err.kind, WireErrorKind::NonIdempotent, "{open:?}: {err}");
+        // No reconnect was attempted for the write: replaying could apply
+        // the mutation twice.
+        assert_eq!(gw.reconnects(), before, "{open:?}");
+        server.detach();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -402,15 +446,15 @@ fn q_client_survives_backend_crash_end_to_end() {
     let proxy = Arc::new(ChaosProxy::start(&server.addr.to_string()).unwrap());
 
     // Endpoint whose per-connection backend is a Gateway THROUGH the
-    // chaos proxy, configured from the session's own knobs.
-    let session_cfg = SessionConfig { retry: RetryPolicy::immediate(4), ..SessionConfig::default() };
+    // chaos proxy, under the session's wire deadlines.
+    let session_cfg = SessionConfig::default();
     let proxy_addr = proxy.addr().to_string();
     let factory: BackendFactory = Arc::new(move || {
         let gw = PgWireBackend::connect_with(
             &proxy_addr,
             &creds(),
             session_cfg.wire,
-            session_cfg.retry,
+            RetryPolicy::immediate(4),
         )?;
         Ok(share(gw))
     });

@@ -14,7 +14,7 @@
 
 use chaosnet::{ChaosProxy, FaultPlan, LegFaults};
 use hyperq::gateway::Credentials;
-use hyperq::{Backend, BackendPool, PoolConfig, PooledBackend};
+use hyperq::{Backend, BackendPool, PoolConfig};
 use hyperq::{RetryPolicy, WireErrorKind};
 use pgdb::server::{PgServer, ServerConfig};
 use pgdb::{Cell, QueryResult};
@@ -100,7 +100,7 @@ fn severed_connection_is_evicted_and_the_next_checkout_redials() {
     let b0 = balance();
     let cfg = PoolConfig { retry: RetryPolicy::no_retry(), ..PoolConfig::default() };
     let pool = BackendPool::new(&proxy.addr().to_string(), &creds(), cfg);
-    let mut s = PooledBackend::new(Arc::clone(&pool));
+    let mut s = pool.session();
 
     s.execute_sql("SELECT 1").unwrap();
     assert_eq!(pool.open_connections(), 1);
@@ -136,7 +136,7 @@ fn sever_is_transparently_retried_with_journal_replay() {
     let b0 = balance();
     let cfg = PoolConfig { retry: RetryPolicy::immediate(3), ..PoolConfig::default() };
     let pool = BackendPool::new(&proxy.addr().to_string(), &creds(), cfg);
-    let mut s = PooledBackend::new(Arc::clone(&pool));
+    let mut s = pool.session();
 
     s.execute_sql("CREATE TABLE base (x bigint)").unwrap();
     s.execute_sql("INSERT INTO base VALUES (7), (9)").unwrap();
@@ -146,6 +146,9 @@ fn sever_is_transparently_retried_with_journal_replay() {
 
     // The backend "crashes": the temp table dies with its TCP session.
     proxy.sever_active();
+    let reg = obs::global_registry();
+    let reconnects_before = reg.counter_value("wire_reconnects_total");
+    let retries_before = reg.counter_value("wire_retries_total");
 
     match s.execute_sql("SELECT x FROM \"HQ_TEMP_1\"").unwrap() {
         QueryResult::Rows(rows) => {
@@ -155,6 +158,9 @@ fn sever_is_transparently_retried_with_journal_replay() {
         other => panic!("expected rows, got {other:?}"),
     }
     assert_eq!(s.reconnects(), 1, "exactly one transparent reconnect");
+    // The recovery shows in the wire metrics as a dedicated session's does.
+    assert_eq!(reg.counter_value("wire_reconnects_total") - reconnects_before, 1);
+    assert_eq!(reg.counter_value("wire_retries_total") - retries_before, 1);
     assert_eq!(proxy.connections(), 2);
     assert_eq!(pool.open_connections(), 1);
     assert_no_leak(&b0, &pool);
@@ -171,7 +177,7 @@ fn mutation_during_sever_is_refused_not_replayed() {
     let b0 = balance();
     let cfg = PoolConfig { retry: RetryPolicy::immediate(5), ..PoolConfig::default() };
     let pool = BackendPool::new(&proxy.addr().to_string(), &creds(), cfg);
-    let mut s = PooledBackend::new(Arc::clone(&pool));
+    let mut s = pool.session();
 
     s.execute_sql("CREATE TABLE t (x bigint)").unwrap();
     proxy.sever_active();
@@ -220,7 +226,7 @@ fn stalled_health_check_trips_deadline_and_evicts() {
         ..PoolConfig::default()
     };
     let pool = BackendPool::new(&proxy.addr().to_string(), &creds(), cfg);
-    let mut s = PooledBackend::new(Arc::clone(&pool));
+    let mut s = pool.session();
 
     s.execute_sql("SELECT 1").unwrap();
     // Let the connection go stale so the next checkout health-checks it.
@@ -270,14 +276,14 @@ fn exhausted_pool_times_out_typed_under_load() {
     let hog = {
         let pool = Arc::clone(&pool);
         std::thread::spawn(move || {
-            let mut a = PooledBackend::new(pool);
+            let mut a = pool.session();
             a.execute_sql("SELECT 1").unwrap();
         })
     };
     // Wait until the hog is definitely mid-statement on the only slot.
     std::thread::sleep(Duration::from_millis(200));
 
-    let mut b = PooledBackend::new(Arc::clone(&pool));
+    let mut b = pool.session();
     let t0 = Instant::now();
     let err = b.execute_sql("SELECT 1").unwrap_err();
     let elapsed = t0.elapsed();
