@@ -6,11 +6,10 @@
 //! Measures wall clock for:
 //! * **generation** — seeded datasets + grammar-driven programs, no
 //!   execution (how fast the generator alone can feed the loop);
-//! * **differential checking** — the full tri-executor loop (reference
-//!   interpreter + cache-cold pipeline + cache-warm pipeline) over a
+//! * **differential checking** — the fuzz row (reference interpreter,
+//!   cache-cold session, cache-warm session; `qgen::fuzz::arms`) over a
 //!   fixed budget, i.e. the per-program cost the CI gate pays.
 
-use hyperq::BatchDriver;
 use qgen::{slice, FuzzConfig, PROGRAMS_PER_DATASET};
 use std::time::Instant;
 
@@ -32,9 +31,9 @@ fn main() {
     }
     let gen_t = t0.elapsed();
 
-    // 2. Tri-executor differential checking over a fixed budget. Same
-    // shape as the CI gate (fresh driver every PROGRAMS_PER_DATASET
-    // programs), minus shrinking — the clean-run path.
+    // 2. The fuzz row over a fixed budget. Same shape as the CI gate
+    // (fresh arms every PROGRAMS_PER_DATASET programs), minus shrinking
+    // — the clean-run path.
     let cfg = FuzzConfig { seed: 42, budget: CHECK_BUDGET, corpus_dir: None, shrink: false };
     let t0 = Instant::now();
     let report = qgen::run_fuzz(&cfg);
@@ -49,10 +48,8 @@ fn main() {
     // 3. Single-program check latency on a small fixed program, the
     // marginal cost of growing the budget by one.
     let (tables, programs_7) = slice(7, 1).next().expect("one chunk").into_rendered();
-    let stmts = &programs_7[0];
     let t0 = Instant::now();
-    let mut driver = BatchDriver::new(&tables).expect("driver");
-    std::hint::black_box(driver.run_program(stmts));
+    std::hint::black_box(qgen::fuzz::check(tables, programs_7));
     let single_t = t0.elapsed();
 
     let gen_rate = programs as f64 / gen_t.as_secs_f64();

@@ -41,8 +41,9 @@
 //!   deterministic [`wire::RetryPolicy`] driving Gateway reconnects.
 //! * [`loader`] — schema mapping and data movement helpers (the part the
 //!   paper's customers found easy; we provide it for the examples).
-//! * [`side_by_side`] — the §5 side-by-side testing framework: runs the
-//!   same Q on the reference engine and through Hyper-Q and diffs.
+//! * [`side_by_side`] — the §5 side-by-side testing framework: the
+//!   differential matrix that runs the same Q on the reference engine
+//!   and on any number of Hyper-Q arms and diffs every pair.
 //!
 //! Observability: every stage boundary above is instrumented through the
 //! zero-dependency `obs` crate. [`session::HyperQSession::execute_observed`]
@@ -82,7 +83,6 @@
 //! ```
 
 pub mod backend;
-pub mod batch;
 pub mod endpoint;
 pub mod gateway;
 pub mod loader;
@@ -98,7 +98,6 @@ pub mod wire;
 pub mod xc;
 
 pub use backend::{share, Backend, DirectBackend, SharedBackend};
-pub use batch::{BatchDriver, BatchReport, DivergenceKind, StatementOutcome};
 pub use side_by_side::Outcome;
 pub use obs::{QueryTrace, Span, SpanEvent, Stage};
 pub use pool::{BackendPool, PoolConfig};

@@ -401,7 +401,7 @@ fn is_null_mask(col: &ColumnVec, rows: Rows<'_>, negated: bool) -> ColumnVec {
 }
 
 // ---------------------------------------------------------------------
-// Comparison kernels
+// Comparisons
 // ---------------------------------------------------------------------
 
 /// Element types compared through `f64`, as [`Cell::sql_cmp`] and

@@ -447,7 +447,7 @@ impl P {
         } else if self.eat_kw("in") {
             false
         } else {
-            // Comparison operators and LIKE.
+            // Comparisons (=, <>, <, <=, >, >=) and LIKE.
             if self.eat_kw("like") {
                 let rhs = self.additive()?;
                 return Ok(SqlExpr::Binary {

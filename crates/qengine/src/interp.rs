@@ -45,19 +45,6 @@ impl Interp {
         Ok(last)
     }
 
-    /// Deterministic batch entry point for differential harnesses: parse
-    /// and evaluate each statement of `stmts` independently, returning one
-    /// result per statement. Unlike [`Interp::run`], an erroring statement
-    /// does **not** abort the batch — later statements still execute
-    /// against whatever state the earlier ones left behind, exactly as a
-    /// console session would after an error. The engine has no wall-clock
-    /// or entropy inputs (`?` rolls from a fixed seed), so for a fixed
-    /// statement list over fixed data the returned vector is a pure
-    /// function of its inputs.
-    pub fn run_statements(&mut self, stmts: &[String]) -> Vec<QResult<Value>> {
-        stmts.iter().map(|s| self.run(s)).collect()
-    }
-
     /// Build a fresh interpreter preloaded with server-global tables —
     /// the reference-side constructor used by the qgen fuzz loop, which
     /// needs many short-lived engines over generated datasets.

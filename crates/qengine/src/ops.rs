@@ -211,7 +211,8 @@ fn atom_arith(op: &str, x: &Atom, y: &Atom) -> QResult<Atom> {
     }
 }
 
-/// Comparison operators. Q equality is two-valued: nulls compare equal.
+/// Comparisons (`=`, `<>`, `<`, `<=`, `>`, `>=`). Q equality is
+/// two-valued: nulls compare equal.
 fn compare(op: &str, a: &Value, b: &Value) -> QResult<Value> {
     broadcast(a, b, &mut |x, y| {
         let r = match op {

@@ -7,18 +7,18 @@
 //!
 //! ```text
 //! / qgen shrunk repro
-//! / divergence: ReferenceVsCold
+//! / divergence: qengine vs cold session
 //! trades: ([] Sym: `A`B; Price: 1.5 0n)
 //! / ---
 //! select c: count Price from trades
 //! ```
 //!
 //! [`replay`] evaluates the setup in a scratch reference interpreter,
-//! extracts the defined tables, and re-runs the statements through the
-//! tri-executor [`BatchDriver`] — the same harness the fuzzer used when
-//! it found the bug.
+//! extracts the defined tables, and re-runs the statements on the fuzz
+//! row's arms ([`crate::fuzz::check`]) — the same row the fuzzer ran
+//! when it found the bug.
 
-use hyperq::{BatchDriver, BatchReport};
+use hyperq::side_by_side::Report;
 use qengine::Interp;
 use qlang::value::{Table, Value};
 use qlang::{QError, QResult};
@@ -227,11 +227,9 @@ pub fn write_repro(path: &Path, repro: &Repro) -> std::io::Result<()> {
     std::fs::write(path, repro.render())
 }
 
-/// Replay a repro through the tri-executor driver and return the report.
-pub fn replay(repro: &Repro) -> QResult<BatchReport> {
-    let tables = repro.tables()?;
-    let mut driver = BatchDriver::new(&tables)?;
-    Ok(driver.run_program(&repro.statements))
+/// Replay a repro on the fuzz row's arms and return the row's report.
+pub fn replay(repro: &Repro) -> QResult<Report> {
+    Ok(crate::fuzz::check(repro.tables()?, vec![repro.statements.clone()]))
 }
 
 #[cfg(test)]
@@ -290,7 +288,7 @@ mod tests {
     fn repro_format_round_trips() {
         let t = sample_table();
         let repro = Repro::new(
-            vec!["qgen shrunk repro".into(), "divergence: ReferenceVsCold".into()],
+            vec!["qgen shrunk repro".into(), "divergence: qengine vs cold session".into()],
             &[("t".to_string(), t)],
             vec!["select from t".into()],
         )
@@ -310,7 +308,7 @@ mod tests {
             "/ header\nt: ([] S: `a`b; V: 1 2)\n/ ---\nselect s: sum V by S from t\n",
         );
         let report = replay(&repro).unwrap();
-        assert_eq!(report.statements.len(), 1);
-        assert!(report.clean(), "{:?}", report.divergent());
+        report.assert_clean(3);
+        assert_eq!(report.outcomes.len(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Cell-level divergence explanation.
 //!
-//! When the tri-executor harness flags a statement, the raw values can be
+//! When the fuzz row flags a statement, the raw values can be
 //! large tables; the fuzz log and the repro header want a *pointed*
 //! explanation — which column, which row, which two cells — computed
 //! under Q's 2-valued null semantics (typed nulls compare equal to

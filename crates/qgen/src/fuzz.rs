@@ -1,21 +1,24 @@
-//! The differential fuzz loop.
+//! The differential fuzz loop: the fuzz row of the differential matrix.
 //!
 //! Seeded end to end: one `QGEN_SEED` determines every dataset, every
-//! program, and therefore every executor input — a CI failure replays
-//! locally with two environment variables. Each generated program runs
-//! through the tri-executor [`BatchDriver`] (reference interpreter,
-//! cache-cold pipeline, cache-warm pipeline); every divergent statement
-//! is recorded (the driver never stops at the first), optionally
-//! shrunk, and written to the corpus directory as a self-contained
-//! `found_*.q` repro.
+//! program, and therefore every arm's input — a CI failure replays
+//! locally with two environment variables. Each dataset's programs run
+//! as one [`Matrix`] row over [`arms`] (reference interpreter,
+//! cache-cold session, cache-warm session) under [`Rule::Reference`];
+//! the row reports every divergent statement (it never stops at the
+//! first), and each divergent program is optionally shrunk and written
+//! to the corpus directory as a self-contained `found_*.q` repro.
 
 use crate::corpus::Repro;
-use crate::grammar::{Coverage, GenStmt};
+use crate::grammar::{Coverage, GenStmt, Program};
 use crate::schema::Dataset;
 use crate::shrink::Shrinker;
-use crate::slice::slice;
-use hyperq::{BatchDriver, DivergenceKind};
+use crate::slice::{slice, PROGRAMS_PER_DATASET};
+use hyperq::side_by_side::{Arm, Divergence, Matrix, Report, Rule};
+use hyperq::SessionConfig;
+use qlang::value::Table;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Fuzz-loop configuration.
 #[derive(Debug, Clone)]
@@ -62,8 +65,8 @@ pub struct FoundBug {
     pub program_index: usize,
     /// The (shrunk, when enabled) diverging statements.
     pub statements: Vec<String>,
-    /// Which executor pairs disagreed on the first divergent statement.
-    pub kinds: Vec<DivergenceKind>,
+    /// The two arms that disagreed on the first divergent statement.
+    pub arms: [String; 2],
     /// Cell-level explanation of the first divergence.
     pub explanation: String,
     /// The self-contained repro.
@@ -75,63 +78,75 @@ pub struct FoundBug {
 /// The result of one fuzz run.
 #[derive(Debug, Clone, Default)]
 pub struct FuzzReport {
-    /// Programs generated and executed.
+    /// Programs generated and executed (the budget, less failures).
     pub programs: usize,
-    /// Total statements diffed across all three executors.
+    /// Statements run on every arm.
     pub statements: usize,
+    /// (statement, pair of arms) comparisons: three a statement.
+    pub comparisons: usize,
+    /// One line per program whose arms could not be built over its
+    /// dataset.
+    pub failures: Vec<String>,
     /// Grammar family coverage across the run.
     pub coverage: Coverage,
     /// Every divergence found.
     pub bugs: Vec<FoundBug>,
 }
 
-fn explain_first(report: &hyperq::BatchReport) -> (Vec<DivergenceKind>, String) {
-    let div = report.divergent();
-    let first = match div.first() {
-        Some(f) => f,
-        None => return (Vec::new(), String::new()),
-    };
-    let kinds = first.divergences();
-    let why = crate::diff::explain(&first.reference, &first.cold)
-        .or_else(|| crate::diff::explain(&first.reference, &first.warm))
-        .or_else(|| crate::diff::explain(&first.cold, &first.warm))
-        .unwrap_or_else(|| "divergence kinds disagree with explanation".to_string());
-    (kinds, format!("stmt {} `{}`: {why}", first.index, first.q))
+/// The fuzz row's arms: the reference, a session with the translation
+/// cache off and one whose cache each program primes, with slow-query
+/// capture off (the loop is throughput-bound).
+pub fn arms() -> [Arm; 3] {
+    let config = SessionConfig { slow_query: Duration::ZERO, ..SessionConfig::default() };
+    let cold = SessionConfig { translation_cache: 0, ..config.clone() };
+    let warm = SessionConfig { translation_cache: 256, ..config };
+    [Arm::Qengine, Arm::Session(cold), Arm::Warm(warm)]
 }
 
-/// Run the fuzz loop: one driver per dataset of the seed's slice.
+/// Run `programs` over `tables` on [`arms`] under [`Rule::Reference`]:
+/// the check the loop, the shrinker and repro replay make.
+pub fn check(tables: Vec<(String, Table)>, programs: Vec<Vec<String>>) -> Report {
+    Matrix::new(&arms(), Rule::Reference, 1).slice([(tables, programs)])
+}
+
+/// Run the fuzz loop: the seed's slice as one row over [`arms`], then
+/// each divergent program shrunk and written out.
 pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
-    let mut out = FuzzReport::default();
-    let mut chunks = slice(config.seed, config.budget);
-    for chunk in chunks.by_ref() {
-        let ds = &chunk.dataset;
-        let Ok(mut driver) = BatchDriver::new(&ds.tables) else { continue };
-        for (pi, program) in (chunk.first..).zip(&chunk.programs) {
-            let rendered = program.render();
-            out.programs += 1;
-            out.statements += rendered.len();
-            let report = driver.run_program(&rendered);
-            if report.clean() {
-                continue;
-            }
-            out.bugs.push(found_bug(config, pi, ds, &program.stmts, &report));
-            // A diverging program may have left the three executors in
-            // inconsistent states (e.g. a diverging assignment); rebuild
-            // the driver so later programs are judged from a clean slate.
-            let Ok(fresh) = BatchDriver::new(&ds.tables) else { break };
-            driver = fresh;
+    let mut chunks = Vec::new();
+    let mut stream = slice(config.seed, config.budget);
+    let report = Matrix::new(&arms(), Rule::Reference, 1).slice(stream.by_ref().map(|chunk| {
+        let programs = chunk.programs.iter().map(Program::render).collect();
+        let tables = chunk.dataset.tables.clone();
+        chunks.push(chunk);
+        (tables, programs)
+    }));
+    let mut out = FuzzReport {
+        programs: config.budget - report.failures.len(),
+        statements: report.outcomes.len(),
+        comparisons: report.comparisons,
+        failures: report.failures.iter().map(|f| format!("seed {}, {f}", config.seed)).collect(),
+        coverage: stream.coverage(),
+        bugs: Vec::new(),
+    };
+    let mut last = None;
+    for d in &report.divergences {
+        if last.replace(d.program) != Some(d.program) {
+            let chunk = &chunks[d.program / PROGRAMS_PER_DATASET];
+            let stmts = &chunk.programs[d.program - chunk.first].stmts;
+            out.bugs.push(found_bug(config, d.program, &chunk.dataset, stmts, d));
         }
     }
-    out.coverage = chunks.coverage();
     out
 }
 
+/// A divergent program, shrunk when configured, explained by its first
+/// divergence and written out as a repro.
 fn found_bug(
     config: &FuzzConfig,
     program_index: usize,
     ds: &Dataset,
     stmts: &[GenStmt],
-    report: &hyperq::BatchReport,
+    first: &Divergence,
 ) -> FoundBug {
     let (mut tables, mut final_stmts) = (ds.tables.clone(), stmts.to_vec());
     if config.shrink {
@@ -139,20 +154,18 @@ fn found_bug(
         tables = r.tables;
         final_stmts = r.stmts;
     }
-    // Re-run the (possibly shrunk) form for the recorded explanation.
-    let final_report = BatchDriver::new(&tables)
-        .map(|mut d| d.run_program(&final_stmts.iter().map(GenStmt::render).collect::<Vec<_>>()))
-        .unwrap_or_else(|_| report.clone());
-    let (kinds, explanation) = explain_first(if final_report.clean() {
-        report // shrink lost the bug somehow; fall back to the original
-    } else {
-        &final_report
-    });
     let statements: Vec<String> = final_stmts.iter().map(GenStmt::render).collect();
+    // Re-run the (possibly shrunk) form for the recorded explanation;
+    // should the shrink have lost the bug, fall back to the original.
+    let report = check(tables.clone(), vec![statements.clone()]);
+    let d = report.divergences.first().unwrap_or(first);
+    let why = crate::diff::explain(&d.outcomes[0], &d.outcomes[1])
+        .unwrap_or_else(|| "equal under Q equality, unequal as columnar batches".to_string());
+    let explanation = format!("stmt {} `{}`: {why}", d.index, d.q);
     let header = vec![
         "qgen shrunk repro".to_string(),
         format!("seed: {} program: {program_index}", config.seed),
-        format!("divergence: {kinds:?}"),
+        format!("divergence: {} vs {}", d.arms[0], d.arms[1]),
         format!("explanation: {explanation}"),
     ];
     let repro = Repro::new(header, &tables, statements.clone())
@@ -162,7 +175,7 @@ fn found_bug(
         let _ = crate::corpus::write_repro(&path, &repro);
         path
     });
-    FoundBug { program_index, statements, kinds, explanation, repro, repro_path }
+    FoundBug { program_index, statements, arms: d.arms.clone(), explanation, repro, repro_path }
 }
 
 #[cfg(test)]
@@ -187,6 +200,8 @@ mod tests {
         let b = run_fuzz(&cfg);
         assert_eq!(a.programs, 12);
         assert_eq!(a.statements, b.statements);
+        assert_eq!(a.comparisons, 3 * a.statements);
+        assert!(a.failures.is_empty(), "{:?}", a.failures);
         assert_eq!(a.bugs.len(), b.bugs.len());
         assert!(a.statements >= 12);
     }

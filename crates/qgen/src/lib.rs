@@ -14,10 +14,10 @@
 //!   candidates;
 //! * [`slice`] — the seeded stream of (dataset, programs) chunks every
 //!   loop walks, [`PROGRAMS_PER_DATASET`] programs per dataset;
-//! * [`fuzz`] — the loop: every program runs through three executors
-//!   (qengine reference, cache-cold translate pipeline, cache-warm
-//!   translate pipeline) via `hyperq::BatchDriver`, and every divergent
-//!   statement is reported;
+//! * [`fuzz`] — the loop: the fuzz row of the differential matrix
+//!   (`hyperq::side_by_side::Matrix` over the qengine reference, a
+//!   cache-cold and a cache-warm session), which reports every divergent
+//!   statement; the shrinker and [`replay`] check on the same row;
 //! * [`diff`] — cell-level divergence explanation under Q's 2-valued
 //!   null semantics;
 //! * [`shrink`] — delta-debugging reduction of (program, dataset) to a

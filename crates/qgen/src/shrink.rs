@@ -14,19 +14,20 @@
 //!    (dropping a referenced column makes *all* executors error, which
 //!    counts as agreement, so such drops reject themselves).
 //!
-//! Every candidate is re-checked through a **fresh** tri-executor
-//! [`BatchDriver`] so accepted reductions never depend on leftover
-//! session state. The total number of checks is bounded; when the budget
-//! is exhausted the current (already reduced) form is returned.
+//! Every candidate is re-checked on **fresh** arms of the fuzz row
+//! ([`crate::fuzz::check`]) so accepted reductions never depend on
+//! leftover session state. The total number of checks is bounded; when
+//! the budget is exhausted the current (already reduced) form is
+//! returned.
 
+use crate::fuzz::check;
 use crate::grammar::GenStmt;
-use hyperq::BatchDriver;
 use qlang::value::Table;
 
 /// The shrinker; tune [`Shrinker::max_checks`] to trade minimality for
 /// time.
 pub struct Shrinker {
-    /// Upper bound on tri-executor re-checks across all passes.
+    /// Upper bound on re-checks across all passes.
     pub max_checks: usize,
     checks: usize,
 }
@@ -38,7 +39,7 @@ pub struct ShrinkResult {
     pub tables: Vec<(String, Table)>,
     /// The reduced program.
     pub stmts: Vec<GenStmt>,
-    /// How many tri-executor checks the reduction spent.
+    /// How many checks the reduction spent.
     pub checks: usize,
 }
 
@@ -54,17 +55,15 @@ impl Shrinker {
         Shrinker { max_checks, checks: 0 }
     }
 
-    /// Does (tables, stmts) still diverge? Spends one check.
+    /// Does (tables, stmts) still diverge? Spends one check. Tables
+    /// that fail to load diverge nowhere.
     fn diverges(&mut self, tables: &[(String, Table)], stmts: &[GenStmt]) -> bool {
         if self.checks >= self.max_checks {
             return false; // budget exhausted: reject further reductions
         }
         self.checks += 1;
-        let rendered: Vec<String> = stmts.iter().map(GenStmt::render).collect();
-        match BatchDriver::new(tables) {
-            Ok(mut d) => !d.run_program(&rendered).clean(),
-            Err(_) => false,
-        }
+        let rendered = stmts.iter().map(GenStmt::render).collect();
+        !check(tables.to_vec(), vec![rendered]).divergences.is_empty()
     }
 
     /// Reduce a diverging (program, dataset) pair. The input must

@@ -347,10 +347,9 @@ pub fn decode_message_limited(buf: &[u8], max: usize) -> QResult<Option<(Message
 mod tests {
     use super::*;
     use crate::encode::{encode_message, encode_value};
-    use bytes::BytesMut;
 
     fn round_trip(v: Value) -> Value {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_value(&v, &mut buf).unwrap();
         decode_value(&buf).unwrap()
     }

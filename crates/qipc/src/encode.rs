@@ -8,140 +8,108 @@
 //! names> <general list of column vectors>`).
 
 use crate::Message;
-use bytes::{BufMut, BytesMut};
 use qlang::value::{Atom, Table, Value};
 use qlang::{QError, QResult};
 
+/// Append each of `xs` little-endian.
+macro_rules! put_le {
+    ($out:expr, $xs:expr) => {
+        for x in $xs {
+            $out.extend_from_slice(&x.to_le_bytes());
+        }
+    };
+}
+
 /// Serialize one value into `out`.
-pub fn encode_value(v: &Value, out: &mut BytesMut) -> QResult<()> {
+pub fn encode_value(v: &Value, out: &mut Vec<u8>) -> QResult<()> {
     match v {
-        Value::Atom(a) => encode_atom(a, out),
+        Value::Atom(a) => return encode_atom(a, out),
         Value::Bools(xs) => {
             vec_header(1, xs.len(), out);
-            for &b in xs {
-                out.put_u8(b as u8);
-            }
-            Ok(())
+            out.extend(xs.iter().map(|&b| b as u8));
         }
         Value::Bytes(xs) => {
             vec_header(4, xs.len(), out);
             out.extend_from_slice(xs);
-            Ok(())
         }
         Value::Shorts(xs) => {
             vec_header(5, xs.len(), out);
-            for &x in xs {
-                out.put_i16_le(x);
-            }
-            Ok(())
+            put_le!(out, xs);
         }
         Value::Ints(xs) => {
             vec_header(6, xs.len(), out);
-            for &x in xs {
-                out.put_i32_le(x);
-            }
-            Ok(())
+            put_le!(out, xs);
         }
         Value::Longs(xs) => {
             vec_header(7, xs.len(), out);
-            for &x in xs {
-                out.put_i64_le(x);
-            }
-            Ok(())
+            put_le!(out, xs);
         }
         Value::Reals(xs) => {
             vec_header(8, xs.len(), out);
-            for &x in xs {
-                out.put_f32_le(x);
-            }
-            Ok(())
+            put_le!(out, xs);
         }
         Value::Floats(xs) => {
             vec_header(9, xs.len(), out);
-            for &x in xs {
-                out.put_f64_le(x);
-            }
-            Ok(())
+            put_le!(out, xs);
         }
         Value::Chars(s) => {
-            let bytes = s.as_bytes();
-            vec_header(10, bytes.len(), out);
-            out.extend_from_slice(bytes);
-            Ok(())
+            vec_header(10, s.len(), out);
+            out.extend_from_slice(s.as_bytes());
         }
-        Value::Symbols(xs) => {
-            encode_symbols(xs, out);
-            Ok(())
-        }
+        Value::Symbols(xs) => encode_symbols(xs, out),
         Value::Timestamps(xs) => {
             vec_header(12, xs.len(), out);
-            for &x in xs {
-                out.put_i64_le(x);
-            }
-            Ok(())
+            put_le!(out, xs);
         }
         Value::Dates(xs) => {
             vec_header(14, xs.len(), out);
-            for &x in xs {
-                out.put_i32_le(x);
-            }
-            Ok(())
+            put_le!(out, xs);
         }
         Value::Times(xs) => {
             vec_header(19, xs.len(), out);
-            for &x in xs {
-                out.put_i32_le(x);
-            }
-            Ok(())
+            put_le!(out, xs);
         }
         Value::Mixed(items) => {
             vec_header(0, items.len(), out);
             for item in items {
                 encode_value(item, out)?;
             }
-            Ok(())
         }
         Value::Dict(d) => {
-            out.put_i8(99);
+            out.push(99);
             encode_value(&d.keys, out)?;
-            encode_value(&d.values, out)
+            encode_value(&d.values, out)?;
         }
-        Value::Table(t) => encode_table(t, out),
+        Value::Table(t) => encode_table(t, out)?,
         Value::KeyedTable(k) => {
             // Dict of key table to value table.
-            out.put_i8(99);
+            out.push(99);
             encode_table(&k.key, out)?;
-            encode_table(&k.value, out)
+            encode_table(&k.value, out)?;
         }
-        Value::Nil => {
-            out.put_i8(101);
-            out.put_u8(0);
-            Ok(())
-        }
+        Value::Nil => out.extend_from_slice(&[101, 0]),
         Value::Lambda(def) => {
             // Functions travel as their source text (type 100: context +
             // char vector body).
-            out.put_i8(100);
-            out.put_u8(0); // empty context name
-            encode_value(&Value::Chars(def.source.clone()), out)
+            out.extend_from_slice(&[100, 0]); // empty context name
+            encode_value(&Value::Chars(def.source.clone()), out)?;
         }
     }
+    Ok(())
 }
 
-fn encode_symbols(xs: &[String], out: &mut BytesMut) {
+fn encode_symbols(xs: &[String], out: &mut Vec<u8>) {
     vec_header(11, xs.len(), out);
     for s in xs {
         out.extend_from_slice(s.as_bytes());
-        out.put_u8(0);
+        out.push(0);
     }
 }
 
 /// `98 00 99 <symbol vector of column names> <general list of column
 /// vectors>`, written from the table's own columns.
-fn encode_table(t: &Table, out: &mut BytesMut) -> QResult<()> {
-    out.put_i8(98);
-    out.put_u8(0); // attributes
-    out.put_i8(99);
+fn encode_table(t: &Table, out: &mut Vec<u8>) -> QResult<()> {
+    out.extend_from_slice(&[98, 0, 99]); // table, attributes, dict
     encode_symbols(&t.names, out);
     vec_header(0, t.columns.len(), out);
     for col in &t.columns {
@@ -150,67 +118,67 @@ fn encode_table(t: &Table, out: &mut BytesMut) -> QResult<()> {
     Ok(())
 }
 
-fn vec_header(ty: i8, len: usize, out: &mut BytesMut) {
-    out.put_i8(ty);
-    out.put_u8(0); // attribute byte (sorted/unique markers unused here)
-    out.put_i32_le(len as i32);
+fn vec_header(ty: u8, len: usize, out: &mut Vec<u8>) {
+    out.push(ty);
+    out.push(0); // attribute byte (sorted/unique markers unused here)
+    out.extend_from_slice(&(len as i32).to_le_bytes());
 }
 
-fn encode_atom(a: &Atom, out: &mut BytesMut) -> QResult<()> {
+fn encode_atom(a: &Atom, out: &mut Vec<u8>) -> QResult<()> {
+    // The type byte is the vector type negated.
+    let mut ty = |t: i8| out.push(-t as u8);
     match a {
         Atom::Bool(b) => {
-            out.put_i8(-1);
-            out.put_u8(*b as u8);
+            ty(1);
+            out.push(*b as u8);
         }
         Atom::Byte(b) => {
-            out.put_i8(-4);
-            out.put_u8(*b);
+            ty(4);
+            out.push(*b);
         }
         Atom::Short(x) => {
-            out.put_i8(-5);
-            out.put_i16_le(*x);
+            ty(5);
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Atom::Int(x) => {
-            out.put_i8(-6);
-            out.put_i32_le(*x);
+            ty(6);
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Atom::Long(x) => {
-            out.put_i8(-7);
-            out.put_i64_le(*x);
+            ty(7);
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Atom::Real(x) => {
-            out.put_i8(-8);
-            out.put_f32_le(*x);
+            ty(8);
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Atom::Float(x) => {
-            out.put_i8(-9);
-            out.put_f64_le(*x);
+            ty(9);
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Atom::Char(c) => {
-            out.put_i8(-10);
-            let mut buf = [0u8; 4];
-            let encoded = c.encode_utf8(&mut buf);
-            if encoded.len() != 1 {
+            if !c.is_ascii() {
                 return Err(QError::type_err("QIPC chars are single bytes"));
             }
-            out.put_u8(encoded.as_bytes()[0]);
+            ty(10);
+            out.push(*c as u8);
         }
         Atom::Symbol(s) => {
-            out.put_i8(-11);
+            ty(11);
             out.extend_from_slice(s.as_bytes());
-            out.put_u8(0);
+            out.push(0);
         }
         Atom::Timestamp(x) => {
-            out.put_i8(-12);
-            out.put_i64_le(*x);
+            ty(12);
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Atom::Date(x) => {
-            out.put_i8(-14);
-            out.put_i32_le(*x);
+            ty(14);
+            out.extend_from_slice(&x.to_le_bytes());
         }
         Atom::Time(x) => {
-            out.put_i8(-19);
-            out.put_i32_le(*x);
+            ty(19);
+            out.extend_from_slice(&x.to_le_bytes());
         }
     }
     Ok(())
@@ -223,37 +191,28 @@ fn encode_atom(a: &Atom, out: &mut BytesMut) -> QResult<()> {
 /// message length, then 4 bytes of uncompressed total length, then the
 /// compressed payload stream.
 pub fn encode_message_compressed(msg: &Message) -> QResult<Vec<u8>> {
-    let mut payload = BytesMut::new();
-    encode_value(&msg.value, &mut payload)?;
-    if payload.len() >= crate::compress::COMPRESSION_THRESHOLD {
-        if let Some(compressed) = crate::compress::compress(&payload) {
-            let total = 12 + compressed.len();
-            let mut out = Vec::with_capacity(total);
-            out.push(1); // little endian
-            out.push(msg.msg_type.as_byte());
-            out.push(1); // compressed
-            out.push(0);
-            out.extend_from_slice(&(total as u32).to_le_bytes());
-            out.extend_from_slice(&((8 + payload.len()) as u32).to_le_bytes());
+    let mut out = encode_message(msg)?;
+    if out.len() - 8 >= crate::compress::COMPRESSION_THRESHOLD {
+        if let Some(compressed) = crate::compress::compress(&out[8..]) {
+            let uncompressed = out.len() as u32;
+            out.truncate(8);
+            out[2] = 1; // compressed
+            out[4..8].copy_from_slice(&((12 + compressed.len()) as u32).to_le_bytes());
+            out.extend_from_slice(&uncompressed.to_le_bytes());
             out.extend_from_slice(&compressed);
-            return Ok(out);
         }
     }
-    encode_message(msg)
+    Ok(out)
 }
 
-/// Encode a complete message: 8-byte header then the payload object.
+/// Encode a complete message: the 8-byte header, then the payload
+/// object written straight after it, then the total length patched in.
 pub fn encode_message(msg: &Message) -> QResult<Vec<u8>> {
-    let mut payload = BytesMut::new();
-    encode_value(&msg.value, &mut payload)?;
-    let total = 8 + payload.len();
-    let mut out = Vec::with_capacity(total);
-    out.push(1); // little endian
-    out.push(msg.msg_type.as_byte());
-    out.push(0); // no compression
-    out.push(0); // reserved
-    out.extend_from_slice(&(total as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
+    // Little endian, message type, no compression, reserved, length.
+    let mut out = vec![1, msg.msg_type.as_byte(), 0, 0, 0, 0, 0, 0];
+    encode_value(&msg.value, &mut out)?;
+    let total = out.len() as u32;
+    out[4..8].copy_from_slice(&total.to_le_bytes());
     Ok(out)
 }
 
@@ -263,7 +222,7 @@ mod tests {
 
     #[test]
     fn long_atom_layout() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_value(&Value::long(7), &mut buf).unwrap();
         assert_eq!(buf[0] as i8, -7);
         assert_eq!(&buf[1..9], &7i64.to_le_bytes());
@@ -271,7 +230,7 @@ mod tests {
 
     #[test]
     fn symbol_atom_is_null_terminated() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_value(&Value::symbol("GOOG"), &mut buf).unwrap();
         assert_eq!(buf[0] as i8, -11);
         assert_eq!(&buf[1..5], b"GOOG");
@@ -280,7 +239,7 @@ mod tests {
 
     #[test]
     fn vector_header_has_attr_and_length() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_value(&Value::Longs(vec![1, 2]), &mut buf).unwrap();
         assert_eq!(buf[0] as i8, 7);
         assert_eq!(buf[1], 0);
@@ -296,7 +255,7 @@ mod tests {
             vec![Value::Ints(vec![1, 2]), Value::Ints(vec![1, 2])],
         )
         .unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_value(&Value::Table(Box::new(t)), &mut buf).unwrap();
         assert_eq!(buf[0], 98);
         assert_eq!(buf[1], 0);
@@ -311,11 +270,11 @@ mod tests {
             vec![Value::Symbols(vec!["GOOG".into(), "IBM".into()]), Value::Floats(vec![1.5, 2.5])],
         )
         .unwrap();
-        let mut want = BytesMut::new();
+        let mut want = Vec::new();
         want.extend_from_slice(&[98, 0, 99]);
         encode_value(&Value::Symbols(t.names.clone()), &mut want).unwrap();
         encode_value(&Value::Mixed(t.columns.clone()), &mut want).unwrap();
-        let mut got = BytesMut::new();
+        let mut got = Vec::new();
         encode_value(&Value::Table(Box::new(t.clone())), &mut got).unwrap();
         assert_eq!(got, want);
 
@@ -323,11 +282,11 @@ mod tests {
             key: qlang::Table::new(vec!["Symbol".into()], vec![t.columns[0].clone()]).unwrap(),
             value: qlang::Table::new(vec!["Price".into()], vec![t.columns[1].clone()]).unwrap(),
         };
-        let mut want = BytesMut::new();
+        let mut want = Vec::new();
         want.extend_from_slice(&[99]);
         encode_value(&Value::Table(Box::new(k.key.clone())), &mut want).unwrap();
         encode_value(&Value::Table(Box::new(k.value.clone())), &mut want).unwrap();
-        let mut got = BytesMut::new();
+        let mut got = Vec::new();
         encode_value(&Value::KeyedTable(Box::new(k)), &mut got).unwrap();
         assert_eq!(got, want);
     }
@@ -342,8 +301,23 @@ mod tests {
     }
 
     #[test]
+    fn compressed_frame_is_the_plain_frame_with_its_payload_compressed() {
+        let big = Message::response(Value::Symbols(vec!["REPEATED_TICKER".into(); 500]));
+        let plain = encode_message(&big).unwrap();
+        let frame = encode_message_compressed(&big).unwrap();
+        assert_eq!(frame[..2], plain[..2]);
+        assert_eq!(frame[2], 1, "compressed flag");
+        assert_eq!(frame[4..8], (frame.len() as u32).to_le_bytes());
+        assert_eq!(frame[8..12], (plain.len() as u32).to_le_bytes());
+        assert_eq!(frame[12..], crate::compress::compress(&plain[8..]).unwrap());
+        // Below the threshold the plain frame goes out unchanged.
+        let small = Message::query("1+1");
+        assert_eq!(encode_message_compressed(&small).unwrap(), encode_message(&small).unwrap());
+    }
+
+    #[test]
     fn non_ascii_char_atom_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let v = Value::Atom(Atom::Char('é'));
         assert!(encode_value(&v, &mut buf).is_err());
     }

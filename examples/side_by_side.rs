@@ -5,22 +5,19 @@
 //! ```
 //!
 //! The same market data is loaded into the reference Q engine (the kdb+
-//! stand-in) and into the SQL backend through Hyper-Q; every query in the
-//! batch runs on both paths and results are diffed under Q equality.
-//! "We needed a way to ensure the exact same behavior to the application
-//! as before" — this is that tool.
+//! stand-in) and into the SQL backend through Hyper-Q; the workload runs
+//! as one program on both arms of a differential-matrix row
+//! (`hyperq::side_by_side::Matrix`, the driver every differential test
+//! and the fuzz loop use), and every statement's results are diffed
+//! under Q equality. "We needed a way to ensure the exact same behavior
+//! to the application as before" — this is that tool.
 
-use hyperq::side_by_side::SideBySide;
+use hyperq::side_by_side::{Arm, Baseline, Matrix, Rule};
+use hyperq::SessionConfig;
 use hyperq_workload::taq::{generate_trades, TaqConfig};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let db = pgdb::Db::new();
-    let mut framework = SideBySide::new(&db);
-    framework.load(
-        "trades",
-        &generate_trades(&TaqConfig { rows: 400, symbols: 4, days: 2, seed: 7 }),
-    )?;
-
+fn main() {
+    let trades = generate_trades(&TaqConfig { rows: 400, symbols: 4, days: 2, seed: 7 });
     let workload = [
         "select from trades",
         "select Price, Size from trades where Symbol=`GOOG",
@@ -38,19 +35,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "select from trades where Price within 40.0 80.0",
     ];
 
+    let arms = [Arm::Qengine, Arm::Session(SessionConfig::default())];
+    let report = Matrix::new(&arms, Rule::Reference, 1)
+        .statements(&[("trades".into(), trades)], &[(&workload, Baseline::Succeeds)]);
+    for failure in &report.failures {
+        println!("FAILURE   {failure}");
+    }
     let mut passed = 0;
-    for q in &workload {
-        let c = framework.check(q);
-        if c.is_match() {
-            passed += 1;
-            println!("MATCH     {q}");
-        } else {
-            println!("MISMATCH  {q}\n  -> {c:?}");
+    for (index, (q, outcomes)) in workload.iter().zip(&report.outcomes).enumerate() {
+        let divergence = report.divergences.iter().find(|d| d.index == index);
+        match divergence {
+            None if outcomes[0].value().is_some() => {
+                passed += 1;
+                println!("MATCH     {q}");
+            }
+            None => println!("ERROR     {q}\n  -> {:?}", outcomes[0]),
+            Some(d) => println!("MISMATCH  {d}"),
         }
     }
     println!("\n{passed}/{} queries behave identically on kdb+-reference and Hyper-Q paths", workload.len());
     if passed != workload.len() {
         std::process::exit(1);
     }
-    Ok(())
 }

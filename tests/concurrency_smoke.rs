@@ -25,12 +25,10 @@
 //! * a `hyperq_query_errors_total` delta of exactly one per QIPC
 //!   session (the deliberate isolation probe).
 
-mod common;
-
-use common::arms::shard_opts;
 use hyperq::endpoint::{BackendFactory, EndpointConfig, QipcClient, QipcEndpoint};
 use hyperq::gateway::{Credentials, PgWireBackend};
 use hyperq::shard::{Mode, ShardCluster};
+use hyperq::side_by_side::shard_opts;
 use hyperq::wire::{RetryPolicy, WireTimeouts};
 use hyperq::{backend, loader, Backend, HyperQSession, SessionConfig};
 use pgdb::server::{PgServer, ServerConfig};

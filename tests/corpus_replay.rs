@@ -1,5 +1,5 @@
-//! Replay every checked-in corpus repro (`tests/corpus/*.q`) through the
-//! tri-executor harness and require agreement.
+//! Replay every checked-in corpus repro (`tests/corpus/*.q`) on the fuzz
+//! row's arms (`qgen::fuzz::arms`) and require agreement.
 //!
 //! Checked-in repros are *fixed* bugs: each file pins a divergence the
 //! differential fuzzer (or the PR-3 oracle suite) once caught, minimized
@@ -61,14 +61,9 @@ fn every_pinned_corpus_repro_replays_clean() {
         );
         match qgen::replay(&repro) {
             Ok(report) => {
-                for s in report.divergent() {
-                    failures.push(format!(
-                        "{}: statement {} `{}` diverges: {:?}",
-                        path.display(),
-                        s.index,
-                        s.q,
-                        s.divergences()
-                    ));
+                let divergences = report.divergences.iter().map(ToString::to_string);
+                for line in report.failures.iter().cloned().chain(divergences) {
+                    failures.push(format!("{}: {line}", path.display()));
                 }
             }
             Err(e) => failures.push(format!("{}: replay error: {e}", path.display())),
@@ -90,10 +85,7 @@ fn replay_is_deterministic_across_runs() {
     let repro = qgen::load_repro(&path).expect("pinned repro must load");
     let a = qgen::replay(&repro).expect("replay");
     let b = qgen::replay(&repro).expect("replay");
-    assert_eq!(a.statements.len(), b.statements.len());
-    for (x, y) in a.statements.iter().zip(&b.statements) {
-        assert_eq!(format!("{:?}", x.reference), format!("{:?}", y.reference));
-        assert_eq!(format!("{:?}", x.cold), format!("{:?}", y.cold));
-        assert_eq!(format!("{:?}", x.warm), format!("{:?}", y.warm));
-    }
+    assert_eq!(a.outcomes.len(), repro.statements.len());
+    assert!(a.outcomes.iter().all(|arms| arms.len() == qgen::fuzz::arms().len()));
+    assert_eq!(format!("{:?}", a.outcomes), format!("{:?}", b.outcomes));
 }

@@ -7,10 +7,10 @@
 
 mod common;
 
-use common::arms::{Arm, Baseline, Matrix, Rule};
 use common::corpus::{
     big, fixture, BIG_PROBES, ERROR_PROBES, JOIN_ERROR_PROBES, JOIN_SHAPES, ORACLE, TYPE_SHAPES,
 };
+use hyperq::side_by_side::{Arm, Baseline, Matrix, Rule};
 use hyperq::SessionConfig;
 
 fn session(translation_cache: usize) -> Arm {

@@ -1,9 +1,11 @@
 //! Cross-crate integration tests: the full Figure 1 pipeline, including
 //! wire-level deployments where every byte crosses a real TCP socket.
 
+mod common;
+
+use common::side_by_side;
 use hyperq::endpoint::{EndpointConfig, QipcClient, QipcEndpoint};
 use hyperq::gateway::{Credentials, PgWireBackend};
-use hyperq::side_by_side::SideBySide;
 use hyperq::{backend, loader, HyperQSession, SessionConfig};
 use hyperq_workload::taq::{generate_quotes, generate_trades, TaqConfig};
 use qlang::value::{Table, Value};
@@ -16,18 +18,18 @@ fn taq_cfg() -> TaqConfig {
 /// the reference Q engine on generated TAQ data.
 #[test]
 fn paper_example_1_point_in_time_query_agrees_with_reference() {
-    let db = pgdb::Db::new();
-    let mut f = SideBySide::new(&db);
-    f.load("trades", &generate_trades(&taq_cfg())).unwrap();
-    f.load("quotes", &generate_quotes(&TaqConfig { rows: 900, ..taq_cfg() })).unwrap();
+    let tables = [
+        ("trades".into(), generate_trades(&taq_cfg())),
+        ("quotes".into(), generate_quotes(&TaqConfig { rows: 900, ..taq_cfg() })),
+    ];
     let q = concat!(
         "aj[`Symbol`Time; ",
         "select Symbol, Time, Price from trades where Date=2016.06.26, Symbol in `GOOG`IBM; ",
         "select Symbol, Time, Bid, Ask from quotes where Date=2016.06.26]"
     );
-    let v = f.assert_match(q).unwrap();
-    match v {
-        Value::Table(t) => {
+    let report = side_by_side(&tables, SessionConfig::default(), &[q]);
+    match report.outcomes[0][1].value() {
+        Some(Value::Table(t)) => {
             assert!(t.rows() > 0);
             assert!(t.column("Bid").is_some());
             assert!(t.column("Ask").is_some());
@@ -44,15 +46,15 @@ fn paper_example_3_agrees_under_both_policies() {
         algebrizer::MaterializationPolicy::Logical,
         algebrizer::MaterializationPolicy::Physical,
     ] {
-        let db = pgdb::Db::new();
         let cfg = SessionConfig { policy, ..SessionConfig::default() };
-        let mut f = SideBySide::with_config(&db, cfg);
-        f.load("trades", &generate_trades(&taq_cfg())).unwrap();
-        f.assert_match(concat!(
-            "f: {[Sym] dt: select Price from trades where Symbol=Sym; ",
-            ":select max Price from dt}; f[`GOOG]"
-        ))
-        .unwrap_or_else(|e| panic!("policy {policy:?}: {e}"));
+        side_by_side(
+            &[("trades".into(), generate_trades(&taq_cfg()))],
+            cfg,
+            &[concat!(
+                "f: {[Sym] dt: select Price from trades where Symbol=Sym; ",
+                ":select max Price from dt}; f[`GOOG]"
+            )],
+        );
     }
 }
 
@@ -184,8 +186,6 @@ fn ordering_is_stable_across_round_trips() {
 /// whole translated pipeline.
 #[test]
 fn two_valued_null_logic_end_to_end() {
-    let db = pgdb::Db::new();
-    let mut f = SideBySide::new(&db);
     let t = Table::new(
         vec!["Sym".into(), "Px".into()],
         vec![
@@ -194,13 +194,18 @@ fn two_valued_null_logic_end_to_end() {
         ],
     )
     .unwrap();
-    f.load("t", &t).unwrap();
-    // Null symbol matches null symbol.
-    f.assert_match("select Px from t where Sym=`").unwrap();
-    // <> under 2VL.
-    f.assert_match("select Px from t where Sym<>`").unwrap();
-    // Aggregates skip nulls identically.
-    f.assert_match("select s: sum Px, n: count i from t").unwrap();
+    side_by_side(
+        &[("t".into(), t)],
+        SessionConfig::default(),
+        &[
+            // Null symbol matches null symbol.
+            "select Px from t where Sym=`",
+            // <> under 2VL.
+            "select Px from t where Sym<>`",
+            // Aggregates skip nulls identically.
+            "select s: sum Px, n: count i from t",
+        ],
+    );
 }
 
 /// Metadata cache ablation: identical results, fewer backend catalog

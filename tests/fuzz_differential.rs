@@ -3,13 +3,13 @@
 //! Three tests share this binary:
 //!
 //! * `fixed_seed_fuzz_budget_is_divergence_free` — the conformance
-//!   gate: `QGEN_BUDGET` (default 500) generated programs at
-//!   `QGEN_SEED` (default 42) run through the reference interpreter,
-//!   the cache-cold translate pipeline, and the cache-warm translate
-//!   pipeline, asserting zero divergences and full grammar-family
-//!   coverage. Any divergence is shrunk and written to
-//!   `tests/corpus/found_*.q` (CI uploads those as artifacts before
-//!   failing).
+//!   gate and the fuzz row of the differential matrix: `QGEN_BUDGET`
+//!   (default 500) generated programs at `QGEN_SEED` (default 42) run
+//!   on the reference interpreter, a cache-cold and a cache-warm
+//!   session (`qgen::fuzz::arms`), asserting zero divergences, full
+//!   grammar-family coverage and three comparisons a statement. Any
+//!   divergence is shrunk and written to `tests/corpus/found_*.q` (CI
+//!   uploads those as artifacts before failing).
 //! * `fixed_seed_slice_is_bit_identical_over_the_pg_wire` — the first
 //!   200 programs of that seed again, through a session whose backend
 //!   is a PG v3 gateway connection to a `PgServer` and through an
@@ -29,7 +29,7 @@ mod common;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use common::arms::{Arm, Matrix, Rule};
+use hyperq::side_by_side::{Arm, Matrix, Rule};
 use hyperq::SessionConfig;
 use qgen::{run_fuzz, FuzzConfig};
 
@@ -47,13 +47,20 @@ fn fixed_seed_fuzz_budget_is_divergence_free() {
         ..FuzzConfig::from_env()
     };
     let report = run_fuzz(&cfg);
-    assert_eq!(report.programs, cfg.budget, "every budgeted program must run");
-    assert!(
-        report.statements >= cfg.budget,
-        "programs average at least one statement ({} over {})",
-        report.statements,
-        report.programs
+    assert_eq!(
+        report.programs,
+        cfg.budget,
+        "every budgeted program must run:\n{}",
+        report.failures.join("\n")
     );
+    let statements: usize =
+        qgen::slice(cfg.seed, cfg.budget).flat_map(|c| c.programs).map(|p| p.stmts.len()).sum();
+    assert_eq!(report.statements, statements, "every statement of the slice must run");
+    println!(
+        "seed {} budget {}: {} programs, {statements} statements, {} comparisons",
+        cfg.seed, cfg.budget, report.programs, report.comparisons
+    );
+    assert!(statements >= cfg.budget, "programs average at least one statement");
     for (family, count) in report.coverage.families() {
         assert!(
             count > 0,
@@ -66,8 +73,8 @@ fn fixed_seed_fuzz_budget_is_divergence_free() {
         let mut lines = Vec::new();
         for b in &report.bugs {
             lines.push(format!(
-                "program {} [{:?}] {} -> {:?}",
-                b.program_index, b.kinds, b.explanation, b.repro_path
+                "program {} [{} vs {}] {} -> {:?}",
+                b.program_index, b.arms[0], b.arms[1], b.explanation, b.repro_path
             ));
         }
         panic!(
@@ -77,6 +84,7 @@ fn fixed_seed_fuzz_budget_is_divergence_free() {
             lines.join("\n")
         );
     }
+    assert_eq!(report.comparisons, 3 * statements, "comparison count");
 }
 
 /// The programs at the head of the seed the wire row re-runs.
@@ -152,16 +160,12 @@ fn shrinker_demo_reintroduced_count_col_bug_yields_minimal_repro() {
     // The repro must replay: with the hook still on it diverges...
     let replayed = qgen::replay(&minimal.repro).expect("repro must replay");
     assert!(
-        !replayed.clean(),
+        !replayed.divergences.is_empty(),
         "with the fault hook on, the shrunk repro must still diverge"
     );
     // ...and with the hook off (the shipped translator) it is clean,
     // proving the divergence was the injected bug and nothing else.
     algebrizer::testhooks::set_reintroduce_count_col_bug(false);
     let fixed = qgen::replay(&minimal.repro).expect("repro must replay");
-    assert!(
-        fixed.clean(),
-        "with the fault hook off the repro must agree: {:?}",
-        fixed.divergent()
-    );
+    fixed.assert_clean(3 * minimal.statements.len());
 }

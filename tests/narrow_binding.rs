@@ -10,11 +10,11 @@
 mod common;
 
 use algebrizer::{CachingMdi, DemandReason, Scopes};
-use common::arms;
 use common::corpus::{
     fixture, wide_spec, JOIN_ERROR_PROBES, JOIN_SHAPES, ORACLE, TAQ_SHAPES, WIDE_ADHOC,
 };
 use hyperq::mdi_backend::BackendMdi;
+use hyperq::side_by_side;
 use hyperq::{loader, share, DirectBackend, SessionConfig, SharedBackend, Translator};
 use hyperq_workload::analytical::{analytical_workload, tables};
 use qgen::FuzzConfig;
@@ -71,7 +71,7 @@ fn golden_corpus_binds_narrow_as_wide() {
     let wide = check(share(DirectBackend::new(&db)), &[analytical.as_slice()]);
     let adhoc = check(share(DirectBackend::new(&db)), &[WIDE_ADHOC]);
 
-    let taq = arms::session(&fixture(), SessionConfig::default());
+    let taq = side_by_side::session(&fixture(), SessionConfig::default()).unwrap();
     let corpus = [ORACLE, TAQ_SHAPES, JOIN_SHAPES, JOIN_ERROR_PROBES];
     let taq = check(taq.backend().clone(), &corpus);
     println!("analytical {wide:?}, wide_adhoc {adhoc:?}, taq {taq:?}");
@@ -87,7 +87,7 @@ fn qgen_slice_binds_narrow_as_wide() {
     let mut slice = qgen::slice(seed, SLICE);
     for chunk in slice.by_ref() {
         let (tables, programs) = chunk.into_rendered();
-        let s = arms::session(&tables, SessionConfig::default());
+        let s = side_by_side::session(&tables, SessionConfig::default()).unwrap();
         let checked = check(s.backend().clone(), &programs);
         total.statements += checked.statements;
         total.errors += checked.errors;

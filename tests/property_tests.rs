@@ -8,7 +8,8 @@
 //!   Hyper-Q → SQL → pgdb pipeline (the paper's §5 framework as a
 //!   property).
 
-use hyperq::side_by_side::SideBySide;
+mod common;
+
 use proptest::prelude::*;
 use qlang::value::{Atom, Table, Value};
 
@@ -296,15 +297,10 @@ proptest! {
 
     #[test]
     fn generated_queries_agree_between_reference_and_hyperq(q in arb_query()) {
+        use hyperq::SessionConfig;
         use hyperq_workload::taq::{generate_trades, TaqConfig};
-        let db = pgdb::Db::new();
-        let mut f = SideBySide::new(&db);
-        f.load(
-            "trades",
-            &generate_trades(&TaqConfig { rows: 60, symbols: 3, days: 2, seed: 99 }),
-        ).unwrap();
-        let c = f.check(&q.0);
-        prop_assert!(c.is_match(), "divergence on {}: {:?}", q.0, c);
+        let trades = generate_trades(&TaqConfig { rows: 60, symbols: 3, days: 2, seed: 99 });
+        common::side_by_side(&[("trades".into(), trades)], SessionConfig::default(), &[&q.0]);
     }
 }
 

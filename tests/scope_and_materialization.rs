@@ -2,9 +2,12 @@
 //! and eager materialization (§4.3), exercised through the full pipeline
 //! and cross-checked against the reference engine.
 
+mod common;
+
 use algebrizer::MaterializationPolicy;
-use hyperq::side_by_side::SideBySide;
+use hyperq::side_by_side::{agrees, Outcome};
 use hyperq::{loader, HyperQSession, SessionConfig};
+use qengine::Interp;
 use qlang::value::{Table, Value};
 
 fn trades() -> Table {
@@ -19,21 +22,26 @@ fn trades() -> Table {
     .unwrap()
 }
 
+fn assert_agree(config: SessionConfig, stmts: &[&str]) {
+    common::side_by_side(&[("trades".into(), trades())], config, stmts);
+}
+
 #[test]
 fn locals_shadow_session_variables_in_both_engines() {
-    let db = pgdb::Db::new();
-    let mut f = SideBySide::new(&db);
-    f.load("trades", &trades()).unwrap();
-    // `lim` exists at session scope AND as a function parameter; the
-    // parameter must win inside the function (Figure 3).
-    f.assert_match(concat!(
-        "lim: 60.0; ",
-        "g: {[lim] exec count i from trades where Price > lim}; ",
-        "g[100.0]"
-    ))
-    .unwrap();
-    // Outside the function, the session variable is intact.
-    f.assert_match("exec count i from trades where Price > lim").unwrap();
+    assert_agree(
+        SessionConfig::default(),
+        &[
+            // `lim` exists at session scope AND as a function parameter;
+            // the parameter must win inside the function (Figure 3).
+            concat!(
+                "lim: 60.0; ",
+                "g: {[lim] exec count i from trades where Price > lim}; ",
+                "g[100.0]"
+            ),
+            // Outside the function, the session variable is intact.
+            "exec count i from trades where Price > lim",
+        ],
+    );
 }
 
 #[test]
@@ -126,16 +134,14 @@ fn temp_table_sequence_numbers_advance() {
 #[test]
 fn both_policies_agree_with_reference_on_multi_variable_programs() {
     for policy in [MaterializationPolicy::Logical, MaterializationPolicy::Physical] {
-        let db = pgdb::Db::new();
-        let cfg = SessionConfig { policy, ..Default::default() };
-        let mut f = SideBySide::with_config(&db, cfg);
-        f.load("trades", &trades()).unwrap();
-        f.assert_match(concat!(
-            "cheap: select from trades where Price < 80.0; ",
-            "big: select from cheap where Size > 15; ",
-            "select s: sum Size by Symbol from big"
-        ))
-        .unwrap_or_else(|e| panic!("policy {policy:?}: {e}"));
+        assert_agree(
+            SessionConfig { policy, ..Default::default() },
+            &[concat!(
+                "cheap: select from trades where Price < 80.0; ",
+                "big: select from cheap where Size > 15; ",
+                "select s: sum Size by Symbol from big"
+            )],
+        );
     }
 }
 
@@ -162,12 +168,16 @@ fn function_redefinition_takes_effect() {
 #[test]
 fn global_assignment_survives_session_end() {
     let db = pgdb::Db::new();
-    let mut f = SideBySide::new(&db);
-    f.load("trades", &trades()).unwrap();
+    let mut hyperq = HyperQSession::with_direct(&db);
+    loader::load_table(&mut hyperq, "trades", &trades()).unwrap();
+    let mut reference = Interp::new();
+    reference.define_table("trades", trades());
     // Define a global from "one client", end the session, use it again.
-    f.hyperq.execute("GLOBAL_SYMS:: `GOOG`IBM").unwrap();
-    f.reference.run("GLOBAL_SYMS:: `GOOG`IBM").unwrap();
-    f.hyperq.end_session();
-    f.reference.env.end_session();
-    f.assert_match("select Price from trades where Symbol in GLOBAL_SYMS").unwrap();
+    hyperq.execute("GLOBAL_SYMS:: `GOOG`IBM").unwrap();
+    reference.run("GLOBAL_SYMS:: `GOOG`IBM").unwrap();
+    hyperq.end_session();
+    reference.env.end_session();
+    let q = "select Price from trades where Symbol in GLOBAL_SYMS";
+    let (want, got) = (Outcome::from(reference.run(q)), Outcome::from(hyperq.execute(q)));
+    assert!(want.value().is_some() && agrees(&want, &got), "{want:?}\n{got:?}");
 }

@@ -21,8 +21,8 @@
 
 mod common;
 
-use common::arms::{Arm, Baseline, Matrix, Rule};
 use common::corpus::{fixture, ERROR_PROBES, ORACLE};
+use hyperq::side_by_side::{Arm, Baseline, Matrix, Rule};
 use hyperq::SessionConfig;
 
 fn arms() -> [Arm; 3] {

@@ -21,9 +21,9 @@
 
 mod common;
 
-use common::arms::{router, shard_opts, Arm, Baseline, Matrix, Rule};
 use common::corpus::{fixture, ORACLE};
 use hyperq::shard::ShardCluster;
+use hyperq::side_by_side::{router, shard_opts, Arm, Baseline, Matrix, Rule};
 use hyperq::{Backend, DirectBackend};
 use pgdb::{Batch, BatchQueryResult, Cell};
 
@@ -172,7 +172,7 @@ fn sql_differential_is_bit_identical_at_one_two_and_four_shards() {
     let mut backends: Vec<(String, Box<dyn Backend>)> =
         vec![("single-node".into(), Box::new(DirectBackend::new(&single_db)))];
     for shards in [1usize, 2, 4] {
-        backends.push((format!("{shards}-shard router"), Box::new(router(shards))));
+        backends.push((format!("{shards}-shard router"), Box::new(router(shards).unwrap())));
     }
     for stmt in setup_sql() {
         for (name, b) in &mut backends {

@@ -8,11 +8,9 @@
 //! 3. The fallback gate: the fixed-seed 200-program fuzz slice on a
 //!    4-shard router must not fall back to the coordinator at all.
 
-mod common;
-
-use common::arms::{router, router_session, shard_opts};
 use hyperq::shard::planner::{self, decide_placement, plan_select, ShardPlan};
 use hyperq::shard::{Mode, TableMeta};
+use hyperq::side_by_side::{router, router_session, shard_opts};
 use hyperq::{share, HyperQSession, SessionConfig};
 use pgdb::sql::ast::Stmt;
 use pgdb::sql::render::render_expr;
@@ -411,7 +409,7 @@ fn threshold_zero_partitions_everything() {
 
 #[test]
 fn session_explain_shard_surface() {
-    let mut s = HyperQSession::new(share(router(2)), SessionConfig::default());
+    let mut s = HyperQSession::new(share(router(2).unwrap()), SessionConfig::default());
     {
         let mut be = s.backend().lock().unwrap();
         be.execute_sql("CREATE TABLE small (k bigint)").unwrap();
@@ -441,7 +439,7 @@ fn fuzz_slice_fallback_rate_gate() {
     let fanout0 = reg.counter_value("shard_fanout_total");
 
     for (tables, programs) in qgen::slice(FUZZ_SEED, FUZZ_BUDGET).map(qgen::Chunk::into_rendered) {
-        let mut s = router_session(&tables, 4);
+        let mut s = router_session(&tables, 4).unwrap();
         for q in programs.iter().flatten() {
             let _ = s.execute(q);
         }

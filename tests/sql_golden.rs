@@ -18,10 +18,10 @@
 
 mod common;
 
-use common::arms;
 use common::corpus::{
     fixture, wide_spec, JOIN_ERROR_PROBES, JOIN_SHAPES, ORACLE, TAQ_SHAPES, WIDE_ADHOC,
 };
+use hyperq::side_by_side;
 use hyperq::{loader, HyperQSession, SessionConfig};
 use hyperq_workload::analytical::{analytical_workload, tables};
 use std::fmt::Write as _;
@@ -76,7 +76,7 @@ fn translations() -> String {
     let mut unpruned = HyperQSession::with_direct_config(&db, unpruned);
     record(&mut out, "analytical unpruned", &mut unpruned, &analytical[9..10]);
 
-    let mut taq = arms::session(&fixture(), SessionConfig::default());
+    let mut taq = side_by_side::session(&fixture(), SessionConfig::default()).unwrap();
     record(&mut out, "oracle", &mut taq, ORACLE);
     record(&mut out, "taq", &mut taq, TAQ_SHAPES);
     record(&mut out, "join", &mut taq, JOIN_SHAPES);

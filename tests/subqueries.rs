@@ -2,8 +2,9 @@
 //! `Sym in exec Sym from universe` binds to an uncorrelated relational
 //! subquery, serializes as `IN (SELECT ...)`, and executes on pgdb.
 
-use hyperq::side_by_side::SideBySide;
-use hyperq::{loader, HyperQSession};
+mod common;
+
+use hyperq::{loader, HyperQSession, SessionConfig};
 use qlang::value::{Table, Value};
 
 fn universe() -> Table {
@@ -15,6 +16,12 @@ fn universe() -> Table {
         ],
     )
     .unwrap()
+}
+
+/// `stmts` side by side over `trades` and `universe`.
+fn assert_agree(stmts: &[&str]) {
+    let tables = [("trades".into(), trades()), ("universe".into(), universe())];
+    common::side_by_side(&tables, SessionConfig::default(), stmts);
 }
 
 fn trades() -> Table {
@@ -49,38 +56,23 @@ fn in_subquery_generates_in_select_sql() {
 
 #[test]
 fn in_subquery_agrees_with_reference() {
-    let db = pgdb::Db::new();
-    let mut f = SideBySide::new(&db);
-    f.load("trades", &trades()).unwrap();
-    f.load("universe", &universe()).unwrap();
-    f.assert_match("select from trades where Symbol in exec Sym from universe").unwrap();
-    f.assert_match(
+    assert_agree(&[
+        "select from trades where Symbol in exec Sym from universe",
         "select n: count i by Symbol from trades where Symbol in exec Sym from universe",
-    )
-    .unwrap();
+    ]);
 }
 
 #[test]
 fn in_subquery_over_filtered_universe() {
-    let db = pgdb::Db::new();
-    let mut f = SideBySide::new(&db);
-    f.load("trades", &trades()).unwrap();
-    f.load("universe", &universe()).unwrap();
-    f.assert_match(
+    assert_agree(&[
         "select Price from trades where Symbol in exec Sym from universe where Sector=`tech",
-    )
-    .unwrap();
+    ]);
 }
 
 #[test]
 fn in_subquery_against_table_variable() {
-    let db = pgdb::Db::new();
-    let mut f = SideBySide::new(&db);
-    f.load("trades", &trades()).unwrap();
-    f.load("universe", &universe()).unwrap();
-    f.assert_match(concat!(
+    assert_agree(&[concat!(
         "watchlist: select Sym from universe where Sym in `GOOG`ORCL; ",
         "select from trades where Symbol in exec Sym from watchlist"
-    ))
-    .unwrap();
+    )]);
 }

@@ -2,53 +2,59 @@
 //! (windowed shifts), deltas, xbar bucketing, first/last aggregates, and
 //! union joins — the primitives the paper's financial workloads lean on.
 
-use hyperq::side_by_side::SideBySide;
+mod common;
+
+use hyperq::SessionConfig;
 use hyperq_workload::taq::{generate_trades, TaqConfig};
 use qlang::value::{Table, Value};
 
-fn framework() -> SideBySide {
-    let db = pgdb::Db::new();
-    let mut f = SideBySide::new(&db);
-    f.load(
-        "trades",
-        &generate_trades(&TaqConfig { rows: 120, symbols: 3, days: 1, seed: 77 }),
-    )
-    .unwrap();
-    f
+fn assert_agree(tables: &[(String, Table)], stmts: &[&str]) {
+    common::side_by_side(tables, SessionConfig::default(), stmts);
+}
+
+fn trades() -> Vec<(String, Table)> {
+    vec![(
+        "trades".into(),
+        generate_trades(&TaqConfig { rows: 120, symbols: 3, days: 1, seed: 77 }),
+    )]
 }
 
 #[test]
 fn prev_and_next_shift_by_row_order() {
-    let mut f = framework();
-    f.assert_match("select Price, prevPx: prev Price from trades").unwrap();
-    f.assert_match("select Price, nextPx: next Price from trades").unwrap();
+    assert_agree(
+        &trades(),
+        &[
+            "select Price, prevPx: prev Price from trades",
+            "select Price, nextPx: next Price from trades",
+        ],
+    );
 }
 
 #[test]
 fn deltas_computes_successive_differences() {
-    let mut f = framework();
-    f.assert_match("select d: deltas Size from trades").unwrap();
+    assert_agree(&trades(), &["select d: deltas Size from trades"]);
 }
 
 #[test]
 fn xbar_buckets_values() {
-    let mut f = framework();
-    // Price bucketed to 10-unit bins; Size to 500-unit bins.
-    f.assert_match("select bucket: 10.0 xbar Price, Price from trades").unwrap();
-    f.assert_match("select s: sum Size by 1000 xbar Size from trades").unwrap();
+    // Price bucketed to 10-unit bins; Size to 1000-unit bins.
+    assert_agree(
+        &trades(),
+        &[
+            "select bucket: 10.0 xbar Price, Price from trades",
+            "select s: sum Size by 1000 xbar Size from trades",
+        ],
+    );
 }
 
 #[test]
 fn first_and_last_aggregates_by_group() {
-    let mut f = framework();
     // Opening and closing price per symbol — order-sensitive aggregates.
-    f.assert_match("select open: first Price, close: last Price by Symbol from trades").unwrap();
+    assert_agree(&trades(), &["select open: first Price, close: last Price by Symbol from trades"]);
 }
 
 #[test]
 fn union_join_aligns_tables() {
-    let db = pgdb::Db::new();
-    let mut f = SideBySide::new(&db);
     let a = Table::new(
         vec!["Sym".into(), "Px".into()],
         vec![
@@ -66,14 +72,11 @@ fn union_join_aligns_tables() {
         ],
     )
     .unwrap();
-    f.load("t1", &a).unwrap();
-    f.load("t2", &b).unwrap();
-    f.assert_match("t1 uj t2").unwrap();
+    assert_agree(&[("t1".into(), a), ("t2".into(), b)], &["t1 uj t2"]);
 }
 
 #[test]
 fn returns_via_deltas_over_prices() {
-    let mut f = framework();
     // Classic: per-row price change as fraction of previous price.
-    f.assert_match("select r: (deltas Price) % prev Price from trades").unwrap();
+    assert_agree(&trades(), &["select r: (deltas Price) % prev Price from trades"]);
 }

@@ -2,14 +2,15 @@
 //!
 //! `XformConfig` has three switches — null logic, column pruning,
 //! ordering elision — and `fuzz_differential` only ever runs them all
-//! on. This suite runs the fixed-seed qgen slice on the reference
-//! interpreter, a cache-cold and a cache-warm session at all eight
-//! settings, so a rewritten pass that stops preserving semantics is
-//! caught pass by pass:
+//! on. This suite runs the fixed-seed qgen slice on the fuzz row's arms
+//! (the reference interpreter, a cache-cold and a cache-warm session)
+//! at the other seven settings, so a rewritten pass that stops
+//! preserving semantics is caught pass by pass. The all-on setting is
+//! the fuzz row itself, whose budget covers the slice:
 //!
-//! * with null logic on (four settings), pruning and ordering elision
-//!   are pure optimisations: turning either off may change the SQL text,
-//!   never an answer — zero divergences;
+//! * with null logic on (three more settings), pruning and ordering
+//!   elision are pure optimisations: turning either off may change the
+//!   SQL text, never an answer — zero divergences;
 //! * with null logic off (the other four), a statement may diverge only
 //!   if its all-on translation reports at least one null rewrite (an
 //!   equality the pass turns into `IS NOT DISTINCT FROM`); any other
@@ -17,7 +18,7 @@
 
 mod common;
 
-use common::arms::{self, Arm, Matrix, Rule};
+use hyperq::side_by_side::{self, Arm, Matrix, Rule};
 use hyperq::SessionConfig;
 use qgen::FuzzConfig;
 use qlang::value::Table;
@@ -29,7 +30,7 @@ const SLICE: usize = 200;
 /// order (0 where translation fails), from a session that translates
 /// without executing.
 fn null_rewrites(tables: &[(String, Table)], program: &[String]) -> Vec<usize> {
-    let mut s = arms::session(tables, SessionConfig::default());
+    let mut s = side_by_side::session(tables, SessionConfig::default()).unwrap();
     program
         .iter()
         .map(|q| {
@@ -40,12 +41,14 @@ fn null_rewrites(tables: &[(String, Table)], program: &[String]) -> Vec<usize> {
         .collect()
 }
 
-/// Each of the slice's statements, at each setting, on a cold and a
-/// warm session beside the reference, compared across the three pairs
-/// (cold against warm too: the translation cache must be transparent).
+/// Each of the slice's statements, at each setting but all-on, on a
+/// cold and a warm session beside the reference, compared across the
+/// three pairs (cold against warm too: the translation cache must be
+/// transparent).
 #[test]
 fn every_xform_setting_agrees_with_the_reference_outside_null_logic() {
-    let seed = FuzzConfig::from_env().seed;
+    let FuzzConfig { seed, budget, .. } = FuzzConfig::from_env();
+    assert!(budget >= SLICE, "the fuzz row runs the all-on setting over the slice");
     let chunks: Vec<_> = qgen::slice(seed, SLICE).map(qgen::Chunk::into_rendered).collect();
     let rewrites: Vec<Vec<usize>> = chunks
         .iter()
@@ -54,7 +57,7 @@ fn every_xform_setting_agrees_with_the_reference_outside_null_logic() {
     let statements: usize = rewrites.iter().map(Vec::len).sum();
 
     let mut allowed = 0usize;
-    for bits in 0..8u8 {
+    for bits in 0..7u8 {
         let mut cfg = SessionConfig { slow_query: std::time::Duration::ZERO, ..Default::default() };
         cfg.xform.null_logic = bits & 1 != 0;
         cfg.xform.column_pruning = bits & 2 != 0;
