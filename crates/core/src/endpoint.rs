@@ -14,6 +14,12 @@
 //! The session-park differential suite holds what a client gets through
 //! this layer to what an in-process session answers.
 //!
+//! Replies go out as kdb+ sends them: never compressed to a peer on this
+//! host or to one whose handshake offered capability 0, and otherwise
+//! compressed only when the payload is large and compresses to under
+//! half its size ([`ProtocolTranslator::on_results`]). They are encoded
+//! straight into the connection's output buffer.
+//!
 //! Robustness (see `DESIGN.md`, "Fault tolerance"): the accept loop
 //! survives transient `accept()` errors with a capped backoff; a
 //! connection cap turns overload into a clean kdb+-style error frame
@@ -28,19 +34,38 @@ use crate::backend::{share, DirectBackend, SharedBackend};
 use crate::session::{HyperQSession, SessionConfig};
 use crate::wire::WireError;
 use crate::xc::{ProtocolTranslator, PtAction};
-use netpool::{AcceptBackoff, HandlerControl, IoModel, NetPool, SessionHandler};
-use qipc::{Message, MsgType};
+use netpool::{Acceptor, HandlerControl, IoModel, SessionHandler};
+use qipc::{Compression, Message, MsgType};
 use qlang::{QResult, Value};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 
 /// Bytes written back to Q applications across all endpoint connections.
 fn response_bytes_counter() -> &'static Arc<obs::Counter> {
     static COUNTER: OnceLock<Arc<obs::Counter>> = OnceLock::new();
     COUNTER.get_or_init(|| obs::global_registry().counter("qipc_response_bytes_total"))
+}
+
+/// Value replies by how they were encoded and why:
+/// `qipc_replies_total{encoding, reason}` (error frames are never
+/// compressed and are not counted).
+fn replies_counter(how: Compression) -> &'static obs::Counter {
+    static COUNTERS: OnceLock<Vec<Arc<obs::Counter>>> = OnceLock::new();
+    let counters = COUNTERS.get_or_init(|| {
+        let reg = obs::global_registry();
+        Compression::ALL
+            .iter()
+            .map(|c| {
+                let (encoding, reason) = c.labels();
+                reg.counter(&format!(
+                    "qipc_replies_total{{encoding=\"{encoding}\",reason=\"{reason}\"}}"
+                ))
+            })
+            .collect()
+    });
+    &counters[how as usize]
 }
 
 /// Q system commands answered by the endpoint itself (never forwarded to
@@ -101,7 +126,7 @@ impl Default for EndpointConfig {
 pub struct QipcEndpoint {
     /// Bound address.
     pub addr: std::net::SocketAddr,
-    handle: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl QipcEndpoint {
@@ -127,41 +152,26 @@ impl QipcEndpoint {
         factory: BackendFactory,
     ) -> std::io::Result<QipcEndpoint> {
         let listener = TcpListener::bind(bind_addr)?;
-        let addr = listener.local_addr()?;
-        let pool = NetPool::start(config.net_workers)?;
+        let (workers, read_deadline) = (config.net_workers, config.session.wire.read);
         let active = Arc::new(AtomicUsize::new(0));
-        let handle = std::thread::spawn(move || {
-            let mut backoff = AcceptBackoff::new();
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        backoff.reset();
-                        let slot = active.fetch_add(1, Ordering::SeqCst);
-                        let reject = slot >= config.max_connections;
-                        let machine = QipcConnMachine::new(
-                            &factory,
-                            &config,
-                            reject,
-                            ConnGuard(Arc::clone(&active)),
-                        );
-                        // Registration failure drops the machine, whose
-                        // guard releases the slot.
-                        let _ = pool.register(stream, Box::new(machine), config.session.wire.read);
-                    }
-                    // One failed accept() (peer reset in the backlog, fd
-                    // pressure, a signal) must not kill the listener —
-                    // and must not spin the core while the fault lasts.
-                    Err(e) if netpool::transient_accept_error(&e) => backoff.sleep(),
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(QipcEndpoint { addr, handle: Some(handle) })
+        let acceptor = Acceptor::start(listener, workers, read_deadline, move |peer| {
+            let slot = active.fetch_add(1, Ordering::SeqCst);
+            let reject = slot >= config.max_connections;
+            let guard = ConnGuard(Arc::clone(&active));
+            Box::new(QipcConnMachine::new(&factory, &config, reject, guard, peer))
+        })?;
+        Ok(QipcEndpoint { addr: acceptor.addr(), acceptor })
+    }
+
+    /// Stop accepting, close every connection and join every thread the
+    /// endpoint started.
+    pub fn stop(self) {
+        self.acceptor.stop();
     }
 
     /// Detach the accept thread.
-    pub fn detach(mut self) {
-        self.handle.take();
+    pub fn detach(self) {
+        self.acceptor.detach();
     }
 }
 
@@ -192,11 +202,13 @@ pub struct QipcConnMachine {
 }
 
 impl QipcConnMachine {
+    /// The machine for one connection from `peer`.
     fn new(
         factory: &BackendFactory,
         config: &EndpointConfig,
         reject: bool,
         guard: ConnGuard,
+        peer: SocketAddr,
     ) -> QipcConnMachine {
         let session = if reject {
             Err("'limit: too many connections".to_string())
@@ -207,7 +219,7 @@ impl QipcConnMachine {
             }
         };
         QipcConnMachine {
-            pt: ProtocolTranslator::with_max_frame(config.max_frame),
+            pt: ProtocolTranslator::new(peer.ip(), config.max_frame),
             session,
             auth: Arc::clone(&config.authenticator),
             reject,
@@ -230,9 +242,7 @@ impl SessionHandler for QipcConnMachine {
                     // Malformed framing: tell the peer why before dropping
                     // (unless it is a doomed over-cap connection).
                     if !self.reject {
-                        if let PtAction::Send(bytes) = self.pt.on_error(&format!("'ipc: {e}")) {
-                            out.extend_from_slice(&bytes);
-                        }
+                        self.pt.on_error(&format!("'ipc: {e}"), out);
                     }
                     return HandlerControl::Close;
                 }
@@ -266,11 +276,7 @@ impl QipcConnMachine {
                 PtAction::ForwardQuery { text, respond } => {
                     if self.reject {
                         if respond {
-                            if let PtAction::Send(bytes) =
-                                self.pt.on_error("'limit: too many connections")
-                            {
-                                out.extend_from_slice(&bytes);
-                            }
+                            self.pt.on_error("'limit: too many connections", out);
                             return HandlerControl::Close;
                         }
                         continue;
@@ -286,17 +292,14 @@ impl QipcConnMachine {
                         },
                     };
                     if respond {
-                        let reply = match result {
-                            Ok(value) => self
-                                .pt
-                                .on_results(value)
-                                .unwrap_or_else(|e| self.pt.on_error(&e.to_string())),
-                            Err(e) => self.pt.on_error(&e.to_string()),
-                        };
-                        if let PtAction::Send(bytes) = reply {
-                            response_bytes_counter().add(bytes.len() as u64);
-                            out.extend_from_slice(&bytes);
+                        // The reply is encoded straight into the
+                        // connection's output buffer.
+                        let start = out.len();
+                        match result.and_then(|value| self.pt.on_results(value, out)) {
+                            Ok(how) => replies_counter(how).inc(),
+                            Err(e) => self.pt.on_error(&e.to_string(), out),
                         }
+                        response_bytes_counter().add((out.len() - start) as u64);
                     }
                 }
             }
@@ -353,26 +356,8 @@ impl QipcClient {
     pub fn read_response(&mut self) -> QResult<Value> {
         let mut chunk = [0u8; 16384];
         loop {
-            // kdb+-style error frame? (type byte -128 after the header)
-            // Only an uncompressed frame has its type byte there: in a
-            // compressed one, byte 8 is the low byte of the uncompressed
-            // length.
-            if self.buffer.len() >= 9 && self.buffer[2] == 0 && self.buffer[8] == 0x80 {
-                let total = u32::from_le_bytes([
-                    self.buffer[4],
-                    self.buffer[5],
-                    self.buffer[6],
-                    self.buffer[7],
-                ]) as usize;
-                if self.buffer.len() >= total {
-                    let text =
-                        String::from_utf8_lossy(&self.buffer[9..total - 1]).into_owned();
-                    self.buffer.drain(..total);
-                    return Err(qlang::QError::new(qlang::error::QErrorKind::Other, text));
-                }
-            } else if let Some((msg, used)) = qipc::read_message(&self.buffer)? {
-                self.buffer.drain(..used);
-                return Ok(msg.value);
+            if let Some(response) = take_response(&mut self.buffer) {
+                return response;
             }
             let n = self.stream.read(&mut chunk).map_err(io_err)?;
             if n == 0 {
@@ -383,6 +368,32 @@ impl QipcClient {
             }
             self.buffer.extend_from_slice(&chunk[..n]);
         }
+    }
+}
+
+/// Take the first response frame off the front of `buffer`, plain or
+/// compressed: its value, or the error a kdb+ error frame carries.
+/// `None` until a whole frame is buffered.
+fn take_response(buffer: &mut Vec<u8>) -> Option<QResult<Value>> {
+    // kdb+-style error frame? (type byte -128 after the header) Only an
+    // uncompressed frame has its type byte there: in a compressed one,
+    // byte 8 is the low byte of the uncompressed length.
+    if buffer.len() >= 9 && buffer[2] == 0 && buffer[8] == 0x80 {
+        let total = u32::from_le_bytes([buffer[4], buffer[5], buffer[6], buffer[7]]) as usize;
+        if buffer.len() < total {
+            return None;
+        }
+        let text = String::from_utf8_lossy(&buffer[9..total - 1]).into_owned();
+        buffer.drain(..total);
+        return Some(Err(qlang::QError::new(qlang::error::QErrorKind::Other, text)));
+    }
+    match qipc::read_message(buffer) {
+        Ok(None) => None,
+        Ok(Some((msg, used))) => {
+            buffer.drain(..used);
+            Some(Ok(msg.value))
+        }
+        Err(e) => Some(Err(e)),
     }
 }
 
@@ -610,6 +621,139 @@ mod tests {
         client.send_raw(&evil).unwrap();
         let err = client.read_response().unwrap_err();
         assert!(err.to_string().contains("exceeding"), "{err}");
+    }
+
+    /// Kdb+'s reply rule, branch by branch, through the sans-io machine
+    /// with made-up peers: `flat` (3 000 rows of one symbol and one size)
+    /// compresses far under half, the `quotes` reply (`Time, Bid, Ask`)
+    /// only to about 0.8.
+    mod reply_encoding {
+        use super::*;
+        use hyperq_workload::taq::{generate_quotes, TaqConfig};
+
+        const REMOTE: [u8; 4] = [192, 0, 2, 1];
+        const FLAT: &str = "select from flat";
+        const QUOTES: &str = "select Time, Bid, Ask from quotes where Symbol=`GOOG";
+
+        fn db() -> pgdb::Db {
+            let db = pgdb::Db::new();
+            let mut s = HyperQSession::with_direct(&db);
+            let flat = Table::new(
+                vec!["Symbol".into(), "Size".into()],
+                vec![Value::Symbols(vec!["GOOG".into(); 3000]), Value::Longs(vec![100; 3000])],
+            )
+            .unwrap();
+            loader::load_table(&mut s, "flat", &flat).unwrap();
+            let quotes = generate_quotes(&TaqConfig { rows: 4000, ..TaqConfig::default() });
+            loader::load_table(&mut s, "quotes", &quotes).unwrap();
+            db
+        }
+
+        /// The machine for a connection from `peer` over `db`, after a
+        /// handshake offering `capability`.
+        fn machine(
+            db: &pgdb::Db,
+            peer: impl Into<std::net::IpAddr>,
+            capability: u8,
+        ) -> QipcConnMachine {
+            let db = db.clone();
+            let factory: BackendFactory = Arc::new(move || Ok(share(DirectBackend::new(&db))));
+            let guard = ConnGuard(Arc::new(AtomicUsize::new(1)));
+            let peer = SocketAddr::new(peer.into(), 50_001);
+            let config = EndpointConfig::default();
+            let mut m = QipcConnMachine::new(&factory, &config, false, guard, peer);
+            let mut out = Vec::new();
+            let hello = qipc::client_handshake("t", "", capability);
+            assert_eq!(m.on_bytes(&hello, &mut out), HandlerControl::Continue);
+            assert_eq!(out, [capability.min(qipc::handshake::SERVER_CAPABILITY)]);
+            m
+        }
+
+        /// The frame `m` answers `q` with.
+        fn reply(m: &mut QipcConnMachine, q: &str) -> Vec<u8> {
+            let mut out = Vec::new();
+            let query = qipc::write_message(&Message::query(q)).unwrap();
+            assert_eq!(m.on_bytes(&query, &mut out), HandlerControl::Continue);
+            out
+        }
+
+        /// What a client reads off `frame`, which must be one whole frame.
+        fn decoded(frame: &[u8]) -> Value {
+            let mut buffer = frame.to_vec();
+            let value = take_response(&mut buffer).expect("a whole frame").expect("a value");
+            assert!(buffer.is_empty(), "one frame");
+            value
+        }
+
+        /// `frame` went out plain: it is the plain encoding of the value
+        /// it carries.
+        fn assert_plain(frame: &[u8]) {
+            assert_eq!(frame[2], 0, "plain flag");
+            let plain = qipc::encode_message(&Message::response(decoded(frame))).unwrap();
+            assert_eq!(frame, plain);
+        }
+
+        #[test]
+        fn a_remote_peer_of_capability_3_gets_a_halved_reply_compressed() {
+            let db = db();
+            let frame = reply(&mut machine(&db, REMOTE, 3), FLAT);
+            assert_eq!(frame[2], 1, "compressed flag");
+            let reply = Message::response(decoded(&frame));
+            let plain = qipc::encode_message(&reply).unwrap();
+            assert_eq!(frame, qipc::encode::encode_message_compressed(&reply).unwrap());
+            assert!(frame.len() * 2 < plain.len(), "{} of {}", frame.len(), plain.len());
+        }
+
+        #[test]
+        fn a_remote_peer_of_capability_0_gets_plain_replies() {
+            let db = db();
+            assert_plain(&reply(&mut machine(&db, REMOTE, 0), FLAT));
+        }
+
+        #[test]
+        fn a_reply_that_compresses_but_not_to_half_goes_out_plain() {
+            let db = db();
+            let frame = reply(&mut machine(&db, REMOTE, 3), QUOTES);
+            assert!(frame.len() - 8 >= qipc::compress::COMPRESSION_THRESHOLD, "{}", frame.len());
+            assert_plain(&frame);
+        }
+
+        #[test]
+        fn a_loopback_peer_gets_plain_replies() {
+            let db = db();
+            for peer in [
+                std::net::IpAddr::from([127, 0, 0, 1]),
+                std::net::IpAddr::from(std::net::Ipv6Addr::LOCALHOST),
+                std::net::IpAddr::from(std::net::Ipv4Addr::LOCALHOST.to_ipv6_mapped()),
+            ] {
+                assert_plain(&reply(&mut machine(&db, peer, 3), FLAT));
+            }
+        }
+
+        #[test]
+        fn every_encoding_decodes_to_the_same_value() {
+            let db = db();
+            for q in [FLAT, QUOTES] {
+                let want = HyperQSession::with_direct(&db).execute(q).unwrap();
+                for (peer, capability) in
+                    [(REMOTE, 3), (REMOTE, 0), (REMOTE, 1), ([127, 0, 0, 1], 3)]
+                {
+                    let got = decoded(&reply(&mut machine(&db, peer, capability), q));
+                    let case = format!("{q} from {peer:?} at capability {capability}");
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{case}");
+                }
+            }
+        }
+
+        #[test]
+        fn errors_go_out_as_error_frames_to_every_peer() {
+            let db = db();
+            for (peer, capability) in [(REMOTE, 3), ([127, 0, 0, 1], 3)] {
+                let mut buffer = reply(&mut machine(&db, peer, capability), "select from nosuch");
+                let err = take_response(&mut buffer).unwrap().unwrap_err();
+                assert!(err.to_string().contains("nosuch"), "{err}");
+            }
+        }
     }
 
     /// Regression: a compressed reply whose uncompressed length ends in

@@ -273,10 +273,9 @@ fn load(s: &mut HyperQSession, tables: &[(String, Table)]) -> Result<(), String>
     Ok(())
 }
 
-/// A `PgServer` over `db`; dropping the handle leaves it serving.
-fn pg_server(db: pgdb::Db) -> Result<String, String> {
-    let server = PgServer::start(db, "127.0.0.1:0", ServerConfig::default());
-    server.map(|s| s.addr.to_string()).map_err(|e| e.to_string())
+/// A `PgServer` over `db`.
+fn pg_server(db: pgdb::Db) -> Result<PgServer, String> {
+    PgServer::start(db, "127.0.0.1:0", ServerConfig::default()).map_err(|e| e.to_string())
 }
 
 fn gateway(addr: &str) -> Result<SharedBackend, WireError> {
@@ -286,10 +285,35 @@ fn gateway(addr: &str) -> Result<SharedBackend, WireError> {
 }
 
 /// A built arm, ready to execute.
-enum Live {
+struct Live {
+    exec: Exec,
+    /// The servers behind `exec`, stopped after it is dropped.
+    _servers: Servers,
+}
+
+/// What executes an arm's statements.
+enum Exec {
     Qengine(Interp),
     Session(Box<HyperQSession>),
     Client(QipcClient),
+}
+
+/// The servers an arm started; they stop when the arm is dropped.
+#[derive(Default)]
+struct Servers {
+    endpoint: Option<QipcEndpoint>,
+    pg: Option<PgServer>,
+}
+
+impl Drop for Servers {
+    fn drop(&mut self) {
+        if let Some(endpoint) = self.endpoint.take() {
+            endpoint.stop();
+        }
+        if let Some(pg) = self.pg.take() {
+            pg.stop();
+        }
+    }
 }
 
 impl Arm {
@@ -315,32 +339,47 @@ impl Arm {
         template: &OnceLock<Result<pgdb::Db, String>>,
     ) -> Result<Live, String> {
         let endpoint = EndpointConfig { net_workers: NET_WORKERS, ..EndpointConfig::default() };
-        let client = |ep: std::io::Result<QipcEndpoint>| {
-            let addr = ep.map_err(|e| e.to_string())?.addr.to_string();
-            QipcClient::connect(&addr, "differ", "").map(Live::Client).map_err(|e| e.to_string())
+        let client = |ep: std::io::Result<QipcEndpoint>, mut servers: Servers| {
+            let ep = ep.map_err(|e| e.to_string())?;
+            let addr = ep.addr.to_string();
+            servers.endpoint = Some(ep);
+            let client = QipcClient::connect(&addr, "differ", "").map_err(|e| e.to_string())?;
+            Ok::<_, String>((Exec::Client(client), servers))
         };
         let db = || {
             template.get_or_init(|| loaded(tables)).as_ref().map(copy).map_err(Clone::clone)
         };
-        Ok(match self {
+        let (exec, servers) = match self {
             Arm::Qengine => {
-                Live::Qengine(Interp::with_tables(tables.iter().map(|(n, t)| (n.as_str(), t))))
+                let interp = Interp::with_tables(tables.iter().map(|(n, t)| (n.as_str(), t)));
+                (Exec::Qengine(interp), Servers::default())
             }
             Arm::Session(config) | Arm::Warm(config) => {
-                Live::Session(Box::new(HyperQSession::with_direct_config(&db()?, config.clone())))
+                let session = HyperQSession::with_direct_config(&db()?, config.clone());
+                (Exec::Session(Box::new(session)), Servers::default())
             }
             Arm::Wire => {
-                let backend = gateway(&pg_server(db()?)?).map_err(|e| e.to_string())?;
-                Live::Session(Box::new(HyperQSession::new(backend, SessionConfig::default())))
+                let pg = pg_server(db()?)?;
+                let backend = gateway(&pg.addr.to_string()).map_err(|e| e.to_string())?;
+                let session = HyperQSession::new(backend, SessionConfig::default());
+                (Exec::Session(Box::new(session)), Servers { endpoint: None, pg: Some(pg) })
             }
-            Arm::Parked => client(QipcEndpoint::start(db()?, "127.0.0.1:0", endpoint))?,
+            Arm::Parked => {
+                client(QipcEndpoint::start(db()?, "127.0.0.1:0", endpoint), Servers::default())?
+            }
             Arm::ParkedWire => {
-                let addr = pg_server(db()?)?;
+                let pg = pg_server(db()?)?;
+                let addr = pg.addr.to_string();
                 let factory: BackendFactory = Arc::new(move || gateway(&addr));
-                client(QipcEndpoint::start_with("127.0.0.1:0", endpoint, factory))?
+                let servers = Servers { endpoint: None, pg: Some(pg) };
+                client(QipcEndpoint::start_with("127.0.0.1:0", endpoint, factory), servers)?
             }
-            Arm::Router(shards) => Live::Session(Box::new(router_session(tables, *shards)?)),
-        })
+            Arm::Router(shards) => {
+                let session = router_session(tables, *shards)?;
+                (Exec::Session(Box::new(session)), Servers::default())
+            }
+        };
+        Ok(Live { exec, _servers: servers })
     }
 }
 
@@ -350,10 +389,10 @@ impl Live {
     /// `Other` error from that text, so the text is the session's; any
     /// other client-side error keeps its kind and cannot pass for one.
     fn run(&mut self, q: &str) -> Outcome {
-        match self {
-            Live::Qengine(interp) => Outcome::from(interp.run(q)),
-            Live::Session(s) => Outcome::from(s.execute(q)),
-            Live::Client(c) => match c.query(q) {
+        match &mut self.exec {
+            Exec::Qengine(interp) => Outcome::from(interp.run(q)),
+            Exec::Session(s) => Outcome::from(s.execute(q)),
+            Exec::Client(c) => match c.query(q) {
                 Ok(v) => Outcome::Value(v),
                 Err(e) if e.kind == QErrorKind::Other && e.offset.is_none() => {
                     Outcome::Error(e.message)
@@ -526,7 +565,7 @@ impl<'a> Matrix<'a> {
                 }
             }
         }
-        let parked = live.iter().any(|l| matches!(l, Live::Client(_)));
+        let parked = live.iter().any(|l| matches!(l.exec, Exec::Client(_)));
         let report = &mut self.report;
         let before = report.divergences.len() + report.failures.len();
         for pass in 0..self.passes {
@@ -692,7 +731,7 @@ mod tests {
         let two = Table::new(vec!["x".into()], vec![Value::Longs(vec![2])]).unwrap();
         let mut m = Matrix::new(&arms, Rule::Reference, 1);
         let mut live = m.build(&[("t".into(), two)]).unwrap();
-        let Live::Qengine(reference) = &mut live[0] else { unreachable!() };
+        let Exec::Qengine(reference) = &mut live[0].exec else { unreachable!() };
         let one = Table::new(vec!["x".into()], vec![Value::Longs(vec![1])]).unwrap();
         reference.define_table("t", one);
         assert!(m.program(&mut live, 0, &["exec x from t"], None));
@@ -718,7 +757,7 @@ mod tests {
         let mut m = Matrix::new(&arms, Rule::Reference, 1);
         let mut live = m.build(&t()).unwrap();
         assert!(!m.program(&mut live, 0, &["select from t"], None));
-        let Live::Session(warm) = &live[2] else { unreachable!() };
+        let Exec::Session(warm) = &live[2].exec else { unreachable!() };
         assert!(warm.translation_cache_stats().hits > 0, "{:?}", warm.translation_cache_stats());
     }
 
@@ -730,7 +769,7 @@ mod tests {
         let arms = tri();
         let mut m = Matrix::new(&arms, Rule::Reference, 1);
         let mut live = m.build(&t()).unwrap();
-        let Live::Qengine(reference) = &mut live[0] else { unreachable!() };
+        let Exec::Qengine(reference) = &mut live[0].exec else { unreachable!() };
         let u = Table::new(vec!["x".into()], vec![Value::Longs(vec![42])]).unwrap();
         reference.define_table("u", u);
         let stmts = [

@@ -13,8 +13,9 @@
 //! `algebrize`, `optimize` and `serialize` spans of each query's trace,
 //! timed as they run, not states of a machine here.
 
-use qipc::{Message, MsgType};
+use qipc::{Compression, Message, MsgType};
 use qlang::{QError, QResult, Value};
+use std::net::IpAddr;
 
 /// Protocol Translator states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +33,9 @@ pub enum PtState {
 /// Actions the PT asks its driver (the socket loop) to perform.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PtAction {
-    /// Write these bytes to the Q application.
+    /// Write these bytes to the Q application (the handshake's
+    /// capability byte; replies are written by [`ProtocolTranslator::on_results`]
+    /// and [`ProtocolTranslator::on_error`]).
     Send(Vec<u8>),
     /// Hand this query text to the session; `respond` is false for async
     /// messages (fire-and-forget).
@@ -54,25 +57,19 @@ pub struct ProtocolTranslator {
     state: PtState,
     buffer: Vec<u8>,
     max_frame: usize,
-}
-
-impl Default for ProtocolTranslator {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Why this connection's replies always go out plain (the peer is on
+    /// this host, or its handshake offered capability 0); `None` while
+    /// kdb+'s size rule decides each reply.
+    plain: Option<Compression>,
 }
 
 impl ProtocolTranslator {
-    /// New connection: awaiting handshake.
-    pub fn new() -> Self {
-        Self::with_max_frame(qipc::DEFAULT_MAX_MESSAGE)
-    }
-
-    /// New connection with an explicit inbound-frame length ceiling; a
-    /// message declaring more than `max_frame` bytes is a protocol error
-    /// rather than an allocation.
-    pub fn with_max_frame(max_frame: usize) -> Self {
-        ProtocolTranslator { state: PtState::AwaitHandshake, buffer: Vec::new(), max_frame }
+    /// New connection from `peer`, awaiting its handshake. A message
+    /// declaring more than `max_frame` bytes is a protocol error rather
+    /// than an allocation.
+    pub fn new(peer: IpAddr, max_frame: usize) -> Self {
+        let plain = peer.to_canonical().is_loopback().then_some(Compression::Loopback);
+        ProtocolTranslator { state: PtState::AwaitHandshake, buffer: Vec::new(), max_frame, plain }
     }
 
     /// Current state.
@@ -100,9 +97,11 @@ impl ProtocolTranslator {
                         Some((hs, used)) => {
                             self.buffer.drain(..used);
                             if auth(&hs.user, &hs.password) {
-                                actions.push(PtAction::Send(vec![
-                                    qipc::handshake::SERVER_CAPABILITY.min(hs.version),
-                                ]));
+                                let capability = qipc::handshake::SERVER_CAPABILITY.min(hs.version);
+                                if capability == 0 {
+                                    self.plain.get_or_insert(Compression::Capability);
+                                }
+                                actions.push(PtAction::Send(vec![capability]));
                                 self.state = PtState::Idle;
                             } else {
                                 // Paper §4.2: on bad credentials the
@@ -144,38 +143,38 @@ impl ProtocolTranslator {
         Ok(actions)
     }
 
-    /// The QT produced results: encode the QIPC response and return to
-    /// Idle.
-    pub fn on_results(&mut self, value: Value) -> QResult<PtAction> {
+    /// The QT produced results: append the QIPC response to `out` and
+    /// return to Idle. kdb+'s rule picks the encoding: plain to a peer on
+    /// this host or of capability 0, otherwise compressed when the payload
+    /// is large and compressing halves it. Returns which case applied.
+    pub fn on_results(&mut self, value: Value, out: &mut Vec<u8>) -> QResult<Compression> {
         if self.state != PtState::AwaitResults {
             return Err(QError::new(
                 qlang::error::QErrorKind::Other,
                 format!("protocol violation: results in state {:?}", self.state),
             ));
         }
-        // Large result sets are compressed on the wire, as kdb+ does for
-        // remote peers (paper §3.1 lists compression in the QIPC spec).
-        let bytes = qipc::write_message_compressed(&Message::response(value))?;
+        let reply = Message::response(value);
+        let how = match self.plain {
+            Some(reason) => qipc::write_message_into(&reply, out).map(|()| reason),
+            None => qipc::write_message_compressed_into(&reply, out),
+        }?;
         self.state = PtState::Idle;
-        Ok(PtAction::Send(bytes))
+        Ok(how)
     }
 
-    /// The QT (or backend) errored: encode a QIPC error response.
-    pub fn on_error(&mut self, message: &str) -> PtAction {
+    /// The QT (or backend) errored: append a QIPC error response to `out`.
+    pub fn on_error(&mut self, message: &str, out: &mut Vec<u8>) {
         // kdb+ error frames: type -128 followed by a NUL-terminated
         // string.
-        let mut payload = Vec::with_capacity(message.len() + 10);
-        payload.push(1); // little endian
-        payload.push(MsgType::Response.as_byte());
-        payload.push(0);
-        payload.push(0);
         let total = 8 + 1 + message.len() + 1;
-        payload.extend_from_slice(&(total as u32).to_le_bytes());
-        payload.push(0x80);
-        payload.extend_from_slice(message.as_bytes());
-        payload.push(0);
+        out.reserve(total);
+        out.extend_from_slice(&[1, MsgType::Response.as_byte(), 0, 0]);
+        out.extend_from_slice(&(total as u32).to_le_bytes());
+        out.push(0x80);
+        out.extend_from_slice(message.as_bytes());
+        out.push(0);
         self.state = PtState::Idle;
-        PtAction::Send(payload)
     }
 }
 
@@ -191,9 +190,14 @@ mod tests {
         false
     }
 
+    /// A translator for a client on this host.
+    fn local() -> ProtocolTranslator {
+        ProtocolTranslator::new(IpAddr::from([127, 0, 0, 1]), qipc::DEFAULT_MAX_MESSAGE)
+    }
+
     #[test]
     fn handshake_transitions_to_idle() {
-        let mut pt = ProtocolTranslator::new();
+        let mut pt = local();
         let hs = qipc::client_handshake("trader", "pw", 3);
         let actions = pt.on_bytes(&hs, &trust).unwrap();
         assert_eq!(actions.len(), 1);
@@ -203,7 +207,7 @@ mod tests {
 
     #[test]
     fn bad_credentials_close_immediately() {
-        let mut pt = ProtocolTranslator::new();
+        let mut pt = local();
         let hs = qipc::client_handshake("intruder", "pw", 3);
         let actions = pt.on_bytes(&hs, &deny).unwrap();
         assert_eq!(actions, vec![PtAction::Close]);
@@ -212,7 +216,7 @@ mod tests {
 
     #[test]
     fn query_message_forwards_and_awaits() {
-        let mut pt = ProtocolTranslator::new();
+        let mut pt = local();
         let mut bytes = qipc::client_handshake("u", "p", 3);
         bytes.extend(qipc::write_message(&Message::query("select from t")).unwrap());
         let actions = pt.on_bytes(&bytes, &trust).unwrap();
@@ -226,31 +230,30 @@ mod tests {
 
     #[test]
     fn results_produce_response_and_return_to_idle() {
-        let mut pt = ProtocolTranslator::new();
+        let mut pt = local();
         let mut bytes = qipc::client_handshake("u", "p", 3);
         bytes.extend(qipc::write_message(&Message::query("1+1")).unwrap());
         pt.on_bytes(&bytes, &trust).unwrap();
-        let action = pt.on_results(Value::long(2)).unwrap();
-        match action {
-            PtAction::Send(payload) => {
-                let (msg, _) = qipc::read_message(&payload).unwrap().unwrap();
-                assert_eq!(msg.msg_type, MsgType::Response);
-                assert!(msg.value.q_eq(&Value::long(2)));
-            }
-            other => panic!("expected send, got {other:?}"),
-        }
+        let mut out = Vec::new();
+        assert_eq!(pt.on_results(Value::long(2), &mut out).unwrap(), Compression::Loopback);
+        let (msg, used) = qipc::read_message(&out).unwrap().unwrap();
+        assert_eq!(used, out.len());
+        assert_eq!(msg.msg_type, MsgType::Response);
+        assert!(msg.value.q_eq(&Value::long(2)));
         assert_eq!(pt.state(), PtState::Idle);
     }
 
     #[test]
     fn results_in_wrong_state_are_a_protocol_violation() {
-        let mut pt = ProtocolTranslator::new();
-        assert!(pt.on_results(Value::long(1)).is_err());
+        let mut pt = local();
+        let mut out = Vec::new();
+        assert!(pt.on_results(Value::long(1), &mut out).is_err());
+        assert!(out.is_empty());
     }
 
     #[test]
     fn partial_messages_resume_on_next_bytes() {
-        let mut pt = ProtocolTranslator::new();
+        let mut pt = local();
         let hs = qipc::client_handshake("u", "p", 3);
         // Feed one byte at a time.
         let mut got_send = false;
@@ -267,22 +270,20 @@ mod tests {
 
     #[test]
     fn error_frames_encode_kdb_style() {
-        let mut pt = ProtocolTranslator::new();
+        let mut pt = local();
         let mut bytes = qipc::client_handshake("u", "p", 3);
         bytes.extend(qipc::write_message(&Message::query("bad")).unwrap());
         pt.on_bytes(&bytes, &trust).unwrap();
-        match pt.on_error("'type: nope") {
-            PtAction::Send(payload) => {
-                assert_eq!(payload[8], 0x80, "kdb+ error marker");
-                assert_eq!(pt.state(), PtState::Idle);
-            }
-            other => panic!("expected send, got {other:?}"),
-        }
+        let mut out = vec![0xAA];
+        pt.on_error("'type: nope", &mut out);
+        assert_eq!(out[1 + 8], 0x80, "kdb+ error marker");
+        assert_eq!(out[1 + 4..1 + 8], ((out.len() - 1) as u32).to_le_bytes());
+        assert_eq!(pt.state(), PtState::Idle);
     }
 
     #[test]
     fn oversized_qipc_frame_is_a_protocol_error() {
-        let mut pt = ProtocolTranslator::with_max_frame(64);
+        let mut pt = ProtocolTranslator::new(IpAddr::from([127, 0, 0, 1]), 64);
         let mut bytes = qipc::client_handshake("u", "p", 3);
         // A syntactically valid header whose length declares 1 MiB.
         bytes.extend_from_slice(&[1, 1, 0, 0]);
@@ -293,7 +294,7 @@ mod tests {
 
     #[test]
     fn partial_frames_are_visible_to_the_socket_loop() {
-        let mut pt = ProtocolTranslator::new();
+        let mut pt = local();
         let hs = qipc::client_handshake("u", "p", 3);
         pt.on_bytes(&hs, &trust).unwrap();
         assert!(!pt.has_partial(), "idle peer owes nothing");

@@ -32,10 +32,12 @@ pub mod poll;
 use poll::{Event, Interest, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The connection layer a server runs. There is one; nothing reads the
@@ -112,7 +114,7 @@ impl Default for AcceptBackoff {
 
 /// Is this `accept()` failure one connection's problem rather than the
 /// listener's? (Peer reset in the backlog, fd pressure, a signal.)
-pub fn transient_accept_error(e: &std::io::Error) -> bool {
+fn transient_accept_error(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::ConnectionAborted
@@ -219,12 +221,21 @@ struct Shared {
     shutdown: AtomicBool,
     next_token: AtomicU64,
     workers: usize,
+    /// One byte written here wakes the poll thread at once (its read end
+    /// is registered under [`WAKE`]).
+    waker: UnixStream,
+    _wake_rx: UnixStream,
 }
 
+/// The poll token of the waker; session tokens start at 1.
+const WAKE: u64 = 0;
+
 /// A readiness-polled session scheduler: one poll thread, `workers`
-/// dispatch threads, any number of registered sessions.
+/// dispatch threads, any number of registered sessions. Dropping the
+/// last handle stops every thread, joins them and closes every session.
 pub struct NetPool {
     shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl NetPool {
@@ -232,28 +243,34 @@ impl NetPool {
     /// `HQ_NET_WORKERS`, then the built-in default).
     pub fn start(workers: usize) -> std::io::Result<Arc<NetPool>> {
         let workers = resolve_workers(workers);
+        let (waker, wake_rx) = UnixStream::pair()?;
+        let poller = Poller::new()?;
+        poller.register(wake_rx.as_raw_fd(), WAKE, Interest::READ)?;
         let shared = Arc::new(Shared {
-            poller: Poller::new()?,
+            poller,
             slots: Mutex::new(HashMap::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             next_token: AtomicU64::new(1),
             workers,
+            waker,
+            _wake_rx: wake_rx,
         });
-        {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("netpool-poll".into())
-                .spawn(move || poll_loop(&shared))?;
-        }
+        // A thread that fails to start stops the ones already running
+        // when `pool` drops.
+        let mut pool = NetPool { shared, threads: Vec::with_capacity(workers + 1) };
+        let spawn = |pool: &mut NetPool, name: String, run: fn(&Shared)| {
+            let shared = Arc::clone(&pool.shared);
+            let thread = std::thread::Builder::new().name(name).spawn(move || run(&shared))?;
+            pool.threads.push(thread);
+            std::io::Result::Ok(())
+        };
+        spawn(&mut pool, "netpool-poll".into(), poll_loop)?;
         for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("netpool-worker-{i}"))
-                .spawn(move || worker_loop(&shared))?;
+            spawn(&mut pool, format!("netpool-worker-{i}"), worker_loop)?;
         }
-        Ok(Arc::new(NetPool { shared }))
+        Ok(Arc::new(pool))
     }
 
     /// The number of dispatch threads this scheduler runs.
@@ -307,7 +324,103 @@ impl NetPool {
 impl Drop for NetPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        let _ = (&self.shared.waker).write(&[1]);
+        // Taking the queue lock orders the flag before any worker's next
+        // look at it, so none waits past this notification (a poisoned
+        // lock is held just the same).
+        drop(self.shared.queue.lock());
         self.shared.queue_cv.notify_all();
+        for thread in self.threads.drain(..) {
+            // A dispatch finishes its session's current burst first.
+            if thread.thread().id() != std::thread::current().id() {
+                let _ = thread.join();
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The accept loop
+// ---------------------------------------------------------------------
+
+/// A listening socket whose accept thread registers every connection
+/// with a [`NetPool`] of its own: how both Hyper-Q servers run. Dropping
+/// the handle leaves it serving, as [`Acceptor::detach`] does;
+/// [`Acceptor::stop`] ends it.
+pub struct Acceptor {
+    addr: SocketAddr,
+    stopping: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Serve `listener` on a scheduler of `workers` dispatch threads (as
+    /// in [`NetPool::start`]). `handler` builds each accepted peer's
+    /// protocol machine; `read_deadline` is every session's mid-frame
+    /// deadline. A failed `accept()` of one connection (peer reset in
+    /// the backlog, fd pressure, a signal) does not end the loop, and
+    /// the loop backs off while the fault lasts.
+    pub fn start<F>(
+        listener: TcpListener,
+        workers: usize,
+        read_deadline: Option<Duration>,
+        mut handler: F,
+    ) -> std::io::Result<Acceptor>
+    where
+        F: FnMut(SocketAddr) -> Box<dyn SessionHandler> + Send + 'static,
+    {
+        let addr = listener.local_addr()?;
+        let pool = NetPool::start(workers)?;
+        let stopping = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&stopping);
+        let accept = move || {
+            let mut backoff = AcceptBackoff::new();
+            loop {
+                let accepted = listener.accept();
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                match accepted {
+                    Ok((stream, peer)) => {
+                        backoff.reset();
+                        // Registration failure drops the handler.
+                        let _ = pool.register(stream, handler(peer), read_deadline);
+                    }
+                    Err(e) if transient_accept_error(&e) => backoff.sleep(),
+                    Err(_) => break,
+                }
+            }
+            // `pool` drops here: its threads stop and its sessions close.
+        };
+        let thread = std::thread::Builder::new().name("netpool-accept".into()).spawn(accept)?;
+        Ok(Acceptor { addr, stopping, thread: Some(thread) })
+    }
+
+    /// The bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop accepting, close every session and join every thread this
+    /// acceptor started: the accept thread, the poll thread and the
+    /// dispatch threads.
+    pub fn stop(mut self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        // Wake the blocked accept() with a connection of our own.
+        let ip = match self.addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
+        let _ = TcpStream::connect((ip, self.addr.port()));
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+
+    /// Leave the acceptor serving until the process ends.
+    pub fn detach(mut self) {
+        self.thread.take();
     }
 }
 
@@ -321,6 +434,7 @@ fn poll_loop(shared: &Shared) {
         if shared.poller.wait(&mut events, 100).is_err() {
             break;
         }
+        events.retain(|ev| ev.token != WAKE);
         if !events.is_empty() {
             let mut q = shared.queue.lock().unwrap();
             for ev in &events {
@@ -428,15 +542,13 @@ fn process(slot: &mut Slot, event: &Event) -> bool {
         match slot.stream.read(&mut chunk) {
             Ok(0) => {
                 slot.handler.on_eof(&mut out);
-                queue_out(slot, out);
-                let _ = flush(slot);
+                let _ = send(slot, &mut out);
                 return true;
             }
             Ok(n) => {
                 slot.last_activity = Instant::now();
                 let control = slot.handler.on_bytes(&chunk[..n], &mut out);
-                queue_out(slot, std::mem::take(&mut out));
-                if flush(slot).is_err() {
+                if send(slot, &mut out).is_err() {
                     return true;
                 }
                 if control == HandlerControl::Close {
@@ -451,10 +563,28 @@ fn process(slot: &mut Slot, event: &Event) -> bool {
     }
 }
 
-fn queue_out(slot: &mut Slot, out: Vec<u8>) {
-    if !out.is_empty() {
-        slot.wbuf.extend(out);
+/// Write the handler's response bytes behind whatever the write buffer
+/// still holds. They go to the socket straight from `out`; only what it
+/// will not take now is copied into the write buffer. `out` is left
+/// empty, its capacity kept for the next read.
+fn send(slot: &mut Slot, out: &mut Vec<u8>) -> std::io::Result<()> {
+    flush(slot)?;
+    let mut sent = 0;
+    while slot.wbuf.is_empty() && sent < out.len() {
+        match slot.stream.write(&out[sent..]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                sent += n;
+                slot.last_activity = Instant::now();
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
     }
+    slot.wbuf.extend(&out[sent..]);
+    out.clear();
+    Ok(())
 }
 
 /// Push as much of the write buffer as the socket will take.

@@ -29,7 +29,7 @@ use crate::sql::ast::Stmt;
 use crate::sql::parse_statement;
 use crate::types::{Column, PgType};
 use colstore::{Batch, ColumnVec, Validity};
-use netpool::{AcceptBackoff, HandlerControl, IoModel, NetPool, SessionHandler};
+use netpool::{Acceptor, HandlerControl, IoModel, SessionHandler};
 use pgwire::codec::{encode_backend, MessageReader};
 use pgwire::messages::{AuthRequest, BackendMessage, Format, FrontendMessage, TransactionStatus};
 use pgwire::rows::{encode_data_rows, field_descs, result_formats};
@@ -37,7 +37,6 @@ use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Authentication policy.
 #[derive(Debug, Clone, Default)]
@@ -82,50 +81,33 @@ impl Default for ServerConfig {
 pub struct PgServer {
     /// Bound address (useful with port 0).
     pub addr: std::net::SocketAddr,
-    handle: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl PgServer {
     /// Start serving `db` on `bind_addr` (e.g. `127.0.0.1:0`).
     pub fn start(db: Db, bind_addr: &str, config: ServerConfig) -> std::io::Result<PgServer> {
         let listener = TcpListener::bind(bind_addr)?;
-        let addr = listener.local_addr()?;
-        let pool = NetPool::start(config.net_workers)?;
-        let cfg = Arc::new(config);
+        let workers = config.net_workers;
         let active = Arc::new(AtomicUsize::new(0));
-        let handle = std::thread::spawn(move || {
-            let mut backoff = AcceptBackoff::new();
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        backoff.reset();
-                        let slot = active.fetch_add(1, Ordering::SeqCst);
-                        let reject = slot >= cfg.max_connections;
-                        let machine = PgConnMachine::new(
-                            db.clone(),
-                            cfg.auth.clone(),
-                            reject,
-                            ConnGuard(Arc::clone(&active)),
-                        );
-                        // Registration failure drops the machine, whose
-                        // guard releases the slot.
-                        let _ = pool.register(stream, Box::new(machine), None);
-                    }
-                    // A failed accept() of one connection (peer reset the
-                    // socket while it sat in the backlog, fd pressure, a
-                    // signal) must not take the listener down with it —
-                    // and must not spin the core while the fault lasts.
-                    Err(e) if netpool::transient_accept_error(&e) => backoff.sleep(),
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(PgServer { addr, handle: Some(handle) })
+        let acceptor = Acceptor::start(listener, workers, None, move |_peer| {
+            let slot = active.fetch_add(1, Ordering::SeqCst);
+            let reject = slot >= config.max_connections;
+            let guard = ConnGuard(Arc::clone(&active));
+            Box::new(PgConnMachine::new(db.clone(), config.auth.clone(), reject, guard))
+        })?;
+        Ok(PgServer { addr: acceptor.addr(), acceptor })
+    }
+
+    /// Stop accepting, close every connection and join every thread the
+    /// server started.
+    pub fn stop(self) {
+        self.acceptor.stop();
     }
 
     /// Detach the accept thread (it ends when the process does).
-    pub fn detach(mut self) {
-        self.handle.take();
+    pub fn detach(self) {
+        self.acceptor.detach();
     }
 }
 

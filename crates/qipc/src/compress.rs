@@ -26,13 +26,22 @@ fn pair_hash(a: u8, b: u8) -> usize {
 /// compresses (kdb+ uses a similar cutoff; tiny messages only grow).
 pub const COMPRESSION_THRESHOLD: usize = 2000;
 
-/// Compress `src` (a raw payload). Returns `None` when compression would
-/// not shrink the data (the caller then sends it uncompressed).
+/// Compress `src` (a raw payload) under kdb+'s rule: the result is kept
+/// only when it is under half of `src`. Returns `None` otherwise (the
+/// caller then sends the payload uncompressed), giving up as soon as the
+/// output reaches that bound, so an incompressible payload costs a
+/// partial pass.
 pub fn compress(src: &[u8]) -> Option<Vec<u8>> {
+    compress_within(src, src.len().div_ceil(2)).ok()
+}
+
+/// Compress `src` into fewer than `limit` bytes, or give up with the
+/// number of source bytes read when the output reaches `limit`.
+fn compress_within(src: &[u8], limit: usize) -> Result<Vec<u8>, usize> {
     if src.len() < 16 {
-        return None;
+        return Err(0);
     }
-    let mut dst: Vec<u8> = Vec::with_capacity(src.len() / 2);
+    let mut dst: Vec<u8> = Vec::with_capacity(limit);
     let mut table = [usize::MAX; 256];
     let mut flag_pos = 0usize; // position of the current control byte
     let mut flag: u8 = 0;
@@ -54,6 +63,9 @@ pub fn compress(src: &[u8]) -> Option<Vec<u8>> {
     }
 
     while s < src.len() {
+        if dst.len() >= limit {
+            return Err(s);
+        }
         if bit == 256 {
             dst[flag_pos] = flag;
             flag = 0;
@@ -95,10 +107,10 @@ pub fn compress(src: &[u8]) -> Option<Vec<u8>> {
         bit <<= 1;
     }
     dst[flag_pos] = flag;
-    if dst.len() < src.len() {
-        Some(dst)
+    if dst.len() < limit {
+        Ok(dst)
     } else {
-        None
+        Err(s)
     }
 }
 
@@ -162,10 +174,20 @@ pub fn decompress(src: &[u8], uncompressed_len: usize) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
 
+    /// Deterministic bytes that do not compress.
+    fn noise(n: usize, mut x: u32) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
     fn round_trip(data: &[u8]) {
         match compress(data) {
             Some(c) => {
-                assert!(c.len() < data.len(), "compression must shrink");
+                assert!(c.len() * 2 < data.len(), "compression must halve");
                 let back = decompress(&c, data.len()).expect("decompress");
                 assert_eq!(back, data);
             }
@@ -199,16 +221,45 @@ mod tests {
 
     #[test]
     fn random_data_is_left_alone() {
-        // Pseudo-random bytes shouldn't "compress"; the caller falls back
-        // to the uncompressed path.
-        let mut x: u32 = 12345;
-        let data: Vec<u8> = (0..4096)
-            .map(|_| {
-                x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-                (x >> 24) as u8
-            })
-            .collect();
-        if let Some(c) = compress(&data) { assert_eq!(decompress(&c, data.len()).unwrap(), data) }
+        // Pseudo-random bytes do not compress; the caller falls back to
+        // the uncompressed path.
+        assert!(compress(&noise(4096, 12345)).is_none());
+    }
+
+    /// kdb+'s rule: a payload that compresses, but not to under half its
+    /// size, goes out plain.
+    #[test]
+    fn a_compressed_form_of_half_the_size_or_more_is_refused() {
+        // Three bytes of noise to one byte of a repeated run: about 0.85x.
+        let mut data = Vec::new();
+        for i in 0..64 {
+            data.extend_from_slice(&noise(96, i));
+            data.extend_from_slice(&[b'x'; 32]);
+        }
+        let unbounded = compress_within(&data, data.len()).expect("the payload shrinks");
+        assert!(unbounded.len() * 2 >= data.len(), "{} of {}", unbounded.len(), data.len());
+        assert_eq!(decompress(&unbounded, data.len()).unwrap(), data);
+        assert!(compress(&data).is_none());
+    }
+
+    /// Exactly half is not under half; one byte less is.
+    #[test]
+    fn the_bound_is_strictly_under_half() {
+        let data = b"GOOGGOOGGOOGGOOGGOOGGOOGGOOGGOOG".repeat(8);
+        let c = compress_within(&data, data.len()).unwrap();
+        assert!(compress_within(&data, c.len()).is_err());
+        assert_eq!(compress_within(&data, c.len() + 1), Ok(c));
+    }
+
+    /// Giving up happens as the output reaches the bound, not after a
+    /// whole pass: incompressible bytes cost about 9/8 of a byte each, so
+    /// half the size is reached before half the input is read.
+    #[test]
+    fn an_incompressible_payload_stops_early() {
+        let data = noise(65_536, 12345);
+        let read = compress_within(&data, data.len().div_ceil(2)).unwrap_err();
+        assert!(read > 0 && read < data.len() / 2, "read {read} of {} bytes", data.len());
+        assert!(compress(&data).is_none());
     }
 
     #[test]

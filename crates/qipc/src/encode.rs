@@ -7,6 +7,7 @@
 //! encoding of paper Figure 5 (`98 00 99 <symbol vector of column
 //! names> <general list of column vectors>`).
 
+use crate::compress::COMPRESSION_THRESHOLD;
 use crate::Message;
 use qlang::value::{Atom, Table, Value};
 use qlang::{QError, QResult};
@@ -184,36 +185,105 @@ fn encode_atom(a: &Atom, out: &mut Vec<u8>) -> QResult<()> {
     Ok(())
 }
 
-/// Encode a complete message, compressing payloads above the threshold
-/// (falls back to the plain encoding when compression would not shrink).
+/// Why a reply frame goes out plain or compressed. kdb+ compresses a
+/// reply only when the peer is on another host, its handshake offered
+/// capability 1 or more, the payload is at least
+/// [`COMPRESSION_THRESHOLD`] bytes, and the compressed payload is under
+/// half the plain one; the variants name those conditions in the order
+/// they are checked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Compression {
+    /// The peer is on this host: plain.
+    Loopback,
+    /// The peer's handshake offered capability 0: plain.
+    Capability,
+    /// The payload is under the threshold: plain.
+    Small,
+    /// Compressing would not halve the payload: plain.
+    NoGain,
+    /// The compressed payload is under half the plain one: compressed.
+    Halved,
+}
+
+impl Compression {
+    /// Every outcome, in the order the rule checks its conditions.
+    pub const ALL: [Compression; 5] = [
+        Compression::Loopback,
+        Compression::Capability,
+        Compression::Small,
+        Compression::NoGain,
+        Compression::Halved,
+    ];
+
+    /// The frame's encoding (`plain` or `compressed`) and the reason, as
+    /// metric labels.
+    pub fn labels(self) -> (&'static str, &'static str) {
+        match self {
+            Compression::Loopback => ("plain", "loopback"),
+            Compression::Capability => ("plain", "capability"),
+            Compression::Small => ("plain", "small"),
+            Compression::NoGain => ("plain", "no_gain"),
+            Compression::Halved => ("compressed", "halved"),
+        }
+    }
+}
+
+/// Encode a complete message, compressing its payload under kdb+'s size
+/// rule (see [`encode_message_compressed_into`]).
+pub fn encode_message_compressed(msg: &Message) -> QResult<Vec<u8>> {
+    let mut out = Vec::new();
+    encode_message_compressed_into(msg, &mut out)?;
+    Ok(out)
+}
+
+/// Append `msg` to `out` as one frame whose payload is compressed when it
+/// is at least [`COMPRESSION_THRESHOLD`] bytes and compresses to under
+/// half its size; returns which of those held. A compressed frame is the
+/// plain frame with its payload compressed in place.
 ///
 /// Compressed layout: header byte 2 set to 1, total length = compressed
 /// message length, then 4 bytes of uncompressed total length, then the
 /// compressed payload stream.
-pub fn encode_message_compressed(msg: &Message) -> QResult<Vec<u8>> {
-    let mut out = encode_message(msg)?;
-    if out.len() - 8 >= crate::compress::COMPRESSION_THRESHOLD {
-        if let Some(compressed) = crate::compress::compress(&out[8..]) {
-            let uncompressed = out.len() as u32;
-            out.truncate(8);
-            out[2] = 1; // compressed
-            out[4..8].copy_from_slice(&((12 + compressed.len()) as u32).to_le_bytes());
-            out.extend_from_slice(&uncompressed.to_le_bytes());
-            out.extend_from_slice(&compressed);
-        }
+pub fn encode_message_compressed_into(msg: &Message, out: &mut Vec<u8>) -> QResult<Compression> {
+    let start = out.len();
+    encode_message_into(msg, out)?;
+    let frame = &out[start..];
+    if frame.len() - 8 < COMPRESSION_THRESHOLD {
+        return Ok(Compression::Small);
     }
+    let Some(compressed) = crate::compress::compress(&frame[8..]) else {
+        return Ok(Compression::NoGain);
+    };
+    let uncompressed = frame.len() as u32;
+    out.truncate(start + 8);
+    out[start + 2] = 1; // compressed
+    out[start + 4..start + 8].copy_from_slice(&((12 + compressed.len()) as u32).to_le_bytes());
+    out.extend_from_slice(&uncompressed.to_le_bytes());
+    out.extend_from_slice(&compressed);
+    Ok(Compression::Halved)
+}
+
+/// Encode a complete message (see [`encode_message_into`]).
+pub fn encode_message(msg: &Message) -> QResult<Vec<u8>> {
+    let mut out = Vec::new();
+    encode_message_into(msg, &mut out)?;
     Ok(out)
 }
 
-/// Encode a complete message: the 8-byte header, then the payload
-/// object written straight after it, then the total length patched in.
-pub fn encode_message(msg: &Message) -> QResult<Vec<u8>> {
+/// Append `msg` to `out` as one plain frame: the 8-byte header, then the
+/// payload object written straight after it, then the total length
+/// patched in. On an error `out` is left as it was.
+pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) -> QResult<()> {
+    let start = out.len();
     // Little endian, message type, no compression, reserved, length.
-    let mut out = vec![1, msg.msg_type.as_byte(), 0, 0, 0, 0, 0, 0];
-    encode_value(&msg.value, &mut out)?;
-    let total = out.len() as u32;
-    out[4..8].copy_from_slice(&total.to_le_bytes());
-    Ok(out)
+    out.extend_from_slice(&[1, msg.msg_type.as_byte(), 0, 0, 0, 0, 0, 0]);
+    if let Err(e) = encode_value(&msg.value, out) {
+        out.truncate(start);
+        return Err(e);
+    }
+    let total = (out.len() - start) as u32;
+    out[start + 4..start + 8].copy_from_slice(&total.to_le_bytes());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -313,6 +383,52 @@ mod tests {
         // Below the threshold the plain frame goes out unchanged.
         let small = Message::query("1+1");
         assert_eq!(encode_message_compressed(&small).unwrap(), encode_message(&small).unwrap());
+    }
+
+    #[test]
+    fn each_outcome_of_the_size_rule_is_reported() {
+        let mut x: u32 = 7;
+        let noise: Vec<u8> = (0..4000)
+            .map(|_| {
+                x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                (x >> 24) as u8
+            })
+            .collect();
+        for (value, want) in [
+            (Value::long(2), Compression::Small),
+            (Value::Bytes(noise), Compression::NoGain),
+            (Value::Symbols(vec!["REPEATED_TICKER".into(); 500]), Compression::Halved),
+        ] {
+            let msg = Message::response(value);
+            let mut out = Vec::new();
+            assert_eq!(encode_message_compressed_into(&msg, &mut out).unwrap(), want);
+            let plain = encode_message(&msg).unwrap();
+            assert_eq!(out == plain, want != Compression::Halved, "{want:?}");
+        }
+    }
+
+    #[test]
+    fn frames_are_appended_after_what_the_buffer_holds() {
+        let big = Message::response(Value::Symbols(vec!["REPEATED_TICKER".into(); 500]));
+        let mut out = vec![9, 9, 9];
+        encode_message_compressed_into(&big, &mut out).unwrap();
+        let compressed = out.len();
+        assert_eq!(out[3..], encode_message_compressed(&big).unwrap());
+        encode_message_into(&big, &mut out).unwrap();
+        assert_eq!(out[compressed..], encode_message(&big).unwrap());
+        assert_eq!(out[..3], [9, 9, 9]);
+    }
+
+    #[test]
+    fn a_value_that_cannot_be_encoded_leaves_the_buffer_as_it_was() {
+        let bad = Message::response(Value::Mixed(vec![
+            Value::Symbols(vec!["REPEATED_TICKER".into(); 500]),
+            Value::Atom(Atom::Char('é')),
+        ]));
+        let mut out = vec![7];
+        assert!(encode_message_compressed_into(&bad, &mut out).is_err());
+        assert!(encode_message_into(&bad, &mut out).is_err());
+        assert_eq!(out, [7]);
     }
 
     #[test]

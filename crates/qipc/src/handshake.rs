@@ -19,13 +19,16 @@ pub struct HandshakeReply {
     pub version: u8,
 }
 
-/// Build the client's handshake bytes.
+/// Build the client's handshake bytes. Version 0 is sent as kdb+'s
+/// oldest clients send it: with no version byte at all.
 pub fn client_handshake(user: &str, password: &str, version: u8) -> Vec<u8> {
     let mut out = Vec::with_capacity(user.len() + password.len() + 3);
     out.extend_from_slice(user.as_bytes());
     out.push(b':');
     out.extend_from_slice(password.as_bytes());
-    out.push(version);
+    if version != 0 {
+        out.push(version);
+    }
     out.push(0);
     out
 }
@@ -44,14 +47,18 @@ pub fn parse_handshake(buf: &[u8]) -> QResult<Option<(HandshakeReply, usize)>> {
         return Err(QError::length("empty handshake"));
     }
     let body = &buf[..nul];
-    // Last byte before the NUL is the version.
-    let (creds, version) = body.split_at(body.len() - 1);
+    // The last byte before the NUL is the version when it is a control
+    // byte (credentials are text); a handshake without one is version 0.
+    let (creds, version) = match body.split_last() {
+        Some((&v, creds)) if v < 0x20 => (creds, v),
+        _ => (body, 0),
+    };
     let creds = String::from_utf8_lossy(creds);
     let (user, password) = match creds.split_once(':') {
         Some((u, p)) => (u.to_string(), p.to_string()),
         None => (creds.into_owned(), String::new()),
     };
-    Ok(Some((HandshakeReply { user, password, version: version[0] }, nul + 1)))
+    Ok(Some((HandshakeReply { user, password, version }, nul + 1)))
 }
 
 /// The single capability byte the server replies with on success.
@@ -91,6 +98,16 @@ mod tests {
     fn oversized_junk_rejected() {
         let junk = vec![b'x'; 2000];
         assert!(parse_handshake(&junk).is_err());
+    }
+
+    #[test]
+    fn a_handshake_without_a_version_byte_is_version_0() {
+        let bytes = client_handshake("trader", "pw", 0);
+        assert_eq!(bytes, b"trader:pw\0");
+        let (parsed, used) = parse_handshake(&bytes).unwrap().unwrap();
+        assert_eq!(used, bytes.len());
+        assert_eq!((parsed.user.as_str(), parsed.password.as_str()), ("trader", "pw"));
+        assert_eq!(parsed.version, 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod encode;
 pub mod handshake;
 
 pub use decode::{decode_message, decode_message_limited, decode_value, DEFAULT_MAX_MESSAGE};
-pub use encode::{encode_message, encode_value};
+pub use encode::{encode_message, encode_value, Compression};
 pub use handshake::{client_handshake, parse_handshake, HandshakeReply};
 
 use qlang::QResult;
@@ -106,22 +106,40 @@ impl Message {
 
 /// Encode a full message (header + payload).
 pub fn write_message(msg: &Message) -> QResult<Vec<u8>> {
-    let bytes = encode_message(msg)?;
-    let m = metrics();
-    m.frames_encoded.inc();
-    m.bytes_encoded.add(bytes.len() as u64);
-    Ok(bytes)
+    let mut out = Vec::new();
+    write_message_into(msg, &mut out)?;
+    Ok(out)
 }
 
-/// Encode a message, compressing the payload when it is large enough to
-/// benefit (kdb+ behaviour for remote peers; paper §3.1 lists
-/// compression as part of the QIPC protocol).
+/// Append a full plain message to `out`.
+pub fn write_message_into(msg: &Message, out: &mut Vec<u8>) -> QResult<()> {
+    let start = out.len();
+    encode::encode_message_into(msg, out)?;
+    count_encoded(out.len() - start);
+    Ok(())
+}
+
+/// Encode a message, compressing the payload under kdb+'s size rule
+/// (paper §3.1 lists compression as part of the QIPC protocol).
 pub fn write_message_compressed(msg: &Message) -> QResult<Vec<u8>> {
-    let bytes = encode::encode_message_compressed(msg)?;
+    let mut out = Vec::new();
+    write_message_compressed_into(msg, &mut out)?;
+    Ok(out)
+}
+
+/// Append a message to `out`, its payload compressed only when it is
+/// large and compressing halves it; returns which of those held.
+pub fn write_message_compressed_into(msg: &Message, out: &mut Vec<u8>) -> QResult<Compression> {
+    let start = out.len();
+    let how = encode::encode_message_compressed_into(msg, out)?;
+    count_encoded(out.len() - start);
+    Ok(how)
+}
+
+fn count_encoded(bytes: usize) {
     let m = metrics();
     m.frames_encoded.inc();
-    m.bytes_encoded.add(bytes.len() as u64);
-    Ok(bytes)
+    m.bytes_encoded.add(bytes as u64);
 }
 
 /// Try to decode one message from the front of `buf`; returns the

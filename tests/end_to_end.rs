@@ -122,8 +122,10 @@ fn endpoint_serves_concurrent_clients() {
     ep.detach();
 }
 
-/// Large result sets travel compressed over QIPC (paper §3.1) and
-/// decode transparently at the client.
+/// Large result sets round-trip over QIPC. This client is on the
+/// endpoint's host, so, as kdb+ does for a loopback peer, the reply goes
+/// out plain; compressed replies to remote peers (paper §3.1) are tested
+/// in `hyperq::endpoint`'s `reply_encoding` unit tests.
 #[test]
 fn large_results_round_trip_compressed_over_the_wire() {
     let db = pgdb::Db::new();

@@ -1,11 +1,13 @@
 //! Exact movements of process-global counters: queries aggregate in the
 //! global registry and its Prometheus rendering; the in-process backend
 //! and the PG v3 wire backend both move the zero-copy pivot counter, and
-//! what crosses the wire for fixed-width columns crosses it in binary.
+//! what crosses the wire for fixed-width columns crosses it in binary;
+//! the QIPC endpoint counts how it encoded each reply, and why.
 //!
 //! One test function, in a test binary of its own: sibling tests
 //! running queries in the same process would move the same counters.
 
+use hyperq::endpoint::{EndpointConfig, QipcClient, QipcEndpoint};
 use hyperq::gateway::{Credentials, PgWireBackend};
 use hyperq::{loader, HyperQSession, SessionConfig};
 use hyperq_workload::taq::{generate_trades, TaqConfig};
@@ -22,6 +24,7 @@ fn global_counters_move_exactly_as_the_queries_run() {
     global_registry_aggregates_query_metrics();
     pivot_moves_columns_for_both_backends();
     demand_counts_each_templates_choice();
+    replies_count_each_encoding_choice();
 }
 
 /// Counters and per-stage histograms aggregate in the global registry
@@ -164,4 +167,43 @@ fn demand_counts_each_templates_choice() {
     for metric in &series {
         assert!(dump.contains(metric.as_str()), "missing {metric} in dump:\n{dump}");
     }
+}
+
+/// `qipc_replies_total{encoding, reason}`: one count per value reply, by
+/// how kdb+'s rule encoded it. The client is on this host, so a reply of
+/// over twice the compression threshold goes out plain and counts
+/// `plain/loopback`, and no other series moves.
+fn replies_count_each_encoding_choice() {
+    let reg = obs::global_registry();
+    let series = [
+        ("plain", "loopback"),
+        ("plain", "capability"),
+        ("plain", "small"),
+        ("plain", "no_gain"),
+        ("compressed", "halved"),
+    ]
+    .map(|(e, r)| format!("qipc_replies_total{{encoding=\"{e}\",reason=\"{r}\"}}"));
+    let counts = || series.clone().map(|m| reg.counter_value(&m));
+
+    let db = pgdb::Db::new();
+    session_with_trades(&db);
+    let ep = QipcEndpoint::start(db, "127.0.0.1:0", EndpointConfig::default()).unwrap();
+    let mut client = QipcClient::connect(&ep.addr.to_string(), "ops", "").unwrap();
+    let bytes_before = reg.counter_value("qipc_response_bytes_total");
+    let before = counts();
+    let reply = client.query("select from trades").unwrap();
+    let moved: Vec<u64> = counts().iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(moved, [1, 0, 0, 0, 0], "plain/loopback, capability, small, no_gain, halved");
+    let plain = qipc::encode_message(&qipc::Message::response(reply)).unwrap();
+    assert!(plain.len() > 2 * qipc::compress::COMPRESSION_THRESHOLD, "{} bytes", plain.len());
+    assert_eq!(reg.counter_value("qipc_response_bytes_total") - bytes_before, plain.len() as u64);
+
+    let dump = match client.query("\\metrics").unwrap() {
+        qlang::Value::Chars(dump) => dump,
+        other => panic!("expected chars, got {other:?}"),
+    };
+    for metric in &series {
+        assert!(dump.contains(metric.as_str()), "missing {metric} in dump:\n{dump}");
+    }
+    ep.stop();
 }
