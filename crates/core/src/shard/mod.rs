@@ -2,9 +2,10 @@
 //!
 //! The paper's Hyper-Q fronted a Greenplum cluster; this module closes
 //! that gap by hash-partitioning stored tables across N shards (plus a
-//! coordinator holding a full copy of everything) and fanning translated
-//! SQL per shard through the same [`Backend`] seam the single-node paths
-//! use. The work splits across three layers:
+//! coordinator, which still holds a full copy of every table: ROADMAP
+//! item 7) and fanning translated SQL per shard through the same
+//! [`Backend`] seam the single-node paths use. The work splits across
+//! three layers:
 //!
 //! - **stats** — the storage engine maintains per-table statistics
 //!   (row counts, distinct-key sketches, null fractions) surfaced
@@ -16,8 +17,9 @@
 //! - **execute** (this module + [`merge`]) — [`ShardRouter`] interprets
 //!   the plan: coordinator-local, scatter + k-way ordered merge (a
 //!   hidden global insertion ordinal `__hq_ord` breaks ties so shard
-//!   interleaving is bit-identical to single-node frame order), or
-//!   two-phase aggregation re-folded on a scratch engine instance.
+//!   interleaving is bit-identical to single-node frame order),
+//!   two-phase aggregation re-folded on a scratch engine instance, or a
+//!   gather.
 //!
 //! Placement is statistics-driven: small tables broadcast (equi-joins
 //! against them stay shard-local), tables whose partition key shows
@@ -27,26 +29,28 @@
 //! logged, counted in `shard_reshard_total`, and re-partitioned in
 //! place, never silently left stale. Joins between partitioned tables
 //! whose partition keys are equated in the join condition are proven
-//! co-located and stay sharded instead of falling back.
+//! co-located and stay sharded.
 //!
-//! Statement families no per-shard rewrite can answer (windows, set
-//! ops, subquery predicates, DISTINCT and non-distributive aggregates)
-//! *gather*: each input is rebuilt on a scratch engine from
-//! ordinal-merged shard scans — only the columns the statement names,
-//! only the rows its infallible WHEREs keep — and the unmodified
-//! statement runs there. Anything else the planner cannot *prove*
-//! shard-safe (unproven join shapes, OFFSET scans, float aggregates
-//! under reordering, tables outside the shard catalog) falls back to
-//! the coordinator, which holds a full copy of every table — so a
-//! fallback is exactly single-node execution, errors included.
-//! Fallbacks are counted in `shard_fallback_total`, never silent, and
-//! the reason is recorded per plan.
+//! A SELECT over shard-managed tables, one of them partitioned, is
+//! decomposed or gathered, never re-run on the coordinator's copy. What
+//! no per-shard rewrite can answer exactly (windows, set ops, subquery
+//! predicates, DISTINCT and non-distributive aggregates, OFFSET,
+//! unproven join shapes, float aggregates) *gathers*: each input is
+//! rebuilt on a scratch engine from ordinal-merged shard scans — only
+//! the columns the statement names, only the rows its infallible WHEREs
+//! keep — and the unmodified statement runs there, so the answer is the
+//! single-node one, errors included. Replicated inputs alone are read
+//! on the coordinator, whose copy equals every shard's, and a statement
+//! naming a table outside the shard catalog (temp table, CTAS product,
+//! unknown name) runs there, where that table lives. A router's own temp
+//! tables count as outside it: as on a single node, they shadow a table
+//! of the same name, shard-managed or not.
 //!
 //! Float `sum`/`avg`/`min`/`max` deserve a note: two-level f64 addition
 //! is not associative, and the engine's min/max fold is first-seen-wins
 //! on incomparable values (NaN), so re-aggregating float partials can
 //! diverge from single-node results in the last bit (or pick a
-//! different NaN). They therefore fall back unless `HQ_SHARD_FLOAT_AGG=1`
+//! different NaN). They therefore gather unless `HQ_SHARD_FLOAT_AGG=1`
 //! opts into the (documented, slightly inexact) distributed form.
 //! Integer sums stay exact: i64-valued doubles below 2^53 add exactly in
 //! any order. For the same representation-vs-value reason, float-typed
@@ -58,20 +62,22 @@ pub mod planner;
 use crate::backend::{execute_batch, Backend, DirectBackend};
 use crate::gateway::{Credentials, PgWireBackend};
 use crate::wire::{RetryPolicy, WireError, WireTimeouts};
+use colstore::Validity;
 use pgdb::exec::expr::{cast, eval};
 use pgdb::sql::ast::{FromItem, SelectItem, SelectStmt, SqlExpr, Stmt};
 use pgdb::sql::render;
-use pgdb::{Batch, BatchQueryResult, Cell, Column, PgType, Rows, TableStats};
+use pgdb::{Batch, BatchQueryResult, Cell, Column, ColumnVec, PgType, Rows, TableStats};
 use planner::{col, item, ShardPlan};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Hidden per-row global insertion ordinal column on shard tables.
 pub(crate) const ORD: &str = "__hq_ord";
-/// Reserved identifier prefix; user SQL mentioning it is refused a
-/// scatter plan (it would collide with router-internal columns).
+/// Reserved identifier prefix of router-internal columns: a SELECT
+/// naming a column or alias in it gathers, and a CREATE TABLE declaring
+/// one stays on the coordinator.
 pub(crate) const RESERVED: &str = "__hq_";
 /// Scratch table name for the re-aggregation merge.
 pub(crate) const PARTIALS: &str = "__hq_partials";
@@ -89,8 +95,9 @@ pub enum Mode {
     /// Full copy on every shard (small/dimension tables): joins against
     /// it stay shard-local.
     Broadcast,
-    /// Hash-partitioned by the partition key; the coordinator still
-    /// holds a full copy for fallback execution.
+    /// Hash-partitioned by the partition key. The coordinator's full
+    /// copy is read only by INSERT validation, CTAS, and SELECTs that
+    /// also name a coordinator-only table (temp tables, CTAS products).
     Partitioned,
 }
 
@@ -132,9 +139,8 @@ pub struct ShardOpts {
     /// Off by default because two-level float folds are not exactly
     /// associative; see the module docs.
     pub float_agg: bool,
-    /// Use observed statistics for placement (`HQ_SHARD_STATS`, default
-    /// on; `0` disables). Off restores the legacy behavior: a pure
-    /// row-count threshold with sticky broadcast placement.
+    /// Nothing reads it: placement always consults observed statistics.
+    /// Goes with ROADMAP item 8 step A.
     pub stats: bool,
     /// Partition-key overrides, table name → column name
     /// (`HQ_SHARD_KEY="trades:sym,quotes:sym"`). Default is the first
@@ -150,7 +156,6 @@ impl ShardOpts {
             .and_then(|v| v.parse().ok())
             .unwrap_or(64);
         let float_agg = std::env::var("HQ_SHARD_FLOAT_AGG").map(|v| v == "1").unwrap_or(false);
-        let stats = std::env::var("HQ_SHARD_STATS").map(|v| v != "0").unwrap_or(true);
         let mut keys = HashMap::new();
         if let Ok(spec) = std::env::var("HQ_SHARD_KEY") {
             for part in spec.split(',') {
@@ -159,7 +164,7 @@ impl ShardOpts {
                 }
             }
         }
-        ShardOpts { broadcast_threshold, float_agg, stats, keys }
+        ShardOpts { broadcast_threshold, float_agg, stats: true, keys }
     }
 }
 
@@ -281,7 +286,7 @@ impl ShardCluster {
                 (Box::new(c), conns)
             }
         };
-        Ok(ShardRouter { cluster: Arc::clone(self), coord, shards })
+        Ok(ShardRouter { cluster: Arc::clone(self), coord, shards, temps: HashSet::new() })
     }
 
     /// Placement metadata for a table (tests/diagnostics).
@@ -318,46 +323,29 @@ impl ShardCluster {
 
         let cols: Vec<(String, PgType)> =
             batch.schema.iter().map(|c| (c.name.clone(), c.ty)).collect();
-        let mut shard_schema = batch.schema.clone();
-        shard_schema.push(Column::new(ORD, PgType::Int8));
         let n = batch.rows();
-        let data = batch.to_rows().data;
         coord.put_table_batch(name, batch);
+        let stored = coord.get_table_snapshot(name).expect("just stored").batch;
         let stats = coord.table_stats(name);
 
         self.register(name, cols);
         let nshards = shards.len();
         let base = self.ordinal.fetch_add(n as i64, Ordering::Relaxed);
-        let (mode, key_pos) = {
+        let per_shard = {
             let mut cat = self.catalog.write().unwrap();
             let meta = cat.get_mut(name).expect("just registered");
             let kd = key_distinct(meta, stats.as_ref());
             meta.mode = planner::decide_placement(n as u64, kd, nshards, &self.opts).mode;
             meta.rows = n as u64;
             meta.stats = stats;
-            (meta.mode, meta.key)
+            shard_rows(&stored, meta.key, meta.mode, &mut meta.rr, nshards)
         };
-
-        let mut per_shard: Vec<Vec<Vec<Cell>>> = vec![Vec::new(); nshards];
-        for (ri, mut row) in data.into_iter().enumerate() {
-            row.push(Cell::Int(base + ri as i64));
-            if mode == Mode::Broadcast {
-                for dst in &mut per_shard {
-                    dst.push(row.clone());
-                }
-            } else {
-                let s = match key_pos.and_then(|p| row.get(p)) {
-                    Some(Cell::Null) | None => 0,
-                    Some(c) => (hash_cell(c) % nshards as u64) as usize,
-                };
-                per_shard[s].push(row);
-            }
-        }
+        let ords = ColumnVec::Int((base..base + n as i64).collect(), Validity::all_valid(n));
         for (db, rows) in shards.iter().zip(per_shard) {
-            db.put_table_batch(
-                name,
-                Batch::from_rows(Rows { columns: shard_schema.clone(), data: rows }),
-            );
+            let mut part = stored.take(&rows);
+            part.schema.push(Column::new(ORD, PgType::Int8));
+            part.columns.push(ords.take(&rows));
+            db.put_table_batch(name, Batch::new(part.schema, part.columns, rows.len()));
         }
     }
 
@@ -439,6 +427,43 @@ pub(crate) fn hash_cell(c: &Cell) -> u64 {
     h
 }
 
+/// The shard a row of a partitioned table lands on: its key's hash,
+/// shard 0 for a NULL key, and the table's round-robin cursor `rr` when
+/// there is no key to hash (a keyless table, or a key the INSERT does
+/// not give).
+fn shard_for(key: Option<&Cell>, rr: &mut u64, nshards: usize) -> usize {
+    match key {
+        Some(Cell::Null) => 0,
+        Some(c) => (hash_cell(c) % nshards as u64) as usize,
+        None => {
+            let s = (*rr % nshards as u64) as usize;
+            *rr += 1;
+            s
+        }
+    }
+}
+
+/// Which rows of `batch` each shard stores: every row on every shard
+/// for a replicated table, else each row on its [`shard_for`] by the
+/// column at `key`.
+fn shard_rows(
+    batch: &Batch,
+    key: Option<usize>,
+    mode: Mode,
+    rr: &mut u64,
+    nshards: usize,
+) -> Vec<Vec<usize>> {
+    if mode != Mode::Partitioned {
+        return vec![(0..batch.rows()).collect(); nshards];
+    }
+    let mut rows = vec![Vec::new(); nshards];
+    for i in 0..batch.rows() {
+        let cell = key.map(|k| batch.columns[k].cell_at(i));
+        rows[shard_for(cell.as_ref(), rr, nshards)].push(i);
+    }
+    rows
+}
+
 // ---------------------------------------------------------------------------
 // Execution helpers
 // ---------------------------------------------------------------------------
@@ -488,6 +513,10 @@ pub struct ShardRouter {
     cluster: Arc<ShardCluster>,
     coord: Box<dyn Backend>,
     shards: Vec<Box<dyn Backend>>,
+    /// The temp tables of this router's coordinator session. Like a
+    /// single node's, they shadow tables of the same name, shard-managed
+    /// ones included.
+    temps: HashSet<String>,
 }
 
 impl ShardRouter {
@@ -502,9 +531,16 @@ impl ShardRouter {
         execute_batch(self.coord.as_mut(), sql)
     }
 
-    fn fallback(&mut self, sql: &str) -> Result<BatchQueryResult, WireError> {
-        obs::global_registry().counter("shard_fallback_total").inc();
-        self.coordinator(sql)
+    /// The placement catalog as this router's session sees it: without
+    /// the names its temp tables shadow.
+    fn catalog(&self) -> HashMap<String, TableMeta> {
+        let mut cat = self.cluster.catalog_snapshot();
+        cat.retain(|name, _| !self.temps.contains(name));
+        cat
+    }
+
+    fn shard_managed(&self, name: &str) -> bool {
+        !self.temps.contains(name) && self.cluster.has_table(name)
     }
 
     /// Fan one SELECT to every shard in parallel.
@@ -547,11 +583,6 @@ impl ShardRouter {
         if let Some(inner) = strip_explain_shard(sql) {
             return Ok(BatchQueryResult::Batch(self.explain_shard(inner)));
         }
-        if sql.contains(RESERVED) {
-            // Router-internal namespace: refuse to plan around it.
-            planner::record_plan("fallback", planner::FB_RESERVED);
-            return self.fallback(sql);
-        }
         let stmt = match pgdb::sql::parse_statement(sql) {
             Ok(s) => s,
             // Unparseable here — let the coordinator produce the exact
@@ -560,9 +591,13 @@ impl ShardRouter {
         };
         match stmt {
             Stmt::Select(sel) => self.route_select(sql, &sel),
-            Stmt::CreateTable { name, columns, temp } => {
-                self.route_create(sql, &name, &columns, temp)
+            Stmt::CreateTable { name, temp: true, .. }
+            | Stmt::CreateTableAs { name, temp: true, .. } => {
+                let out = self.coordinator(sql)?;
+                self.temps.insert(name);
+                Ok(out)
             }
+            Stmt::CreateTable { name, columns, .. } => self.route_create(sql, &name, &columns),
             Stmt::Insert { table, columns, rows } => {
                 self.route_insert(sql, &table, &columns, &rows)
             }
@@ -574,20 +609,20 @@ impl ShardRouter {
     }
 
     /// `EXPLAIN SHARD <stmt>`: render the routing decision as rows
-    /// (kind, reason, detail) — never an error; even unparseable input
-    /// gets a fallback row naming the parse failure.
+    /// (kind, reason, detail) — never an error; empty and unparseable
+    /// input, which the coordinator answers, gets a `local` row naming
+    /// why.
     fn explain_shard(&mut self, sql: &str) -> Batch {
+        let local =
+            |reason: &str, detail: String| vec![("local".to_string(), reason.to_string(), detail)];
         let rows: Vec<(String, String, String)> = if sql.is_empty() {
-            vec![("fallback".to_string(), "empty_statement".to_string(), String::new())]
-        } else if sql.contains(RESERVED) {
-            vec![("fallback".to_string(), planner::FB_RESERVED.to_string(), String::new())]
+            local("empty_statement", String::new())
         } else {
             match pgdb::sql::parse_statement(sql) {
                 Ok(stmt) => {
-                    let cat = self.cluster.catalog_snapshot();
-                    planner::explain_statement(&stmt, &cat, &self.cluster.opts)
+                    planner::explain_statement(&stmt, &self.catalog(), &self.cluster.opts)
                 }
-                Err(e) => vec![("fallback".to_string(), "unparseable".to_string(), e.to_string())],
+                Err(e) => local("unparseable", e.to_string()),
             }
         };
         Batch::from_rows(Rows {
@@ -604,12 +639,10 @@ impl ShardRouter {
     }
 
     fn route_select(&mut self, sql: &str, sel: &SelectStmt) -> Result<BatchQueryResult, WireError> {
-        let cat = self.cluster.catalog_snapshot();
-        let plan = planner::plan_select(sel, &cat, &self.cluster.opts);
+        let plan = planner::plan_select(sel, &self.catalog(), &self.cluster.opts);
         planner::record_plan(plan.kind(), plan.reason());
         match plan {
             ShardPlan::Local { .. } | ShardPlan::Broadcast { .. } => self.coordinator(sql),
-            ShardPlan::Fallback { .. } => self.fallback(sql),
             ShardPlan::Gather { tables, .. } => self.gather_exec(sql, &tables),
             ShardPlan::Scatter { spec, .. } | ShardPlan::ShardLocal { spec, .. } => {
                 let batches = self.scatter(&spec.shard_sql)?;
@@ -687,9 +720,8 @@ impl ShardRouter {
         sql: &str,
         name: &str,
         columns: &[(String, PgType)],
-        temp: bool,
     ) -> Result<BatchQueryResult, WireError> {
-        if temp || columns.iter().any(|(n, _)| n.starts_with(RESERVED)) {
+        if columns.iter().any(|(n, _)| n.starts_with(RESERVED)) {
             return self.coordinator(sql);
         }
         let cluster = Arc::clone(&self.cluster);
@@ -718,7 +750,7 @@ impl ShardRouter {
         columns: &Option<Vec<String>>,
         rows: &[Vec<SqlExpr>],
     ) -> Result<BatchQueryResult, WireError> {
-        if !self.cluster.has_table(table) {
+        if !self.shard_managed(table) {
             // Temp tables, CTAS products, unknown names: single-node.
             return self.coordinator(sql);
         }
@@ -752,10 +784,8 @@ impl ShardRouter {
                 }
                 // Re-plan placement as the table grows: a broadcast
                 // table crossing the boundary is re-partitioned after
-                // this insert lands (no silent staleness). Gated on the
-                // stats knob so `HQ_SHARD_STATS=0` keeps the legacy
-                // sticky placement.
-                Mode::Broadcast if self.cluster.opts.stats => {
+                // this insert lands (no silent staleness).
+                Mode::Broadcast => {
                     let p = planner::decide_placement(meta.rows, kd, nshards, &self.cluster.opts);
                     if p.mode == Mode::Partitioned {
                         needs_reshard = true;
@@ -786,15 +816,7 @@ impl ShardRouter {
                         .and_then(|p| row.get(p))
                         .and_then(|e| eval(e, &[], &[]).ok())
                         .and_then(|v| key_ty.and_then(|t| cast(&v, t).ok()));
-                    Some(match cell {
-                        Some(Cell::Null) => 0,
-                        Some(c) => (hash_cell(&c) % nshards as u64) as usize,
-                        None => {
-                            let s = (meta.rr % nshards as u64) as usize;
-                            meta.rr += 1;
-                            s
-                        }
-                    })
+                    Some(shard_for(cell.as_ref(), &mut meta.rr, nshards))
                 })
                 .collect();
             (col_list, assignments)
@@ -842,12 +864,12 @@ impl ShardRouter {
 
     /// Move a table that outgrew broadcast placement to hash-partitioned
     /// layout: pull the full copy (ordinals included) from shard 0,
-    /// rehash every *stored* row — so rows land exactly where a fresh
-    /// partitioned load would put them — and rebuild each shard's slice.
-    /// Runs under the caller's mutation lock; the catalog flips to
-    /// `Partitioned` only after the data has moved, so concurrent reads
-    /// keep planning against the coordinator's full copy meanwhile
-    /// (the same read-vs-DDL window `DROP TABLE` already has).
+    /// split every *stored* row by [`shard_rows`] — so rows land exactly
+    /// where a fresh partitioned load would put them — and rebuild each
+    /// shard's slice. Runs under the caller's mutation lock; the catalog
+    /// flips to `Partitioned` only after the data has moved, so
+    /// concurrent reads keep planning it as broadcast meanwhile (the
+    /// same read-vs-DDL window `DROP TABLE` already has).
     fn reshard_to_partitioned(&mut self, table: &str) -> Result<(), WireError> {
         let (cols, key_pos) = {
             let cat = self.cluster.catalog.read().unwrap();
@@ -870,30 +892,19 @@ impl ShardRouter {
         };
         let batch = shard_exec(0, self.shards[0].as_mut(), &render::render_select(&sel))
             .and_then(merge::expect_batch)?;
-        let schema = batch.schema.clone();
+        let per_shard = {
+            let mut cat = self.cluster.catalog.write().unwrap();
+            let meta = cat.get_mut(table).expect("reshard raced a drop despite the mutation lock");
+            shard_rows(&batch, key_pos, Mode::Partitioned, &mut meta.rr, nshards)
+        };
 
-        let mut per_shard: Vec<Vec<Vec<Cell>>> = vec![Vec::new(); nshards];
-        for (ri, row) in batch.to_rows().data.into_iter().enumerate() {
-            let s = match key_pos.and_then(|p| row.get(p)) {
-                Some(Cell::Null) => 0,
-                Some(c) => (hash_cell(c) % nshards as u64) as usize,
-                None => ri % nshards,
-            };
-            per_shard[s].push(row);
-        }
-
-        if self.cluster.in_process_dbs().is_some() {
-            let cluster = Arc::clone(&self.cluster);
-            let (_, shard_dbs) = cluster.in_process_dbs().expect("in-process topology");
+        if let Some((_, shard_dbs)) = self.cluster.in_process_dbs() {
             for (db, rows) in shard_dbs.iter().zip(per_shard) {
-                db.put_table_batch(
-                    table,
-                    Batch::from_rows(Rows { columns: schema.clone(), data: rows }),
-                );
+                db.put_table_batch(table, batch.take(&rows));
             }
         } else {
             // Remote topology: rebuild through rendered SQL.
-            let mut shard_cols = cols.clone();
+            let mut shard_cols = cols;
             shard_cols.push((ORD.to_string(), PgType::Int8));
             let col_names: Vec<String> = shard_cols.iter().map(|(n, _)| n.clone()).collect();
             let drop =
@@ -911,9 +922,12 @@ impl ShardRouter {
                     let stmt = Stmt::Insert {
                         table: table.to_string(),
                         columns: Some(col_names.clone()),
-                        rows: chunk
-                            .iter()
-                            .map(|r| r.iter().map(|c| SqlExpr::Literal(c.clone())).collect())
+                        rows: batch
+                            .take(chunk)
+                            .into_rows()
+                            .data
+                            .into_iter()
+                            .map(|r| r.into_iter().map(SqlExpr::Literal).collect())
                             .collect(),
                     };
                     stmts.push((i, render::render_stmt(&stmt)));
@@ -930,8 +944,10 @@ impl ShardRouter {
     }
 
     fn route_drop(&mut self, sql: &str, name: &str) -> Result<BatchQueryResult, WireError> {
-        if !self.cluster.has_table(name) {
-            return self.coordinator(sql);
+        if !self.shard_managed(name) {
+            let out = self.coordinator(sql)?;
+            self.temps.remove(name);
+            return Ok(out);
         }
         let cluster = Arc::clone(&self.cluster);
         let _m = cluster.mutation.lock().unwrap();
@@ -1094,15 +1110,94 @@ mod tests {
     }
 
     #[test]
-    fn unprovable_statements_fall_back_and_are_counted() {
+    fn keyless_rows_split_round_robin_on_every_path() {
+        // A key override naming no column leaves the table keyless: the
+        // bulk load, routed INSERTs and a re-partition all deal its rows
+        // out by the table's round-robin cursor.
+        let keyless = || {
+            let mut o = opts(4);
+            o.keys.insert("t".to_string(), "nosuch".to_string());
+            ShardCluster::in_process_with(3, o)
+        };
+        let slices = |cluster: &ShardCluster| -> Vec<Vec<Vec<Cell>>> {
+            let (_, shards) = cluster.in_process_dbs().unwrap();
+            shards.iter().map(|db| db.get_table_snapshot("t").unwrap().rows()).collect()
+        };
+        let routed = keyless();
+        seed(&mut routed.router().unwrap());
+        let bulk = keyless();
+        bulk.put_table_batch(
+            "t",
+            Batch::from_rows(Rows {
+                columns: vec![Column::new("k", PgType::Int8), Column::new("v", PgType::Int8)],
+                data: (0..20).map(|i| vec![Cell::Int(i), Cell::Int(i * 10)]).collect(),
+            }),
+        );
+        // Row i (ordinal i) lands on shard i % 3.
+        let row = |i: i64| vec![Cell::Int(i), Cell::Int(i * 10), Cell::Int(i)];
+        let want: Vec<Vec<Vec<Cell>>> =
+            (0..3).map(|s| (s..20).step_by(3).map(row).collect()).collect();
+        assert_eq!(slices(&routed), want);
+        assert_eq!(slices(&bulk), want);
+        // Two rows broadcast, eighteen more re-partition the twenty.
+        let grown = keyless();
+        let mut router = grown.router().unwrap();
+        router.execute_sql_batch("CREATE TABLE t (k bigint, v bigint)").unwrap();
+        router.execute_sql_batch("INSERT INTO t VALUES (0, 0), (1, 10)").unwrap();
+        let values: Vec<String> = (2..20).map(|i| format!("({i}, {})", i * 10)).collect();
+        router.execute_sql_batch(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+        assert_eq!(grown.table_meta("t").unwrap().mode, Mode::Partitioned);
+        assert_eq!(slices(&grown), want);
+    }
+
+    #[test]
+    fn a_session_temp_table_shadows_a_shard_managed_one() {
+        // Session 0 makes temp table t9 first; session 1 then creates a
+        // global t9, which the cluster partitions. On a single node
+        // session 0 keeps reading, inserting into and dropping its
+        // temp; so must its router.
+        let steps: &[(usize, &str)] = &[
+            (0, "CREATE TEMPORARY TABLE t9 (k bigint)"),
+            (0, "INSERT INTO t9 VALUES (1), (2)"),
+            (1, "CREATE TABLE t9 (k bigint)"),
+            (1, "INSERT INTO t9 VALUES (7), (8), (9)"),
+            (0, "INSERT INTO t9 VALUES (3)"),
+            (0, "SELECT k FROM t9"),
+            (1, "SELECT k FROM t9"),
+            (0, "DROP TABLE t9"),
+            (0, "SELECT k FROM t9"),
+        ];
+        let outcome = |r: Result<Option<BatchQueryResult>, WireError>| match r {
+            Ok(Some(BatchQueryResult::Batch(b))) => format!("{:?}", b.into_rows().data),
+            Ok(Some(BatchQueryResult::Command(tag))) => tag,
+            Ok(None) => panic!("no batch path"),
+            Err(e) => e.to_string(),
+        };
+        let db = pgdb::Db::new();
+        let mut single = [DirectBackend::new(&db), DirectBackend::new(&db)];
+        let cluster = ShardCluster::in_process_with(2, opts(0));
+        let mut routed = [cluster.router().unwrap(), cluster.router().unwrap()];
+        for (session, sql) in steps {
+            let want = outcome(single[*session].execute_sql_batch(sql));
+            let got = outcome(routed[*session].execute_sql_batch(sql));
+            assert_eq!(got, want, "session {session}: {sql}");
+        }
+        assert_eq!(cluster.table_meta("t9").unwrap().mode, Mode::Partitioned);
+        let last = outcome(routed[0].execute_sql_batch("SELECT k FROM t9"));
+        assert_eq!(last, "[[Int(7)], [Int(8)], [Int(9)]]");
+    }
+
+    #[test]
+    fn offset_scans_gather_instead_of_running_on_the_coordinator() {
+        let _gathering = GATHERING.lock().unwrap_or_else(|e| e.into_inner());
         let cluster = ShardCluster::in_process_with(2, opts(0));
         let mut router = cluster.router().unwrap();
         seed(&mut router);
         let reg = obs::global_registry();
-        let before = reg.counter_value("shard_fallback_total");
-        // OFFSET skips rows globally — shards cannot skip locally, and
-        // there is no exact decomposition, so the statement runs on the
-        // coordinator's full copy and the fallback is counted.
+        let gathers = reg.counter_value("shard_gather_total");
+        // OFFSET skips rows globally and shards cannot skip locally, so
+        // no decomposition is exact: the inputs are gathered and the
+        // statement evaluates whole.
         let rows = rows_of(
             router
                 .execute_sql_batch("SELECT k FROM t ORDER BY k LIMIT 3 OFFSET 2")
@@ -1111,7 +1206,7 @@ mod tests {
         );
         assert_eq!(rows.data.len(), 3);
         assert_eq!(rows.data[0][0], Cell::Int(2));
-        assert_eq!(reg.counter_value("shard_fallback_total"), before + 1);
+        assert_eq!(reg.counter_value("shard_gather_total"), gathers + 1);
     }
 
     #[test]
@@ -1124,7 +1219,7 @@ mod tests {
         let gathers = reg.counter_value("shard_gather_total");
         // Window frames span shards, so the inputs are gathered (exact
         // ordinal-merge reconstruction) and the statement evaluates
-        // whole — a distributed plan, not a coordinator fallback.
+        // whole.
         let rows = rows_of(
             router
                 .execute_sql_batch(
@@ -1300,10 +1395,19 @@ mod tests {
         assert_eq!(rows.data[0][0], Cell::Text("gather".to_string()));
         assert_eq!(rows.data[0][1], Cell::Text(planner::FB_WINDOW.to_string()));
         assert_eq!(rows.data[0][2], Cell::Text("gather: t(merge; cols=k)".to_string()));
-        // Even unparseable input explains instead of erroring.
+        // Even unparseable input explains instead of erroring: the
+        // coordinator answers it.
         let rows = rows_of(
             router.execute_sql_batch("EXPLAIN SHARD not really sql").unwrap().unwrap(),
         );
+        assert_eq!(rows.data[0][0], Cell::Text("local".to_string()));
         assert_eq!(rows.data[0][1], Cell::Text("unparseable".to_string()));
+        // A reserved name is a failed decomposition obligation: the
+        // statement gathers.
+        let rows = rows_of(
+            router.execute_sql_batch("EXPLAIN SHARD SELECT k AS __hq_ord FROM t").unwrap().unwrap(),
+        );
+        assert_eq!(rows.data[0][0], Cell::Text("gather".to_string()));
+        assert_eq!(rows.data[0][1], Cell::Text(planner::FB_RESERVED.to_string()));
     }
 }

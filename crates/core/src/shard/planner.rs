@@ -10,6 +10,16 @@
 //! surface is unit-tested statement family by statement family
 //! (`tests/shard_planner.rs`).
 //!
+//! [`plan_select`] is one rule. A statement naming a table outside the
+//! shard catalog (temp table, CTAS product, unknown name) runs where
+//! that table lives, on the coordinator (`Local`); one over replicated
+//! tables only reads any copy (`Broadcast`). Every other statement is
+//! over shard-managed inputs with at least one partitioned: it is
+//! either *decomposed* into per-shard statements plus a merge
+//! (`Scatter`, `ShardLocal`, `TwoPhaseAgg`), or, when a decomposition
+//! obligation fails, *gathered* (`Gather`), with the failed obligation
+//! as its reason. Both are exact; neither runs on the coordinator's copy.
+//!
 //! Join planning proves *co-location* along the outer FROM's left
 //! spine: the leftmost leaf must be a partitioned base table (or a
 //! plain scan of one), every broadcast right leg is identical per shard,
@@ -35,8 +45,7 @@
 //! broadcast while it is small, or while its partition key's observed
 //! distinct count is below the shard count (hash-partitioning such a
 //! table would leave shards empty while still paying the fan-out); it
-//! hash-partitions otherwise. `HQ_SHARD_STATS=0` reverts to the pure
-//! row-count threshold with PR 8's sticky placement.
+//! hash-partitions otherwise.
 
 use super::{Mode, ShardOpts, TableMeta, ORD, PARTIALS, RESERVED};
 use super::merge::{AggSpec, ScanSpec};
@@ -57,8 +66,9 @@ use std::collections::{HashMap, HashSet};
 /// `shard_plan_total{kind,reason}` metric).
 #[derive(Debug, Clone)]
 pub enum ShardPlan {
-    /// No stored shard table involved (temps, catalog queries, unknown
-    /// names): run on the coordinator. Not a fallback.
+    /// A table the statement names lives on the coordinator alone
+    /// (temp table, CTAS product, unknown name), or it names no table:
+    /// run on the coordinator.
     Local {
         /// Why the statement is coordinator-local.
         reason: &'static str,
@@ -94,23 +104,17 @@ pub enum ShardPlan {
         /// Why the re-fold is exact.
         reason: &'static str,
     },
-    /// A statement family that cannot be decomposed (windows, set ops,
-    /// subquery predicates, DISTINCT and non-distributive aggregates)
-    /// but whose inputs are all shard-managed: scan each input on the
-    /// shards for the rows and columns the statement can observe,
+    /// A statement over shard-managed inputs that no decomposition
+    /// proves (windows, set ops, subquery predicates, OFFSET, unproven
+    /// joins, float or non-distributive aggregates, ...): scan each input
+    /// on the shards for the rows and columns the statement can observe,
     /// rebuild them in single-node scan order (ordinal merge), and
     /// evaluate the whole statement over them on a scratch engine — the
     /// MPP "gather motion". Exact for any statement.
     Gather {
         /// Every table to gather, with its reconstruction recipe.
         tables: Vec<GatherTable>,
-        /// Which non-decomposable family forced the gather.
-        reason: &'static str,
-    },
-    /// Partitioned data involved but not provably shard-safe: run on
-    /// the coordinator's full copy and count it.
-    Fallback {
-        /// The first proof obligation that failed.
+        /// The first decomposition obligation that failed.
         reason: &'static str,
     },
 }
@@ -146,7 +150,6 @@ impl ShardPlan {
             ShardPlan::ShardLocal { .. } => "shard_local",
             ShardPlan::TwoPhaseAgg { .. } => "two_phase_agg",
             ShardPlan::Gather { .. } => "gather",
-            ShardPlan::Fallback { .. } => "fallback",
         }
     }
 
@@ -158,21 +161,16 @@ impl ShardPlan {
             | ShardPlan::Scatter { reason, .. }
             | ShardPlan::ShardLocal { reason, .. }
             | ShardPlan::TwoPhaseAgg { reason, .. }
-            | ShardPlan::Gather { reason, .. }
-            | ShardPlan::Fallback { reason } => reason,
+            | ShardPlan::Gather { reason, .. } => reason,
         }
     }
 }
 
-fn fallback(reason: &'static str) -> ShardPlan {
-    ShardPlan::Fallback { reason }
-}
-
-// Fallback reasons. Stable strings: tests and dashboards key on them.
-// The first four families are not decomposable per shard but *gather*
-// when every input is shard-managed; they fall back only when a
-// referenced table lives outside the shard catalog.
-/// User SQL mentions the router-internal `__hq_` namespace.
+// Decomposition failures: the first obligation a statement over
+// shard-managed inputs could not meet, and so the reason it gathers.
+// Stable strings: tests and dashboards key on them.
+/// A SELECT names a column or alias in the router-internal `__hq_`
+/// namespace, which the per-shard rewrite would collide with.
 pub const FB_RESERVED: &str = "reserved_identifier";
 /// UNION/INTERSECT/EXCEPT chains are not decomposed.
 pub const FB_SET_OP: &str = "set_operation";
@@ -193,8 +191,6 @@ pub const FB_ORDER_ALIAS: &str = "order_by_alias_capture";
 pub const FB_JOIN_KEYS: &str = "join_keys_mismatch";
 /// A right join leg that is neither a base table nor broadcast-safe.
 pub const FB_JOIN_SHAPE: &str = "join_shape";
-/// A joined table unknown to the shard catalog (temp/CTAS product).
-pub const FB_UNREPLICATED: &str = "unreplicated_table";
 /// A partitioned table in a position the spine cannot prove (nested
 /// subquery, VALUES leaf, not on the outer FROM's left spine).
 pub const FB_LEAF_SHAPE: &str = "partitioned_leaf_shape";
@@ -225,8 +221,11 @@ pub const GF_FALLIBLE: &str = "fallible_conjunct";
 pub const GF_FOREIGN: &str = "foreign_column";
 
 // Positive-plan reasons.
-/// No table in the statement is shard-managed.
+/// The statement names no table.
 pub const OK_LOCAL: &str = "no_shard_tables";
+/// A table the statement names is outside the shard catalog, so only
+/// the coordinator holds it (temp table, CTAS product, unknown name).
+pub const OK_COORD_TABLE: &str = "coordinator_table";
 /// Every referenced table is replicated (broadcast/undecided).
 pub const OK_REPLICATED: &str = "replicated_tables";
 /// Single-table scatter over the partitioned table.
@@ -267,8 +266,7 @@ pub struct Placement {
 /// moderately sized (hash-partitioning it would leave most shards empty
 /// yet still pay the fan-out) — that is the statistics-driven override
 /// of the old pure `HQ_SHARD_BROADCAST` constant. Everything else
-/// hash-partitions. With `opts.stats` off (`HQ_SHARD_STATS=0`) only the
-/// row-count threshold applies.
+/// hash-partitions.
 pub fn decide_placement(
     rows: u64,
     key_distinct: Option<u64>,
@@ -278,11 +276,9 @@ pub fn decide_placement(
     if rows <= opts.broadcast_threshold {
         return Placement { mode: Mode::Broadcast, reason: "small_table" };
     }
-    if opts.stats {
-        if let Some(d) = key_distinct {
-            if d < nshards as u64 && rows <= opts.broadcast_threshold.saturating_mul(4) {
-                return Placement { mode: Mode::Broadcast, reason: "low_key_cardinality" };
-            }
+    if let Some(d) = key_distinct {
+        if d < nshards as u64 && rows <= opts.broadcast_threshold.saturating_mul(4) {
+            return Placement { mode: Mode::Broadcast, reason: "low_key_cardinality" };
         }
     }
     Placement { mode: Mode::Partitioned, reason: "over_threshold" }
@@ -300,6 +296,8 @@ struct SelectScan<'s> {
     windows: bool,
     subqueries: bool,
     distinct_agg: bool,
+    /// Some column name, qualifier or alias starts with `__hq_`.
+    reserved: bool,
     /// Every column name an expression mentions, whatever its qualifier.
     names: HashSet<&'s str>,
     /// Tables that are a FROM leaf (through joins) of a `SELECT *`.
@@ -309,12 +307,23 @@ struct SelectScan<'s> {
     occurrences: Vec<(&'s str, &'s SelectStmt)>,
 }
 
+impl SelectScan<'_> {
+    /// Note a name the statement uses: the router-internal prefix is
+    /// reserved.
+    fn reserve(&mut self, name: Option<&str>) {
+        self.reserved |= name.is_some_and(|n| n.starts_with(RESERVED));
+    }
+}
+
 fn scan_select<'s>(s: &'s SelectStmt, out: &mut SelectScan<'s>) {
     let mut star = false;
     for item in &s.items {
         match item {
             SelectItem::Wildcard => star = true,
-            SelectItem::Expr { expr, .. } => scan_expr(expr, out),
+            SelectItem::Expr { expr, alias } => {
+                out.reserve(alias.as_deref());
+                scan_expr(expr, out);
+            }
         }
     }
     if let Some(f) = &s.from {
@@ -358,9 +367,19 @@ fn from_leaves<'s>(f: &'s FromItem, out: &mut Vec<&'s str>) {
 
 fn scan_from<'s>(f: &'s FromItem, out: &mut SelectScan<'s>) {
     match f {
-        FromItem::Table { name, .. } => out.tables.push(name.clone()),
-        FromItem::Subquery { query, .. } => scan_select(query, out),
-        FromItem::Values { rows, .. } => {
+        FromItem::Table { name, alias } => {
+            out.reserve(alias.as_deref());
+            out.tables.push(name.clone());
+        }
+        FromItem::Subquery { query, alias } => {
+            out.reserve(Some(alias));
+            scan_select(query, out);
+        }
+        FromItem::Values { rows, alias, columns } => {
+            out.reserve(Some(alias));
+            for c in columns {
+                out.reserve(Some(c));
+            }
             for row in rows {
                 for e in row {
                     scan_expr(e, out);
@@ -379,7 +398,9 @@ fn scan_from<'s>(f: &'s FromItem, out: &mut SelectScan<'s>) {
 
 fn scan_expr<'s>(e: &'s SqlExpr, out: &mut SelectScan<'s>) {
     match e {
-        SqlExpr::Column { name, .. } => {
+        SqlExpr::Column { qualifier, name } => {
+            out.reserve(qualifier.as_deref());
+            out.reserve(Some(name));
             out.names.insert(name);
         }
         SqlExpr::Literal(_) | SqlExpr::Star => {}
@@ -583,27 +604,17 @@ fn leftmost_leaf(
     match f {
         FromItem::Table { name, alias } => {
             let a = alias.clone().unwrap_or_else(|| name.clone());
-            match cat.get(name.as_str()) {
-                Some(m) => {
-                    if m.mode == Mode::Partitioned {
-                        sp.anchor = Some(name.clone());
-                        sp.resolved += 1;
-                        if let Some((kn, kt)) = m.key.and_then(|k| m.cols.get(k)) {
-                            let fam = family(*kt);
-                            if fam != Family::Float {
-                                sp.established.push((a.clone(), kn.clone(), fam));
-                            }
-                        }
+            if let Some(m) = cat.get(name.as_str()).filter(|m| m.mode == Mode::Partitioned) {
+                sp.anchor = Some(name.clone());
+                sp.resolved += 1;
+                if let Some((kn, kt)) = m.key.and_then(|k| m.cols.get(k)) {
+                    let fam = family(*kt);
+                    if fam != Family::Float {
+                        sp.established.push((a.clone(), kn.clone(), fam));
                     }
-                    sp.legs.push((a, name.clone()));
-                }
-                None => {
-                    // Temp/CTAS/unknown leaf: columns unknown to the
-                    // shard catalog.
-                    sp.opaque = true;
-                    sp.all_base = false;
                 }
             }
+            sp.legs.push((a, name.clone()));
             Ok(())
         }
         FromItem::Subquery { query, .. } => {
@@ -636,16 +647,11 @@ fn right_leg(
     sp: &mut Spine,
 ) -> Result<(), &'static str> {
     if let FromItem::Table { name, alias } = f {
-        match cat.get(name.as_str()) {
-            Some(m) if m.mode == Mode::Partitioned => {
-                return co_partitioned_leg(name, alias.as_deref(), m, kind, on, cat, sp);
-            }
-            Some(_) => {
-                sp.legs.push((alias.clone().unwrap_or_else(|| name.clone()), name.clone()));
-                return Ok(());
-            }
-            None => return Err(FB_UNREPLICATED),
+        if let Some(m) = cat.get(name.as_str()).filter(|m| m.mode == Mode::Partitioned) {
+            return co_partitioned_leg(name, alias.as_deref(), m, kind, on, cat, sp);
         }
+        sp.legs.push((alias.clone().unwrap_or_else(|| name.clone()), name.clone()));
+        return Ok(());
     }
     if broadcast_safe(f, cat) {
         // Identical per shard, but its output columns are not
@@ -976,27 +982,11 @@ fn gather_table(name: &str, m: &TableMeta, info: &SelectScan<'_>) -> GatherTable
 // plan_select
 // ---------------------------------------------------------------------------
 
-/// Plan a gather motion for a non-decomposable statement family, if
-/// every referenced table is shard-managed — a table outside the
-/// catalog (temp, CTAS product) only exists on the coordinator, so the
-/// gathered inputs would be incomplete and the statement falls back.
-fn gather_or_fallback(
-    info: &SelectScan,
-    cat: &HashMap<String, TableMeta>,
-    reason: &'static str,
-) -> ShardPlan {
-    if !info.tables.iter().all(|t| cat.contains_key(t.as_str())) {
-        return fallback(reason);
-    }
-    let mut names: Vec<&String> = info.tables.iter().collect();
-    names.sort();
-    names.dedup();
-    let tables = names.into_iter().map(|n| gather_table(n, &cat[n.as_str()], info)).collect();
-    ShardPlan::Gather { tables, reason }
-}
-
 /// Plan one SELECT against a catalog snapshot. Pure: no cluster access,
-/// no side effects.
+/// no side effects. The rule (module docs): a table outside the shard
+/// catalog makes the statement `Local`, replicated inputs alone make it
+/// `Broadcast`, and anything else is decomposed or, failing that,
+/// gathered.
 pub fn plan_select(
     sel: &SelectStmt,
     cat: &HashMap<String, TableMeta>,
@@ -1005,73 +995,80 @@ pub fn plan_select(
     let mut info = SelectScan::default();
     scan_select(sel, &mut info);
 
-    let part_occurrences = info
-        .tables
-        .iter()
-        .filter(|t| matches!(cat.get(t.as_str()), Some(m) if m.mode == Mode::Partitioned))
-        .count();
-    if part_occurrences == 0 {
-        if !info.tables.is_empty() && info.tables.iter().all(|t| cat.contains_key(t.as_str())) {
-            return ShardPlan::Broadcast { reason: OK_REPLICATED };
-        }
+    if info.tables.is_empty() {
         return ShardPlan::Local { reason: OK_LOCAL };
     }
-    // Non-decomposable statement families: a per-shard rewrite cannot be
-    // exact (cross-shard window frames, global set semantics, cross-shard
-    // build sides, non-mergeable DISTINCT partials). When every input is
-    // shard-managed the statement still executes distributed — gather the
-    // exact inputs and evaluate whole; otherwise fall back.
+    if info.tables.iter().any(|t| !cat.contains_key(t.as_str())) {
+        return ShardPlan::Local { reason: OK_COORD_TABLE };
+    }
+    if info.tables.iter().all(|t| cat[t.as_str()].mode != Mode::Partitioned) {
+        return ShardPlan::Broadcast { reason: OK_REPLICATED };
+    }
+    decompose(sel, &info, cat, opts).unwrap_or_else(|reason| {
+        let mut names: Vec<&String> = info.tables.iter().collect();
+        names.sort();
+        names.dedup();
+        let tables =
+            names.into_iter().map(|n| gather_table(n, &cat[n.as_str()], &info)).collect();
+        ShardPlan::Gather { tables, reason }
+    })
+}
+
+/// Prove that `sel`, whose tables are all in `cat` and one of them
+/// partitioned, splits into per-shard statements plus a merge — or name
+/// the first obligation that fails.
+fn decompose(
+    sel: &SelectStmt,
+    info: &SelectScan,
+    cat: &HashMap<String, TableMeta>,
+    opts: &ShardOpts,
+) -> Result<ShardPlan, &'static str> {
+    if info.reserved {
+        return Err(FB_RESERVED);
+    }
+    // Statement families no per-shard rewrite answers exactly:
+    // cross-shard window frames, global set semantics, cross-shard build
+    // sides, non-mergeable DISTINCT partials.
     if info.set_op {
-        return gather_or_fallback(&info, cat, FB_SET_OP);
+        return Err(FB_SET_OP);
     }
     if info.windows {
-        return gather_or_fallback(&info, cat, FB_WINDOW);
+        return Err(FB_WINDOW);
     }
     if info.subqueries {
-        return gather_or_fallback(&info, cat, FB_SUBQUERY);
+        return Err(FB_SUBQUERY);
     }
     if info.distinct_agg {
-        return gather_or_fallback(&info, cat, FB_DISTINCT_AGG);
+        return Err(FB_DISTINCT_AGG);
     }
 
-    let Some(from) = &sel.from else { return fallback(FB_LEAF_SHAPE) };
-    let sp = match resolve_spine(from, cat) {
-        Ok(sp) => sp,
-        Err(r) => return fallback(r),
-    };
+    let from = sel.from.as_ref().ok_or(FB_LEAF_SHAPE)?;
+    let sp = resolve_spine(from, cat)?;
     // Every partitioned occurrence in the statement must be a spine
     // position the walk proved (anchor leaf or co-partitioned leg);
     // anything else (nested subquery, repeated reference) is unprovable.
+    let part_occurrences =
+        info.tables.iter().filter(|t| cat[t.as_str()].mode == Mode::Partitioned).count();
     if sp.resolved != part_occurrences {
-        return fallback(FB_LEAF_SHAPE);
+        return Err(FB_LEAF_SHAPE);
     }
-    let Some(anchor) = sp.anchor.clone() else { return fallback(FB_LEAF_SHAPE) };
-    let meta = &cat[anchor.as_str()];
-
+    let anchor = sp.anchor.clone().ok_or(FB_LEAF_SHAPE)?;
     if is_agg_context(sel) {
-        match plan_agg(sel, cat, &sp, &anchor, meta, opts) {
-            // No partial/merge decomposition exists (median, the
-            // deviation family, hq_first...), but like a DISTINCT
-            // aggregate the statement is exact over gathered inputs.
-            ShardPlan::Fallback { reason: FB_NONDISTRIBUTIVE } => {
-                gather_or_fallback(&info, cat, FB_NONDISTRIBUTIVE)
-            }
-            plan => plan,
-        }
+        plan_agg(sel, from, cat, &sp, &anchor, opts)
     } else {
-        plan_scan(sel, cat, &sp, &anchor)
+        plan_scan(sel, from, cat, &sp, &anchor)
     }
 }
 
 fn plan_scan(
     sel: &SelectStmt,
+    from: &FromItem,
     cat: &HashMap<String, TableMeta>,
     sp: &Spine,
     p: &str,
-) -> ShardPlan {
-    let Some(from) = &sel.from else { return fallback(FB_LEAF_SHAPE) };
+) -> Result<ShardPlan, &'static str> {
     if sel.offset.is_some() {
-        return fallback(FB_OFFSET);
+        return Err(FB_OFFSET);
     }
 
     // Expand `SELECT *` from the catalog: the shard-side physical `*`
@@ -1084,7 +1081,7 @@ fn plan_scan(
                 if !matches!(from, FromItem::Table { name, .. } if name == p)
                     || sel.items.len() != 1
                 {
-                    return fallback(FB_WILDCARD);
+                    return Err(FB_WILDCARD);
                 }
                 for (n, _) in &cat[p].cols {
                     items.push(SelectItem::Expr { expr: col(n), alias: None });
@@ -1117,7 +1114,7 @@ fn plan_scan(
             }
         });
         if captures_output {
-            return fallback(FB_ORDER_ALIAS);
+            return Err(FB_ORDER_ALIAS);
         }
         let alias = format!("__hq_k{}", hidden.len());
         keys.push((visible + hidden.len(), *desc));
@@ -1125,7 +1122,7 @@ fn plan_scan(
     }
 
     let mut from2 = from.clone();
-    let Some(ord_q) = attach_ord(&mut from2, p) else { return fallback(FB_LEAF_SHAPE) };
+    let ord_q = attach_ord(&mut from2, p).ok_or(FB_LEAF_SHAPE)?;
 
     let mut shard_items = items;
     shard_items.extend(hidden);
@@ -1153,13 +1150,13 @@ fn plan_scan(
         ord_idx,
         limit: sel.limit,
     };
-    if sp.co_partitioned > 0 {
+    Ok(if sp.co_partitioned > 0 {
         ShardPlan::ShardLocal { spec, reason: OK_CO_PART }
     } else if sp.joined {
         ShardPlan::Scatter { spec, reason: OK_BROADCAST_JOIN }
     } else {
         ShardPlan::Scatter { spec, reason: OK_SCAN }
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1320,28 +1317,24 @@ impl<'a> AggRewriter<'a> {
 
 fn plan_agg(
     sel: &SelectStmt,
+    from: &FromItem,
     cat: &HashMap<String, TableMeta>,
     sp: &Spine,
     p: &str,
-    meta: &TableMeta,
     opts: &ShardOpts,
-) -> ShardPlan {
-    let Some(from) = &sel.from else { return fallback(FB_LEAF_SHAPE) };
+) -> Result<ShardPlan, &'static str> {
     if sel.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
-        return fallback(FB_WILDCARD);
+        return Err(FB_WILDCARD);
     }
 
     // Bound columns for partial-aggregate type derivation: the single
     // leaf's columns, or — for a proven join spine of bare base tables —
     // the union of every leg's qualified columns.
     let bound: Vec<BoundCol> = if !sp.joined {
-        match leaf_bound_cols(from, p, meta) {
-            Some(b) => b,
-            None => return fallback(FB_AGG_JOIN),
-        }
+        leaf_bound_cols(from, p, &cat[p]).ok_or(FB_AGG_JOIN)?
     } else {
         if !sp.all_base {
-            return fallback(FB_AGG_JOIN);
+            return Err(FB_AGG_JOIN);
         }
         // An unqualified name present in more than one leg cannot be
         // type-derived reliably; fall back rather than guess.
@@ -1381,7 +1374,7 @@ fn plan_agg(
             }
         }
         if ambiguous {
-            return fallback(FB_AMBIGUOUS);
+            return Err(FB_AMBIGUOUS);
         }
         sp.legs
             .iter()
@@ -1401,26 +1394,17 @@ fn plan_agg(
     // them. They are emitted first so slot aliases stay readable.
     for (j, g) in sel.group_by.iter().enumerate() {
         if g.contains_aggregate() {
-            return fallback(FB_AGG_GROUP_KEY);
+            return Err(FB_AGG_GROUP_KEY);
         }
         rw.partials.push((g.clone(), format!("__hq_g{j}")));
     }
 
     let mut merge_items: Vec<SelectItem> = Vec::with_capacity(sel.items.len() + 1);
     for (i, it) in sel.items.iter().enumerate() {
-        let SelectItem::Expr { expr, .. } = it else { return fallback(FB_WILDCARD) };
-        match rw.rewrite(expr) {
-            Ok(m) => merge_items.push(item(m, &out_name(it, i))),
-            Err(r) => return fallback(r),
-        }
+        let SelectItem::Expr { expr, .. } = it else { return Err(FB_WILDCARD) };
+        merge_items.push(item(rw.rewrite(expr)?, &out_name(it, i)));
     }
-    let merge_having = match &sel.having {
-        Some(h) => match rw.rewrite(h) {
-            Ok(m) => Some(m),
-            Err(r) => return fallback(r),
-        },
-        None => None,
-    };
+    let merge_having = sel.having.as_ref().map(|h| rw.rewrite(h)).transpose()?;
 
     // Joined spines only: the merge select runs over the flat partials
     // table, where qualified refs (`a.k`) and non-output columns do not
@@ -1438,12 +1422,12 @@ fn plan_agg(
             });
         }
         if unresolvable {
-            return fallback(FB_AGG_JOIN);
+            return Err(FB_AGG_JOIN);
         }
     }
 
     let mut from2 = from.clone();
-    let Some(ord_q) = attach_ord(&mut from2, p) else { return fallback(FB_LEAF_SHAPE) };
+    let ord_q = attach_ord(&mut from2, p).ok_or(FB_LEAF_SHAPE)?;
 
     // Per-shard partial select: keys, partial aggregates, and the
     // group's minimum ordinal (for first-seen group order and
@@ -1489,7 +1473,7 @@ fn plan_agg(
         visible: sel.items.len(),
     });
     let reason = if sp.joined { OK_AGG_JOIN } else { OK_AGG };
-    ShardPlan::TwoPhaseAgg { spec, reason }
+    Ok(ShardPlan::TwoPhaseAgg { spec, reason })
 }
 
 // ---------------------------------------------------------------------------

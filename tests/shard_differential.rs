@@ -2,16 +2,19 @@
 //! *bit-identical* to single-node execution at any shard count. Scatter
 //! scans interleave back into insertion order via the hidden ordinal,
 //! re-aggregated partials merge on an engine-semantics scratch
-//! instance, statements whose partials do not decompose (windows, set
-//! ops, DISTINCT aggregates) gather the rows they read onto a scratch
-//! instance, and only float aggregates and coordinator-only tables run
-//! on the coordinator's full copy. This suite enforces the promise three
+//! instance, every statement no decomposition proves (windows, set ops,
+//! DISTINCT and float aggregates, OFFSET, unproven joins) gathers the
+//! rows it reads onto a scratch instance, and only statements naming a
+//! coordinator-only table (temp/CTAS products) or replicated tables
+//! alone run on the coordinator. This suite enforces the promise three
 //! ways:
 //!
 //! 1. direct SQL structural equality (`colstore::structurally_equal`)
 //!    between a plain single-node backend and routers at 1, 2 and 4
 //!    shards — scans, ordered merges, distributive re-aggregation,
-//!    broadcast joins, gathers, and identical error surfaces;
+//!    broadcast joins, gathers, and identical error surfaces — plus the
+//!    rule that a SELECT over a partitioned table never reaches the
+//!    coordinator unless it names a coordinator-only table;
 //! 2. the Q oracle statements through the complete translate → SQL →
 //!    scatter-gather pipeline at 1, 2 and 4 shards, judged against the
 //!    reference interpreter;
@@ -22,10 +25,16 @@
 mod common;
 
 use common::corpus::{fixture, ORACLE};
-use hyperq::shard::ShardCluster;
+use hyperq::shard::{Mode, ShardCluster};
 use hyperq::side_by_side::{router, shard_opts, Arm, Baseline, Matrix, Rule};
 use hyperq::{Backend, DirectBackend};
 use pgdb::{Batch, BatchQueryResult, Cell};
+use std::sync::RwLock;
+
+/// `shard_statements_total{shard="coord"}` is process-wide: the test
+/// that reads its deltas holds this for writing, every other test that
+/// routes statements for reading.
+static COORD_COUNTER: RwLock<()> = RwLock::new(());
 
 // ---------------------------------------------------------------------
 // 1. Direct SQL: single node vs 1/2/4-shard routers, bit for bit.
@@ -46,7 +55,7 @@ fn setup_sql() -> Vec<String> {
             let qty = if i % 11 == 0 { "NULL".to_string() } else { format!("{}", (i * 7) % 100) };
             let px = match i % 17 {
                 0 => "NULL".to_string(),
-                1 => "(0.0 / 0.0)".to_string(), // NaN: float aggs must stay exact via fallback
+                1 => "(0.0 / 0.0)".to_string(), // NaN: float aggs must stay exact via gather
                 _ => format!("{}.25", i % 50),
             };
             format!("({i}, {}, {sym}, {qty}, {px})", i % 10)
@@ -58,9 +67,10 @@ fn setup_sql() -> Vec<String> {
     out
 }
 
-/// SQL shapes under test. Scatter paths and fallback paths both appear:
-/// the differential does not care *how* a statement was routed, only
-/// that the answer (or the error) is indistinguishable from single-node.
+/// SQL shapes under test. Decomposed, gathered and coordinator-local
+/// statements all appear: the differential does not care *how* a
+/// statement was routed, only that the answer (or the error) is
+/// indistinguishable from single-node.
 const SQL_STATEMENTS: &[&str] = &[
     // pass-through scatter: scans, filters, projections
     "SELECT * FROM fact",
@@ -91,7 +101,7 @@ const SQL_STATEMENTS: &[&str] = &[
     "SELECT id, label FROM fact INNER JOIN dim ON grp = k ORDER BY id",
     "SELECT id, label FROM fact LEFT OUTER JOIN dim ON grp = k",
     "SELECT label, id FROM fact INNER JOIN dim ON grp = k WHERE qty > 50 ORDER BY id LIMIT 7",
-    // shapes that gather or fall back: answers still identical
+    // shapes no decomposition proves gather: answers still identical
     "SELECT min(px) AS mn, max(px) AS mx, sum(px) AS s, avg(px) AS a FROM fact",
     "SELECT count(DISTINCT sym) AS d FROM fact",
     "SELECT id FROM fact ORDER BY id LIMIT 5 OFFSET 3",
@@ -125,6 +135,17 @@ const SQL_STATEMENTS: &[&str] = &[
     "SELECT id FROM nosuchtable",
     "INSERT INTO ghost VALUES (1)",
     "CREATE TABLE dim (k bigint)",
+    // a temp table lives on the coordinator alone, so a statement
+    // joining it runs there
+    "CREATE TEMPORARY TABLE tmpf AS SELECT id, grp FROM fact WHERE grp < 3",
+    "SELECT f.id, f.sym, t.grp FROM fact AS f INNER JOIN tmpf AS t ON f.id = t.id ORDER BY f.id",
+    // a reserved prefix in a literal is data: the row lands on a shard;
+    // a reserved column is refused by the coordinator before any shard
+    // sees a row
+    "INSERT INTO fact VALUES (1000, 1, '__hq_note', 5, 1.5)",
+    "INSERT INTO fact (id, __hq_ord) VALUES (1001, 7)",
+    "SELECT id, grp, sym FROM fact WHERE grp = 1",
+    "SELECT count(*) AS n FROM fact",
     // DDL / DML lifecycle through the router
     "CREATE TABLE t2 (a bigint, b varchar)",
     "INSERT INTO t2 VALUES (1, 'x'), (2, 'y'), (3, NULL)",
@@ -168,6 +189,7 @@ fn describe(o: &SqlOutcome) -> String {
 
 #[test]
 fn sql_differential_is_bit_identical_at_one_two_and_four_shards() {
+    let _coord = COORD_COUNTER.read().unwrap_or_else(|e| e.into_inner());
     let single_db = pgdb::Db::new();
     let mut backends: Vec<(String, Box<dyn Backend>)> =
         vec![("single-node".into(), Box::new(DirectBackend::new(&single_db)))];
@@ -204,6 +226,52 @@ fn sql_differential_is_bit_identical_at_one_two_and_four_shards() {
     );
 }
 
+/// The tables `sql` reads: each name after a FROM or a JOIN.
+fn tables_read(sql: &str) -> Vec<&str> {
+    let words: Vec<&str> =
+        sql.split(|c: char| !(c.is_alphanumeric() || c == '_')).filter(|w| !w.is_empty()).collect();
+    words
+        .windows(2)
+        .filter(|w| w[0].eq_ignore_ascii_case("FROM") || w[0].eq_ignore_ascii_case("JOIN"))
+        .map(|w| w[1])
+        .filter(|t| !t.eq_ignore_ascii_case("SELECT"))
+        .collect()
+}
+
+/// The distributed rule, measured where it acts: a SELECT that reads a
+/// partitioned table and only shard-managed ones is decomposed or
+/// gathered, so the coordinator runs nothing for it, error or not.
+#[test]
+fn shard_managed_selects_never_reach_the_coordinator() {
+    let _coord = COORD_COUNTER.write().unwrap_or_else(|e| e.into_inner());
+    let reg = obs::global_registry();
+    let coord = "shard_statements_total{shard=\"coord\"}";
+    for shards in [1usize, 2, 4] {
+        let cluster = ShardCluster::in_process_with(shards, shard_opts());
+        let mut r = cluster.router().unwrap();
+        for stmt in setup_sql() {
+            run_sql(&mut r, &stmt);
+        }
+        let mut checked = 0;
+        for sql in SQL_STATEMENTS {
+            let tables = tables_read(sql);
+            let modes: Vec<Option<Mode>> =
+                tables.iter().map(|t| cluster.table_meta(t).map(|m| m.mode)).collect();
+            let distributed = sql.starts_with("SELECT")
+                && modes.iter().all(Option::is_some)
+                && modes.contains(&Some(Mode::Partitioned));
+            let before = reg.counter_value(coord);
+            run_sql(&mut r, sql);
+            if distributed {
+                checked += 1;
+                let ran = reg.counter_value(coord) - before;
+                assert_eq!(ran, 0, "{shards} shards: {sql} ran on the coordinator");
+            }
+        }
+        assert_eq!(checked, 44, "{shards} shards: SELECTs over partitioned tables");
+    }
+}
+
 /// Sanity guard on the fixture: the differential above only proves
 /// anything if the interesting statements really scatter. Pin the
 /// routing decisions through `EXPLAIN SHARD` — this router's own plan
@@ -211,6 +279,7 @@ fn sql_differential_is_bit_identical_at_one_two_and_four_shards() {
 /// also move under the sibling tests of this binary.
 #[test]
 fn differential_fixture_really_scatters() {
+    let _coord = COORD_COUNTER.read().unwrap_or_else(|e| e.into_inner());
     let cluster = ShardCluster::in_process_with(4, shard_opts());
     let mut r = cluster.router().unwrap();
     for stmt in setup_sql() {
@@ -218,7 +287,6 @@ fn differential_fixture_really_scatters() {
             panic!("setup failed: {e}");
         }
     }
-    use hyperq::shard::Mode;
     assert_eq!(cluster.table_meta("fact").unwrap().mode, Mode::Partitioned);
     assert_eq!(cluster.table_meta("dim").unwrap().mode, Mode::Broadcast);
     let mut plan_kind = |sql: &str| match run_sql(&mut r, &format!("EXPLAIN SHARD {sql}")) {
@@ -240,11 +308,17 @@ fn differential_fixture_really_scatters() {
     );
     // DISTINCT aggregates do not decompose into partials, but their
     // inputs are shard-managed: they gather (exact input
-    // reconstruction) instead of falling back to the coordinator.
+    // reconstruction).
     assert_eq!(
         plan_kind("SELECT count(DISTINCT sym) AS d FROM fact"),
         "gather",
         "DISTINCT aggregates must execute via gather"
+    );
+    // A temp table exists on the coordinator alone.
+    assert_eq!(
+        plan_kind("SELECT f.id, f.sym, t.grp FROM fact AS f INNER JOIN tmpf AS t ON f.id = t.id"),
+        "local",
+        "a join with a temp table must run where the temp table lives"
     );
     // The gathers ship only what the statement can observe: an
     // infallible WHERE runs on the shards, one with a conjunct that can
@@ -281,6 +355,7 @@ fn differential_fixture_really_scatters() {
 /// pairs of the four arms.
 #[test]
 fn oracle_agrees_at_one_two_and_four_shards() {
+    let _coord = COORD_COUNTER.read().unwrap_or_else(|e| e.into_inner());
     Matrix::new(&[Arm::Qengine, Arm::Router(1), Arm::Router(2), Arm::Router(4)], Rule::Reference, 1)
         .statements(&fixture(), &[(ORACLE, Baseline::Succeeds)])
         .assert_clean(6 * 42);
@@ -293,6 +368,7 @@ fn oracle_agrees_at_one_two_and_four_shards() {
 /// The slice's 664 statements, compared across the three pairs of routers.
 #[test]
 fn fuzz_slice_agrees_across_shard_counts() {
+    let _coord = COORD_COUNTER.read().unwrap_or_else(|e| e.into_inner());
     Matrix::new(&[Arm::Router(1), Arm::Router(2), Arm::Router(4)], Rule::SameErrors, 1)
         .slice(qgen::slice(20260807, 200).map(qgen::Chunk::into_rendered))
         .assert_clean(3 * 664);

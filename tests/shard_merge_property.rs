@@ -74,8 +74,7 @@ fn insert_sql(rows: &[Row]) -> String {
                 // IEEE 0/0 division.
                 FloatCell::NaN => "(0.0 / 0.0)".to_string(),
                 // Non-dyadic finite floats (x/10) stress exactly the
-                // reorder-sensitivity that forces float aggs to fall
-                // back to the coordinator.
+                // reorder-sensitivity that makes float aggs gather.
                 FloatCell::Finite(k) => format!("({k}.0 / 10.0)"),
             };
             format!("({i}, {}, {}, {fv})", sql_opt(r.g), sql_opt(r.iv))
@@ -85,7 +84,7 @@ fn insert_sql(rows: &[Row]) -> String {
 }
 
 /// The merge-math surface: scalar and grouped, int-typed (scattered and
-/// re-aggregated distributively) and float-typed (coordinator fallback),
+/// re-aggregated distributively) and float-typed (gathered),
 /// with and without an ORDER BY (the bare GROUP BY pins first-seen group
 /// order through the merge).
 const AGG_STATEMENTS: &[&str] = &[
