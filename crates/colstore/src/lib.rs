@@ -26,7 +26,7 @@ pub mod stream;
 pub mod types;
 
 pub use batch::{Batch, ColumnVec, Validity};
-pub use stats::{ColStats, DistinctSketch, TableStats};
+pub use stats::TableStats;
 pub use stream::BatchStream;
 pub use key::{row_key, CellKey};
 pub use types::{days_to_ymd, ymd_to_days, Cell, Class, ClassMismatch, Column, PgType, Rows};

@@ -73,15 +73,6 @@ pub trait Backend: Send {
     fn durable(&self) -> bool {
         false
     }
-
-    /// Observed statistics for a stored table, if this backend tracks
-    /// them. `None` means "unknown" — remote backends reached over the
-    /// wire degrade to stat-less planning (the shard planner then falls
-    /// back to its pure row-count threshold). The in-process backend
-    /// overrides this with the engine's live stats.
-    fn table_stats(&mut self, _name: &str) -> Option<pgdb::TableStats> {
-        None
-    }
 }
 
 /// [`Backend::execute_sql_batch`] without the `Option` its signature
@@ -128,10 +119,6 @@ impl Backend for DirectBackend {
 
     fn durable(&self) -> bool {
         self.session.db().is_durable()
-    }
-
-    fn table_stats(&mut self, name: &str) -> Option<pgdb::TableStats> {
-        self.session.db().table_stats(name)
     }
 }
 

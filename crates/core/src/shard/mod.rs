@@ -7,9 +7,10 @@
 //! [`Backend`] seam the single-node paths use. The work splits across
 //! three layers:
 //!
-//! - **stats** — the storage engine maintains per-table statistics
-//!   (row counts, distinct-key sketches, null fractions) surfaced
-//!   through [`Backend::table_stats`]; placement consults them.
+//! - **place** — the router counts the rows it routes into each table
+//!   and, while the table is small, the distinct partition keys among
+//!   them ([`TableMeta`]); placement reads nothing else, so an
+//!   in-process and a remote cluster place a table alike.
 //! - **plan** ([`planner`]) — a pure function from (statement, catalog
 //!   snapshot, knobs) to a typed [`planner::ShardPlan`] carrying a
 //!   machine-readable reason. `EXPLAIN SHARD <stmt>` renders the
@@ -21,10 +22,10 @@
 //!   two-phase aggregation re-folded on a scratch engine instance, or a
 //!   gather.
 //!
-//! Placement is statistics-driven: small tables broadcast (equi-joins
-//! against them stay shard-local), tables whose partition key shows
-//! fewer distinct values than there are shards stay broadcast a while
-//! longer, and everything else hash-partitions. Placement is *not*
+//! Placement follows the routed rows: small tables broadcast
+//! (equi-joins against them stay shard-local), tables that have routed
+//! fewer distinct partition keys than there are shards stay broadcast a
+//! while longer, and everything else hash-partitions. Placement is *not*
 //! sticky: a broadcast table that outgrows the boundary is re-planned —
 //! logged, counted in `shard_reshard_total`, and re-partitioned in
 //! place, never silently left stale. Joins between partitioned tables
@@ -62,11 +63,11 @@ pub mod planner;
 use crate::backend::{execute_batch, Backend, DirectBackend};
 use crate::gateway::{Credentials, PgWireBackend};
 use crate::wire::{RetryPolicy, WireError, WireTimeouts};
-use colstore::Validity;
+use colstore::{CellKey, Validity};
 use pgdb::exec::expr::{cast, eval};
 use pgdb::sql::ast::{FromItem, SelectItem, SelectStmt, SqlExpr, Stmt};
 use pgdb::sql::render;
-use pgdb::{Batch, BatchQueryResult, Cell, Column, ColumnVec, PgType, Rows, TableStats};
+use pgdb::{Batch, BatchQueryResult, Cell, Column, ColumnVec, PgType, Rows};
 use planner::{col, item, ShardPlan};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -112,10 +113,10 @@ pub struct TableMeta {
     pub mode: Mode,
     /// Rows inserted through the router so far.
     pub rows: u64,
-    /// Latest observed engine statistics (refreshed from the
-    /// coordinator on every routed insert; `None` until then or when
-    /// the backend does not track stats).
-    pub stats: Option<TableStats>,
+    /// Distinct non-NULL partition keys the router has routed, at most
+    /// one per shard, kept only while placement can still hinge on
+    /// them (see [`TableMeta::place`]).
+    keys: Vec<CellKey>,
     /// Round-robin cursor for keyless/unhashable rows.
     rr: u64,
 }
@@ -123,7 +124,37 @@ pub struct TableMeta {
 impl TableMeta {
     /// Construct metadata (catalog registration and planner tests).
     pub fn new(cols: Vec<(String, PgType)>, key: Option<usize>, mode: Mode, rows: u64) -> TableMeta {
-        TableMeta { cols, key, mode, rows, stats: None, rr: 0 }
+        TableMeta { cols, key, mode, rows, keys: Vec::new(), rr: 0 }
+    }
+
+    /// Count `n` routed rows whose partition-key cells are `keys`, and
+    /// decide placement for the grown table
+    /// ([`planner::decide_placement`]). Keys are noted only while the
+    /// table is not partitioned and holds at most 4× the broadcast
+    /// threshold rows — past that no placement reads them — and only
+    /// until one per shard is known, which is all the decision asks.
+    fn place(
+        &mut self,
+        n: usize,
+        keys: impl IntoIterator<Item = CellKey>,
+        nshards: usize,
+        opts: &ShardOpts,
+    ) -> planner::Placement {
+        self.rows += n as u64;
+        if self.mode == Mode::Partitioned || self.rows > opts.broadcast_threshold.saturating_mul(4) {
+            self.keys = Vec::new();
+        } else {
+            for k in keys {
+                if self.keys.len() >= nshards {
+                    break;
+                }
+                if k != CellKey::Null && !self.keys.contains(&k) {
+                    self.keys.push(k);
+                }
+            }
+        }
+        let distinct = self.key.map(|_| self.keys.len() as u64);
+        planner::decide_placement(self.rows, distinct, nshards, opts)
     }
 }
 
@@ -139,8 +170,8 @@ pub struct ShardOpts {
     /// Off by default because two-level float folds are not exactly
     /// associative; see the module docs.
     pub float_agg: bool,
-    /// Nothing reads it: placement always consults observed statistics.
-    /// Goes with ROADMAP item 8 step A.
+    /// Nothing reads it: placement always counts the partition keys the
+    /// router routes. Goes with ROADMAP item 8 step A.
     pub stats: bool,
     /// Partition-key overrides, table name → column name
     /// (`HQ_SHARD_KEY="trades:sym,quotes:sym"`). Default is the first
@@ -309,7 +340,7 @@ impl ShardCluster {
     /// `CREATE TABLE` + `INSERT` reaches: the coordinator holds the
     /// full copy, every shard table carries the hidden `__hq_ord`
     /// ordinal, placement follows [`planner::decide_placement`] over the
-    /// engine's observed statistics, and the catalog records it.
+    /// batch's row count and partition keys, and the catalog records it.
     ///
     /// Panics on a remote topology (there is no columnar wire path) or
     /// when the table is already registered.
@@ -326,7 +357,6 @@ impl ShardCluster {
         let n = batch.rows();
         coord.put_table_batch(name, batch);
         let stored = coord.get_table_snapshot(name).expect("just stored").batch;
-        let stats = coord.table_stats(name);
 
         self.register(name, cols);
         let nshards = shards.len();
@@ -334,10 +364,9 @@ impl ShardCluster {
         let per_shard = {
             let mut cat = self.catalog.write().unwrap();
             let meta = cat.get_mut(name).expect("just registered");
-            let kd = key_distinct(meta, stats.as_ref());
-            meta.mode = planner::decide_placement(n as u64, kd, nshards, &self.opts).mode;
-            meta.rows = n as u64;
-            meta.stats = stats;
+            let key_col = meta.key.map(|k| &stored.columns[k]);
+            let keys = key_col.into_iter().flat_map(|c| (0..c.len()).map(|i| c.key_at(i)));
+            meta.mode = meta.place(n, keys, nshards, &self.opts).mode;
             shard_rows(&stored, meta.key, meta.mode, &mut meta.rr, nshards)
         };
         let ords = ColumnVec::Int((base..base + n as i64).collect(), Validity::all_valid(n));
@@ -372,13 +401,6 @@ impl ShardCluster {
     fn has_table(&self, name: &str) -> bool {
         self.catalog.read().unwrap().contains_key(name)
     }
-}
-
-/// Observed distinct count of a table's partition key, if stats exist.
-fn key_distinct(meta: &TableMeta, stats: Option<&TableStats>) -> Option<u64> {
-    meta.key
-        .and_then(|k| meta.cols.get(k))
-        .and_then(|(kn, _)| stats.and_then(|s| s.distinct(kn)))
 }
 
 // ---------------------------------------------------------------------------
@@ -760,9 +782,6 @@ impl ShardRouter {
         // validated before any is applied), so a failure leaves the
         // cluster untouched and surfaces the single-node error.
         let out = self.coordinator(sql)?;
-        // Refresh observed statistics now that the coordinator holds
-        // the post-insert state (None on stat-less backends).
-        let stats = self.coord.table_stats(table);
 
         let n = rows.len();
         let base = self.cluster.ordinal.fetch_add(n as i64, Ordering::Relaxed);
@@ -774,25 +793,6 @@ impl ShardRouter {
         let (col_list, assignments): (Vec<String>, Vec<Option<usize>>) = {
             let mut cat = self.cluster.catalog.write().unwrap();
             let meta = cat.get_mut(table).expect("insert raced a drop despite the mutation lock");
-            meta.rows += n as u64;
-            meta.stats = stats;
-            let kd = key_distinct(meta, meta.stats.as_ref());
-            match meta.mode {
-                Mode::Undecided => {
-                    meta.mode =
-                        planner::decide_placement(meta.rows, kd, nshards, &self.cluster.opts).mode;
-                }
-                // Re-plan placement as the table grows: a broadcast
-                // table crossing the boundary is re-partitioned after
-                // this insert lands (no silent staleness).
-                Mode::Broadcast => {
-                    let p = planner::decide_placement(meta.rows, kd, nshards, &self.cluster.opts);
-                    if p.mode == Mode::Partitioned {
-                        needs_reshard = true;
-                    }
-                }
-                _ => {}
-            }
             let col_list: Vec<String> = match columns {
                 Some(c) => c.clone(),
                 None => meta.cols.iter().map(|(n, _)| n.clone()).collect(),
@@ -801,23 +801,35 @@ impl ShardRouter {
             let key_pos =
                 key.as_ref().and_then(|(kn, _)| col_list.iter().position(|c| c == kn));
             let key_ty = key.map(|(_, t)| t);
-            let assignments: Vec<Option<usize>> = rows
+            // Evaluate each row's key literal, then cast it to the key's
+            // column type — the stored cell is what the engine keeps, so
+            // hashing anything else (say, an integer literal bound for a
+            // float column) would break co-location with bulk-loaded
+            // rows. A key the INSERT does not give is `None`.
+            let cells: Vec<Option<Cell>> = rows
                 .iter()
                 .map(|row| {
-                    if meta.mode == Mode::Broadcast {
-                        return None; // every shard
-                    }
-                    // Evaluate the key literal, then cast it to the
-                    // key's column type — the stored cell is what the
-                    // engine keeps, so hashing anything else (say, an
-                    // integer literal bound for a float column) would
-                    // break co-location with bulk-loaded rows.
-                    let cell = key_pos
+                    key_pos
                         .and_then(|p| row.get(p))
                         .and_then(|e| eval(e, &[], &[]).ok())
-                        .and_then(|v| key_ty.and_then(|t| cast(&v, t).ok()));
-                    Some(shard_for(cell.as_ref(), &mut meta.rr, nshards))
+                        .and_then(|v| key_ty.and_then(|t| cast(&v, t).ok()))
                 })
+                .collect();
+            let keys = cells.iter().flatten().map(CellKey::from_cell);
+            let placement = meta.place(n, keys, nshards, &self.cluster.opts);
+            match meta.mode {
+                Mode::Undecided => meta.mode = placement.mode,
+                // Re-plan placement as the table grows: a broadcast
+                // table crossing the boundary is re-partitioned after
+                // this insert lands (no silent staleness).
+                Mode::Broadcast => needs_reshard = placement.mode == Mode::Partitioned,
+                Mode::Partitioned => {}
+            }
+            // `None` sends a row to every shard.
+            let partitioned = meta.mode == Mode::Partitioned;
+            let assignments: Vec<Option<usize>> = cells
+                .iter()
+                .map(|cell| partitioned.then(|| shard_for(cell.as_ref(), &mut meta.rr, nshards)))
                 .collect();
             (col_list, assignments)
         };
@@ -1348,7 +1360,7 @@ mod tests {
         router.execute_sql_batch("CREATE TABLE lc (g bigint, v bigint)").unwrap();
         // 10 rows over 2 distinct partition-key values: past the row
         // threshold, but hashing 2 keys across 3 shards would leave
-        // shards empty — observed stats keep it broadcast.
+        // shards empty — the keys the router saw keep it broadcast.
         let values: Vec<String> = (0..10).map(|i| format!("({}, {i})", i % 2)).collect();
         router
             .execute_sql_batch(&format!("INSERT INTO lc VALUES {}", values.join(", ")))
@@ -1377,13 +1389,10 @@ mod tests {
         );
         assert_eq!(rows.data[0][0], Cell::Text("scatter".to_string()));
         assert_eq!(rows.data[0][1], Cell::Text(planner::OK_SCAN.to_string()));
-        // Table rows carry placement and observed statistics.
+        // Table rows carry placement, routed rows and partition key.
         assert_eq!(rows.data[1][0], Cell::Text("table:t".to_string()));
         assert_eq!(rows.data[1][1], Cell::Text("partitioned".to_string()));
-        match &rows.data[1][2] {
-            Cell::Text(d) => assert!(d.starts_with("rows=20 key=k ndv~"), "detail was {d:?}"),
-            other => panic!("expected text detail, got {other:?}"),
-        }
+        assert_eq!(rows.data[1][2], Cell::Text("rows=20 key=k".to_string()));
         // Keyword matching is case-insensitive; window statements name
         // the gather strategy and the family that forced it.
         let rows = rows_of(

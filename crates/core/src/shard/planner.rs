@@ -41,10 +41,10 @@
 //! that raised it; each shard would name its own first row, so a WHERE
 //! holding one never moves.
 //!
-//! Placement is statistics-driven ([`decide_placement`]): a table stays
-//! broadcast while it is small, or while its partition key's observed
-//! distinct count is below the shard count (hash-partitioning such a
-//! table would leave shards empty while still paying the fan-out); it
+//! Placement follows what the router routes ([`decide_placement`]): a
+//! table stays broadcast while it is small, or while it has routed fewer
+//! distinct partition keys than there are shards (hash-partitioning such
+//! a table would leave shards empty while still paying the fan-out); it
 //! hash-partitions otherwise.
 
 use super::{Mode, ShardOpts, TableMeta, ORD, PARTIALS, RESERVED};
@@ -259,14 +259,13 @@ pub struct Placement {
     pub reason: &'static str,
 }
 
-/// Decide placement from observed statistics. Small tables broadcast
-/// (joins against them stay shard-local for free). Past the row
-/// threshold, a table whose partition key has fewer observed distinct
-/// values than there are shards *stays* broadcast while it remains
-/// moderately sized (hash-partitioning it would leave most shards empty
-/// yet still pay the fan-out) — that is the statistics-driven override
-/// of the old pure `HQ_SHARD_BROADCAST` constant. Everything else
-/// hash-partitions.
+/// Decide placement from the rows and partition keys the router has
+/// routed. Small tables broadcast (joins against them stay shard-local
+/// for free). Past the row threshold, a table whose partition key has
+/// fewer distinct values than there are shards *stays* broadcast while
+/// it remains moderately sized (hash-partitioning it would leave most
+/// shards empty yet still pay the fan-out). Everything else
+/// hash-partitions. `key_distinct` is `None` for a keyless table.
 pub fn decide_placement(
     rows: u64,
     key_distinct: Option<u64>,
@@ -1481,7 +1480,7 @@ fn plan_agg(
 // ---------------------------------------------------------------------------
 
 /// Rows for `EXPLAIN SHARD <stmt>`: one `(kind, reason, detail)` row
-/// for the plan, then one `(table:<name>, <mode>, rows/key/ndv)` row
+/// for the plan, then one `(table:<name>, <mode>, rows/key)` row
 /// per referenced shard-managed table.
 pub fn explain_statement(
     stmt: &Stmt,
@@ -1571,17 +1570,8 @@ pub fn explain_statement(
                 Mode::Broadcast => "broadcast",
                 Mode::Partitioned => "partitioned",
             };
-            let key_col = m.key.and_then(|k| m.cols.get(k));
-            let key = key_col.map(|(n, _)| n.as_str()).unwrap_or("-");
-            let ndv = key_col
-                .and_then(|(n, _)| m.stats.as_ref().and_then(|s| s.distinct(n)))
-                .map(|d| d.to_string())
-                .unwrap_or_else(|| "?".to_string());
-            rows.push((
-                format!("table:{t}"),
-                mode.to_string(),
-                format!("rows={} key={key} ndv~{ndv}", m.rows),
-            ));
+            let key = m.key.and_then(|k| m.cols.get(k)).map(|(n, _)| n.as_str()).unwrap_or("-");
+            rows.push((format!("table:{t}"), mode.to_string(), format!("rows={} key={key}", m.rows)));
         }
     }
     rows

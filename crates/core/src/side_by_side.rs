@@ -224,9 +224,10 @@ pub enum Baseline {
 }
 
 /// Deterministic shard knobs: a differential row must not depend on
-/// ambient `HQ_SHARD_*`.
+/// ambient `HQ_SHARD_*`. A threshold of 0 partitions every non-empty
+/// table, so a row's small tables take the distributed paths too.
 pub fn shard_opts() -> ShardOpts {
-    ShardOpts { broadcast_threshold: 64, float_agg: false, stats: true, keys: HashMap::new() }
+    ShardOpts { broadcast_threshold: 0, float_agg: false, stats: true, keys: HashMap::new() }
 }
 
 /// A router over a fresh in-process cluster of `shards` shards.

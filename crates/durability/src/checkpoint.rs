@@ -21,15 +21,13 @@ use crate::codec::{self, Cursor};
 use crate::metrics::metrics;
 use crate::wal::parse_wal_file_name;
 use crate::{crc, fault, segment, DurError};
-use colstore::{Batch, TableStats};
-use std::collections::HashMap;
+use colstore::Batch;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"HQMANI01";
 const MANIFEST_VERSION: u16 = 1;
-const STATS_MAGIC: &[u8; 8] = b"HQSTAT01";
 
 /// Directory name for the checkpoint capturing state through `lsn`.
 pub fn checkpoint_dir_name(lsn: u64) -> String {
@@ -104,57 +102,6 @@ fn decode_manifest(bytes: &[u8]) -> Result<(u64, Vec<(String, String)>), DurErro
     Ok((lsn, tables))
 }
 
-/// Serialize the per-table statistics sidecar: magic + count +
-/// `{name, TableStats}`* + crc32 trailer.
-fn encode_stats(stats: &HashMap<String, TableStats>) -> Vec<u8> {
-    let mut names: Vec<&String> = stats.keys().collect();
-    names.sort();
-    let mut out = Vec::new();
-    out.extend_from_slice(STATS_MAGIC);
-    codec::put_u32(&mut out, names.len() as u32);
-    for name in names {
-        codec::put_string(&mut out, name);
-        stats[name].encode(&mut out);
-    }
-    let sum = crc::crc32(&out);
-    codec::put_u32(&mut out, sum);
-    out
-}
-
-fn decode_stats(bytes: &[u8]) -> Option<HashMap<String, TableStats>> {
-    if bytes.len() < 16 || &bytes[..8] != STATS_MAGIC {
-        return None;
-    }
-    let (covered, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    if crc::crc32(covered) != u32::from_le_bytes(crc_bytes.try_into().ok()?) {
-        return None;
-    }
-    let body = &covered[8..];
-    let count = u32::from_le_bytes(body.get(..4)?.try_into().ok()?) as usize;
-    let mut pos = 4usize;
-    let mut out = HashMap::with_capacity(count);
-    for _ in 0..count {
-        let nlen = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let name = String::from_utf8(body.get(pos..pos + nlen)?.to_vec()).ok()?;
-        pos += nlen;
-        let stats = TableStats::decode(body, &mut pos)?;
-        out.insert(name, stats);
-    }
-    if pos != body.len() {
-        return None;
-    }
-    Some(out)
-}
-
-/// Load the statistics sidecar of a checkpoint directory. The file is
-/// optional (older checkpoints predate it) and advisory: a missing or
-/// damaged sidecar yields `None` and the caller recomputes stats from
-/// the recovered batches instead of failing recovery.
-pub fn load_stats(dir: &Path) -> Option<HashMap<String, TableStats>> {
-    decode_stats(&std::fs::read(dir.join("STATS")).ok()?)
-}
-
 /// Best-effort directory fsync (rename durability on POSIX).
 fn sync_dir(dir: &Path) {
     if let Ok(f) = std::fs::File::open(dir) {
@@ -168,7 +115,6 @@ pub fn write_checkpoint(
     checkpoints_dir: &Path,
     lsn: u64,
     tables: &[(String, Arc<Batch>)],
-    stats: &HashMap<String, TableStats>,
 ) -> Result<u64, DurError> {
     std::fs::create_dir_all(checkpoints_dir)?;
     let tmp = checkpoints_dir.join(format!(".tmp-{}", checkpoint_dir_name(lsn)));
@@ -184,16 +130,6 @@ pub fn write_checkpoint(
         total += segment::write_segment(&tmp.join(&seg_name), name, batch)?;
         manifest_entries.push((name.clone(), seg_name));
         fault::crash_point("checkpoint.mid-segments");
-    }
-
-    // Statistics sidecar: advisory, so it is not named by the manifest
-    // and its absence never fails a load — but it is written inside the
-    // tmp directory, so it commits atomically with the segments.
-    if !stats.is_empty() {
-        let spath = tmp.join("STATS");
-        let mut f = std::fs::File::create(&spath)?;
-        f.write_all(&encode_stats(stats))?;
-        f.sync_data()?;
     }
 
     let manifest = encode_manifest(lsn, &manifest_entries);
@@ -299,15 +235,11 @@ mod tests {
         d
     }
 
-    fn stats_for(tables: &[(String, Arc<Batch>)]) -> HashMap<String, TableStats> {
-        tables.iter().map(|(n, b)| (n.clone(), TableStats::from_batch(b))).collect()
-    }
-
     #[test]
     fn checkpoint_round_trips() {
         let dir = tmp_dir("rt");
         let tables = vec![("a".to_string(), batch(3)), ("b".to_string(), batch(5))];
-        write_checkpoint(&dir, 42, &tables, &stats_for(&tables)).unwrap();
+        write_checkpoint(&dir, 42, &tables).unwrap();
         let listed = list_checkpoints(&dir);
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0].0, 42);
@@ -315,30 +247,6 @@ mod tests {
         assert_eq!(lsn, 42);
         assert_eq!(loaded.len(), 2);
         assert!(loaded[0].1.structurally_equal(&tables[0].1));
-        // The stats sidecar round-trips alongside the segments.
-        let stats = load_stats(&listed[0].1).unwrap();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats["a"].rows, 3);
-        assert_eq!(stats["b"].rows, 5);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stats_sidecar_is_optional_and_corruption_tolerant() {
-        let dir = tmp_dir("stats");
-        let tables = vec![("a".to_string(), batch(4))];
-        write_checkpoint(&dir, 9, &tables, &stats_for(&tables)).unwrap();
-        let cp = list_checkpoints(&dir).remove(0).1;
-        // Flip a byte: the sidecar fails closed, the checkpoint loads.
-        let mut bytes = std::fs::read(cp.join("STATS")).unwrap();
-        bytes[10] ^= 0x40;
-        std::fs::write(cp.join("STATS"), &bytes).unwrap();
-        assert!(load_stats(&cp).is_none());
-        assert!(load_checkpoint(&cp).is_ok());
-        // Missing entirely is equally fine.
-        std::fs::remove_file(cp.join("STATS")).unwrap();
-        assert!(load_stats(&cp).is_none());
-        assert!(load_checkpoint(&cp).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -346,7 +254,7 @@ mod tests {
     fn missing_segment_is_a_typed_error() {
         let dir = tmp_dir("miss");
         let tables = vec![("a".to_string(), batch(2))];
-        write_checkpoint(&dir, 7, &tables, &stats_for(&tables)).unwrap();
+        write_checkpoint(&dir, 7, &tables).unwrap();
         let cp = list_checkpoints(&dir).remove(0).1;
         std::fs::remove_file(cp.join("000000.seg")).unwrap();
         assert!(load_checkpoint(&cp).is_err());
@@ -358,7 +266,7 @@ mod tests {
         let cps = tmp_dir("prune-cp");
         let wal = tmp_dir("prune-wal");
         for lsn in [10u64, 20, 30] {
-            write_checkpoint(&cps, lsn, &[("a".to_string(), batch(1))], &HashMap::new()).unwrap();
+            write_checkpoint(&cps, lsn, &[("a".to_string(), batch(1))]).unwrap();
         }
         // WAL files starting at 1, 11, 21, 31 — records 1..=10 live in
         // the first file, which only the pruned cp-10 needed.

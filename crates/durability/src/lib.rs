@@ -45,7 +45,7 @@ pub mod wal;
 
 pub use wal::{FsyncPolicy, WalRecord};
 
-use colstore::{Batch, TableStats};
+use colstore::Batch;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -136,11 +136,6 @@ impl Options {
 pub struct Recovered {
     /// Full table contents at the recovered LSN.
     pub tables: HashMap<String, Batch>,
-    /// Per-table statistics at the recovered LSN: the checkpoint's
-    /// persisted sidecar (when present) carried forward through WAL
-    /// replay, recomputed from the batches otherwise. Always has one
-    /// entry per recovered table.
-    pub stats: HashMap<String, TableStats>,
     /// LSN the next append must use.
     pub next_lsn: u64,
     /// WAL records replayed on top of the checkpoint.
@@ -149,20 +144,15 @@ pub struct Recovered {
     pub truncated_tail: bool,
 }
 
-/// Apply one replayed record to the recovered table map, maintaining
-/// the statistics alongside. Mirrors the engine's in-memory application
-/// exactly — this *is* the redo path, and because the distinct sketch
-/// is order-independent the replayed stats equal the stats the engine
-/// held at commit time.
+/// Apply one replayed record to the recovered table map. Mirrors the
+/// engine's in-memory application exactly — this *is* the redo path.
 fn apply_record(
     tables: &mut HashMap<String, Batch>,
-    stats: &mut HashMap<String, TableStats>,
     lsn: u64,
     rec: wal::WalRecord,
 ) -> Result<(), DurError> {
     match rec {
         wal::WalRecord::CreateTable { name, schema } => {
-            stats.insert(name.clone(), TableStats::empty(&schema));
             tables.insert(name, Batch::empty(schema));
         }
         wal::WalRecord::InsertBatch { table, batch } => {
@@ -171,18 +161,12 @@ fn apply_record(
                     "wal lsn {lsn}: insert into unknown table \"{table}\""
                 )));
             };
-            stats
-                .entry(table)
-                .or_insert_with(|| TableStats::empty(&t.schema))
-                .observe_batch(&batch);
             codec::append_settled(t, batch);
         }
         wal::WalRecord::DropTable { name } => {
-            stats.remove(&name);
             tables.remove(&name);
         }
         wal::WalRecord::PutTable { name, batch } => {
-            stats.insert(name.clone(), TableStats::from_batch(&batch));
             tables.insert(name, batch);
         }
     }
@@ -199,29 +183,17 @@ pub fn recover(options: &Options) -> Result<Recovered, DurError> {
     // skipped (its WAL is still retained, so nothing is lost).
     let mut base_lsn = 0u64;
     let mut tables: HashMap<String, Batch> = HashMap::new();
-    let mut stats: HashMap<String, TableStats> = HashMap::new();
     let mut skipped: Vec<String> = Vec::new();
     for (lsn, path) in checkpoint::list_checkpoints(&cps_dir) {
         match checkpoint::load_checkpoint(&path) {
             Ok((cp_lsn, loaded)) => {
                 base_lsn = cp_lsn;
                 tables = loaded.into_iter().collect();
-                // The stats sidecar is advisory: prefer the persisted
-                // copy, recompute any table it is missing (older
-                // checkpoints, or a damaged sidecar).
-                stats = checkpoint::load_stats(&path).unwrap_or_default();
                 break;
             }
             Err(e) => skipped.push(format!("{}: {e}", checkpoint::checkpoint_dir_name(lsn))),
         }
     }
-    for (name, batch) in &tables {
-        if !stats.contains_key(name) {
-            stats.insert(name.clone(), TableStats::from_batch(batch));
-        }
-    }
-    stats.retain(|name, _| tables.contains_key(name));
-
     let mut wal_files: Vec<(u64, PathBuf)> = Vec::new();
     if let Ok(entries) = std::fs::read_dir(&wal_dir) {
         for entry in entries.flatten() {
@@ -260,7 +232,7 @@ pub fn recover(options: &Options) -> Result<Recovered, DurError> {
             }
             prev_lsn = lsn;
             if lsn > base_lsn {
-                apply_record(&mut tables, &mut stats, lsn, rec)?;
+                apply_record(&mut tables, lsn, rec)?;
                 replayed += 1;
             }
         }
@@ -288,7 +260,6 @@ pub fn recover(options: &Options) -> Result<Recovered, DurError> {
     metrics::metrics().wal_replayed_records.add(replayed);
     Ok(Recovered {
         tables,
-        stats,
         next_lsn: prev_lsn.max(base_lsn) + 1,
         replayed,
         truncated_tail,
@@ -386,9 +357,8 @@ impl Durability {
         &self,
         lsn: u64,
         tables: &[(String, Arc<Batch>)],
-        stats: &HashMap<String, TableStats>,
     ) -> Result<u64, DurError> {
-        let result = checkpoint::write_checkpoint(&self.options.checkpoints_dir(), lsn, tables, stats);
+        let result = checkpoint::write_checkpoint(&self.options.checkpoints_dir(), lsn, tables);
         if result.is_ok() {
             self.since_checkpoint.store(0, Ordering::Relaxed);
             let _ = checkpoint::prune(&self.options.checkpoints_dir(), &self.options.wal_dir());
@@ -479,7 +449,6 @@ mod tests {
                     ("t".to_string(), Arc::new(batch(&[1]))),
                     ("u".to_string(), Arc::new(batch(&[2, 3]))),
                 ],
-                &HashMap::new(),
             )
             .unwrap();
             // Tail after the checkpoint.
@@ -488,31 +457,49 @@ mod tests {
         let (_, rec) = Durability::open_full(&Options::new(&dir)).unwrap();
         assert_eq!(rec.tables["t"].rows(), 2);
         assert_eq!(rec.tables["u"].rows(), 2);
-        // Stats were recomputed from the checkpoint (no sidecar here)
-        // and carried through the WAL tail replay.
-        assert_eq!(rec.stats["t"], TableStats::from_batch(&rec.tables["t"]));
-        assert_eq!(rec.stats["u"], TableStats::from_batch(&rec.tables["u"]));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The statistics sidecar checkpoints used to carry (`STATS`, magic
+    /// `HQSTAT01`), as that writer laid it out for one table `t` whose
+    /// column `x` held 1, 2, 2. No manifest names it.
+    const OLD_STATS_SIDECAR: &str = "\
+        4851535441543031010000000100000074030000000000000001000000010000007800000000\
+        0000000000000000000000000000000000000000000001000000000000000000000000000000\
+        000000000000000000000000000000000000000000000000000200000000f6877803";
+
     #[test]
-    fn recovery_replays_stats_identical_to_recompute() {
-        let dir = tmp_dir("stats");
+    fn an_old_stats_sidecar_is_ignored_by_recovery() {
+        let dir = tmp_dir("old-stats");
         {
             let (dur, _) = open_dir(&dir).unwrap();
-            dur.append(&WalRecord::CreateTable {
-                name: "t".into(),
-                schema: vec![Column::new("x", PgType::Int8)],
-            })
-            .unwrap();
-            dur.append(&WalRecord::InsertBatch { table: "t".into(), batch: batch(&[1, 2]) })
+            dur.append(&WalRecord::PutTable { name: "t".into(), batch: batch(&[1, 2, 2]) })
                 .unwrap();
-            dur.append(&WalRecord::InsertBatch { table: "t".into(), batch: batch(&[2, 3]) })
-                .unwrap();
+            assert!(dur.try_begin_checkpoint());
+            let lsn = dur.rotate_for_checkpoint().unwrap();
+            dur.write_checkpoint(lsn, &[("t".to_string(), Arc::new(batch(&[1, 2, 2])))]).unwrap();
+            dur.append(&WalRecord::InsertBatch { table: "t".into(), batch: batch(&[7]) }).unwrap();
         }
-        let (_, rec) = Durability::open_full(&Options::new(&dir)).unwrap();
-        assert_eq!(rec.stats["t"], TableStats::from_batch(&rec.tables["t"]));
-        assert_eq!(rec.stats["t"].rows, 4);
+        let cp = checkpoint::list_checkpoints(&Options::new(&dir).checkpoints_dir()).remove(0).1;
+        let mut files: Vec<String> = std::fs::read_dir(&cp)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["000000.seg", "MANIFEST"], "a checkpoint is its segments and manifest");
+        let (_, before) = Durability::open_full(&Options::new(&dir)).unwrap();
+        let old: Vec<u8> = (0..OLD_STATS_SIDECAR.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&OLD_STATS_SIDECAR[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(&old[..8], b"HQSTAT01");
+        for sidecar in [&old[..], b"damaged"] {
+            std::fs::write(cp.join("STATS"), sidecar).unwrap();
+            let (_, rec) = Durability::open_full(&Options::new(&dir)).unwrap();
+            assert_eq!(rec.tables.len(), 1);
+            assert!(rec.tables["t"].structurally_equal(&before.tables["t"]));
+            assert!(rec.tables["t"].structurally_equal(&batch(&[1, 2, 2, 7])));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -524,17 +511,11 @@ mod tests {
             dur.append(&WalRecord::PutTable { name: "t".into(), batch: batch(&[1]) }).unwrap();
             assert!(dur.try_begin_checkpoint());
             let lsn = dur.rotate_for_checkpoint().unwrap();
-            dur.write_checkpoint(lsn, &[("t".to_string(), Arc::new(batch(&[1])))], &HashMap::new())
-                .unwrap();
+            dur.write_checkpoint(lsn, &[("t".to_string(), Arc::new(batch(&[1])))]).unwrap();
             dur.append(&WalRecord::InsertBatch { table: "t".into(), batch: batch(&[2]) }).unwrap();
             assert!(dur.try_begin_checkpoint());
             let lsn = dur.rotate_for_checkpoint().unwrap();
-            dur.write_checkpoint(
-                lsn,
-                &[("t".to_string(), Arc::new(batch(&[1, 2])))],
-                &HashMap::new(),
-            )
-            .unwrap();
+            dur.write_checkpoint(lsn, &[("t".to_string(), Arc::new(batch(&[1, 2])))]).unwrap();
         }
         // Damage the newest checkpoint's segment.
         let cps = checkpoint::list_checkpoints(&Options::new(&dir).checkpoints_dir());

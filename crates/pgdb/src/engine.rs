@@ -13,7 +13,7 @@ use crate::exec::TableSource;
 use crate::sql::ast::Stmt;
 use crate::sql::parse_statement;
 use crate::types::{Cell, Column, Rows};
-use colstore::{Batch, BatchStream, TableStats};
+use colstore::{Batch, BatchStream};
 use durability::{Durability, WalRecord};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -109,11 +109,6 @@ impl StoredTable {
 #[derive(Debug, Clone, Default)]
 pub struct Db {
     tables: Arc<RwLock<HashMap<String, StoredTable>>>,
-    /// Per-table statistics (row counts, null counts, distinct
-    /// sketches), maintained incrementally on every global-table
-    /// mutation and persisted in checkpoints. Lock order: `tables`
-    /// first, then `stats` — never the reverse.
-    stats: Arc<RwLock<HashMap<String, TableStats>>>,
     /// Durability manager; `None` keeps the pure in-memory hot path —
     /// no WAL, no fsync, byte-for-byte the pre-durability behaviour.
     dur: Option<Arc<Durability>>,
@@ -173,7 +168,6 @@ impl Db {
             .collect();
         Ok(Db {
             tables: Arc::new(RwLock::new(map)),
-            stats: Arc::new(RwLock::new(recovered.stats)),
             dur: Some(Arc::new(dur)),
         })
     }
@@ -233,13 +227,12 @@ impl Db {
         if !d.should_checkpoint() || !d.try_begin_checkpoint() {
             return;
         }
-        let (snapshot, stats_snapshot, lsn) = {
+        let (snapshot, lsn) = {
             let guard = self.tables.read();
             let snap: Vec<(String, Arc<Batch>)> =
                 guard.iter().map(|(n, t)| (n.clone(), Arc::clone(&t.batch))).collect();
-            let stats_snap = self.stats.read().clone();
             match d.rotate_for_checkpoint() {
-                Ok(lsn) => (snap, stats_snap, lsn),
+                Ok(lsn) => (snap, lsn),
                 Err(e) => {
                     eprintln!("pgdb: wal rotation for checkpoint failed: {e}");
                     d.abandon_checkpoint();
@@ -247,7 +240,7 @@ impl Db {
                 }
             }
         };
-        if let Err(e) = d.write_checkpoint(lsn, &snapshot, &stats_snapshot) {
+        if let Err(e) = d.write_checkpoint(lsn, &snapshot) {
             // Best effort: the WAL retains everything the checkpoint
             // would have captured, so durability is unaffected.
             eprintln!("pgdb: checkpoint at lsn {lsn} failed: {e}");
@@ -271,18 +264,11 @@ impl Db {
 
     /// Fallible form of [`Db::put_table_batch`].
     pub fn try_put_table_batch(&self, name: &str, batch: Batch) -> Result<(), DbError> {
-        let stats = TableStats::from_batch(&batch);
         let mut guard = self.tables.write();
         let lsn = self.log(|| WalRecord::PutTable { name: name.to_string(), batch: batch.clone() })?;
         guard.insert(name.to_string(), StoredTable::new(batch));
-        self.stats.write().insert(name.to_string(), stats);
         drop(guard);
         self.finish_commit(lsn)
-    }
-
-    /// Current statistics for a global table, if it exists.
-    pub fn table_stats(&self, name: &str) -> Option<TableStats> {
-        self.stats.read().get(name).cloned()
     }
 
     /// Host API: fetch a snapshot of a global table. Cheap — the
@@ -437,7 +423,6 @@ impl Session {
                     if guard.contains_key(&name) {
                         let lsn = self.db.log(|| WalRecord::DropTable { name: name.clone() })?;
                         guard.remove(&name);
-                        self.db.stats.write().remove(&name);
                         drop(guard);
                         self.db.finish_commit(lsn)?;
                         existed = true;
@@ -463,7 +448,6 @@ impl Session {
             self.temps.insert(name, StoredTable::new(batch));
             return Ok(());
         }
-        let stats = TableStats::from_batch(&batch);
         let mut guard = self.db.tables.write();
         // CREATE TABLE AS logs the *computed* result, so replay never
         // re-runs the query; a plain empty CREATE logs just the schema.
@@ -474,7 +458,6 @@ impl Session {
                 WalRecord::PutTable { name: name.clone(), batch: batch.clone() }
             }
         })?;
-        self.db.stats.write().insert(name.clone(), stats);
         guard.insert(name, StoredTable::new(batch));
         drop(guard);
         self.db.finish_commit(lsn)
@@ -494,12 +477,6 @@ impl Session {
         let lsn = self
             .db
             .log(|| WalRecord::InsertBatch { table: name.to_string(), batch: add.clone() })?;
-        self.db
-            .stats
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| TableStats::empty(&add.schema))
-            .observe_batch(&add);
         append_in_place(&mut t.batch, add);
         drop(guard);
         self.db.finish_commit(lsn)
@@ -975,36 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_mutations_and_survive_reopen() {
-        let dir = std::env::temp_dir().join(format!("hq-engine-stats-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = durability::Options::new(&dir);
-        {
-            let db = Db::open(&opts).unwrap();
-            let mut s = db.session();
-            s.execute("CREATE TABLE t (x bigint, s varchar)").unwrap();
-            s.execute("INSERT INTO t VALUES (1, 'a'), (2, NULL), (2, 'b')").unwrap();
-            let st = db.table_stats("t").unwrap();
-            assert_eq!(st.rows, 3);
-            assert_eq!(st.col("s").unwrap().nulls, 1);
-            assert_eq!(st.distinct("x"), Some(2));
-            // Temp tables are session-local and never tracked.
-            s.execute("CREATE TEMPORARY TABLE tmp AS SELECT x FROM t").unwrap();
-            assert!(db.table_stats("tmp").is_none());
-        }
-        // Recovery (pure WAL replay here) restores identical stats.
-        let db = Db::open(&opts).unwrap();
-        let st = db.table_stats("t").unwrap();
-        assert_eq!(st.rows, 3);
-        assert_eq!(st.distinct("x"), Some(2));
-        assert_eq!(st, TableStats::from_batch(&db.get_table_snapshot("t").unwrap().batch));
-        let mut s = db.session();
-        s.execute("DROP TABLE t").unwrap();
-        assert!(db.table_stats("t").is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn snapshot_is_cheap_and_isolated_from_later_writes() {
         let mut s = setup();
         let snap = s.db().get_table_snapshot("trades").unwrap();
@@ -1194,7 +1141,7 @@ mod tests {
         let placeholder = Batch::empty(schema.clone());
         let tables = [("c".to_string(), Arc::new(placeholder))];
         let checkpoints = dir.join("checkpoints");
-        checkpoint::write_checkpoint(&checkpoints, 1, &tables, &HashMap::new()).unwrap();
+        checkpoint::write_checkpoint(&checkpoints, 1, &tables).unwrap();
         let mut seg = Vec::new();
         let mut footer = 1u16.to_le_bytes().to_vec();
         codec::put_string(&mut footer, "c");

@@ -29,7 +29,7 @@ pub mod server;
 pub mod sql;
 pub mod types;
 
-pub use colstore::{Batch, BatchStream, ColumnVec, TableStats};
+pub use colstore::{Batch, BatchStream, ColumnVec};
 pub use durability::{DurError, FsyncPolicy, Options as DurabilityOptions};
 pub use engine::{BatchQueryResult, Db, DbError, QueryResult, Session, StreamQueryResult};
 pub use types::{Cell, Column, PgType, Rows};

@@ -18,15 +18,15 @@
 //! 2. the Q oracle statements through the complete translate → SQL →
 //!    scatter-gather pipeline at 1, 2 and 4 shards, judged against the
 //!    reference interpreter;
-//! 3. a 200-program qgen fuzz slice on 1-, 2- and 4-shard routers,
-//!    the 2- and 4-shard answers and error strings judged against the
-//!    1-shard ones.
+//! 3. a 200-program qgen fuzz slice on 1-, 2- and 4-shard routers that
+//!    partition every non-empty table, the 2- and 4-shard answers and
+//!    error strings judged against the 1-shard ones.
 
 mod common;
 
 use common::corpus::{fixture, ORACLE};
-use hyperq::shard::{Mode, ShardCluster};
-use hyperq::side_by_side::{router, shard_opts, Arm, Baseline, Matrix, Rule};
+use hyperq::shard::{Mode, ShardCluster, ShardOpts};
+use hyperq::side_by_side::{shard_opts, Arm, Baseline, Matrix, Rule};
 use hyperq::{Backend, DirectBackend};
 use pgdb::{Batch, BatchQueryResult, Cell};
 use std::sync::RwLock;
@@ -39,6 +39,12 @@ static COORD_COUNTER: RwLock<()> = RwLock::new(());
 // ---------------------------------------------------------------------
 // 1. Direct SQL: single node vs 1/2/4-shard routers, bit for bit.
 // ---------------------------------------------------------------------
+
+/// A cluster with the default placement policy (broadcast up to 64
+/// rows), so the fixture below has a table of each placement.
+fn cluster(shards: usize) -> std::sync::Arc<ShardCluster> {
+    ShardCluster::in_process_with(shards, ShardOpts { broadcast_threshold: 64, ..shard_opts() })
+}
 
 /// Identical setup run through every backend. `fact` (150 rows, one
 /// INSERT) partitions; `dim` (8 rows) broadcasts.
@@ -194,7 +200,7 @@ fn sql_differential_is_bit_identical_at_one_two_and_four_shards() {
     let mut backends: Vec<(String, Box<dyn Backend>)> =
         vec![("single-node".into(), Box::new(DirectBackend::new(&single_db)))];
     for shards in [1usize, 2, 4] {
-        backends.push((format!("{shards}-shard router"), Box::new(router(shards).unwrap())));
+        backends.push((format!("{shards}-shard router"), Box::new(cluster(shards).router().unwrap())));
     }
     for stmt in setup_sql() {
         for (name, b) in &mut backends {
@@ -247,7 +253,7 @@ fn shard_managed_selects_never_reach_the_coordinator() {
     let reg = obs::global_registry();
     let coord = "shard_statements_total{shard=\"coord\"}";
     for shards in [1usize, 2, 4] {
-        let cluster = ShardCluster::in_process_with(shards, shard_opts());
+        let cluster = cluster(shards);
         let mut r = cluster.router().unwrap();
         for stmt in setup_sql() {
             run_sql(&mut r, &stmt);
@@ -280,7 +286,7 @@ fn shard_managed_selects_never_reach_the_coordinator() {
 #[test]
 fn differential_fixture_really_scatters() {
     let _coord = COORD_COUNTER.read().unwrap_or_else(|e| e.into_inner());
-    let cluster = ShardCluster::in_process_with(4, shard_opts());
+    let cluster = cluster(4);
     let mut r = cluster.router().unwrap();
     for stmt in setup_sql() {
         if let SqlOutcome::Error(e) = run_sql(&mut r, &stmt) {
@@ -350,9 +356,9 @@ fn differential_fixture_really_scatters() {
 // 2. The Q oracle through the full pipeline, per shard count.
 // ---------------------------------------------------------------------
 
-/// trades (200 rows) and quotes (600) partition, nullable (5) and
-/// refdata (3) broadcast. Each statement is compared across the six
-/// pairs of the four arms.
+/// The router arms partition every non-empty table: trades (200 rows),
+/// quotes (600), nullable (5) and refdata (3). Each statement is
+/// compared across the six pairs of the four arms.
 #[test]
 fn oracle_agrees_at_one_two_and_four_shards() {
     let _coord = COORD_COUNTER.read().unwrap_or_else(|e| e.into_inner());

@@ -3,15 +3,18 @@
 //! 1. Table-driven *pure* planner tests: `planner::plan_select` over a
 //!    hand-built catalog, asserting the `ShardPlan` kind and reason for
 //!    every statement family — no cluster, no execution.
-//! 2. Placement-policy tests: `decide_placement` from observed row
-//!    counts and key-cardinality sketches.
+//! 2. Placement-policy tests: `decide_placement` from routed row counts
+//!    and distinct partition keys, and the same placement from an
+//!    in-process and a remote cluster.
 //! 3. The plan-kind pin: how many statements of the fixed-seed
 //!    200-program fuzz slice on a 4-shard router plan each kind.
 
+use hyperq::gateway::Credentials;
 use hyperq::shard::planner::{self, decide_placement, plan_select, ShardPlan};
-use hyperq::shard::{Mode, TableMeta};
-use hyperq::side_by_side::{router, router_session, shard_opts};
-use hyperq::{share, HyperQSession, SessionConfig};
+use hyperq::shard::{Mode, ShardCluster, ShardOpts, TableMeta};
+use hyperq::side_by_side::{router_session, shard_opts};
+use hyperq::{share, Backend, HyperQSession, RetryPolicy, SessionConfig, WireTimeouts};
+use pgdb::server::{PgServer, ServerConfig};
 use pgdb::sql::ast::Stmt;
 use pgdb::sql::render::render_expr;
 use pgdb::PgType;
@@ -376,12 +379,17 @@ fn planner_is_pure_over_the_snapshot() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Placement policy from observed statistics.
+// 2. Placement policy from routed rows and keys.
 // ---------------------------------------------------------------------
+
+/// The default placement policy: broadcast up to 64 rows.
+fn placement_opts() -> ShardOpts {
+    ShardOpts { broadcast_threshold: 64, ..shard_opts() }
+}
 
 #[test]
 fn placement_follows_rows_and_key_cardinality() {
-    let o = shard_opts(); // threshold 64
+    let o = placement_opts();
     // Small tables broadcast regardless of cardinality.
     let p = decide_placement(64, Some(64), 4, &o);
     assert_eq!((p.mode, p.reason), (Mode::Broadcast, "small_table"));
@@ -396,17 +404,72 @@ fn placement_follows_rows_and_key_cardinality() {
     // The low-cardinality override expires at 4x the threshold.
     let p = decide_placement(257, Some(3), 4, &o);
     assert_eq!((p.mode, p.reason), (Mode::Partitioned, "over_threshold"));
-    // No observed stats (remote backend): pure row-count threshold.
+    // A keyless table: pure row-count threshold.
     let p = decide_placement(100, None, 4, &o);
     assert_eq!((p.mode, p.reason), (Mode::Partitioned, "over_threshold"));
 }
 
 #[test]
 fn threshold_zero_partitions_everything() {
-    let mut o = shard_opts();
+    let mut o = placement_opts();
     o.broadcast_threshold = 0;
     let p = decide_placement(1, Some(1), 4, &o);
     assert_eq!(p.mode, Mode::Partitioned);
+}
+
+/// Placement a cluster reaches for tables of 100 routed rows (past the
+/// threshold, within 4x it) on 4 shards, by the partition keys routed.
+fn placements(cluster: &std::sync::Arc<ShardCluster>) -> Vec<Mode> {
+    let mut r = cluster.router().unwrap();
+    let tables: [(&str, &[&str]); 3] = [
+        // 3 distinct keys: fewer than the shards.
+        ("three", &["0", "1", "2"]),
+        // 3 distinct keys and NULLs: a NULL key is no distinct value.
+        ("nulls", &["0", "1", "2", "NULL"]),
+        // 4 distinct keys: one per shard.
+        ("four", &["0", "1", "2", "3"]),
+    ];
+    tables
+        .iter()
+        .map(|(t, keys)| {
+            r.execute_sql(&format!("CREATE TABLE {t} (g bigint, v bigint)")).unwrap();
+            let rows: Vec<String> =
+                (0..100).map(|i| format!("({}, {i})", keys[i % keys.len()])).collect();
+            r.execute_sql(&format!("INSERT INTO {t} VALUES {}", rows.join(", "))).unwrap();
+            cluster.table_meta(t).unwrap().mode
+        })
+        .collect()
+}
+
+/// Placement reads only what the router routes, so an in-process and a
+/// remote cluster place a table alike.
+#[test]
+fn placement_is_the_same_in_process_and_remote() {
+    // Both clusters take their knobs from the environment.
+    let opts = ShardOpts::from_env();
+    let p = decide_placement(100, Some(3), 4, &opts);
+    assert_eq!(p.reason, "low_key_cardinality", "needs the default HQ_SHARD_BROADCAST");
+    let want = [Mode::Broadcast, Mode::Broadcast, Mode::Partitioned];
+
+    assert_eq!(placements(&ShardCluster::in_process_with(4, opts)), want, "in process");
+
+    let servers: Vec<PgServer> = (0..5)
+        .map(|_| PgServer::start(pgdb::Db::new(), "127.0.0.1:0", ServerConfig::default()).unwrap())
+        .collect();
+    let addrs: Vec<String> = servers.iter().map(|s| s.addr.to_string()).collect();
+    let creds = Credentials { user: "u".into(), password: String::new(), database: "d".into() };
+    let remote = ShardCluster::remote(
+        addrs[..4].to_vec(),
+        addrs[4].clone(),
+        creds,
+        WireTimeouts::default(),
+        RetryPolicy::no_retry(),
+    );
+    assert_eq!(placements(&remote), want, "remote");
+    drop(remote);
+    for s in servers {
+        s.stop();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -415,7 +478,8 @@ fn threshold_zero_partitions_everything() {
 
 #[test]
 fn session_explain_shard_surface() {
-    let mut s = HyperQSession::new(share(router(2).unwrap()), SessionConfig::default());
+    let cluster = ShardCluster::in_process_with(2, placement_opts());
+    let mut s = HyperQSession::new(share(cluster.router().unwrap()), SessionConfig::default());
     {
         let mut be = s.backend().lock().unwrap();
         be.execute_sql("CREATE TABLE small (k bigint)").unwrap();
@@ -426,7 +490,7 @@ fn session_explain_shard_surface() {
     assert_eq!(names, ["kind", "reason", "detail"]);
     assert_eq!(rows.data[0][0], pgdb::Cell::Text("broadcast".to_string()));
     assert_eq!(rows.data[0][1], pgdb::Cell::Text(planner::OK_REPLICATED.to_string()));
-    // The per-table row surfaces placement and observed statistics.
+    // The per-table row surfaces placement, routed rows and key.
     assert_eq!(rows.data[1][0], pgdb::Cell::Text("table:small".to_string()));
 }
 
@@ -467,9 +531,9 @@ fn fuzz_slice_plan_kinds_are_pinned() {
         .collect();
     got.sort_unstable();
     println!("fuzz-slice plans by kind: {got:?}");
-    // The slice's tables are small, so most statements broadcast; the
-    // gathers are window functions over a partitioned table, and
-    // `local` counts the statements naming a translator temp table. No
-    // other kind appears.
-    assert_eq!(got, [("broadcast", 576), ("gather", 7), ("local", 53)]);
+    // The fuzz row partitions every non-empty table, so no statement
+    // over stored tables alone runs on the coordinator: each one
+    // scatters, aggregates in two phases or gathers, and `local` counts
+    // the statements naming a translator temp table.
+    assert_eq!(got, [("gather", 345), ("local", 53), ("scatter", 217), ("two_phase_agg", 21)]);
 }
